@@ -13,6 +13,7 @@ import argparse
 import datetime as dt
 import hashlib
 import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -41,7 +42,7 @@ from .dynamics import (
     scaling_transform,
     transform_hamiltonian,
 )
-from .errors import DomainError, NumericalFailure
+from .errors import CapacityError, DomainError, NumericalFailure
 from .hilbert import build_fock_rep, build_halfline_rep, build_spin_rep, expectation, variance
 from .models import HydrogenParams, hydrogen_classical, hydrogen_enhanced, min_radius, spin_precession
 
@@ -186,16 +187,20 @@ _SCHEMA = {
 }
 
 
+# built once: checking the constant schema against its metaschema on every
+# call took most of the validation time (the tests check it once)
+_VALIDATOR = jsonschema.validators.validator_for(_SCHEMA)(_SCHEMA)
+
+
 class ConfigError(ValueError):
     """Configuration rejected before any file is written."""
 
 
 def validate_config(cfg: dict) -> dict:
-    try:
-        jsonschema.validate(cfg, _SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = ".".join(str(x) for x in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config error at {path}: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(cfg))
+    if error is not None:
+        path = ".".join(str(x) for x in error.absolute_path) or "<root>"
+        raise ConfigError(f"config error at {path}: {error.message}") from error
     return cfg
 
 
@@ -612,9 +617,16 @@ def run(cfg: dict, out_dir=None, stamp=False, verbose=False) -> list:
     # validate everything cheap before creating the output directory
     if experiment in ("expectation", "metric", "curvature", "limit_study"):
         _label_points(cfg)
+    # a failed run removes the directories it created, and what it wrote there
+    created = [d for d in (out, *out.parents) if not d.exists()]
     out.mkdir(parents=True, exist_ok=True)
     base = cfg.get("output", {}).get("basename")
-    paths = runner(cfg, out, stamp)
+    try:
+        paths = runner(cfg, out, stamp)
+    except BaseException:
+        if created:
+            shutil.rmtree(created[-1], ignore_errors=True)
+        raise
     if base:
         renamed = []
         for p in paths:
@@ -765,6 +777,9 @@ for example "0.5*P^2 + 0.5*Q^2" or "P*Q*P - 2*Q" (letters P, Q for the
 canonical set, D, Q, P affine, S1, S2, S3 spin).  Only nonnegative integer
 powers are allowed ("D*Q^-1" is rejected) and the polynomial must be
 Hermitian.  The full config schema is described in the README.
+
+Exit codes: 0 success, 1 verify check failed or numerical failure,
+2 config or input rejected, 3 representation too small.
 """
 
 
@@ -800,6 +815,11 @@ def main(argv=None) -> int:
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}; diagnostics: {exc.diagnostics}", file=sys.stderr)
         return 1
+    except CapacityError as exc:
+        hint = "" if exc.required_dim is None else (
+            f"; set representation.dim to at least {exc.required_dim}")
+        print(f"capacity error: {exc}{hint}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

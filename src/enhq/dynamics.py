@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from .correspondence import EnhancedHamiltonian
 from .errors import InvalidTransformError, NumericalFailure
@@ -160,14 +162,19 @@ def hamiltonian_flow(
     half-line Hamiltonians the run stops with a ``singularity_hit`` event
     when ``q`` crosses ``q_floor``; a declared label domain stops with
     ``domain_exit``.  Step-size underflow near a collapse is converted into
-    the singularity event rather than an exception, while non-finite
-    gradients raise :class:`NumericalFailure`.
+    the singularity event, at the last accepted step, rather than an
+    exception, while non-finite gradients raise :class:`NumericalFailure`.
+
+    ``rk45`` runs :func:`_dormand_prince`, a scalar loop that takes the
+    steps of scipy's ``RK45``; ``dop853`` runs ``solve_ivp``.
     """
     x0 = _as_point(x0)
     if not np.isfinite(t_final) or t_final <= 0:
         raise ValueError("t_final must be positive and finite")
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
+    if max_step is not None and not max_step > 0:
+        raise ValueError("max_step must be positive")
     if H.q_positive and x0.q <= q_floor:
         raise ValueError(f"initial q = {x0.q} is not above the floor {q_floor}")
     if H.label_domain is not None and H.label_domain(x0.p, x0.q) <= 0:
@@ -178,84 +185,254 @@ def hamiltonian_flow(
     if method not in ("rk45", "dop853"):
         raise ValueError(f"unknown integrator method {method!r}")
 
-    def rhs(t, y):
-        gp, gq = H.gradient(y[0], y[1])
-        if not (np.isfinite(gp) and np.isfinite(gq)):
+    gradient = H.gradient
+
+    def rhs(t, p, q):
+        gp, gq = gradient(p, q)
+        if not (math.isfinite(gp) and math.isfinite(gq)):
             raise NumericalFailure(
-                f"gradient is not finite at (p, q) = ({y[0]}, {y[1]})",
-                {"t": t, "p": y[0], "q": y[1]},
+                f"gradient is not finite at (p, q) = ({p}, {q})",
+                {"t": t, "p": p, "q": q},
             )
-        return (-gq, gp)
+        return -gq, gp
 
-    events = []
-
-    def bounce(t, y):
-        return H.gradient(y[0], y[1])[0]
-
-    bounce.terminal = False
-    bounce.direction = 1.0
-    events.append(("bounce", bounce))
-
+    # (kind, g(p, q), direction, terminal): an event fires where g crosses
+    # zero in ``direction``
+    events = [("bounce", lambda p, q: gradient(p, q)[0], 1.0, False)]
     if H.q_positive:
-        def singular(t, y, floor=q_floor):
-            return y[1] - floor
-
-        singular.terminal = True
-        singular.direction = -1.0
-        events.append(("singularity_hit", singular))
-
+        events.append(("singularity_hit", lambda p, q: q - q_floor, -1.0, True))
     if H.label_domain is not None:
-        def exits(t, y, margin=H.label_domain):
-            return margin(y[0], y[1])
+        events.append(("domain_exit", H.label_domain, -1.0, True))
 
-        exits.terminal = True
-        exits.direction = -1.0
-        events.append(("domain_exit", exits))
-
-    t_eval = np.linspace(0.0, t_final, n_samples)
-    sol = solve_ivp(
-        rhs,
-        (0.0, t_final),
-        (x0.p, x0.q),
-        method="RK45" if method == "rk45" else "DOP853",
-        rtol=tol,
-        atol=tol * 1e-3,
-        t_eval=t_eval,
-        events=[f for _, f in events],
-        max_step=np.inf if max_step is None else max_step,
+    integrate = _dormand_prince if method == "rk45" else _dop853
+    ts, ps, qs, hits, stop = integrate(
+        rhs, x0.p, x0.q, t_final, tol, tol * 1e-3,
+        np.inf if max_step is None else max_step,
+        np.linspace(0.0, t_final, n_samples),
+        [e[1:] for e in events],
     )
 
-    recorded = []
-    if sol.status >= 0:
-        for (kind, _), times, states in zip(events, sol.t_events, sol.y_events):
-            for te, ye in zip(times, states):
-                recorded.append(
-                    TrajectoryEvent(float(te), kind, float(ye[0]), float(ye[1]),
-                                    H.evaluate(float(ye[0]), float(ye[1])))
-                )
-    else:
+    recorded = [
+        TrajectoryEvent(t, events[i][0], p, q, H.evaluate(p, q)) for i, t, p, q in hits
+    ]
+    if stop is not None:
         # solver gave up (typically step underflow against a collapse)
-        if sol.t.size == 0:
-            raise NumericalFailure(f"integration failed at t = 0: {sol.message}", {})
-        t_last = float(sol.t[-1])
-        p_last, q_last = float(sol.y[0, -1]), float(sol.y[1, -1])
-        if H.q_positive:
-            recorded.append(
-                TrajectoryEvent(t_last, "singularity_hit", p_last, q_last,
-                                H.evaluate(p_last, q_last))
-            )
-        else:
+        t_last, p_last, q_last, message = stop
+        if len(ts) == 0:
+            raise NumericalFailure(f"integration failed at t = 0: {message}", {})
+        if not H.q_positive:
             raise NumericalFailure(
-                f"integration failed at t = {t_last}: {sol.message}",
+                f"integration failed at t = {t_last}: {message}",
                 {"t": t_last, "p": p_last, "q": q_last},
             )
+        recorded.append(
+            TrajectoryEvent(t_last, "singularity_hit", p_last, q_last, H.evaluate(p_last, q_last))
+        )
 
-    ts = np.asarray(sol.t, dtype=float)
-    ps = np.asarray(sol.y[0], dtype=float)
-    qs = np.asarray(sol.y[1], dtype=float)
     energies = np.array([H.evaluate(p, q) for p, q in zip(ps, qs)])
     recorded.sort(key=lambda e: e.time)
-    return Trajectory(ts, ps, qs, energies, tuple(recorded))
+    return Trajectory(np.asarray(ts, dtype=float), np.asarray(ps, dtype=float),
+                      np.asarray(qs, dtype=float), energies, tuple(recorded))
+
+
+# Dormand & Prince (1980) 5(4) pair with the 4th-order dense output of
+# Shampine (1986), as tabulated in scipy's RK45: stage matrix A, 5th-order
+# weights B (B2 = 0), error row E = B - B_hat over the seven stages (the
+# last is the first-same-as-last stage; E2 = 0) and dense-output rows P
+# (P2 = 0).
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4, _E5, _E6, _E7 = (
+    -71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40,
+)
+# columns of P for x^2, x^3 and x^4 (that for x is the first stage alone),
+# rows for the stages 1, 3, 4, 5, 6 and 7
+_P2 = (-8048581381 / 2820520608, 131558114200 / 32700410799, -1754552775 / 470086768,
+       127303824393 / 49829197408, -282668133 / 205662961, 40617522 / 29380423)
+_P3 = (8663915743 / 2820520608, -68118460800 / 10900136933, 14199869525 / 1410260304,
+       -318862633887 / 49829197408, 2019193451 / 616988883, -110615467 / 29380423)
+_P4 = (-12715105075 / 11282082432, 87487479700 / 32700410799, -10690763975 / 1880347072,
+       701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423)
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_EPS = float(np.finfo(float).eps)
+# step-size control of Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.4
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_SQRT2 = math.sqrt(2.0)
+_TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+
+
+def _rms(x, y):
+    return math.sqrt(x * x + y * y) / _SQRT2
+
+
+def _dormand_prince(fun, p, q, t_final, rtol, atol, max_step, t_eval, events):
+    """Integrate ``(p, q)' = fun(t, p, q)`` from ``t = 0`` with Python floats.
+
+    The scheme of scipy's ``RK45``, step for step: the same tableau,
+    initial step, RMS error norm with scale ``atol + max(|y|, |y_new|) rtol``,
+    step factors, give-up below ten ulp of ``t`` and floor on ``rtol``.
+    ``t_eval`` samples come from the dense output.  ``events`` are
+    ``(g(p, q), direction, terminal)``; an event fires where ``g`` changes
+    sign in its direction between two step ends, at the Brent root of ``g``
+    on the dense output, and a terminal one ends the run there.
+
+    Returns sample times, ``p`` and ``q`` (lists), event hits
+    ``(index, t, p, q)`` and ``None``, or, when the step size underflowed,
+    ``(t, p, q, message)`` of the last accepted step.
+    """
+    rtol = max(rtol, 100 * _EPS)
+    fp, fq = fun(0.0, p, q)
+
+    # initial step
+    sp, sq = atol + abs(p) * rtol, atol + abs(q) * rtol
+    d0, d1 = _rms(p / sp, q / sq), _rms(fp / sp, fq / sq)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_final)
+    gp, gq = fun(h0, p + h0 * fp, q + h0 * fq)
+    d2 = _rms((gp - fp) / sp, (gq - fq) / sq) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    h_abs = min(100 * h0, h1, t_final, max_step)
+
+    g_old = [g(p, q) for g, _, _ in events]
+    t_eval = t_eval.tolist()
+    n_eval, i_eval = len(t_eval), 0
+    ts, ps, qs, hits = [], [], [], []
+    t = 0.0
+    while True:
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        if h_abs > max_step:
+            h_abs = max_step
+        elif h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return ts, ps, qs, hits, (t, p, q, _TOO_SMALL_STEP)
+            t_new = t + h_abs
+            if t_new > t_final:
+                t_new = t_final
+            h = t_new - t
+            h_abs = h
+            k2p, k2q = fun(t + _C2 * h, p + fp * _A21 * h, q + fq * _A21 * h)
+            k3p, k3q = fun(t + _C3 * h, p + (fp * _A31 + k2p * _A32) * h,
+                           q + (fq * _A31 + k2q * _A32) * h)
+            k4p, k4q = fun(t + _C4 * h, p + (fp * _A41 + k2p * _A42 + k3p * _A43) * h,
+                           q + (fq * _A41 + k2q * _A42 + k3q * _A43) * h)
+            k5p, k5q = fun(t + _C5 * h,
+                           p + (fp * _A51 + k2p * _A52 + k3p * _A53 + k4p * _A54) * h,
+                           q + (fq * _A51 + k2q * _A52 + k3q * _A53 + k4q * _A54) * h)
+            k6p, k6q = fun(t + h,
+                           p + (fp * _A61 + k2p * _A62 + k3p * _A63 + k4p * _A64 + k5p * _A65) * h,
+                           q + (fq * _A61 + k2q * _A62 + k3q * _A63 + k4q * _A64 + k5q * _A65) * h)
+            p_new = p + h * (fp * _B1 + k3p * _B3 + k4p * _B4 + k5p * _B5 + k6p * _B6)
+            q_new = q + h * (fq * _B1 + k3q * _B3 + k4q * _B4 + k5q * _B5 + k6q * _B6)
+            k7p, k7q = fun(t + h, p_new, q_new)
+            ep = (fp * _E1 + k3p * _E3 + k4p * _E4 + k5p * _E5 + k6p * _E6 + k7p * _E7) * h
+            eq = (fq * _E1 + k3q * _E3 + k4q * _E4 + k5q * _E5 + k6q * _E6 + k7q * _E7) * h
+            error = _rms(ep / (atol + max(abs(p), abs(p_new)) * rtol),
+                         eq / (atol + max(abs(q), abs(q_new)) * rtol))
+            if error < 1:
+                factor = _MAX_FACTOR if error == 0 else min(_MAX_FACTOR, _SAFETY * error ** -0.2)
+                if rejected:
+                    factor = min(1.0, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error ** -0.2)
+            rejected = True
+
+        g_new = [g(p_new, q_new) for g, _, _ in events]
+        active = [
+            i for i, (a, b, (_, direction, _)) in enumerate(zip(g_old, g_new, events))
+            if (a <= 0 <= b and direction > 0) or (a >= 0 >= b and direction < 0)
+        ]
+        t_end, terminate = t_new, False
+        if active or (i_eval < n_eval and t_eval[i_eval] <= t_new):
+            dense = _dense_output(t, p, q, h, (fp, k3p, k4p, k5p, k6p, k7p),
+                                  (fq, k3q, k4q, k5q, k6q, k7q))
+        if active:
+            found = [
+                (brentq(lambda s, g=events[i][0]: g(*dense(s)), t, t_new,
+                        xtol=4 * _EPS, rtol=4 * _EPS), i)
+                for i in active
+            ]
+            if any(events[i][2] for i in active):
+                # events up to and including the first terminal one, in time order
+                found.sort()
+                first = next(k for k, (_, i) in enumerate(found) if events[i][2])
+                found = found[: first + 1]
+                t_end, terminate = found[-1][0], True
+            for root, i in found:
+                hits.append((i, root, *dense(root)))
+
+        while i_eval < n_eval and t_eval[i_eval] <= t_end:
+            s = t_eval[i_eval]
+            sp, sq = dense(s)
+            ts.append(s)
+            ps.append(sp)
+            qs.append(sq)
+            i_eval += 1
+
+        if terminate or t_new >= t_final:
+            return ts, ps, qs, hits, None
+        t, p, q, fp, fq, g_old = t_new, p_new, q_new, k7p, k7q, g_new
+
+
+def _dense_output(t_old, p_old, q_old, h, kp, kq):
+    """The step's quartic interpolant ``t -> (p, q)``: scipy's ``RkDenseOutput``.
+
+    ``kp`` and ``kq`` are the stages 1, 3, 4, 5, 6 and 7 of each component.
+    """
+    cp = (kp[0], *(_dot6(kp, col) for col in (_P2, _P3, _P4)))
+    cq = (kq[0], *(_dot6(kq, col) for col in (_P2, _P3, _P4)))
+
+    def at(s):
+        x = (s - t_old) / h
+        x2 = x * x
+        x3 = x2 * x
+        x4 = x3 * x
+        return (h * (cp[0] * x + cp[1] * x2 + cp[2] * x3 + cp[3] * x4) + p_old,
+                h * (cq[0] * x + cq[1] * x2 + cq[2] * x3 + cq[3] * x4) + q_old)
+
+    return at
+
+
+def _dot6(k, c):
+    return k[0] * c[0] + k[1] * c[1] + k[2] * c[2] + k[3] * c[3] + k[4] * c[4] + k[5] * c[5]
+
+
+def _dop853(fun, p, q, t_final, rtol, atol, max_step, t_eval, events):
+    """``solve_ivp(method="DOP853")`` with the call and return of :func:`_dormand_prince`."""
+
+    def as_event(g, direction, terminal):
+        def event(t, y):
+            return g(y[0], y[1])
+
+        event.direction, event.terminal = direction, terminal
+        return event
+
+    sol = solve_ivp(
+        lambda t, y: fun(t, y[0], y[1]), (0.0, t_final), (p, q), method="DOP853",
+        rtol=rtol, atol=atol, t_eval=t_eval, events=[as_event(*e) for e in events],
+        max_step=max_step, dense_output=True,
+    )
+    hits = [
+        (i, float(te), float(ye[0]), float(ye[1]))
+        for i, (times, states) in enumerate(zip(sol.t_events, sol.y_events))
+        for te, ye in zip(times, states)
+    ]
+    stop = None
+    if sol.status < 0:
+        # the dense output ends at the last accepted step
+        t_last = float(sol.sol.t_max)
+        p_last, q_last = map(float, sol.sol(t_last)) if sol.t.size else (p, q)
+        stop = (t_last, p_last, q_last, sol.message)
+    return sol.t, sol.y[0], sol.y[1], hits, stop
 
 
 def _leapfrog_flow(H, x0, t_final, n_samples, q_floor, n_steps):

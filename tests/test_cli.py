@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from enhq.cli import ConfigError, main, run, validate_config
+from enhq.cli import _SCHEMA, _VALIDATOR, ConfigError, main, run, validate_config
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -24,6 +24,9 @@ def body_of(path):
 
 
 class TestValidation:
+    def test_schema_is_valid_against_its_metaschema(self):
+        type(_VALIDATOR).check_schema(_SCHEMA)
+
     def test_unknown_experiment(self):
         with pytest.raises(ConfigError, match="experiment"):
             validate_config({"experiment": "bogus"})
@@ -60,6 +63,28 @@ class TestValidation:
     def test_missing_experiment(self, tmp_path, capsys):
         code = main(["run", "--config", write_config(tmp_path, {"seed": 1})])
         assert code == 2
+
+
+class TestCapacity:
+    CFG = {
+        "experiment": "expectation",
+        "representation": {"kind": "line", "dim": 40},
+        "labels": {"grid": {"p": [0, 8, 3], "q": [0, 8, 3]}},
+    }
+
+    def test_too_small_basis_exits_3_and_leaves_no_directory(self, tmp_path, capsys):
+        out = tmp_path / "fresh" / "out"
+        assert main(["run", "--config", write_config(tmp_path, self.CFG), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("capacity error: ") and err.count("\n") == 1
+        assert "representation.dim to at least 71" in err
+        assert not (tmp_path / "fresh").exists()
+
+    def test_existing_directory_is_kept(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["run", "--config", write_config(tmp_path, self.CFG), "--out", str(out)]) == 3
+        assert out.is_dir()
 
 
 class TestMetricExperiment:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 
 from enhq import (
     HydrogenParams,
@@ -29,7 +29,7 @@ from enhq import (
     verify_transform_action,
 )
 from enhq.correspondence import EnhancedHamiltonian
-from enhq.dynamics import CanonicalTransform
+from enhq.dynamics import CanonicalTransform, _dormand_prince
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +41,11 @@ def harmonic():
 def collapse_oracle(m, e2, p0, q0):
     """Quadrature of the infall time of the bare attractive model."""
     energy = p0 * p0 / (2 * m) - e2 / q0
+    if p0 > 0.0:
+        # an outgoing start climbs to the apocentre first: twice the fall from
+        # rest there, less the infall from q0
+        q_max = e2 / -energy
+        return 2.0 * collapse_oracle(m, e2, 0.0, q_max) - collapse_oracle(m, e2, -p0, q0)
 
     def speed(q):
         return np.sqrt(2.0 / m * (energy + e2 / q))
@@ -139,6 +144,19 @@ class TestHydrogenFlows:
         hits = [e for e in traj.events if e.kind == "singularity_hit"]
         assert hits and hits[0].time == pytest.approx(oracle, rel=1e-4)
 
+    @pytest.mark.parametrize("method", ["rk45", "dop853"])
+    def test_collapse_time_when_the_step_size_underflows(self, method):
+        # from this outgoing start the step size underflows before q reaches
+        # the floor; the collapse is the last accepted step, not the last sample
+        ham = hydrogen_classical(HydrogenParams())
+        traj = hamiltonian_flow(ham, (0.773, 2.587), 133.0, method=method)
+        hits = [e for e in traj.events if e.kind == "singularity_hit"]
+        assert len(hits) == 1 and hits[0].q > 1e-8
+        oracle = collapse_oracle(1.0, 1.0, 0.773, 2.587)
+        assert oracle == pytest.approx(83.296900059, rel=1e-10)
+        assert hits[0].time == pytest.approx(oracle, rel=1e-8)
+        assert traj.t[-1] < hits[0].time
+
     def test_enhanced_time_reversal(self):
         ham = hydrogen_enhanced(HydrogenParams(beta=2.0))
         fwd = hamiltonian_flow(ham, (-0.2, 1.5), 6.0, tol=1e-10)
@@ -169,6 +187,108 @@ class TestHydrogenFlows:
         assert traj.min_q() == pytest.approx(min_radius(ham, energy), abs=1e-6)
 
 
+class TestRK45AgainstScipy:
+    """The in-house Dormand-Prince loop against ``solve_ivp(method="RK45")``."""
+
+    CASES = {
+        "hydrogen_classical": (lambda: hydrogen_classical(HydrogenParams()), (-0.3, 1.0), 4.0),
+        # the step size underflows before q reaches the floor
+        "hydrogen_classical_outgoing": (
+            lambda: hydrogen_classical(HydrogenParams()), (0.773, 2.587), 133.0,
+        ),
+        "hydrogen_enhanced": (lambda: hydrogen_enhanced(HydrogenParams(beta=2.0)), (-0.3, 1.0), 30.0),
+        "harmonic": (None, (0.3, 1.2), 6 * np.pi),
+    }
+
+    @pytest.mark.parametrize("max_step", [np.inf, 0.01])
+    @pytest.mark.parametrize("tol", [1e-10, 1e-6])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_steps_samples_and_events(self, case, tol, max_step, harmonic):
+        build, (p0, q0), t_final = self.CASES[case]
+        ham = harmonic if build is None else build()
+        q_floor = 1e-8
+        calls = []
+
+        def fun(t, p, q):
+            calls.append(t)
+            gp, gq = ham.gradient(p, q)
+            return -gq, gp
+
+        events = [(lambda p, q: ham.gradient(p, q)[0], 1.0, False)]
+        if ham.q_positive:
+            events.append((lambda p, q: q - q_floor, -1.0, True))
+        kinds = ["bounce", "singularity_hit"]
+        t_eval = np.linspace(0.0, t_final, 500)
+
+        def scipy_event(g, direction, terminal):
+            def event(t, y):
+                return g(y[0], y[1])
+
+            event.direction, event.terminal = direction, terminal
+            return event
+
+        ref = solve_ivp(
+            lambda t, y: fun(t, y[0], y[1]), (0.0, t_final), (p0, q0), method="RK45",
+            rtol=tol, atol=tol * 1e-3, t_eval=t_eval, max_step=max_step,
+            events=[scipy_event(*e) for e in events], dense_output=True,
+        )
+        calls.clear()
+        ts, ps, qs, hits, stop = _dormand_prince(
+            fun, p0, q0, t_final, tol, tol * 1e-3, max_step, t_eval, events
+        )
+        # one right-hand side per stage: the same steps, accepted and rejected
+        assert len(calls) == ref.nfev
+        if np.isfinite(max_step):
+            # six stages a step, and at least one step per max_step of time
+            assert ref.nfev >= 6 * ref.sol.t_max / max_step
+        if ref.status < 0:
+            # gave up at the same last accepted step
+            assert stop is not None
+            assert stop[0] == pytest.approx(ref.sol.t_max, rel=1e-12)
+        else:
+            assert stop is None
+        assert_allclose(ts, ref.t, rtol=0, atol=0)
+        assert_allclose(ps, ref.y[0], rtol=0, atol=1e-9)
+        assert_allclose(qs, ref.y[1], rtol=0, atol=1e-9)
+        expected = sorted(
+            (float(te), kinds[i]) for i, times in enumerate(ref.t_events) for te in times
+        )
+        got = sorted((t, kinds[i]) for i, t, _, _ in hits)
+        assert [k for _, k in got] == [k for _, k in expected]
+        assert_allclose([t for t, _ in got], [t for t, _ in expected], rtol=0, atol=1e-10)
+        assert got or stop, "each case should end in an event or a give-up"
+
+    def test_a_terminal_event_drops_the_later_ones_of_its_step(self):
+        # straight-line motion has no error estimate, so steps grow tenfold
+        # and one step crosses all three levels; the last lies beyond the
+        # terminal one
+        def fun(t, p, q):
+            return 0.0, -1.0
+
+        levels = ((0.7, False), (0.5, True), (0.2, False))
+        events = [(lambda p, q, c=c: q - c, -1.0, terminal) for c, terminal in levels]
+        t_eval = np.linspace(0.0, 10.0, 11)
+        _, _, _, hits, stop = _dormand_prince(
+            fun, 0.0, 1.0, 10.0, 1e-10, 1e-13, np.inf, t_eval, events
+        )
+
+        def scipy_event(c, terminal):
+            def event(t, y):
+                return y[1] - c
+
+            event.direction, event.terminal = -1.0, terminal
+            return event
+
+        ref = solve_ivp(
+            lambda t, y: fun(t, y[0], y[1]), (0.0, 10.0), (0.0, 1.0), method="RK45",
+            rtol=1e-10, atol=1e-13, t_eval=t_eval, events=[scipy_event(*lv) for lv in levels],
+        )
+        assert stop is None and ref.status == 1
+        assert [i for i, _, _, _ in hits] == [0, 1]
+        assert [len(times) for times in ref.t_events] == [1, 1, 0]
+        assert_allclose([t for _, t, _, _ in hits], [0.3, 0.5], rtol=0, atol=1e-12)
+
+
 class TestFlowValidation:
     def test_needs_positive_horizon(self, harmonic):
         with pytest.raises(ValueError):
@@ -179,6 +299,11 @@ class TestFlowValidation:
     def test_needs_enough_samples(self, harmonic):
         with pytest.raises(ValueError):
             hamiltonian_flow(harmonic, (0.0, 1.0), 1.0, n_samples=1)
+
+    @pytest.mark.parametrize("max_step", [0.0, -1.0, np.nan])
+    def test_needs_positive_max_step(self, harmonic, max_step):
+        with pytest.raises(ValueError, match="max_step"):
+            hamiltonian_flow(harmonic, (0.0, 1.0), 1.0, max_step=max_step)
 
     def test_halfline_start_must_be_above_floor(self):
         ham = hydrogen_classical(HydrogenParams())
