@@ -37,10 +37,10 @@ from .dynamics import (
     PhasePoint,
     apply_transform,
     hamiltonian_flow,
-    line_integral_p_dq,
     rotation_transform,
     scaling_transform,
     transform_hamiltonian,
+    verify_transform_action,
 )
 from .errors import CapacityError, DomainError, NumericalFailure
 from .hilbert import build_fock_rep, build_halfline_rep, build_spin_rep, expectation, variance
@@ -303,6 +303,13 @@ def _integrator(cfg) -> dict:
     }
 
 
+def _hydrogen_params(cfg) -> HydrogenParams:
+    model = cfg.get("model", {})
+    return HydrogenParams(
+        m=model.get("m", 1.0), e2=model.get("e2", 1.0), beta=model.get("beta", 2.0), hbar=_hbar(cfg)
+    )
+
+
 def _build_hamiltonian(cfg):
     model = cfg.get("model")
     if model is not None:
@@ -315,16 +322,10 @@ def _build_hamiltonian(cfg):
             family = canonical_family(build_fock_rep(dim, hbar))
             poly = parse_polynomial("0.5*P^2 + 0.5*Q^2", "canonical")
             return enhance(poly, family)
-        if name in ("hydrogen_classical", "hydrogen_enhanced"):
-            params = HydrogenParams(
-                m=model.get("m", 1.0),
-                e2=model.get("e2", 1.0),
-                beta=model.get("beta", 2.0),
-                hbar=hbar,
-            )
-            if name == "hydrogen_classical":
-                return hydrogen_classical(params)
-            return hydrogen_enhanced(params)
+        if name == "hydrogen_classical":
+            return hydrogen_classical(_hydrogen_params(cfg))
+        if name == "hydrogen_enhanced":
+            return hydrogen_enhanced(_hydrogen_params(cfg))
         if name == "spin_precession":
             rep = build_spin_rep(model.get("s", 0.5), hbar)
             return spin_precession(model.get("B", 1.0), rep)
@@ -434,17 +435,8 @@ def _run_curvature(cfg, out, stamp):
 def _run_evolve(cfg, out, stamp):
     ham = _build_hamiltonian(cfg)
     x0 = cfg.get("x0", [0.0, 1.0])
-    icfg = _integrator(cfg)
     t_final = float(cfg.get("integrator", {}).get("t_final", 2.0 * np.pi))
-    traj = hamiltonian_flow(
-        ham,
-        PhasePoint(x0[0], x0[1]),
-        t_final,
-        tol=icfg["tol"],
-        n_samples=icfg["n_samples"],
-        q_floor=icfg["q_floor"],
-        method=icfg["method"],
-    )
+    traj = hamiltonian_flow(ham, PhasePoint(x0[0], x0[1]), t_final, **_integrator(cfg))
     fmt = cfg.get("output", {}).get("format", "csv")
     if fmt == "json":
         path = out / "trajectory.json"
@@ -459,15 +451,8 @@ def _run_evolve(cfg, out, stamp):
 
 
 def _run_compare_hydrogen(cfg, out, stamp):
-    model = cfg.get("model", {})
-    params = HydrogenParams(
-        m=model.get("m", 1.0),
-        e2=model.get("e2", 1.0),
-        beta=model.get("beta", 2.0),
-        hbar=_hbar(cfg),
-    )
+    params = _hydrogen_params(cfg)
     x0 = cfg.get("x0", [0.0, 1.0])
-    icfg = _integrator(cfg)
     t_final = float(
         cfg.get("integrator", {}).get(
             "t_final", 10.0 * np.sqrt(params.m * abs(x0[1]) ** 3 / params.e2)
@@ -476,21 +461,13 @@ def _run_compare_hydrogen(cfg, out, stamp):
     horizon_factor = float(cfg.get("horizon_factor", 10.0))
 
     classical = hydrogen_classical(params)
-    traj_c = hamiltonian_flow(
-        classical, PhasePoint(*x0), t_final,
-        tol=icfg["tol"], n_samples=icfg["n_samples"],
-        q_floor=icfg["q_floor"], method=icfg["method"],
-    )
+    traj_c = hamiltonian_flow(classical, PhasePoint(*x0), t_final, **_integrator(cfg))
     hits = [e for e in traj_c.events if e.kind == "singularity_hit"]
     collapse_time = hits[0].time if hits else None
 
     enhanced = hydrogen_enhanced(params)
     t_enh = horizon_factor * (collapse_time if collapse_time else t_final)
-    traj_e = hamiltonian_flow(
-        enhanced, PhasePoint(*x0), t_enh,
-        tol=icfg["tol"], n_samples=icfg["n_samples"],
-        q_floor=icfg["q_floor"], method=icfg["method"],
-    )
+    traj_e = hamiltonian_flow(enhanced, PhasePoint(*x0), t_enh, **_integrator(cfg))
     energy = enhanced.evaluate(*x0)
     summary = {
         "x0": list(map(float, x0)),
@@ -522,22 +499,12 @@ def _run_transform_check(cfg, out, stamp):
     ham = _build_hamiltonian(cfg)
     tr = _transform_from_config(cfg)
     x0 = cfg.get("x0", [0.0, 1.0])
-    icfg = _integrator(cfg)
     t_final = float(cfg.get("integrator", {}).get("t_final", 2.0 * np.pi))
 
-    traj = hamiltonian_flow(
-        ham, PhasePoint(*x0), t_final,
-        tol=icfg["tol"], n_samples=icfg["n_samples"],
-        q_floor=icfg["q_floor"], method=icfg["method"],
-    )
+    traj = hamiltonian_flow(ham, PhasePoint(*x0), t_final, **_integrator(cfg))
     transformed_traj = apply_transform(tr, traj)
-    ham_t = transform_hamiltonian(ham, tr)
     x0_t = apply_transform(tr, PhasePoint(*x0))
-    traj_t = hamiltonian_flow(
-        ham_t, x0_t, t_final,
-        tol=icfg["tol"], n_samples=icfg["n_samples"],
-        q_floor=icfg["q_floor"], method=icfg["method"],
-    )
+    traj_t = hamiltonian_flow(transform_hamiltonian(ham, tr), x0_t, t_final, **_integrator(cfg))
     n = min(len(traj_t), len(transformed_traj))
     dev = float(
         max(
@@ -545,21 +512,14 @@ def _run_transform_check(cfg, out, stamp):
             np.max(np.abs(traj_t.q[:n] - transformed_traj.q[:n])),
         )
     )
-    i1 = line_integral_p_dq(traj)
-    i2 = line_integral_p_dq(transformed_traj)
-    g_delta = None
-    if tr.generator is not None:
-        g_delta = float(
-            tr.generator(transformed_traj.p[-1], transformed_traj.q[-1])
-            - tr.generator(transformed_traj.p[0], transformed_traj.q[0])
-        )
+    action = verify_transform_action(tr, traj)
     payload = {
         "transform": tr.name,
         "max_pointwise_deviation": dev,
-        "integral_p_dq": i1,
-        "integral_transformed": i2,
-        "generator_difference": g_delta,
-        "action_residual": (i1 - i2 - g_delta) if g_delta is not None else (i1 - i2),
+        "integral_p_dq": action.integral_original,
+        "integral_transformed": action.integral_transformed,
+        "generator_difference": action.generator_difference,
+        "action_residual": action.residual,
     }
     path = out / "transform_check.json"
     _write_json(path, cfg, stamp, payload)

@@ -11,7 +11,8 @@ fiducial vector:
   ``[(Q - 1) + (i/beta) D] |beta> = 0``;
 * spin: ``exp(-i phi S3 / hbar) exp(-i theta S2 / hbar) |s, s>`` with the
   highest-weight fiducial, optionally relabeled by ``p = sqrt(s hbar) cos(theta)``
-  and ``q = sqrt(s hbar) phi``.
+  and ``q = sqrt(s hbar) phi``; the family takes every real ``q`` (the
+  azimuth is periodic).
 
 The phase-insensitive metric ``2 hbar [ ||d psi||^2 - |<psi|d psi>|^2 ]`` on a
 family is computed both numerically (central differences of the state map
@@ -80,8 +81,8 @@ class CoherentFamily:
         if self.kind == "affine":
             return q > 0
         if self.kind == "spin":
-            sq = np.sqrt(self.rep.s * self.rep.hbar)
-            return abs(p) <= sq and -np.pi * sq < q <= np.pi * sq
+            # the azimuth is periodic: every real q is a label
+            return abs(p) <= np.sqrt(self.rep.s * self.rep.hbar)
         return True
 
     def state(self, p: float, q: float) -> StateVector:
@@ -90,8 +91,11 @@ class CoherentFamily:
         if self.kind == "affine":
             return affine_cs(p, q, self)
         if self.kind == "spin":
-            theta, phi = pq_to_angles(p, q, self.rep)
-            return spin_cs(theta, phi, self.rep)
+            # phi = q / sqrt(s hbar) is left unwrapped: wrapping it would flip
+            # the sign of half-integer-spin states at the seam
+            theta, _ = pq_to_angles(p, 0.0, self.rep)
+            phi = q / np.sqrt(self.rep.s * self.rep.hbar)
+            return _rotated_highest_weight(theta, phi, self.rep)
         if self.kind == "extended":
             return extended_cs(p, q, self.params["a"], self.params["b"], self.rep)
         raise ValueError(f"unknown family kind {self.kind!r}")
@@ -281,10 +285,11 @@ def spin_cs(theta: float, phi: float, rep: SpinRep) -> StateVector:
         raise DomainError(f"theta must lie in [0, pi] (got {theta})")
     if not (-np.pi - eps < phi <= np.pi + eps):
         raise DomainError(f"phi must lie in (-pi, pi] (got {phi})")
-    psi = rep.highest_weight()
-    psi = apply_unitary(rep.S2, theta, psi)
-    psi = apply_unitary(rep.S3, phi, psi)
-    return psi
+    return _rotated_highest_weight(theta, phi, rep)
+
+
+def _rotated_highest_weight(theta, phi, rep):
+    return apply_unitary(rep.S3, phi, apply_unitary(rep.S2, theta, rep.highest_weight()))
 
 
 def overlap(s1: StateVector, s2: StateVector) -> complex:

@@ -6,17 +6,20 @@ or ``{S1, S2, S3}`` (spin).  :func:`enhance` restricts it to a coherent-state
 family, producing the label function ``H(p, q) = <p,q| poly |p,q>`` together
 with its gradient.
 
-For canonical families the evaluation uses the group-coordinate shift: each
-letter is translated by its label (``P -> P + p``, ``Q -> Q + q``) and the
-resulting fiducial moments are cached, so ``H`` becomes an explicit
-polynomial in ``(p, q)``.  The analogous affine substitution is
-``D -> D + p q Q``, ``Q -> q Q`` against the extremal-weight fiducial.  Words
-are evaluated by direct matrix products throughout; there is no
-operator-ordering engine.
+For canonical and affine families ``H`` is the fiducial expectation of the
+letters pulled through the group element (Perelomov): ``P -> P + p``,
+``Q -> Q + q`` on the line, ``D -> D + p q Q``, ``Q -> q Q``,
+``P -> P / q + p`` on the half line.  Expanding each word over the shifted
+letters and caching the fiducial moments of the kept subwords turns ``H``
+into an explicit Laurent polynomial in ``(p, q)`` with exact gradients.
+Spin letters pull through to trigonometric functions of the labels, so spin
+words are evaluated by direct matrix products on the rotated states.  There
+is no operator-ordering engine.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 
@@ -215,7 +218,7 @@ def poly_expectation(poly: OperatorPolynomial, family: CoherentFamily, p: float,
 
 
 class _LabelPolynomial:
-    """Real polynomial in (p, q) stored as a coefficient dict {(i, j): c}."""
+    """Real Laurent polynomial in (p, q) stored as a coefficient dict {(i, j): c}."""
 
     def __init__(self, coeffs: dict):
         self.coeffs = {k: float(v) for k, v in coeffs.items() if v != 0.0}
@@ -224,8 +227,9 @@ class _LabelPolynomial:
         return float(sum(c * p**i * q**j for (i, j), c in self.coeffs.items()))
 
     def gradient(self, p: float, q: float) -> tuple[float, float]:
-        gp = sum(i * c * p ** (i - 1) * q**j for (i, j), c in self.coeffs.items() if i > 0)
-        gq = sum(j * c * p**i * q ** (j - 1) for (i, j), c in self.coeffs.items() if j > 0)
+        # powers of q may be negative, so the q sum runs over every j != 0
+        gp = sum(i * c * p ** (i - 1) * q**j for (i, j), c in self.coeffs.items() if i)
+        gq = sum(j * c * p**i * q ** (j - 1) for (i, j), c in self.coeffs.items() if j)
         return float(gp), float(gq)
 
 
@@ -239,69 +243,63 @@ def _realized(value: complex, context: str, tol: float = 1e-10) -> float:
     return float(value.real)
 
 
-def _vacuum_moment(mats, word, vac):
-    vec = vac
-    for letter in reversed(word):
-        vec = mats[letter] @ vec
-    return np.vdot(vac, vec)
+# Adjoint action U(p, q)^dag X U(p, q) of each letter on a family's group
+# element, as terms (fiducial letter or None, power of p, power of q).
+_SHIFTED_LETTERS = {
+    "canonical": {"P": (("P", 0, 0), (None, 1, 0)), "Q": (("Q", 0, 0), (None, 0, 1))},
+    "affine": {
+        "D": (("D", 0, 0), ("Q", 1, 1)),
+        "Q": (("Q", 0, 1),),
+        "P": (("P", 0, -1), (None, 1, 0)),
+    },
+}
 
 
-def _canonical_label_polynomial(poly, family) -> _LabelPolynomial:
-    # <p,q| W(P, Q) |p,q> = <0| W(P + p, Q + q) |0>; expand each position into
-    # operator-or-label and cache the fiducial moments of the subwords.
+def _label_polynomial(poly, family) -> _LabelPolynomial:
+    # <p,q| W |p,q> = <fiducial| U^dag W U |fiducial>: expand every word over
+    # the product of its letters' shifted terms and compute the fiducial
+    # moment of each kept subword once.
     rep = family.rep
-    # a word of length L explores Fock levels up to L, so the moments are
-    # truncation-exact only when the basis holds one more level than that
-    if rep.dim <= poly.degree:
+    k = max((word.count("P") for word, _ in poly.terms), default=0)
+    tol = 1e-10
+    if family.kind == "canonical" and rep.dim <= poly.degree:
+        # a word of length L explores Fock levels up to L, so the moments are
+        # truncation-exact only when the basis holds one more level than that
         raise ValueError(
             f"representation dim {rep.dim} is too small for exact moments of a "
             f"degree-{poly.degree} polynomial (need dim > degree)"
         )
-    mats = _matrices_for(rep, "canonical")
-    vac = family.fiducial.amplitudes
-    coeffs: dict[tuple[int, int], complex] = {}
-    for word, coeff in poly.terms:
-        L = len(word)
-        for mask in range(1 << L):
-            kept = tuple(word[k] for k in range(L) if (mask >> k) & 1)
-            i = sum(1 for k in range(L) if not (mask >> k) & 1 and word[k] == "P")
-            j = sum(1 for k in range(L) if not (mask >> k) & 1 and word[k] == "Q")
-            moment = _vacuum_moment(mats, kept, vac)
-            coeffs[(i, j)] = coeffs.get((i, j), 0.0) + coeff * moment
-    real_coeffs = {
-        k: _realized(complex(v), f"canonical moment expansion at power {k}")
-        for k, v in coeffs.items()
-    }
-    return _LabelPolynomial(real_coeffs)
-
-
-def _affine_label_polynomial(poly, family) -> _LabelPolynomial:
-    # <p,q| W(D, Q) |p,q> = <beta| W(D + p q Q, q Q) |beta>: a D position
-    # contributes D (no label factor) or Q with monomial p*q; a Q position
-    # contributes Q with monomial q.
-    rep = family.rep
-    mats = _matrices_for(rep, "affine")
+    if family.kind == "affine" and k:
+        beta, hbar = family.params["beta"], rep.hbar
+        # a word with k momentum letters differentiates the fiducial k/2 times
+        # on each side; integrability at the origin then needs beta > k/2 * hbar
+        if beta <= 0.5 * k * hbar:
+            raise DomainError(
+                f"fiducial moments of a word with {k} momentum letters diverge "
+                f"unless beta > {k}/2 * hbar (got beta = {beta}, hbar = {hbar})"
+            )
+        # the formal momentum matrix is Hermitian only up to discretization
+        # error, so the reality guard is grid level rather than roundoff level
+        tol = 1e-7
+    shifted = _SHIFTED_LETTERS[family.kind]
+    mats = _matrices_for(rep, poly.variable_set)
     fid = family.fiducial.amplitudes
+    moments: dict[tuple[str, ...], complex] = {}
     coeffs: dict[tuple[int, int], complex] = {}
     for word, coeff in poly.terms:
-        d_positions = [k for k, letter in enumerate(word) if letter == "D"]
-        for mask in range(1 << len(d_positions)):
-            letters = list(word)
-            i = 0  # power of p
-            j = 0  # power of q
-            for bit, k in enumerate(d_positions):
-                if (mask >> bit) & 1:
-                    letters[k] = "Q"
-                    i += 1
-                    j += 1
-            j += sum(1 for letter in word if letter == "Q")
-            moment = _vacuum_moment(mats, tuple(letters), fid)
-            coeffs[(i, j)] = coeffs.get((i, j), 0.0) + coeff * moment
-    real_coeffs = {
-        k: _realized(complex(v), f"affine moment expansion at power {k}")
-        for k, v in coeffs.items()
-    }
-    return _LabelPolynomial(real_coeffs)
+        for terms in itertools.product(*(shifted[letter] for letter in word)):
+            kept = tuple(letter for letter, _, _ in terms if letter is not None)
+            if kept not in moments:
+                vec = fid
+                for letter in reversed(kept):
+                    vec = mats[letter] @ vec
+                moments[kept] = np.vdot(fid, vec)
+            key = (sum(t[1] for t in terms), sum(t[2] for t in terms))
+            coeffs[key] = coeffs.get(key, 0.0) + coeff * moments[kept]
+    return _LabelPolynomial({
+        key: _realized(complex(v), f"{family.kind} moment expansion at power {key}", tol)
+        for key, v in coeffs.items()
+    })
 
 
 class EnhancedHamiltonian:
@@ -349,73 +347,35 @@ class EnhancedHamiltonian:
         return float(gp), float(gq)
 
 
-def _max_p_count(poly) -> int:
-    return max((sum(1 for letter in w if letter == "P") for w, _ in poly.terms), default=0)
-
-
 def enhance(poly: OperatorPolynomial, family: CoherentFamily) -> EnhancedHamiltonian:
     """Restrict an operator polynomial to a coherent-state family.
 
-    Canonical and affine ``{D, Q}`` polynomials are reduced to explicit label
-    polynomials through cached fiducial moments (built once, read many), with
-    exact gradients.  Affine words containing the formal momentum require
-    ``beta > k * hbar`` for ``k`` momentum letters per word and are evaluated
-    directly on grid states; spin polynomials are evaluated directly on the
-    rotated states.
+    Canonical and affine polynomials are reduced once to explicit label
+    polynomials (Laurent in ``q`` when affine words contain the formal
+    momentum) through cached fiducial moments, with exact gradients.
+    Canonical moments need ``dim > degree``; affine words with ``k``
+    momentum letters need ``beta > k/2 * hbar``.  Spin polynomials are
+    evaluated directly on the rotated states.
     """
     hbar = family.rep.hbar
-    if family.kind == "canonical" and poly.variable_set == "canonical":
-        label_poly = _canonical_label_polynomial(poly, family)
+    if family.kind in ("canonical", "affine") and poly.variable_set == family.kind:
+        label_poly = _label_polynomial(poly, family)
         ham = EnhancedHamiltonian(
             label_poly,
             label_poly.gradient,
             hbar=hbar,
             provenance="expectation",
+            q_positive=family.kind == "affine",
         )
         ham.polynomial = dict(label_poly.coeffs)
         return ham
-    if family.kind == "affine" and poly.variable_set == "affine":
-        k = _max_p_count(poly)
-        if k == 0:
-            label_poly = _affine_label_polynomial(poly, family)
-            ham = EnhancedHamiltonian(
-                label_poly,
-                label_poly.gradient,
-                hbar=hbar,
-                provenance="expectation",
-                q_positive=True,
-            )
-            ham.polynomial = dict(label_poly.coeffs)
-            return ham
-        beta = family.params["beta"]
-        # a word with k momentum letters differentiates the fiducial k/2 times
-        # on each side; integrability at the origin then needs beta > k/2 * hbar
-        if beta <= 0.5 * k * hbar:
-            raise DomainError(
-                f"fiducial moments of a word with {k} momentum letters diverge "
-                f"unless beta > {k}/2 * hbar (got beta = {beta}, hbar = {hbar})"
-            )
-        # the formal momentum matrix is Hermitian only up to discretization
-        # error, so the reality guard is grid level rather than roundoff level
-        return EnhancedHamiltonian(
-            lambda p, q: _realized(
-                poly_expectation(poly, family, p, q), "affine expectation", tol=1e-7
-            ),
-            hbar=hbar,
-            provenance="expectation",
-            q_positive=True,
-        )
     if family.kind == "spin" and poly.variable_set == "spin":
         shbar = family.rep.s * hbar
-
-        def margin(p, q):
-            return shbar - p * p
-
         return EnhancedHamiltonian(
             lambda p, q: _realized(poly_expectation(poly, family, p, q), "spin expectation"),
             hbar=hbar,
             provenance="expectation",
-            label_domain=margin,
+            label_domain=lambda p, q: shbar - p * p,
         )
     raise ValueError(
         f"polynomial over the {poly.variable_set} alphabet is incompatible with a "
@@ -439,7 +399,7 @@ def shift_identity_check(poly: OperatorPolynomial, family: CoherentFamily, sampl
     """
     if family.kind != "canonical":
         raise ValueError("the shift identity applies to canonical families")
-    label_poly = _canonical_label_polynomial(poly, family)
+    label_poly = _label_polynomial(poly, family)
     rows = []
     for p, q in samples:
         direct = _realized(poly_expectation(poly, family, p, q), "direct expectation")

@@ -186,19 +186,29 @@ def hamiltonian_flow(
         raise ValueError(f"unknown integrator method {method!r}")
 
     gradient = H.gradient
+    last = (None, None, None)  # (p, q, dq/dt) of the latest right-hand side
 
     def rhs(t, p, q):
+        nonlocal last
         gp, gq = gradient(p, q)
         if not (math.isfinite(gp) and math.isfinite(gq)):
             raise NumericalFailure(
                 f"gradient is not finite at (p, q) = ({p}, {q})",
                 {"t": t, "p": p, "q": q},
             )
+        last = p, q, gp
         return -gq, gp
+
+    def bounce(p, q):
+        # at a step end the step's last stage has just evaluated the gradient
+        last_p, last_q, qdot = last
+        if p == last_p and q == last_q:
+            return qdot
+        return gradient(p, q)[0]
 
     # (kind, g(p, q), direction, terminal): an event fires where g crosses
     # zero in ``direction``
-    events = [("bounce", lambda p, q: gradient(p, q)[0], 1.0, False)]
+    events = [("bounce", bounce, 1.0, False)]
     if H.q_positive:
         events.append(("singularity_hit", lambda p, q: q - q_floor, -1.0, True))
     if H.label_domain is not None:

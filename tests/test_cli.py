@@ -198,6 +198,24 @@ class TestExperiments:
         doc = json.loads((out / "trajectory.json").read_text())
         assert "trajectory" in doc and len(doc["trajectory"]["t"]) > 100
 
+    def test_spin_flow_crosses_the_azimuth_seam(self, tmp_path):
+        # q passes pi sqrt(s hbar) on the way to t = 20
+        cfg = {
+            "experiment": "evolve",
+            "hamiltonian": {"expression": "S3*S3 + S1", "variables": "spin"},
+            "representation": {"kind": "spin", "s": 5},
+            "x0": [1.0, 0.1],
+            "integrator": {"t_final": 20.0},
+        }
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        _, rows = read_rows(out / "trajectory.csv")
+        samples = [r for r in rows if not r[4]]
+        assert float(samples[-1][0]) == 20.0
+        assert max(float(r[2]) for r in samples) > np.pi * np.sqrt(5.0)
+        energies = np.array([float(r[3]) for r in samples])
+        assert np.max(np.abs(energies - energies[0])) < 1e-8 * abs(energies[0])
+
     def test_curvature_experiment(self, tmp_path):
         cfg = {
             "experiment": "curvature",

@@ -356,6 +356,19 @@ class TestMetricNumeric:
             assert g.g_qq == pytest.approx(exact.g_qq, rel=1e-8)
             assert abs(g.g_pq) < 1e-8
 
+    @pytest.mark.parametrize("s", [5.0, 0.5, 2.5])
+    def test_spin_metric_across_the_azimuth_seam(self, s):
+        # the azimuth is periodic: labels at and beyond q = pi sqrt(s hbar)
+        # are interior, and half-integer spins keep one sign across the seam
+        family = spin_family(build_spin_rep(s))
+        sq = np.sqrt(s)
+        for q in (np.pi * sq - 1e-5, np.pi * sq, np.pi * sq + 0.3):
+            g = fs_metric_numeric(family, 0.3 * sq, q)
+            exact = fs_metric_analytic("spin", 0.3 * sq, q, s=s)
+            assert g.g_pp == pytest.approx(exact.g_pp, rel=1e-9)
+            assert g.g_qq == pytest.approx(exact.g_qq, rel=1e-9)
+            assert abs(g.g_pq) < 1e-9
+
     def test_observed_order_at_least_two(self, affine_beta2, canonical200):
         families = {
             "affine": (affine_beta2, 0.5, 1.2),

@@ -12,6 +12,7 @@ from enhq import (
     classical_value,
     enhance,
     fiducial_p2_closed,
+    hamiltonian_flow,
     hydrogen_enhanced,
     parse_polynomial,
     poly_expectation,
@@ -152,6 +153,46 @@ class TestEnhanceAffine:
         c2 = fiducial_p2_closed(2.0, 1.0)
         for p, q in [(0.0, 1.0), (0.6, 1.8)]:
             assert ham(p, q) == pytest.approx(p * p + c2 / (q * q), rel=1e-4)
+
+    @pytest.mark.parametrize(
+        "expression,rel",
+        [("Q", 1e-9), ("D", 1e-9), ("Q^2", 1e-9), ("D*Q + Q*D", 1e-9), ("D*Q*D + Q^3", 1e-9),
+         ("P^2", 1e-6), ("P*Q*P", 1e-6), ("D*P + P*D", 1e-6), ("Q*P^2*Q + D^2", 1e-6)],
+    )
+    def test_moment_route_matches_direct_expectation(self, affine_beta2, expression, rel):
+        # both routes carry grid error; words with the formal momentum only
+        # reach grid level, where the reality guard is 1e-7
+        poly = parse_polynomial(expression, "affine")
+        ham = enhance(poly, affine_beta2)
+        for p, q in [(0.3, 0.5), (1.1, 0.5), (-0.4, 3.0), (0.2, 3.0), (0.7, 1.3)]:
+            direct = poly_expectation(poly, affine_beta2, p, q)
+            assert abs(direct.imag) < 1e-7 * (1.0 + abs(direct.real))
+            assert ham(p, q) == pytest.approx(direct.real, rel=rel)
+
+    def test_dilation_squared_closed_form(self, affine_beta2):
+        # <beta| D^2 |beta> = beta hbar / 2 and <beta| Q^2 |beta> = 1 + hbar / (2 beta)
+        ham = enhance(parse_polynomial("D^2", "affine"), affine_beta2)
+        for p, q in [(0.3, 0.5), (-0.4, 3.0)]:
+            assert ham(p, q) == pytest.approx(1.0 + 1.25 * (p * q) ** 2, rel=1e-9)
+
+    @pytest.mark.parametrize("expression", ["0.5*P^2 + 0.5*Q^2", "P*Q*P"])
+    def test_laurent_gradient_matches_finite_differences(self, affine_beta2, expression):
+        # words with P carry negative powers of q
+        ham = enhance(parse_polynomial(expression, "affine"), affine_beta2)
+        assert any(j < 0 for _, j in ham.polynomial)
+        for p, q in [(0.2, 1.1), (-0.4, 2.5)]:
+            gp, gq = ham.gradient(p, q)
+            h = 1e-5
+            fd_p = (ham(p + h, q) - ham(p - h, q)) / (2 * h)
+            fd_q = (ham(p, q + h) - ham(p, q - h)) / (2 * h)
+            assert gp == pytest.approx(fd_p, rel=1e-6, abs=1e-8)
+            assert gq == pytest.approx(fd_q, rel=1e-6, abs=1e-8)
+
+    def test_momentum_word_flow_conserves_energy(self, affine_beta2):
+        ham = enhance(parse_polynomial("0.5*P^2 + 0.5*Q^2", "affine"), affine_beta2)
+        traj = hamiltonian_flow(ham, (0.1, 1.0), 0.3)
+        assert traj.t[-1] == 0.3
+        assert np.max(np.abs(traj.energy - traj.energy[0])) <= 1e-8 * abs(traj.energy[0])
 
     def test_momentum_word_requires_wide_fiducial(self, halfline4000):
         from enhq import affine_family

@@ -258,6 +258,31 @@ class TestRK45AgainstScipy:
         assert_allclose([t for t, _ in got], [t for t, _ in expected], rtol=0, atol=1e-10)
         assert got or stop, "each case should end in an event or a give-up"
 
+    @pytest.mark.parametrize("x0,t_final", [((-0.3, 1.0), 4.0), ((0.773, 2.587), 133.0)])
+    def test_bounce_event_reuses_the_last_stage_gradient(self, x0, t_final):
+        # one gradient call per right-hand side, plus the bounce event at the
+        # start; at every step end the last stage has the gradient already
+        ham = hydrogen_classical(HydrogenParams())
+        calls = []
+
+        def gradient(p, q):
+            calls.append((p, q))
+            return ham.gradient(p, q)
+
+        counted = EnhancedHamiltonian(ham.evaluate, gradient, q_positive=True)
+        traj = hamiltonian_flow(counted, x0, t_final)
+        assert traj.event_kinds()[-1] == "singularity_hit"
+
+        def event(t, y):
+            return y[1] - 1e-8
+
+        event.direction, event.terminal = -1.0, True
+        ref = solve_ivp(
+            lambda t, y: (-ham.gradient(*y)[1], ham.gradient(*y)[0]), (0.0, t_final), x0,
+            method="RK45", rtol=1e-10, atol=1e-13, events=[event],
+        )
+        assert len(calls) == ref.nfev + 1
+
     def test_a_terminal_event_drops_the_later_ones_of_its_step(self):
         # straight-line motion has no error estimate, so steps grow tenfold
         # and one step crosses all three levels; the last lies beyond the
