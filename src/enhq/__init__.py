@@ -30,6 +30,7 @@ from .coherent import (
     fiducial_moments,
     fiducial_p2_closed,
     fiducial_q_moment_closed,
+    fs_metric,
     fs_metric_analytic,
     fs_metric_numeric,
     overlap,

@@ -28,7 +28,7 @@ from .coherent import (
     extended_family,
     fiducial_moments,
     fiducial_p2_closed,
-    fs_metric_numeric,
+    fs_metric,
     scalar_curvature,
     spin_family,
 )
@@ -151,7 +151,6 @@ _SCHEMA = {
                 "method": {"enum": ["rk45", "dop853", "leapfrog"]},
             },
         },
-        "metric_step": {"type": "number", "exclusiveMinimum": 0},
         "hbar_sequence": {
             "type": "array",
             "items": {"type": "number", "exclusiveMinimum": 0},
@@ -403,10 +402,9 @@ def _run_expectation(cfg, out, stamp):
 
 def _run_metric(cfg, out, stamp):
     family = _build_family(cfg)
-    h = float(cfg.get("metric_step", 1e-4))
     rows = []
     for p, q in _label_points(cfg):
-        g = fs_metric_numeric(family, p, q, h=h)
+        g = fs_metric(family, p, q)
         rows.append((p, q, g.g_pp, g.g_pq, g.g_qq))
     path = out / "metric.csv"
     _write_csv(path, cfg, stamp, ["p", "q", "g_pp", "g_pq", "g_qq"], rows)
@@ -643,7 +641,7 @@ def _suite_flat_metric(cfg):
     worst = 0.0
     for p in np.linspace(-1, 1, 5):
         for q in np.linspace(-1, 1, 5):
-            g = fs_metric_numeric(family, float(p), float(q))
+            g = fs_metric(family, float(p), float(q))
             worst = max(worst, abs(g.g_pp - 1), abs(g.g_qq - 1), abs(g.g_pq))
     return [_check("max metric deviation from identity", worst, 0.0, 1e-6)]
 

@@ -15,8 +15,11 @@ fiducial vector:
   azimuth is periodic).
 
 The phase-insensitive metric ``2 hbar [ ||d psi||^2 - |<psi|d psi>|^2 ]`` on a
-family is computed both numerically (central differences of the state map
-with Richardson extrapolation) and in closed form, together with the scalar
+family is computed three ways: from one state and the exact derivatives of
+the state map (:meth:`CoherentFamily.tangent`, where each derivative is a
+generator applied to a state, so each entry is a covariance of generators),
+from central differences of the state map with Richardson extrapolation
+(the independent cross-check), and in closed form, together with the scalar
 curvature of the closed forms.
 """
 
@@ -99,6 +102,60 @@ class CoherentFamily:
         if self.kind == "extended":
             return extended_cs(p, q, self.params["a"], self.params["b"], self.rep)
         raise ValueError(f"unknown family kind {self.kind!r}")
+
+    def tangent(self, p: float, q: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Return ``(psi, d_p psi, d_q psi)`` as amplitude arrays.
+
+        ``psi`` is ``state(p, q).amplitudes``, with the same tail and domain
+        checks, and the derivatives are those of the same state map, taken
+        exactly: each is a generator applied to a state.  On the half line the
+        derivatives are those of the sampled wavefunction before it is
+        normalized, which differ from the normalized map's only along ``psi``.
+        """
+        rep = self.rep
+        hbar = rep.hbar
+        if self.kind in ("canonical", "extended"):
+            phi = apply_unitary(rep.Q, -p, rep.vacuum())
+            psi = apply_unitary(rep.P, q, phi)
+            if self.kind == "canonical":
+                _check_tail(psi, p, q, DEFAULT_TRUNCATION_MARGIN, CANONICAL_TAIL_TOL)
+            d_p = (1j / hbar) * _push(rep.P, q, rep.Q @ phi.amplitudes, rep)
+            d_q = (-1j / hbar) * (rep.P @ psi.amplitudes)
+            if self.kind == "extended":
+                a, b = self.params["a"], self.params["b"]
+                for op, theta in _squeezers(a, b, rep):
+                    psi = apply_unitary(op, theta, psi)
+                    d_p = _push(op, theta, d_p, rep)
+                    d_q = _push(op, theta, d_q, rep)
+                _check_extended_tail(psi, p, q, a, b, EXTENDED_TAIL_TOL)
+            return psi.amplitudes, d_p, d_q
+        if self.kind == "affine":
+            psi = affine_cs(p, q, self).amplitudes
+            x = rep.grid
+            nu = self.params["beta"] / hbar
+            return psi, (1j / hbar) * x * psi, (nu / q) * (x / q - 1.0) * psi
+        if self.kind == "spin":
+            theta, _ = pq_to_angles(p, 0.0, rep)
+            shbar = rep.s * hbar
+            if p * p >= shbar:
+                raise DomainError(f"the spin chart is singular at the poles (got p = {p})")
+            sq = np.sqrt(shbar)
+            phi = q / sq
+            chi = apply_unitary(rep.S2, theta, rep.highest_weight())
+            psi = apply_unitary(rep.S3, phi, chi)
+            # d theta / d p = -1 / sqrt(s hbar - p^2)
+            dtheta_dp = -1.0 / np.sqrt(shbar - p * p)
+            d_p = (-1j * dtheta_dp / hbar) * _push(rep.S3, phi, rep.S2 @ chi.amplitudes, rep)
+            d_q = (-1j / (hbar * sq)) * (rep.S3 @ psi.amplitudes)
+            return psi.amplitudes, d_p, d_q
+        raise ValueError(f"unknown family kind {self.kind!r}")
+
+
+def _push(op, theta, vec, rep) -> np.ndarray:
+    # exp(-i theta op / hbar) on an unnormalized vector: apply_unitary acts on
+    # unit vectors, so the norm is taken out and put back
+    norm = np.linalg.norm(vec)
+    return norm * apply_unitary(op, theta, StateVector(vec, rep)).amplitudes
 
 
 def canonical_family(rep: LineRep) -> CoherentFamily:
@@ -198,11 +255,23 @@ def extended_cs(
     psi = rep.vacuum()
     psi = apply_unitary(rep.Q, -p, psi)
     psi = apply_unitary(rep.P, q, psi)
+    for op, theta in _squeezers(a, b, rep):
+        psi = apply_unitary(op, theta, psi)
+    return _check_extended_tail(psi, p, q, a, b, tail_tol)
+
+
+def _squeezers(a, b, rep):
+    # the (generator, angle) pairs applied after the displacement, in order;
+    # PQ + QP = 2 D
+    out = []
     if b != 0.0:
-        # PQ + QP = 2 D
-        psi = apply_unitary(rep.D, 2.0 * b, psi)
+        out.append((rep.D, 2.0 * b))
     if a != 0.0:
-        psi = apply_unitary(rep.quadrature_square(), a, psi)
+        out.append((rep.quadrature_square(), a))
+    return out
+
+
+def _check_extended_tail(psi, p, q, a, b, tail_tol):
     tail = float(np.linalg.norm(psi.amplitudes[psi.dim - DEFAULT_TRUNCATION_MARGIN :]))
     if tail > tail_tol:
         raise CapacityError(
@@ -360,17 +429,35 @@ def fiducial_p2_closed(beta: float, hbar: float) -> float:
 # Fubini-Study metric
 # ---------------------------------------------------------------------------
 
+def _fs_components(psi, d_p, d_q, hbar):
+    # (g_pp, g_pq, g_qq) = 2 hbar Re[<d_i psi|d_j psi> - <d_i psi|psi><psi|d_j psi>]
+    conn_p = np.vdot(psi, d_p)
+    conn_q = np.vdot(psi, d_q)
+    g_pp = np.vdot(d_p, d_p) - np.conj(conn_p) * conn_p
+    g_qq = np.vdot(d_q, d_q) - np.conj(conn_q) * conn_q
+    g_pq = np.vdot(d_p, d_q) - np.conj(conn_p) * conn_q
+    scale = 2.0 * hbar
+    return np.array([scale * g_pp.real, scale * g_pq.real, scale * g_qq.real])
+
+
 def _metric_from_map(state_map, p, q, h, hbar):
     psi0 = state_map(p, q).amplitudes
     dpp = (state_map(p + h, q).amplitudes - state_map(p - h, q).amplitudes) / (2.0 * h)
     dpq = (state_map(p, q + h).amplitudes - state_map(p, q - h).amplitudes) / (2.0 * h)
-    conn_p = np.vdot(psi0, dpp)
-    conn_q = np.vdot(psi0, dpq)
-    g_pp = np.vdot(dpp, dpp) - np.conj(conn_p) * conn_p
-    g_qq = np.vdot(dpq, dpq) - np.conj(conn_q) * conn_q
-    g_pq = np.vdot(dpp, dpq) - np.conj(conn_p) * conn_q
-    scale = 2.0 * hbar
-    return np.array([scale * g_pp.real, scale * g_pq.real, scale * g_qq.real])
+    return _fs_components(psi0, dpp, dpq, hbar)
+
+
+def fs_metric(family: CoherentFamily, p: float, q: float) -> MetricTensor2:
+    """Fubini-Study metric at ``(p, q)`` from one state and its exact tangent.
+
+    The derivatives come from :meth:`CoherentFamily.tangent`, so this is the
+    metric of the map that ``family.state`` computes, with no step and no
+    extrapolation; :func:`fs_metric_numeric` is its independent cross-check.
+    Labels off the family's domain, and the spin poles, raise
+    :class:`DomainError`.
+    """
+    g = _fs_components(*family.tangent(p, q), family.rep.hbar)
+    return MetricTensor2(float(g[0]), float(g[1]), float(g[2]))
 
 
 def fs_metric_numeric(

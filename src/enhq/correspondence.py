@@ -218,18 +218,34 @@ def poly_expectation(poly: OperatorPolynomial, family: CoherentFamily, p: float,
 
 
 class _LabelPolynomial:
-    """Real Laurent polynomial in (p, q) stored as a coefficient dict {(i, j): c}."""
+    """Real Laurent polynomial in (p, q) stored as a coefficient dict {(i, j): c}.
 
-    def __init__(self, coeffs: dict):
+    With ``q_positive`` the labels are half-line labels, and ``q <= 0``
+    raises :class:`DomainError`.
+    """
+
+    def __init__(self, coeffs: dict, q_positive: bool = False):
         self.coeffs = {k: float(v) for k, v in coeffs.items() if v != 0.0}
+        self.q_positive = q_positive
+        # the partial derivatives as (coefficient, power of p, power of q)
+        # terms; powers of q may be negative, so d/dq keeps every j != 0
+        self._d_p = [(i * c, i - 1, j) for (i, j), c in self.coeffs.items() if i]
+        self._d_q = [(j * c, i, j - 1) for (i, j), c in self.coeffs.items() if j]
+
+    @staticmethod
+    def _off_domain(q):
+        raise DomainError(f"affine labels require q > 0 (got q = {q})")
 
     def __call__(self, p: float, q: float) -> float:
+        if self.q_positive and q <= 0:
+            self._off_domain(q)
         return float(sum(c * p**i * q**j for (i, j), c in self.coeffs.items()))
 
     def gradient(self, p: float, q: float) -> tuple[float, float]:
-        # powers of q may be negative, so the q sum runs over every j != 0
-        gp = sum(i * c * p ** (i - 1) * q**j for (i, j), c in self.coeffs.items() if i)
-        gq = sum(j * c * p**i * q ** (j - 1) for (i, j), c in self.coeffs.items() if j)
+        if self.q_positive and q <= 0:
+            self._off_domain(q)
+        gp = sum([c * p**i * q**j for c, i, j in self._d_p])
+        gq = sum([c * p**i * q**j for c, i, j in self._d_q])
         return float(gp), float(gq)
 
 
@@ -299,7 +315,7 @@ def _label_polynomial(poly, family) -> _LabelPolynomial:
     return _LabelPolynomial({
         key: _realized(complex(v), f"{family.kind} moment expansion at power {key}", tol)
         for key, v in coeffs.items()
-    })
+    }, q_positive=family.kind == "affine")
 
 
 class EnhancedHamiltonian:
@@ -354,7 +370,8 @@ def enhance(poly: OperatorPolynomial, family: CoherentFamily) -> EnhancedHamilto
     polynomials (Laurent in ``q`` when affine words contain the formal
     momentum) through cached fiducial moments, with exact gradients.
     Canonical moments need ``dim > degree``; affine words with ``k``
-    momentum letters need ``beta > k/2 * hbar``.  Spin polynomials are
+    momentum letters need ``beta > k/2 * hbar``, and the affine label
+    function raises :class:`DomainError` at ``q <= 0``.  Spin polynomials are
     evaluated directly on the rotated states.
     """
     hbar = family.rep.hbar

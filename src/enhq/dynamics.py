@@ -585,8 +585,9 @@ def transform_hamiltonian(H: EnhancedHamiltonian, tr: CanonicalTransform) -> Enh
     """Express ``H`` in the new labels: ``H~(p~, q~) = H(p, q)``.
 
     The gradient uses the exact chain rule when the transform carries a
-    Jacobian, otherwise finite differences of the composite.  Domain flags
-    are composed through the inverse map.
+    Jacobian (a singular Jacobian raises :class:`InvalidTransformError`),
+    otherwise finite differences of the composite.  Domain flags are
+    composed through the inverse map.
     """
 
     def evaluate(pt, qt):
@@ -595,11 +596,14 @@ def transform_hamiltonian(H: EnhancedHamiltonian, tr: CanonicalTransform) -> Enh
     gradient = None
     if tr.jacobian is not None:
         def gradient(pt, qt):
+            # grad~ = J^-T grad with J = ((a, b), (c, d)), the Jacobian of forward
             p, q = tr.inverse(pt, qt)
-            g = np.array(H.gradient(p, q))
-            j_inv = np.linalg.inv(tr._jacobian_at(p, q))
-            out = j_inv.T @ g
-            return float(out[0]), float(out[1])
+            gp, gq = H.gradient(p, q)
+            (a, b), (c, d) = tr.jacobian(p, q)
+            det = a * d - b * c
+            if det == 0:
+                raise InvalidTransformError(f"transform Jacobian is singular at ({p}, {q})")
+            return (d * gp - c * gq) / det, (a * gq - b * gp) / det
 
     label_domain = None
     if H.q_positive or H.label_domain is not None:

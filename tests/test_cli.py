@@ -102,7 +102,34 @@ class TestMetricExperiment:
         assert len(rows) == 25
         for row in rows:
             g_pp, g_pq, g_qq = map(float, row[2:])
-            assert abs(g_pp - 1) < 1e-6 and abs(g_qq - 1) < 1e-6 and abs(g_pq) < 1e-6
+            assert abs(g_pp - 1) < 1e-12 and abs(g_qq - 1) < 1e-12 and abs(g_pq) < 1e-12
+
+    def test_extended_grid_is_flat(self, tmp_path):
+        cfg = {
+            "experiment": "metric",
+            "representation": {"kind": "line", "dim": 80},
+            "family": {"kind": "extended", "a": 0.3, "b": 0.1},
+            "labels": {"grid": {"p": [-0.5, 0.5, 3], "q": [-0.5, 0.5, 3]}},
+        }
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        _, rows = read_rows(out / "metric.csv")
+        assert len(rows) == 9
+        for row in rows:
+            g_pp, g_pq, g_qq = map(float, row[2:])
+            assert abs(g_pp - 1) < 1e-12 and abs(g_qq - 1) < 1e-12 and abs(g_pq) < 1e-12
+
+    def test_metric_step_is_not_a_config_key(self, tmp_path, capsys):
+        # the metric takes no step, so the key is rejected like any unknown key
+        cfg = {
+            "experiment": "metric",
+            "metric_step": 1e-4,
+            "labels": {"grid": {"p": [0, 0, 1], "q": [0, 0, 1]}},
+        }
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+        assert "metric_step" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCompareHydrogen:
@@ -297,6 +324,7 @@ class TestVerify:
         assert code == 0
         assert report["suites"]["label_means"]["passed"]
         assert report["suites"]["flat_metric"]["passed"]
+        assert report["suites"]["flat_metric"]["checks"][0]["measured"] < 1e-12
 
     def test_requires_suites(self, tmp_path, capsys):
         code = main(["verify", "--config", write_config(tmp_path, {"hbar": 1.0})])

@@ -22,6 +22,8 @@ from enhq import (
     fiducial_moments,
     fiducial_p2_closed,
     fiducial_q_moment_closed,
+    extended_family,
+    fs_metric,
     fs_metric_analytic,
     fs_metric_numeric,
     overlap,
@@ -408,6 +410,98 @@ class TestMetricNumeric:
     def test_positive_definite_on_interior(self, affine_beta2):
         g = fs_metric_numeric(affine_beta2, 0.3, 1.1)
         assert g.is_positive_definite()
+
+
+def _metric_rows(g):
+    return np.array([g.g_pp, g.g_pq, g.g_qq])
+
+
+class TestMetricExact:
+    """fs_metric from the exact tangent against the numeric and closed-form metrics."""
+
+    def check(self, family, points, exact):
+        for p, q in points:
+            g = _metric_rows(fs_metric(family, p, q))
+            assert_allclose(g, _metric_rows(fs_metric_numeric(family, p, q)), rtol=0, atol=1e-9)
+            assert_allclose(g, _metric_rows(exact(p, q)), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dim", [48, 80, 160])
+    def test_canonical(self, dim):
+        family = canonical_family(build_fock_rep(dim))
+        points = [(p, q) for p in (-1.0, 0.0, 0.7) for q in (-1.0, 0.3, 1.0)]
+        self.check(family, points, lambda p, q: fs_metric_analytic("canonical", p, q))
+
+    def test_canonical_small_hbar(self):
+        family = canonical_family(build_fock_rep(80, 0.5))
+        self.check(family, [(0.4, -0.6)], lambda p, q: fs_metric_analytic("canonical", p, q))
+
+    def test_affine(self, affine_beta2):
+        points = [(p, q) for p in (-1.0, 0.0, 0.8) for q in (0.6, 1.1, 1.6, 2.0)]
+        self.check(affine_beta2, points, lambda p, q: fs_metric_analytic("affine", p, q, beta=2.0))
+
+    @pytest.mark.parametrize("s", [0.5, 2.5, 20.0])
+    def test_spin_including_past_the_seam(self, s):
+        family = spin_family(build_spin_rep(s))
+        sq = np.sqrt(s)
+        points = [
+            (p * sq, q * sq)
+            for p in (-0.6, 0.0, 0.3, 0.9)
+            for q in (-0.2, 0.5, np.pi - 1e-5, np.pi, np.pi + 0.3, 2.5 * np.pi)
+        ]
+        self.check(family, points, lambda p, q: fs_metric_analytic("spin", p, q, s=s))
+
+    def test_extended_is_flat(self):
+        family = extended_family(build_fock_rep(80), 0.3, 0.1)
+        for p, q in [(0.0, 0.0), (0.2, -0.3), (0.5, 0.5)]:
+            assert_allclose(_metric_rows(fs_metric(family, p, q)), [1.0, 0.0, 1.0], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("s,hbar", [(2.5, 1.0), (2.0, 0.5)])
+    def test_spin_poles_raise(self, s, hbar):
+        # with s hbar = 1 the pole p = 1 squares to s hbar exactly; p just past
+        # it is still inside the rounding allowance of the angle chart
+        family = spin_family(build_spin_rep(s, hbar))
+        sq = np.sqrt(s * hbar)
+        for p in (sq, -sq, sq * (1 + 1e-13)):
+            with pytest.raises(DomainError, match="poles"):
+                fs_metric(family, p, 0.3)
+
+    @pytest.mark.parametrize("q", [0.0, -0.5])
+    def test_affine_off_the_half_line_raises(self, affine_beta2, q):
+        with pytest.raises(DomainError):
+            fs_metric(affine_beta2, 0.2, q)
+
+    def test_capacity_is_checked(self):
+        with pytest.raises(CapacityError):
+            fs_metric(canonical_family(build_fock_rep(40)), 8.0, 8.0)
+
+
+class TestTangent:
+    @pytest.fixture(scope="class")
+    def families(self, affine_beta2):
+        return {
+            "canonical": (canonical_family(build_fock_rep(80)), 0.4, -0.7),
+            "extended": (extended_family(build_fock_rep(80), 0.3, 0.1), 0.4, -0.7),
+            "affine": (affine_beta2, 0.3, 1.3),
+            "spin": (spin_family(build_spin_rep(2.5)), 0.5, 0.9),
+        }
+
+    @pytest.mark.parametrize("kind", ["canonical", "extended", "affine", "spin"])
+    def test_state_is_bit_identical(self, families, kind):
+        family, p, q = families[kind]
+        psi, _, _ = family.tangent(p, q)
+        assert np.array_equal(psi, family.state(p, q).amplitudes)
+
+    @pytest.mark.parametrize("kind", ["canonical", "extended", "affine", "spin"])
+    def test_matches_central_differences(self, families, kind):
+        family, p, q = families[kind]
+        _, d_p, d_q = family.tangent(p, q)
+        h = 1e-5
+
+        def amp(pp, qq):
+            return family.state(pp, qq).amplitudes
+
+        assert_allclose(d_p, (amp(p + h, q) - amp(p - h, q)) / (2 * h), rtol=0, atol=1e-8)
+        assert_allclose(d_q, (amp(p, q + h) - amp(p, q - h)) / (2 * h), rtol=0, atol=1e-8)
 
 
 class TestMetricAnalytic:

@@ -206,6 +206,43 @@ class TestEnhanceAffine:
         assert ham.q_positive
 
 
+class TestLabelPolynomialGradient:
+    @staticmethod
+    def summed_gradient(coeffs, p, q):
+        # the gradient as direct sums over the coefficient dict
+        gp = sum(i * c * p ** (i - 1) * q**j for (i, j), c in coeffs.items() if i)
+        gq = sum(j * c * p**i * q ** (j - 1) for (i, j), c in coeffs.items() if j)
+        return float(gp), float(gq)
+
+    @pytest.mark.parametrize(
+        "family,expression",
+        [("canonical200", "0.5*P^2 + 0.5*Q^2 + 0.1*Q^4 + P*Q*P - 0.3*Q"),
+         ("affine_beta2", "0.5*P^2 + 0.5*Q^2 + P*Q*P + D*Q*D + Q^3 - D")],
+    )
+    def test_bit_identical_to_direct_sums(self, request, family, expression):
+        family = request.getfixturevalue(family)
+        ham = enhance(parse_polynomial(expression, family.kind), family)
+        rng = np.random.default_rng(3)
+        for p, q in zip(rng.uniform(-2, 2, 50), rng.uniform(0.2, 3, 50)):
+            p, q = float(p), float(q)
+            assert ham.gradient(p, q) == self.summed_gradient(ham.polynomial, p, q)
+
+
+class TestAffineLabelDomain:
+    @pytest.mark.parametrize("expression", ["P^2", "D*Q + Q*D"])
+    @pytest.mark.parametrize("q", [0.0, -1.0])
+    def test_labels_off_the_half_line_raise(self, affine_beta2, expression, q):
+        ham = enhance(parse_polynomial(expression, "affine"), affine_beta2)
+        with pytest.raises(DomainError, match="q > 0"):
+            ham(0.1, q)
+        with pytest.raises(DomainError, match="q > 0"):
+            ham.gradient(0.1, q)
+
+    def test_canonical_labels_are_unrestricted(self, canonical200):
+        ham = enhance(parse_polynomial("P^2", "canonical"), canonical200)
+        assert ham(0.1, -1.0) == pytest.approx(0.51, abs=1e-12)
+
+
 class TestEnhanceSpin:
     def test_s3_restricts_to_linear_momentum(self):
         rep = build_spin_rep(2.0)

@@ -391,6 +391,29 @@ class TestTransforms:
         assert np.max(np.abs(flowed.p - relabeled.p)) < 1e-6
         assert np.max(np.abs(flowed.q - relabeled.q)) < 1e-6
 
+    @pytest.mark.parametrize("tr", [rotation_transform(), scaling_transform(3.0)])
+    def test_chain_rule_gradient(self, harmonic, tr):
+        # grad~ = J^-T grad, against numpy's inverse of the Jacobian
+        ham_t = transform_hamiltonian(harmonic, tr)
+        for pt, qt in [(0.2, 0.9), (-1.3, 0.4), (0.0, -0.7)]:
+            p, q = tr.inverse(pt, qt)
+            expected = np.linalg.inv(tr._jacobian_at(p, q)).T @ np.array(harmonic.gradient(p, q))
+            got = ham_t.gradient(pt, qt)
+            if tr.name == "rotation":
+                assert got == (expected[0], expected[1])
+            else:
+                assert_allclose(got, expected, rtol=1e-15, atol=0)
+
+    def test_singular_jacobian_rejected(self, harmonic):
+        flat = CanonicalTransform(
+            forward=lambda p, q: (p, 0.0),
+            inverse=lambda pt, qt: (pt, qt),
+            jacobian=lambda p, q: ((1.0, 0.0), (0.0, 0.0)),
+            name="flatten",
+        )
+        with pytest.raises(InvalidTransformError, match="singular"):
+            transform_hamiltonian(harmonic, flat).gradient(0.3, 0.5)
+
     def test_scaling_preserves_area_exactly(self):
         tr = scaling_transform(3.0)
         jac = tr._jacobian_at(0.7, -0.4)
