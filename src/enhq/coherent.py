@@ -89,19 +89,7 @@ class CoherentFamily:
         return True
 
     def state(self, p: float, q: float) -> StateVector:
-        if self.kind == "canonical":
-            return canonical_cs(p, q, self.rep)
-        if self.kind == "affine":
-            return affine_cs(p, q, self)
-        if self.kind == "spin":
-            # phi = q / sqrt(s hbar) is left unwrapped: wrapping it would flip
-            # the sign of half-integer-spin states at the seam
-            theta, _ = pq_to_angles(p, 0.0, self.rep)
-            phi = q / np.sqrt(self.rep.s * self.rep.hbar)
-            return _rotated_highest_weight(theta, phi, self.rep)
-        if self.kind == "extended":
-            return extended_cs(p, q, self.params["a"], self.params["b"], self.rep)
-        raise ValueError(f"unknown family kind {self.kind!r}")
+        return self._build(p, q, False)[0]
 
     def tangent(self, p: float, q: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Return ``(psi, d_p psi, d_q psi)`` as amplitude arrays.
@@ -111,43 +99,41 @@ class CoherentFamily:
         exactly: each is a generator applied to a state.  On the half line the
         derivatives are those of the sampled wavefunction before it is
         normalized, which differ from the normalized map's only along ``psi``.
+        The spin poles raise :class:`DomainError`.
         """
+        psi, d_p, d_q = self._build(p, q, True)
+        return psi.amplitudes, d_p, d_q
+
+    def _build(self, p, q, tangent):
+        # the state at (p, q) and, when tangent is set, its label derivatives
+        # (None otherwise)
         rep = self.rep
-        hbar = rep.hbar
-        if self.kind in ("canonical", "extended"):
-            phi = apply_unitary(rep.Q, -p, rep.vacuum())
-            psi = apply_unitary(rep.P, q, phi)
-            if self.kind == "canonical":
-                _check_tail(psi, p, q, DEFAULT_TRUNCATION_MARGIN, CANONICAL_TAIL_TOL)
-            d_p = (1j / hbar) * _push(rep.P, q, rep.Q @ phi.amplitudes, rep)
-            d_q = (-1j / hbar) * (rep.P @ psi.amplitudes)
-            if self.kind == "extended":
-                a, b = self.params["a"], self.params["b"]
-                for op, theta in _squeezers(a, b, rep):
-                    psi = apply_unitary(op, theta, psi)
-                    d_p = _push(op, theta, d_p, rep)
-                    d_q = _push(op, theta, d_q, rep)
-                _check_extended_tail(psi, p, q, a, b, EXTENDED_TAIL_TOL)
-            return psi.amplitudes, d_p, d_q
+        if self.kind == "canonical":
+            return _canonical(p, q, rep, DEFAULT_TRUNCATION_MARGIN, CANONICAL_TAIL_TOL, tangent)
+        if self.kind == "extended":
+            a, b = self.params["a"], self.params["b"]
+            return _extended(p, q, a, b, rep, EXTENDED_TAIL_TOL, tangent)
         if self.kind == "affine":
-            psi = affine_cs(p, q, self).amplitudes
+            psi = affine_cs(p, q, self)
+            if not tangent:
+                return psi, None, None
             x = rep.grid
-            nu = self.params["beta"] / hbar
-            return psi, (1j / hbar) * x * psi, (nu / q) * (x / q - 1.0) * psi
+            nu = self.params["beta"] / rep.hbar
+            amps = psi.amplitudes
+            return psi, (1j / rep.hbar) * x * amps, (nu / q) * (x / q - 1.0) * amps
         if self.kind == "spin":
             theta, _ = pq_to_angles(p, 0.0, rep)
-            shbar = rep.s * hbar
-            if p * p >= shbar:
+            shbar = rep.s * rep.hbar
+            if tangent and p * p >= shbar:
                 raise DomainError(f"the spin chart is singular at the poles (got p = {p})")
             sq = np.sqrt(shbar)
-            phi = q / sq
-            chi = apply_unitary(rep.S2, theta, rep.highest_weight())
-            psi = apply_unitary(rep.S3, phi, chi)
+            # phi = q / sqrt(s hbar) is left unwrapped: wrapping it would flip
+            # the sign of half-integer-spin states at the seam
+            psi, d_theta, d_phi = _rotated_highest_weight(theta, q / sq, rep, tangent)
+            if not tangent:
+                return psi, None, None
             # d theta / d p = -1 / sqrt(s hbar - p^2)
-            dtheta_dp = -1.0 / np.sqrt(shbar - p * p)
-            d_p = (-1j * dtheta_dp / hbar) * _push(rep.S3, phi, rep.S2 @ chi.amplitudes, rep)
-            d_q = (-1j / (hbar * sq)) * (rep.S3 @ psi.amplitudes)
-            return psi.amplitudes, d_p, d_q
+            return psi, (-1.0 / np.sqrt(shbar - p * p)) * d_theta, d_phi / sq
         raise ValueError(f"unknown family kind {self.kind!r}")
 
 
@@ -231,10 +217,24 @@ def canonical_cs(
     Raises :class:`CapacityError` with an adequate-dimension estimate when
     the amplitude beyond the truncation margin exceeds ``tail_tol``.
     """
-    psi = rep.vacuum()
-    psi = apply_unitary(rep.Q, -p, psi)
-    psi = apply_unitary(rep.P, q, psi)
-    return _check_tail(psi, p, q, tail_levels, tail_tol)
+    return _canonical(p, q, rep, tail_levels, tail_tol, False)[0]
+
+
+def _displaced(p, q, rep, tangent):
+    # exp(-i q P / hbar) phi with phi = exp(i p Q / hbar)|0>, and with tangent
+    # d_p = (i/hbar) exp(-i q P / hbar) Q phi and d_q = (-i/hbar) P psi
+    phi = apply_unitary(rep.Q, -p, rep.vacuum())
+    psi = apply_unitary(rep.P, q, phi)
+    if not tangent:
+        return psi, None, None
+    d_p = (1j / rep.hbar) * _push(rep.P, q, rep.Q @ phi.amplitudes, rep)
+    d_q = (-1j / rep.hbar) * (rep.P @ psi.amplitudes)
+    return psi, d_p, d_q
+
+
+def _canonical(p, q, rep, tail_levels, tail_tol, tangent):
+    psi, d_p, d_q = _displaced(p, q, rep, tangent)
+    return _check_tail(psi, p, q, tail_levels, tail_tol), d_p, d_q
 
 
 def extended_cs(
@@ -252,23 +252,22 @@ def extended_cs(
     looser :data:`EXTENDED_TAIL_TOL` and raises :class:`CapacityError` when
     it fails (no sharp dimension estimate is available for squeezed tails).
     """
-    psi = rep.vacuum()
-    psi = apply_unitary(rep.Q, -p, psi)
-    psi = apply_unitary(rep.P, q, psi)
-    for op, theta in _squeezers(a, b, rep):
-        psi = apply_unitary(op, theta, psi)
-    return _check_extended_tail(psi, p, q, a, b, tail_tol)
+    return _extended(p, q, a, b, rep, tail_tol, False)[0]
 
 
-def _squeezers(a, b, rep):
-    # the (generator, angle) pairs applied after the displacement, in order;
-    # PQ + QP = 2 D
-    out = []
-    if b != 0.0:
-        out.append((rep.D, 2.0 * b))
+def _extended(p, q, a, b, rep, tail_tol, tangent):
+    # the squeezers are constant in (p, q), so they carry the derivatives of
+    # the displaced state along; PQ + QP = 2 D
+    psi, d_p, d_q = _displaced(p, q, rep, tangent)
+    squeezers = [(rep.D, 2.0 * b)] if b != 0.0 else []
     if a != 0.0:
-        out.append((rep.quadrature_square(), a))
-    return out
+        squeezers.append((rep.quadrature_square(), a))
+    for op, theta in squeezers:
+        psi = apply_unitary(op, theta, psi)
+        if tangent:
+            d_p = _push(op, theta, d_p, rep)
+            d_q = _push(op, theta, d_q, rep)
+    return _check_extended_tail(psi, p, q, a, b, tail_tol), d_p, d_q
 
 
 def _check_extended_tail(psi, p, q, a, b, tail_tol):
@@ -354,11 +353,20 @@ def spin_cs(theta: float, phi: float, rep: SpinRep) -> StateVector:
         raise DomainError(f"theta must lie in [0, pi] (got {theta})")
     if not (-np.pi - eps < phi <= np.pi + eps):
         raise DomainError(f"phi must lie in (-pi, pi] (got {phi})")
-    return _rotated_highest_weight(theta, phi, rep)
+    return _rotated_highest_weight(theta, phi, rep, False)[0]
 
 
-def _rotated_highest_weight(theta, phi, rep):
-    return apply_unitary(rep.S3, phi, apply_unitary(rep.S2, theta, rep.highest_weight()))
+def _rotated_highest_weight(theta, phi, rep, tangent):
+    # psi = exp(-i phi S3 / hbar) chi with chi = exp(-i theta S2 / hbar)|s, s>,
+    # and with tangent d_theta = (-i/hbar) exp(-i phi S3 / hbar) S2 chi and
+    # d_phi = (-i/hbar) S3 psi
+    chi = apply_unitary(rep.S2, theta, rep.highest_weight())
+    psi = apply_unitary(rep.S3, phi, chi)
+    if not tangent:
+        return psi, None, None
+    d_theta = (-1j / rep.hbar) * _push(rep.S3, phi, rep.S2 @ chi.amplitudes, rep)
+    d_phi = (-1j / rep.hbar) * (rep.S3 @ psi.amplitudes)
+    return psi, d_theta, d_phi
 
 
 def overlap(s1: StateVector, s2: StateVector) -> complex:
@@ -456,6 +464,8 @@ def fs_metric(family: CoherentFamily, p: float, q: float) -> MetricTensor2:
     Labels off the family's domain, and the spin poles, raise
     :class:`DomainError`.
     """
+    if not family.label_in_domain(p, q):
+        raise DomainError(f"label ({p}, {q}) lies outside the {family.kind} family's domain")
     g = _fs_components(*family.tangent(p, q), family.rep.hbar)
     return MetricTensor2(float(g[0]), float(g[1]), float(g[2]))
 

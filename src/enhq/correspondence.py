@@ -220,8 +220,10 @@ def poly_expectation(poly: OperatorPolynomial, family: CoherentFamily, p: float,
 class _LabelPolynomial:
     """Real Laurent polynomial in (p, q) stored as a coefficient dict {(i, j): c}.
 
-    With ``q_positive`` the labels are half-line labels, and ``q <= 0``
-    raises :class:`DomainError`.
+    With ``q_positive`` the labels are half-line labels, and evaluating at
+    ``q <= 0`` raises :class:`DomainError`.  ``gradient`` is left unguarded:
+    an integrator may evaluate a stage below the floor before its terminal
+    ``q_floor`` event ends the run.
     """
 
     def __init__(self, coeffs: dict, q_positive: bool = False):
@@ -232,18 +234,12 @@ class _LabelPolynomial:
         self._d_p = [(i * c, i - 1, j) for (i, j), c in self.coeffs.items() if i]
         self._d_q = [(j * c, i, j - 1) for (i, j), c in self.coeffs.items() if j]
 
-    @staticmethod
-    def _off_domain(q):
-        raise DomainError(f"affine labels require q > 0 (got q = {q})")
-
     def __call__(self, p: float, q: float) -> float:
         if self.q_positive and q <= 0:
-            self._off_domain(q)
+            raise DomainError(f"affine labels require q > 0 (got q = {q})")
         return float(sum(c * p**i * q**j for (i, j), c in self.coeffs.items()))
 
     def gradient(self, p: float, q: float) -> tuple[float, float]:
-        if self.q_positive and q <= 0:
-            self._off_domain(q)
         gp = sum([c * p**i * q**j for c, i, j in self._d_p])
         gq = sum([c * p**i * q**j for c, i, j in self._d_q])
         return float(gp), float(gq)

@@ -458,12 +458,15 @@ class TestMetricExact:
     @pytest.mark.parametrize("s,hbar", [(2.5, 1.0), (2.0, 0.5)])
     def test_spin_poles_raise(self, s, hbar):
         # with s hbar = 1 the pole p = 1 squares to s hbar exactly; p just past
-        # it is still inside the rounding allowance of the angle chart
+        # it is still inside the rounding allowance of the angle chart, but
+        # off the family's domain
         family = spin_family(build_spin_rep(s, hbar))
         sq = np.sqrt(s * hbar)
-        for p in (sq, -sq, sq * (1 + 1e-13)):
+        for p in (sq, -sq):
             with pytest.raises(DomainError, match="poles"):
                 fs_metric(family, p, 0.3)
+        with pytest.raises(DomainError, match="outside the spin family's domain"):
+            fs_metric(family, sq * (1 + 1e-13), 0.3)
 
     @pytest.mark.parametrize("q", [0.0, -0.5])
     def test_affine_off_the_half_line_raises(self, affine_beta2, q):
@@ -473,6 +476,16 @@ class TestMetricExact:
     def test_capacity_is_checked(self):
         with pytest.raises(CapacityError):
             fs_metric(canonical_family(build_fock_rep(40)), 8.0, 8.0)
+
+    @pytest.mark.parametrize("p,q", [(np.nan, 0.3), (0.2, np.inf), (-np.inf, 0.3)])
+    def test_non_finite_labels_raise(self, p, q):
+        for family in (
+            canonical_family(build_fock_rep(48)),
+            extended_family(build_fock_rep(48), 0.3, 0.1),
+            spin_family(build_spin_rep(2.5)),
+        ):
+            with pytest.raises(DomainError, match="outside"):
+                fs_metric(family, p, q)
 
 
 class TestTangent:

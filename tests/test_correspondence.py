@@ -235,8 +235,14 @@ class TestAffineLabelDomain:
         ham = enhance(parse_polynomial(expression, "affine"), affine_beta2)
         with pytest.raises(DomainError, match="q > 0"):
             ham(0.1, q)
-        with pytest.raises(DomainError, match="q > 0"):
-            ham.gradient(0.1, q)
+
+    def test_gradient_is_unguarded_below_the_half_line(self, affine_beta2):
+        # integrator stages may land below the floor before the floor event
+        # ends the run, so the gradient keeps the Laurent polynomial's value
+        for expression in ("P^2", "D*Q + Q*D"):
+            ham = enhance(parse_polynomial(expression, "affine"), affine_beta2)
+            expected = TestLabelPolynomialGradient.summed_gradient(ham.polynomial, 0.1, -1.0)
+            assert ham.gradient(0.1, -1.0) == expected
 
     def test_canonical_labels_are_unrestricted(self, canonical200):
         ham = enhance(parse_polynomial("P^2", "canonical"), canonical200)

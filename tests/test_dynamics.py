@@ -124,6 +124,18 @@ class TestHarmonicFlow:
         assert hits[0].time == pytest.approx(np.pi / np.sqrt(8), rel=1e-3)
         assert np.all(traj.q > 0)
 
+    @pytest.mark.parametrize("method,n_steps", [("rk45", None), ("leapfrog", 2000)])
+    def test_affine_expression_flow_stops_at_the_floor(self, affine_beta2, method, n_steps):
+        # H ~ -p drives q down at unit speed; the growing rk45 steps and the
+        # leapfrog drift evaluate the gradient below q = 0 before the floor
+        # event is found, and the run must still end at the floor
+        ham = enhance(parse_polynomial("-P", "affine"), affine_beta2)
+        traj = hamiltonian_flow(ham, (0.0, 1.0), 2.0, method=method, n_steps=n_steps)
+        hits = [e for e in traj.events if e.kind == "singularity_hit"]
+        assert len(hits) == 1 and traj.event_kinds()[-1] == "singularity_hit"
+        assert hits[0].q == pytest.approx(1e-8, abs=1e-6)
+        assert hits[0].time == pytest.approx(1.0, abs=1e-3)
+
 
 class TestHydrogenFlows:
     def test_classical_collapse_time_matches_oracle(self):
