@@ -19,6 +19,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -166,15 +167,23 @@ def hamiltonian_flow(
     exception, while non-finite gradients raise :class:`NumericalFailure`.
 
     ``rk45`` runs :func:`_dormand_prince`, a scalar loop that takes the
-    steps of scipy's ``RK45``; ``dop853`` runs ``solve_ivp``.
+    steps of scipy's ``RK45`` and calls ``H.gradient`` once per stage;
+    ``dop853`` runs ``solve_ivp``.  ``leapfrog`` takes ``n_steps`` fixed
+    steps of three gradient calls each.  ``tol`` must be positive and
+    finite and ``n_steps``, when given, a positive integer.
     """
     x0 = _as_point(x0)
     if not np.isfinite(t_final) or t_final <= 0:
         raise ValueError("t_final must be positive and finite")
+    if not np.isfinite(tol) or tol <= 0:
+        raise ValueError("tol must be positive and finite")
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
     if max_step is not None and not max_step > 0:
         raise ValueError("max_step must be positive")
+    if n_steps is not None and (isinstance(n_steps, bool) or not isinstance(n_steps, Integral)
+                                or n_steps < 1):
+        raise ValueError("n_steps must be a positive integer")
     if H.q_positive and x0.q <= q_floor:
         raise ValueError(f"initial q = {x0.q} is not above the floor {q_floor}")
     if H.label_domain is not None and H.label_domain(x0.p, x0.q) <= 0:
@@ -185,30 +194,9 @@ def hamiltonian_flow(
     if method not in ("rk45", "dop853"):
         raise ValueError(f"unknown integrator method {method!r}")
 
-    gradient = H.gradient
-    last = (None, None, None)  # (p, q, dq/dt) of the latest right-hand side
-
-    def rhs(t, p, q):
-        nonlocal last
-        gp, gq = gradient(p, q)
-        if not (math.isfinite(gp) and math.isfinite(gq)):
-            raise NumericalFailure(
-                f"gradient is not finite at (p, q) = ({p}, {q})",
-                {"t": t, "p": p, "q": q},
-            )
-        last = p, q, gp
-        return -gq, gp
-
-    def bounce(p, q):
-        # at a step end the step's last stage has just evaluated the gradient
-        last_p, last_q, qdot = last
-        if p == last_p and q == last_q:
-            return qdot
-        return gradient(p, q)[0]
-
     # (kind, g(p, q), direction, terminal): an event fires where g crosses
-    # zero in ``direction``
-    events = [("bounce", bounce, 1.0, False)]
+    # zero in ``direction``; the bounce's g, None, stands for dq/dt
+    events = [("bounce", None, 1.0, False)]
     if H.q_positive:
         events.append(("singularity_hit", lambda p, q: q - q_floor, -1.0, True))
     if H.label_domain is not None:
@@ -216,7 +204,7 @@ def hamiltonian_flow(
 
     integrate = _dormand_prince if method == "rk45" else _dop853
     ts, ps, qs, hits, stop = integrate(
-        rhs, x0.p, x0.q, t_final, tol, tol * 1e-3,
+        H.gradient, x0.p, x0.q, t_final, tol, tol * 1e-3,
         np.inf if max_step is None else max_step,
         np.linspace(0.0, t_final, n_samples),
         [e[1:] for e in events],
@@ -245,29 +233,12 @@ def hamiltonian_flow(
                       np.asarray(qs, dtype=float), energies, tuple(recorded))
 
 
-# Dormand & Prince (1980) 5(4) pair with the 4th-order dense output of
-# Shampine (1986), as tabulated in scipy's RK45: stage matrix A, 5th-order
-# weights B (B2 = 0), error row E = B - B_hat over the seven stages (the
-# last is the first-same-as-last stage; E2 = 0) and dense-output rows P
-# (P2 = 0).
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E3, _E4, _E5, _E6, _E7 = (
-    -71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40,
-)
-# columns of P for x^2, x^3 and x^4 (that for x is the first stage alone),
-# rows for the stages 1, 3, 4, 5, 6 and 7
-_P2 = (-8048581381 / 2820520608, 131558114200 / 32700410799, -1754552775 / 470086768,
-       127303824393 / 49829197408, -282668133 / 205662961, 40617522 / 29380423)
-_P3 = (8663915743 / 2820520608, -68118460800 / 10900136933, 14199869525 / 1410260304,
-       -318862633887 / 49829197408, 2019193451 / 616988883, -110615467 / 29380423)
-_P4 = (-12715105075 / 11282082432, 87487479700 / 32700410799, -10690763975 / 1880347072,
-       701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423)
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+def _not_finite(t, p, q):
+    raise NumericalFailure(
+        f"gradient is not finite at (p, q) = ({p}, {q})", {"t": t, "p": p, "q": q},
+    )
+
+
 _EPS = float(np.finfo(float).eps)
 # step-size control of Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.4
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
@@ -279,29 +250,65 @@ def _rms(x, y):
     return math.sqrt(x * x + y * y) / _SQRT2
 
 
-def _dormand_prince(fun, p, q, t_final, rtol, atol, max_step, t_eval, events):
-    """Integrate ``(p, q)' = fun(t, p, q)`` from ``t = 0`` with Python floats.
+def _dormand_prince(gradient, p, q, t_final, rtol, atol, max_step, t_eval, events):
+    """Integrate ``p' = -dH/dq``, ``q' = dH/dp`` from ``t = 0`` with Python floats.
 
-    The scheme of scipy's ``RK45``, step for step: the same tableau,
-    initial step, RMS error norm with scale ``atol + max(|y|, |y_new|) rtol``,
-    step factors, give-up below ten ulp of ``t`` and floor on ``rtol``.
-    ``t_eval`` samples come from the dense output.  ``events`` are
-    ``(g(p, q), direction, terminal)``; an event fires where ``g`` changes
-    sign in its direction between two step ends, at the Brent root of ``g``
-    on the dense output, and a terminal one ends the run there.
+    ``gradient(p, q)`` returns ``(dH/dp, dH/dq)``.  Each stage calls it
+    once, directly, and a non-finite component raises
+    :class:`NumericalFailure` naming that stage's ``(p, q)``.  The scheme of
+    scipy's ``RK45``, step for step: the same tableau, initial step, RMS
+    error norm with scale ``atol + max(|y|, |y_new|) rtol``, step factors,
+    give-up below ten ulp of ``t`` and floor on ``rtol``.  ``t_eval``
+    samples come from the dense output.  ``events`` are ``(g(p, q),
+    direction, terminal)``, where ``g = None`` stands for ``dq/dt``, which at
+    a step end is the last stage's; an event fires where ``g`` changes sign
+    in its direction between two step ends, at the Brent root of ``g`` on
+    the dense output, and a terminal one ends the run there.
 
     Returns sample times, ``p`` and ``q`` (lists), event hits
     ``(index, t, p, q)`` and ``None``, or, when the step size underflowed,
     ``(t, p, q, message)`` of the last accepted step.
     """
+    isfinite, sqrt, nextafter, inf = math.isfinite, math.sqrt, math.nextafter, math.inf
+    # Dormand & Prince (1980) 5(4) pair with the 4th-order dense output of
+    # Shampine (1986), as tabulated in scipy's RK45, in locals: stage times c,
+    # stage matrix a, 5th-order weights b (b2 = 0), error row e = b - b_hat
+    # (stage 7 is first-same-as-last; e2 = 0) and the dense-output columns
+    # p2., p3. and p4. for x^2, x^3 and x^4 (p.2 = 0; that for x is stage 1).
+    c2, c3, c4, c5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+    a21 = 1 / 5
+    a31, a32 = 3 / 40, 9 / 40
+    a41, a42, a43 = 44 / 45, -56 / 15, 32 / 9
+    a51, a52, a53, a54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+    a61, a62, a63, a64, a65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+    b1, b3, b4, b5, b6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+    e1, e3, e4, e5, e6, e7 = (
+        -71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
+    p21, p23, p24, p25, p26, p27 = (
+        -8048581381 / 2820520608, 131558114200 / 32700410799, -1754552775 / 470086768,
+        127303824393 / 49829197408, -282668133 / 205662961, 40617522 / 29380423)
+    p31, p33, p34, p35, p36, p37 = (
+        8663915743 / 2820520608, -68118460800 / 10900136933, 14199869525 / 1410260304,
+        -318862633887 / 49829197408, 2019193451 / 616988883, -110615467 / 29380423)
+    p41, p43, p44, p45, p46, p47 = (
+        -12715105075 / 11282082432, 87487479700 / 32700410799, -10690763975 / 1880347072,
+        701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423)
+
     rtol = max(rtol, 100 * _EPS)
-    fp, fq = fun(0.0, p, q)
+    fq, fp = gradient(p, q)
+    if not (isfinite(fp) and isfinite(fq)):
+        _not_finite(0.0, p, q)
+    fp = -fp
 
     # initial step
     sp, sq = atol + abs(p) * rtol, atol + abs(q) * rtol
     d0, d1 = _rms(p / sp, q / sq), _rms(fp / sp, fq / sq)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_final)
-    gp, gq = fun(h0, p + h0 * fp, q + h0 * fq)
+    ys_p, ys_q = p + h0 * fp, q + h0 * fq
+    gq, gp = gradient(ys_p, ys_q)
+    if not (isfinite(gp) and isfinite(gq)):
+        _not_finite(h0, ys_p, ys_q)
+    gp = -gp
     d2 = _rms((gp - fp) / sp, (gq - fq) / sq) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -309,13 +316,15 @@ def _dormand_prince(fun, p, q, t_final, rtol, atol, max_step, t_eval, events):
         h1 = (0.01 / max(d1, d2)) ** 0.2
     h_abs = min(100 * h0, h1, t_final, max_step)
 
-    g_old = [g(p, q) for g, _, _ in events]
+    g_old = []
+    for g, _, _ in events:
+        g_old.append(gradient(p, q)[0] if g is None else g(p, q))
     t_eval = t_eval.tolist()
     n_eval, i_eval = len(t_eval), 0
-    ts, ps, qs, hits = [], [], [], []
+    ps, qs, hits = [], [], []
     t = 0.0
     while True:
-        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        min_step = 10 * (nextafter(t, inf) - t)
         if h_abs > max_step:
             h_abs = max_step
         elif h_abs < min_step:
@@ -323,30 +332,53 @@ def _dormand_prince(fun, p, q, t_final, rtol, atol, max_step, t_eval, events):
         rejected = False
         while True:
             if h_abs < min_step:
-                return ts, ps, qs, hits, (t, p, q, _TOO_SMALL_STEP)
+                return t_eval[:i_eval], ps, qs, hits, (t, p, q, _TOO_SMALL_STEP)
             t_new = t + h_abs
             if t_new > t_final:
                 t_new = t_final
             h = t_new - t
             h_abs = h
-            k2p, k2q = fun(t + _C2 * h, p + fp * _A21 * h, q + fq * _A21 * h)
-            k3p, k3q = fun(t + _C3 * h, p + (fp * _A31 + k2p * _A32) * h,
-                           q + (fq * _A31 + k2q * _A32) * h)
-            k4p, k4q = fun(t + _C4 * h, p + (fp * _A41 + k2p * _A42 + k3p * _A43) * h,
-                           q + (fq * _A41 + k2q * _A42 + k3q * _A43) * h)
-            k5p, k5q = fun(t + _C5 * h,
-                           p + (fp * _A51 + k2p * _A52 + k3p * _A53 + k4p * _A54) * h,
-                           q + (fq * _A51 + k2q * _A52 + k3q * _A53 + k4q * _A54) * h)
-            k6p, k6q = fun(t + h,
-                           p + (fp * _A61 + k2p * _A62 + k3p * _A63 + k4p * _A64 + k5p * _A65) * h,
-                           q + (fq * _A61 + k2q * _A62 + k3q * _A63 + k4q * _A64 + k5q * _A65) * h)
-            p_new = p + h * (fp * _B1 + k3p * _B3 + k4p * _B4 + k5p * _B5 + k6p * _B6)
-            q_new = q + h * (fq * _B1 + k3q * _B3 + k4q * _B4 + k5q * _B5 + k6q * _B6)
-            k7p, k7q = fun(t + h, p_new, q_new)
-            ep = (fp * _E1 + k3p * _E3 + k4p * _E4 + k5p * _E5 + k6p * _E6 + k7p * _E7) * h
-            eq = (fq * _E1 + k3q * _E3 + k4q * _E4 + k5q * _E5 + k6q * _E6 + k7q * _E7) * h
-            error = _rms(ep / (atol + max(abs(p), abs(p_new)) * rtol),
-                         eq / (atol + max(abs(q), abs(q_new)) * rtol))
+            # each stage: the stage point (ys_p, ys_q), then k = (-dH/dq, dH/dp) there
+            ys_p, ys_q = p + fp * a21 * h, q + fq * a21 * h
+            k2q, k2p = gradient(ys_p, ys_q)
+            if not (isfinite(k2p) and isfinite(k2q)):
+                _not_finite(t + c2 * h, ys_p, ys_q)
+            k2p = -k2p
+            ys_p = p + (fp * a31 + k2p * a32) * h
+            ys_q = q + (fq * a31 + k2q * a32) * h
+            k3q, k3p = gradient(ys_p, ys_q)
+            if not (isfinite(k3p) and isfinite(k3q)):
+                _not_finite(t + c3 * h, ys_p, ys_q)
+            k3p = -k3p
+            ys_p = p + (fp * a41 + k2p * a42 + k3p * a43) * h
+            ys_q = q + (fq * a41 + k2q * a42 + k3q * a43) * h
+            k4q, k4p = gradient(ys_p, ys_q)
+            if not (isfinite(k4p) and isfinite(k4q)):
+                _not_finite(t + c4 * h, ys_p, ys_q)
+            k4p = -k4p
+            ys_p = p + (fp * a51 + k2p * a52 + k3p * a53 + k4p * a54) * h
+            ys_q = q + (fq * a51 + k2q * a52 + k3q * a53 + k4q * a54) * h
+            k5q, k5p = gradient(ys_p, ys_q)
+            if not (isfinite(k5p) and isfinite(k5q)):
+                _not_finite(t + c5 * h, ys_p, ys_q)
+            k5p = -k5p
+            ys_p = p + (fp * a61 + k2p * a62 + k3p * a63 + k4p * a64 + k5p * a65) * h
+            ys_q = q + (fq * a61 + k2q * a62 + k3q * a63 + k4q * a64 + k5q * a65) * h
+            k6q, k6p = gradient(ys_p, ys_q)
+            if not (isfinite(k6p) and isfinite(k6q)):
+                _not_finite(t + h, ys_p, ys_q)
+            k6p = -k6p
+            p_new = p + h * (fp * b1 + k3p * b3 + k4p * b4 + k5p * b5 + k6p * b6)
+            q_new = q + h * (fq * b1 + k3q * b3 + k4q * b4 + k5q * b5 + k6q * b6)
+            k7q, k7p = gradient(p_new, q_new)
+            if not (isfinite(k7p) and isfinite(k7q)):
+                _not_finite(t + h, p_new, q_new)
+            k7p = -k7p
+            x = (fp * e1 + k3p * e3 + k4p * e4 + k5p * e5 + k6p * e6 + k7p * e7) * h
+            y = (fq * e1 + k3q * e3 + k4q * e4 + k5q * e5 + k6q * e6 + k7q * e7) * h
+            x /= atol + max(abs(p), abs(p_new)) * rtol
+            y /= atol + max(abs(q), abs(q_new)) * rtol
+            error = sqrt(x * x + y * y) / _SQRT2
             if error < 1:
                 factor = _MAX_FACTOR if error == 0 else min(_MAX_FACTOR, _SAFETY * error ** -0.2)
                 if rejected:
@@ -356,52 +388,59 @@ def _dormand_prince(fun, p, q, t_final, rtol, atol, max_step, t_eval, events):
             h_abs *= max(_MIN_FACTOR, _SAFETY * error ** -0.2)
             rejected = True
 
-        g_new = [g(p_new, q_new) for g, _, _ in events]
-        active = [
-            i for i, (a, b, (_, direction, _)) in enumerate(zip(g_old, g_new, events))
-            if (a <= 0 <= b and direction > 0) or (a >= 0 >= b and direction < 0)
-        ]
+        # one pass over the events: the new values and the sign changes
+        g_new, active = [], []
+        for i, (g, direction, _) in enumerate(events):
+            b = k7q if g is None else g(p_new, q_new)
+            a = g_old[i]
+            if (a <= 0 <= b and direction > 0) or (a >= 0 >= b and direction < 0):
+                active.append(i)
+            g_new.append(b)
         t_end, terminate = t_new, False
         if active or (i_eval < n_eval and t_eval[i_eval] <= t_new):
-            dense = _dense_output(t, p, q, h, (fp, k3p, k4p, k5p, k6p, k7p),
-                                  (fq, k3q, k4q, k5q, k6q, k7q))
+            # the step's quartic interpolant, scipy's RkDenseOutput:
+            # y(s) = h (c1 x + c2 x^2 + c3 x^3 + c4 x^4) + y with x = (s - t) / h
+            cp2 = fp * p21 + k3p * p23 + k4p * p24 + k5p * p25 + k6p * p26 + k7p * p27
+            cp3 = fp * p31 + k3p * p33 + k4p * p34 + k5p * p35 + k6p * p36 + k7p * p37
+            cp4 = fp * p41 + k3p * p43 + k4p * p44 + k5p * p45 + k6p * p46 + k7p * p47
+            cq2 = fq * p21 + k3q * p23 + k4q * p24 + k5q * p25 + k6q * p26 + k7q * p27
+            cq3 = fq * p31 + k3q * p33 + k4q * p34 + k5q * p35 + k6q * p36 + k7q * p37
+            cq4 = fq * p41 + k3q * p43 + k4q * p44 + k5q * p45 + k6q * p46 + k7q * p47
         if active:
-            found = [
-                (brentq(lambda s, g=events[i][0]: g(*dense(s)), t, t_new,
-                        xtol=4 * _EPS, rtol=4 * _EPS), i)
-                for i in active
-            ]
-            if any(events[i][2] for i in active):
-                # events up to and including the first terminal one, in time order
-                found.sort()
-                first = next(k for k, (_, i) in enumerate(found) if events[i][2])
-                found = found[: first + 1]
-                t_end, terminate = found[-1][0], True
-            for root, i in found:
-                hits.append((i, root, *dense(root)))
+            found, t_stop = _event_roots(events, active, gradient,
+                                         (t, p, q, t_new, p_new, q_new, k7q),
+                                         (fp, cp2, cp3, cp4), (fq, cq2, cq3, cq4))
+            hits += found
+            if t_stop is not None:
+                t_end, terminate = t_stop, True
 
         while i_eval < n_eval and t_eval[i_eval] <= t_end:
-            s = t_eval[i_eval]
-            sp, sq = dense(s)
-            ts.append(s)
-            ps.append(sp)
-            qs.append(sq)
+            x = (t_eval[i_eval] - t) / h
+            x2 = x * x
+            x3 = x2 * x
+            x4 = x3 * x
+            ps.append(h * (fp * x + cp2 * x2 + cp3 * x3 + cp4 * x4) + p)
+            qs.append(h * (fq * x + cq2 * x2 + cq3 * x3 + cq4 * x4) + q)
             i_eval += 1
 
         if terminate or t_new >= t_final:
-            return ts, ps, qs, hits, None
+            return t_eval[:i_eval], ps, qs, hits, None
         t, p, q, fp, fq, g_old = t_new, p_new, q_new, k7p, k7q, g_new
 
 
-def _dense_output(t_old, p_old, q_old, h, kp, kq):
-    """The step's quartic interpolant ``t -> (p, q)``: scipy's ``RkDenseOutput``.
+def _event_roots(events, active, gradient, step, cp, cq):
+    """Brent roots of the ``active`` events of :func:`_dormand_prince` in a step.
 
-    ``kp`` and ``kq`` are the stages 1, 3, 4, 5, 6 and 7 of each component.
+    ``step`` is ``(t, p, q)`` at its start and end and ``dq/dt`` at its end;
+    ``cp`` and ``cq`` are its dense-output coefficients, those of the sample
+    loop.  Returns the hits ``(index, t, p, q)`` and, when one of them is
+    terminal, the time of the first terminal root, the hits after it
+    dropped (otherwise ``None``).
     """
-    cp = (kp[0], *(_dot6(kp, col) for col in (_P2, _P3, _P4)))
-    cq = (kq[0], *(_dot6(kq, col) for col in (_P2, _P3, _P4)))
+    t_old, p_old, q_old, t_new, p_new, q_new, qdot_new = step
+    h = t_new - t_old  # the step, as the loop computed it
 
-    def at(s):
+    def dense(s):
         x = (s - t_old) / h
         x2 = x * x
         x3 = x2 * x
@@ -409,25 +448,50 @@ def _dense_output(t_old, p_old, q_old, h, kp, kq):
         return (h * (cp[0] * x + cp[1] * x2 + cp[2] * x3 + cp[3] * x4) + p_old,
                 h * (cq[0] * x + cq[1] * x2 + cq[2] * x3 + cq[3] * x4) + q_old)
 
-    return at
+    def rate(p, q):
+        # where the interpolant meets the step end, the last stage has dq/dt
+        return qdot_new if p == p_new and q == q_new else gradient(p, q)[0]
+
+    found = [
+        (brentq(lambda s, g=events[i][0] or rate: g(*dense(s)), t_old, t_new,
+                xtol=4 * _EPS, rtol=4 * _EPS), i)
+        for i in active
+    ]
+    t_stop = None
+    if any(events[i][2] for i in active):
+        # events up to and including the first terminal one, in time order
+        found.sort()
+        first = next(k for k, (_, i) in enumerate(found) if events[i][2])
+        found = found[: first + 1]
+        t_stop = found[-1][0]
+    return [(i, root, *dense(root)) for root, i in found], t_stop
 
 
-def _dot6(k, c):
-    return k[0] * c[0] + k[1] * c[1] + k[2] * c[2] + k[3] * c[3] + k[4] * c[4] + k[5] * c[5]
-
-
-def _dop853(fun, p, q, t_final, rtol, atol, max_step, t_eval, events):
+def _dop853(gradient, p, q, t_final, rtol, atol, max_step, t_eval, events):
     """``solve_ivp(method="DOP853")`` with the call and return of :func:`_dormand_prince`."""
+    last = (None, None, None)  # (p, q, dq/dt) of the latest right-hand side
+
+    def fun(t, y):
+        nonlocal last
+        gp, gq = gradient(y[0], y[1])
+        if not (math.isfinite(gp) and math.isfinite(gq)):
+            _not_finite(t, y[0], y[1])
+        last = y[0], y[1], gp
+        return -gq, gp
 
     def as_event(g, direction, terminal):
         def event(t, y):
-            return g(y[0], y[1])
+            if g is not None:
+                return g(y[0], y[1])
+            # at a step end the step's last stage has just evaluated the gradient
+            last_p, last_q, qdot = last
+            return qdot if y[0] == last_p and y[1] == last_q else gradient(y[0], y[1])[0]
 
         event.direction, event.terminal = direction, terminal
         return event
 
     sol = solve_ivp(
-        lambda t, y: fun(t, y[0], y[1]), (0.0, t_final), (p, q), method="DOP853",
+        fun, (0.0, t_final), (p, q), method="DOP853",
         rtol=rtol, atol=atol, t_eval=t_eval, events=[as_event(*e) for e in events],
         max_step=max_step, dense_output=True,
     )
@@ -447,7 +511,8 @@ def _dop853(fun, p, q, t_final, rtol, atol, max_step, t_eval, events):
 
 def _leapfrog_flow(H, x0, t_final, n_samples, q_floor, n_steps):
     # Kick-drift-kick with the full gradient; symplectic only when H is
-    # separable, which is the advertised contract of this backend.
+    # separable, which is the advertised contract of this backend.  The
+    # gradient at a step end serves both its bounce test and the next kick.
     if n_steps is None:
         n_steps = max(20 * n_samples, 10000)
     dt = t_final / n_steps
@@ -455,9 +520,9 @@ def _leapfrog_flow(H, x0, t_final, n_samples, q_floor, n_steps):
     p, q = x0.p, x0.q
     ts, ps, qs = [0.0], [p], [q]
     events = []
-    prev_qdot = H.gradient(p, q)[0]
+    prev_qdot, dh_dq = H.gradient(p, q)
     for k in range(1, n_steps + 1):
-        p -= 0.5 * dt * H.gradient(p, q)[1]
+        p -= 0.5 * dt * dh_dq
         q += dt * H.gradient(p, q)[0]
         p -= 0.5 * dt * H.gradient(p, q)[1]
         t = k * dt
@@ -470,7 +535,7 @@ def _leapfrog_flow(H, x0, t_final, n_samples, q_floor, n_steps):
         if H.label_domain is not None and H.label_domain(p, q) <= 0:
             events.append(TrajectoryEvent(t, "domain_exit", p, q, H.evaluate(p, q)))
             break
-        qdot = H.gradient(p, q)[0]
+        qdot, dh_dq = H.gradient(p, q)
         if prev_qdot < 0.0 <= qdot:
             events.append(TrajectoryEvent(t, "bounce", p, q, H.evaluate(p, q)))
         prev_qdot = qdot

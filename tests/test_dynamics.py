@@ -1,9 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import RK45, quad, solve_ivp
+from scipy.optimize import brentq
 
 from enhq import (
     HydrogenParams,
@@ -29,7 +31,7 @@ from enhq import (
     verify_transform_action,
 )
 from enhq.correspondence import EnhancedHamiltonian
-from enhq.dynamics import CanonicalTransform, _dormand_prince
+from enhq.dynamics import CanonicalTransform, _dormand_prince, _event_roots
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +82,111 @@ def reversed_hamiltonian(H):
     )
 
 
+def tableau_loop(gradient, p, q, t_final, rtol, atol, max_step, t_eval, events):
+    """Reference for ``_dormand_prince``: scipy's ``RK45`` tableau read entry by entry.
+
+    A generic stage loop over ``RK45.A``, ``B``, ``E`` and ``P`` with the same
+    step control and event location.  Each sum is formed left to right with
+    the zero entries skipped, as the unrolled loop forms it, so the outputs
+    are expected to be bit-identical.  ``events`` are ``(g, direction,
+    terminal)`` with every ``g`` a function.
+    """
+    A = [[float(a) for a in row] for row in RK45.A]
+    B, E = [float(b) for b in RK45.B], [float(e) for e in RK45.E]
+    P = [[float(c) for c in col] for col in RK45.P.T]
+    eps = float(np.finfo(float).eps)
+
+    def velocity(p, q):
+        gp, gq = gradient(p, q)
+        return -gq, gp
+
+    def dot(ks, coefs):
+        # left to right; sum() compensates its float sums from Python 3.12
+        terms = [k * c for k, c in zip(ks, coefs) if c != 0]
+        total = terms[0]
+        for term in terms[1:]:
+            total = total + term
+        return total
+
+    def rms(x, y):
+        return math.sqrt(x * x + y * y) / math.sqrt(2.0)
+
+    rtol = max(rtol, 100 * eps)
+    fp, fq = velocity(p, q)
+    sp, sq = atol + abs(p) * rtol, atol + abs(q) * rtol
+    d0, d1 = rms(p / sp, q / sq), rms(fp / sp, fq / sq)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_final)
+    gp, gq = velocity(p + h0 * fp, q + h0 * fq)
+    d2 = rms((gp - fp) / sp, (gq - fq) / sq) / h0
+    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
+    h_abs = min(100 * h0, h1, t_final, max_step)
+    g_old = [g(p, q) for g, _, _ in events]
+    t_eval = t_eval.tolist()
+    ts, ps, qs, hits = [], [], [], []
+    t = 0.0
+    while True:
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        if h_abs > max_step:
+            h_abs = max_step
+        elif h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return ts, ps, qs, hits, (t, p, q, "Required step size is less than spacing "
+                                          "between numbers.")
+            t_new = min(t + h_abs, t_final)
+            h = h_abs = t_new - t
+            kp, kq = [fp], [fq]
+            for row in A[1:]:
+                k = velocity(p + dot(kp, row) * h, q + dot(kq, row) * h)
+                kp.append(k[0])
+                kq.append(k[1])
+            p_new, q_new = p + h * dot(kp, B), q + h * dot(kq, B)
+            k = velocity(p_new, q_new)
+            kp.append(k[0])
+            kq.append(k[1])
+            error = rms(dot(kp, E) * h / (atol + max(abs(p), abs(p_new)) * rtol),
+                        dot(kq, E) * h / (atol + max(abs(q), abs(q_new)) * rtol))
+            if error < 1:
+                factor = 10.0 if error == 0 else min(10.0, 0.9 * error ** -0.2)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * error ** -0.2)
+            rejected = True
+        cp, cq = [dot(kp, col) for col in P], [dot(kq, col) for col in P]
+
+        def dense(s, t=t, p=p, q=q, h=h, cp=cp, cq=cq):
+            x = (s - t) / h
+            x2 = x * x
+            x3 = x2 * x
+            x4 = x3 * x
+            return (h * (cp[0] * x + cp[1] * x2 + cp[2] * x3 + cp[3] * x4) + p,
+                    h * (cq[0] * x + cq[1] * x2 + cq[2] * x3 + cq[3] * x4) + q)
+
+        g_new = [g(p_new, q_new) for g, _, _ in events]
+        found = [
+            (brentq(lambda s, g=g: g(*dense(s)), t, t_new, xtol=4 * eps, rtol=4 * eps), i)
+            for i, ((g, direction, _), a, b) in enumerate(zip(events, g_old, g_new))
+            if (a <= 0 <= b and direction > 0) or (a >= 0 >= b and direction < 0)
+        ]
+        t_end, terminate = t_new, any(events[i][2] for _, i in found)
+        if terminate:
+            found.sort()
+            first = next(n for n, (_, i) in enumerate(found) if events[i][2])
+            found = found[: first + 1]
+            t_end = found[-1][0]
+        hits += [(i, root, *dense(root)) for root, i in found]
+        while len(ts) < len(t_eval) and t_eval[len(ts)] <= t_end:
+            ts.append(t_eval[len(ts)])
+            sp, sq = dense(ts[-1])
+            ps.append(sp)
+            qs.append(sq)
+        if terminate or t_new >= t_final:
+            return ts, ps, qs, hits, None
+        t, p, q, fp, fq, g_old = t_new, p_new, q_new, kp[-1], kq[-1], g_new
+
+
 class TestHarmonicFlow:
     def test_period_returns_to_start(self, harmonic):
         traj = hamiltonian_flow(harmonic, (0.0, 1.0), 2 * np.pi, tol=1e-10)
@@ -123,6 +230,45 @@ class TestHarmonicFlow:
         assert hits[0].q >= 1e-8
         assert hits[0].time == pytest.approx(np.pi / np.sqrt(8), rel=1e-3)
         assert np.all(traj.q > 0)
+
+    def test_leapfrog_makes_three_gradient_calls_a_step(self, harmonic):
+        calls = []
+
+        def gradient(p, q):
+            calls.append((p, q))
+            return harmonic.gradient(p, q)
+
+        counted = EnhancedHamiltonian(harmonic.evaluate, gradient)
+        n_steps = 250
+        traj = hamiltonian_flow(counted, (0.3, 1.2), 5.0, method="leapfrog", n_steps=n_steps,
+                                n_samples=26)
+        assert len(calls) == 3 * n_steps + 1
+        # the same steps as a kick-drift-kick that asks for every gradient afresh
+        dt = 5.0 / n_steps
+        p, q = 0.3, 1.2
+        ref = []
+        for k in range(1, n_steps + 1):
+            p -= 0.5 * dt * harmonic.gradient(p, q)[1]
+            q += dt * harmonic.gradient(p, q)[0]
+            p -= 0.5 * dt * harmonic.gradient(p, q)[1]
+            if k % 10 == 0:
+                ref.append((k * dt, p, q))
+        assert list(zip(traj.t[1:], traj.p[1:], traj.q[1:])) == ref
+
+    @pytest.mark.parametrize("method", ["rk45", "dop853", "leapfrog"])
+    def test_float64_gradients_give_python_float_outputs(self, method):
+        # H = (p^2 + q^2) / 2 from (0, 1) has its q minimum, a bounce, at t = pi
+        ham = EnhancedHamiltonian(
+            lambda p, q: np.float64(0.5 * (p * p + q * q)),
+            lambda p, q: (np.float64(p), np.float64(q)),
+        )
+        traj = hamiltonian_flow(ham, (0.0, 1.0), 4.0, n_samples=50, method=method,
+                                n_steps=4000 if method == "leapfrog" else None)
+        assert traj.event_kinds() == ("bounce",)
+        event = traj.events[0]
+        assert all(type(v) is float for v in (event.time, event.p, event.q, event.energy))
+        assert "float64" not in traj.to_csv()
+        assert Trajectory.from_json(traj.to_json()).events == traj.events
 
     @pytest.mark.parametrize("method,n_steps", [("rk45", None), ("leapfrog", 2000)])
     def test_affine_expression_flow_stops_at_the_floor(self, affine_beta2, method, n_steps):
@@ -221,11 +367,15 @@ class TestRK45AgainstScipy:
         q_floor = 1e-8
         calls = []
 
-        def fun(t, p, q):
-            calls.append(t)
-            gp, gq = ham.gradient(p, q)
+        def gradient(p, q):
+            calls.append((p, q))
+            return ham.gradient(p, q)
+
+        def fun(t, y):
+            gp, gq = ham.gradient(y[0], y[1])
             return -gq, gp
 
+        # the bounce as an explicit g, so that every counted call is a stage's
         events = [(lambda p, q: ham.gradient(p, q)[0], 1.0, False)]
         if ham.q_positive:
             events.append((lambda p, q: q - q_floor, -1.0, True))
@@ -240,16 +390,21 @@ class TestRK45AgainstScipy:
             return event
 
         ref = solve_ivp(
-            lambda t, y: fun(t, y[0], y[1]), (0.0, t_final), (p0, q0), method="RK45",
+            fun, (0.0, t_final), (p0, q0), method="RK45",
             rtol=tol, atol=tol * 1e-3, t_eval=t_eval, max_step=max_step,
             events=[scipy_event(*e) for e in events], dense_output=True,
         )
-        calls.clear()
-        ts, ps, qs, hits, stop = _dormand_prince(
-            fun, p0, q0, t_final, tol, tol * 1e-3, max_step, t_eval, events
+        result = _dormand_prince(
+            gradient, p0, q0, t_final, tol, tol * 1e-3, max_step, t_eval, events
         )
-        # one right-hand side per stage: the same steps, accepted and rejected
+        ts, ps, qs, hits, stop = result
+        # one gradient call per stage: the same steps, accepted and rejected
         assert len(calls) == ref.nfev
+        # g = None, the bounce's dq/dt read from the last stage, gives the same run
+        rate_events = [(None, 1.0, False), *events[1:]]
+        assert _dormand_prince(
+            ham.gradient, p0, q0, t_final, tol, tol * 1e-3, max_step, t_eval, rate_events
+        ) == result
         if np.isfinite(max_step):
             # six stages a step, and at least one step per max_step of time
             assert ref.nfev >= 6 * ref.sol.t_max / max_step
@@ -269,6 +424,21 @@ class TestRK45AgainstScipy:
         assert [k for _, k in got] == [k for _, k in expected]
         assert_allclose([t for t, _ in got], [t for t, _ in expected], rtol=0, atol=1e-10)
         assert got or stop, "each case should end in an event or a give-up"
+
+    @pytest.mark.parametrize("max_step", [np.inf, 0.01])
+    @pytest.mark.parametrize("tol", [1e-10, 1e-6])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bit_identical_to_the_tableau_loop(self, case, tol, max_step, harmonic):
+        build, (p0, q0), t_final = self.CASES[case]
+        ham = harmonic if build is None else build()
+        events = [(None, 1.0, False)]
+        if ham.q_positive:
+            events.append((lambda p, q: q - 1e-8, -1.0, True))
+        args = (p0, q0, t_final, tol, tol * 1e-3, max_step, np.linspace(0.0, t_final, 500))
+        got = _dormand_prince(ham.gradient, *args, events)
+        bounce = (lambda p, q: ham.gradient(p, q)[0], 1.0, False)
+        assert got == tableau_loop(ham.gradient, *args, [bounce, *events[1:]])
+        assert got[3] or got[4]
 
     @pytest.mark.parametrize("x0,t_final", [((-0.3, 1.0), 4.0), ((0.773, 2.587), 133.0)])
     def test_bounce_event_reuses_the_last_stage_gradient(self, x0, t_final):
@@ -295,18 +465,35 @@ class TestRK45AgainstScipy:
         )
         assert len(calls) == ref.nfev + 1
 
+    def test_bounce_roots_reuse_the_rate_at_the_step_end(self):
+        # a step from (0, 0) to (1, -0.5) over t in [0, 1] with dq/dt = p - 1/2:
+        # Brent's method tries the step end, whose rate the last stage has
+        calls = []
+
+        def gradient(p, q):
+            calls.append((p, q))
+            return p - 0.5, 0.0
+
+        step = (0.0, 0.0, 0.0, 1.0, 1.0, -0.5, 0.5)
+        hits, t_stop = _event_roots([(None, 1.0, False)], [0], gradient, step,
+                                    (1.0, 0.0, 0.0, 0.0), (0.0, -0.5, 0.0, 0.0))
+        assert t_stop is None
+        assert hits == [(0, 0.5, 0.5, -0.125)]
+        assert calls and (1.0, -0.5) not in calls
+
     def test_a_terminal_event_drops_the_later_ones_of_its_step(self):
         # straight-line motion has no error estimate, so steps grow tenfold
         # and one step crosses all three levels; the last lies beyond the
         # terminal one
-        def fun(t, p, q):
-            return 0.0, -1.0
+        def gradient(p, q):
+            # H = -p: dp/dt = 0, dq/dt = -1
+            return -1.0, 0.0
 
         levels = ((0.7, False), (0.5, True), (0.2, False))
         events = [(lambda p, q, c=c: q - c, -1.0, terminal) for c, terminal in levels]
         t_eval = np.linspace(0.0, 10.0, 11)
         _, _, _, hits, stop = _dormand_prince(
-            fun, 0.0, 1.0, 10.0, 1e-10, 1e-13, np.inf, t_eval, events
+            gradient, 0.0, 1.0, 10.0, 1e-10, 1e-13, np.inf, t_eval, events
         )
 
         def scipy_event(c, terminal):
@@ -317,7 +504,7 @@ class TestRK45AgainstScipy:
             return event
 
         ref = solve_ivp(
-            lambda t, y: fun(t, y[0], y[1]), (0.0, 10.0), (0.0, 1.0), method="RK45",
+            lambda t, y: (0.0, -1.0), (0.0, 10.0), (0.0, 1.0), method="RK45",
             rtol=1e-10, atol=1e-13, t_eval=t_eval, events=[scipy_event(*lv) for lv in levels],
         )
         assert stop is None and ref.status == 1
@@ -354,6 +541,49 @@ class TestFlowValidation:
         )
         with pytest.raises(NumericalFailure):
             hamiltonian_flow(ham, (0.0, 1.0), 4.0)
+
+    @pytest.mark.parametrize("method", ["rk45", "dop853"])
+    @pytest.mark.parametrize("component", [0, 1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_stage_names_its_point(self, method, component, bad):
+        # in either method the first two calls set up the first step, the
+        # third evaluates the bounce at the start (unchecked, as the point is
+        # the first call's), and the next ones are the stages of the first steps
+        for n_bad in (1, 2, *range(4, 13)):
+            calls = []
+
+            def gradient(p, q):
+                calls.append((float(p), float(q)))
+                g = [p, q]
+                if len(calls) == n_bad:
+                    g[component] = bad
+                return tuple(g)
+
+            ham = EnhancedHamiltonian(lambda p, q: 0.5 * (p * p + q * q), gradient)
+            with pytest.raises(NumericalFailure, match="gradient is not finite") as err:
+                hamiltonian_flow(ham, (0.3, 1.2), 4.0, method=method)
+            assert len(calls) == n_bad
+            p, q = calls[-1]
+            assert f"at (p, q) = ({p}, {q})" in str(err.value)
+            assert (err.value.diagnostics["p"], err.value.diagnostics["q"]) == (p, q)
+            assert 0.0 <= err.value.diagnostics["t"] < 4.0
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("method", ["rk45", "dop853", "leapfrog"])
+    def test_needs_positive_finite_tol(self, harmonic, tol, method):
+        with pytest.raises(ValueError, match="tol"):
+            hamiltonian_flow(harmonic, (0.0, 1.0), 1.0, tol=tol, method=method)
+
+    @pytest.mark.parametrize("n_steps", [0, -5, 2.5, 100.0, True, "100"])
+    def test_needs_positive_integer_n_steps(self, harmonic, n_steps):
+        with pytest.raises(ValueError, match="n_steps"):
+            hamiltonian_flow(harmonic, (0.0, 1.0), 1.0, method="leapfrog", n_steps=n_steps)
+
+    def test_numpy_integer_n_steps(self, harmonic):
+        traj = hamiltonian_flow(harmonic, (0.0, 1.0), 1.0, method="leapfrog",
+                                n_steps=np.int64(100), n_samples=11)
+        assert traj.t[-1] == 1.0
+        assert len(traj) == 11
 
     def test_domain_exit_event(self):
         ham = EnhancedHamiltonian(
