@@ -67,7 +67,6 @@ from .dynamics import (
 )
 from .models import (
     HydrogenParams,
-    default_hydrogen_rep,
     hydrogen_classical,
     hydrogen_enhanced,
     min_radius,

@@ -335,7 +335,7 @@ def _build_hamiltonian(cfg):
     variables = ham.get("variables", "canonical")
     poly = parse_polynomial(ham["expression"], variables)
     family_cfg = dict(cfg)
-    family_cfg.setdefault("family", {"kind": {"canonical": "canonical", "affine": "affine", "spin": "spin"}[variables]})
+    family_cfg.setdefault("family", {"kind": variables})
     family = _build_family(family_cfg)
     return enhance(poly, family)
 
@@ -442,9 +442,7 @@ def _run_evolve(cfg, out, stamp):
     else:
         path = out / "trajectory.csv"
         with open(path, "w", newline="\n") as fh:
-            for line in _header_lines(cfg, stamp):
-                fh.write(f"# {line}\n")
-            traj.to_csv(fh)
+            traj.to_csv(fh, _header_lines(cfg, stamp))
     return [path]
 
 
@@ -483,9 +481,7 @@ def _run_compare_hydrogen(cfg, out, stamp):
     for tag, traj in (("classical", traj_c), ("enhanced", traj_e)):
         path = out / f"hydrogen_{tag}.csv"
         with open(path, "w", newline="\n") as fh:
-            for line in _header_lines(cfg, stamp):
-                fh.write(f"# {line}\n")
-            traj.to_csv(fh)
+            traj.to_csv(fh, _header_lines(cfg, stamp))
         paths.append(path)
     summary_path = out / "hydrogen_summary.json"
     _write_json(summary_path, cfg, stamp, summary)

@@ -58,9 +58,6 @@ class MetricTensor2:
     g_pq: float
     g_qq: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.g_pp, self.g_pq], [self.g_pq, self.g_qq]])
-
     def is_positive_definite(self) -> bool:
         return self.g_pp > 0 and self.g_pp * self.g_qq - self.g_pq**2 > 0
 
@@ -109,10 +106,10 @@ class CoherentFamily:
         # (None otherwise)
         rep = self.rep
         if self.kind == "canonical":
-            return _canonical(p, q, rep, DEFAULT_TRUNCATION_MARGIN, CANONICAL_TAIL_TOL, tangent)
+            return _canonical(p, q, rep, tangent)
         if self.kind == "extended":
             a, b = self.params["a"], self.params["b"]
-            return _extended(p, q, a, b, rep, EXTENDED_TAIL_TOL, tangent)
+            return _extended(p, q, a, b, rep, tangent)
         if self.kind == "affine":
             psi = affine_cs(p, q, self)
             if not tangent:
@@ -169,55 +166,44 @@ def extended_family(rep: LineRep, a: float, b: float) -> CoherentFamily:
     return CoherentFamily("extended", rep, rep.vacuum(), {"a": float(a), "b": float(b)})
 
 
-def required_fock_dim(
-    p: float,
-    q: float,
-    hbar: float,
-    tail_levels: int = DEFAULT_TRUNCATION_MARGIN,
-    tail_tol: float = CANONICAL_TAIL_TOL,
-) -> int:
+def required_fock_dim(p: float, q: float, hbar: float) -> int:
     """Estimate the Fock dimension adequate for the coherent state at ``(p, q)``.
 
     The level occupancy is Poisson with mean ``(p^2 + q^2) / (2 hbar)``; the
     estimate is the smallest size whose tail probability beyond the
-    truncation margin stays below ``tail_tol**2``.
+    truncation margin stays below ``CANONICAL_TAIL_TOL**2``.
     """
     lam = (p * p + q * q) / (2.0 * hbar)
     if lam == 0.0:
-        return 2 + tail_levels
-    target = 1.0 - tail_tol * tail_tol
+        return 2 + DEFAULT_TRUNCATION_MARGIN
+    target = 1.0 - CANONICAL_TAIL_TOL * CANONICAL_TAIL_TOL
     n = max(2, int(lam))
     cap = int(10 * lam + 500)
     while gammaincc(n + 1, lam) < target and n < cap:
         n = max(n + 8, int(1.2 * n) + 1)
-    return n + tail_levels + 2
+    return n + DEFAULT_TRUNCATION_MARGIN + 2
 
 
-def _check_tail(state: StateVector, p, q, tail_levels, tail_tol):
-    tail = float(np.linalg.norm(state.amplitudes[state.dim - tail_levels :]))
-    if tail > tail_tol:
-        need = required_fock_dim(p, q, state.rep.hbar, tail_levels, tail_tol)
+def _check_tail(state: StateVector, p, q):
+    tail = float(np.linalg.norm(state.amplitudes[state.dim - DEFAULT_TRUNCATION_MARGIN :]))
+    if tail > CANONICAL_TAIL_TOL:
+        need = required_fock_dim(p, q, state.rep.hbar)
         raise CapacityError(
             f"truncation inadequate at (p, q) = ({p}, {q}): tail amplitude {tail:.3e} "
-            f"exceeds {tail_tol:.1e}; estimated adequate dim is {need}",
+            f"exceeds {CANONICAL_TAIL_TOL:.1e}; estimated adequate dim is {need}",
             required_dim=need,
         )
     return state
 
 
-def canonical_cs(
-    p: float,
-    q: float,
-    rep: LineRep,
-    tail_levels: int = DEFAULT_TRUNCATION_MARGIN,
-    tail_tol: float = CANONICAL_TAIL_TOL,
-) -> StateVector:
+def canonical_cs(p: float, q: float, rep: LineRep) -> StateVector:
     """Return ``exp(-i q P / hbar) exp(i p Q / hbar) |0>``.
 
     Raises :class:`CapacityError` with an adequate-dimension estimate when
-    the amplitude beyond the truncation margin exceeds ``tail_tol``.
+    the amplitude beyond the truncation margin exceeds
+    :data:`CANONICAL_TAIL_TOL`.
     """
-    return _canonical(p, q, rep, tail_levels, tail_tol, False)[0]
+    return _canonical(p, q, rep, False)[0]
 
 
 def _displaced(p, q, rep, tangent):
@@ -232,19 +218,12 @@ def _displaced(p, q, rep, tangent):
     return psi, d_p, d_q
 
 
-def _canonical(p, q, rep, tail_levels, tail_tol, tangent):
+def _canonical(p, q, rep, tangent):
     psi, d_p, d_q = _displaced(p, q, rep, tangent)
-    return _check_tail(psi, p, q, tail_levels, tail_tol), d_p, d_q
+    return _check_tail(psi, p, q), d_p, d_q
 
 
-def extended_cs(
-    p: float,
-    q: float,
-    a: float,
-    b: float,
-    rep: LineRep,
-    tail_tol: float = EXTENDED_TAIL_TOL,
-) -> StateVector:
+def extended_cs(p: float, q: float, a: float, b: float, rep: LineRep) -> StateVector:
     """Squeezed coherent state
     ``exp(-i a (P^2+Q^2)/hbar) exp(-i b (PQ+QP)/hbar) exp(-i q P/hbar) exp(i p Q/hbar) |0>``.
 
@@ -252,10 +231,10 @@ def extended_cs(
     looser :data:`EXTENDED_TAIL_TOL` and raises :class:`CapacityError` when
     it fails (no sharp dimension estimate is available for squeezed tails).
     """
-    return _extended(p, q, a, b, rep, tail_tol, False)[0]
+    return _extended(p, q, a, b, rep, False)[0]
 
 
-def _extended(p, q, a, b, rep, tail_tol, tangent):
+def _extended(p, q, a, b, rep, tangent):
     # the squeezers are constant in (p, q), so they carry the derivatives of
     # the displaced state along; PQ + QP = 2 D
     psi, d_p, d_q = _displaced(p, q, rep, tangent)
@@ -267,12 +246,12 @@ def _extended(p, q, a, b, rep, tail_tol, tangent):
         if tangent:
             d_p = _push(op, theta, d_p, rep)
             d_q = _push(op, theta, d_q, rep)
-    return _check_extended_tail(psi, p, q, a, b, tail_tol), d_p, d_q
+    return _check_extended_tail(psi, p, q, a, b), d_p, d_q
 
 
-def _check_extended_tail(psi, p, q, a, b, tail_tol):
+def _check_extended_tail(psi, p, q, a, b):
     tail = float(np.linalg.norm(psi.amplitudes[psi.dim - DEFAULT_TRUNCATION_MARGIN :]))
-    if tail > tail_tol:
+    if tail > EXTENDED_TAIL_TOL:
         raise CapacityError(
             f"truncation inadequate for extended state at (p, q, a, b) = "
             f"({p}, {q}, {a}, {b}): tail amplitude {tail:.3e}"
@@ -475,7 +454,6 @@ def fs_metric_numeric(
     p: float,
     q: float,
     h: float = DEFAULT_METRIC_STEP,
-    richardson: bool = True,
     full_output: bool = False,
 ):
     """Numeric Fubini-Study metric at ``(p, q)`` from the state map.
@@ -596,7 +574,6 @@ def scalar_curvature(
     hbar: float = 1.0,
     beta: float | None = None,
     s: float | None = None,
-    h: float | None = None,
 ) -> float:
     """Scalar (Ricci) curvature of the closed-form metric at ``(p, q)``.
 
@@ -610,8 +587,7 @@ def scalar_curvature(
     def metric(pp, qq):
         return fs_metric_analytic(kind, pp, qq, hbar=hbar, beta=beta, s=s)
 
-    if h is None:
-        h = 1e-3 * max(1.0, abs(p), abs(q))
+    h = 1e-3 * max(1.0, abs(p), abs(q))
     # keep the stencil inside the domain
     if kind == "affine" and q - 2 * h <= 0:
         h = q / 4.0

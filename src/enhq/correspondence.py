@@ -317,11 +317,11 @@ def _label_polynomial(poly, family) -> _LabelPolynomial:
 class EnhancedHamiltonian:
     """Real label function ``H(p, q)`` with gradient access.
 
-    ``provenance`` records how the function was produced ("expectation" or
-    "closed_form").  When no analytic gradient is supplied the gradient falls
-    back to central finite differences of ``evaluate``.  ``q_positive`` marks
-    Hamiltonians whose domain is the half line; ``label_domain``, when given,
-    maps labels to a signed margin that is positive inside the domain.
+    When no analytic gradient is supplied the gradient falls back to central
+    finite differences of ``evaluate``, with steps of ``1e-6`` relative to
+    ``max(1, |label|)``.  ``q_positive`` marks Hamiltonians whose domain is
+    the half line; ``label_domain``, when given, maps labels to a signed
+    margin that is positive inside the domain.
     """
 
     def __init__(
@@ -329,18 +329,14 @@ class EnhancedHamiltonian:
         evaluate,
         gradient=None,
         hbar: float = 1.0,
-        provenance: str = "closed_form",
         q_positive: bool = False,
         label_domain=None,
-        fd_step: float = 1e-6,
     ):
         self._evaluate = evaluate
         self._gradient = gradient
         self.hbar = float(hbar)
-        self.provenance = provenance
         self.q_positive = bool(q_positive)
         self.label_domain = label_domain
-        self._fd_step = float(fd_step)
         self.polynomial = None
 
     def evaluate(self, p: float, q: float) -> float:
@@ -352,8 +348,8 @@ class EnhancedHamiltonian:
         if self._gradient is not None:
             gp, gq = self._gradient(p, q)
             return float(gp), float(gq)
-        hp = self._fd_step * max(1.0, abs(p))
-        hq = self._fd_step * max(1.0, abs(q))
+        hp = 1e-6 * max(1.0, abs(p))
+        hq = 1e-6 * max(1.0, abs(q))
         gp = (self._evaluate(p + hp, q) - self._evaluate(p - hp, q)) / (2.0 * hp)
         gq = (self._evaluate(p, q + hq) - self._evaluate(p, q - hq)) / (2.0 * hq)
         return float(gp), float(gq)
@@ -377,7 +373,6 @@ def enhance(poly: OperatorPolynomial, family: CoherentFamily) -> EnhancedHamilto
             label_poly,
             label_poly.gradient,
             hbar=hbar,
-            provenance="expectation",
             q_positive=family.kind == "affine",
         )
         ham.polynomial = dict(label_poly.coeffs)
@@ -387,7 +382,6 @@ def enhance(poly: OperatorPolynomial, family: CoherentFamily) -> EnhancedHamilto
         return EnhancedHamiltonian(
             lambda p, q: _realized(poly_expectation(poly, family, p, q), "spin expectation"),
             hbar=hbar,
-            provenance="expectation",
             label_domain=lambda p, q: shbar - p * p,
         )
     raise ValueError(

@@ -170,19 +170,19 @@ def hamiltonian_flow(
     steps of scipy's ``RK45`` and calls ``H.gradient`` once per stage;
     ``dop853`` runs ``solve_ivp``.  ``leapfrog`` takes ``n_steps`` fixed
     steps of three gradient calls each.  ``tol`` must be positive and
-    finite and ``n_steps``, when given, a positive integer.
+    finite, ``n_samples`` an integer of at least 2 and ``n_steps``, when
+    given, a positive integer.
     """
     x0 = _as_point(x0)
     if not np.isfinite(t_final) or t_final <= 0:
         raise ValueError("t_final must be positive and finite")
     if not np.isfinite(tol) or tol <= 0:
         raise ValueError("tol must be positive and finite")
-    if n_samples < 2:
-        raise ValueError("n_samples must be at least 2")
+    if not _is_integer(n_samples) or n_samples < 2:
+        raise ValueError("n_samples must be an integer of at least 2")
     if max_step is not None and not max_step > 0:
         raise ValueError("max_step must be positive")
-    if n_steps is not None and (isinstance(n_steps, bool) or not isinstance(n_steps, Integral)
-                                or n_steps < 1):
+    if n_steps is not None and (not _is_integer(n_steps) or n_steps < 1):
         raise ValueError("n_steps must be a positive integer")
     if H.q_positive and x0.q <= q_floor:
         raise ValueError(f"initial q = {x0.q} is not above the floor {q_floor}")
@@ -233,6 +233,11 @@ def hamiltonian_flow(
                       np.asarray(qs, dtype=float), energies, tuple(recorded))
 
 
+def _is_integer(n):
+    # Python and numpy integers; bool is an Integral too, but not a count
+    return isinstance(n, Integral) and not isinstance(n, bool)
+
+
 def _not_finite(t, p, q):
     raise NumericalFailure(
         f"gradient is not finite at (p, q) = ({p}, {q})", {"t": t, "p": p, "q": q},
@@ -260,10 +265,10 @@ def _dormand_prince(gradient, p, q, t_final, rtol, atol, max_step, t_eval, event
     error norm with scale ``atol + max(|y|, |y_new|) rtol``, step factors,
     give-up below ten ulp of ``t`` and floor on ``rtol``.  ``t_eval``
     samples come from the dense output.  ``events`` are ``(g(p, q),
-    direction, terminal)``, where ``g = None`` stands for ``dq/dt``, which at
-    a step end is the last stage's; an event fires where ``g`` changes sign
-    in its direction between two step ends, at the Brent root of ``g`` on
-    the dense output, and a terminal one ends the run there.
+    direction, terminal)``, where ``g = None`` stands for ``dq/dt``, which a
+    stage has at the start and at every step end; an event fires where ``g``
+    changes sign in its direction between two step ends, at the Brent root
+    of ``g`` on the dense output, and a terminal one ends the run there.
 
     Returns sample times, ``p`` and ``q`` (lists), event hits
     ``(index, t, p, q)`` and ``None``, or, when the step size underflowed,
@@ -316,9 +321,7 @@ def _dormand_prince(gradient, p, q, t_final, rtol, atol, max_step, t_eval, event
         h1 = (0.01 / max(d1, d2)) ** 0.2
     h_abs = min(100 * h0, h1, t_final, max_step)
 
-    g_old = []
-    for g, _, _ in events:
-        g_old.append(gradient(p, q)[0] if g is None else g(p, q))
+    g_old = [fq if g is None else g(p, q) for g, _, _ in events]
     t_eval = t_eval.tolist()
     n_eval, i_eval = len(t_eval), 0
     ps, qs, hits = [], [], []
@@ -433,9 +436,9 @@ def _event_roots(events, active, gradient, step, cp, cq):
 
     ``step`` is ``(t, p, q)`` at its start and end and ``dq/dt`` at its end;
     ``cp`` and ``cq`` are its dense-output coefficients, those of the sample
-    loop.  Returns the hits ``(index, t, p, q)`` and, when one of them is
-    terminal, the time of the first terminal root, the hits after it
-    dropped (otherwise ``None``).
+    loop, so ``cq[0]`` is ``dq/dt`` at its start.  Returns the hits
+    ``(index, t, p, q)`` and, when one of them is terminal, the time of the
+    first terminal root, the hits after it dropped (otherwise ``None``).
     """
     t_old, p_old, q_old, t_new, p_new, q_new, qdot_new = step
     h = t_new - t_old  # the step, as the loop computed it
@@ -449,7 +452,9 @@ def _event_roots(events, active, gradient, step, cp, cq):
                 h * (cq[0] * x + cq[1] * x2 + cq[2] * x3 + cq[3] * x4) + q_old)
 
     def rate(p, q):
-        # where the interpolant meets the step end, the last stage has dq/dt
+        # where the interpolant meets a step end, a stage has dq/dt already
+        if p == p_old and q == q_old:
+            return cq[0]
         return qdot_new if p == p_new and q == q_new else gradient(p, q)[0]
 
     found = [
@@ -569,8 +574,7 @@ class CanonicalTransform:
     jacobian: object = None
     name: str = ""
 
-    def check_on(self, points, roundtrip_tol=_TRANSFORM_ROUNDTRIP_TOL,
-                 jacobian_tol=_TRANSFORM_JACOBIAN_TOL):
+    def check_on(self, points):
         """Verify round trip and unit Jacobian determinant on sample points."""
         for pt in points:
             p, q = pt.p, pt.q
@@ -578,12 +582,12 @@ class CanonicalTransform:
             p2, q2 = self.inverse(pt2, qt2)
             err = max(abs(p2 - p), abs(q2 - q))
             scale = max(1.0, abs(p), abs(q))
-            if err > roundtrip_tol * scale:
+            if err > _TRANSFORM_ROUNDTRIP_TOL * scale:
                 raise InvalidTransformError(
                     f"inverse mismatch at (p, q) = ({p}, {q}): round-trip error {err:.3e}"
                 )
             det = np.linalg.det(self._jacobian_at(p, q))
-            if abs(det - 1.0) > jacobian_tol:
+            if abs(det - 1.0) > _TRANSFORM_JACOBIAN_TOL:
                 raise InvalidTransformError(
                     f"transform does not preserve dp^dq at ({p}, {q}): det J = {det!r}"
                 )
@@ -679,13 +683,7 @@ def transform_hamiltonian(H: EnhancedHamiltonian, tr: CanonicalTransform) -> Enh
                 margin = min(margin, H.label_domain(p, q))
             return margin
 
-    return EnhancedHamiltonian(
-        evaluate,
-        gradient,
-        hbar=H.hbar,
-        provenance=H.provenance,
-        label_domain=label_domain,
-    )
+    return EnhancedHamiltonian(evaluate, gradient, hbar=H.hbar, label_domain=label_domain)
 
 
 # ---------------------------------------------------------------------------
@@ -719,15 +717,17 @@ def _time_derivative(y: np.ndarray, t: np.ndarray) -> np.ndarray:
 def restricted_action_value(H: EnhancedHamiltonian, trajectory: Trajectory) -> float:
     """Quadrature of ``integral [p qdot - H(p, q)] dt`` over the samples.
 
-    ``qdot`` is obtained by differentiating the sampled ``q(t)``, so the
-    value is meaningful for perturbed (off-shell) label histories as well;
-    along true orbits the value is first-order stationary against smooth
-    perturbations vanishing at the endpoints.
+    ``H`` is evaluated at each sample and ``qdot`` is obtained by
+    differentiating the sampled ``q(t)``, so the value is meaningful for
+    perturbed (off-shell) label histories as well, whatever their
+    ``energy`` column holds; along true orbits the value is first-order
+    stationary against smooth perturbations vanishing at the endpoints.
     """
     if len(trajectory) < 16:
         raise ValueError("trajectory is sampled too sparsely for quadrature (need >= 16 samples)")
     qdot = _time_derivative(trajectory.q, trajectory.t)
-    integrand = trajectory.p * qdot - trajectory.energy
+    energy = np.array([H.evaluate(p, q) for p, q in zip(trajectory.p, trajectory.q)])
+    integrand = trajectory.p * qdot - energy
     return float(np.trapezoid(integrand, trajectory.t))
 
 

@@ -6,10 +6,12 @@ states gains a repulsive core,
 
     ``H(p, q) = p^2/(2m) - C1/q + C2/(2 m q^2)``,
 
-whose coefficients are measured from the fiducial rather than assumed:
-``C1 = e^2 <beta| 1/Q |beta>`` (diagonal on the grid, so exact per
-quadrature) and ``C2 = <beta| P^2 |beta>``.  With the core present every
-negative-energy flow turns at a strictly positive radius.
+whose coefficients are fiducial expectations rather than assumptions:
+``C1 = e^2 <beta| 1/Q |beta> = e^2 2 nu / (2 nu - 1)`` and
+``C2 = <beta| P^2 |beta> = beta^2 hbar / (2 (beta - hbar))`` with
+``nu = beta / hbar``, both in closed form (the fiducial density is a Gamma
+density).  With the core present every negative-energy flow turns at a
+strictly positive radius.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent import affine_family, fiducial_moments
+from .coherent import fiducial_p2_closed, fiducial_q_moment_closed
 from .correspondence import EnhancedHamiltonian
 from .errors import DomainError
-from .hilbert import HalfLineRep, SpinRep, build_halfline_rep
+from .hilbert import SpinRep
 
 
 @dataclass(frozen=True)
@@ -43,13 +45,6 @@ class HydrogenParams:
             )
 
 
-def default_hydrogen_rep(params: HydrogenParams, n: int = 4000) -> HalfLineRep:
-    """Geometric grid sized to the fiducial's support for the given parameters."""
-    nu = params.beta / params.hbar
-    x_max = max(12.0, 40.0 / nu)
-    return build_halfline_rep(1e-5, x_max, n, hbar=params.hbar)
-
-
 def hydrogen_classical(params: HydrogenParams) -> EnhancedHamiltonian:
     """Closed-form ``p^2/(2m) - e^2/q`` with its gradient, on ``q > 0``."""
     m, e2 = params.m, params.e2
@@ -58,38 +53,29 @@ def hydrogen_classical(params: HydrogenParams) -> EnhancedHamiltonian:
         lambda p, q: p * p / (2.0 * m) - e2 / q,
         lambda p, q: (p / m, e2 / (q * q)),
         hbar=params.hbar,
-        provenance="closed_form",
         q_positive=True,
     )
     ham.params = params
     return ham
 
 
-def hydrogen_enhanced(
-    params: HydrogenParams,
-    rep: HalfLineRep | None = None,
-) -> EnhancedHamiltonian:
-    """Expectation-valued hydrogen with measured core coefficients.
+def hydrogen_enhanced(params: HydrogenParams) -> EnhancedHamiltonian:
+    """Expectation-valued hydrogen with the closed-form core coefficients.
 
-    ``C1`` and ``C2`` are measured on the half-line grid (pass ``rep`` to
-    control the discretization); the returned Hamiltonian carries them as
-    ``c1`` and ``c2`` attributes.
+    ``C1 = e^2 <beta| 1/Q |beta>`` and ``C2 = <beta| P^2 |beta>`` come from
+    :func:`fiducial_q_moment_closed` and :func:`fiducial_p2_closed`; the
+    returned Hamiltonian carries them as ``c1`` and ``c2`` attributes.
+    :func:`fiducial_moments` measures both on a half-line grid as an
+    independent cross-check.
     """
-    if rep is None:
-        rep = default_hydrogen_rep(params)
-    if rep.hbar != params.hbar:
-        raise ValueError("representation hbar does not match the model parameters")
-    family = affine_family(rep, params.beta)
-    moments = fiducial_moments(family)
-    c1 = params.e2 * moments["q_inv"]
-    c2 = moments["p2"]
+    c1 = params.e2 * fiducial_q_moment_closed(params.beta, params.hbar, -1)
+    c2 = fiducial_p2_closed(params.beta, params.hbar)
     m = params.m
 
     ham = EnhancedHamiltonian(
         lambda p, q: p * p / (2.0 * m) - c1 / q + c2 / (2.0 * m * q * q),
         lambda p, q: (p / m, c1 / (q * q) - c2 / (m * q * q * q)),
         hbar=params.hbar,
-        provenance="expectation",
         q_positive=True,
     )
     ham.params = params
@@ -146,13 +132,9 @@ def spin_precession(B: float, rep: SpinRep) -> EnhancedHamiltonian:
     """
     sq = np.sqrt(rep.s * rep.hbar)
     shbar = rep.s * rep.hbar
-
-    ham = EnhancedHamiltonian(
+    return EnhancedHamiltonian(
         lambda p, q: B * sq * p,
         lambda p, q: (B * sq, 0.0),
         hbar=rep.hbar,
-        provenance="closed_form",
         label_domain=lambda p, q: shbar - p * p,
     )
-    ham.rate = float(B)
-    return ham

@@ -335,9 +335,7 @@ class TestClassicalLimit:
 
     def test_nonconvergent_values_raise(self):
         def noisy_builder(hbar):
-            return EnhancedHamiltonian(
-                lambda p, q: np.sin(1e6 / hbar), hbar=hbar, provenance="closed_form"
-            )
+            return EnhancedHamiltonian(lambda p, q: np.sin(1e6 / hbar), hbar=hbar)
 
         with pytest.raises(NumericalFailure) as err:
             classical_limit(

@@ -442,8 +442,8 @@ class TestRK45AgainstScipy:
 
     @pytest.mark.parametrize("x0,t_final", [((-0.3, 1.0), 4.0), ((0.773, 2.587), 133.0)])
     def test_bounce_event_reuses_the_last_stage_gradient(self, x0, t_final):
-        # one gradient call per right-hand side, plus the bounce event at the
-        # start; at every step end the last stage has the gradient already
+        # one gradient call per right-hand side: the bounce value at the start
+        # is the first call's, and at every step end the last stage's
         ham = hydrogen_classical(HydrogenParams())
         calls = []
 
@@ -463,23 +463,38 @@ class TestRK45AgainstScipy:
             lambda t, y: (-ham.gradient(*y)[1], ham.gradient(*y)[0]), (0.0, t_final), x0,
             method="RK45", rtol=1e-10, atol=1e-13, events=[event],
         )
-        assert len(calls) == ref.nfev + 1
+        assert len(calls) == ref.nfev
 
-    def test_bounce_roots_reuse_the_rate_at_the_step_end(self):
-        # a step from (0, 0) to (1, -0.5) over t in [0, 1] with dq/dt = p - 1/2:
-        # Brent's method tries the step end, whose rate the last stage has
+    def test_enhanced_flow_evaluates_no_point_twice(self):
+        # the two bounce steps of this orbit reuse the rates at their ends
+        ham = hydrogen_enhanced(HydrogenParams(beta=2.0))
+        calls = []
+
+        def gradient(p, q):
+            calls.append((p, q))
+            return ham.gradient(p, q)
+
+        counted = EnhancedHamiltonian(ham.evaluate, gradient, q_positive=True)
+        traj = hamiltonian_flow(counted, (-0.3, 1.0), 30.0)
+        assert traj.event_kinds().count("bounce") == 2
+        assert len(set(calls)) == len(calls)
+
+    def test_bounce_roots_reuse_the_rate_at_the_step_ends(self):
+        # a step from (0, 0) to (1, 0) over t in [0, 1] with p = t and
+        # dq/dt = p - 1/2: Brent's method tries both step ends, whose rates
+        # the stages have (the first as the dense output's linear term)
         calls = []
 
         def gradient(p, q):
             calls.append((p, q))
             return p - 0.5, 0.0
 
-        step = (0.0, 0.0, 0.0, 1.0, 1.0, -0.5, 0.5)
+        step = (0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.5)
         hits, t_stop = _event_roots([(None, 1.0, False)], [0], gradient, step,
-                                    (1.0, 0.0, 0.0, 0.0), (0.0, -0.5, 0.0, 0.0))
+                                    (1.0, 0.0, 0.0, 0.0), (-0.5, 0.5, 0.0, 0.0))
         assert t_stop is None
         assert hits == [(0, 0.5, 0.5, -0.125)]
-        assert calls and (1.0, -0.5) not in calls
+        assert calls and (0.0, 0.0) not in calls and (1.0, 0.0) not in calls
 
     def test_a_terminal_event_drops_the_later_ones_of_its_step(self):
         # straight-line motion has no error estimate, so steps grow tenfold
@@ -524,6 +539,17 @@ class TestFlowValidation:
         with pytest.raises(ValueError):
             hamiltonian_flow(harmonic, (0.0, 1.0), 1.0, n_samples=1)
 
+    @pytest.mark.parametrize("n_samples", [10.5, 3.0, True, "100", np.float64(11.0)])
+    @pytest.mark.parametrize("method", ["rk45", "dop853", "leapfrog"])
+    def test_needs_integer_n_samples(self, harmonic, n_samples, method):
+        with pytest.raises(ValueError, match="n_samples"):
+            hamiltonian_flow(harmonic, (0.0, 1.0), 1.0, n_samples=n_samples, method=method)
+
+    @pytest.mark.parametrize("method", ["rk45", "leapfrog"])
+    def test_numpy_integer_n_samples(self, harmonic, method):
+        traj = hamiltonian_flow(harmonic, (0.0, 1.0), 1.0, n_samples=np.int32(11), method=method)
+        assert len(traj) == 11
+
     @pytest.mark.parametrize("max_step", [0.0, -1.0, np.nan])
     def test_needs_positive_max_step(self, harmonic, max_step):
         with pytest.raises(ValueError, match="max_step"):
@@ -546,10 +572,11 @@ class TestFlowValidation:
     @pytest.mark.parametrize("component", [0, 1])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_stage_names_its_point(self, method, component, bad):
-        # in either method the first two calls set up the first step, the
-        # third evaluates the bounce at the start (unchecked, as the point is
-        # the first call's), and the next ones are the stages of the first steps
-        for n_bad in (1, 2, *range(4, 13)):
+        # in either method the first two calls set up the first step and the
+        # next ones are the stages of the first steps; dop853's third call
+        # evaluates the bounce at the start, unchecked, as the point is the
+        # first call's, where rk45 reuses the first call's value
+        for n_bad in range(1, 13) if method == "rk45" else (1, 2, *range(4, 13)):
             calls = []
 
             def gradient(p, q):
@@ -724,6 +751,11 @@ class TestRestrictedAction:
         assert raw == pytest.approx(-np.pi, abs=1e-6)
         assert raw + 0.5 * harmonic.hbar * 2 * np.pi == pytest.approx(0.0, abs=1e-6)
         assert line_integral_p_dq(traj) == pytest.approx(np.pi, abs=1e-6)
+
+    def test_value_reads_h_not_the_energy_column(self, harmonic):
+        traj = hamiltonian_flow(harmonic, (0.0, 1.0), 2 * np.pi, tol=1e-10, n_samples=8000)
+        stale = Trajectory(traj.t, traj.p, traj.q, np.zeros(len(traj)))
+        assert restricted_action_value(harmonic, stale) == pytest.approx(-np.pi, abs=1e-6)
 
     def test_static_point_zero_action(self):
         free = EnhancedHamiltonian(lambda p, q: 0.5 * p * p, lambda p, q: (p, 0.0))

@@ -4,8 +4,8 @@ import pytest
 from enhq import (
     DomainError,
     HydrogenParams,
+    build_halfline_rep,
     build_spin_rep,
-    default_hydrogen_rep,
     enhance,
     expectation,
     fiducial_p2_closed,
@@ -56,6 +56,15 @@ class TestClassicalHydrogen:
 
 
 class TestEnhancedHydrogen:
+    @pytest.mark.parametrize("hbar", [1.0, 0.5])
+    @pytest.mark.parametrize("beta", [1.1, 1.5, 2.0, 3.0])
+    def test_core_is_the_closed_form(self, beta, hbar):
+        # beta = 1.1 hbar sits where a half-line grid misjudges <P^2> badly
+        params = HydrogenParams(e2=0.7, beta=beta, hbar=hbar)
+        ham = hydrogen_enhanced(params)
+        assert ham.c1 == pytest.approx(0.7 * fiducial_q_moment_closed(beta, hbar, -1), rel=1e-12)
+        assert ham.c2 == pytest.approx(fiducial_p2_closed(beta, hbar), rel=1e-12)
+
     def test_c2_matches_closed_form(self):
         ham = hydrogen_enhanced(HydrogenParams(beta=2.0))
         assert ham.c2 == pytest.approx(fiducial_p2_closed(2.0, 1.0), rel=1e-5)
@@ -106,9 +115,9 @@ class TestEnhancedHydrogen:
         from enhq import affine_cs, affine_family
 
         params = HydrogenParams(beta=2.0)
-        rep = default_hydrogen_rep(params)
+        rep = build_halfline_rep(1e-5, 20.0, 4000, hbar=params.hbar)
         family = affine_family(rep, params.beta)
-        ham = hydrogen_enhanced(params, rep)
+        ham = hydrogen_enhanced(params)
         for p, q in [(0.0, 1.0), (0.5, 2.2), (-0.7, 0.6)]:
             psi = affine_cs(p, q, family)
             dens = np.abs(psi.amplitudes) ** 2
@@ -122,11 +131,6 @@ class TestEnhancedHydrogen:
             h = 1e-6
             assert gp == pytest.approx((ham(p + h, q) - ham(p - h, q)) / (2 * h), rel=1e-6)
             assert gq == pytest.approx((ham(p, q + h) - ham(p, q - h)) / (2 * h), rel=1e-6)
-
-    def test_rep_hbar_mismatch_rejected(self):
-        rep = default_hydrogen_rep(HydrogenParams(beta=2.0, hbar=1.0))
-        with pytest.raises(ValueError):
-            hydrogen_enhanced(HydrogenParams(beta=2.0, hbar=0.5), rep)
 
 
 class TestMinRadius:
