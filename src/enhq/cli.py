@@ -148,7 +148,7 @@ _SCHEMA = {
                 "tol": {"type": "number", "exclusiveMinimum": 0},
                 "n_samples": {"type": "integer", "minimum": 2},
                 "q_floor": {"type": "number", "exclusiveMinimum": 0},
-                "method": {"enum": ["rk45", "dop853", "leapfrog"]},
+                "method": {"enum": ["rk45", "leapfrog"]},
             },
         },
         "hbar_sequence": {
@@ -201,6 +201,11 @@ def validate_config(cfg: dict) -> dict:
         path = ".".join(str(x) for x in error.absolute_path) or "<root>"
         raise ConfigError(f"config error at {path}: {error.message}") from error
     return cfg
+
+
+def _no_output_format(cfg):
+    if "format" in cfg.get("output", {}):
+        raise ConfigError("config error at output.format: only the evolve experiment reads it")
 
 
 def config_hash(cfg: dict) -> str:
@@ -566,6 +571,8 @@ def run(cfg: dict, out_dir=None, stamp=False, verbose=False) -> list:
     experiment = cfg.get("experiment")
     if experiment is None:
         raise ConfigError("experiment: required")
+    if experiment != "evolve":
+        _no_output_format(cfg)
     out = Path(out_dir) if out_dir is not None else Path(cfg.get("output", {}).get("dir", "."))
     runner = _RUNNERS[experiment]
     # validate everything cheap before creating the output directory
@@ -692,6 +699,7 @@ _SUITE_RUNNERS = {
 def report_verify(cfg: dict, out_dir=None, stamp=False) -> tuple[dict, int]:
     """Run the requested invariant suites; returns (report, exit_code)."""
     validate_config(cfg)
+    _no_output_format(cfg)
     suites = cfg.get("suites")
     if not suites:
         raise ConfigError("suites: at least one suite is required")

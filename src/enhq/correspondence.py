@@ -320,8 +320,10 @@ class EnhancedHamiltonian:
     When no analytic gradient is supplied the gradient falls back to central
     finite differences of ``evaluate``, with steps of ``1e-6`` relative to
     ``max(1, |label|)``.  ``q_positive`` marks Hamiltonians whose domain is
-    the half line; ``label_domain``, when given, maps labels to a signed
-    margin that is positive inside the domain.
+    the half line; ``half_line`` then maps labels to the coordinate that
+    must stay positive (``q``; a relabeling carries it through its inverse),
+    and is ``None`` otherwise.  ``label_domain``, when given, maps labels to
+    a signed margin that is positive inside the domain.
     """
 
     def __init__(
@@ -336,6 +338,7 @@ class EnhancedHamiltonian:
         self._gradient = gradient
         self.hbar = float(hbar)
         self.q_positive = bool(q_positive)
+        self.half_line = (lambda p, q: q) if q_positive else None
         self.label_domain = label_domain
         self.polynomial = None
 

@@ -1,10 +1,11 @@
 """Hamiltonian flows in label space, canonical relabelings, and action values.
 
 The equations of motion are ``dq/dt = dH/dp``, ``dp/dt = -dH/dq`` for an
-:class:`~enhq.correspondence.EnhancedHamiltonian`.  The default integrator is
-an adaptive embedded Runge-Kutta 5(4) pair; a fixed-step leapfrog backend is
-available as a cross-check for separable Hamiltonians.  Flows on the half
-line stop cleanly with a ``singularity_hit`` event when ``q`` falls below a
+:class:`~enhq.correspondence.EnhancedHamiltonian`.  The one adaptive
+integrator is an embedded Runge-Kutta 5(4) pair; a fixed-step leapfrog is
+the cross-check for separable Hamiltonians, and :func:`hamiltonian_flow`
+assembles the trajectory from either.  Flows on the half line, relabeled or
+not, stop with a ``singularity_hit`` event when ``q`` falls below a
 configurable floor, and local minima of ``q`` are annotated as ``bounce``
 events.
 
@@ -22,6 +23,7 @@ from dataclasses import dataclass, field
 from numbers import Integral
 
 import numpy as np
+# unused here, but perfbench/tracer.py wraps enhq.dynamics.solve_ivp by name
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
@@ -161,17 +163,19 @@ def hamiltonian_flow(
     Samples are taken on a uniform grid of ``n_samples`` points (events keep
     their own exact times and states and are stored separately).  For
     half-line Hamiltonians the run stops with a ``singularity_hit`` event
-    when ``q`` crosses ``q_floor``; a declared label domain stops with
+    when ``H.half_line`` (``q``, or ``q`` carried through a relabeling)
+    crosses ``q_floor``; a declared label domain stops with
     ``domain_exit``.  Step-size underflow near a collapse is converted into
     the singularity event, at the last accepted step, rather than an
     exception, while non-finite gradients raise :class:`NumericalFailure`.
 
     ``rk45`` runs :func:`_dormand_prince`, a scalar loop that takes the
     steps of scipy's ``RK45`` and calls ``H.gradient`` once per stage;
-    ``dop853`` runs ``solve_ivp``.  ``leapfrog`` takes ``n_steps`` fixed
-    steps of three gradient calls each.  ``tol`` must be positive and
-    finite, ``n_samples`` an integer of at least 2 and ``n_steps``, when
-    given, a positive integer.
+    ``leapfrog`` runs :func:`_leapfrog_flow`, ``n_steps`` fixed steps of
+    three gradient calls each.  Both return samples and event hits, from
+    which the events, energies and trajectory are built here.  ``tol`` must
+    be positive and finite, ``n_samples`` an integer of at least 2 and
+    ``n_steps``, when given, a positive integer.
     """
     x0 = _as_point(x0)
     if not np.isfinite(t_final) or t_final <= 0:
@@ -184,31 +188,34 @@ def hamiltonian_flow(
         raise ValueError("max_step must be positive")
     if n_steps is not None and (not _is_integer(n_steps) or n_steps < 1):
         raise ValueError("n_steps must be a positive integer")
-    if H.q_positive and x0.q <= q_floor:
-        raise ValueError(f"initial q = {x0.q} is not above the floor {q_floor}")
+    if method not in ("rk45", "leapfrog"):
+        raise ValueError(f"unknown integrator method {method!r}")
+    half_line = H.half_line
+    if half_line is not None and half_line(x0.p, x0.q) <= q_floor:
+        raise ValueError(f"initial q = {half_line(x0.p, x0.q)} is not above the floor {q_floor}")
     if H.label_domain is not None and H.label_domain(x0.p, x0.q) <= 0:
         raise ValueError("initial point lies outside the Hamiltonian's label domain")
-
-    if method == "leapfrog":
-        return _leapfrog_flow(H, x0, t_final, n_samples, q_floor, n_steps)
-    if method not in ("rk45", "dop853"):
-        raise ValueError(f"unknown integrator method {method!r}")
 
     # (kind, g(p, q), direction, terminal): an event fires where g crosses
     # zero in ``direction``; the bounce's g, None, stands for dq/dt
     events = [("bounce", None, 1.0, False)]
-    if H.q_positive:
-        events.append(("singularity_hit", lambda p, q: q - q_floor, -1.0, True))
+    if half_line is not None:
+        events.append(("singularity_hit", lambda p, q: half_line(p, q) - q_floor, -1.0, True))
     if H.label_domain is not None:
         events.append(("domain_exit", H.label_domain, -1.0, True))
 
-    integrate = _dormand_prince if method == "rk45" else _dop853
-    ts, ps, qs, hits, stop = integrate(
-        H.gradient, x0.p, x0.q, t_final, tol, tol * 1e-3,
-        np.inf if max_step is None else max_step,
-        np.linspace(0.0, t_final, n_samples),
-        [e[1:] for e in events],
-    )
+    if method == "leapfrog":
+        ts, ps, qs, hits, stop = _leapfrog_flow(
+            H.gradient, x0.p, x0.q, t_final, n_samples, n_steps, [e[1] for e in events],
+            q_floor if H.q_positive else None,
+        )
+    else:
+        ts, ps, qs, hits, stop = _dormand_prince(
+            H.gradient, x0.p, x0.q, t_final, tol, tol * 1e-3,
+            np.inf if max_step is None else max_step,
+            np.linspace(0.0, t_final, n_samples),
+            [e[1:] for e in events],
+        )
 
     recorded = [
         TrajectoryEvent(t, events[i][0], p, q, H.evaluate(p, q)) for i, t, p, q in hits
@@ -218,7 +225,7 @@ def hamiltonian_flow(
         t_last, p_last, q_last, message = stop
         if len(ts) == 0:
             raise NumericalFailure(f"integration failed at t = 0: {message}", {})
-        if not H.q_positive:
+        if half_line is None:
             raise NumericalFailure(
                 f"integration failed at t = {t_last}: {message}",
                 {"t": t_last, "p": p_last, "q": q_last},
@@ -229,8 +236,7 @@ def hamiltonian_flow(
 
     energies = np.array([H.evaluate(p, q) for p, q in zip(ps, qs)])
     recorded.sort(key=lambda e: e.time)
-    return Trajectory(np.asarray(ts, dtype=float), np.asarray(ps, dtype=float),
-                      np.asarray(qs, dtype=float), energies, tuple(recorded))
+    return Trajectory(ts, ps, qs, energies, tuple(recorded))
 
 
 def _is_integer(n):
@@ -472,85 +478,41 @@ def _event_roots(events, active, gradient, step, cp, cq):
     return [(i, root, *dense(root)) for root, i in found], t_stop
 
 
-def _dop853(gradient, p, q, t_final, rtol, atol, max_step, t_eval, events):
-    """``solve_ivp(method="DOP853")`` with the call and return of :func:`_dormand_prince`."""
-    last = (None, None, None)  # (p, q, dq/dt) of the latest right-hand side
+def _leapfrog_flow(gradient, p, q, t_final, n_samples, n_steps, events, q_floor):
+    """Kick-drift-kick with the call and return of :func:`_dormand_prince`.
 
-    def fun(t, y):
-        nonlocal last
-        gp, gq = gradient(y[0], y[1])
-        if not (math.isfinite(gp) and math.isfinite(gq)):
-            _not_finite(t, y[0], y[1])
-        last = y[0], y[1], gp
-        return -gq, gp
-
-    def as_event(g, direction, terminal):
-        def event(t, y):
-            if g is not None:
-                return g(y[0], y[1])
-            # at a step end the step's last stage has just evaluated the gradient
-            last_p, last_q, qdot = last
-            return qdot if y[0] == last_p and y[1] == last_q else gradient(y[0], y[1])[0]
-
-        event.direction, event.terminal = direction, terminal
-        return event
-
-    sol = solve_ivp(
-        fun, (0.0, t_final), (p, q), method="DOP853",
-        rtol=rtol, atol=atol, t_eval=t_eval, events=[as_event(*e) for e in events],
-        max_step=max_step, dense_output=True,
-    )
-    hits = [
-        (i, float(te), float(ye[0]), float(ye[1]))
-        for i, (times, states) in enumerate(zip(sol.t_events, sol.y_events))
-        for te, ye in zip(times, states)
-    ]
-    stop = None
-    if sol.status < 0:
-        # the dense output ends at the last accepted step
-        t_last = float(sol.sol.t_max)
-        p_last, q_last = map(float, sol.sol(t_last)) if sol.t.size else (p, q)
-        stop = (t_last, p_last, q_last, sol.message)
-    return sol.t, sol.y[0], sol.y[1], hits, stop
-
-
-def _leapfrog_flow(H, x0, t_final, n_samples, q_floor, n_steps):
-    # Kick-drift-kick with the full gradient; symplectic only when H is
-    # separable, which is the advertised contract of this backend.  The
-    # gradient at a step end serves both its bounce test and the next kick.
+    Symplectic only when H is separable, the contract of this backend.  The
+    ``events`` are the flow's ``g``, the bounce's (``None``) first: a terminal
+    one ends the run at the first step end where ``g <= 0``, with ``q``
+    raised to ``q_floor`` if given; a bounce is a step end where ``dq/dt``
+    turns nonnegative, whose gradient also serves the next kick.
+    """
     if n_steps is None:
         n_steps = max(20 * n_samples, 10000)
     dt = t_final / n_steps
     stride = max(1, n_steps // (n_samples - 1))
-    p, q = x0.p, x0.q
-    ts, ps, qs = [0.0], [p], [q]
-    events = []
-    prev_qdot, dh_dq = H.gradient(p, q)
+    terminal = list(enumerate(events))[1:]
+    ts, ps, qs, hits = [0.0], [p], [q], []
+    prev_qdot, dh_dq = gradient(p, q)
     for k in range(1, n_steps + 1):
         p -= 0.5 * dt * dh_dq
-        q += dt * H.gradient(p, q)[0]
-        p -= 0.5 * dt * H.gradient(p, q)[1]
+        q += dt * gradient(p, q)[0]
+        p -= 0.5 * dt * gradient(p, q)[1]
         t = k * dt
-        if H.q_positive and q <= q_floor:
-            q_clamped = max(q, q_floor)
-            events.append(
-                TrajectoryEvent(t, "singularity_hit", p, q_clamped, H.evaluate(p, q_clamped))
-            )
-            break
-        if H.label_domain is not None and H.label_domain(p, q) <= 0:
-            events.append(TrajectoryEvent(t, "domain_exit", p, q, H.evaluate(p, q)))
-            break
-        qdot, dh_dq = H.gradient(p, q)
+        for i, g in terminal:
+            if g(p, q) <= 0:
+                hits.append((i, t, p, q if q_floor is None else max(q, q_floor)))
+                return ts, ps, qs, hits, None
+        qdot, dh_dq = gradient(p, q)
         if prev_qdot < 0.0 <= qdot:
-            events.append(TrajectoryEvent(t, "bounce", p, q, H.evaluate(p, q)))
+            hits.append((0, t, p, q))
         prev_qdot = qdot
         if k % stride == 0 or k == n_steps:
             if t > ts[-1]:
                 ts.append(t)
                 ps.append(p)
                 qs.append(q)
-    energies = np.array([H.evaluate(pp, qq) for pp, qq in zip(ps, qs)])
-    return Trajectory(np.array(ts), np.array(ps), np.array(qs), energies, tuple(events))
+    return ts, ps, qs, hits, None
 
 
 # ---------------------------------------------------------------------------
@@ -592,11 +554,11 @@ class CanonicalTransform:
                     f"transform does not preserve dp^dq at ({p}, {q}): det J = {det!r}"
                 )
 
-    def _jacobian_at(self, p, q, h=1e-6):
+    def _jacobian_at(self, p, q):
         if self.jacobian is not None:
             return np.asarray(self.jacobian(p, q), dtype=float)
-        hp = h * max(1.0, abs(p))
-        hq = h * max(1.0, abs(q))
+        hp = 1e-6 * max(1.0, abs(p))
+        hq = 1e-6 * max(1.0, abs(q))
         fp = np.array(self.forward(p + hp, q)) - np.array(self.forward(p - hp, q))
         fq = np.array(self.forward(p, q + hq)) - np.array(self.forward(p, q - hq))
         return np.column_stack([fp / (2 * hp), fq / (2 * hq)])
@@ -655,8 +617,9 @@ def transform_hamiltonian(H: EnhancedHamiltonian, tr: CanonicalTransform) -> Enh
 
     The gradient uses the exact chain rule when the transform carries a
     Jacobian (a singular Jacobian raises :class:`InvalidTransformError`),
-    otherwise finite differences of the composite.  Domain flags are
-    composed through the inverse map.
+    otherwise finite differences of the composite.  The label domain and
+    the half-line coordinate are composed through the inverse map, so a
+    relabeled half-line flow still ends in ``singularity_hit``.
     """
 
     def evaluate(pt, qt):
@@ -675,15 +638,14 @@ def transform_hamiltonian(H: EnhancedHamiltonian, tr: CanonicalTransform) -> Enh
             return (d * gp - c * gq) / det, (a * gq - b * gp) / det
 
     label_domain = None
-    if H.q_positive or H.label_domain is not None:
+    if H.label_domain is not None:
         def label_domain(pt, qt):
-            p, q = tr.inverse(pt, qt)
-            margin = q if H.q_positive else np.inf
-            if H.label_domain is not None:
-                margin = min(margin, H.label_domain(p, q))
-            return margin
+            return H.label_domain(*tr.inverse(pt, qt))
 
-    return EnhancedHamiltonian(evaluate, gradient, hbar=H.hbar, label_domain=label_domain)
+    ham = EnhancedHamiltonian(evaluate, gradient, hbar=H.hbar, label_domain=label_domain)
+    if H.half_line is not None:
+        ham.half_line = lambda pt, qt: H.half_line(*tr.inverse(pt, qt))
+    return ham
 
 
 # ---------------------------------------------------------------------------

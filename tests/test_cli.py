@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from enhq.cli import _SCHEMA, _VALIDATOR, ConfigError, main, run, validate_config
 
@@ -63,6 +64,41 @@ class TestValidation:
     def test_missing_experiment(self, tmp_path, capsys):
         code = main(["run", "--config", write_config(tmp_path, {"seed": 1})])
         assert code == 2
+
+    @pytest.mark.parametrize("command,cfg", [
+        ("run", {"experiment": "metric", "labels": {"grid": {"p": [0, 0, 1], "q": [0, 0, 1]}},
+                 "output": {"format": "json"}}),
+        ("verify", {"suites": ["curvature"], "output": {"format": "csv"}}),
+        ("run", {"experiment": "evolve", "model": {"name": "harmonic"},
+                 "integrator": {"method": "dop853"}}),
+    ], ids=["metric-format", "verify-format", "dop853"])
+    def test_rejected_keys_write_nothing(self, tmp_path, capsys, command, cfg):
+        # output.format is read by evolve alone; dop853 is no longer a method
+        out = tmp_path / "out"
+        assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        path = "output.format" if "output" in cfg else "integrator.method"
+        assert err.startswith(f"error: config error at {path}") and err.count("\n") == 1
+        assert not out.exists()
+
+
+class TestLibraryErrors:
+    """Library exceptions reach the user as one line and a documented exit code."""
+
+    @pytest.mark.parametrize("cfg,code,message", [
+        ({"experiment": "metric", "family": {"kind": "affine", "beta": 0.5},
+          "labels": {"grid": {"p": [0, 0, 1], "q": [1, 1, 1]}}},
+         2, "error: beta must exceed hbar"),
+        ({"experiment": "evolve", "hamiltonian": {"expression": "0.5*P^2 - Q^4"},
+          "representation": {"dim": 16}, "x0": [0.0, 2.0], "integrator": {"t_final": 5.0}},
+         1, "numerical failure: integration failed"),
+    ], ids=["domain-error", "numerical-failure"])
+    def test_exit_code_one_line_and_no_directory(self, tmp_path, capsys, cfg, code, message):
+        out = tmp_path / "fresh" / "out"
+        assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+        assert not (tmp_path / "fresh").exists()
 
 
 class TestCapacity:
@@ -207,6 +243,51 @@ class TestExperiments:
         assert header == ["p", "q", "mean_q", "mean_q2", "mean_p2"]
         assert float(rows[0][2]) == pytest.approx(1.0, abs=1e-8)
 
+    def test_expectation_spin_rows(self, tmp_path):
+        cfg = {
+            "experiment": "expectation",
+            "family": {"kind": "spin"},
+            "representation": {"kind": "spin", "s": 2.5},
+            "labels": {"grid": {"p": [-1, 1, 3], "q": [0, 2, 2]}},
+        }
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        header, rows = read_rows(out / "expectation.csv")
+        assert header == ["p", "q", "mean_s3"] and len(rows) == 6
+        for p, _, mean_s3 in rows:
+            assert float(mean_s3) == pytest.approx(np.sqrt(2.5) * float(p), abs=1e-12)
+
+    def test_evolve_spin_precession(self, tmp_path):
+        # p is constant and the azimuth q / sqrt(s hbar) advances at rate B
+        cfg = {
+            "experiment": "evolve",
+            "model": {"name": "spin_precession", "B": 0.7, "s": 2.0},
+            "x0": [0.5, 0.1],
+            "integrator": {"t_final": 3.0, "n_samples": 31},
+        }
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        _, rows = read_rows(out / "trajectory.csv")
+        t, p, q = (np.array([float(r[i]) for r in rows]) for i in range(3))
+        assert len(rows) == 31 and not any(r[4] for r in rows)
+        assert np.all(p == 0.5)
+        assert_allclose((q - 0.1) / np.sqrt(2.0), 0.7 * t, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("method,drift", [("rk45", 1e-8), ("leapfrog", 1e-6)])
+    def test_evolve_hydrogen_enhanced_bounces(self, tmp_path, method, drift):
+        cfg = {
+            "experiment": "evolve",
+            "model": {"name": "hydrogen_enhanced"},
+            "x0": [-0.3, 1.0],
+            "integrator": {"t_final": 20.0, "method": method},
+        }
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        _, rows = read_rows(out / "trajectory.csv")
+        assert [r[4] for r in rows if r[4]] == ["bounce", "bounce"]
+        energies = np.array([float(r[3]) for r in rows])
+        assert np.max(np.abs(energies - energies[0])) < drift * abs(energies[0])
+
     def test_evolve_csv_and_json(self, tmp_path):
         base = {
             "experiment": "evolve",
@@ -268,6 +349,22 @@ class TestExperiments:
         doc = json.loads((out / "transform_check.json").read_text())
         assert doc["max_pointwise_deviation"] < 1e-6
         assert abs(doc["action_residual"]) < 1e-8
+
+    def test_transform_check_scaling_of_a_collapse(self, tmp_path):
+        # the relabeled half-line flow collapses too, at the same time
+        cfg = {
+            "experiment": "transform_check",
+            "model": {"name": "hydrogen_classical"},
+            "transform": {"name": "scaling", "factor": 2.0},
+            "x0": [-0.3, 1.0],
+            "integrator": {"t_final": 5.0},
+        }
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        doc = json.loads((out / "transform_check.json").read_text())
+        assert doc["transform"] == "scaling(2.0)"
+        assert doc["max_pointwise_deviation"] < 1e-6
+        assert doc["generator_difference"] == 0.0 and abs(doc["action_residual"]) < 1e-12
 
     def test_limit_study(self, tmp_path):
         cfg = {
