@@ -1,7 +1,7 @@
 """Coherent-state families, overlaps, and Fubini-Study geometry.
 
-Three families are constructed from self-adjoint generators acting on a
-fiducial vector:
+Three families are defined by self-adjoint generators acting on a fiducial
+vector:
 
 * canonical: ``exp(-i q P / hbar) exp(i p Q / hbar) |0>`` on the line, with
   the oscillator ground state as fiducial, labels ``(p, q)`` ranging over the
@@ -14,6 +14,16 @@ fiducial vector:
   and ``q = sqrt(s hbar) phi``; the family takes every real ``q`` (the
   azimuth is periodic).
 
+The canonical and spin states are built in closed form, not by exponentiating
+the generators: the canonical state is Glauber's Poisson series
+``e^{-ipq/2hbar} e^{-|a|^2/2} a^n / sqrt(n!)`` with ``a = (q + ip) / sqrt(2 hbar)``,
+truncated to the Fock basis, and the spin state has the binomial amplitudes
+``e^{-i m phi} sqrt(C(2s, s-m)) cos(theta/2)^{s+m} sin(theta/2)^{s-m}``
+(Radcliffe 1971).  Only the squeezers of the extended family are matrix
+exponentials (:func:`enhq.hilbert.apply_unitary`); the affine family resamples
+its closed-form fiducial.  The tests check each closed form against the
+exponentials of its definition.
+
 The phase-insensitive metric ``2 hbar [ ||d psi||^2 - |<psi|d psi>|^2 ]`` on a
 family is computed three ways: from one state and the exact derivatives of
 the state map (:meth:`CoherentFamily.tangent`, where each derivative is a
@@ -25,10 +35,11 @@ curvature of the closed forms.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc, gammaln
+from scipy.special import gammaincc, gammaln, xlogy
 
 from .errors import CapacityError, DomainError, NumericalFailure
 from .hilbert import (
@@ -48,6 +59,9 @@ CANONICAL_TAIL_TOL = 1e-12
 
 #: Looser tail threshold for squeezed (extended) states.
 EXTENDED_TAIL_TOL = 1e-10
+
+# log of a magnitude that is still far from underflow once squared and summed
+_LOG_UNDERFLOW = -300.0
 
 
 @dataclass(frozen=True)
@@ -93,10 +107,13 @@ class CoherentFamily:
 
         ``psi`` is ``state(p, q).amplitudes``, with the same tail and domain
         checks, and the derivatives are those of the same state map, taken
-        exactly: each is a generator applied to a state.  On the half line the
-        derivatives are those of the sampled wavefunction before it is
-        normalized, which differ from the normalized map's only along ``psi``.
-        The spin poles raise :class:`DomainError`.
+        exactly: each is a generator applied to a state.  Canonical and spin
+        derivatives are those of the closed forms (a raising shift plus a
+        multiple of ``psi``, and ``S2`` or ``S3`` applied to the rotated
+        state); squeezers carry them along by exponentials.  On the half line
+        and for the truncated Poisson series the derivatives are those of the
+        state before it is normalized, which differ from the normalized map's
+        only along ``psi``.  The spin poles raise :class:`DomainError`.
         """
         psi, d_p, d_q = self._build(p, q, True)
         return psi.amplitudes, d_p, d_q
@@ -199,6 +216,10 @@ def _check_tail(state: StateVector, p, q):
 def canonical_cs(p: float, q: float, rep: LineRep) -> StateVector:
     """Return ``exp(-i q P / hbar) exp(i p Q / hbar) |0>``.
 
+    The state is built in closed form, as the Poisson series
+    ``e^{-ipq/2hbar} e^{-|a|^2/2} a^n / sqrt(n!)`` with
+    ``a = (q + ip) / sqrt(2 hbar)`` truncated to the basis and normalized;
+    it agrees with the matrix exponentials of the definition to roundoff.
     Raises :class:`CapacityError` with an adequate-dimension estimate when
     the amplitude beyond the truncation margin exceeds
     :data:`CANONICAL_TAIL_TOL`.
@@ -207,14 +228,34 @@ def canonical_cs(p: float, q: float, rep: LineRep) -> StateVector:
 
 
 def _displaced(p, q, rep, tangent):
-    # exp(-i q P / hbar) phi with phi = exp(i p Q / hbar)|0>, and with tangent
-    # d_p = (i/hbar) exp(-i q P / hbar) Q phi and d_q = (-i/hbar) P psi
-    phi = apply_unitary(rep.Q, -p, rep.vacuum())
-    psi = apply_unitary(rep.P, q, phi)
+    # exp(-i q P / hbar) exp(i p Q / hbar)|0> is the Poisson series
+    # e^{-ipq/2hbar} e^{-|a|^2/2} a^n / sqrt(n!) with a = (q + ip) / sqrt(2 hbar),
+    # truncated to the basis, with its magnitudes taken in log form.  The
+    # tangent is the derivative of the series:
+    # d_p = (i/sqrt(2 hbar)) A^dag psi - (p + iq)/2hbar psi and
+    # d_q = (1/sqrt(2 hbar)) A^dag psi - (q + ip)/2hbar psi.
+    hbar = rep.hbar
+    n = np.arange(rep.dim)
+    alpha = complex(q, p) / np.sqrt(2.0 * hbar)
+    if alpha == 0:
+        psi = rep.vacuum()
+    else:
+        log_mag = n * np.log(abs(alpha)) - 0.5 * gammaln(n + 1.0) - 0.5 * abs(alpha) ** 2
+        top = log_mag.max()
+        if top < _LOG_UNDERFLOW:
+            # a basis far too small holds only a far tail of the series, which
+            # would underflow: scaled up, it still reaches the tail check
+            log_mag -= top
+        arg = n * cmath.phase(alpha) - p * q / (2.0 * hbar)
+        psi = StateVector(np.exp(log_mag + 1j * arg), rep)
     if not tangent:
         return psi, None, None
-    d_p = (1j / rep.hbar) * _push(rep.P, q, rep.Q @ phi.amplitudes, rep)
-    d_q = (-1j / rep.hbar) * (rep.P @ psi.amplitudes)
+    amps = psi.amplitudes
+    raised = np.zeros_like(amps)
+    raised[1:] = np.sqrt(n[1:]) * amps[:-1]
+    root = np.sqrt(2.0 * hbar)
+    d_p = (1j / root) * raised - (complex(p, q) / (2.0 * hbar)) * amps
+    d_q = raised / root - (complex(q, p) / (2.0 * hbar)) * amps
     return psi, d_p, d_q
 
 
@@ -326,7 +367,11 @@ def angles_to_pq(theta: float, phi: float, rep: SpinRep) -> tuple[float, float]:
 
 
 def spin_cs(theta: float, phi: float, rep: SpinRep) -> StateVector:
-    """Return ``exp(-i phi S3 / hbar) exp(-i theta S2 / hbar) |s, s>``."""
+    """Return ``exp(-i phi S3 / hbar) exp(-i theta S2 / hbar) |s, s>``.
+
+    The state is built in closed form: the amplitude of ``|s, m>`` is
+    ``e^{-i m phi} sqrt(C(2s, s-m)) cos(theta/2)^{s+m} sin(theta/2)^{s-m}``.
+    """
     eps = 1e-12
     if not (-eps <= theta <= np.pi + eps):
         raise DomainError(f"theta must lie in [0, pi] (got {theta})")
@@ -336,15 +381,26 @@ def spin_cs(theta: float, phi: float, rep: SpinRep) -> StateVector:
 
 
 def _rotated_highest_weight(theta, phi, rep, tangent):
-    # psi = exp(-i phi S3 / hbar) chi with chi = exp(-i theta S2 / hbar)|s, s>,
-    # and with tangent d_theta = (-i/hbar) exp(-i phi S3 / hbar) S2 chi and
-    # d_phi = (-i/hbar) S3 psi
-    chi = apply_unitary(rep.S2, theta, rep.highest_weight())
-    psi = apply_unitary(rep.S3, phi, chi)
+    # exp(-i phi S3 / hbar) exp(-i theta S2 / hbar)|s, s> has the binomial
+    # amplitudes e^{-i m phi} chi_m, chi_m = sqrt(C(2s, s-m)) cos(theta/2)^{s+m}
+    # sin(theta/2)^{s-m} (Radcliffe 1971), taken in log form; phi is left
+    # unwrapped.  The tangent is d_theta = (-i/hbar) e^{-i m phi} (S2 chi) and
+    # d_phi = (-i/hbar) S3 psi = -i m psi.
+    two_s = rep.dim - 1
+    k = np.arange(rep.dim)  # s - m
+    m = rep.s - k
+    c, sn = np.cos(0.5 * theta), np.sin(0.5 * theta)
+    log_binom = gammaln(two_s + 1.0) - gammaln(k + 1.0) - gammaln(two_s + 1.0 - k)
+    chi = np.exp(0.5 * log_binom + xlogy(two_s - k, abs(c)) + xlogy(k, abs(sn)))
+    if c < 0 or sn < 0:
+        # theta a rounding error outside [0, pi]: the powers keep the signs
+        chi *= np.sign(c) ** (two_s - k) * np.sign(sn) ** k
+    phase = np.exp(-1j * phi * m)
+    psi = StateVector(phase * chi, rep)
     if not tangent:
         return psi, None, None
-    d_theta = (-1j / rep.hbar) * _push(rep.S3, phi, rep.S2 @ chi.amplitudes, rep)
-    d_phi = (-1j / rep.hbar) * (rep.S3 @ psi.amplitudes)
+    d_theta = (-1j / rep.hbar) * phase * (rep.S2 @ chi)
+    d_phi = -1j * m * psi.amplitudes
     return psi, d_theta, d_phi
 
 

@@ -237,11 +237,19 @@ class _LabelPolynomial:
     def __call__(self, p: float, q: float) -> float:
         if self.q_positive and q <= 0:
             raise DomainError(f"affine labels require q > 0 (got q = {q})")
-        return float(sum(c * p**i * q**j for (i, j), c in self.coeffs.items()))
+        # a running total in term order, with no list built: flows call these
+        # once per stage
+        value = 0
+        for (i, j), c in self.coeffs.items():
+            value += c * p**i * q**j
+        return float(value)
 
     def gradient(self, p: float, q: float) -> tuple[float, float]:
-        gp = sum([c * p**i * q**j for c, i, j in self._d_p])
-        gq = sum([c * p**i * q**j for c, i, j in self._d_q])
+        gp = gq = 0
+        for c, i, j in self._d_p:
+            gp += c * p**i * q**j
+        for c, i, j in self._d_q:
+            gq += c * p**i * q**j
         return float(gp), float(gq)
 
 

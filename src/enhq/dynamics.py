@@ -402,7 +402,9 @@ def _dormand_prince(gradient, p, q, t_final, rtol, atol, max_step, t_eval, event
         for i, (g, direction, _) in enumerate(events):
             b = k7q if g is None else g(p_new, q_new)
             a = g_old[i]
-            if (a <= 0 <= b and direction > 0) or (a >= 0 >= b and direction < 0):
+            # the old value strictly on the far side: a g that stays at 0,
+            # such as dq/dt at rest, never fires
+            if (a < 0 <= b and direction > 0) or (a > 0 >= b and direction < 0):
                 active.append(i)
             g_new.append(b)
         t_end, terminate = t_new, False
@@ -485,25 +487,33 @@ def _leapfrog_flow(gradient, p, q, t_final, n_samples, n_steps, events, q_floor)
     ``events`` are the flow's ``g``, the bounce's (``None``) first: a terminal
     one ends the run at the first step end where ``g <= 0``, with ``q``
     raised to ``q_floor`` if given; a bounce is a step end where ``dq/dt``
-    turns nonnegative, whose gradient also serves the next kick.
+    turns nonnegative, whose gradient also serves the next kick.  Each
+    gradient is tested for finiteness as it arrives.
     """
     if n_steps is None:
         n_steps = max(20 * n_samples, 10000)
     dt = t_final / n_steps
     stride = max(1, n_steps // (n_samples - 1))
     terminal = list(enumerate(events))[1:]
+
+    def finite_gradient(t, p, q):
+        qdot, dh_dq = gradient(p, q)
+        if not (math.isfinite(qdot) and math.isfinite(dh_dq)):
+            _not_finite(t, p, q)
+        return qdot, dh_dq
+
     ts, ps, qs, hits = [0.0], [p], [q], []
-    prev_qdot, dh_dq = gradient(p, q)
+    prev_qdot, dh_dq = finite_gradient(0.0, p, q)
     for k in range(1, n_steps + 1):
         p -= 0.5 * dt * dh_dq
-        q += dt * gradient(p, q)[0]
-        p -= 0.5 * dt * gradient(p, q)[1]
+        q += dt * finite_gradient((k - 1) * dt, p, q)[0]
         t = k * dt
+        p -= 0.5 * dt * finite_gradient(t, p, q)[1]
         for i, g in terminal:
             if g(p, q) <= 0:
                 hits.append((i, t, p, q if q_floor is None else max(q, q_floor)))
                 return ts, ps, qs, hits, None
-        qdot, dh_dq = gradient(p, q)
+        qdot, dh_dq = finite_gradient(t, p, q)
         if prev_qdot < 0.0 <= qdot:
             hits.append((0, t, p, q))
         prev_qdot = qdot

@@ -1,3 +1,6 @@
+import json
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,7 +37,10 @@ from enhq import (
     spin_family,
     variance,
 )
-from enhq.coherent import affine_wavefunction
+import enhq.hilbert
+from enhq.cli import main as cli_main
+from enhq.coherent import CANONICAL_TAIL_TOL, affine_wavefunction
+from enhq.hilbert import DEFAULT_TRUNCATION_MARGIN, apply_unitary
 
 
 def coherent_series(p, q, hbar, dim):
@@ -516,6 +522,158 @@ class TestTangent:
 
         assert_allclose(d_p, (amp(p + h, q) - amp(p - h, q)) / (2 * h), rtol=0, atol=1e-8)
         assert_allclose(d_q, (amp(p, q + h) - amp(p, q - h)) / (2 * h), rtol=0, atol=1e-8)
+
+
+def exponential_canonical(p, q, rep):
+    """The canonical state by matrix exponentials, as the definition reads."""
+    return apply_unitary(rep.P, q, apply_unitary(rep.Q, -p, rep.vacuum()))
+
+
+def exponential_spin(theta, phi, rep):
+    """The spin state by matrix exponentials, with ``phi`` unwrapped."""
+    return apply_unitary(rep.S3, phi, apply_unitary(rep.S2, theta, rep.highest_weight()))
+
+
+class TestClosedFormsAgainstExponentials:
+    """The closed-form states against the matrix-exponential route of their definitions."""
+
+    @pytest.mark.parametrize("dim", [48, 80, 200])
+    def test_canonical(self, dim):
+        rep = build_fock_rep(dim)
+        compared = 0
+        for p in np.linspace(-3.0, 3.0, 7):
+            for q in np.linspace(-3.0, 3.0, 7):
+                ref = exponential_canonical(p, q, rep).amplitudes
+                if np.linalg.norm(ref[-DEFAULT_TRUNCATION_MARGIN:]) > CANONICAL_TAIL_TOL:
+                    # too large for the basis on either route
+                    with pytest.raises(CapacityError):
+                        canonical_cs(p, q, rep)
+                    continue
+                assert_allclose(canonical_cs(p, q, rep).amplitudes, ref, rtol=0, atol=1e-12)
+                compared += 1
+        assert compared >= 9  # at dim 48 only |p|, |q| <= 1 fit
+
+    @pytest.mark.parametrize("hbar", [0.5, 2.0])
+    def test_canonical_hbar(self, hbar):
+        rep = build_fock_rep(80, hbar)
+        for p, q in [(0.0, 0.0), (0.7, -1.1), (-1.5, 0.4)]:
+            assert_allclose(canonical_cs(p, q, rep).amplitudes,
+                            exponential_canonical(p, q, rep).amplitudes, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("s", [0.5, 2.5, 20.0])
+    def test_spin(self, s):
+        rep = build_spin_rep(s)
+        for theta in (0.0, 0.4, 1.9, np.pi):
+            for phi in (-np.pi * 0.999, -0.3, 0.0, 1.2, np.pi):
+                assert_allclose(spin_cs(theta, phi, rep).amplitudes,
+                                exponential_spin(theta, phi, rep).amplitudes, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("s", [0.5, 2.5, 20.0])
+    def test_spin_family_past_the_seam(self, s):
+        # q past pi sqrt(s hbar): half-integer spins change sign under a
+        # wrapped azimuth, so the family must follow phi unwrapped
+        rep = build_spin_rep(s, 0.5)
+        family = spin_family(rep)
+        sq = np.sqrt(0.5 * s)
+        for p in (-sq, -0.4 * sq, 0.0, 0.8 * sq, sq):
+            for phi in (np.pi - 1e-5, np.pi + 1e-5, np.pi + 0.3, 2.5 * np.pi, -4.0):
+                theta = float(np.arccos(p / sq))
+                assert_allclose(family.state(p, sq * phi).amplitudes,
+                                exponential_spin(theta, phi, rep).amplitudes, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("a,b", [(0.3, 0.0), (0.0, 0.1), (0.3, 0.1), (-0.2, -0.15)])
+    def test_extended(self, a, b):
+        rep = build_fock_rep(80)
+        for p, q in [(0.0, 0.0), (0.4, -0.7), (-1.0, 0.5)]:
+            ref = exponential_canonical(p, q, rep)
+            if b:
+                ref = apply_unitary(rep.D, 2.0 * b, ref)
+            if a:
+                ref = apply_unitary(rep.quadrature_square(), a, ref)
+            assert_allclose(extended_cs(p, q, a, b, rep).amplitudes, ref.amplitudes,
+                            rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("family,points", [
+        (canonical_family(build_fock_rep(48)), [(0.0, 0.0), (0.4, -0.7), (-1.2, 1.0)]),
+        (canonical_family(build_fock_rep(200, 0.5)), [(2.5, -3.0), (-0.1, 0.2)]),
+        (spin_family(build_spin_rep(0.5)), [(0.3, 0.2), (-0.5, np.sqrt(0.5) * (np.pi + 0.3))]),
+        (spin_family(build_spin_rep(2.5)), [(0.0, 0.0), (1.2, -2.0), (-1.4, 5.5)]),
+        (spin_family(build_spin_rep(20.0)), [(0.5, 0.9), (-3.0, np.sqrt(20.0) * 2.5 * np.pi)]),
+    ], ids=["canonical48", "canonical200-hbar0.5", "spin0.5", "spin2.5", "spin20"])
+    def test_tangent_matches_central_differences(self, family, points):
+        h = 1e-5
+
+        def amp(pp, qq):
+            return family.state(pp, qq).amplitudes
+
+        for p, q in points:
+            _, d_p, d_q = family.tangent(p, q)
+            assert_allclose(d_p, (amp(p + h, q) - amp(p - h, q)) / (2 * h), rtol=0, atol=1e-8)
+            assert_allclose(d_q, (amp(p, q + h) - amp(p, q - h)) / (2 * h), rtol=0, atol=1e-8)
+
+    def test_basis_far_too_small_raises_capacity_error(self):
+        # the series lies far past the basis; its tail still reaches the check
+        with pytest.raises(CapacityError, match="estimated adequate dim is 12023"):
+            canonical_cs(100.0, 100.0, build_fock_rep(48))
+
+
+class TestNoExponentialsOnTheClosedFormPaths:
+    """Canonical and spin states, their metrics and the CLI's canonical runs use no
+    eigendecomposition and no matrix exponential; squeezed states still do."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"eigh": 0, "apply_unitary": 0}
+        for name in counts:
+            original = getattr(enhq.hilbert, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module in [m for key, m in sys.modules.items() if key.startswith("enhq")]:
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
+        return counts
+
+    def test_library_calls(self, counts):
+        for family, (p, q) in [
+            (canonical_family(build_fock_rep(48)), (0.4, -0.7)),
+            (spin_family(build_spin_rep(2.5)), (0.5, 5.0)),
+        ]:
+            family.state(p, q)
+            family.tangent(p, q)
+            fs_metric(family, p, q)
+        canonical_cs(0.4, -0.7, build_fock_rep(48))
+        spin_cs(0.3, 0.9, build_spin_rep(20.0))
+        assert counts == {"eigh": 0, "apply_unitary": 0}
+
+    def test_cli_runs(self, counts, tmp_path):
+        configs = {
+            "expectation": {
+                "experiment": "expectation",
+                "representation": {"kind": "line", "dim": 48},
+                "labels": {"grid": {"p": [-1.0, 1.0, 3], "q": [-1.0, 1.0, 3]}},
+            },
+            "metric": {
+                "experiment": "metric",
+                "representation": {"kind": "line", "dim": 48},
+                "labels": {"grid": {"p": [-0.5, 0.5, 2], "q": [-0.5, 0.5, 2]}},
+            },
+            "verify": {"suites": ["label_means", "flat_metric"], "representation": {"dim": 80}},
+        }
+        for name, cfg in configs.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(cfg))
+            command = "verify" if name == "verify" else "run"
+            assert cli_main([command, "--config", str(path), "--out", str(tmp_path / name)]) == 0
+        assert counts == {"eigh": 0, "apply_unitary": 0}
+
+    def test_extended_states_still_exponentiate(self, counts):
+        extended_cs(0.4, -0.7, 0.3, 0.1, build_fock_rep(80))
+        assert counts["apply_unitary"] > 0
+        assert counts["eigh"] > 0
 
 
 class TestMetricAnalytic:

@@ -168,7 +168,7 @@ def tableau_loop(gradient, p, q, t_final, rtol, atol, max_step, t_eval, events):
         found = [
             (brentq(lambda s, g=g: g(*dense(s)), t, t_new, xtol=4 * eps, rtol=4 * eps), i)
             for i, ((g, direction, _), a, b) in enumerate(zip(events, g_old, g_new))
-            if (a <= 0 <= b and direction > 0) or (a >= 0 >= b and direction < 0)
+            if (a < 0 <= b and direction > 0) or (a > 0 >= b and direction < 0)
         ]
         t_end, terminate = t_new, any(events[i][2] for _, i in found)
         if terminate:
@@ -338,9 +338,11 @@ class TestHydrogenFlows:
         energy = ham.evaluate(p0, q0)
         if energy >= 0:
             pytest.skip("unbounded orbit; the positivity claim is for E < 0")
-        traj = hamiltonian_flow(ham, (p0, q0), 30.0, tol=1e-10, n_samples=4000)
+        # (0, 0.8) starts at rest on its inner turning point, which is no
+        # bounce event; the flow covers its period (about 88) to reach the next
+        traj = hamiltonian_flow(ham, (p0, q0), 100.0, tol=1e-10, n_samples=4000)
         assert "singularity_hit" not in traj.event_kinds()
-        assert any(e.kind == "bounce" for e in traj.events)
+        assert any(e.kind == "bounce" and e.time > 0 for e in traj.events)
         assert traj.min_q() == pytest.approx(min_radius(ham, energy), abs=1e-6)
 
 
@@ -594,6 +596,50 @@ class TestFlowValidation:
             assert f"at (p, q) = ({p}, {q})" in str(err.value)
             assert (err.value.diagnostics["p"], err.value.diagnostics["q"]) == (p, q)
             assert 0.0 <= err.value.diagnostics["t"] < 4.0
+
+    def test_non_finite_gradient_raises_on_the_leapfrog(self):
+        ham = EnhancedHamiltonian(
+            lambda p, q: p,
+            lambda p, q: (1.0, np.nan) if q > 2.0 else (1.0, 0.0),
+        )
+        with pytest.raises(NumericalFailure, match="gradient is not finite") as err:
+            hamiltonian_flow(ham, (0.0, 1.0), 4.0, method="leapfrog", n_samples=5, n_steps=400)
+        assert err.value.diagnostics["q"] > 2.0
+        assert err.value.diagnostics["t"] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("component", [0, 1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_leapfrog_call_names_its_point(self, component, bad):
+        # call 1 is at the start; then each step calls at the drift's start,
+        # at its end and after the second kick
+        n_steps, t_final = 4, 1.0
+        for n_bad in range(1, 3 * n_steps + 2):
+            calls = []
+
+            def gradient(p, q):
+                calls.append((float(p), float(q)))
+                g = [p, q]
+                if len(calls) == n_bad:
+                    g[component] = bad
+                return tuple(g)
+
+            ham = EnhancedHamiltonian(lambda p, q: 0.5 * (p * p + q * q), gradient)
+            with pytest.raises(NumericalFailure, match="gradient is not finite") as err:
+                hamiltonian_flow(ham, (0.3, 1.2), t_final, method="leapfrog",
+                                 n_steps=n_steps, n_samples=5)
+            assert len(calls) == n_bad
+            p, q = calls[-1]
+            assert f"at (p, q) = ({p}, {q})" in str(err.value)
+            assert (err.value.diagnostics["p"], err.value.diagnostics["q"]) == (p, q)
+            assert 0.0 <= err.value.diagnostics["t"] <= t_final
+
+    @pytest.mark.parametrize("method", ["rk45", "leapfrog"])
+    def test_particle_at_rest_has_no_bounce(self, method):
+        # dq/dt stays exactly 0: no upward crossing, on either method
+        ham = EnhancedHamiltonian(lambda p, q: 0.5 * p * p, lambda p, q: (p, 0.0))
+        traj = hamiltonian_flow(ham, (0.0, 1.0), 3.0, method=method)
+        assert traj.event_kinds() == ()
+        assert np.all(traj.q == 1.0)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-8, np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("method", ["rk45", "leapfrog"])
