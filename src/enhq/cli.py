@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import datetime as dt
+import functools
 import hashlib
 import json
 import shutil
@@ -536,7 +537,9 @@ def _run_limit_study(cfg, out, stamp):
     hbars = cfg.get("hbar_sequence", [1.0, 0.5, 0.25, 0.125])
     dim = cfg.get("representation", {}).get("dim", poly.degree + 2)
 
+    @functools.cache
     def builder(hbar):
+        # one representation and label function per hbar, shared by the label points
         return enhance(poly, canonical_family(build_fock_rep(dim, hbar)))
 
     rows = []
@@ -745,7 +748,9 @@ Exit codes: 0 success, 1 verify check failed or numerical failure,
 """
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on first use and kept: main may run many times in one process
     parser = argparse.ArgumentParser(
         prog="eq",
         description=__doc__,
@@ -759,7 +764,11 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=None, help="output directory (overrides config)")
         p.add_argument("--stamp", action="store_true", help="embed a timestamp in file headers")
         p.add_argument("--verbose", action="store_true")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         cfg = _load_config(args.config)

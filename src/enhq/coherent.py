@@ -36,10 +36,11 @@ curvature of the closed forms.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc, gammaln, xlogy
+from scipy.special import gammaln, xlogy
 
 from .errors import CapacityError, DomainError, NumericalFailure
 from .hilbert import (
@@ -188,17 +189,41 @@ def required_fock_dim(p: float, q: float, hbar: float) -> int:
 
     The level occupancy is Poisson with mean ``(p^2 + q^2) / (2 hbar)``; the
     estimate is the smallest size whose tail probability beyond the
-    truncation margin stays below ``CANONICAL_TAIL_TOL**2``.
+    truncation margin stays below ``CANONICAL_TAIL_TOL**2``, found by
+    bisection on the directly summed tail (:func:`_poisson_tail`).
     """
     lam = (p * p + q * q) / (2.0 * hbar)
     if lam == 0.0:
         return 2 + DEFAULT_TRUNCATION_MARGIN
-    target = 1.0 - CANONICAL_TAIL_TOL * CANONICAL_TAIL_TOL
-    n = max(2, int(lam))
-    cap = int(10 * lam + 500)
-    while gammaincc(n + 1, lam) < target and n < cap:
-        n = max(n + 8, int(1.2 * n) + 1)
-    return n + DEFAULT_TRUNCATION_MARGIN + 2
+    target = CANONICAL_TAIL_TOL * CANONICAL_TAIL_TOL
+    # the tail falls with n: the smallest n in [lo, hi] with P(N > n) <= target
+    lo, hi = max(2, int(lam)), int(10 * lam + 500)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _poisson_tail(mid, lam) > target:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo + DEFAULT_TRUNCATION_MARGIN + 2
+
+
+def _poisson_tail(n: int, lam: float) -> float:
+    """``P(N > n)`` for ``N ~ Poisson(lam)``, summed from ``k = n + 1`` up.
+
+    With ``n + 1 > lam``, as :func:`required_fock_dim` asks, the terms only
+    fall.  The first is formed in log form and the rest by the ratio
+    ``lam / k``, added until the sum stops changing, so a tail of 1e-24
+    keeps its relative accuracy (``1 - P(N <= n)`` cannot resolve anything
+    below about 1e-16).
+    """
+    k = n + 1
+    term = math.exp(k * math.log(lam) - lam - math.lgamma(k + 1))
+    total = 0.0
+    while total + term != total:
+        total += term
+        k += 1
+        term *= lam / k
+    return total
 
 
 def _check_tail(state: StateVector, p, q):

@@ -327,11 +327,15 @@ class EnhancedHamiltonian:
 
     When no analytic gradient is supplied the gradient falls back to central
     finite differences of ``evaluate``, with steps of ``1e-6`` relative to
-    ``max(1, |label|)``.  ``q_positive`` marks Hamiltonians whose domain is
-    the half line; ``half_line`` then maps labels to the coordinate that
-    must stay positive (``q``; a relabeling carries it through its inverse),
-    and is ``None`` otherwise.  ``label_domain``, when given, maps labels to
-    a signed margin that is positive inside the domain.
+    ``max(1, |label|)``, built once and stored like a supplied gradient.
+    The ``evaluate`` and ``gradient`` methods convert what the stored
+    callables return to ``float``; flows call the stored ``_evaluate`` and
+    ``_gradient`` directly and convert once, at their boundary.
+    ``q_positive`` marks Hamiltonians whose domain is the half line;
+    ``half_line`` then maps labels to the coordinate that must stay
+    positive (``q``; a relabeling carries it through its inverse), and is
+    ``None`` otherwise.  ``label_domain``, when given, maps labels to a
+    signed margin that is positive inside the domain.
     """
 
     def __init__(
@@ -342,6 +346,13 @@ class EnhancedHamiltonian:
         q_positive: bool = False,
         label_domain=None,
     ):
+        if gradient is None:
+            def gradient(p, q):
+                hp = 1e-6 * max(1.0, abs(p))
+                hq = 1e-6 * max(1.0, abs(q))
+                return ((evaluate(p + hp, q) - evaluate(p - hp, q)) / (2.0 * hp),
+                        (evaluate(p, q + hq) - evaluate(p, q - hq)) / (2.0 * hq))
+
         self._evaluate = evaluate
         self._gradient = gradient
         self.hbar = float(hbar)
@@ -356,13 +367,7 @@ class EnhancedHamiltonian:
     __call__ = evaluate
 
     def gradient(self, p: float, q: float) -> tuple[float, float]:
-        if self._gradient is not None:
-            gp, gq = self._gradient(p, q)
-            return float(gp), float(gq)
-        hp = 1e-6 * max(1.0, abs(p))
-        hq = 1e-6 * max(1.0, abs(q))
-        gp = (self._evaluate(p + hp, q) - self._evaluate(p - hp, q)) / (2.0 * hp)
-        gq = (self._evaluate(p, q + hq) - self._evaluate(p, q - hq)) / (2.0 * hq)
+        gp, gq = self._gradient(p, q)
         return float(gp), float(gq)
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import io
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from numbers import Integral
 
@@ -170,12 +171,15 @@ def hamiltonian_flow(
     exception, while non-finite gradients raise :class:`NumericalFailure`.
 
     ``rk45`` runs :func:`_dormand_prince`, a scalar loop that takes the
-    steps of scipy's ``RK45`` and calls ``H.gradient`` once per stage;
-    ``leapfrog`` runs :func:`_leapfrog_flow`, ``n_steps`` fixed steps of
-    three gradient calls each.  Both return samples and event hits, from
-    which the events, energies and trajectory are built here.  ``tol`` must
-    be positive and finite, ``n_samples`` an integer of at least 2 and
-    ``n_steps``, when given, a positive integer.
+    steps of scipy's ``RK45``, calls the gradient once per stage and
+    evaluates all samples in one numpy pass after the loop; ``leapfrog``
+    runs :func:`_leapfrog_flow`, ``n_steps`` fixed steps of three gradient
+    calls each.  Both call the Hamiltonian's stored callables
+    (``H._gradient``, ``H._evaluate``), not the methods that convert each
+    value to ``float``, and return samples and event hits, from which the
+    events, energies and trajectory are built here, in Python floats.
+    ``tol`` must be positive and finite, ``n_samples`` an integer of at
+    least 2 and ``n_steps``, when given, a positive integer.
     """
     x0 = _as_point(x0)
     if not np.isfinite(t_final) or t_final <= 0:
@@ -199,42 +203,46 @@ def hamiltonian_flow(
     # (kind, g(p, q), direction, terminal): an event fires where g crosses
     # zero in ``direction``; the bounce's g, None, stands for dq/dt
     events = [("bounce", None, 1.0, False)]
-    if half_line is not None:
+    if H.q_positive:
+        # the half line proper, whose half_line is q itself
+        events.append(("singularity_hit", lambda p, q: q - q_floor, -1.0, True))
+    elif half_line is not None:
         events.append(("singularity_hit", lambda p, q: half_line(p, q) - q_floor, -1.0, True))
     if H.label_domain is not None:
         events.append(("domain_exit", H.label_domain, -1.0, True))
 
+    gradient, evaluate = H._gradient, H._evaluate
     if method == "leapfrog":
         ts, ps, qs, hits, stop = _leapfrog_flow(
-            H.gradient, x0.p, x0.q, t_final, n_samples, n_steps, [e[1] for e in events],
+            gradient, x0.p, x0.q, t_final, n_samples, n_steps, [e[1] for e in events],
             q_floor if H.q_positive else None,
         )
     else:
         ts, ps, qs, hits, stop = _dormand_prince(
-            H.gradient, x0.p, x0.q, t_final, tol, tol * 1e-3,
+            gradient, x0.p, x0.q, t_final, tol, tol * 1e-3,
             np.inf if max_step is None else max_step,
             np.linspace(0.0, t_final, n_samples),
             [e[1:] for e in events],
         )
 
-    recorded = [
-        TrajectoryEvent(t, events[i][0], p, q, H.evaluate(p, q)) for i, t, p, q in hits
-    ]
+    def event(kind, t, p, q):
+        p, q = float(p), float(q)
+        return TrajectoryEvent(float(t), kind, p, q, float(evaluate(p, q)))
+
+    recorded = [event(events[i][0], t, p, q) for i, t, p, q in hits]
     if stop is not None:
         # solver gave up (typically step underflow against a collapse)
-        t_last, p_last, q_last, message = stop
+        t_last, p_last, q_last = map(float, stop[:3])
         if len(ts) == 0:
-            raise NumericalFailure(f"integration failed at t = 0: {message}", {})
+            raise NumericalFailure(f"integration failed at t = 0: {stop[3]}", {})
         if half_line is None:
             raise NumericalFailure(
-                f"integration failed at t = {t_last}: {message}",
+                f"integration failed at t = {t_last}: {stop[3]}",
                 {"t": t_last, "p": p_last, "q": q_last},
             )
-        recorded.append(
-            TrajectoryEvent(t_last, "singularity_hit", p_last, q_last, H.evaluate(p_last, q_last))
-        )
+        recorded.append(event("singularity_hit", t_last, p_last, q_last))
 
-    energies = np.array([H.evaluate(p, q) for p, q in zip(ps, qs)])
+    energies = np.array([evaluate(p, q) for p, q in zip(ps, qs)], dtype=float)
     recorded.sort(key=lambda e: e.time)
     return Trajectory(ts, ps, qs, energies, tuple(recorded))
 
@@ -244,10 +252,33 @@ def _is_integer(n):
     return isinstance(n, Integral) and not isinstance(n, bool)
 
 
-def _not_finite(t, p, q):
-    raise NumericalFailure(
-        f"gradient is not finite at (p, q) = ({p}, {q})", {"t": t, "p": p, "q": q},
-    )
+def _check_finite(t, p, q, a, b):
+    # the slow path of the stage test: the difference of two finite rates
+    # can overflow, so only a rate that is itself not finite raises
+    if not (math.isfinite(a) and math.isfinite(b)):
+        t, p, q = float(t), float(p), float(q)
+        raise NumericalFailure(
+            f"gradient is not finite at (p, q) = ({p}, {q})", {"t": t, "p": p, "q": q},
+        )
+
+
+def _double_rates(gradient, p, q):
+    """The gradient at the start ``(p, q)`` and the callable to go on with.
+
+    The integrators compute with the rates as they come.  Python floats and
+    numpy float64 keep that arithmetic in double precision; a gradient that
+    returns anything else (an int, a float32) is wrapped so that every rate
+    is converted to ``float``, as the first one is.
+    """
+    a, b = gradient(p, q)
+    if isinstance(a, float) and isinstance(b, float):
+        return gradient, a, b
+
+    def converted(p, q):
+        a, b = gradient(p, q)
+        return float(a), float(b)
+
+    return converted, float(a), float(b)
 
 
 _EPS = float(np.finfo(float).eps)
@@ -255,22 +286,57 @@ _EPS = float(np.finfo(float).eps)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _SQRT2 = math.sqrt(2.0)
 _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+# The 4th-order dense output of Shampine (1986) for the Dormand-Prince pair,
+# scipy's RK45.P by columns: the coefficients of x^2, x^3 and x^4 on the
+# rates of stages 1, 3, 4, 5, 6 and 7 (stage 2's are 0; that of x is stage 1)
+_DENSE = (
+    (-8048581381 / 2820520608, 131558114200 / 32700410799, -1754552775 / 470086768,
+     127303824393 / 49829197408, -282668133 / 205662961, 40617522 / 29380423),
+    (8663915743 / 2820520608, -68118460800 / 10900136933, 14199869525 / 1410260304,
+     -318862633887 / 49829197408, 2019193451 / 616988883, -110615467 / 29380423),
+    (-12715105075 / 11282082432, 87487479700 / 32700410799, -10690763975 / 1880347072,
+     701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423),
+)
 
 
 def _rms(x, y):
     return math.sqrt(x * x + y * y) / _SQRT2
 
 
+def _quartic(f, k3, k4, k5, k6, k7):
+    """The x^2, x^3 and x^4 coefficients of a step's dense output.
+
+    The arguments are the rates of stages 1 and 3-7 of one component, as
+    floats or as arrays over steps; each sum runs left to right, so floats
+    and array elements agree bit for bit.
+    """
+    return [f * c1 + k3 * c3 + k4 * c4 + k5 * c5 + k6 * c6 + k7 * c7
+            for c1, c3, c4, c5, c6, c7 in _DENSE]
+
+
+def _interpolate(s, t, h, y, c1, c2, c3, c4):
+    # the step's quartic, scipy's RkDenseOutput:
+    # y(s) = h (c1 x + c2 x^2 + c3 x^3 + c4 x^4) + y with x = (s - t) / h
+    x = (s - t) / h
+    x2 = x * x
+    x3 = x2 * x
+    x4 = x3 * x
+    return h * (c1 * x + c2 * x2 + c3 * x3 + c4 * x4) + y
+
+
 def _dormand_prince(gradient, p, q, t_final, rtol, atol, max_step, t_eval, events):
     """Integrate ``p' = -dH/dq``, ``q' = dH/dp`` from ``t = 0`` with Python floats.
 
     ``gradient(p, q)`` returns ``(dH/dp, dH/dq)``.  Each stage calls it
-    once, directly, and a non-finite component raises
+    once, directly (rates that are not floats are converted, see
+    :func:`_double_rates`), and a non-finite component raises
     :class:`NumericalFailure` naming that stage's ``(p, q)``.  The scheme of
     scipy's ``RK45``, step for step: the same tableau, initial step, RMS
     error norm with scale ``atol + max(|y|, |y_new|) rtol``, step factors,
     give-up below ten ulp of ``t`` and floor on ``rtol``.  ``t_eval``
-    samples come from the dense output.  ``events`` are ``(g(p, q),
+    samples come from the dense output: the loop only records each step
+    that holds samples, at most one per sample, and :func:`_samples`
+    evaluates them all in one pass at the end.  ``events`` are ``(g(p, q),
     direction, terminal)``, where ``g = None`` stands for ``dq/dt``, which a
     stage has at the start and at every step end; an event fires where ``g``
     changes sign in its direction between two step ends, at the Brent root
@@ -281,11 +347,9 @@ def _dormand_prince(gradient, p, q, t_final, rtol, atol, max_step, t_eval, event
     ``(t, p, q, message)`` of the last accepted step.
     """
     isfinite, sqrt, nextafter, inf = math.isfinite, math.sqrt, math.nextafter, math.inf
-    # Dormand & Prince (1980) 5(4) pair with the 4th-order dense output of
-    # Shampine (1986), as tabulated in scipy's RK45, in locals: stage times c,
-    # stage matrix a, 5th-order weights b (b2 = 0), error row e = b - b_hat
-    # (stage 7 is first-same-as-last; e2 = 0) and the dense-output columns
-    # p2., p3. and p4. for x^2, x^3 and x^4 (p.2 = 0; that for x is stage 1).
+    # Dormand & Prince (1980) 5(4) pair, as tabulated in scipy's RK45, in
+    # locals: stage times c, stage matrix a, 5th-order weights b (b2 = 0) and
+    # error row e = b - b_hat (stage 7 is first-same-as-last; e2 = 0)
     c2, c3, c4, c5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
     a21 = 1 / 5
     a31, a32 = 3 / 40, 9 / 40
@@ -295,20 +359,11 @@ def _dormand_prince(gradient, p, q, t_final, rtol, atol, max_step, t_eval, event
     b1, b3, b4, b5, b6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
     e1, e3, e4, e5, e6, e7 = (
         -71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
-    p21, p23, p24, p25, p26, p27 = (
-        -8048581381 / 2820520608, 131558114200 / 32700410799, -1754552775 / 470086768,
-        127303824393 / 49829197408, -282668133 / 205662961, 40617522 / 29380423)
-    p31, p33, p34, p35, p36, p37 = (
-        8663915743 / 2820520608, -68118460800 / 10900136933, 14199869525 / 1410260304,
-        -318862633887 / 49829197408, 2019193451 / 616988883, -110615467 / 29380423)
-    p41, p43, p44, p45, p46, p47 = (
-        -12715105075 / 11282082432, 87487479700 / 32700410799, -10690763975 / 1880347072,
-        701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423)
 
     rtol = max(rtol, 100 * _EPS)
-    fq, fp = gradient(p, q)
-    if not (isfinite(fp) and isfinite(fq)):
-        _not_finite(0.0, p, q)
+    gradient, fq, fp = _double_rates(gradient, p, q)
+    if not isfinite(fp - fq):
+        _check_finite(0.0, p, q, fp, fq)
     fp = -fp
 
     # initial step
@@ -317,8 +372,8 @@ def _dormand_prince(gradient, p, q, t_final, rtol, atol, max_step, t_eval, event
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_final)
     ys_p, ys_q = p + h0 * fp, q + h0 * fq
     gq, gp = gradient(ys_p, ys_q)
-    if not (isfinite(gp) and isfinite(gq)):
-        _not_finite(h0, ys_p, ys_q)
+    if not isfinite(gp - gq):
+        _check_finite(h0, ys_p, ys_q, gp, gq)
     gp = -gp
     d2 = _rms((gp - fp) / sp, (gq - fq) / sq) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
@@ -330,7 +385,9 @@ def _dormand_prince(gradient, p, q, t_final, rtol, atol, max_step, t_eval, event
     g_old = [fq if g is None else g(p, q) for g, _, _ in events]
     t_eval = t_eval.tolist()
     n_eval, i_eval = len(t_eval), 0
-    ps, qs, hits = [], [], []
+    # per step holding samples: (t, h, p, q), the p rates of stages 1 and
+    # 3-7, the q rates, and how many samples it holds
+    steps, counts, hits = [], [], []
     t = 0.0
     while True:
         min_step = 10 * (nextafter(t, inf) - t)
@@ -341,47 +398,48 @@ def _dormand_prince(gradient, p, q, t_final, rtol, atol, max_step, t_eval, event
         rejected = False
         while True:
             if h_abs < min_step:
-                return t_eval[:i_eval], ps, qs, hits, (t, p, q, _TOO_SMALL_STEP)
+                return (*_samples(t_eval, steps, counts), hits, (t, p, q, _TOO_SMALL_STEP))
             t_new = t + h_abs
             if t_new > t_final:
                 t_new = t_final
             h = t_new - t
             h_abs = h
-            # each stage: the stage point (ys_p, ys_q), then k = (-dH/dq, dH/dp) there
+            # each stage: the stage point (ys_p, ys_q), then k = (-dH/dq, dH/dp)
+            # there; one difference tests both rates for finiteness
             ys_p, ys_q = p + fp * a21 * h, q + fq * a21 * h
             k2q, k2p = gradient(ys_p, ys_q)
-            if not (isfinite(k2p) and isfinite(k2q)):
-                _not_finite(t + c2 * h, ys_p, ys_q)
+            if not isfinite(k2p - k2q):
+                _check_finite(t + c2 * h, ys_p, ys_q, k2p, k2q)
             k2p = -k2p
             ys_p = p + (fp * a31 + k2p * a32) * h
             ys_q = q + (fq * a31 + k2q * a32) * h
             k3q, k3p = gradient(ys_p, ys_q)
-            if not (isfinite(k3p) and isfinite(k3q)):
-                _not_finite(t + c3 * h, ys_p, ys_q)
+            if not isfinite(k3p - k3q):
+                _check_finite(t + c3 * h, ys_p, ys_q, k3p, k3q)
             k3p = -k3p
             ys_p = p + (fp * a41 + k2p * a42 + k3p * a43) * h
             ys_q = q + (fq * a41 + k2q * a42 + k3q * a43) * h
             k4q, k4p = gradient(ys_p, ys_q)
-            if not (isfinite(k4p) and isfinite(k4q)):
-                _not_finite(t + c4 * h, ys_p, ys_q)
+            if not isfinite(k4p - k4q):
+                _check_finite(t + c4 * h, ys_p, ys_q, k4p, k4q)
             k4p = -k4p
             ys_p = p + (fp * a51 + k2p * a52 + k3p * a53 + k4p * a54) * h
             ys_q = q + (fq * a51 + k2q * a52 + k3q * a53 + k4q * a54) * h
             k5q, k5p = gradient(ys_p, ys_q)
-            if not (isfinite(k5p) and isfinite(k5q)):
-                _not_finite(t + c5 * h, ys_p, ys_q)
+            if not isfinite(k5p - k5q):
+                _check_finite(t + c5 * h, ys_p, ys_q, k5p, k5q)
             k5p = -k5p
             ys_p = p + (fp * a61 + k2p * a62 + k3p * a63 + k4p * a64 + k5p * a65) * h
             ys_q = q + (fq * a61 + k2q * a62 + k3q * a63 + k4q * a64 + k5q * a65) * h
             k6q, k6p = gradient(ys_p, ys_q)
-            if not (isfinite(k6p) and isfinite(k6q)):
-                _not_finite(t + h, ys_p, ys_q)
+            if not isfinite(k6p - k6q):
+                _check_finite(t + h, ys_p, ys_q, k6p, k6q)
             k6p = -k6p
             p_new = p + h * (fp * b1 + k3p * b3 + k4p * b4 + k5p * b5 + k6p * b6)
             q_new = q + h * (fq * b1 + k3q * b3 + k4q * b4 + k5q * b5 + k6q * b6)
             k7q, k7p = gradient(p_new, q_new)
-            if not (isfinite(k7p) and isfinite(k7q)):
-                _not_finite(t + h, p_new, q_new)
+            if not isfinite(k7p - k7q):
+                _check_finite(t + h, p_new, q_new, k7p, k7q)
             k7p = -k7p
             x = (fp * e1 + k3p * e3 + k4p * e4 + k5p * e5 + k6p * e6 + k7p * e7) * h
             y = (fq * e1 + k3q * e3 + k4q * e4 + k5q * e5 + k6q * e6 + k7q * e7) * h
@@ -408,35 +466,44 @@ def _dormand_prince(gradient, p, q, t_final, rtol, atol, max_step, t_eval, event
                 active.append(i)
             g_new.append(b)
         t_end, terminate = t_new, False
-        if active or (i_eval < n_eval and t_eval[i_eval] <= t_new):
-            # the step's quartic interpolant, scipy's RkDenseOutput:
-            # y(s) = h (c1 x + c2 x^2 + c3 x^3 + c4 x^4) + y with x = (s - t) / h
-            cp2 = fp * p21 + k3p * p23 + k4p * p24 + k5p * p25 + k6p * p26 + k7p * p27
-            cp3 = fp * p31 + k3p * p33 + k4p * p34 + k5p * p35 + k6p * p36 + k7p * p37
-            cp4 = fp * p41 + k3p * p43 + k4p * p44 + k5p * p45 + k6p * p46 + k7p * p47
-            cq2 = fq * p21 + k3q * p23 + k4q * p24 + k5q * p25 + k6q * p26 + k7q * p27
-            cq3 = fq * p31 + k3q * p33 + k4q * p34 + k5q * p35 + k6q * p36 + k7q * p37
-            cq4 = fq * p41 + k3q * p43 + k4q * p44 + k5q * p45 + k6q * p46 + k7q * p47
         if active:
             found, t_stop = _event_roots(events, active, gradient,
                                          (t, p, q, t_new, p_new, q_new, k7q),
-                                         (fp, cp2, cp3, cp4), (fq, cq2, cq3, cq4))
+                                         (fp, *_quartic(fp, k3p, k4p, k5p, k6p, k7p)),
+                                         (fq, *_quartic(fq, k3q, k4q, k5q, k6q, k7q)))
             hits += found
             if t_stop is not None:
                 t_end, terminate = t_stop, True
 
-        while i_eval < n_eval and t_eval[i_eval] <= t_end:
-            x = (t_eval[i_eval] - t) / h
-            x2 = x * x
-            x3 = x2 * x
-            x4 = x3 * x
-            ps.append(h * (fp * x + cp2 * x2 + cp3 * x3 + cp4 * x4) + p)
-            qs.append(h * (fq * x + cq2 * x2 + cq3 * x3 + cq4 * x4) + q)
-            i_eval += 1
+        if i_eval < n_eval and t_eval[i_eval] <= t_end:
+            i_next = bisect_right(t_eval, t_end, i_eval)
+            steps.append((t, h, p, q, fp, k3p, k4p, k5p, k6p, k7p, fq, k3q, k4q, k5q, k6q, k7q))
+            counts.append(i_next - i_eval)
+            i_eval = i_next
 
         if terminate or t_new >= t_final:
-            return t_eval[:i_eval], ps, qs, hits, None
+            return (*_samples(t_eval, steps, counts), hits, None)
         t, p, q, fp, fq, g_old = t_new, p_new, q_new, k7p, k7q, g_new
+
+
+def _samples(t_eval, steps, counts):
+    """The samples of :func:`_dormand_prince`, from the steps it recorded.
+
+    ``steps[j]`` is ``(t, h, p, q)`` and the stage rates of the ``j``-th
+    step that holds samples, as the loop records it, and ``counts[j]`` the
+    number of the next ``t_eval`` it holds.  All samples are evaluated in
+    one numpy pass, each with the step's quartic in the loop's operation
+    order, so they equal the scalar values bit for bit.  Returns the sample
+    times, ``p`` and ``q`` as lists.
+    """
+    n = sum(counts)
+    if n == 0:
+        return [], [], []
+    t, h, p, q, *k = np.repeat(np.array(steps, dtype=float), counts, axis=0).T
+    s = np.array(t_eval[:n])
+    return (t_eval[:n],
+            _interpolate(s, t, h, p, k[0], *_quartic(*k[:6])).tolist(),
+            _interpolate(s, t, h, q, k[6], *_quartic(*k[6:])).tolist())
 
 
 def _event_roots(events, active, gradient, step, cp, cq):
@@ -444,7 +511,7 @@ def _event_roots(events, active, gradient, step, cp, cq):
 
     ``step`` is ``(t, p, q)`` at its start and end and ``dq/dt`` at its end;
     ``cp`` and ``cq`` are its dense-output coefficients, those of the sample
-    loop, so ``cq[0]`` is ``dq/dt`` at its start.  Returns the hits
+    pass, so ``cq[0]`` is ``dq/dt`` at its start.  Returns the hits
     ``(index, t, p, q)`` and, when one of them is terminal, the time of the
     first terminal root, the hits after it dropped (otherwise ``None``).
     """
@@ -452,12 +519,7 @@ def _event_roots(events, active, gradient, step, cp, cq):
     h = t_new - t_old  # the step, as the loop computed it
 
     def dense(s):
-        x = (s - t_old) / h
-        x2 = x * x
-        x3 = x2 * x
-        x4 = x3 * x
-        return (h * (cp[0] * x + cp[1] * x2 + cp[2] * x3 + cp[3] * x4) + p_old,
-                h * (cq[0] * x + cq[1] * x2 + cq[2] * x3 + cq[3] * x4) + q_old)
+        return (_interpolate(s, t_old, h, p_old, *cp), _interpolate(s, t_old, h, q_old, *cq))
 
     def rate(p, q):
         # where the interpolant meets a step end, a stage has dq/dt already
@@ -485,33 +547,39 @@ def _leapfrog_flow(gradient, p, q, t_final, n_samples, n_steps, events, q_floor)
 
     Symplectic only when H is separable, the contract of this backend.  The
     ``events`` are the flow's ``g``, the bounce's (``None``) first: a terminal
-    one ends the run at the first step end where ``g <= 0``, with ``q``
-    raised to ``q_floor`` if given; a bounce is a step end where ``dq/dt``
-    turns nonnegative, whose gradient also serves the next kick.  Each
-    gradient is tested for finiteness as it arrives.
+    one ends the run at the first step end where ``g <= 0``.  Its hit takes
+    that step end's time and state, with ``q`` raised to ``q_floor`` when
+    given (a plain half line); without one (a relabeled half line, a label
+    domain) it takes the state of the step end before, the last inside,
+    where the Hamiltonian is still defined.  A bounce is a step end where
+    ``dq/dt`` turns nonnegative, whose gradient also serves the next kick.
+    Each gradient is tested for finiteness as it arrives.
     """
     if n_steps is None:
         n_steps = max(20 * n_samples, 10000)
     dt = t_final / n_steps
     stride = max(1, n_steps // (n_samples - 1))
     terminal = list(enumerate(events))[1:]
+    gradient, prev_qdot, dh_dq = _double_rates(gradient, p, q)
+    _check_finite(0.0, p, q, prev_qdot, dh_dq)
 
     def finite_gradient(t, p, q):
         qdot, dh_dq = gradient(p, q)
-        if not (math.isfinite(qdot) and math.isfinite(dh_dq)):
-            _not_finite(t, p, q)
+        if not math.isfinite(qdot - dh_dq):
+            _check_finite(t, p, q, qdot, dh_dq)
         return qdot, dh_dq
 
     ts, ps, qs, hits = [0.0], [p], [q], []
-    prev_qdot, dh_dq = finite_gradient(0.0, p, q)
     for k in range(1, n_steps + 1):
+        p_old, q_old = p, q
         p -= 0.5 * dt * dh_dq
         q += dt * finite_gradient((k - 1) * dt, p, q)[0]
         t = k * dt
         p -= 0.5 * dt * finite_gradient(t, p, q)[1]
         for i, g in terminal:
             if g(p, q) <= 0:
-                hits.append((i, t, p, q if q_floor is None else max(q, q_floor)))
+                hits.append((i, t, p, max(q, q_floor)) if q_floor is not None
+                            else (i, t, p_old, q_old))
                 return ts, ps, qs, hits, None
         qdot, dh_dq = finite_gradient(t, p, q)
         if prev_qdot < 0.0 <= qdot:

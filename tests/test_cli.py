@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import enhq.cli
 from enhq.cli import _SCHEMA, _VALIDATOR, ConfigError, main, run, validate_config
 
 
@@ -39,6 +40,14 @@ class TestValidation:
     def test_nested_path_in_message(self):
         with pytest.raises(ConfigError, match="representation.dim"):
             validate_config({"experiment": "metric", "representation": {"dim": 1}})
+
+    def test_parser_is_built_once_and_usage_errors_still_exit_2(self, capsys):
+        assert enhq.cli._parser() is enhq.cli._parser()
+        for _ in range(2):
+            with pytest.raises(SystemExit) as err:
+                main(["run"])
+            assert err.value.code == 2
+            assert "the following arguments are required: --config" in capsys.readouterr().err
 
     def test_missing_config_file(self, capsys):
         assert main(["run", "--config", "/nonexistent.json"]) == 2
@@ -113,7 +122,7 @@ class TestCapacity:
         assert main(["run", "--config", write_config(tmp_path, self.CFG), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("capacity error: ") and err.count("\n") == 1
-        assert "representation.dim to at least 71" in err
+        assert "representation.dim to at least 73" in err
         assert not (tmp_path / "fresh").exists()
 
     def test_existing_directory_is_kept(self, tmp_path):
@@ -379,6 +388,26 @@ class TestExperiments:
         assert header == ["p", "q", "limit", "leading_power", "residual", "classical_value"]
         assert float(rows[0][2]) == pytest.approx(float(rows[0][5]), abs=1e-8)
         assert int(rows[0][3]) >= 1
+
+    def test_limit_study_builds_each_hbar_once(self, tmp_path, monkeypatch):
+        built = []
+        build = enhq.cli.build_fock_rep
+
+        def counted(dim, hbar):
+            built.append(hbar)
+            return build(dim, hbar)
+
+        monkeypatch.setattr(enhq.cli, "build_fock_rep", counted)
+        cfg = {
+            "experiment": "limit_study",
+            "hamiltonian": {"expression": "0.5*P^2 + 0.5*Q^2 + 0.1*Q^4"},
+            "representation": {"dim": 8},
+            "labels": {"grid": {"p": [-0.5, 0.5, 2], "q": [-0.5, 0.5, 2]}},
+        }
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        assert len(read_rows(out / "limit_study.csv")[1]) == 4
+        assert built == [1.0, 0.5, 0.25, 0.125]
 
     def test_basename_prefix(self, tmp_path):
         cfg = {

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
-from scipy.special import gammaln
+import mpmath
+from scipy.special import gammainc, gammaln
 
 from enhq import (
     CapacityError,
@@ -39,7 +40,7 @@ from enhq import (
 )
 import enhq.hilbert
 from enhq.cli import main as cli_main
-from enhq.coherent import CANONICAL_TAIL_TOL, affine_wavefunction
+from enhq.coherent import CANONICAL_TAIL_TOL, _poisson_tail, affine_wavefunction
 from enhq.hilbert import DEFAULT_TRUNCATION_MARGIN, apply_unitary
 
 
@@ -88,6 +89,35 @@ class TestCanonicalStates:
 
     def test_required_dim_grows_with_labels(self):
         assert required_fock_dim(4.0, 4.0, 1.0) > required_fock_dim(1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("lam", [0.01, 0.5, 2.5, 18.0, 36.0, 250.0])
+    def test_poisson_tail_against_mpmath_and_gammainc(self, lam):
+        # P(N > n) is the regularized lower incomplete gamma P(n + 1, lam)
+        with mpmath.workdps(40):
+            for n in range(max(2, int(lam)), int(lam + 20 * np.sqrt(lam) + 60)):
+                ref = float(mpmath.gammainc(n + 1, 0, lam, regularized=True))
+                if ref < 1e-290:
+                    break
+                assert _poisson_tail(n, lam) == pytest.approx(ref, rel=1e-12, abs=0)
+                assert _poisson_tail(n, lam) == pytest.approx(gammainc(n + 1, lam), rel=1e-11,
+                                                             abs=0)
+
+    @pytest.mark.parametrize("p,q,hbar", [(-2.0, -1.0, 1.0), (6.0, 6.0, 1.0), (0.1, 0.0, 1.0),
+                                          (3.0, -4.0, 0.5)])
+    def test_required_dim_is_the_smallest_with_a_tail_below_tol_squared(self, p, q, hbar):
+        lam = (p * p + q * q) / (2.0 * hbar)
+        n = required_fock_dim(p, q, hbar) - DEFAULT_TRUNCATION_MARGIN - 2
+        assert _poisson_tail(n, lam) <= CANONICAL_TAIL_TOL ** 2 < _poisson_tail(n - 1, lam)
+
+    def test_capacity_error_names_a_dim_above_the_one_that_failed(self):
+        # 1 - tol^2 rounds to 1.0, so an estimate from P(N <= n) stopped near
+        # a 1e-16 tail and named 48 here, the dim that had just failed
+        with pytest.raises(CapacityError) as err:
+            canonical_cs(-2.0, -1.0, build_fock_rep(48))
+        need = err.value.required_dim
+        assert need > 48
+        assert f"estimated adequate dim is {need}" in str(err.value)
+        canonical_cs(-2.0, -1.0, build_fock_rep(need))
 
     def test_fiducial_defining_relation(self, fock200):
         # (Q + i P)|0> = sqrt(2 hbar) A |0> = 0, exactly in the truncated basis
@@ -612,8 +642,9 @@ class TestClosedFormsAgainstExponentials:
             assert_allclose(d_q, (amp(p, q + h) - amp(p, q - h)) / (2 * h), rtol=0, atol=1e-8)
 
     def test_basis_far_too_small_raises_capacity_error(self):
-        # the series lies far past the basis; its tail still reaches the check
-        with pytest.raises(CapacityError, match="estimated adequate dim is 12023"):
+        # the series lies far past the basis; its tail still reaches the check,
+        # and the estimate is the smallest dim with a tail below 1e-24 there
+        with pytest.raises(CapacityError, match="estimated adequate dim is 11059"):
             canonical_cs(100.0, 100.0, build_fock_rep(48))
 
 

@@ -14,8 +14,10 @@ from enhq import (
     PhasePoint,
     Trajectory,
     TrajectoryEvent,
+    affine_family,
     apply_transform,
     build_fock_rep,
+    build_halfline_rep,
     canonical_family,
     enhance,
     hamiltonian_flow,
@@ -30,6 +32,7 @@ from enhq import (
     transform_hamiltonian,
     verify_transform_action,
 )
+import enhq.dynamics
 from enhq.correspondence import EnhancedHamiltonian
 from enhq.dynamics import CanonicalTransform, _dormand_prince, _event_roots
 
@@ -255,20 +258,112 @@ class TestHarmonicFlow:
                 ref.append((k * dt, p, q))
         assert list(zip(traj.t[1:], traj.p[1:], traj.q[1:])) == ref
 
-    @pytest.mark.parametrize("method", ["rk45", "leapfrog"])
-    def test_float64_gradients_give_python_float_outputs(self, method):
+    MODELS = {
+        "harmonic": (lambda p, q: 0.5 * (p * p + q * q), lambda p, q: (p, q), False),
+        "hydrogen": (lambda p, q: 0.5 * p * p - 1.0 / q, lambda p, q: (p, 1.0 / (q * q)), True),
+    }
+
+    @pytest.mark.parametrize("model,x0,t_final,method,n_steps", [
         # H = (p^2 + q^2) / 2 from (0, 1) has its q minimum, a bounce, at t = pi
-        ham = EnhancedHamiltonian(
-            lambda p, q: np.float64(0.5 * (p * p + q * q)),
-            lambda p, q: (np.float64(p), np.float64(q)),
-        )
-        traj = hamiltonian_flow(ham, (0.0, 1.0), 4.0, n_samples=50, method=method,
-                                n_steps=4000 if method == "leapfrog" else None)
-        assert traj.event_kinds() == ("bounce",)
+        ("harmonic", (0.0, 1.0), 4.0, "rk45", None),
+        ("harmonic", (0.0, 1.0), 4.0, "leapfrog", 4000),
+        ("hydrogen", (-0.3, 1.0), 4.0, "rk45", None),
+        # the step size underflows before the floor: the give-up point
+        ("hydrogen", (0.773, 2.587), 133.0, "rk45", None),
+        ("hydrogen", (0.0, 1.0), 2.0, "leapfrog", 20000),
+    ], ids=["rk45", "leapfrog", "rk45-floor", "rk45-gives-up", "leapfrog-floor"])
+    def test_float64_gradients_give_python_float_outputs(self, model, x0, t_final, method,
+                                                         n_steps):
+        # flows compute with the rates as the gradient returns them and
+        # convert to float at their boundary
+        evaluate, gradient, q_positive = self.MODELS[model]
+
+        def ham(cast):
+            return EnhancedHamiltonian(lambda p, q: cast(evaluate(p, q)),
+                                       lambda p, q: tuple(map(cast, gradient(p, q))),
+                                       q_positive=q_positive)
+
+        traj, python = (hamiltonian_flow(ham(cast), x0, t_final, n_samples=50, method=method,
+                                         n_steps=n_steps) for cast in (np.float64, float))
+        assert traj.event_kinds() == (("bounce",) if model == "harmonic" else ("singularity_hit",))
         event = traj.events[0]
         assert all(type(v) is float for v in (event.time, event.p, event.q, event.energy))
         assert "float64" not in traj.to_csv()
         assert Trajectory.from_json(traj.to_json()).events == traj.events
+        # the same run as with Python floats, bit for bit
+        assert traj.to_json() == python.to_json()
+
+    def test_float64_gradients_give_python_float_diagnostics(self):
+        # without a floor the give-up is a failure, whose diagnostics are floats
+        ham = EnhancedHamiltonian(
+            lambda p, q: np.float64(0.5 * p * p - 1.0 / q),
+            lambda p, q: (np.float64(p), np.float64(1.0 / (q * q))),
+        )
+        with pytest.raises(NumericalFailure, match="integration failed at t = 83.29") as err:
+            hamiltonian_flow(ham, (0.773, 2.587), 133.0)
+        assert [type(v) for v in err.value.diagnostics.values()] == [float] * 3
+
+    @pytest.mark.parametrize("method", ["rk45", "leapfrog"])
+    def test_float32_gradients_are_integrated_in_double_precision(self, method):
+        # rates of another type are converted to float as they arrive;
+        # float32 arithmetic would lose the orbit's precision
+        def harmonic(cast):
+            return EnhancedHamiltonian(
+                lambda p, q: 0.5 * (p * p + q * q),
+                lambda p, q: (cast(np.float32(p)), cast(np.float32(q))),
+            )
+
+        single, double = (
+            hamiltonian_flow(harmonic(cast), (0.0, 1.0), 4.0, n_samples=50, method=method,
+                             n_steps=4000 if method == "leapfrog" else None)
+            for cast in (np.float32, float)
+        )
+        assert single.event_kinds() == ("bounce",)
+        assert single.to_json() == double.to_json()
+
+    @pytest.mark.parametrize("build,x0,t_final,calls,evaluations,fd_evaluations", [
+        (hydrogen_classical, (-0.3, 1.0), 4.0, 3560, 219, 14051),
+        (hydrogen_enhanced, (-0.3, 1.0), 30.0, 2238, 1002, 9914),
+        (hydrogen_classical, (0.773, 2.587), 133.0, 4406, 627, 17363),
+    ], ids=["classical", "enhanced", "classical-gives-up"])
+    def test_counted_calls_of_user_callables(
+            self, build, x0, t_final, calls, evaluations, fd_evaluations):
+        # flows call the stored callables; the counts are those of the loop
+        # that called H.gradient and H.evaluate: one gradient per stage and
+        # per point Brent's method tries, one evaluation per sample and event,
+        # and four evaluations per finite-difference gradient
+        ham = build(HydrogenParams())
+        grads, evals = [], []
+
+        def evaluate(p, q):
+            evals.append((p, q))
+            return ham.evaluate(p, q)
+
+        def gradient(p, q):
+            grads.append((p, q))
+            return ham.gradient(p, q)
+
+        traj = hamiltonian_flow(EnhancedHamiltonian(evaluate, gradient, q_positive=True),
+                                x0, t_final)
+        assert len(grads) == calls
+        assert len(evals) == len(traj) + len(traj.events) == evaluations
+        evals.clear()
+        hamiltonian_flow(EnhancedHamiltonian(evaluate, q_positive=True), x0, t_final)
+        assert len(evals) == fd_evaluations
+
+    @pytest.mark.parametrize("n_samples", [2, 5, 1000, 20000])
+    def test_records_at_most_one_step_per_sample(self, harmonic, monkeypatch, n_samples):
+        recorded = []
+        sample_pass = enhq.dynamics._samples
+
+        def spy(t_eval, steps, counts):
+            recorded.append((len(steps), counts))
+            return sample_pass(t_eval, steps, counts)
+
+        monkeypatch.setattr(enhq.dynamics, "_samples", spy)
+        traj = hamiltonian_flow(harmonic, (0.3, 1.2), 6 * np.pi, n_samples=n_samples)
+        [(n_steps, counts)] = recorded
+        assert n_steps <= n_samples and min(counts) >= 1 and sum(counts) == len(traj) == n_samples
 
     @pytest.mark.parametrize("method,n_steps", [("rk45", None), ("leapfrog", 2000)])
     def test_affine_expression_flow_stops_at_the_floor(self, affine_beta2, method, n_steps):
@@ -597,6 +692,16 @@ class TestFlowValidation:
             assert (err.value.diagnostics["p"], err.value.diagnostics["q"]) == (p, q)
             assert 0.0 <= err.value.diagnostics["t"] < 4.0
 
+    @pytest.mark.parametrize("method", ["rk45", "leapfrog"])
+    def test_non_finite_float64_gradient_gives_python_float_diagnostics(self, method):
+        ham = EnhancedHamiltonian(
+            lambda p, q: p,
+            lambda p, q: (np.float64(1.0), np.float64(np.nan if q > 2.0 else 0.0)),
+        )
+        with pytest.raises(NumericalFailure, match="gradient is not finite") as err:
+            hamiltonian_flow(ham, (0.0, 1.0), 4.0, method=method, n_samples=5, n_steps=400)
+        assert [type(v) for v in err.value.diagnostics.values()] == [float] * 3
+
     def test_non_finite_gradient_raises_on_the_leapfrog(self):
         ham = EnhancedHamiltonian(
             lambda p, q: p,
@@ -719,6 +824,23 @@ class TestTransforms:
         relabeled = hamiltonian_flow(ham, x0, t_final, method=method, n_steps=n_steps)
         assert plain.event_kinds()[-1] == relabeled.event_kinds()[-1] == "singularity_hit"
         assert relabeled.events[-1].time == pytest.approx(plain.events[-1].time, rel=1e-8)
+
+    def test_relabeled_affine_leapfrog_ends_at_the_floor(self):
+        # the relabeled floor is crossed at a step end where the original q is
+        # below 0 and H undefined: the hit keeps that time and takes the state
+        # of the step end before, the last inside
+        family = affine_family(build_halfline_rep(1e-5, 60.0, 1000), 2.0)
+        ham = transform_hamiltonian(enhance(parse_polynomial("-P", "affine"), family),
+                                    scaling_transform(2.0))
+        rk = hamiltonian_flow(ham, (0.0, 0.5), 2.0)
+        lf = hamiltonian_flow(ham, (0.0, 0.5), 2.0, method="leapfrog", n_steps=2000)
+        assert rk.event_kinds()[-1] == lf.event_kinds()[-1] == "singularity_hit"
+        assert rk.events[-1].time == pytest.approx(1.0, abs=1e-6)
+        hit = lf.events[-1]
+        assert abs(hit.time - rk.events[-1].time) <= 2.0 / 2000
+        assert np.isfinite(hit.energy) and hit.energy == ham.evaluate(hit.p, hit.q)
+        assert ham.half_line(hit.p, hit.q) > 1e-8
+        assert lf.t[-1] <= hit.time
 
     def test_relabeled_label_domain(self):
         # the margin 1 - q, with q = 2 q~ after the scaling
