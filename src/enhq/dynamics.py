@@ -21,6 +21,7 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import chain
 from numbers import Integral
 
 import numpy as np
@@ -174,18 +175,23 @@ def hamiltonian_flow(
     steps of scipy's ``RK45``, calls the gradient once per stage and
     evaluates all samples in one numpy pass after the loop; ``leapfrog``
     runs :func:`_leapfrog_flow`, ``n_steps`` fixed steps of three gradient
-    calls each.  Both call the Hamiltonian's stored callables
-    (``H._gradient``, ``H._evaluate``), not the methods that convert each
-    value to ``float``, and return samples and event hits, from which the
-    events, energies and trajectory are built here, in Python floats.
-    ``tol`` must be positive and finite, ``n_samples`` an integer of at
-    least 2 and ``n_steps``, when given, a positive integer.
+    calls each, sampled at the step ends nearest the uniform grid.  Both
+    call the Hamiltonian's stored callables (``H._gradient``,
+    ``H._evaluate``), not the methods that convert each value to ``float``,
+    and return the samples as float64 arrays and the event hits, from which
+    the events, energies and trajectory are built here; events and
+    energies are evaluated on Python floats.  ``tol`` and ``q_floor`` must
+    be positive and finite, ``n_samples`` an integer of at least 2 and
+    ``n_steps``, when given, a positive integer, on the leapfrog of at least
+    ``n_samples - 1``.
     """
     x0 = _as_point(x0)
     if not np.isfinite(t_final) or t_final <= 0:
         raise ValueError("t_final must be positive and finite")
     if not np.isfinite(tol) or tol <= 0:
         raise ValueError("tol must be positive and finite")
+    if not np.isfinite(q_floor) or q_floor <= 0:
+        raise ValueError("q_floor must be positive and finite")
     if not _is_integer(n_samples) or n_samples < 2:
         raise ValueError("n_samples must be an integer of at least 2")
     if max_step is not None and not max_step > 0:
@@ -194,6 +200,8 @@ def hamiltonian_flow(
         raise ValueError("n_steps must be a positive integer")
     if method not in ("rk45", "leapfrog"):
         raise ValueError(f"unknown integrator method {method!r}")
+    if method == "leapfrog" and n_steps is not None and n_steps < n_samples - 1:
+        raise ValueError(f"n_steps = {n_steps} is fewer than n_samples - 1 = {n_samples - 1}")
     half_line = H.half_line
     if half_line is not None and half_line(x0.p, x0.q) <= q_floor:
         raise ValueError(f"initial q = {half_line(x0.p, x0.q)} is not above the floor {q_floor}")
@@ -242,7 +250,8 @@ def hamiltonian_flow(
             )
         recorded.append(event("singularity_hit", t_last, p_last, q_last))
 
-    energies = np.array([evaluate(p, q) for p, q in zip(ps, qs)], dtype=float)
+    # Python floats, not numpy scalars: label functions are scalar code
+    energies = np.array([evaluate(p, q) for p, q in zip(ps.tolist(), qs.tolist())], dtype=float)
     recorded.sort(key=lambda e: e.time)
     return Trajectory(ts, ps, qs, energies, tuple(recorded))
 
@@ -337,16 +346,19 @@ def _dormand_prince(gradient, p, q, t_final, rtol, atol, max_step, t_eval, event
     samples come from the dense output: the loop only records each step
     that holds samples, at most one per sample, and :func:`_samples`
     evaluates them all in one pass at the end.  ``events`` are ``(g(p, q),
-    direction, terminal)``, where ``g = None`` stands for ``dq/dt``, which a
-    stage has at the start and at every step end; an event fires where ``g``
-    changes sign in its direction between two step ends, at the Brent root
-    of ``g`` on the dense output, and a terminal one ends the run there.
+    direction, terminal)``; an event fires where ``g`` changes sign in its
+    direction between two step ends, at the Brent root of ``g`` on the
+    dense output, and a terminal one ends the run there.  The first event
+    may have ``g = None`` and direction up: the bounce, ``dq/dt`` turning
+    nonnegative, which a stage has at the start and at every step end and
+    which the loop tests inline; the others are tested in one pass per step.
 
-    Returns sample times, ``p`` and ``q`` (lists), event hits
+    Returns sample times, ``p`` and ``q`` (float64 arrays), event hits
     ``(index, t, p, q)`` and ``None``, or, when the step size underflowed,
     ``(t, p, q, message)`` of the last accepted step.
     """
-    isfinite, sqrt, nextafter, inf = math.isfinite, math.sqrt, math.nextafter, math.inf
+    sqrt, nextafter, inf = math.sqrt, math.nextafter, math.inf
+    sqrt2, safety, min_factor, max_factor = _SQRT2, _SAFETY, _MIN_FACTOR, _MAX_FACTOR
     # Dormand & Prince (1980) 5(4) pair, as tabulated in scipy's RK45, in
     # locals: stage times c, stage matrix a, 5th-order weights b (b2 = 0) and
     # error row e = b - b_hat (stage 7 is first-same-as-last; e2 = 0)
@@ -362,7 +374,10 @@ def _dormand_prince(gradient, p, q, t_final, rtol, atol, max_step, t_eval, event
 
     rtol = max(rtol, 100 * _EPS)
     gradient, fq, fp = _double_rates(gradient, p, q)
-    if not isfinite(fp - fq):
+    # one difference tests both rates: d - d is 0 when d is finite, nan
+    # otherwise (and nan is true)
+    d = fp - fq
+    if d - d:
         _check_finite(0.0, p, q, fp, fq)
     fp = -fp
 
@@ -372,7 +387,8 @@ def _dormand_prince(gradient, p, q, t_final, rtol, atol, max_step, t_eval, event
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_final)
     ys_p, ys_q = p + h0 * fp, q + h0 * fq
     gq, gp = gradient(ys_p, ys_q)
-    if not isfinite(gp - gq):
+    d = gp - gq
+    if d - d:
         _check_finite(h0, ys_p, ys_q, gp, gq)
     gp = -gp
     d2 = _rms((gp - fp) / sp, (gq - fq) / sq) / h0
@@ -382,9 +398,13 @@ def _dormand_prince(gradient, p, q, t_final, rtol, atol, max_step, t_eval, event
         h1 = (0.01 / max(d1, d2)) ** 0.2
     h_abs = min(100 * h0, h1, t_final, max_step)
 
-    g_old = [fq if g is None else g(p, q) for g, _, _ in events]
+    bounce = bool(events) and events[0][0] is None
+    # the other events as [index, g, direction, g at the last step end]
+    others = [[i, g, direction, g(p, q)] for i, (g, direction, _) in enumerate(events)
+              if i or not bounce]
     t_eval = t_eval.tolist()
     n_eval, i_eval = len(t_eval), 0
+    t_next = t_eval[0] if n_eval else inf
     # per step holding samples: (t, h, p, q), the p rates of stages 1 and
     # 3-7, the q rates, and how many samples it holds
     steps, counts, hits = [], [], []
@@ -405,66 +425,76 @@ def _dormand_prince(gradient, p, q, t_final, rtol, atol, max_step, t_eval, event
             h = t_new - t
             h_abs = h
             # each stage: the stage point (ys_p, ys_q), then k = (-dH/dq, dH/dp)
-            # there; one difference tests both rates for finiteness
+            # there, with its finiteness test
             ys_p, ys_q = p + fp * a21 * h, q + fq * a21 * h
             k2q, k2p = gradient(ys_p, ys_q)
-            if not isfinite(k2p - k2q):
+            d = k2p - k2q
+            if d - d:
                 _check_finite(t + c2 * h, ys_p, ys_q, k2p, k2q)
             k2p = -k2p
             ys_p = p + (fp * a31 + k2p * a32) * h
             ys_q = q + (fq * a31 + k2q * a32) * h
             k3q, k3p = gradient(ys_p, ys_q)
-            if not isfinite(k3p - k3q):
+            d = k3p - k3q
+            if d - d:
                 _check_finite(t + c3 * h, ys_p, ys_q, k3p, k3q)
             k3p = -k3p
             ys_p = p + (fp * a41 + k2p * a42 + k3p * a43) * h
             ys_q = q + (fq * a41 + k2q * a42 + k3q * a43) * h
             k4q, k4p = gradient(ys_p, ys_q)
-            if not isfinite(k4p - k4q):
+            d = k4p - k4q
+            if d - d:
                 _check_finite(t + c4 * h, ys_p, ys_q, k4p, k4q)
             k4p = -k4p
             ys_p = p + (fp * a51 + k2p * a52 + k3p * a53 + k4p * a54) * h
             ys_q = q + (fq * a51 + k2q * a52 + k3q * a53 + k4q * a54) * h
             k5q, k5p = gradient(ys_p, ys_q)
-            if not isfinite(k5p - k5q):
+            d = k5p - k5q
+            if d - d:
                 _check_finite(t + c5 * h, ys_p, ys_q, k5p, k5q)
             k5p = -k5p
             ys_p = p + (fp * a61 + k2p * a62 + k3p * a63 + k4p * a64 + k5p * a65) * h
             ys_q = q + (fq * a61 + k2q * a62 + k3q * a63 + k4q * a64 + k5q * a65) * h
             k6q, k6p = gradient(ys_p, ys_q)
-            if not isfinite(k6p - k6q):
+            d = k6p - k6q
+            if d - d:
                 _check_finite(t + h, ys_p, ys_q, k6p, k6q)
             k6p = -k6p
             p_new = p + h * (fp * b1 + k3p * b3 + k4p * b4 + k5p * b5 + k6p * b6)
             q_new = q + h * (fq * b1 + k3q * b3 + k4q * b4 + k5q * b5 + k6q * b6)
             k7q, k7p = gradient(p_new, q_new)
-            if not isfinite(k7p - k7q):
+            d = k7p - k7q
+            if d - d:
                 _check_finite(t + h, p_new, q_new, k7p, k7q)
             k7p = -k7p
             x = (fp * e1 + k3p * e3 + k4p * e4 + k5p * e5 + k6p * e6 + k7p * e7) * h
             y = (fq * e1 + k3q * e3 + k4q * e4 + k5q * e5 + k6q * e6 + k7q * e7) * h
-            x /= atol + max(abs(p), abs(p_new)) * rtol
-            y /= atol + max(abs(q), abs(q_new)) * rtol
-            error = sqrt(x * x + y * y) / _SQRT2
+            # the scale atol + max(|y|, |y_new|) rtol of each component
+            a, b = p if p > 0 else -p, p_new if p_new > 0 else -p_new
+            x /= atol + (b if b > a else a) * rtol
+            a, b = q if q > 0 else -q, q_new if q_new > 0 else -q_new
+            y /= atol + (b if b > a else a) * rtol
+            error = sqrt(x * x + y * y) / sqrt2
             if error < 1:
-                factor = _MAX_FACTOR if error == 0 else min(_MAX_FACTOR, _SAFETY * error ** -0.2)
-                if rejected:
-                    factor = min(1.0, factor)
-                h_abs *= factor
+                # min(max_factor, safety error^-1/5), and no growth after a
+                # rejected step
+                factor = safety * error ** -0.2 if error else max_factor
+                cap = 1.0 if rejected else max_factor
+                h_abs *= cap if factor > cap else factor
                 break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * error ** -0.2)
+            factor = safety * error ** -0.2
+            h_abs *= factor if factor > min_factor else min_factor
             rejected = True
 
-        # one pass over the events: the new values and the sign changes
-        g_new, active = [], []
-        for i, (g, direction, _) in enumerate(events):
-            b = k7q if g is None else g(p_new, q_new)
-            a = g_old[i]
-            # the old value strictly on the far side: a g that stays at 0,
-            # such as dq/dt at rest, never fires
+        # an event fires only when its old value lies strictly on the far
+        # side of zero: a g that stays at 0, such as dq/dt at rest, never
+        # fires; the bounce's old value is dq/dt at the step start, fq
+        active = [0] if bounce and fq < 0 <= k7q else []
+        for event in others:
+            i, g, direction, a = event
+            b = event[3] = g(p_new, q_new)
             if (a < 0 <= b and direction > 0) or (a > 0 >= b and direction < 0):
                 active.append(i)
-            g_new.append(b)
         t_end, terminate = t_new, False
         if active:
             found, t_stop = _event_roots(events, active, gradient,
@@ -475,15 +505,16 @@ def _dormand_prince(gradient, p, q, t_final, rtol, atol, max_step, t_eval, event
             if t_stop is not None:
                 t_end, terminate = t_stop, True
 
-        if i_eval < n_eval and t_eval[i_eval] <= t_end:
+        if t_next <= t_end:
             i_next = bisect_right(t_eval, t_end, i_eval)
             steps.append((t, h, p, q, fp, k3p, k4p, k5p, k6p, k7p, fq, k3q, k4q, k5q, k6q, k7q))
             counts.append(i_next - i_eval)
             i_eval = i_next
+            t_next = t_eval[i_eval] if i_eval < n_eval else inf
 
         if terminate or t_new >= t_final:
             return (*_samples(t_eval, steps, counts), hits, None)
-        t, p, q, fp, fq, g_old = t_new, p_new, q_new, k7p, k7q, g_new
+        t, p, q, fp, fq = t_new, p_new, q_new, k7p, k7q
 
 
 def _samples(t_eval, steps, counts):
@@ -491,19 +522,20 @@ def _samples(t_eval, steps, counts):
 
     ``steps[j]`` is ``(t, h, p, q)`` and the stage rates of the ``j``-th
     step that holds samples, as the loop records it, and ``counts[j]`` the
-    number of the next ``t_eval`` it holds.  All samples are evaluated in
-    one numpy pass, each with the step's quartic in the loop's operation
-    order, so they equal the scalar values bit for bit.  Returns the sample
-    times, ``p`` and ``q`` as lists.
+    number of the next ``t_eval`` it holds.  Each step's quartic is formed
+    once and all samples are evaluated in one numpy pass, in the loop's
+    operation order, so they equal the scalar values bit for bit.  Returns
+    the sample times, ``p`` and ``q`` as float64 arrays.
     """
     n = sum(counts)
-    if n == 0:
-        return [], [], []
-    t, h, p, q, *k = np.repeat(np.array(steps, dtype=float), counts, axis=0).T
     s = np.array(t_eval[:n])
-    return (t_eval[:n],
-            _interpolate(s, t, h, p, k[0], *_quartic(*k[:6])).tolist(),
-            _interpolate(s, t, h, q, k[6], *_quartic(*k[6:])).tolist())
+    if n == 0:
+        return s, np.empty(0), np.empty(0)
+    m = len(steps)
+    t, h, p, q, *k = np.fromiter(chain.from_iterable(steps), float, 16 * m).reshape(m, 16).T
+    t, h, p, fp, c2, c3, c4, q, fq, d2, d3, d4 = np.repeat(
+        np.array([t, h, p, k[0], *_quartic(*k[:6]), q, k[6], *_quartic(*k[6:])]), counts, axis=1)
+    return s, _interpolate(s, t, h, p, fp, c2, c3, c4), _interpolate(s, t, h, q, fq, d2, d3, d4)
 
 
 def _event_roots(events, active, gradient, step, cp, cq):
@@ -553,12 +585,16 @@ def _leapfrog_flow(gradient, p, q, t_final, n_samples, n_steps, events, q_floor)
     domain) it takes the state of the step end before, the last inside,
     where the Hamiltonian is still defined.  A bounce is a step end where
     ``dq/dt`` turns nonnegative, whose gradient also serves the next kick.
-    Each gradient is tested for finiteness as it arrives.
+    Each gradient is tested for finiteness as it arrives.  The samples are
+    the step ends nearest ``linspace(0, t_final, n_samples)``, distinct
+    because ``n_steps`` (by default ``max(20 n_samples, 10000)``) is at
+    least ``n_samples - 1``; they are returned as float64 arrays.
     """
-    if n_steps is None:
-        n_steps = max(20 * n_samples, 10000)
+    m = int(n_samples) - 1
+    n_steps = max(20 * (m + 1), 10000) if n_steps is None else int(n_steps)
     dt = t_final / n_steps
-    stride = max(1, n_steps // (n_samples - 1))
+    # sample j at step round(j n_steps / m), in integers, halves rounding up
+    j, k_sample = 1, (2 * n_steps + m) // (2 * m)
     terminal = list(enumerate(events))[1:]
     gradient, prev_qdot, dh_dq = _double_rates(gradient, p, q)
     _check_finite(0.0, p, q, prev_qdot, dh_dq)
@@ -580,17 +616,18 @@ def _leapfrog_flow(gradient, p, q, t_final, n_samples, n_steps, events, q_floor)
             if g(p, q) <= 0:
                 hits.append((i, t, p, max(q, q_floor)) if q_floor is not None
                             else (i, t, p_old, q_old))
-                return ts, ps, qs, hits, None
+                return np.array(ts), np.array(ps), np.array(qs), hits, None
         qdot, dh_dq = finite_gradient(t, p, q)
         if prev_qdot < 0.0 <= qdot:
             hits.append((0, t, p, q))
         prev_qdot = qdot
-        if k % stride == 0 or k == n_steps:
-            if t > ts[-1]:
-                ts.append(t)
-                ps.append(p)
-                qs.append(q)
-    return ts, ps, qs, hits, None
+        if k == k_sample:
+            ts.append(t)
+            ps.append(p)
+            qs.append(q)
+            j += 1
+            k_sample = (2 * j * n_steps + m) // (2 * m)
+    return np.array(ts), np.array(ps), np.array(qs), hits, None
 
 
 # ---------------------------------------------------------------------------

@@ -190,6 +190,12 @@ def tableau_loop(gradient, p, q, t_final, rtol, atol, max_step, t_eval, events):
         t, p, q, fp, fq, g_old = t_new, p_new, q_new, kp[-1], kq[-1], g_new
 
 
+def as_lists(result):
+    """A ``_dormand_prince`` result with its sample arrays as lists, for exact ``==``."""
+    ts, ps, qs, hits, stop = result
+    return ts.tolist(), ps.tolist(), qs.tolist(), hits, stop
+
+
 class TestHarmonicFlow:
     def test_period_returns_to_start(self, harmonic):
         traj = hamiltonian_flow(harmonic, (0.0, 1.0), 2 * np.pi, tol=1e-10)
@@ -302,6 +308,39 @@ class TestHarmonicFlow:
         with pytest.raises(NumericalFailure, match="integration failed at t = 83.29") as err:
             hamiltonian_flow(ham, (0.773, 2.587), 133.0)
         assert [type(v) for v in err.value.diagnostics.values()] == [float] * 3
+
+    @pytest.mark.parametrize("method", ["rk45", "leapfrog"])
+    def test_energies_see_python_floats_and_samples_are_read_only(self, method):
+        # float64 rates make float64 states; the energies still get floats
+        labels = []
+
+        def evaluate(p, q):
+            labels.append((type(p), type(q)))
+            return 0.5 * (p * p + q * q)
+
+        ham = EnhancedHamiltonian(evaluate, lambda p, q: (np.float64(p), np.float64(q)))
+        traj = hamiltonian_flow(ham, (0.3, 1.2), 4.0, n_samples=50, method=method,
+                                n_steps=4000)
+        assert traj.event_kinds() == ("bounce",)
+        assert set(labels) == {(float, float)}
+        for values in (traj.t, traj.p, traj.q, traj.energy):
+            assert values.dtype == np.float64 and values.shape == (50,)
+            assert not values.flags.writeable
+
+    @pytest.mark.parametrize("n_samples,n_steps", [
+        (7, None), (200, None), (7, 400), (11, 10), (26, 250), (1000, 999), (13, 1000),
+    ])
+    def test_leapfrog_samples_the_step_ends_nearest_the_grid(self, n_samples, n_steps):
+        ham = EnhancedHamiltonian(lambda p, q: 0.5 * (p * p + q * q), lambda p, q: (p, q))
+        t_final = 2 * np.pi
+        traj = hamiltonian_flow(ham, (0.0, 1.0), t_final, method="leapfrog",
+                                n_samples=n_samples, n_steps=n_steps)
+        dt = t_final / (n_steps or max(20 * n_samples, 10000))
+        assert len(traj) == n_samples
+        assert np.all(np.diff(traj.t) > 0)
+        grid = np.linspace(0.0, t_final, n_samples)
+        assert np.max(np.abs(traj.t - grid)) <= 0.5 * dt * (1 + 1e-9)
+        assert traj.t[-1] == pytest.approx(t_final, rel=1e-15)
 
     @pytest.mark.parametrize("method", ["rk45", "leapfrog"])
     def test_float32_gradients_are_integrated_in_double_precision(self, method):
@@ -498,9 +537,9 @@ class TestRK45AgainstScipy:
         assert len(calls) == ref.nfev
         # g = None, the bounce's dq/dt read from the last stage, gives the same run
         rate_events = [(None, 1.0, False), *events[1:]]
-        assert _dormand_prince(
+        assert as_lists(_dormand_prince(
             ham.gradient, p0, q0, t_final, tol, tol * 1e-3, max_step, t_eval, rate_events
-        ) == result
+        )) == as_lists(result)
         if np.isfinite(max_step):
             # six stages a step, and at least one step per max_step of time
             assert ref.nfev >= 6 * ref.sol.t_max / max_step
@@ -533,7 +572,7 @@ class TestRK45AgainstScipy:
         args = (p0, q0, t_final, tol, tol * 1e-3, max_step, np.linspace(0.0, t_final, 500))
         got = _dormand_prince(ham.gradient, *args, events)
         bounce = (lambda p, q: ham.gradient(p, q)[0], 1.0, False)
-        assert got == tableau_loop(ham.gradient, *args, [bounce, *events[1:]])
+        assert as_lists(got) == tableau_loop(ham.gradient, *args, [bounce, *events[1:]])
         assert got[3] or got[4]
 
     @pytest.mark.parametrize("x0,t_final", [((-0.3, 1.0), 4.0), ((0.773, 2.587), 133.0)])
@@ -692,6 +731,23 @@ class TestFlowValidation:
             assert (err.value.diagnostics["p"], err.value.diagnostics["q"]) == (p, q)
             assert 0.0 <= err.value.diagnostics["t"] < 4.0
 
+    @pytest.mark.parametrize("big", [(1e308, -1e308), (-1e308, 1e308)])
+    @pytest.mark.parametrize("n_big", [5, 6, 7, 8])
+    def test_finite_rates_whose_difference_overflows_are_finite(self, n_big, big):
+        # stages 4-7 of the first step: the difference of the two rates
+        # overflows, but both are finite; the step is rejected and the run
+        # goes on to t_final
+        calls = []
+
+        def gradient(p, q):
+            calls.append((p, q))
+            return big if len(calls) == n_big else (p, q)
+
+        ham = EnhancedHamiltonian(lambda p, q: 0.5 * (p * p + q * q), gradient)
+        traj = hamiltonian_flow(ham, (0.3, 1.2), 4.0)
+        assert len(calls) > n_big and traj.t[-1] == 4.0
+        assert np.all(np.isfinite(traj.p)) and np.all(np.isfinite(traj.q))
+
     @pytest.mark.parametrize("method", ["rk45", "leapfrog"])
     def test_non_finite_float64_gradient_gives_python_float_diagnostics(self, method):
         ham = EnhancedHamiltonian(
@@ -756,6 +812,19 @@ class TestFlowValidation:
     def test_needs_positive_integer_n_steps(self, harmonic, n_steps):
         with pytest.raises(ValueError, match="n_steps"):
             hamiltonian_flow(harmonic, (0.0, 1.0), 1.0, method="leapfrog", n_steps=n_steps)
+
+    @pytest.mark.parametrize("q_floor", [np.nan, 0.0, -1.0, np.inf])
+    @pytest.mark.parametrize("method", ["rk45", "leapfrog"])
+    def test_needs_positive_finite_q_floor(self, q_floor, method):
+        # a nan floor never fires: the run would pass it and give up near q = 0
+        ham = hydrogen_classical(HydrogenParams())
+        with pytest.raises(ValueError, match="q_floor"):
+            hamiltonian_flow(ham, (-0.3, 1.0), 4.0, q_floor=q_floor, method=method)
+
+    def test_leapfrog_needs_a_step_per_sample_interval(self, harmonic):
+        with pytest.raises(ValueError, match="n_steps = 400 .* n_samples - 1 = 999"):
+            hamiltonian_flow(harmonic, (0.0, 1.0), 1.0, method="leapfrog", n_samples=1000,
+                             n_steps=400)
 
     def test_numpy_integer_n_steps(self, harmonic):
         traj = hamiltonian_flow(harmonic, (0.0, 1.0), 1.0, method="leapfrog",
