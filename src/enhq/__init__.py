@@ -19,13 +19,9 @@ from .hilbert import (
 from .coherent import (
     CoherentFamily,
     MetricTensor2,
-    affine_cs,
     affine_family,
     affine_fiducial,
-    angles_to_pq,
-    canonical_cs,
     canonical_family,
-    extended_cs,
     extended_family,
     fiducial_moments,
     fiducial_p2_closed,
@@ -34,10 +30,8 @@ from .coherent import (
     fs_metric_analytic,
     fs_metric_numeric,
     overlap,
-    pq_to_angles,
     required_fock_dim,
     scalar_curvature,
-    spin_cs,
     spin_family,
 )
 from .correspondence import (

@@ -250,28 +250,36 @@ def _hbar(cfg) -> float:
     return float(cfg.get("hbar", 1.0))
 
 
+def _checked(cfg, rep):
+    # a representation.kind the config names must be the one built
+    kind = cfg.get("representation", {}).get("kind", rep.kind)
+    if kind != rep.kind:
+        raise ConfigError(f"config error at representation.kind: {kind!r} does not match "
+                          f"the {rep.kind!r} representation this config builds")
+    return rep
+
+
 def _build_family(cfg) -> CoherentFamily:
     fam = cfg.get("family", {})
     kind = fam.get("kind", "canonical")
     rep_cfg = cfg.get("representation", {})
     hbar = _hbar(cfg)
     if kind in ("canonical", "extended"):
-        rep = build_fock_rep(rep_cfg.get("dim", 200), hbar)
+        rep = _checked(cfg, build_fock_rep(rep_cfg.get("dim", 200), hbar))
         if kind == "extended":
             return extended_family(rep, fam.get("a", 0.0), fam.get("b", 0.0))
         return canonical_family(rep)
     if kind == "affine":
-        rep = build_halfline_rep(
+        rep = _checked(cfg, build_halfline_rep(
             rep_cfg.get("x_min", 1e-5),
             rep_cfg.get("x_max", 60.0),
             rep_cfg.get("n", 3000),
             hbar,
             rep_cfg.get("spacing", "geometric"),
-        )
+        ))
         return affine_family(rep, fam.get("beta", 2.0))
     if kind == "spin":
-        rep = build_spin_rep(rep_cfg.get("s", 0.5), hbar)
-        return spin_family(rep)
+        return spin_family(_checked(cfg, build_spin_rep(rep_cfg.get("s", 0.5), hbar)))
     raise ConfigError(f"family.kind: unknown kind {kind!r}")
 
 
@@ -324,7 +332,7 @@ def _build_hamiltonian(cfg):
         hbar = _hbar(cfg)
         if name == "harmonic":
             dim = cfg.get("representation", {}).get("dim", 64)
-            family = canonical_family(build_fock_rep(dim, hbar))
+            family = canonical_family(_checked(cfg, build_fock_rep(dim, hbar)))
             poly = parse_polynomial("0.5*P^2 + 0.5*Q^2", "canonical")
             return enhance(poly, family)
         if name == "hydrogen_classical":
@@ -332,7 +340,7 @@ def _build_hamiltonian(cfg):
         if name == "hydrogen_enhanced":
             return hydrogen_enhanced(_hydrogen_params(cfg))
         if name == "spin_precession":
-            rep = build_spin_rep(model.get("s", 0.5), hbar)
+            rep = _checked(cfg, build_spin_rep(model.get("s", 0.5), hbar))
             return spin_precession(model.get("B", 1.0), rep)
         raise ConfigError(f"model.name: unknown model {name!r}")
     ham = cfg.get("hamiltonian")
@@ -540,7 +548,7 @@ def _run_limit_study(cfg, out, stamp):
     @functools.cache
     def builder(hbar):
         # one representation and label function per hbar, shared by the label points
-        return enhance(poly, canonical_family(build_fock_rep(dim, hbar)))
+        return enhance(poly, canonical_family(_checked(cfg, build_fock_rep(dim, hbar))))
 
     rows = []
     for p, q in _label_points(cfg):
@@ -620,7 +628,7 @@ def _check(name, measured, expected, tolerance):
 
 def _suite_label_means(cfg):
     hbar = _hbar(cfg)
-    rep = build_fock_rep(cfg.get("representation", {}).get("dim", 300), hbar)
+    rep = _checked(cfg, build_fock_rep(cfg.get("representation", {}).get("dim", 300), hbar))
     family = canonical_family(rep)
     rng = np.random.default_rng(int(cfg.get("seed", 0)))
     pts = rng.uniform(-3.0, 3.0, size=(50, 2))
@@ -642,7 +650,8 @@ def _suite_label_means(cfg):
 
 
 def _suite_flat_metric(cfg):
-    rep = build_fock_rep(cfg.get("representation", {}).get("dim", 160), _hbar(cfg))
+    dim = cfg.get("representation", {}).get("dim", 160)
+    rep = _checked(cfg, build_fock_rep(dim, _hbar(cfg)))
     family = canonical_family(rep)
     worst = 0.0
     for p in np.linspace(-1, 1, 5):
@@ -656,9 +665,9 @@ def _suite_fiducial_moments(cfg):
     hbar = _hbar(cfg)
     beta = cfg.get("family", {}).get("beta", 2.0)
     rep_cfg = cfg.get("representation", {})
-    rep = build_halfline_rep(
+    rep = _checked(cfg, build_halfline_rep(
         rep_cfg.get("x_min", 1e-5), rep_cfg.get("x_max", 60.0), rep_cfg.get("n", 4000), hbar
-    )
+    ))
     family = affine_family(rep, beta)
     m = fiducial_moments(family)
     c2 = fiducial_p2_closed(beta, hbar)
@@ -683,7 +692,7 @@ def _suite_curvature(cfg):
 
 def _suite_energy_drift(cfg):
     hbar = _hbar(cfg)
-    family = canonical_family(build_fock_rep(48, hbar))
+    family = canonical_family(_checked(cfg, build_fock_rep(48, hbar)))
     ham = enhance(parse_polynomial("0.5*P^2 + 0.5*Q^2", "canonical"), family)
     traj = hamiltonian_flow(ham, PhasePoint(0.0, 1.0), 4.0 * np.pi, tol=1e-10)
     drift = float(np.max(np.abs(traj.energy - traj.energy[0])) / abs(traj.energy[0]))

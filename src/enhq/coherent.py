@@ -1,18 +1,22 @@
 """Coherent-state families, overlaps, and Fubini-Study geometry.
 
-Three families are defined by self-adjoint generators acting on a fiducial
-vector:
+Four families are defined by self-adjoint generators acting on a fiducial
+vector, each a subclass of :class:`CoherentFamily` built by its factory
+function:
 
 * canonical: ``exp(-i q P / hbar) exp(i p Q / hbar) |0>`` on the line, with
   the oscillator ground state as fiducial, labels ``(p, q)`` ranging over the
   whole plane;
+* extended: the canonical state followed by the squeezers
+  ``exp(-i a (P^2 + Q^2) / hbar) exp(-i b (PQ + QP) / hbar)`` at fixed
+  ``(a, b)``;
 * affine: ``exp(i p Q / hbar) exp(-i log(q) D / hbar) |beta>`` on the half
   line, ``q > 0``, with the extremal-weight fiducial solving
   ``[(Q - 1) + (i/beta) D] |beta> = 0``;
 * spin: ``exp(-i phi S3 / hbar) exp(-i theta S2 / hbar) |s, s>`` with the
-  highest-weight fiducial, optionally relabeled by ``p = sqrt(s hbar) cos(theta)``
-  and ``q = sqrt(s hbar) phi``; the family takes every real ``q`` (the
-  azimuth is periodic).
+  highest-weight fiducial, labeled by ``p = sqrt(s hbar) cos(theta)`` and
+  ``q = sqrt(s hbar) phi``; the family takes every real ``q`` (the azimuth
+  is periodic) and ``p^2 <= s hbar``.
 
 The canonical and spin states are built in closed form, not by exponentiating
 the generators: the canonical state is Glauber's Poisson series
@@ -52,8 +56,8 @@ from .hilbert import (
     apply_unitary,
 )
 
-#: Default finite-difference step, in label units, for the numeric metric.
-DEFAULT_METRIC_STEP = 1e-4
+#: Finite-difference step, in label units, of the numeric metric.
+METRIC_STEP = 1e-4
 
 #: l2 amplitude allowed beyond the truncation margin of a canonical state.
 CANONICAL_TAIL_TOL = 1e-12
@@ -80,25 +84,30 @@ class MetricTensor2:
 class CoherentFamily:
     """A parametrized map from labels ``(p, q)`` to unit state vectors.
 
+    It holds the representation ``rep``, the ``fiducial`` state and
+    ``letters``, the matrix of each letter of the family's operator alphabet.
+    Each family is a subclass, built by its factory function, whose
+    ``_build(p, q, tangent)`` returns the state and, when ``tangent`` is set,
+    its label derivatives (None otherwise).  ``shifted`` maps each letter to
+    its adjoint action ``U(p, q)^dag X U(p, q)`` as terms (fiducial letter or
+    None, power of ``p``, power of ``q``) where that is a polynomial in the
+    labels (canonical, affine), and ``beta`` is the affine fiducial parameter.
+
     Instances are immutable; ``state`` is a pure function of the labels and
     families may be shared across threads and swept in parallel.
     """
 
-    def __init__(self, kind, rep, fiducial, params=None):
-        self.kind = kind
+    kind = None
+    shifted = None
+    beta = None
+
+    def __init__(self, rep, fiducial, letters):
         self.rep = rep
         self.fiducial = fiducial
-        self.params = dict(params or {})
+        self.letters = letters
 
     def label_in_domain(self, p: float, q: float) -> bool:
-        if not (np.isfinite(p) and np.isfinite(q)):
-            return False
-        if self.kind == "affine":
-            return q > 0
-        if self.kind == "spin":
-            # the azimuth is periodic: every real q is a label
-            return abs(p) <= np.sqrt(self.rep.s * self.rep.hbar)
-        return True
+        return np.isfinite(p) and np.isfinite(q)
 
     def state(self, p: float, q: float) -> StateVector:
         return self._build(p, q, False)[0]
@@ -119,37 +128,130 @@ class CoherentFamily:
         psi, d_p, d_q = self._build(p, q, True)
         return psi.amplitudes, d_p, d_q
 
+
+class _Canonical(CoherentFamily):
+    kind = "canonical"
+    shifted = {"P": (("P", 0, 0), (None, 1, 0)), "Q": (("Q", 0, 0), (None, 0, 1))}
+
+    def __init__(self, rep):
+        super().__init__(rep, rep.vacuum(), {"P": rep.P, "Q": rep.Q})
+
     def _build(self, p, q, tangent):
-        # the state at (p, q) and, when tangent is set, its label derivatives
-        # (None otherwise)
+        psi, d_p, d_q = _displaced(p, q, self.rep, tangent)
+        tail = float(np.linalg.norm(psi.amplitudes[psi.dim - DEFAULT_TRUNCATION_MARGIN :]))
+        if tail > CANONICAL_TAIL_TOL:
+            need = required_fock_dim(p, q, self.rep.hbar)
+            raise CapacityError(
+                f"truncation inadequate at (p, q) = ({p}, {q}): tail amplitude {tail:.3e} "
+                f"exceeds {CANONICAL_TAIL_TOL:.1e}; estimated adequate dim is {need}",
+                required_dim=need,
+            )
+        return psi, d_p, d_q
+
+
+class _Extended(CoherentFamily):
+    kind = "extended"
+
+    def __init__(self, rep, a, b):
+        super().__init__(rep, rep.vacuum(), {"P": rep.P, "Q": rep.Q})
+        self.a = float(a)
+        self.b = float(b)
+
+    def _build(self, p, q, tangent):
+        # the squeezers are constant in (p, q), so they carry the derivatives of
+        # the displaced state along; PQ + QP = 2 D.  Squeezing amplifies
+        # high-level occupancy, so the tail check is the looser
+        # EXTENDED_TAIL_TOL, with no sharp dimension estimate.
+        rep, a, b = self.rep, self.a, self.b
+        psi, d_p, d_q = _displaced(p, q, rep, tangent)
+        squeezers = [(rep.D, 2.0 * b)] if b != 0.0 else []
+        if a != 0.0:
+            squeezers.append((rep.quadrature_square(), a))
+        for op, theta in squeezers:
+            psi = apply_unitary(op, theta, psi)
+            if tangent:
+                d_p = _push(op, theta, d_p, rep)
+                d_q = _push(op, theta, d_q, rep)
+        tail = float(np.linalg.norm(psi.amplitudes[psi.dim - DEFAULT_TRUNCATION_MARGIN :]))
+        if tail > EXTENDED_TAIL_TOL:
+            raise CapacityError(
+                f"truncation inadequate for extended state at (p, q, a, b) = "
+                f"({p}, {q}, {a}, {b}): tail amplitude {tail:.3e}"
+            )
+        return psi, d_p, d_q
+
+
+class _Affine(CoherentFamily):
+    kind = "affine"
+    shifted = {
+        "D": (("D", 0, 0), ("Q", 1, 1)),
+        "Q": (("Q", 0, 1),),
+        "P": (("P", 0, -1), (None, 1, 0)),
+    }
+
+    def __init__(self, rep, beta):
+        super().__init__(rep, affine_fiducial(beta, rep),
+                         {"D": rep.D, "Q": rep.Q, "P": rep.P_formal})
+        self.beta = float(beta)
+
+    def label_in_domain(self, p, q):
+        return super().label_in_domain(p, q) and q > 0
+
+    def _build(self, p, q, tangent):
+        # both unitaries act pointwise on half-line wavefunctions (a phase and
+        # a dilation), so the state resamples the closed-form fiducial
+        if q <= 0:
+            raise DomainError(f"affine labels require q > 0 (got q = {q})")
         rep = self.rep
-        if self.kind == "canonical":
-            return _canonical(p, q, rep, tangent)
-        if self.kind == "extended":
-            a, b = self.params["a"], self.params["b"]
-            return _extended(p, q, a, b, rep, tangent)
-        if self.kind == "affine":
-            psi = affine_cs(p, q, self)
-            if not tangent:
-                return psi, None, None
-            x = rep.grid
-            nu = self.params["beta"] / rep.hbar
-            amps = psi.amplitudes
-            return psi, (1j / rep.hbar) * x * amps, (nu / q) * (x / q - 1.0) * amps
-        if self.kind == "spin":
-            theta, _ = pq_to_angles(p, 0.0, rep)
-            shbar = rep.s * rep.hbar
-            if tangent and p * p >= shbar:
-                raise DomainError(f"the spin chart is singular at the poles (got p = {p})")
-            sq = np.sqrt(shbar)
-            # phi = q / sqrt(s hbar) is left unwrapped: wrapping it would flip
-            # the sign of half-integer-spin states at the seam
-            psi, d_theta, d_phi = _rotated_highest_weight(theta, q / sq, rep, tangent)
-            if not tangent:
-                return psi, None, None
-            # d theta / d p = -1 / sqrt(s hbar - p^2)
-            return psi, (-1.0 / np.sqrt(shbar - p * p)) * d_theta, d_phi / sq
-        raise ValueError(f"unknown family kind {self.kind!r}")
+        x = rep.grid
+        dilated = affine_wavefunction(x / q, self.beta, rep.hbar) / np.sqrt(q)
+        psi = rep.state_from_samples(dilated * np.exp(1j * p * x / rep.hbar))
+        if not tangent:
+            return psi, None, None
+        nu = self.beta / rep.hbar
+        amps = psi.amplitudes
+        return psi, (1j / rep.hbar) * x * amps, (nu / q) * (x / q - 1.0) * amps
+
+
+class _Spin(CoherentFamily):
+    kind = "spin"
+
+    def __init__(self, rep):
+        super().__init__(rep, rep.highest_weight(), {"S1": rep.S1, "S2": rep.S2, "S3": rep.S3})
+
+    def label_in_domain(self, p, q):
+        # the azimuth is periodic: every real q is a label
+        return super().label_in_domain(p, q) and abs(p) <= np.sqrt(self.rep.s * self.rep.hbar)
+
+    def _build(self, p, q, tangent):
+        # theta = arccos(p / sqrt(s hbar)) in [0, pi] and phi = q / sqrt(s hbar),
+        # left unwrapped: wrapping it would flip the sign of half-integer-spin
+        # states at the seam.  exp(-i phi S3 / hbar) exp(-i theta S2 / hbar)|s, s>
+        # has the binomial amplitudes e^{-i m phi} chi_m, chi_m = sqrt(C(2s, s-m))
+        # cos(theta/2)^{s+m} sin(theta/2)^{s-m} (Radcliffe 1971), taken in log
+        # form.  The tangent is d_theta = (-i/hbar) e^{-i m phi} (S2 chi) and
+        # d_phi = (-i/hbar) S3 psi = -i m psi, with d theta / d p = -1 / sqrt(s hbar - p^2).
+        rep = self.rep
+        shbar = rep.s * rep.hbar
+        sq = np.sqrt(shbar)
+        if abs(p) > sq * (1 + 1e-12):
+            raise DomainError(f"|p| must not exceed sqrt(s hbar) = {sq} (got p = {p})")
+        if tangent and p * p >= shbar:
+            raise DomainError(f"the spin chart is singular at the poles (got p = {p})")
+        theta = float(np.arccos(np.clip(p / sq, -1.0, 1.0)))
+        two_s = rep.dim - 1
+        k = np.arange(rep.dim)  # s - m
+        m = rep.s - k
+        log_binom = gammaln(two_s + 1.0) - gammaln(k + 1.0) - gammaln(two_s + 1.0 - k)
+        chi = np.exp(0.5 * log_binom + xlogy(two_s - k, np.cos(0.5 * theta))
+                     + xlogy(k, np.sin(0.5 * theta)))
+        phase = np.exp(-1j * (q / sq) * m)
+        psi = StateVector(phase * chi, rep)
+        if not tangent:
+            return psi, None, None
+        d_theta = (-1j / rep.hbar) * phase * (rep.S2 @ chi)
+        d_phi = -1j * m * psi.amplitudes
+        return psi, (-1.0 / np.sqrt(shbar - p * p)) * d_theta, d_phi / sq
 
 
 def _push(op, theta, vec, rep) -> np.ndarray:
@@ -163,25 +265,25 @@ def canonical_family(rep: LineRep) -> CoherentFamily:
     """Canonical family over the oscillator vacuum of ``rep``.
 
     The fiducial satisfies ``(Q + i P)|0> = 0`` exactly in the truncated
-    basis.
+    basis.  A state with more than :data:`CANONICAL_TAIL_TOL` beyond the
+    truncation margin raises :class:`CapacityError` with an adequate dim.
     """
-    return CoherentFamily("canonical", rep, rep.vacuum())
+    return _Canonical(rep)
 
 
 def affine_family(rep: HalfLineRep, beta: float) -> CoherentFamily:
     """Affine family over the extremal-weight fiducial with parameter ``beta``."""
-    fid = affine_fiducial(beta, rep)
-    return CoherentFamily("affine", rep, fid, {"beta": float(beta)})
+    return _Affine(rep, beta)
 
 
 def spin_family(rep: SpinRep) -> CoherentFamily:
     """Spin family over the highest-weight state, labeled by ``(p, q)``."""
-    return CoherentFamily("spin", rep, rep.highest_weight())
+    return _Spin(rep)
 
 
 def extended_family(rep: LineRep, a: float, b: float) -> CoherentFamily:
     """Squeezed extension of the canonical family with fixed ``(a, b)``."""
-    return CoherentFamily("extended", rep, rep.vacuum(), {"a": float(a), "b": float(b)})
+    return _Extended(rep, a, b)
 
 
 def required_fock_dim(p: float, q: float, hbar: float) -> int:
@@ -226,32 +328,6 @@ def _poisson_tail(n: int, lam: float) -> float:
     return total
 
 
-def _check_tail(state: StateVector, p, q):
-    tail = float(np.linalg.norm(state.amplitudes[state.dim - DEFAULT_TRUNCATION_MARGIN :]))
-    if tail > CANONICAL_TAIL_TOL:
-        need = required_fock_dim(p, q, state.rep.hbar)
-        raise CapacityError(
-            f"truncation inadequate at (p, q) = ({p}, {q}): tail amplitude {tail:.3e} "
-            f"exceeds {CANONICAL_TAIL_TOL:.1e}; estimated adequate dim is {need}",
-            required_dim=need,
-        )
-    return state
-
-
-def canonical_cs(p: float, q: float, rep: LineRep) -> StateVector:
-    """Return ``exp(-i q P / hbar) exp(i p Q / hbar) |0>``.
-
-    The state is built in closed form, as the Poisson series
-    ``e^{-ipq/2hbar} e^{-|a|^2/2} a^n / sqrt(n!)`` with
-    ``a = (q + ip) / sqrt(2 hbar)`` truncated to the basis and normalized;
-    it agrees with the matrix exponentials of the definition to roundoff.
-    Raises :class:`CapacityError` with an adequate-dimension estimate when
-    the amplitude beyond the truncation margin exceeds
-    :data:`CANONICAL_TAIL_TOL`.
-    """
-    return _canonical(p, q, rep, False)[0]
-
-
 def _displaced(p, q, rep, tangent):
     # exp(-i q P / hbar) exp(i p Q / hbar)|0> is the Poisson series
     # e^{-ipq/2hbar} e^{-|a|^2/2} a^n / sqrt(n!) with a = (q + ip) / sqrt(2 hbar),
@@ -284,47 +360,6 @@ def _displaced(p, q, rep, tangent):
     return psi, d_p, d_q
 
 
-def _canonical(p, q, rep, tangent):
-    psi, d_p, d_q = _displaced(p, q, rep, tangent)
-    return _check_tail(psi, p, q), d_p, d_q
-
-
-def extended_cs(p: float, q: float, a: float, b: float, rep: LineRep) -> StateVector:
-    """Squeezed coherent state
-    ``exp(-i a (P^2+Q^2)/hbar) exp(-i b (PQ+QP)/hbar) exp(-i q P/hbar) exp(i p Q/hbar) |0>``.
-
-    Squeezing amplifies high-level occupancy, so the tail check uses the
-    looser :data:`EXTENDED_TAIL_TOL` and raises :class:`CapacityError` when
-    it fails (no sharp dimension estimate is available for squeezed tails).
-    """
-    return _extended(p, q, a, b, rep, False)[0]
-
-
-def _extended(p, q, a, b, rep, tangent):
-    # the squeezers are constant in (p, q), so they carry the derivatives of
-    # the displaced state along; PQ + QP = 2 D
-    psi, d_p, d_q = _displaced(p, q, rep, tangent)
-    squeezers = [(rep.D, 2.0 * b)] if b != 0.0 else []
-    if a != 0.0:
-        squeezers.append((rep.quadrature_square(), a))
-    for op, theta in squeezers:
-        psi = apply_unitary(op, theta, psi)
-        if tangent:
-            d_p = _push(op, theta, d_p, rep)
-            d_q = _push(op, theta, d_q, rep)
-    return _check_extended_tail(psi, p, q, a, b), d_p, d_q
-
-
-def _check_extended_tail(psi, p, q, a, b):
-    tail = float(np.linalg.norm(psi.amplitudes[psi.dim - DEFAULT_TRUNCATION_MARGIN :]))
-    if tail > EXTENDED_TAIL_TOL:
-        raise CapacityError(
-            f"truncation inadequate for extended state at (p, q, a, b) = "
-            f"({p}, {q}, {a}, {b}): tail amplitude {tail:.3e}"
-        )
-    return psi
-
-
 def _affine_log_norm(nu: float) -> float:
     # log M^2 for the normalized fiducial density x^(2 nu - 1) e^(-2 nu x).
     return 2.0 * nu * np.log(2.0 * nu) - gammaln(2.0 * nu)
@@ -350,83 +385,6 @@ def affine_fiducial(beta: float, rep: HalfLineRep) -> StateVector:
             f"(got beta = {beta}, hbar = {rep.hbar})"
         )
     return rep.state_from_samples(affine_wavefunction(rep.grid, beta, rep.hbar))
-
-
-def affine_cs(p: float, q: float, family: CoherentFamily) -> StateVector:
-    """Return ``exp(i p Q / hbar) exp(-i log(q) D / hbar) |beta>`` for ``q > 0``.
-
-    Both unitaries act pointwise on half-line wavefunctions (a phase and a
-    dilation), so the state is produced by exact resampling of the
-    closed-form fiducial rather than by matrix exponentials.
-    """
-    if q <= 0:
-        raise DomainError(f"affine labels require q > 0 (got q = {q})")
-    rep = family.rep
-    beta = family.params["beta"]
-    x = rep.grid
-    dilated = affine_wavefunction(x / q, beta, rep.hbar) / np.sqrt(q)
-    values = dilated * np.exp(1j * p * x / rep.hbar)
-    return rep.state_from_samples(values)
-
-
-def pq_to_angles(p: float, q: float, rep: SpinRep) -> tuple[float, float]:
-    """Convert ``(p, q)`` spin labels to ``(theta, phi)``.
-
-    ``p = sqrt(s hbar) cos(theta)`` and ``q = sqrt(s hbar) phi``; the map is
-    invertible on ``p^2 <= s hbar``, ``-pi sqrt(s hbar) < q <= pi sqrt(s hbar)``.
-    """
-    sq = np.sqrt(rep.s * rep.hbar)
-    if abs(p) > sq * (1 + 1e-12):
-        raise DomainError(f"|p| must not exceed sqrt(s hbar) = {sq} (got p = {p})")
-    if not (-np.pi * sq < q <= np.pi * sq * (1 + 1e-12)):
-        raise DomainError(f"q must lie in (-pi sqrt(s hbar), pi sqrt(s hbar)] (got q = {q})")
-    theta = float(np.arccos(np.clip(p / sq, -1.0, 1.0)))
-    phi = float(q / sq)
-    return theta, phi
-
-
-def angles_to_pq(theta: float, phi: float, rep: SpinRep) -> tuple[float, float]:
-    """Inverse of :func:`pq_to_angles`."""
-    sq = np.sqrt(rep.s * rep.hbar)
-    return float(sq * np.cos(theta)), float(sq * phi)
-
-
-def spin_cs(theta: float, phi: float, rep: SpinRep) -> StateVector:
-    """Return ``exp(-i phi S3 / hbar) exp(-i theta S2 / hbar) |s, s>``.
-
-    The state is built in closed form: the amplitude of ``|s, m>`` is
-    ``e^{-i m phi} sqrt(C(2s, s-m)) cos(theta/2)^{s+m} sin(theta/2)^{s-m}``.
-    """
-    eps = 1e-12
-    if not (-eps <= theta <= np.pi + eps):
-        raise DomainError(f"theta must lie in [0, pi] (got {theta})")
-    if not (-np.pi - eps < phi <= np.pi + eps):
-        raise DomainError(f"phi must lie in (-pi, pi] (got {phi})")
-    return _rotated_highest_weight(theta, phi, rep, False)[0]
-
-
-def _rotated_highest_weight(theta, phi, rep, tangent):
-    # exp(-i phi S3 / hbar) exp(-i theta S2 / hbar)|s, s> has the binomial
-    # amplitudes e^{-i m phi} chi_m, chi_m = sqrt(C(2s, s-m)) cos(theta/2)^{s+m}
-    # sin(theta/2)^{s-m} (Radcliffe 1971), taken in log form; phi is left
-    # unwrapped.  The tangent is d_theta = (-i/hbar) e^{-i m phi} (S2 chi) and
-    # d_phi = (-i/hbar) S3 psi = -i m psi.
-    two_s = rep.dim - 1
-    k = np.arange(rep.dim)  # s - m
-    m = rep.s - k
-    c, sn = np.cos(0.5 * theta), np.sin(0.5 * theta)
-    log_binom = gammaln(two_s + 1.0) - gammaln(k + 1.0) - gammaln(two_s + 1.0 - k)
-    chi = np.exp(0.5 * log_binom + xlogy(two_s - k, abs(c)) + xlogy(k, abs(sn)))
-    if c < 0 or sn < 0:
-        # theta a rounding error outside [0, pi]: the powers keep the signs
-        chi *= np.sign(c) ** (two_s - k) * np.sign(sn) ** k
-    phase = np.exp(-1j * phi * m)
-    psi = StateVector(phase * chi, rep)
-    if not tangent:
-        return psi, None, None
-    d_theta = (-1j / rep.hbar) * phase * (rep.S2 @ chi)
-    d_phi = -1j * m * psi.amplitudes
-    return psi, d_theta, d_phi
 
 
 def overlap(s1: StateVector, s2: StateVector) -> complex:
@@ -530,21 +488,16 @@ def fs_metric(family: CoherentFamily, p: float, q: float) -> MetricTensor2:
     return MetricTensor2(float(g[0]), float(g[1]), float(g[2]))
 
 
-def fs_metric_numeric(
-    family: CoherentFamily,
-    p: float,
-    q: float,
-    h: float = DEFAULT_METRIC_STEP,
-    full_output: bool = False,
-):
+def fs_metric_numeric(family: CoherentFamily, p: float, q: float) -> MetricTensor2:
     """Numeric Fubini-Study metric at ``(p, q)`` from the state map.
 
-    Central differences at steps ``h``, ``h/2``, ``h/4`` are combined by
-    Richardson extrapolation; the pair of successive differences doubles as
-    a convergence diagnostic and the observed order is reported with
-    ``full_output=True``.  A diverging difference sequence raises
-    :class:`NumericalFailure` with the measured diagnostics.
+    Central differences at steps ``h = METRIC_STEP``, ``h/2`` and ``h/4``
+    are combined by Richardson extrapolation; the pair of successive
+    differences doubles as a convergence diagnostic.  A diverging difference
+    sequence raises :class:`NumericalFailure` with the differences and the
+    observed order in its diagnostics.
     """
+    h = METRIC_STEP
     for pp, qq in ((p + h, q), (p - h, q), (p, q + h), (p, q - h), (p, q)):
         if not family.label_in_domain(pp, qq):
             raise DomainError(
@@ -560,21 +513,14 @@ def fs_metric_numeric(
     # below this the differences sit at the roundoff floor of the inner
     # products and the order estimate is meaningless
     floor = 1e-10 * scale
-    if d2 > floor:
-        order = np.log2(d1 / d2) if d1 > 0 else np.inf
-    else:
-        order = np.inf
-    diagnostics = {"h": h, "diff_h_h2": d1, "diff_h2_h4": d2, "observed_order": order}
     extrap = (4.0 * g4 - g2) / 3.0
     if not np.all(np.isfinite(extrap)) or (d2 > floor and d2 > d1):
+        order = np.log2(d1 / d2) if d2 > floor and d1 > 0 else np.inf
         raise NumericalFailure(
             "central differences of the state map did not converge under step refinement",
-            diagnostics,
+            {"h": h, "diff_h_h2": d1, "diff_h2_h4": d2, "observed_order": order},
         )
-    tensor = MetricTensor2(float(extrap[0]), float(extrap[1]), float(extrap[2]))
-    if full_output:
-        return tensor, diagnostics
-    return tensor
+    return MetricTensor2(float(extrap[0]), float(extrap[1]), float(extrap[2]))
 
 
 def fs_metric_analytic(

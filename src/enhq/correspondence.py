@@ -28,7 +28,11 @@ import numpy as np
 from .errors import DomainError, NumericalFailure
 from .coherent import CoherentFamily
 
-DEFAULT_MAX_DEGREE = 6
+#: Longest operator word a polynomial may contain.
+MAX_DEGREE = 6
+
+#: Largest fit residual of :func:`classical_limit`, relative to the value scale.
+LIMIT_RESIDUAL_TOL = 1e-6
 
 _ALPHABETS = {
     "canonical": ("P", "Q"),
@@ -51,7 +55,7 @@ class OperatorPolynomial:
     conjugate to their reversals).  Coefficients are real by the grammar.
     """
 
-    def __init__(self, terms, variable_set, max_degree: int = DEFAULT_MAX_DEGREE):
+    def __init__(self, terms, variable_set):
         if variable_set not in _ALPHABETS:
             raise ValueError(f"unknown variable set {variable_set!r}")
         alphabet = _ALPHABETS[variable_set]
@@ -63,10 +67,8 @@ class OperatorPolynomial:
                     raise ValueError(
                         f"letter {letter!r} is not available in the {variable_set} variable set"
                     )
-            if len(word) > max_degree:
-                raise ValueError(
-                    f"word of degree {len(word)} exceeds the cap {max_degree}"
-                )
+            if len(word) > MAX_DEGREE:
+                raise ValueError(f"word of degree {len(word)} exceeds the cap {MAX_DEGREE}")
             merged[word] = merged.get(word, 0.0) + float(coeff)
         merged = {w: c for w, c in merged.items() if c != 0.0}
         scale = max((abs(c) for c in merged.values()), default=1.0)
@@ -89,9 +91,7 @@ class OperatorPolynomial:
         return f"OperatorPolynomial({body or '0'}, {self.variable_set})"
 
 
-def parse_polynomial(
-    text: str, variable_set: str, max_degree: int = DEFAULT_MAX_DEGREE
-) -> OperatorPolynomial:
+def parse_polynomial(text: str, variable_set: str) -> OperatorPolynomial:
     """Parse expressions like ``0.5*P^2 + 0.5*Q^2`` or ``P*Q*P - 2*Q``.
 
     Words are ordered products of operator letters with nonnegative integer
@@ -173,7 +173,7 @@ def parse_polynomial(
         terms.append((coeff, tuple(word)))
     if not terms:
         raise ValueError("empty expression")
-    return OperatorPolynomial(terms, variable_set, max_degree=max_degree)
+    return OperatorPolynomial(terms, variable_set)
 
 
 def classical_value(poly: OperatorPolynomial, p: float, q: float) -> float:
@@ -194,20 +194,10 @@ def classical_value(poly: OperatorPolynomial, p: float, q: float) -> float:
     return total
 
 
-def _matrices_for(rep, variable_set):
-    if variable_set == "canonical":
-        return {"P": rep.P, "Q": rep.Q}
-    if variable_set == "affine":
-        return {"D": rep.D, "Q": rep.Q, "P": rep.P_formal}
-    if variable_set == "spin":
-        return {"S1": rep.S1, "S2": rep.S2, "S3": rep.S3}
-    raise ValueError(variable_set)
-
-
 def poly_expectation(poly: OperatorPolynomial, family: CoherentFamily, p: float, q: float) -> complex:
     """Complex ``<p,q| poly |p,q>`` by direct matrix products on the state."""
     psi = family.state(p, q)
-    mats = _matrices_for(family.rep, poly.variable_set)
+    mats = family.letters
     total = 0.0 + 0.0j
     for word, coeff in poly.terms:
         vec = psi.amplitudes
@@ -263,34 +253,23 @@ def _realized(value: complex, context: str, tol: float = 1e-10) -> float:
     return float(value.real)
 
 
-# Adjoint action U(p, q)^dag X U(p, q) of each letter on a family's group
-# element, as terms (fiducial letter or None, power of p, power of q).
-_SHIFTED_LETTERS = {
-    "canonical": {"P": (("P", 0, 0), (None, 1, 0)), "Q": (("Q", 0, 0), (None, 0, 1))},
-    "affine": {
-        "D": (("D", 0, 0), ("Q", 1, 1)),
-        "Q": (("Q", 0, 1),),
-        "P": (("P", 0, -1), (None, 1, 0)),
-    },
-}
-
-
 def _label_polynomial(poly, family) -> _LabelPolynomial:
     # <p,q| W |p,q> = <fiducial| U^dag W U |fiducial>: expand every word over
     # the product of its letters' shifted terms and compute the fiducial
-    # moment of each kept subword once.
-    rep = family.rep
+    # moment of each kept subword once.  The affine family, the one with a
+    # beta, lives on the half line.
+    rep, beta, hbar = family.rep, family.beta, family.rep.hbar
     k = max((word.count("P") for word, _ in poly.terms), default=0)
     tol = 1e-10
-    if family.kind == "canonical" and rep.dim <= poly.degree:
+    if rep.dim <= poly.degree:
         # a word of length L explores Fock levels up to L, so the moments are
         # truncation-exact only when the basis holds one more level than that
+        # (a half-line grid has at least 16 points, more than any word's length)
         raise ValueError(
             f"representation dim {rep.dim} is too small for exact moments of a "
             f"degree-{poly.degree} polynomial (need dim > degree)"
         )
-    if family.kind == "affine" and k:
-        beta, hbar = family.params["beta"], rep.hbar
+    if beta is not None and k:
         # a word with k momentum letters differentiates the fiducial k/2 times
         # on each side; integrability at the origin then needs beta > k/2 * hbar
         if beta <= 0.5 * k * hbar:
@@ -301,8 +280,7 @@ def _label_polynomial(poly, family) -> _LabelPolynomial:
         # the formal momentum matrix is Hermitian only up to discretization
         # error, so the reality guard is grid level rather than roundoff level
         tol = 1e-7
-    shifted = _SHIFTED_LETTERS[family.kind]
-    mats = _matrices_for(rep, poly.variable_set)
+    shifted, mats = family.shifted, family.letters
     fid = family.fiducial.amplitudes
     moments: dict[tuple[str, ...], complex] = {}
     coeffs: dict[tuple[int, int], complex] = {}
@@ -319,7 +297,7 @@ def _label_polynomial(poly, family) -> _LabelPolynomial:
     return _LabelPolynomial({
         key: _realized(complex(v), f"{family.kind} moment expansion at power {key}", tol)
         for key, v in coeffs.items()
-    }, q_positive=family.kind == "affine")
+    }, q_positive=beta is not None)
 
 
 class EnhancedHamiltonian:
@@ -382,27 +360,25 @@ def enhance(poly: OperatorPolynomial, family: CoherentFamily) -> EnhancedHamilto
     function raises :class:`DomainError` at ``q <= 0``.  Spin polynomials are
     evaluated directly on the rotated states.
     """
+    if poly.variable_set != family.kind:
+        raise ValueError(
+            f"polynomial over the {poly.variable_set} alphabet is incompatible with a "
+            f"{family.kind} family"
+        )
     hbar = family.rep.hbar
-    if family.kind in ("canonical", "affine") and poly.variable_set == family.kind:
+    if family.shifted is not None:
         label_poly = _label_polynomial(poly, family)
         ham = EnhancedHamiltonian(
-            label_poly,
-            label_poly.gradient,
-            hbar=hbar,
-            q_positive=family.kind == "affine",
+            label_poly, label_poly.gradient, hbar=hbar, q_positive=label_poly.q_positive
         )
         ham.polynomial = dict(label_poly.coeffs)
         return ham
-    if family.kind == "spin" and poly.variable_set == "spin":
-        shbar = family.rep.s * hbar
-        return EnhancedHamiltonian(
-            lambda p, q: _realized(poly_expectation(poly, family, p, q), "spin expectation"),
-            hbar=hbar,
-            label_domain=lambda p, q: shbar - p * p,
-        )
-    raise ValueError(
-        f"polynomial over the {poly.variable_set} alphabet is incompatible with a "
-        f"{family.kind} family"
+    # the spin letters pull through to no polynomial: evaluate on the states
+    shbar = family.rep.s * hbar
+    return EnhancedHamiltonian(
+        lambda p, q: _realized(poly_expectation(poly, family, p, q), "spin expectation"),
+        hbar=hbar,
+        label_domain=lambda p, q: shbar - p * p,
     )
 
 
@@ -446,21 +422,15 @@ class LimitFit:
     residual: float
 
 
-def classical_limit(
-    builder,
-    p: float,
-    q: float,
-    hbar_sequence,
-    degree: int | None = None,
-    residual_tol: float = 1e-6,
-) -> LimitFit:
+def classical_limit(builder, p: float, q: float, hbar_sequence) -> LimitFit:
     """Extrapolate ``builder(hbar).evaluate(p, q)`` to ``hbar -> 0``.
 
     ``builder`` maps each hbar in the decreasing positive sequence (length at
-    least 3) to an :class:`EnhancedHamiltonian`; a polynomial fit in hbar
-    yields the limit and the leading power.  A fit residual above
-    ``residual_tol`` (relative to the value scale) raises
-    :class:`NumericalFailure` carrying the residuals.
+    least 3) to an :class:`EnhancedHamiltonian`; a polynomial fit in hbar, of
+    degree ``min(len(hbar_sequence) - 1, 4)``, yields the limit and the
+    leading power.  A fit residual above :data:`LIMIT_RESIDUAL_TOL` (relative
+    to the value scale) raises :class:`NumericalFailure` carrying the
+    residuals.
     """
     hbars = [float(h) for h in hbar_sequence]
     if len(hbars) < 3:
@@ -468,13 +438,11 @@ def classical_limit(
     if any(h <= 0 for h in hbars) or any(b >= a for a, b in zip(hbars, hbars[1:])):
         raise ValueError("hbar_sequence must be positive and strictly decreasing")
     values = np.array([builder(h).evaluate(p, q) for h in hbars])
-    if degree is None:
-        degree = min(len(hbars) - 1, 4)
-    coeffs = np.polynomial.polynomial.polyfit(np.array(hbars), values, degree)
+    coeffs = np.polynomial.polynomial.polyfit(np.array(hbars), values, min(len(hbars) - 1, 4))
     fitted = np.polynomial.polynomial.polyval(np.array(hbars), coeffs)
     residual = float(np.max(np.abs(fitted - values)))
     scale = max(1.0, float(np.max(np.abs(values))))
-    if residual > residual_tol * scale:
+    if residual > LIMIT_RESIDUAL_TOL * scale:
         raise NumericalFailure(
             "polynomial fit in hbar did not converge",
             {"residuals": (fitted - values).tolist(), "hbars": hbars},

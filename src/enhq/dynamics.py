@@ -385,6 +385,10 @@ def _dormand_prince(gradient, p, q, t_final, rtol, atol, max_step, t_eval, event
     sp, sq = atol + abs(p) * rtol, atol + abs(q) * rtol
     d0, d1 = _rms(p / sp, q / sq), _rms(fp / sp, fq / sq)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_final)
+    if h0 == 0.0:
+        # finite rates whose scaled norm d1 overflows: scipy's first step
+        # overflows with them and shrinks below ten ulp of t = 0
+        return (*_samples(t_eval.tolist(), [], []), [], (0.0, p, q, _TOO_SMALL_STEP))
     ys_p, ys_q = p + h0 * fp, q + h0 * fq
     gq, gp = gradient(ys_p, ys_q)
     d = gp - gq

@@ -171,7 +171,7 @@ def test_criterion_06_weak_correspondence():
         def builder(hbar, poly=poly):
             return enhance(poly, canonical_family(build_fock_rep(8, hbar)))
 
-        fit = classical_limit(builder, p0, q0, hbars, residual_tol=1e-6)
+        fit = classical_limit(builder, p0, q0, hbars)
         worst_limit = max(worst_limit, abs(fit.limit - classical_value(poly, p0, q0)))
         min_power = min(min_power, fit.leading_power)
     ok = min_power >= 1 and worst_limit < 1e-6

@@ -90,6 +90,29 @@ class TestValidation:
         assert err.startswith(f"error: config error at {path}") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,cfg", [
+        ("run", {"experiment": "expectation", "representation": {"kind": "spin", "s": 2},
+                 "labels": {"grid": {"p": [0, 0.5, 2], "q": [0, 0.5, 2]}}}),
+        ("run", {"experiment": "expectation", "representation": {"kind": "halfline", "n": 500},
+                 "family": {"kind": "spin"},
+                 "labels": {"grid": {"p": [0, 0.5, 2], "q": [0, 0.5, 2]}}}),
+        ("run", {"experiment": "evolve", "model": {"name": "spin_precession"},
+                 "representation": {"kind": "line"}, "x0": [0.1, 0.0]}),
+        ("run", {"experiment": "limit_study", "hamiltonian": {"expression": "Q^2"},
+                 "representation": {"kind": "halfline"},
+                 "labels": {"grid": {"p": [0, 0, 1], "q": [0, 0, 1]}}}),
+        ("verify", {"suites": ["curvature", "fiducial_moments"],
+                    "representation": {"kind": "line"}}),
+    ], ids=["spin-as-fock", "halfline-as-spin", "line-as-spin", "halfline-as-fock",
+            "line-as-halfline"])
+    def test_representation_kind_must_be_the_one_built(self, tmp_path, capsys, command, cfg):
+        out = tmp_path / "fresh" / "out"
+        assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config error at representation.kind")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "fresh").exists()
+
 
 class TestLibraryErrors:
     """Library exceptions reach the user as one line and a documented exit code."""

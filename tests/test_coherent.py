@@ -14,15 +14,11 @@ from enhq import (
     CapacityError,
     DomainError,
     NumericalFailure,
-    affine_cs,
     affine_fiducial,
-    angles_to_pq,
     build_fock_rep,
     build_spin_rep,
-    canonical_cs,
     canonical_family,
     expectation,
-    extended_cs,
     fiducial_moments,
     fiducial_p2_closed,
     fiducial_q_moment_closed,
@@ -31,16 +27,14 @@ from enhq import (
     fs_metric_analytic,
     fs_metric_numeric,
     overlap,
-    pq_to_angles,
     required_fock_dim,
     scalar_curvature,
-    spin_cs,
     spin_family,
     variance,
 )
 import enhq.hilbert
 from enhq.cli import main as cli_main
-from enhq.coherent import CANONICAL_TAIL_TOL, _poisson_tail, affine_wavefunction
+from enhq.coherent import CANONICAL_TAIL_TOL, _metric_from_map, _poisson_tail, affine_wavefunction
 from enhq.hilbert import DEFAULT_TRUNCATION_MARGIN, apply_unitary
 
 
@@ -54,36 +48,36 @@ def coherent_series(p, q, hbar, dim):
 
 
 class TestCanonicalStates:
-    def test_origin_is_fiducial(self, fock200):
-        psi = canonical_cs(0.0, 0.0, fock200)
+    def test_origin_is_fiducial(self, fock200, canonical200):
+        psi = canonical200.state(0.0, 0.0)
         assert_allclose(psi.amplitudes, fock200.vacuum().amplitudes, atol=1e-12)
 
-    def test_label_means(self, fock200):
-        psi = canonical_cs(1.0, 2.0, fock200)
+    def test_label_means(self, fock200, canonical200):
+        psi = canonical200.state(1.0, 2.0)
         assert expectation(psi, fock200.Q).real == pytest.approx(2.0, abs=1e-8)
         assert expectation(psi, fock200.P).real == pytest.approx(1.0, abs=1e-8)
 
-    def test_label_variances(self, fock200):
-        psi = canonical_cs(1.0, 2.0, fock200)
+    def test_label_variances(self, fock200, canonical200):
+        psi = canonical200.state(1.0, 2.0)
         assert variance(psi, fock200.Q) == pytest.approx(0.5, abs=1e-8)
         assert variance(psi, fock200.P) == pytest.approx(0.5, abs=1e-8)
 
-    def test_matches_series_oracle(self, fock200):
-        psi = canonical_cs(1.0, 2.0, fock200)
+    def test_matches_series_oracle(self, canonical200):
+        psi = canonical200.state(1.0, 2.0)
         assert_allclose(psi.amplitudes, coherent_series(1.0, 2.0, 1.0, 200), atol=1e-12)
 
     def test_capacity_error_with_estimate(self):
         rep = build_fock_rep(40)
         with pytest.raises(CapacityError) as err:
-            canonical_cs(6.0, 6.0, rep)
+            canonical_family(rep).state(6.0, 6.0)
         need = err.value.required_dim
         assert need is not None and need > 40
-        canonical_cs(6.0, 6.0, build_fock_rep(need))  # the estimate is adequate
+        canonical_family(build_fock_rep(need)).state(6.0, 6.0)  # the estimate is adequate
 
-    def test_label_means_over_sampled_region(self, fock200):
+    def test_label_means_over_sampled_region(self, fock200, canonical200):
         rng = np.random.default_rng(11)
         for p, q in rng.uniform(-2, 2, size=(10, 2)):
-            psi = canonical_cs(p, q, fock200)
+            psi = canonical200.state(p, q)
             assert expectation(psi, fock200.P).real == pytest.approx(p, abs=1e-8)
             assert expectation(psi, fock200.Q).real == pytest.approx(q, abs=1e-8)
 
@@ -113,11 +107,11 @@ class TestCanonicalStates:
         # 1 - tol^2 rounds to 1.0, so an estimate from P(N <= n) stopped near
         # a 1e-16 tail and named 48 here, the dim that had just failed
         with pytest.raises(CapacityError) as err:
-            canonical_cs(-2.0, -1.0, build_fock_rep(48))
+            canonical_family(build_fock_rep(48)).state(-2.0, -1.0)
         need = err.value.required_dim
         assert need > 48
         assert f"estimated adequate dim is {need}" in str(err.value)
-        canonical_cs(-2.0, -1.0, build_fock_rep(need))
+        canonical_family(build_fock_rep(need)).state(-2.0, -1.0)
 
     def test_fiducial_defining_relation(self, fock200):
         # (Q + i P)|0> = sqrt(2 hbar) A |0> = 0, exactly in the truncated basis
@@ -172,7 +166,7 @@ class TestAffineFiducial:
 
 class TestAffineStates:
     def test_unit_label_is_fiducial(self, affine_beta2):
-        psi = affine_cs(0.0, 1.0, affine_beta2)
+        psi = affine_beta2.state(0.0, 1.0)
         assert_allclose(psi.amplitudes, affine_beta2.fiducial.amplitudes, atol=1e-14)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -180,7 +174,7 @@ class TestAffineStates:
         # <p,q| Q^n |p,q> = <beta| (q Q)^n |beta>
         rep = affine_beta2.rep
         q = 1.7
-        psi = affine_cs(0.4, q, affine_beta2)
+        psi = affine_beta2.state(0.4, q)
         dens = np.abs(psi.amplitudes) ** 2
         measured = dens @ rep.grid**n
         expected = q**n * fiducial_q_moment_closed(2.0, 1.0, n)
@@ -189,7 +183,7 @@ class TestAffineStates:
     @pytest.mark.parametrize("p,q", [(0.0, 1.0), (0.7, 1.5), (-1.0, 0.6)])
     def test_momentum_second_moment(self, affine_beta2, p, q):
         rep = affine_beta2.rep
-        psi = affine_cs(p, q, affine_beta2)
+        psi = affine_beta2.state(p, q)
         pv = rep.P_formal @ psi.amplitudes
         measured = float(np.real(np.vdot(pv, pv)))
         expected = p * p + fiducial_p2_closed(2.0, 1.0) / (q * q)
@@ -198,38 +192,39 @@ class TestAffineStates:
     def test_rejects_nonpositive_q(self, affine_beta2):
         for q in (0.0, -1.0):
             with pytest.raises(DomainError):
-                affine_cs(0.0, q, affine_beta2)
+                affine_beta2.state(0.0, q)
 
 
 class TestSpinStates:
     def test_north_pole_is_fiducial(self):
         rep = build_spin_rep(2.0)
-        psi = spin_cs(0.0, 0.0, rep)
+        psi = spin_family(rep).state(np.sqrt(2.0), 0.0)
         assert_allclose(psi.amplitudes, rep.highest_weight().amplitudes, atol=1e-13)
 
     @pytest.mark.parametrize("s,theta", [(0.5, 0.7), (1.0, 2.1), (5.0, 1.2)])
     def test_s3_expectation(self, s, theta):
         rep = build_spin_rep(s)
-        psi = spin_cs(theta, 0.9, rep)
+        sq = np.sqrt(s)
+        psi = spin_family(rep).state(sq * np.cos(theta), sq * 0.9)
         assert expectation(psi, rep.S3).real == pytest.approx(s * np.cos(theta), abs=1e-12)
 
     def test_spin_half_flip(self, spin_half):
-        psi = spin_cs(np.pi, 0.0, spin_half)
+        psi = spin_family(spin_half).state(-np.sqrt(0.5), 0.0)
         assert abs(psi.amplitudes[0]) < 1e-14
         assert abs(psi.amplitudes[1]) == pytest.approx(1.0, abs=1e-14)
 
-    def test_label_converters_roundtrip(self):
+    def test_labels_are_the_rotation_angles(self):
+        # p = sqrt(s hbar) cos(theta), q = sqrt(s hbar) phi: the mean spin
+        # <S1 + i S2> = s hbar sin(theta) e^{i phi} and <S3> = s hbar cos(theta)
         rep = build_spin_rep(1.5, hbar=0.5)
-        for p, q in [(0.1, 0.3), (-0.5, -1.0), (0.0, 0.0)]:
-            theta, phi = pq_to_angles(p, q, rep)
-            assert angles_to_pq(theta, phi, rep) == pytest.approx((p, q), abs=1e-12)
-
-    def test_converter_matches_definition(self):
-        rep = build_spin_rep(2.0)
-        sq = np.sqrt(2.0)
-        theta, phi = pq_to_angles(0.6, 1.1, rep)
-        assert 0.6 == pytest.approx(sq * np.cos(theta), abs=1e-12)
-        assert 1.1 == pytest.approx(sq * phi, abs=1e-12)
+        family = spin_family(rep)
+        sq = np.sqrt(1.5 * 0.5)
+        for p, q in [(0.1, 0.3), (-0.5, -1.0), (0.0, 0.0), (0.6, 2.5), (-0.2, 7.0)]:
+            psi = family.state(p, q)
+            theta, phi = np.arccos(p / sq), q / sq
+            s12 = expectation(psi, rep.S1) + 1j * expectation(psi, rep.S2)
+            assert s12 == pytest.approx(0.75 * np.sin(theta) * np.exp(1j * phi), abs=1e-12)
+            assert expectation(psi, rep.S3).real == pytest.approx(sq * p, abs=1e-12)
 
     def test_fiducial_is_extremal_weight(self):
         # (S1 + i S2) |s, s> = 0
@@ -239,25 +234,25 @@ class TestSpinStates:
         assert np.linalg.norm(resid) < 1e-14
 
     def test_out_of_range_labels(self):
-        rep = build_spin_rep(0.5)
-        with pytest.raises(DomainError):
-            pq_to_angles(1.0, 0.0, rep)  # |p| > sqrt(s hbar)
-        with pytest.raises(DomainError):
-            pq_to_angles(0.0, 5.0, rep)
-        with pytest.raises(DomainError):
-            spin_cs(4.0, 0.0, rep)
-        with pytest.raises(DomainError):
-            spin_cs(0.3, 2 * np.pi, rep)
+        family = spin_family(build_spin_rep(0.5))
+        for p in (1.0, -1.0):  # |p| > sqrt(s hbar)
+            with pytest.raises(DomainError):
+                family.state(p, 0.0)
+        # every real q is a label: a full turn of the azimuth flips the sign
+        # of a half-integer spin state
+        turn = 2 * np.pi * np.sqrt(0.5)
+        assert_allclose(family.state(0.3, 5.0 + turn).amplitudes,
+                        -family.state(0.3, 5.0).amplitudes, rtol=0, atol=1e-12)
 
 
 class TestExtendedStates:
-    def test_reduces_to_canonical(self, fock200):
-        a = extended_cs(0.5, -0.8, 0.0, 0.0, fock200)
-        b = canonical_cs(0.5, -0.8, fock200)
+    def test_reduces_to_canonical(self, fock200, canonical200):
+        a = extended_family(fock200, 0.0, 0.0).state(0.5, -0.8)
+        b = canonical200.state(0.5, -0.8)
         assert_allclose(a.amplitudes, b.amplitudes, atol=1e-14)
 
     def test_oscillator_generator_only_changes_phase(self, fock200):
-        psi = extended_cs(0.0, 0.0, 0.3, 0.0, fock200)
+        psi = extended_family(fock200, 0.3, 0.0).state(0.0, 0.0)
         assert abs(overlap(psi, fock200.vacuum())) == pytest.approx(1.0, abs=1e-12)
 
     def test_squeezing_variances(self):
@@ -266,7 +261,7 @@ class TestExtendedStates:
         # uncertainty product stays saturated at hbar^2/4.
         rep = build_fock_rep(120)
         b = 0.1
-        psi = extended_cs(0.0, 0.0, 0.0, b, rep)
+        psi = extended_family(rep, 0.0, b).state(0.0, 0.0)
         vq, vp = variance(psi, rep.Q), variance(psi, rep.P)
         assert vq == pytest.approx(0.5 * np.exp(4 * b), rel=1e-10)
         assert vp == pytest.approx(0.5 * np.exp(-4 * b), rel=1e-10)
@@ -277,23 +272,24 @@ class TestExtendedStates:
     def test_capacity_error_for_strong_squeezing(self):
         rep = build_fock_rep(24)
         with pytest.raises(CapacityError):
-            extended_cs(0.0, 0.0, 0.0, 1.5, rep)
+            extended_family(rep, 0.0, 1.5).state(0.0, 0.0)
 
 
 class TestOverlap:
-    def test_self_overlap(self, fock200):
-        psi = canonical_cs(0.3, 0.4, fock200)
+    def test_self_overlap(self, canonical200):
+        psi = canonical200.state(0.3, 0.4)
         assert overlap(psi, psi) == pytest.approx(1.0, abs=1e-13)
 
-    def test_gaussian_overlap_law(self, fock200):
+    def test_gaussian_overlap_law(self, canonical200):
         # brute-force matrix states against the closed Gaussian form
         for p, q in [(1.0, 2.0), (-0.5, 0.3), (2.0, 0.0)]:
-            val = abs(overlap(canonical_cs(0, 0, fock200), canonical_cs(p, q, fock200))) ** 2
+            val = abs(overlap(canonical200.state(0, 0), canonical200.state(p, q))) ** 2
             assert val == pytest.approx(np.exp(-(p * p + q * q) / 2.0), rel=1e-10)
 
     def test_spin_half_overlap(self, spin_half):
-        theta = 0.9
-        val = abs(overlap(spin_cs(0, 0, spin_half), spin_cs(theta, 0, spin_half))) ** 2
+        theta, sq = 0.9, np.sqrt(0.5)
+        family = spin_family(spin_half)
+        val = abs(overlap(family.state(sq, 0), family.state(sq * np.cos(theta), 0))) ** 2
         assert val == pytest.approx(np.cos(theta / 2) ** 2, abs=1e-12)
 
     @settings(max_examples=20, deadline=None)
@@ -302,17 +298,15 @@ class TestOverlap:
         q=st.floats(-1.5, 1.5, allow_nan=False),
     )
     def test_conjugate_symmetry(self, p, q):
-        rep = build_fock_rep(60)
-        s1 = canonical_cs(0.2, -0.1, rep)
-        s2 = canonical_cs(p, q, rep)
+        family = canonical_family(build_fock_rep(60))
+        s1 = family.state(0.2, -0.1)
+        s2 = family.state(p, q)
         assert overlap(s1, s2) == pytest.approx(np.conj(overlap(s2, s1)), abs=1e-12)
 
-    def test_continuity_in_labels(self, fock200):
-        base = canonical_cs(0.5, 0.5, fock200)
+    def test_continuity_in_labels(self, canonical200):
+        base = canonical200.state(0.5, 0.5)
         deltas = [0.1, 0.05, 0.02, 0.01, 0.005]
-        gaps = [
-            abs(overlap(base, canonical_cs(0.5 + d, 0.5, fock200)) - 1.0) for d in deltas
-        ]
+        gaps = [abs(overlap(base, canonical200.state(0.5 + d, 0.5)) - 1.0) for d in deltas]
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] < 1e-4
 
@@ -407,25 +401,19 @@ class TestMetricNumeric:
             assert g.g_qq == pytest.approx(exact.g_qq, rel=1e-9)
             assert abs(g.g_pq) < 1e-9
 
-    def test_observed_order_at_least_two(self, affine_beta2, canonical200):
+    def test_central_differences_converge_at_second_order(self, affine_beta2, canonical200):
+        # the differences that fs_metric_numeric extrapolates, at steps large
+        # enough to sit above roundoff
         families = {
             "affine": (affine_beta2, 0.5, 1.2),
             "canonical": (canonical200, 0.9, 0.4),
             "spin": (spin_family(build_spin_rep(3.0)), 0.4, 0.2),
         }
         for family, p, q in families.values():
-            _, diag = fs_metric_numeric(family, p, q, h=2e-3, full_output=True)
-            assert diag["observed_order"] >= 1.9
-
-    def test_extrapolated_error_falls_at_least_second_order(self, canonical200):
-        # with the identity target the error of the extrapolated metric is
-        # measured directly; halving the step from 4e-3 cuts it by over 2^1.9
-        errs = []
-        for h in (4e-3, 2e-3, 1e-3):
-            g = fs_metric_numeric(canonical200, 0.9, 0.4, h=h)
-            errs.append(abs(g.g_pp - 1.0) + abs(g.g_qq - 1.0))
-        order = np.log2(errs[0] / errs[1])
-        assert order > 1.9
+            g1, g2, g4 = (_metric_from_map(family.state, p, q, h, family.rep.hbar)
+                          for h in (2e-3, 1e-3, 5e-4))
+            order = np.log2(np.max(np.abs(g1 - g2)) / np.max(np.abs(g2 - g4)))
+            assert order >= 1.9
 
     def test_phase_invariance(self, canonical200):
         wrapped = _PhaseWrapped(canonical200)
@@ -442,7 +430,7 @@ class TestMetricNumeric:
 
     def test_label_must_be_interior(self, affine_beta2):
         with pytest.raises(DomainError):
-            fs_metric_numeric(affine_beta2, 0.0, 5e-5, h=1e-4)
+            fs_metric_numeric(affine_beta2, 0.0, 5e-5)
 
     def test_positive_definite_on_interior(self, affine_beta2):
         g = fs_metric_numeric(affine_beta2, 0.3, 1.1)
@@ -570,6 +558,7 @@ class TestClosedFormsAgainstExponentials:
     @pytest.mark.parametrize("dim", [48, 80, 200])
     def test_canonical(self, dim):
         rep = build_fock_rep(dim)
+        family = canonical_family(rep)
         compared = 0
         for p in np.linspace(-3.0, 3.0, 7):
             for q in np.linspace(-3.0, 3.0, 7):
@@ -577,25 +566,28 @@ class TestClosedFormsAgainstExponentials:
                 if np.linalg.norm(ref[-DEFAULT_TRUNCATION_MARGIN:]) > CANONICAL_TAIL_TOL:
                     # too large for the basis on either route
                     with pytest.raises(CapacityError):
-                        canonical_cs(p, q, rep)
+                        family.state(p, q)
                     continue
-                assert_allclose(canonical_cs(p, q, rep).amplitudes, ref, rtol=0, atol=1e-12)
+                assert_allclose(family.state(p, q).amplitudes, ref, rtol=0, atol=1e-12)
                 compared += 1
         assert compared >= 9  # at dim 48 only |p|, |q| <= 1 fit
 
     @pytest.mark.parametrize("hbar", [0.5, 2.0])
     def test_canonical_hbar(self, hbar):
         rep = build_fock_rep(80, hbar)
+        family = canonical_family(rep)
         for p, q in [(0.0, 0.0), (0.7, -1.1), (-1.5, 0.4)]:
-            assert_allclose(canonical_cs(p, q, rep).amplitudes,
+            assert_allclose(family.state(p, q).amplitudes,
                             exponential_canonical(p, q, rep).amplitudes, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("s", [0.5, 2.5, 20.0])
     def test_spin(self, s):
         rep = build_spin_rep(s)
+        family = spin_family(rep)
+        sq = np.sqrt(s)
         for theta in (0.0, 0.4, 1.9, np.pi):
             for phi in (-np.pi * 0.999, -0.3, 0.0, 1.2, np.pi):
-                assert_allclose(spin_cs(theta, phi, rep).amplitudes,
+                assert_allclose(family.state(sq * np.cos(theta), sq * phi).amplitudes,
                                 exponential_spin(theta, phi, rep).amplitudes, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("s", [0.5, 2.5, 20.0])
@@ -614,14 +606,14 @@ class TestClosedFormsAgainstExponentials:
     @pytest.mark.parametrize("a,b", [(0.3, 0.0), (0.0, 0.1), (0.3, 0.1), (-0.2, -0.15)])
     def test_extended(self, a, b):
         rep = build_fock_rep(80)
+        family = extended_family(rep, a, b)
         for p, q in [(0.0, 0.0), (0.4, -0.7), (-1.0, 0.5)]:
             ref = exponential_canonical(p, q, rep)
             if b:
                 ref = apply_unitary(rep.D, 2.0 * b, ref)
             if a:
                 ref = apply_unitary(rep.quadrature_square(), a, ref)
-            assert_allclose(extended_cs(p, q, a, b, rep).amplitudes, ref.amplitudes,
-                            rtol=0, atol=1e-12)
+            assert_allclose(family.state(p, q).amplitudes, ref.amplitudes, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("family,points", [
         (canonical_family(build_fock_rep(48)), [(0.0, 0.0), (0.4, -0.7), (-1.2, 1.0)]),
@@ -645,7 +637,7 @@ class TestClosedFormsAgainstExponentials:
         # the series lies far past the basis; its tail still reaches the check,
         # and the estimate is the smallest dim with a tail below 1e-24 there
         with pytest.raises(CapacityError, match="estimated adequate dim is 11059"):
-            canonical_cs(100.0, 100.0, build_fock_rep(48))
+            canonical_family(build_fock_rep(48)).state(100.0, 100.0)
 
 
 class TestNoExponentialsOnTheClosedFormPaths:
@@ -672,12 +664,11 @@ class TestNoExponentialsOnTheClosedFormPaths:
         for family, (p, q) in [
             (canonical_family(build_fock_rep(48)), (0.4, -0.7)),
             (spin_family(build_spin_rep(2.5)), (0.5, 5.0)),
+            (spin_family(build_spin_rep(20.0)), (4.2, 0.9)),
         ]:
             family.state(p, q)
             family.tangent(p, q)
             fs_metric(family, p, q)
-        canonical_cs(0.4, -0.7, build_fock_rep(48))
-        spin_cs(0.3, 0.9, build_spin_rep(20.0))
         assert counts == {"eigh": 0, "apply_unitary": 0}
 
     def test_cli_runs(self, counts, tmp_path):
@@ -702,7 +693,7 @@ class TestNoExponentialsOnTheClosedFormPaths:
         assert counts == {"eigh": 0, "apply_unitary": 0}
 
     def test_extended_states_still_exponentiate(self, counts):
-        extended_cs(0.4, -0.7, 0.3, 0.1, build_fock_rep(80))
+        extended_family(build_fock_rep(80), 0.3, 0.1).state(0.4, -0.7)
         assert counts["apply_unitary"] > 0
         assert counts["eigh"] > 0
 

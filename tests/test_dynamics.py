@@ -748,6 +748,33 @@ class TestFlowValidation:
         assert len(calls) > n_big and traj.t[-1] == 4.0
         assert np.all(np.isfinite(traj.p)) and np.all(np.isfinite(traj.q))
 
+    @pytest.mark.parametrize("big", [(1e308, -1e308), (-1e308, 1e308)])
+    def test_first_rates_whose_scaled_norm_overflows_give_up_at_t0(self, big):
+        # finite first rates whose scaled norm overflows make the initial step
+        # 0; scipy's RK45 gives up at t = 0 on the same gradient
+        def counted():
+            calls = []
+
+            def gradient(p, q):
+                calls.append((p, q))
+                return big if len(calls) == 1 else (p, q)
+
+            return gradient
+
+        ham = EnhancedHamiltonian(lambda p, q: 0.5 * (p * p + q * q), counted())
+        with pytest.raises(NumericalFailure, match="integration failed at t = 0"):
+            hamiltonian_flow(ham, (0.3, 1.2), 4.0)
+
+        gradient = counted()
+
+        def rates(t, y):
+            gp, gq = gradient(*y)
+            return [-gq, gp]
+
+        with np.errstate(all="ignore"):
+            ref = solve_ivp(rates, (0.0, 4.0), [0.3, 1.2], rtol=1e-10, atol=1e-13)
+        assert ref.status == -1 and list(ref.t) == [0.0]
+
     @pytest.mark.parametrize("method", ["rk45", "leapfrog"])
     def test_non_finite_float64_gradient_gives_python_float_diagnostics(self, method):
         ham = EnhancedHamiltonian(

@@ -112,14 +112,14 @@ class TestEnhancedHydrogen:
     def test_route_consistency_of_coulomb_term(self):
         # the -C1/q term equals the direct grid expectation of e2/Q on the
         # dilated states (1/Q is diagonal there)
-        from enhq import affine_cs, affine_family
+        from enhq import affine_family
 
         params = HydrogenParams(beta=2.0)
         rep = build_halfline_rep(1e-5, 20.0, 4000, hbar=params.hbar)
         family = affine_family(rep, params.beta)
         ham = hydrogen_enhanced(params)
         for p, q in [(0.0, 1.0), (0.5, 2.2), (-0.7, 0.6)]:
-            psi = affine_cs(p, q, family)
+            psi = family.state(p, q)
             dens = np.abs(psi.amplitudes) ** 2
             direct = params.e2 * float(dens @ (1.0 / rep.grid))
             assert direct == pytest.approx(ham.c1 / q, rel=1e-8)
@@ -206,13 +206,9 @@ class TestSpinPrecession:
             assert ham(p, q) == pytest.approx(matrix_route(p, q), abs=1e-10)
 
     def test_value_is_rotated_generator_expectation(self):
-        from enhq import spin_cs
-
         rep = build_spin_rep(2.5)
         ham = spin_precession(2.0, rep)
-        theta, phi = 0.8, -0.5
-        psi = spin_cs(theta, phi, rep)
         sq = np.sqrt(2.5)
-        p = sq * np.cos(theta)
-        q = sq * phi
+        p, q = sq * np.cos(0.8), sq * -0.5
+        psi = spin_family(rep).state(p, q)
         assert ham(p, q) == pytest.approx(2.0 * expectation(psi, rep.S3).real, abs=1e-12)

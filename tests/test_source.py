@@ -1,11 +1,14 @@
 """Static checks on the library source."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import enhq
 
 SOURCE = Path(enhq.__file__).parent
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 # (module, qualified function name, parameter) left unread on purpose; a
 # method's receiver (self, cls) is not counted, since an override may not
@@ -15,6 +18,7 @@ ALLOWED_UNREAD = set()
 # (module, name) imported but not used there, on purpose
 ALLOWED_UNUSED_IMPORTS = {
     # perfbench/tracer.py wraps enhq.dynamics.solve_ivp, looked up by name
+    # (test_every_name_the_tracer_wraps_resolves)
     ("dynamics.py", "solve_ivp"),
 }
 
@@ -83,3 +87,18 @@ def test_the_check_sees_an_unused_import():
     tree = ast.parse("from __future__ import annotations\nimport os.path\n"
                      "from math import pi as PI, tau\n\nprint(os.sep, tau)\n")
     assert _unused_imports(tree, "m.py") == [("m.py", "PI")]
+
+
+def test_every_name_the_tracer_wraps_resolves():
+    # perfbench/tracer.py replaces these by name when it installs; a name
+    # that a refactor moved or removed breaks every traced benchmark run.
+    # The tracer module is loaded, not installed.
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for _, module, attr in tracer._MODULE_FUNCTIONS:
+        assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
+    for _, module, cls_name, attr in tracer._METHODS:
+        cls = getattr(importlib.import_module(module), cls_name)
+        # on the class itself: a subclass's copy would escape the wrapper
+        assert callable(vars(cls).get(attr)), (module, cls_name, attr)
