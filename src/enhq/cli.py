@@ -59,6 +59,10 @@ EXPERIMENTS = (
 
 SUITES = ("label_means", "flat_metric", "fiducial_moments", "curvature", "energy_drift")
 
+# [lo, hi, count] of one label axis
+_GRID_AXIS = {"type": "array", "minItems": 3, "maxItems": 3, "prefixItems": [
+    {"type": "number"}, {"type": "number"}, {"type": "integer", "minimum": 1}]}
+
 _SCHEMA = {
     "type": "object",
     "additionalProperties": False,
@@ -105,7 +109,6 @@ _SCHEMA = {
                 "e2": {"type": "number", "exclusiveMinimum": 0},
                 "beta": {"type": "number", "exclusiveMinimum": 0},
                 "B": {"type": "number"},
-                "s": {"type": "number", "exclusiveMinimum": 0},
             },
         },
         "hamiltonian": {
@@ -126,8 +129,8 @@ _SCHEMA = {
                     "additionalProperties": False,
                     "required": ["p", "q"],
                     "properties": {
-                        "p": {"type": "array", "minItems": 3, "maxItems": 3},
-                        "q": {"type": "array", "minItems": 3, "maxItems": 3},
+                        "p": _GRID_AXIS,
+                        "q": _GRID_AXIS,
                     },
                 },
                 "random": {
@@ -250,37 +253,83 @@ def _hbar(cfg) -> float:
     return float(cfg.get("hbar", 1.0))
 
 
-def _checked(cfg, rep):
-    # a representation.kind the config names must be the one built
-    kind = cfg.get("representation", {}).get("kind", rep.kind)
-    if kind != rep.kind:
-        raise ConfigError(f"config error at representation.kind: {kind!r} does not match "
-                          f"the {rep.kind!r} representation this config builds")
-    return rep
+# the representation each family kind, model and verify suite lives on; the
+# limit study enhances canonical expressions, compare_hydrogen runs both
+# hydrogen models, and the curvature suite checks closed forms at fixed
+# parameters, so it imposes no kind
+_REPRESENTATION_KIND = {
+    **dict.fromkeys(("canonical", "extended", "harmonic", "limit_study",
+                     "label_means", "flat_metric", "energy_drift"), "line"),
+    **dict.fromkeys(("affine", "hydrogen_classical", "hydrogen_enhanced", "compare_hydrogen",
+                     "fiducial_moments"), "halfline"),
+    **dict.fromkeys(("spin", "spin_precession"), "spin"),
+    "curvature": None,
+}
+
+_REPRESENTATION_DEFAULTS = {
+    "dim": 200, "x_min": 1e-5, "x_max": 60.0, "n": 3000, "spacing": "geometric", "s": 0.5,
+}
+
+_FAMILIES = {
+    "canonical": lambda rep, fam: canonical_family(rep),
+    "extended": lambda rep, fam: extended_family(rep, fam.get("a", 0.0), fam.get("b", 0.0)),
+    "affine": lambda rep, fam: affine_family(rep, fam.get("beta", 2.0)),
+    "spin": lambda rep, fam: spin_family(rep),
+}
+
+_HARMONIC = "0.5*P^2 + 0.5*Q^2"
 
 
-def _build_family(cfg) -> CoherentFamily:
-    fam = cfg.get("family", {})
-    kind = fam.get("kind", "canonical")
-    rep_cfg = cfg.get("representation", {})
-    hbar = _hbar(cfg)
-    if kind in ("canonical", "extended"):
-        rep = _checked(cfg, build_fock_rep(rep_cfg.get("dim", 200), hbar))
-        if kind == "extended":
-            return extended_family(rep, fam.get("a", 0.0), fam.get("b", 0.0))
-        return canonical_family(rep)
-    if kind == "affine":
-        rep = _checked(cfg, build_halfline_rep(
-            rep_cfg.get("x_min", 1e-5),
-            rep_cfg.get("x_max", 60.0),
-            rep_cfg.get("n", 3000),
-            hbar,
-            rep_cfg.get("spacing", "geometric"),
-        ))
-        return affine_family(rep, fam.get("beta", 2.0))
-    if kind == "spin":
-        return spin_family(_checked(cfg, build_spin_rep(rep_cfg.get("s", 0.5), hbar)))
-    raise ConfigError(f"family.kind: unknown kind {kind!r}")
+def _check_kind(cfg, names):
+    # a representation.kind the config names must be the one each part lives on
+    kind = cfg.get("representation", {}).get("kind")
+    for name in names:
+        built = _REPRESENTATION_KIND[name]
+        if kind is not None and built is not None and kind != built:
+            raise ConfigError(f"config error at representation.kind: {name!r} lives on the "
+                              f"{built!r} representation, not {kind!r}")
+
+
+def _family_kind(cfg, default="canonical"):
+    return cfg.get("family", {}).get("kind", default)
+
+
+def _subject(cfg) -> str:
+    """The table key of what an experiment builds: its model, family kind or itself."""
+    experiment = cfg["experiment"]
+    if experiment in ("limit_study", "compare_hydrogen"):
+        return experiment
+    if experiment not in ("evolve", "transform_check"):
+        return _family_kind(cfg)
+    if "model" in cfg:
+        if "name" not in cfg["model"]:
+            raise ConfigError("model.name: required")
+        return cfg["model"]["name"]
+    if "hamiltonian" not in cfg:
+        raise ConfigError("either model or hamiltonian is required")
+    return _family_kind(cfg, cfg["hamiltonian"].get("variables", "canonical"))
+
+
+def _representation(cfg, kind, hbar=None, **derived):
+    # one default per key; a value in the config wins over a derived one
+    r = {**_REPRESENTATION_DEFAULTS, **derived, **cfg.get("representation", {})}
+    hbar = _hbar(cfg) if hbar is None else hbar
+    if kind == "line":
+        return build_fock_rep(r["dim"], hbar)
+    if kind == "halfline":
+        return build_halfline_rep(r["x_min"], r["x_max"], r["n"], hbar, r["spacing"])
+    return build_spin_rep(r["s"], hbar)
+
+
+def _build_family(cfg, kind, **derived) -> CoherentFamily:
+    rep = _representation(cfg, _REPRESENTATION_KIND[kind], **derived)
+    return _FAMILIES[kind](rep, cfg.get("family", {}))
+
+
+def _enhanced(cfg, poly, kind):
+    # canonical moments are exact once dim > degree, so the dim a config leaves
+    # out is derived from the polynomial
+    return enhance(poly, _build_family(cfg, kind, dim=poly.degree + 2))
 
 
 def _label_points(cfg):
@@ -290,7 +339,7 @@ def _label_points(cfg):
     if "grid" in lab:
         p_lo, p_hi, n_p = lab["grid"]["p"]
         q_lo, q_hi, n_q = lab["grid"]["q"]
-        if int(n_p) < 1 or int(n_q) < 1 or p_hi < p_lo or q_hi < q_lo:
+        if p_hi < p_lo or q_hi < q_lo:
             raise ConfigError("labels.grid: empty label range")
         ps = np.linspace(p_lo, p_hi, int(n_p))
         qs = np.linspace(q_lo, q_hi, int(n_q))
@@ -324,34 +373,18 @@ def _hydrogen_params(cfg) -> HydrogenParams:
 
 
 def _build_hamiltonian(cfg):
-    model = cfg.get("model")
-    if model is not None:
-        name = model.get("name")
-        if name is None:
-            raise ConfigError("model.name: required")
-        hbar = _hbar(cfg)
-        if name == "harmonic":
-            dim = cfg.get("representation", {}).get("dim", 64)
-            family = canonical_family(_checked(cfg, build_fock_rep(dim, hbar)))
-            poly = parse_polynomial("0.5*P^2 + 0.5*Q^2", "canonical")
-            return enhance(poly, family)
-        if name == "hydrogen_classical":
-            return hydrogen_classical(_hydrogen_params(cfg))
-        if name == "hydrogen_enhanced":
-            return hydrogen_enhanced(_hydrogen_params(cfg))
-        if name == "spin_precession":
-            rep = _checked(cfg, build_spin_rep(model.get("s", 0.5), hbar))
-            return spin_precession(model.get("B", 1.0), rep)
-        raise ConfigError(f"model.name: unknown model {name!r}")
-    ham = cfg.get("hamiltonian")
-    if ham is None:
-        raise ConfigError("either model or hamiltonian is required")
-    variables = ham.get("variables", "canonical")
-    poly = parse_polynomial(ham["expression"], variables)
-    family_cfg = dict(cfg)
-    family_cfg.setdefault("family", {"kind": variables})
-    family = _build_family(family_cfg)
-    return enhance(poly, family)
+    name = _subject(cfg)
+    if name == "harmonic":
+        return _enhanced(cfg, parse_polynomial(_HARMONIC, "canonical"), "canonical")
+    if name == "hydrogen_classical":
+        return hydrogen_classical(_hydrogen_params(cfg))
+    if name == "hydrogen_enhanced":
+        return hydrogen_enhanced(_hydrogen_params(cfg))
+    if name == "spin_precession":
+        return spin_precession(cfg["model"].get("B", 1.0), _representation(cfg, "spin"))
+    # an expression, enhanced on family.kind (by default its variables)
+    ham = cfg["hamiltonian"]
+    return _enhanced(cfg, parse_polynomial(ham["expression"], ham.get("variables", "canonical")), name)
 
 
 def _transform_from_config(cfg):
@@ -367,55 +400,37 @@ def _transform_from_config(cfg):
 # experiments
 # ---------------------------------------------------------------------------
 
+# the expectation columns on each representation: (column, letter, statistic)
+_EXPECTATION_COLUMNS = {
+    "line": (("mean_p", "P", "mean"), ("mean_q", "Q", "mean"),
+             ("var_p", "P", "var"), ("var_q", "Q", "var")),
+    "halfline": (("mean_q", "Q", "mean"), ("mean_q2", "Q", "square"), ("mean_p2", "P", "square")),
+    "spin": (("mean_s3", "S3", "mean"),),
+}
+
+_STATISTICS = {
+    "mean": lambda psi, op: float(expectation(psi, op).real),
+    "var": variance,
+    "square": lambda psi, op: variance(psi, op) + float(expectation(psi, op).real) ** 2,
+}
+
+
+def _expectation_row(family, columns, p, q) -> list:
+    psi = family.state(p, q)
+    return [_STATISTICS[stat](psi, family.letters[letter]) for _, letter, stat in columns]
+
+
 def _run_expectation(cfg, out, stamp):
-    family = _build_family(cfg)
-    points = _label_points(cfg)
-    rows = []
-    if family.kind in ("canonical", "extended"):
-        rep = family.rep
-        columns = ["p", "q", "mean_p", "mean_q", "var_p", "var_q"]
-        for p, q in points:
-            psi = family.state(p, q)
-            rows.append(
-                (
-                    p,
-                    q,
-                    float(expectation(psi, rep.P).real),
-                    float(expectation(psi, rep.Q).real),
-                    variance(psi, rep.P),
-                    variance(psi, rep.Q),
-                )
-            )
-    elif family.kind == "affine":
-        rep = family.rep
-        columns = ["p", "q", "mean_q", "mean_q2", "mean_p2"]
-        x = rep.grid
-        for p, q in points:
-            psi = family.state(p, q)
-            dens = np.abs(psi.amplitudes) ** 2
-            p_psi = rep.P_formal @ psi.amplitudes
-            rows.append(
-                (
-                    p,
-                    q,
-                    float(dens @ x),
-                    float(dens @ (x * x)),
-                    float(np.real(np.vdot(p_psi, p_psi))),
-                )
-            )
-    else:
-        rep = family.rep
-        columns = ["p", "q", "mean_s3"]
-        for p, q in points:
-            psi = family.state(p, q)
-            rows.append((p, q, float(expectation(psi, rep.S3).real)))
+    family = _build_family(cfg, _family_kind(cfg))
+    columns = _EXPECTATION_COLUMNS[family.rep.kind]
+    rows = [(p, q, *_expectation_row(family, columns, p, q)) for p, q in _label_points(cfg)]
     path = out / "expectation.csv"
-    _write_csv(path, cfg, stamp, columns, rows)
+    _write_csv(path, cfg, stamp, ["p", "q", *(column for column, _, _ in columns)], rows)
     return [path]
 
 
 def _run_metric(cfg, out, stamp):
-    family = _build_family(cfg)
+    family = _build_family(cfg, _family_kind(cfg))
     rows = []
     for p, q in _label_points(cfg):
         g = fs_metric(family, p, q)
@@ -426,19 +441,15 @@ def _run_metric(cfg, out, stamp):
 
 
 def _run_curvature(cfg, out, stamp):
-    fam = cfg.get("family", {})
-    kind = fam.get("kind", "canonical")
+    kind = _family_kind(cfg)
     if kind == "extended":
         raise ConfigError("family.kind: no closed-form curvature for extended families")
-    hbar = _hbar(cfg)
-    kwargs = {"hbar": hbar}
+    kwargs = {"hbar": _hbar(cfg)}
     if kind == "affine":
-        kwargs["beta"] = fam.get("beta", 2.0)
+        kwargs["beta"] = cfg.get("family", {}).get("beta", 2.0)
     if kind == "spin":
-        kwargs["s"] = cfg.get("representation", {}).get("s", 0.5)
-    rows = []
-    for p, q in _label_points(cfg):
-        rows.append((p, q, scalar_curvature(kind, p, q, **kwargs)))
+        kwargs["s"] = cfg.get("representation", {}).get("s", _REPRESENTATION_DEFAULTS["s"])
+    rows = [(p, q, scalar_curvature(kind, p, q, **kwargs)) for p, q in _label_points(cfg)]
     path = out / "curvature.csv"
     _write_csv(path, cfg, stamp, ["p", "q", "curvature"], rows)
     return [path]
@@ -543,12 +554,12 @@ def _run_limit_study(cfg, out, stamp):
         raise ConfigError("limit_study supports canonical expressions")
     poly = parse_polynomial(ham_cfg["expression"], "canonical")
     hbars = cfg.get("hbar_sequence", [1.0, 0.5, 0.25, 0.125])
-    dim = cfg.get("representation", {}).get("dim", poly.degree + 2)
 
     @functools.cache
     def builder(hbar):
         # one representation and label function per hbar, shared by the label points
-        return enhance(poly, canonical_family(_checked(cfg, build_fock_rep(dim, hbar))))
+        rep = _representation(cfg, "line", hbar, dim=poly.degree + 2)
+        return enhance(poly, canonical_family(rep))
 
     rows = []
     for p, q in _label_points(cfg):
@@ -587,6 +598,7 @@ def run(cfg: dict, out_dir=None, stamp=False, verbose=False) -> list:
     out = Path(out_dir) if out_dir is not None else Path(cfg.get("output", {}).get("dir", "."))
     runner = _RUNNERS[experiment]
     # validate everything cheap before creating the output directory
+    _check_kind(cfg, [_subject(cfg)])
     if experiment in ("expectation", "metric", "curvature", "limit_study"):
         _label_points(cfg)
     # a failed run removes the directories it created, and what it wrote there
@@ -627,32 +639,23 @@ def _check(name, measured, expected, tolerance):
 
 
 def _suite_label_means(cfg):
-    hbar = _hbar(cfg)
-    rep = _checked(cfg, build_fock_rep(cfg.get("representation", {}).get("dim", 300), hbar))
-    family = canonical_family(rep)
+    # the expectation columns mean_p, mean_q, var_p, var_q against p, q, hbar/2, hbar/2
+    family = _build_family(cfg, "canonical")
+    half = family.rep.hbar / 2
     rng = np.random.default_rng(int(cfg.get("seed", 0)))
-    pts = rng.uniform(-3.0, 3.0, size=(50, 2))
-    dev_p = dev_q = dev_var = 0.0
-    for p, q in pts:
-        psi = family.state(p, q)
-        dev_p = max(dev_p, abs(float(expectation(psi, rep.P).real) - p))
-        dev_q = max(dev_q, abs(float(expectation(psi, rep.Q).real) - q))
-        dev_var = max(
-            dev_var,
-            abs(variance(psi, rep.P) - hbar / 2),
-            abs(variance(psi, rep.Q) - hbar / 2),
-        )
+    dev = np.zeros(4)
+    for p, q in rng.uniform(-3.0, 3.0, size=(50, 2)):
+        stats = _expectation_row(family, _EXPECTATION_COLUMNS["line"], p, q)
+        dev = np.maximum(dev, np.abs(np.subtract(stats, (p, q, half, half))))
     return [
-        _check("max |<P> - p|", dev_p, 0.0, 1e-8),
-        _check("max |<Q> - q|", dev_q, 0.0, 1e-8),
-        _check("max |Var - hbar/2|", dev_var, 0.0, 1e-8),
+        _check("max |<P> - p|", dev[0], 0.0, 1e-8),
+        _check("max |<Q> - q|", dev[1], 0.0, 1e-8),
+        _check("max |Var - hbar/2|", max(dev[2], dev[3]), 0.0, 1e-8),
     ]
 
 
 def _suite_flat_metric(cfg):
-    dim = cfg.get("representation", {}).get("dim", 160)
-    rep = _checked(cfg, build_fock_rep(dim, _hbar(cfg)))
-    family = canonical_family(rep)
+    family = _build_family(cfg, "canonical")
     worst = 0.0
     for p in np.linspace(-1, 1, 5):
         for q in np.linspace(-1, 1, 5):
@@ -662,15 +665,9 @@ def _suite_flat_metric(cfg):
 
 
 def _suite_fiducial_moments(cfg):
-    hbar = _hbar(cfg)
-    beta = cfg.get("family", {}).get("beta", 2.0)
-    rep_cfg = cfg.get("representation", {})
-    rep = _checked(cfg, build_halfline_rep(
-        rep_cfg.get("x_min", 1e-5), rep_cfg.get("x_max", 60.0), rep_cfg.get("n", 4000), hbar
-    ))
-    family = affine_family(rep, beta)
+    family = _build_family(cfg, "affine")
     m = fiducial_moments(family)
-    c2 = fiducial_p2_closed(beta, hbar)
+    c2 = fiducial_p2_closed(family.beta, family.rep.hbar)
     return [
         _check("<Q>", m["q1"], 1.0, 1e-6),
         _check("<D>", abs(m["d"]), 0.0, 1e-6),
@@ -691,9 +688,7 @@ def _suite_curvature(cfg):
 
 
 def _suite_energy_drift(cfg):
-    hbar = _hbar(cfg)
-    family = canonical_family(_checked(cfg, build_fock_rep(48, hbar)))
-    ham = enhance(parse_polynomial("0.5*P^2 + 0.5*Q^2", "canonical"), family)
+    ham = _enhanced(cfg, parse_polynomial(_HARMONIC, "canonical"), "canonical")
     traj = hamiltonian_flow(ham, PhasePoint(0.0, 1.0), 4.0 * np.pi, tol=1e-10)
     drift = float(np.max(np.abs(traj.energy - traj.energy[0])) / abs(traj.energy[0]))
     return [_check("max relative energy drift", drift, 0.0, 1e-8)]
@@ -715,6 +710,7 @@ def report_verify(cfg: dict, out_dir=None, stamp=False) -> tuple[dict, int]:
     suites = cfg.get("suites")
     if not suites:
         raise ConfigError("suites: at least one suite is required")
+    _check_kind(cfg, suites)
     report = {"suites": {}, "passed": True}
     for name in suites:
         checks = _SUITE_RUNNERS[name](cfg)
@@ -786,10 +782,7 @@ def main(argv=None) -> int:
             return 0
         _, code = report_verify(cfg, args.out, stamp=args.stamp)
         return code
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DomainError, ValueError) as exc:
+    except (DomainError, ValueError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalFailure as exc:

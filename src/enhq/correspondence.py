@@ -194,8 +194,17 @@ def classical_value(poly: OperatorPolynomial, p: float, q: float) -> float:
     return total
 
 
+def _check_alphabet(poly: OperatorPolynomial, family: CoherentFamily) -> None:
+    if poly.variable_set != family.kind:
+        raise ValueError(
+            f"polynomial over the {poly.variable_set} alphabet is incompatible with a "
+            f"{family.kind} family"
+        )
+
+
 def poly_expectation(poly: OperatorPolynomial, family: CoherentFamily, p: float, q: float) -> complex:
     """Complex ``<p,q| poly |p,q>`` by direct matrix products on the state."""
+    _check_alphabet(poly, family)
     psi = family.state(p, q)
     mats = family.letters
     total = 0.0 + 0.0j
@@ -360,11 +369,7 @@ def enhance(poly: OperatorPolynomial, family: CoherentFamily) -> EnhancedHamilto
     function raises :class:`DomainError` at ``q <= 0``.  Spin polynomials are
     evaluated directly on the rotated states.
     """
-    if poly.variable_set != family.kind:
-        raise ValueError(
-            f"polynomial over the {poly.variable_set} alphabet is incompatible with a "
-            f"{family.kind} family"
-        )
+    _check_alphabet(poly, family)
     hbar = family.rep.hbar
     if family.shifted is not None:
         label_poly = _label_polynomial(poly, family)
@@ -398,6 +403,7 @@ def shift_identity_check(poly: OperatorPolynomial, family: CoherentFamily, sampl
     """
     if family.kind != "canonical":
         raise ValueError("the shift identity applies to canonical families")
+    _check_alphabet(poly, family)
     label_poly = _label_polynomial(poly, family)
     rows = []
     for p, q in samples:

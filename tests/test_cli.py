@@ -60,9 +60,10 @@ class TestValidation:
         assert "line" in capsys.readouterr().err
 
     def test_empty_label_range_writes_nothing(self, tmp_path, capsys):
+        # a zero point count is a schema error (test_rejected_keys_write_nothing)
         cfg = {
             "experiment": "metric",
-            "labels": {"grid": {"p": [0, 1, 0], "q": [0, 1, 3]}},
+            "labels": {"grid": {"p": [1, 0, 3], "q": [0, 1, 3]}},
         }
         out = tmp_path / "out"
         code = main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)])
@@ -74,20 +75,30 @@ class TestValidation:
         code = main(["run", "--config", write_config(tmp_path, {"seed": 1})])
         assert code == 2
 
-    @pytest.mark.parametrize("command,cfg", [
+    @pytest.mark.parametrize("command,cfg,path", [
         ("run", {"experiment": "metric", "labels": {"grid": {"p": [0, 0, 1], "q": [0, 0, 1]}},
-                 "output": {"format": "json"}}),
-        ("verify", {"suites": ["curvature"], "output": {"format": "csv"}}),
+                 "output": {"format": "json"}}, "output.format"),
+        ("verify", {"suites": ["curvature"], "output": {"format": "csv"}}, "output.format"),
         ("run", {"experiment": "evolve", "model": {"name": "harmonic"},
-                 "integrator": {"method": "dop853"}}),
-    ], ids=["metric-format", "verify-format", "dop853"])
-    def test_rejected_keys_write_nothing(self, tmp_path, capsys, command, cfg):
-        # output.format is read by evolve alone; dop853 is no longer a method
+                 "integrator": {"method": "dop853"}}, "integrator.method"),
+        ("run", {"experiment": "metric", "labels": {"grid": {"p": ["a", 1, 3], "q": [0, 1, 3]}}},
+         "labels.grid.p.0"),
+        ("run", {"experiment": "metric", "labels": {"grid": {"p": [0, 1, 2.5], "q": [0, 1, 3]}}},
+         "labels.grid.p.2"),
+        ("run", {"experiment": "metric", "labels": {"grid": {"p": [0, 1, 0], "q": [0, 1, 3]}}},
+         "labels.grid.p.2"),
+        ("run", {"experiment": "evolve", "model": {"name": "spin_precession", "s": 2.0}},
+         "model"),
+    ], ids=["metric-format", "verify-format", "dop853", "grid-text-bound", "grid-fractional-count",
+            "grid-zero-count", "model-s"])
+    def test_rejected_keys_write_nothing(self, tmp_path, capsys, command, cfg, path):
+        # output.format is read by evolve alone; dop853 is no longer a method;
+        # a grid axis is [lo, hi, count] with an integer count of at least 1;
+        # the spin size is representation.s alone
         out = tmp_path / "out"
         assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        path = "output.format" if "output" in cfg else "integrator.method"
-        assert err.startswith(f"error: config error at {path}") and err.count("\n") == 1
+        assert err.startswith(f"error: config error at {path}:") and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("command,cfg", [
@@ -103,15 +114,33 @@ class TestValidation:
                  "labels": {"grid": {"p": [0, 0, 1], "q": [0, 0, 1]}}}),
         ("verify", {"suites": ["curvature", "fiducial_moments"],
                     "representation": {"kind": "line"}}),
+        ("run", {"experiment": "curvature", "family": {"kind": "spin"},
+                 "representation": {"kind": "line", "s": 2},
+                 "labels": {"grid": {"p": [0, 0.5, 2], "q": [0, 0.5, 2]}}}),
+        ("run", {"experiment": "compare_hydrogen", "representation": {"kind": "spin", "s": 3}}),
     ], ids=["spin-as-fock", "halfline-as-spin", "line-as-spin", "halfline-as-fock",
-            "line-as-halfline"])
+            "line-as-halfline", "line-as-spin-curvature", "spin-as-halfline-hydrogen"])
     def test_representation_kind_must_be_the_one_built(self, tmp_path, capsys, command, cfg):
+        # checked before any suite prints and before the directory is made
         out = tmp_path / "fresh" / "out"
         assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: config error at representation.kind")
-        assert err.count("\n") == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: config error at representation.kind")
+        assert captured.err.count("\n") == 1 and captured.out == ""
         assert not (tmp_path / "fresh").exists()
+
+    def test_every_schema_subject_has_one_representation(self):
+        # a family kind, model or suite missing from the table would skip the
+        # kind check; each representation kind must build its own kind
+        props = _SCHEMA["properties"]
+        subjects = [*props["family"]["properties"]["kind"]["enum"],
+                    *props["model"]["properties"]["name"]["enum"],
+                    *props["suites"]["items"]["enum"]]
+        assert len(subjects) == len(set(subjects))
+        assert set(subjects) <= set(enhq.cli._REPRESENTATION_KIND)
+        cfg = {"representation": {"dim": 4, "n": 16}}
+        for kind in props["representation"]["properties"]["kind"]["enum"]:
+            assert enhq.cli._representation(cfg, kind).kind == kind
 
 
 class TestLibraryErrors:
@@ -293,7 +322,8 @@ class TestExperiments:
         # p is constant and the azimuth q / sqrt(s hbar) advances at rate B
         cfg = {
             "experiment": "evolve",
-            "model": {"name": "spin_precession", "B": 0.7, "s": 2.0},
+            "model": {"name": "spin_precession", "B": 0.7},
+            "representation": {"s": 2.0},
             "x0": [0.5, 0.1],
             "integrator": {"t_final": 3.0, "n_samples": 31},
         }

@@ -264,9 +264,15 @@ class TestEnhanceSpin:
         ham = enhance(parse_polynomial("S1^2 + S2^2 + S3^2", "spin"), family)
         assert ham(0.2, 0.5) == pytest.approx(1.5 * 2.5, abs=1e-12)
 
-    def test_incompatible_pairing_rejected(self, canonical200):
+    @pytest.mark.parametrize("route,expression,variables", [
+        (enhance, "S3", "spin"),
+        (lambda poly, family: poly_expectation(poly, family, 0.1, 0.2), "S3", "spin"),
+        (lambda poly, family: shift_identity_check(poly, family, [(0.1, 0.2)]), "D", "affine"),
+    ], ids=["enhance", "poly_expectation", "shift_identity_check"])
+    def test_incompatible_pairing_rejected(self, canonical200, route, expression, variables):
+        # every route checks the alphabet before it looks up a letter
         with pytest.raises(ValueError, match="incompatible"):
-            enhance(parse_polynomial("S3", "spin"), canonical200)
+            route(parse_polynomial(expression, variables), canonical200)
 
 
 class TestShiftIdentity:
