@@ -47,17 +47,28 @@ from .errors import CapacityError, DomainError, NumericalFailure
 from .hilbert import build_fock_rep, build_halfline_rep, build_spin_rep, expectation, variance
 from .models import HydrogenParams, hydrogen_classical, hydrogen_enhanced, min_radius, spin_precession
 
-EXPERIMENTS = (
-    "expectation",
-    "metric",
-    "curvature",
-    "evolve",
-    "compare_hydrogen",
-    "transform_check",
-    "limit_study",
-)
+_MODELS = ("harmonic", "hydrogen_classical", "hydrogen_enhanced", "spin_precession")
+_LABELLED = ("hbar", "seed", "representation", "family", "labels")
+_FLOW = ("hbar", "model", "x0", "integrator")
+_EXPRESSION = ("representation", "family", "hamiltonian")
+
+# each experiment, the top-level keys its runner reads besides experiment and
+# output (output.format is evolve's alone), and the models it can run; run
+# rejects any other key or model, which would be silently ignored
+EXPERIMENTS = {
+    "expectation": (_LABELLED, ()),
+    "metric": (_LABELLED, ()),
+    "curvature": (_LABELLED, ()),
+    "evolve": ((*_FLOW, *_EXPRESSION, "output.format"), _MODELS),
+    "compare_hydrogen": ((*_FLOW, "horizon_factor"), ("hydrogen_classical", "hydrogen_enhanced")),
+    "transform_check": ((*_FLOW, *_EXPRESSION, "transform"), _MODELS),
+    "limit_study": (("seed", "representation", "hamiltonian", "labels", "hbar_sequence"), ()),
+}
 
 SUITES = ("label_means", "flat_metric", "fiducial_moments", "curvature", "energy_drift")
+
+# the top-level keys the suites read besides output
+_VERIFY_READS = ("suites", "hbar", "seed", "representation", "family")
 
 # [lo, hi, count] of one label axis
 _GRID_AXIS = {"type": "array", "minItems": 3, "maxItems": 3, "prefixItems": [
@@ -97,14 +108,7 @@ _SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "name": {
-                    "enum": [
-                        "harmonic",
-                        "hydrogen_classical",
-                        "hydrogen_enhanced",
-                        "spin_precession",
-                    ]
-                },
+                "name": {"enum": list(_MODELS)},
                 "m": {"type": "number", "exclusiveMinimum": 0},
                 "e2": {"type": "number", "exclusiveMinimum": 0},
                 "beta": {"type": "number", "exclusiveMinimum": 0},
@@ -207,11 +211,6 @@ def validate_config(cfg: dict) -> dict:
     return cfg
 
 
-def _no_output_format(cfg):
-    if "format" in cfg.get("output", {}):
-        raise ConfigError("config error at output.format: only the evolve experiment reads it")
-
-
 def config_hash(cfg: dict) -> str:
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
@@ -302,6 +301,9 @@ def _subject(cfg) -> str:
     if experiment not in ("evolve", "transform_check"):
         return _family_kind(cfg)
     if "model" in cfg:
+        for key in ("hamiltonian", "family"):
+            if key in cfg:
+                raise ConfigError(f"config error at {key}: {experiment} follows the model")
         if "name" not in cfg["model"]:
             raise ConfigError("model.name: required")
         return cfg["model"]["name"]
@@ -587,19 +589,32 @@ _RUNNERS = {
 }
 
 
+def _check_reads(cfg, command, reads, models=()):
+    # a block the command never reads, or a model it cannot run, would be silently ignored
+    for key in cfg:
+        if key not in ("output", *reads):
+            raise ConfigError(f"config error at {key}: {command} does not read it")
+    if "format" in cfg.get("output", {}) and "output.format" not in reads:
+        raise ConfigError(f"config error at output.format: {command} does not read it")
+    name = cfg.get("model", {}).get("name")
+    if name is not None and name not in models:
+        raise ConfigError(f"config error at model.name: {command} does not run {name!r}")
+
+
 def run(cfg: dict, out_dir=None, stamp=False, verbose=False) -> list:
     """Execute one experiment; returns the list of written paths."""
     validate_config(cfg)
     experiment = cfg.get("experiment")
     if experiment is None:
         raise ConfigError("experiment: required")
-    if experiment != "evolve":
-        _no_output_format(cfg)
     out = Path(out_dir) if out_dir is not None else Path(cfg.get("output", {}).get("dir", "."))
     runner = _RUNNERS[experiment]
-    # validate everything cheap before creating the output directory
+    reads, models = EXPERIMENTS[experiment]
+    # validate everything cheap before creating the output directory; a wrong
+    # representation.kind is named as such, before the keys are checked
     _check_kind(cfg, [_subject(cfg)])
-    if experiment in ("expectation", "metric", "curvature", "limit_study"):
+    _check_reads(cfg, experiment, ("experiment", *reads), models)
+    if "labels" in reads:
         _label_points(cfg)
     # a failed run removes the directories it created, and what it wrote there
     created = [d for d in (out, *out.parents) if not d.exists()]
@@ -706,7 +721,7 @@ _SUITE_RUNNERS = {
 def report_verify(cfg: dict, out_dir=None, stamp=False) -> tuple[dict, int]:
     """Run the requested invariant suites; returns (report, exit_code)."""
     validate_config(cfg)
-    _no_output_format(cfg)
+    _check_reads(cfg, "verify", _VERIFY_READS)
     suites = cfg.get("suites")
     if not suites:
         raise ConfigError("suites: at least one suite is required")

@@ -7,7 +7,7 @@ function:
 * canonical: ``exp(-i q P / hbar) exp(i p Q / hbar) |0>`` on the line, with
   the oscillator ground state as fiducial, labels ``(p, q)`` ranging over the
   whole plane;
-* extended: the canonical state followed by the squeezers
+* extended: the canonical state followed by the rotation and squeeze
   ``exp(-i a (P^2 + Q^2) / hbar) exp(-i b (PQ + QP) / hbar)`` at fixed
   ``(a, b)``;
 * affine: ``exp(i p Q / hbar) exp(-i log(q) D / hbar) |beta>`` on the half
@@ -18,15 +18,16 @@ function:
   ``q = sqrt(s hbar) phi``; the family takes every real ``q`` (the azimuth
   is periodic) and ``p^2 <= s hbar``.
 
-The canonical and spin states are built in closed form, not by exponentiating
-the generators: the canonical state is Glauber's Poisson series
+Every state is built in closed form, not by exponentiating the generators:
+the canonical state is Glauber's Poisson series
 ``e^{-ipq/2hbar} e^{-|a|^2/2} a^n / sqrt(n!)`` with ``a = (q + ip) / sqrt(2 hbar)``,
-truncated to the Fock basis, and the spin state has the binomial amplitudes
-``e^{-i m phi} sqrt(C(2s, s-m)) cos(theta/2)^{s+m} sin(theta/2)^{s-m}``
-(Radcliffe 1971).  Only the squeezers of the extended family are matrix
-exponentials (:func:`enhq.hilbert.apply_unitary`); the affine family resamples
-its closed-form fiducial.  The tests check each closed form against the
-exponentials of its definition.
+truncated to the Fock basis; the extended state has the amplitudes of the
+squeezed state's three-term recurrence (Stoler 1970; Yuen 1976) times the
+rotation's phases ``e^{-ia(2n+1)}``; the spin state has the binomial
+amplitudes ``e^{-i m phi} sqrt(C(2s, s-m)) cos(theta/2)^{s+m} sin(theta/2)^{s-m}``
+(Radcliffe 1971); and the affine family resamples its closed-form fiducial.
+The tests check each closed form against the matrix exponentials of its
+definition.
 
 The phase-insensitive metric ``2 hbar [ ||d psi||^2 - |<psi|d psi>|^2 ]`` on a
 family is computed three ways: from one state and the exact derivatives of
@@ -53,7 +54,6 @@ from .hilbert import (
     LineRep,
     SpinRep,
     StateVector,
-    apply_unitary,
 )
 
 #: Finite-difference step, in label units, of the numeric metric.
@@ -117,13 +117,13 @@ class CoherentFamily:
 
         ``psi`` is ``state(p, q).amplitudes``, with the same tail and domain
         checks, and the derivatives are those of the same state map, taken
-        exactly: each is a generator applied to a state.  Canonical and spin
-        derivatives are those of the closed forms (a raising shift plus a
-        multiple of ``psi``, and ``S2`` or ``S3`` applied to the rotated
-        state); squeezers carry them along by exponentials.  On the half line
-        and for the truncated Poisson series the derivatives are those of the
-        state before it is normalized, which differ from the normalized map's
-        only along ``psi``.  The spin poles raise :class:`DomainError`.
+        exactly: each is a generator applied to a state.  They are those of
+        the closed forms: a raising shift (canonical), or a raising and a
+        lowering shift (extended), plus a multiple of ``psi``, and ``S2`` or
+        ``S3`` applied to the rotated state (spin).  On the half line and for
+        the truncated Fock series they are those of the state before it is
+        normalized, which differ from the normalized map's only along ``psi``.
+        The spin poles raise :class:`DomainError`.
         """
         psi, d_p, d_q = self._build(p, q, True)
         return psi.amplitudes, d_p, d_q
@@ -158,27 +158,43 @@ class _Extended(CoherentFamily):
         self.b = float(b)
 
     def _build(self, p, q, tangent):
-        # the squeezers are constant in (p, q), so they carry the derivatives of
-        # the displaced state along; PQ + QP = 2 D.  Squeezing amplifies
-        # high-level occupancy, so the tail check is the looser
-        # EXTENDED_TAIL_TOL, with no sharp dimension estimate.
+        # R S exp(-i q P / hbar) exp(i p Q / hbar)|0>: the rotation
+        # R = exp(-i a (P^2 + Q^2) / hbar) is e^{-ia(2n+1)}, as P^2 + Q^2 = 2 hbar (N + 1/2),
+        # and as D = (i hbar / 2)(A^dag^2 - A^2) the squeeze S = exp(b (A^dag^2 - A^2))
+        # makes S A S^dag = cosh(2b) A - sinh(2b) A^dag.  Its eigenvector with
+        # eigenvalue alpha = (q + ip) / sqrt(2 hbar) has the amplitudes
+        # sqrt(n) c_n = sech(2b) alpha c_{n-1} + tanh(2b) sqrt(n-1) c_{n-2}
+        # (Stoler 1970; Yuen 1976), c_0 = e^{-|alpha|^2/2 - tanh(2b) alpha^2/2} sqrt(sech 2b),
+        # times e^{-ipq/2hbar}.  Only the phase of c_0 is kept, and the amplitudes
+        # are rescaled before they overflow: normalizing restores the scale, so a
+        # far label reaches the tail check instead of underflowing.
         rep, a, b = self.rep, self.a, self.b
-        psi, d_p, d_q = _displaced(p, q, rep, tangent)
-        squeezers = [(rep.D, 2.0 * b)] if b != 0.0 else []
-        if a != 0.0:
-            squeezers.append((rep.quadrature_square(), a))
-        for op, theta in squeezers:
-            psi = apply_unitary(op, theta, psi)
-            if tangent:
-                d_p = _push(op, theta, d_p, rep)
-                d_q = _push(op, theta, d_q, rep)
+        t, e = math.tanh(2.0 * b), math.exp(-2.0 * abs(b))
+        alpha = complex(q, p) / math.sqrt(2.0 * rep.hbar) * (2.0 * e / (1.0 + e * e))  # sech(2b)
+        amps = [0.0, cmath.exp(-0.5j * (1.0 + t) * p * q / rep.hbar)]  # c_{-1}, c_0
+        for n in range(1, rep.dim):
+            amps.append((alpha * amps[-1] + t * math.sqrt(n - 1) * amps[-2]) / math.sqrt(n))
+            if abs(amps[-1]) > 1e150:
+                amps = [c * 1e-150 for c in amps]
+        n = np.arange(rep.dim)
+        psi = StateVector(np.array(amps[1:]) * np.exp(-1j * a * (2.0 * n + 1.0)), rep)
+        # Squeezing amplifies high-level occupancy, so the tail check is the
+        # looser EXTENDED_TAIL_TOL, with no sharp dimension estimate.
         tail = float(np.linalg.norm(psi.amplitudes[psi.dim - DEFAULT_TRUNCATION_MARGIN :]))
         if tail > EXTENDED_TAIL_TOL:
             raise CapacityError(
                 f"truncation inadequate for extended state at (p, q, a, b) = "
                 f"({p}, {q}, {a}, {b}): tail amplitude {tail:.3e}"
             )
-        return psi, d_p, d_q
+        if not tangent:
+            return psi, None, None
+        # R S A^dag S^dag R^dag = e^{-2ia} cosh(2b) A^dag - e^{2ia} sinh(2b) A, where
+        # a b that passed the tail check is far from overflowing cosh
+        amps, root = psi.amplitudes, np.sqrt(n[1:])
+        raised = np.zeros_like(amps)
+        raised[1:] = (cmath.exp(-2j * a) * math.cosh(2.0 * b)) * root * amps[:-1]
+        raised[:-1] -= (cmath.exp(2j * a) * math.sinh(2.0 * b)) * root * amps[1:]
+        return (psi, *_label_derivatives(p, q, rep.hbar, amps, raised))
 
 
 class _Affine(CoherentFamily):
@@ -254,13 +270,6 @@ class _Spin(CoherentFamily):
         return psi, (-1.0 / np.sqrt(shbar - p * p)) * d_theta, d_phi / sq
 
 
-def _push(op, theta, vec, rep) -> np.ndarray:
-    # exp(-i theta op / hbar) on an unnormalized vector: apply_unitary acts on
-    # unit vectors, so the norm is taken out and put back
-    norm = np.linalg.norm(vec)
-    return norm * apply_unitary(op, theta, StateVector(vec, rep)).amplitudes
-
-
 def canonical_family(rep: LineRep) -> CoherentFamily:
     """Canonical family over the oscillator vacuum of ``rep``.
 
@@ -331,10 +340,7 @@ def _poisson_tail(n: int, lam: float) -> float:
 def _displaced(p, q, rep, tangent):
     # exp(-i q P / hbar) exp(i p Q / hbar)|0> is the Poisson series
     # e^{-ipq/2hbar} e^{-|a|^2/2} a^n / sqrt(n!) with a = (q + ip) / sqrt(2 hbar),
-    # truncated to the basis, with its magnitudes taken in log form.  The
-    # tangent is the derivative of the series:
-    # d_p = (i/sqrt(2 hbar)) A^dag psi - (p + iq)/2hbar psi and
-    # d_q = (1/sqrt(2 hbar)) A^dag psi - (q + ip)/2hbar psi.
+    # truncated to the basis, with its magnitudes taken in log form.
     hbar = rep.hbar
     n = np.arange(rep.dim)
     alpha = complex(q, p) / np.sqrt(2.0 * hbar)
@@ -354,10 +360,16 @@ def _displaced(p, q, rep, tangent):
     amps = psi.amplitudes
     raised = np.zeros_like(amps)
     raised[1:] = np.sqrt(n[1:]) * amps[:-1]
+    return (psi, *_label_derivatives(p, q, hbar, amps, raised))
+
+
+def _label_derivatives(p, q, hbar, amps, raised):
+    # the derivatives of e^{-ipq/2hbar} e^{-|a|^2/2} e^{a A^dag}|0> carried by a
+    # unitary U, with raised = U A^dag U^dag psi
     root = np.sqrt(2.0 * hbar)
     d_p = (1j / root) * raised - (complex(p, q) / (2.0 * hbar)) * amps
     d_q = raised / root - (complex(q, p) / (2.0 * hbar)) * amps
-    return psi, d_p, d_q
+    return d_p, d_q
 
 
 def _affine_log_norm(nu: float) -> float:

@@ -107,8 +107,6 @@ class LineRep:
         self.Q = _frozen(Q)
         self.P = _frozen(P)
         self.D = _frozen(D)
-        self._eig_cache = {}
-        self._op_cache = {}
 
     def basis_state(self, n: int) -> StateVector:
         if not 0 <= n < self.dim:
@@ -119,17 +117,6 @@ class LineRep:
 
     def vacuum(self) -> StateVector:
         return self.basis_state(0)
-
-    def quadrature_square(self) -> np.ndarray:
-        """``P @ P + Q @ Q``, cached; the oscillator generator used by squeezed states."""
-        op = self._op_cache.get("quad2")
-        if op is None:
-            op = _frozen(self.P @ self.P + self.Q @ self.Q)
-            self._op_cache["quad2"] = op
-        return op
-
-    def _cacheable_ops(self):
-        return (self.Q, self.P, self.D) + tuple(self._op_cache.values())
 
 
 class HalfLineRep:
@@ -152,7 +139,6 @@ class HalfLineRep:
         self.D = D
         self.P_formal = P_formal
         self.spacing = spacing
-        self._eig_cache = {}
 
     @property
     def dim(self) -> int:
@@ -164,9 +150,6 @@ class HalfLineRep:
         if v.shape != self.grid.shape:
             raise ValueError("sample array does not match the grid")
         return StateVector(v * np.sqrt(self.weights), self)
-
-    def _cacheable_ops(self):
-        return ()
 
 
 class SpinRep:
@@ -181,16 +164,12 @@ class SpinRep:
         self.S2 = _frozen(S2)
         self.S3 = _frozen(S3)
         self.dim = S3.shape[0]
-        self._eig_cache = {}
 
     def highest_weight(self) -> StateVector:
         """The extremal state ``|s, s>``, annihilated by ``S1 + i S2``."""
         a = np.zeros(self.dim, dtype=complex)
         a[0] = 1.0
         return StateVector(a, self)
-
-    def _cacheable_ops(self):
-        return (self.S1, self.S2, self.S3)
 
 
 def build_fock_rep(dim: int, hbar: float = 1.0) -> LineRep:
@@ -343,31 +322,24 @@ def apply_unitary(op, theta: float, state: StateVector) -> StateVector:
 
     The operator must be Hermitian within :data:`HERMITIAN_TOL` (relative
     Frobenius norm); below that threshold it is symmetrized rather than
-    rejected.  Eigendecompositions of operators owned by the representation
-    are cached, so repeated applications are cheap.
+    rejected.  Each call diagonalizes the operator: no production path
+    exponentiates, and this is the reference the closed forms are tested
+    against.
     """
     rep = state.rep
     d = state.dim
-    cache = rep._eig_cache
-    key = id(op)
-    pair = cache.get(key)
-    if pair is None:
-        if sp.issparse(op) and op.shape[0] > _MAX_DENSE_DIM:
-            raise ValueError(
-                f"operator of dimension {op.shape[0]} is too large to exponentiate densely"
-            )
-        dense = _as_dense(op)
-        if dense.shape != (d, d):
-            raise ValueError(f"operator shape {dense.shape} does not match state dimension {d}")
-        defect = hermitian_defect(dense)
-        if defect > HERMITIAN_TOL:
-            raise ValueError(f"operator is not Hermitian (relative defect {defect:.3e})")
-        herm = 0.5 * (dense + dense.conj().T)
-        w, v = eigh(herm)
-        pair = (w, v)
-        if any(op is cand for cand in rep._cacheable_ops()):
-            cache[key] = pair
-    w, v = pair
+    if sp.issparse(op) and op.shape[0] > _MAX_DENSE_DIM:
+        raise ValueError(
+            f"operator of dimension {op.shape[0]} is too large to exponentiate densely"
+        )
+    dense = _as_dense(op)
+    if dense.shape != (d, d):
+        raise ValueError(f"operator shape {dense.shape} does not match state dimension {d}")
+    defect = hermitian_defect(dense)
+    if defect > HERMITIAN_TOL:
+        raise ValueError(f"operator is not Hermitian (relative defect {defect:.3e})")
+    herm = 0.5 * (dense + dense.conj().T)
+    w, v = eigh(herm)
     phases = np.exp(-1j * theta * w / rep.hbar)
     out = v @ (phases * (v.conj().T @ state.amplitudes))
     return StateVector(out, rep)

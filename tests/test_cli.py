@@ -14,6 +14,26 @@ def write_config(tmp_path, cfg, name="cfg.json"):
     return str(path)
 
 
+class _Recording(dict):
+    """A config that records which top-level keys are looked up."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.read = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+
 def read_rows(path):
     lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
     header = lines[0].split(",")
@@ -89,12 +109,24 @@ class TestValidation:
          "labels.grid.p.2"),
         ("run", {"experiment": "evolve", "model": {"name": "spin_precession", "s": 2.0}},
          "model"),
+        ("run", {"experiment": "compare_hydrogen", "model": {"name": "spin_precession"}},
+         "model.name"),
+        ("run", {"experiment": "expectation", "model": {"name": "harmonic"},
+                 "hamiltonian": {"expression": "Q^2"},
+                 "labels": {"grid": {"p": [0, 0, 1], "q": [0, 0, 1]}}}, "model"),
+        ("run", {"experiment": "evolve", "model": {"name": "harmonic"},
+                 "hamiltonian": {"expression": "Q^2"}}, "hamiltonian"),
+        ("run", {"experiment": "limit_study", "hbar": 0.5, "hamiltonian": {"expression": "Q^2"},
+                 "labels": {"grid": {"p": [0, 0, 1], "q": [0, 0, 1]}}}, "hbar"),
+        ("verify", {"suites": ["curvature"], "x0": [0.0, 1.0]}, "x0"),
     ], ids=["metric-format", "verify-format", "dop853", "grid-text-bound", "grid-fractional-count",
-            "grid-zero-count", "model-s"])
+            "grid-zero-count", "model-s", "hydrogen-with-spin-model", "expectation-with-model",
+            "model-and-hamiltonian", "limit-study-hbar", "verify-x0"])
     def test_rejected_keys_write_nothing(self, tmp_path, capsys, command, cfg, path):
         # output.format is read by evolve alone; dop853 is no longer a method;
         # a grid axis is [lo, hi, count] with an integer count of at least 1;
-        # the spin size is representation.s alone
+        # the spin size is representation.s alone; a block or model the
+        # experiment never reads would be silently ignored
         out = tmp_path / "out"
         assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -128,6 +160,47 @@ class TestValidation:
         assert captured.err.startswith("error: config error at representation.kind")
         assert captured.err.count("\n") == 1 and captured.out == ""
         assert not (tmp_path / "fresh").exists()
+
+    @pytest.mark.parametrize("configs", [
+        [{"experiment": "expectation", "hbar": 0.5, "representation": {"dim": 48},
+          "family": {"kind": "canonical"}, "labels": {"random": {"count": 2, "box": 0.5}}}],
+        [{"experiment": "metric", "family": {"kind": "spin"}, "seed": 3,
+          "labels": {"random": {"count": 2, "box": 0.5}}}],
+        [{"experiment": "curvature", "family": {"kind": "spin"}, "representation": {"s": 2},
+          "seed": 1, "labels": {"random": {"count": 2, "box": 0.5}}}],
+        [{"experiment": "evolve", "model": {"name": "harmonic"}, "x0": [0.0, 1.0],
+          "integrator": {"t_final": 1.0, "n_samples": 5}, "output": {"format": "json"}},
+         {"experiment": "evolve", "hamiltonian": {"expression": "0.5*P^2 + 0.5*Q^2"},
+          "family": {"kind": "canonical"}, "hbar": 0.5, "representation": {"dim": 8}}],
+        [{"experiment": "compare_hydrogen", "model": {"name": "hydrogen_enhanced"}, "hbar": 0.5,
+          "x0": [0.0, 1.0], "horizon_factor": 2.0, "integrator": {"n_samples": 20}}],
+        [{"experiment": "transform_check", "model": {"name": "harmonic"}, "x0": [0.0, 1.0],
+          "integrator": {"t_final": 1.0, "n_samples": 20}, "transform": {"name": "rotation"}},
+         {"experiment": "transform_check", "hamiltonian": {"expression": "0.5*P^2 + 0.5*Q^2"},
+          "family": {"kind": "canonical"}, "hbar": 0.5, "representation": {"dim": 8},
+          "transform": {"name": "rotation"}, "integrator": {"t_final": 1.0, "n_samples": 20}}],
+        [{"experiment": "limit_study", "hamiltonian": {"expression": "Q^2"}, "seed": 2,
+          "representation": {"dim": 4}, "hbar_sequence": [1.0, 0.5, 0.25],
+          "labels": {"random": {"count": 1, "box": 0.5}}}],
+    ], ids=lambda configs: configs[0]["experiment"])
+    def test_each_row_is_what_its_runner_reads(self, tmp_path, configs):
+        # the keys the runner reads over these configs, and no others, are its row
+        experiment = configs[0]["experiment"]
+        reads, _ = enhq.cli.EXPERIMENTS[experiment]
+        read = set()
+        for cfg in configs:
+            recording = _Recording(validate_config(cfg))
+            enhq.cli._RUNNERS[experiment](recording, tmp_path, False)
+            read |= recording.read
+        assert read - {"experiment"} == {key.split(".")[0] for key in reads}
+
+    def test_verify_reads_are_what_the_suites_read(self):
+        read = set()
+        for suite in enhq.cli.SUITES:
+            recording = _Recording({"representation": {"dim": 80, "n": 500}})
+            enhq.cli._SUITE_RUNNERS[suite](recording)
+            read |= recording.read
+        assert {"suites", *read} == set(enhq.cli._VERIFY_READS)
 
     def test_every_schema_subject_has_one_representation(self):
         # a family kind, model or suite missing from the table would skip the

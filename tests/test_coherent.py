@@ -1,4 +1,5 @@
 import json
+import pickle
 import sys
 
 import numpy as np
@@ -14,8 +15,10 @@ from enhq import (
     CapacityError,
     DomainError,
     NumericalFailure,
+    affine_family,
     affine_fiducial,
     build_fock_rep,
+    build_halfline_rep,
     build_spin_rep,
     canonical_family,
     expectation,
@@ -271,8 +274,12 @@ class TestExtendedStates:
 
     def test_capacity_error_for_strong_squeezing(self):
         rep = build_fock_rep(24)
-        with pytest.raises(CapacityError):
-            extended_family(rep, 0.0, 1.5).state(0.0, 0.0)
+        # cosh(2b) overflows a float at b = 400; the state must still reach the tail check
+        for b in (1.5, 400.0, -400.0):
+            family = extended_family(rep, 0.0, b)
+            for build in (family.state, family.tangent):
+                with pytest.raises(CapacityError):
+                    build(0.0, 0.0)
 
 
 class TestOverlap:
@@ -542,6 +549,25 @@ class TestTangent:
         assert_allclose(d_q, (amp(p, q + h) - amp(p, q - h)) / (2 * h), rtol=0, atol=1e-8)
 
 
+def test_representations_are_immutable():
+    # states, tangents and metrics of every family leave their representation
+    # as built: no cache or derived operator is stored on it
+    line, spin = build_fock_rep(80), build_spin_rep(2.5)
+    halfline = build_halfline_rep(1e-5, 60.0, 500)
+    before = {rep.kind: pickle.dumps(vars(rep)) for rep in (line, halfline, spin)}
+    for family, p, q in [
+        (canonical_family(line), 0.4, -0.7),
+        (extended_family(line, 0.3, 0.1), 0.4, -0.7),
+        (extended_family(line, -0.2, 0.0), 0.4, -0.7),
+        (affine_family(halfline, 2.0), 0.3, 1.3),
+        (spin_family(spin), 0.5, 0.9),
+    ]:
+        family.state(p, q)
+        family.tangent(p, q)
+        fs_metric(family, p, q)
+    assert {rep.kind: pickle.dumps(vars(rep)) for rep in (line, halfline, spin)} == before
+
+
 def exponential_canonical(p, q, rep):
     """The canonical state by matrix exponentials, as the definition reads."""
     return apply_unitary(rep.P, q, apply_unitary(rep.Q, -p, rep.vacuum()))
@@ -603,16 +629,19 @@ class TestClosedFormsAgainstExponentials:
                 assert_allclose(family.state(p, sq * phi).amplitudes,
                                 exponential_spin(theta, phi, rep).amplitudes, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("a,b", [(0.3, 0.0), (0.0, 0.1), (0.3, 0.1), (-0.2, -0.15)])
-    def test_extended(self, a, b):
-        rep = build_fock_rep(80)
+    @pytest.mark.parametrize("a,b,dim,hbar", [
+        (0.3, 0.0, 80, 1.0), (0.0, 0.1, 80, 1.0), (0.3, 0.1, 80, 1.0), (-0.2, -0.15, 80, 1.0),
+        (0.3, 0.2, 200, 0.5),
+    ], ids=["0.3-0.0", "0.0-0.1", "0.3-0.1", "-0.2--0.15", "0.3-0.2-dim200-hbar0.5"])
+    def test_extended(self, a, b, dim, hbar):
+        rep = build_fock_rep(dim, hbar)
         family = extended_family(rep, a, b)
         for p, q in [(0.0, 0.0), (0.4, -0.7), (-1.0, 0.5)]:
             ref = exponential_canonical(p, q, rep)
             if b:
                 ref = apply_unitary(rep.D, 2.0 * b, ref)
             if a:
-                ref = apply_unitary(rep.quadrature_square(), a, ref)
+                ref = apply_unitary(rep.P @ rep.P + rep.Q @ rep.Q, a, ref)
             assert_allclose(family.state(p, q).amplitudes, ref.amplitudes, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("family,points", [
@@ -621,7 +650,11 @@ class TestClosedFormsAgainstExponentials:
         (spin_family(build_spin_rep(0.5)), [(0.3, 0.2), (-0.5, np.sqrt(0.5) * (np.pi + 0.3))]),
         (spin_family(build_spin_rep(2.5)), [(0.0, 0.0), (1.2, -2.0), (-1.4, 5.5)]),
         (spin_family(build_spin_rep(20.0)), [(0.5, 0.9), (-3.0, np.sqrt(20.0) * 2.5 * np.pi)]),
-    ], ids=["canonical48", "canonical200-hbar0.5", "spin0.5", "spin2.5", "spin20"])
+        (extended_family(build_fock_rep(80), 0.3, 0.1), [(0.0, 0.0), (0.4, -0.7), (-1.0, 0.5)]),
+        (extended_family(build_fock_rep(80), -0.2, -0.15), [(0.4, -0.7), (1.2, 0.3)]),
+        (extended_family(build_fock_rep(200, 0.5), 0.3, 0.2), [(0.4, -0.7), (-1.0, 0.5)]),
+    ], ids=["canonical48", "canonical200-hbar0.5", "spin0.5", "spin2.5", "spin20",
+            "extended80", "extended80-negative", "extended200-hbar0.5"])
     def test_tangent_matches_central_differences(self, family, points):
         h = 1e-5
 
@@ -638,11 +671,15 @@ class TestClosedFormsAgainstExponentials:
         # and the estimate is the smallest dim with a tail below 1e-24 there
         with pytest.raises(CapacityError, match="estimated adequate dim is 11059"):
             canonical_family(build_fock_rep(48)).state(100.0, 100.0)
+        # c_0 = e^{-5000} of the squeezed recurrence underflows; the tail
+        # check must still see the state, not a zero vector
+        with pytest.raises(CapacityError, match="extended state"):
+            extended_family(build_fock_rep(48), 0.3, 0.1).state(100.0, 100.0)
 
 
 class TestNoExponentialsOnTheClosedFormPaths:
-    """Canonical and spin states, their metrics and the CLI's canonical runs use no
-    eigendecomposition and no matrix exponential; squeezed states still do."""
+    """States of every family, their metrics and the CLI's canonical runs use no
+    eigendecomposition and no matrix exponential."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -665,6 +702,8 @@ class TestNoExponentialsOnTheClosedFormPaths:
             (canonical_family(build_fock_rep(48)), (0.4, -0.7)),
             (spin_family(build_spin_rep(2.5)), (0.5, 5.0)),
             (spin_family(build_spin_rep(20.0)), (4.2, 0.9)),
+            (extended_family(build_fock_rep(80), 0.3, 0.1), (0.4, -0.7)),
+            (extended_family(build_fock_rep(200, 0.5), -0.2, -0.15), (-1.0, 0.5)),
         ]:
             family.state(p, q)
             family.tangent(p, q)
@@ -691,11 +730,6 @@ class TestNoExponentialsOnTheClosedFormPaths:
             command = "verify" if name == "verify" else "run"
             assert cli_main([command, "--config", str(path), "--out", str(tmp_path / name)]) == 0
         assert counts == {"eigh": 0, "apply_unitary": 0}
-
-    def test_extended_states_still_exponentiate(self, counts):
-        extended_family(build_fock_rep(80), 0.3, 0.1).state(0.4, -0.7)
-        assert counts["apply_unitary"] > 0
-        assert counts["eigh"] > 0
 
 
 class TestMetricAnalytic:

@@ -22,6 +22,28 @@ ALLOWED_UNUSED_IMPORTS = {
     ("dynamics.py", "solve_ivp"),
 }
 
+# the matrix exponential, and the eigendecomposition it runs on, are the
+# tests' reference for the closed-form states: defined or bound in hilbert.py,
+# exported by the package, and referenced by no other module
+EXPONENTIAL_NAMES = {"apply_unitary", "eigh", "expm"}
+ALLOWED_EXPONENTIAL_REFERENCES = {("__init__.py", "apply_unitary")}
+
+
+def _exponential_references(tree, module):
+    if module == "hilbert.py":
+        return []
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update((node.name.split(".")[-1], node.asname))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)  # getattr(module, "eigh")
+    return [(module, name) for name in sorted(names & EXPONENTIAL_NAMES)]
+
 
 def _unread_parameters(tree, module):
     found = []
@@ -76,6 +98,19 @@ def test_every_parameter_is_read():
 
 def test_every_import_is_used():
     assert set(_findings(_unused_imports)) == ALLOWED_UNUSED_IMPORTS
+
+
+def test_no_exponential_outside_hilbert():
+    # the dynamic counts (test_coherent.py) see only the paths they run
+    assert set(_findings(_exponential_references)) == ALLOWED_EXPONENTIAL_REFERENCES
+
+
+def test_the_check_sees_an_exponential():
+    tree = ast.parse("import scipy.linalg as sl\nfrom .hilbert import apply_unitary as au\n"
+                     "def f(a):\n    return sl.expm(a), getattr(np.linalg, 'eigh')\n")
+    assert _exponential_references(tree, "m.py") == [
+        ("m.py", "apply_unitary"), ("m.py", "eigh"), ("m.py", "expm")]
+    assert _exponential_references(tree, "hilbert.py") == []
 
 
 def test_the_check_sees_an_unread_parameter():
