@@ -12,7 +12,6 @@ from .hilbert import (
     build_fock_rep,
     build_halfline_rep,
     build_spin_rep,
-    commutator_defect,
     expectation,
     variance,
 )
@@ -29,7 +28,6 @@ from .coherent import (
     fs_metric,
     fs_metric_analytic,
     fs_metric_numeric,
-    overlap,
     required_fock_dim,
     scalar_curvature,
     spin_family,
@@ -43,7 +41,6 @@ from .correspondence import (
     enhance,
     parse_polynomial,
     poly_expectation,
-    shift_identity_check,
 )
 from .dynamics import (
     CanonicalTransform,

@@ -47,28 +47,35 @@ from .errors import CapacityError, DomainError, NumericalFailure
 from .hilbert import build_fock_rep, build_halfline_rep, build_spin_rep, expectation, variance
 from .models import HydrogenParams, hydrogen_classical, hydrogen_enhanced, min_radius, spin_precession
 
-_MODELS = ("harmonic", "hydrogen_classical", "hydrogen_enhanced", "spin_precession")
+_HYDROGEN = ("hydrogen_classical", "hydrogen_enhanced")
+_MODELS = ("harmonic", *_HYDROGEN, "spin_precession")
 _LABELLED = ("hbar", "seed", "representation", "family", "labels")
 _FLOW = ("hbar", "model", "x0", "integrator")
 _EXPRESSION = ("representation", "family", "hamiltonian")
 
-# each experiment, the top-level keys its runner reads besides experiment and
-# output (output.format is evolve's alone), and the models it can run; run
-# rejects any other key or model, which would be silently ignored
+# each experiment: the top-level keys its runner reads besides experiment and
+# output (output.format is evolve's alone), the models it can run, and the
+# models or family kinds it takes in closed form, building no representation;
+# run rejects any other key or model, which would be silently ignored
 EXPERIMENTS = {
-    "expectation": (_LABELLED, ()),
-    "metric": (_LABELLED, ()),
-    "curvature": (_LABELLED, ()),
-    "evolve": ((*_FLOW, *_EXPRESSION, "output.format"), _MODELS),
-    "compare_hydrogen": ((*_FLOW, "horizon_factor"), ("hydrogen_classical", "hydrogen_enhanced")),
-    "transform_check": ((*_FLOW, *_EXPRESSION, "transform"), _MODELS),
-    "limit_study": (("seed", "representation", "hamiltonian", "labels", "hbar_sequence"), ()),
+    "expectation": (_LABELLED, (), ()),
+    "metric": (_LABELLED, (), ()),
+    "curvature": (_LABELLED, (), ("canonical", "affine")),
+    "evolve": ((*_FLOW, *_EXPRESSION, "output.format"), _MODELS, _HYDROGEN),
+    "compare_hydrogen": ((*_FLOW, "horizon_factor"), _HYDROGEN, ()),
+    "transform_check": ((*_FLOW, *_EXPRESSION, "transform"), _MODELS, _HYDROGEN),
+    "limit_study": (("seed", "representation", "hamiltonian", "labels", "hbar_sequence"), (), ()),
 }
 
-SUITES = ("label_means", "flat_metric", "fiducial_moments", "curvature", "energy_drift")
-
-# the top-level keys the suites read besides output
-_VERIFY_READS = ("suites", "hbar", "seed", "representation", "family")
+# each suite and the top-level keys it reads besides suites and output;
+# verify rejects a key that no requested suite reads
+SUITES = {
+    "label_means": ("hbar", "seed", "representation"),
+    "flat_metric": ("hbar", "representation"),
+    "fiducial_moments": ("hbar", "representation", "family"),
+    "curvature": ("hbar",),
+    "energy_drift": ("hbar", "representation"),
+}
 
 # [lo, hi, count] of one label axis
 _GRID_AXIS = {"type": "array", "minItems": 3, "maxItems": 3, "prefixItems": [
@@ -90,7 +97,6 @@ _SCHEMA = {
                 "x_min": {"type": "number", "exclusiveMinimum": 0},
                 "x_max": {"type": "number", "exclusiveMinimum": 0},
                 "n": {"type": "integer", "minimum": 16},
-                "spacing": {"enum": ["geometric", "linear"]},
                 "s": {"type": "number", "exclusiveMinimum": 0},
             },
         },
@@ -266,14 +272,15 @@ _REPRESENTATION_KIND = {
 }
 
 _REPRESENTATION_DEFAULTS = {
-    "dim": 200, "x_min": 1e-5, "x_max": 60.0, "n": 3000, "spacing": "geometric", "s": 0.5,
+    "dim": 200, "x_min": 1e-5, "x_max": 60.0, "n": 3000, "s": 0.5,
 }
 
+# canonical and spin families take no parameter and read no family block
 _FAMILIES = {
-    "canonical": lambda rep, fam: canonical_family(rep),
-    "extended": lambda rep, fam: extended_family(rep, fam.get("a", 0.0), fam.get("b", 0.0)),
-    "affine": lambda rep, fam: affine_family(rep, fam.get("beta", 2.0)),
-    "spin": lambda rep, fam: spin_family(rep),
+    "canonical": lambda rep, cfg: canonical_family(rep),
+    "extended": lambda rep, cfg: extended_family(rep, *(cfg.get("family", {}).get(k, 0.0) for k in "ab")),
+    "affine": lambda rep, cfg: affine_family(rep, cfg.get("family", {}).get("beta", 2.0)),
+    "spin": lambda rep, cfg: spin_family(rep),
 }
 
 _HARMONIC = "0.5*P^2 + 0.5*Q^2"
@@ -319,13 +326,13 @@ def _representation(cfg, kind, hbar=None, **derived):
     if kind == "line":
         return build_fock_rep(r["dim"], hbar)
     if kind == "halfline":
-        return build_halfline_rep(r["x_min"], r["x_max"], r["n"], hbar, r["spacing"])
+        return build_halfline_rep(r["x_min"], r["x_max"], r["n"], hbar)
     return build_spin_rep(r["s"], hbar)
 
 
 def _build_family(cfg, kind, **derived) -> CoherentFamily:
     rep = _representation(cfg, _REPRESENTATION_KIND[kind], **derived)
-    return _FAMILIES[kind](rep, cfg.get("family", {}))
+    return _FAMILIES[kind](rep, cfg)
 
 
 def _enhanced(cfg, poly, kind):
@@ -523,7 +530,8 @@ def _run_transform_check(cfg, out, stamp):
     t_final = float(cfg.get("integrator", {}).get("t_final", 2.0 * np.pi))
 
     traj = hamiltonian_flow(ham, PhasePoint(*x0), t_final, **_integrator(cfg))
-    transformed_traj = apply_transform(tr, traj)
+    action = verify_transform_action(tr, traj)
+    transformed_traj = action.transformed
     x0_t = apply_transform(tr, PhasePoint(*x0))
     traj_t = hamiltonian_flow(transform_hamiltonian(ham, tr), x0_t, t_final, **_integrator(cfg))
     n = min(len(traj_t), len(transformed_traj))
@@ -533,7 +541,6 @@ def _run_transform_check(cfg, out, stamp):
             np.max(np.abs(traj_t.q[:n] - transformed_traj.q[:n])),
         )
     )
-    action = verify_transform_action(tr, traj)
     payload = {
         "transform": tr.name,
         "max_pointwise_deviation": dev,
@@ -609,10 +616,13 @@ def run(cfg: dict, out_dir=None, stamp=False, verbose=False) -> list:
         raise ConfigError("experiment: required")
     out = Path(out_dir) if out_dir is not None else Path(cfg.get("output", {}).get("dir", "."))
     runner = _RUNNERS[experiment]
-    reads, models = EXPERIMENTS[experiment]
+    reads, models, closed = EXPERIMENTS[experiment]
     # validate everything cheap before creating the output directory; a wrong
     # representation.kind is named as such, before the keys are checked
-    _check_kind(cfg, [_subject(cfg)])
+    subject = _subject(cfg)
+    _check_kind(cfg, [subject])
+    if subject in closed:
+        reads = tuple(key for key in reads if key != "representation")
     _check_reads(cfg, experiment, ("experiment", *reads), models)
     if "labels" in reads:
         _label_points(cfg)
@@ -721,11 +731,11 @@ _SUITE_RUNNERS = {
 def report_verify(cfg: dict, out_dir=None, stamp=False) -> tuple[dict, int]:
     """Run the requested invariant suites; returns (report, exit_code)."""
     validate_config(cfg)
-    _check_reads(cfg, "verify", _VERIFY_READS)
     suites = cfg.get("suites")
     if not suites:
         raise ConfigError("suites: at least one suite is required")
     _check_kind(cfg, suites)
+    _check_reads(cfg, "verify", ("suites", *(key for name in suites for key in SUITES[name])))
     report = {"suites": {}, "passed": True}
     for name in suites:
         checks = _SUITE_RUNNERS[name](cfg)

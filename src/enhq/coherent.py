@@ -1,4 +1,4 @@
-"""Coherent-state families, overlaps, and Fubini-Study geometry.
+"""Coherent-state families and their Fubini-Study geometry.
 
 Four families are defined by self-adjoint generators acting on a fiducial
 vector, each a subclass of :class:`CoherentFamily` built by its factory
@@ -397,13 +397,6 @@ def affine_fiducial(beta: float, rep: HalfLineRep) -> StateVector:
             f"(got beta = {beta}, hbar = {rep.hbar})"
         )
     return rep.state_from_samples(affine_wavefunction(rep.grid, beta, rep.hbar))
-
-
-def overlap(s1: StateVector, s2: StateVector) -> complex:
-    """Inner product ``<s1|s2>`` of two states in the same representation."""
-    if s1.dim != s2.dim or s1.rep.hbar != s2.rep.hbar:
-        raise ValueError("states do not live in the same representation")
-    return complex(np.vdot(s1.amplitudes, s2.amplitudes))
 
 
 # ---------------------------------------------------------------------------

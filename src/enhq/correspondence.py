@@ -388,33 +388,6 @@ def enhance(poly: OperatorPolynomial, family: CoherentFamily) -> EnhancedHamilto
 
 
 @dataclass(frozen=True)
-class ShiftCheckReport:
-    """Two-route agreement report for the canonical group-coordinate shift."""
-
-    max_deviation: float
-    deviations: tuple
-
-
-def shift_identity_check(poly: OperatorPolynomial, family: CoherentFamily, samples) -> ShiftCheckReport:
-    """Compare direct state expectations against the shifted-moment route.
-
-    ``samples`` is an iterable of ``(p, q)`` labels inside the
-    truncation-adequate region of the family's representation.
-    """
-    if family.kind != "canonical":
-        raise ValueError("the shift identity applies to canonical families")
-    _check_alphabet(poly, family)
-    label_poly = _label_polynomial(poly, family)
-    rows = []
-    for p, q in samples:
-        direct = _realized(poly_expectation(poly, family, p, q), "direct expectation")
-        shifted = label_poly(p, q)
-        rows.append((float(p), float(q), abs(direct - shifted)))
-    worst = max((r[2] for r in rows), default=0.0)
-    return ShiftCheckReport(worst, tuple(rows))
-
-
-@dataclass(frozen=True)
 class LimitFit:
     """Polynomial-in-hbar extrapolation of ``H(p, q; hbar)`` to ``hbar = 0``.
 

@@ -157,7 +157,6 @@ def hamiltonian_flow(
     n_samples: int = 1000,
     q_floor: float = DEFAULT_Q_FLOOR,
     method: str = "rk45",
-    max_step: float | None = None,
     n_steps: int | None = None,
 ) -> Trajectory:
     """Integrate Hamilton's equations from ``x0`` over ``[0, t_final]``.
@@ -165,11 +164,12 @@ def hamiltonian_flow(
     Samples are taken on a uniform grid of ``n_samples`` points (events keep
     their own exact times and states and are stored separately).  For
     half-line Hamiltonians the run stops with a ``singularity_hit`` event
-    when ``H.half_line`` (``q``, or ``q`` carried through a relabeling)
-    crosses ``q_floor``; a declared label domain stops with
-    ``domain_exit``.  Step-size underflow near a collapse is converted into
-    the singularity event, at the last accepted step, rather than an
-    exception, while non-finite gradients raise :class:`NumericalFailure`.
+    where the margin ``H.half_line - q_floor`` (``q``, or ``q`` carried
+    through a relabeling) reaches zero, and a declared label domain, the
+    other margin, stops with ``domain_exit``.  Step-size underflow near a
+    collapse is converted into the singularity event, at the last accepted
+    step, rather than an exception, while non-finite gradients raise
+    :class:`NumericalFailure`.
 
     ``rk45`` runs :func:`_dormand_prince`, a scalar loop that takes the
     steps of scipy's ``RK45``, calls the gradient once per stage and
@@ -194,8 +194,6 @@ def hamiltonian_flow(
         raise ValueError("q_floor must be positive and finite")
     if not _is_integer(n_samples) or n_samples < 2:
         raise ValueError("n_samples must be an integer of at least 2")
-    if max_step is not None and not max_step > 0:
-        raise ValueError("max_step must be positive")
     if n_steps is not None and (not _is_integer(n_steps) or n_steps < 1):
         raise ValueError("n_steps must be a positive integer")
     if method not in ("rk45", "leapfrog"):
@@ -208,36 +206,34 @@ def hamiltonian_flow(
     if H.label_domain is not None and H.label_domain(x0.p, x0.q) <= 0:
         raise ValueError("initial point lies outside the Hamiltonian's label domain")
 
-    # (kind, g(p, q), direction, terminal): an event fires where g crosses
-    # zero in ``direction``; the bounce's g, None, stands for dq/dt
-    events = [("bounce", None, 1.0, False)]
-    if H.q_positive:
-        # the half line proper, whose half_line is q itself
-        events.append(("singularity_hit", lambda p, q: q - q_floor, -1.0, True))
-    elif half_line is not None:
-        events.append(("singularity_hit", lambda p, q: half_line(p, q) - q_floor, -1.0, True))
+    # hit 0 is a bounce and hit i >= 1 the end at margins[i - 1], of kinds[i]
+    kinds, margins = ["bounce"], []
+    if half_line is not None:
+        # the half line proper, whose half_line is q itself, tests q directly
+        kinds.append("singularity_hit")
+        margins.append((lambda p, q: q - q_floor) if H.q_positive
+                       else (lambda p, q: half_line(p, q) - q_floor))
     if H.label_domain is not None:
-        events.append(("domain_exit", H.label_domain, -1.0, True))
+        kinds.append("domain_exit")
+        margins.append(H.label_domain)
 
     gradient, evaluate = H._gradient, H._evaluate
     if method == "leapfrog":
         ts, ps, qs, hits, stop = _leapfrog_flow(
-            gradient, x0.p, x0.q, t_final, n_samples, n_steps, [e[1] for e in events],
+            gradient, x0.p, x0.q, t_final, n_samples, n_steps, margins,
             q_floor if H.q_positive else None,
         )
     else:
         ts, ps, qs, hits, stop = _dormand_prince(
             gradient, x0.p, x0.q, t_final, tol, tol * 1e-3,
-            np.inf if max_step is None else max_step,
-            np.linspace(0.0, t_final, n_samples),
-            [e[1:] for e in events],
+            np.linspace(0.0, t_final, n_samples), margins,
         )
 
     def event(kind, t, p, q):
         p, q = float(p), float(q)
         return TrajectoryEvent(float(t), kind, p, q, float(evaluate(p, q)))
 
-    recorded = [event(events[i][0], t, p, q) for i, t, p, q in hits]
+    recorded = [event(kinds[i], t, p, q) for i, t, p, q in hits]
     if stop is not None:
         # solver gave up (typically step underflow against a collapse)
         t_last, p_last, q_last = map(float, stop[:3])
@@ -333,7 +329,7 @@ def _interpolate(s, t, h, y, c1, c2, c3, c4):
     return h * (c1 * x + c2 * x2 + c3 * x3 + c4 * x4) + y
 
 
-def _dormand_prince(gradient, p, q, t_final, rtol, atol, max_step, t_eval, events):
+def _dormand_prince(gradient, p, q, t_final, rtol, atol, t_eval, margins):
     """Integrate ``p' = -dH/dq``, ``q' = dH/dp`` from ``t = 0`` with Python floats.
 
     ``gradient(p, q)`` returns ``(dH/dp, dH/dq)``.  Each stage calls it
@@ -345,13 +341,11 @@ def _dormand_prince(gradient, p, q, t_final, rtol, atol, max_step, t_eval, event
     give-up below ten ulp of ``t`` and floor on ``rtol``.  ``t_eval``
     samples come from the dense output: the loop only records each step
     that holds samples, at most one per sample, and :func:`_samples`
-    evaluates them all in one pass at the end.  ``events`` are ``(g(p, q),
-    direction, terminal)``; an event fires where ``g`` changes sign in its
-    direction between two step ends, at the Brent root of ``g`` on the
-    dense output, and a terminal one ends the run there.  The first event
-    may have ``g = None`` and direction up: the bounce, ``dq/dt`` turning
-    nonnegative, which a stage has at the start and at every step end and
-    which the loop tests inline; the others are tested in one pass per step.
+    evaluates them all in one pass at the end.  An event is found at a step
+    end and placed at the Brent root on the dense output.  Event 0 is the
+    bounce, ``dq/dt`` turning nonnegative, which a stage has at the start
+    and at every step end.  Event ``i >= 1`` ends the run where
+    ``margins[i - 1](p, q)``, positive at the start, reaches zero.
 
     Returns sample times, ``p`` and ``q`` (float64 arrays), event hits
     ``(index, t, p, q)`` and ``None``, or, when the step size underflowed,
@@ -400,12 +394,8 @@ def _dormand_prince(gradient, p, q, t_final, rtol, atol, max_step, t_eval, event
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    h_abs = min(100 * h0, h1, t_final, max_step)
+    h_abs = min(100 * h0, h1, t_final)
 
-    bounce = bool(events) and events[0][0] is None
-    # the other events as [index, g, direction, g at the last step end]
-    others = [[i, g, direction, g(p, q)] for i, (g, direction, _) in enumerate(events)
-              if i or not bounce]
     t_eval = t_eval.tolist()
     n_eval, i_eval = len(t_eval), 0
     t_next = t_eval[0] if n_eval else inf
@@ -415,9 +405,7 @@ def _dormand_prince(gradient, p, q, t_final, rtol, atol, max_step, t_eval, event
     t = 0.0
     while True:
         min_step = 10 * (nextafter(t, inf) - t)
-        if h_abs > max_step:
-            h_abs = max_step
-        elif h_abs < min_step:
+        if h_abs < min_step:
             h_abs = min_step
         rejected = False
         while True:
@@ -490,18 +478,16 @@ def _dormand_prince(gradient, p, q, t_final, rtol, atol, max_step, t_eval, event
             h_abs *= factor if factor > min_factor else min_factor
             rejected = True
 
-        # an event fires only when its old value lies strictly on the far
-        # side of zero: a g that stays at 0, such as dq/dt at rest, never
-        # fires; the bounce's old value is dq/dt at the step start, fq
-        active = [0] if bounce and fq < 0 <= k7q else []
-        for event in others:
-            i, g, direction, a = event
-            b = event[3] = g(p_new, q_new)
-            if (a < 0 <= b and direction > 0) or (a > 0 >= b and direction < 0):
+        # a bounce needs dq/dt at the step start, fq, strictly negative, so
+        # a dq/dt that stays at 0 (at rest) never fires; every margin was
+        # positive at the step start, or the run would have ended there
+        active = [0] if fq < 0 <= k7q else []
+        for i, margin in enumerate(margins, 1):
+            if margin(p_new, q_new) <= 0:
                 active.append(i)
         t_end, terminate = t_new, False
         if active:
-            found, t_stop = _event_roots(events, active, gradient,
+            found, t_stop = _event_roots(margins, active, gradient,
                                          (t, p, q, t_new, p_new, q_new, k7q),
                                          (fp, *_quartic(fp, k3p, k4p, k5p, k6p, k7p)),
                                          (fq, *_quartic(fq, k3q, k4q, k5q, k6q, k7q)))
@@ -542,14 +528,15 @@ def _samples(t_eval, steps, counts):
     return s, _interpolate(s, t, h, p, fp, c2, c3, c4), _interpolate(s, t, h, q, fq, d2, d3, d4)
 
 
-def _event_roots(events, active, gradient, step, cp, cq):
+def _event_roots(margins, active, gradient, step, cp, cq):
     """Brent roots of the ``active`` events of :func:`_dormand_prince` in a step.
 
+    Event 0 is the root of ``dq/dt``, event ``i >= 1`` that of ``margins[i - 1]``.
     ``step`` is ``(t, p, q)`` at its start and end and ``dq/dt`` at its end;
     ``cp`` and ``cq`` are its dense-output coefficients, those of the sample
     pass, so ``cq[0]`` is ``dq/dt`` at its start.  Returns the hits
-    ``(index, t, p, q)`` and, when one of them is terminal, the time of the
-    first terminal root, the hits after it dropped (otherwise ``None``).
+    ``(index, t, p, q)`` and, when a margin is among them, the time of the
+    first margin root, the hits after it dropped (otherwise ``None``).
     """
     t_old, p_old, q_old, t_new, p_new, q_new, qdot_new = step
     h = t_new - t_old  # the step, as the loop computed it
@@ -564,28 +551,29 @@ def _event_roots(events, active, gradient, step, cp, cq):
         return qdot_new if p == p_new and q == q_new else gradient(p, q)[0]
 
     found = [
-        (brentq(lambda s, g=events[i][0] or rate: g(*dense(s)), t_old, t_new,
+        (brentq(lambda s, g=margins[i - 1] if i else rate: g(*dense(s)), t_old, t_new,
                 xtol=4 * _EPS, rtol=4 * _EPS), i)
         for i in active
     ]
     t_stop = None
-    if any(events[i][2] for i in active):
-        # events up to and including the first terminal one, in time order
+    if active[-1]:
+        # a margin fired (active runs in index order): the events up to and
+        # including the first margin root, in time order
         found.sort()
-        first = next(k for k, (_, i) in enumerate(found) if events[i][2])
+        first = next(k for k, (_, i) in enumerate(found) if i)
         found = found[: first + 1]
         t_stop = found[-1][0]
     return [(i, root, *dense(root)) for root, i in found], t_stop
 
 
-def _leapfrog_flow(gradient, p, q, t_final, n_samples, n_steps, events, q_floor):
+def _leapfrog_flow(gradient, p, q, t_final, n_samples, n_steps, margins, q_floor):
     """Kick-drift-kick with the call and return of :func:`_dormand_prince`.
 
     Symplectic only when H is separable, the contract of this backend.  The
-    ``events`` are the flow's ``g``, the bounce's (``None``) first: a terminal
-    one ends the run at the first step end where ``g <= 0``.  Its hit takes
-    that step end's time and state, with ``q`` raised to ``q_floor`` when
-    given (a plain half line); without one (a relabeled half line, a label
+    ``margins`` are those of :func:`_dormand_prince`: ``margins[i - 1]`` ends
+    the run, as event ``i``, at the first step end where it is ``<= 0``.  Its
+    hit takes that step end's time and state, with ``q`` raised to
+    ``q_floor`` when given (a plain half line); without one (a relabeled half line, a label
     domain) it takes the state of the step end before, the last inside,
     where the Hamiltonian is still defined.  A bounce is a step end where
     ``dq/dt`` turns nonnegative, whose gradient also serves the next kick.
@@ -599,7 +587,6 @@ def _leapfrog_flow(gradient, p, q, t_final, n_samples, n_steps, events, q_floor)
     dt = t_final / n_steps
     # sample j at step round(j n_steps / m), in integers, halves rounding up
     j, k_sample = 1, (2 * n_steps + m) // (2 * m)
-    terminal = list(enumerate(events))[1:]
     gradient, prev_qdot, dh_dq = _double_rates(gradient, p, q)
     _check_finite(0.0, p, q, prev_qdot, dh_dq)
 
@@ -616,8 +603,8 @@ def _leapfrog_flow(gradient, p, q, t_final, n_samples, n_steps, events, q_floor)
         q += dt * finite_gradient((k - 1) * dt, p, q)[0]
         t = k * dt
         p -= 0.5 * dt * finite_gradient(t, p, q)[1]
-        for i, g in terminal:
-            if g(p, q) <= 0:
+        for i, margin in enumerate(margins, 1):
+            if margin(p, q) <= 0:
                 hits.append((i, t, p, max(q, q_floor)) if q_floor is not None
                             else (i, t, p_old, q_old))
                 return np.array(ts), np.array(ps), np.array(qs), hits, None
@@ -814,12 +801,13 @@ def restricted_action_value(H: EnhancedHamiltonian, trajectory: Trajectory) -> f
 
 @dataclass(frozen=True)
 class TransformActionReport:
-    """Comparison of ``integral p dq`` across a relabeling."""
+    """Comparison of ``integral p dq`` across a relabeling, and the relabeled trajectory."""
 
     integral_original: float
     integral_transformed: float
     generator_difference: float | None
     residual: float
+    transformed: Trajectory = field(repr=False, compare=False)
 
 
 def verify_transform_action(tr: CanonicalTransform, trajectory: Trajectory) -> TransformActionReport:
@@ -836,5 +824,5 @@ def verify_transform_action(tr: CanonicalTransform, trajectory: Trajectory) -> T
         g_end = tr.generator(transformed.p[-1], transformed.q[-1])
         g_start = tr.generator(transformed.p[0], transformed.q[0])
         delta = float(g_end - g_start)
-        return TransformActionReport(i1, i2, delta, float((i1 - i2) - delta))
-    return TransformActionReport(i1, i2, None, float(i1 - i2))
+        return TransformActionReport(i1, i2, delta, float((i1 - i2) - delta), transformed)
+    return TransformActionReport(i1, i2, None, float(i1 - i2), transformed)

@@ -6,7 +6,7 @@ Three concrete representations are provided:
   generator ``D = (PQ + QP)/2`` in a truncated Fock basis, so that
   ``[Q, P] = i*hbar`` holds exactly away from the truncation edge.
 * :class:`HalfLineRep` realizes ``Q`` (diagonal) and ``D`` on a strictly
-  positive grid, where ``D`` is the symmetric discretization of
+  positive geometric grid, where ``D`` is the symmetric discretization of
   ``-i*hbar*(x d/dx + 1/2)``.  Momentum on the half line is exposed only as a
   formal finite-difference matrix and is never exponentiated.
 * :class:`SpinRep` carries the standard ladder construction of ``S1, S2, S3``
@@ -120,25 +120,26 @@ class LineRep:
 
 
 class HalfLineRep:
-    """Grid representation of the ``Q > 0`` sector.
+    """Grid representation of the ``Q > 0`` sector, on a geometric grid.
 
-    ``Q`` is diagonal with the grid values.  ``D`` is a banded antisymmetric
-    finite-difference matrix times ``-i*hbar`` and is therefore Hermitian by
-    construction with respect to the weight-folded inner product.  ``P_formal``
-    is the formal momentum ``Q^{-1} (D + i*hbar/2)``; it is not self adjoint
-    on the half line and is never exponentiated.
+    ``Q`` is diagonal with the grid values, and ``weights`` are the
+    trapezoid weights of ``dx = x du`` on the uniform grid in ``u = log x``.
+    ``D`` is a banded antisymmetric finite-difference matrix times
+    ``-i*hbar`` and is therefore Hermitian by construction with respect to
+    the weight-folded inner product.  ``P_formal`` is the formal momentum
+    ``Q^{-1} (D + i*hbar/2)``; it is not self adjoint on the half line and
+    is never exponentiated.
     """
 
     kind = "halfline"
 
-    def __init__(self, grid, weights, hbar, Q, D, P_formal, spacing):
+    def __init__(self, grid, weights, hbar, Q, D, P_formal):
         self.grid = _frozen(np.asarray(grid, dtype=float))
         self.weights = _frozen(np.asarray(weights, dtype=float))
         self.hbar = float(hbar)
         self.Q = Q
         self.D = D
         self.P_formal = P_formal
-        self.spacing = spacing
 
     @property
     def dim(self) -> int:
@@ -195,25 +196,8 @@ def build_fock_rep(dim: int, hbar: float = 1.0) -> LineRep:
     return LineRep(dim, hbar, q, p, d)
 
 
-def _antisymmetric_derivative(n: int, step: float) -> sp.csr_matrix:
-    # Five-point central stencil.  The matrix is exactly antisymmetric, so
-    # -i*hbar times it is Hermitian regardless of boundary truncation.
-    m = sp.diags(
-        [np.full(n - 2, 1.0), np.full(n - 1, -8.0), np.full(n - 1, 8.0), np.full(n - 2, -1.0)],
-        [-2, -1, 1, 2],
-        format="csr",
-    )
-    return m / (12.0 * step)
-
-
-def build_halfline_rep(
-    x_min: float,
-    x_max: float,
-    n: int,
-    hbar: float = 1.0,
-    spacing: str = "geometric",
-) -> HalfLineRep:
-    """Build ``Q`` and ``D`` on a strictly positive grid.
+def build_halfline_rep(x_min: float, x_max: float, n: int, hbar: float = 1.0) -> HalfLineRep:
+    """Build ``Q`` and ``D`` on a strictly positive geometric grid.
 
     Parameters
     ----------
@@ -222,17 +206,13 @@ def build_halfline_rep(
         dimensionless (reference scale fixed to one).
     n : int
         Number of grid points, at least 16.
-    spacing : {"geometric", "linear"}
-        Geometric (log-spaced) grids are the default: the dilation generator
-        acts multiplicatively there and the fiducial states of interest decay
-        exponentially.
 
     Notes
     -----
-    On the geometric grid the amplitudes are half-density samples in
-    ``u = log x``, where ``D`` reduces to ``-i*hbar d/du``; on a linear grid
-    ``D`` is assembled as the symmetrized product ``(Q P + P Q)/2`` of the
-    diagonal position matrix with the finite-difference momentum.
+    The grid is log-spaced: the dilation generator acts multiplicatively
+    there and the fiducial states of interest decay exponentially.  The
+    amplitudes are half-density samples in ``u = log x``, where ``D``
+    reduces to ``-i*hbar d/du``.
     """
     if hbar <= 0:
         raise ValueError("hbar must be positive")
@@ -244,31 +224,20 @@ def build_halfline_rep(
         raise ValueError("n must be an integer >= 16")
     n = int(n)
 
-    if spacing == "geometric":
-        u = np.linspace(np.log(x_min), np.log(x_max), n)
-        du = u[1] - u[0]
-        x = np.exp(u)
-        w = x * du
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        deriv = _antisymmetric_derivative(n, du)
-        d_op = (-1j * hbar) * deriv
-        p_formal = sp.diags(1.0 / x).dot(d_op + (0.5j * hbar) * sp.identity(n))
-    elif spacing == "linear":
-        x = np.linspace(x_min, x_max, n)
-        dx = x[1] - x[0]
-        w = np.full(n, dx)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        deriv = _antisymmetric_derivative(n, dx)
-        p_formal = (-1j * hbar) * deriv
-        q_op = sp.diags(x)
-        d_op = 0.5 * (q_op.dot(p_formal) + p_formal.dot(q_op))
-    else:
-        raise ValueError(f"unknown spacing {spacing!r}")
-
+    u = np.linspace(np.log(x_min), np.log(x_max), n)
+    du = u[1] - u[0]
+    x = np.exp(u)
+    w = x * du
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    # five-point central stencil in u: exactly antisymmetric, so -i*hbar
+    # times it is Hermitian regardless of boundary truncation
+    stencil = sp.diags([np.full(n - 2, 1.0), np.full(n - 1, -8.0), np.full(n - 1, 8.0),
+                        np.full(n - 2, -1.0)], [-2, -1, 1, 2], format="csr")
+    d_op = (-1j * hbar) * (stencil / (12.0 * du))
+    p_formal = sp.diags(1.0 / x).dot(d_op + (0.5j * hbar) * sp.identity(n))
     q_op = sp.diags(x, format="csr")
-    return HalfLineRep(x, w, hbar, q_op, d_op.tocsr(), p_formal.tocsr(), spacing)
+    return HalfLineRep(x, w, hbar, q_op, d_op.tocsr(), p_formal.tocsr())
 
 
 def build_spin_rep(s: float, hbar: float = 1.0) -> SpinRep:
@@ -344,11 +313,3 @@ def apply_unitary(op, theta: float, state: StateVector) -> StateVector:
     out = v @ (phases * (v.conj().T @ state.amplitudes))
     return StateVector(out, rep)
 
-
-def commutator_defect(rep: LineRep, margin: int = DEFAULT_TRUNCATION_MARGIN) -> float:
-    """Frobenius norm of ``[Q, P] - i*hbar`` projected on the first ``dim - margin`` states."""
-    if margin < 1 or margin >= rep.dim:
-        raise ValueError("margin must satisfy 1 <= margin < dim")
-    m = rep.dim - margin
-    c = rep.Q @ rep.P - rep.P @ rep.Q - 1j * rep.hbar * np.eye(rep.dim)
-    return float(np.linalg.norm(c[:m, :m]))

@@ -119,14 +119,26 @@ class TestValidation:
         ("run", {"experiment": "limit_study", "hbar": 0.5, "hamiltonian": {"expression": "Q^2"},
                  "labels": {"grid": {"p": [0, 0, 1], "q": [0, 0, 1]}}}, "hbar"),
         ("verify", {"suites": ["curvature"], "x0": [0.0, 1.0]}, "x0"),
+        ("run", {"experiment": "evolve", "model": {"name": "hydrogen_enhanced"},
+                 "representation": {"n": 500, "dim": 7}, "x0": [-0.3, 1.0],
+                 "integrator": {"t_final": 2.0, "n_samples": 20}}, "representation"),
+        ("run", {"experiment": "curvature", "family": {"kind": "affine", "beta": 2.0},
+                 "representation": {"dim": 7},
+                 "labels": {"grid": {"p": [0, 1, 2], "q": [0.5, 1, 2]}}}, "representation"),
+        ("verify", {"suites": ["curvature"], "representation": {"dim": 7},
+                    "family": {"kind": "affine"}, "seed": 3}, "representation"),
+        ("verify", {"suites": ["label_means", "energy_drift"], "family": {"kind": "canonical"}},
+         "family"),
     ], ids=["metric-format", "verify-format", "dop853", "grid-text-bound", "grid-fractional-count",
             "grid-zero-count", "model-s", "hydrogen-with-spin-model", "expectation-with-model",
-            "model-and-hamiltonian", "limit-study-hbar", "verify-x0"])
+            "model-and-hamiltonian", "limit-study-hbar", "verify-x0", "hydrogen-representation",
+            "affine-curvature-representation", "curvature-suite-keys", "canonical-suites-family"])
     def test_rejected_keys_write_nothing(self, tmp_path, capsys, command, cfg, path):
         # output.format is read by evolve alone; dop853 is no longer a method;
         # a grid axis is [lo, hi, count] with an integer count of at least 1;
         # the spin size is representation.s alone; a block or model the
-        # experiment never reads would be silently ignored
+        # experiment, its subject or the requested suites never read would be
+        # silently ignored
         out = tmp_path / "out"
         assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -167,15 +179,22 @@ class TestValidation:
         [{"experiment": "metric", "family": {"kind": "spin"}, "seed": 3,
           "labels": {"random": {"count": 2, "box": 0.5}}}],
         [{"experiment": "curvature", "family": {"kind": "spin"}, "representation": {"s": 2},
-          "seed": 1, "labels": {"random": {"count": 2, "box": 0.5}}}],
+          "seed": 1, "labels": {"random": {"count": 2, "box": 0.5}}},
+         {"experiment": "curvature", "family": {"kind": "affine"},
+          "labels": {"grid": {"p": [0, 0.5, 2], "q": [0.5, 1, 2]}}}],
         [{"experiment": "evolve", "model": {"name": "harmonic"}, "x0": [0.0, 1.0],
           "integrator": {"t_final": 1.0, "n_samples": 5}, "output": {"format": "json"}},
          {"experiment": "evolve", "hamiltonian": {"expression": "0.5*P^2 + 0.5*Q^2"},
-          "family": {"kind": "canonical"}, "hbar": 0.5, "representation": {"dim": 8}}],
+          "family": {"kind": "canonical"}, "hbar": 0.5, "representation": {"dim": 8}},
+         {"experiment": "evolve", "model": {"name": "hydrogen_enhanced"}, "x0": [-0.3, 1.0],
+          "integrator": {"t_final": 1.0, "n_samples": 5}}],
         [{"experiment": "compare_hydrogen", "model": {"name": "hydrogen_enhanced"}, "hbar": 0.5,
           "x0": [0.0, 1.0], "horizon_factor": 2.0, "integrator": {"n_samples": 20}}],
         [{"experiment": "transform_check", "model": {"name": "harmonic"}, "x0": [0.0, 1.0],
           "integrator": {"t_final": 1.0, "n_samples": 20}, "transform": {"name": "rotation"}},
+         {"experiment": "transform_check", "model": {"name": "hydrogen_classical"},
+          "x0": [-0.3, 1.0], "integrator": {"t_final": 1.0, "n_samples": 20},
+          "transform": {"name": "scaling"}},
          {"experiment": "transform_check", "hamiltonian": {"expression": "0.5*P^2 + 0.5*Q^2"},
           "family": {"kind": "canonical"}, "hbar": 0.5, "representation": {"dim": 8},
           "transform": {"name": "rotation"}, "integrator": {"t_final": 1.0, "n_samples": 20}}],
@@ -184,23 +203,24 @@ class TestValidation:
           "labels": {"random": {"count": 1, "box": 0.5}}}],
     ], ids=lambda configs: configs[0]["experiment"])
     def test_each_row_is_what_its_runner_reads(self, tmp_path, configs):
-        # the keys the runner reads over these configs, and no others, are its row
+        # the keys the runner reads over these configs, and no others, are its
+        # row; a subject it takes in closed form reads no representation
         experiment = configs[0]["experiment"]
-        reads, _ = enhq.cli.EXPERIMENTS[experiment]
+        reads, _, closed = enhq.cli.EXPERIMENTS[experiment]
         read = set()
         for cfg in configs:
             recording = _Recording(validate_config(cfg))
             enhq.cli._RUNNERS[experiment](recording, tmp_path, False)
             read |= recording.read
+            builds = "representation" in reads and enhq.cli._subject(cfg) not in closed
+            assert ("representation" in recording.read) == builds
         assert read - {"experiment"} == {key.split(".")[0] for key in reads}
 
-    def test_verify_reads_are_what_the_suites_read(self):
-        read = set()
-        for suite in enhq.cli.SUITES:
-            recording = _Recording({"representation": {"dim": 80, "n": 500}})
-            enhq.cli._SUITE_RUNNERS[suite](recording)
-            read |= recording.read
-        assert {"suites", *read} == set(enhq.cli._VERIFY_READS)
+    @pytest.mark.parametrize("suite", list(enhq.cli.SUITES))
+    def test_each_suite_entry_is_what_it_reads(self, suite):
+        recording = _Recording({"representation": {"dim": 80, "n": 500}})
+        enhq.cli._SUITE_RUNNERS[suite](recording)
+        assert recording.read == set(enhq.cli.SUITES[suite])
 
     def test_every_schema_subject_has_one_representation(self):
         # a family kind, model or suite missing from the table would skip the

@@ -1,3 +1,4 @@
+import functools
 import json
 import pickle
 import sys
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 import mpmath
+import scipy.linalg
 from scipy.special import gammainc, gammaln
 
 from enhq import (
@@ -29,16 +31,17 @@ from enhq import (
     fs_metric,
     fs_metric_analytic,
     fs_metric_numeric,
-    overlap,
     required_fock_dim,
     scalar_curvature,
     spin_family,
     variance,
 )
+from enhq.hilbert import StateVector
 import enhq.hilbert
 from enhq.cli import main as cli_main
 from enhq.coherent import CANONICAL_TAIL_TOL, _metric_from_map, _poisson_tail, affine_wavefunction
 from enhq.hilbert import DEFAULT_TRUNCATION_MARGIN, apply_unitary
+from oracles import overlap
 
 
 def coherent_series(p, q, hbar, dim):
@@ -568,18 +571,54 @@ def test_representations_are_immutable():
     assert {rep.kind: pickle.dumps(vars(rep)) for rep in (line, halfline, spin)} == before
 
 
+def generator_matrix(rep, generator):
+    """A letter of ``rep`` by name, or the rotation generator ``P^2 + Q^2``."""
+    return rep.P @ rep.P + rep.Q @ rep.Q if generator == "P^2 + Q^2" else getattr(rep, generator)
+
+
+@functools.cache
+def _eigenbasis(rep, generator):
+    # apply_unitary's diagonalization of one generator, kept per representation
+    op = generator_matrix(rep, generator)
+    return scipy.linalg.eigh(0.5 * (op + op.conj().T))
+
+
+def exponential(generator, theta, state):
+    """``apply_unitary`` of a named generator of the state's representation.
+
+    The same arithmetic, with each generator diagonalized once per
+    representation rather than on every call.
+    """
+    rep = state.rep
+    w, v = _eigenbasis(rep, generator)
+    phases = np.exp(-1j * theta * w / rep.hbar)
+    return StateVector(v @ (phases * (v.conj().T @ state.amplitudes)), rep)
+
+
 def exponential_canonical(p, q, rep):
     """The canonical state by matrix exponentials, as the definition reads."""
-    return apply_unitary(rep.P, q, apply_unitary(rep.Q, -p, rep.vacuum()))
+    return exponential("P", q, exponential("Q", -p, rep.vacuum()))
 
 
 def exponential_spin(theta, phi, rep):
     """The spin state by matrix exponentials, with ``phi`` unwrapped."""
-    return apply_unitary(rep.S3, phi, apply_unitary(rep.S2, theta, rep.highest_weight()))
+    return exponential("S3", phi, exponential("S2", theta, rep.highest_weight()))
 
 
 class TestClosedFormsAgainstExponentials:
     """The closed-form states against the matrix-exponential route of their definitions."""
+
+    @pytest.mark.parametrize("rep,generators", [
+        (build_fock_rep(48, 0.5), ["Q", "P", "D", "P^2 + Q^2"]),
+        (build_spin_rep(2.5), ["S2", "S3"]),
+    ], ids=["line", "spin"])
+    def test_the_exponential_is_apply_unitary(self, rep, generators):
+        state = StateVector(np.exp(0.3j * np.arange(rep.dim)) / (1.0 + np.arange(rep.dim)), rep)
+        for generator in generators:
+            op = generator_matrix(rep, generator)
+            for theta in (-0.7, 1.3):
+                assert np.array_equal(exponential(generator, theta, state).amplitudes,
+                                      apply_unitary(op, theta, state).amplitudes)
 
     @pytest.mark.parametrize("dim", [48, 80, 200])
     def test_canonical(self, dim):
@@ -639,9 +678,9 @@ class TestClosedFormsAgainstExponentials:
         for p, q in [(0.0, 0.0), (0.4, -0.7), (-1.0, 0.5)]:
             ref = exponential_canonical(p, q, rep)
             if b:
-                ref = apply_unitary(rep.D, 2.0 * b, ref)
+                ref = exponential("D", 2.0 * b, ref)
             if a:
-                ref = apply_unitary(rep.P @ rep.P + rep.Q @ rep.Q, a, ref)
+                ref = exponential("P^2 + Q^2", a, ref)
             assert_allclose(family.state(p, q).amplitudes, ref.amplitudes, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("family,points", [

@@ -16,10 +16,10 @@ from enhq import (
     hydrogen_enhanced,
     parse_polynomial,
     poly_expectation,
-    shift_identity_check,
     spin_family,
 )
 from enhq.correspondence import EnhancedHamiltonian, OperatorPolynomial
+from oracles import shift_identity_check
 
 
 class TestParser:

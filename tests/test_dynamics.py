@@ -8,6 +8,7 @@ from scipy.integrate import RK45, quad, solve_ivp
 from scipy.optimize import brentq
 
 from enhq import (
+    DomainError,
     HydrogenParams,
     InvalidTransformError,
     NumericalFailure,
@@ -18,6 +19,7 @@ from enhq import (
     apply_transform,
     build_fock_rep,
     build_halfline_rep,
+    build_spin_rep,
     canonical_family,
     enhance,
     hamiltonian_flow,
@@ -29,6 +31,7 @@ from enhq import (
     restricted_action_value,
     rotation_transform,
     scaling_transform,
+    spin_family,
     transform_hamiltonian,
     verify_transform_action,
 )
@@ -85,14 +88,16 @@ def reversed_hamiltonian(H):
     )
 
 
-def tableau_loop(gradient, p, q, t_final, rtol, atol, max_step, t_eval, events):
+def tableau_loop(gradient, p, q, t_final, rtol, atol, t_eval, margins):
     """Reference for ``_dormand_prince``: scipy's ``RK45`` tableau read entry by entry.
 
     A generic stage loop over ``RK45.A``, ``B``, ``E`` and ``P`` with the same
     step control and event location.  Each sum is formed left to right with
     the zero entries skipped, as the unrolled loop forms it, so the outputs
-    are expected to be bit-identical.  ``events`` are ``(g, direction,
-    terminal)`` with every ``g`` a function.
+    are expected to be bit-identical.  Events are scanned generically as
+    ``(g, direction, terminal)``: the bounce is ``dq/dt`` from a fresh
+    gradient call, upward and not terminal, and each of the ``margins``
+    downward and terminal.
     """
     A = [[float(a) for a in row] for row in RK45.A]
     B, E = [float(b) for b in RK45.B], [float(e) for e in RK45.E]
@@ -114,6 +119,8 @@ def tableau_loop(gradient, p, q, t_final, rtol, atol, max_step, t_eval, events):
     def rms(x, y):
         return math.sqrt(x * x + y * y) / math.sqrt(2.0)
 
+    events = [(lambda p, q: gradient(p, q)[0], 1.0, False),
+              *((margin, -1.0, True) for margin in margins)]
     rtol = max(rtol, 100 * eps)
     fp, fq = velocity(p, q)
     sp, sq = atol + abs(p) * rtol, atol + abs(q) * rtol
@@ -122,16 +129,14 @@ def tableau_loop(gradient, p, q, t_final, rtol, atol, max_step, t_eval, events):
     gp, gq = velocity(p + h0 * fp, q + h0 * fq)
     d2 = rms((gp - fp) / sp, (gq - fq) / sq) / h0
     h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
-    h_abs = min(100 * h0, h1, t_final, max_step)
+    h_abs = min(100 * h0, h1, t_final)
     g_old = [g(p, q) for g, _, _ in events]
     t_eval = t_eval.tolist()
     ts, ps, qs, hits = [], [], [], []
     t = 0.0
     while True:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
-        if h_abs > max_step:
-            h_abs = max_step
-        elif h_abs < min_step:
+        if h_abs < min_step:
             h_abs = min_step
         rejected = False
         while True:
@@ -493,27 +498,35 @@ class TestRK45AgainstScipy:
         "harmonic": (None, (0.3, 1.2), 6 * np.pi),
     }
 
-    @pytest.mark.parametrize("max_step", [np.inf, 0.01])
     @pytest.mark.parametrize("tol", [1e-10, 1e-6])
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_same_steps_samples_and_events(self, case, tol, max_step, harmonic):
+    def test_same_steps_samples_and_events(self, case, tol, harmonic, monkeypatch):
         build, (p0, q0), t_final = self.CASES[case]
         ham = harmonic if build is None else build()
         q_floor = 1e-8
-        calls = []
+        # count the gradient calls made outside Brent's method, which calls
+        # the gradient too while it locates a bounce: those are the stages'
+        rooting, calls = [], []
+
+        def counted_brentq(*args, **kwargs):
+            rooting.append(True)
+            try:
+                return brentq(*args, **kwargs)
+            finally:
+                rooting.pop()
 
         def gradient(p, q):
-            calls.append((p, q))
+            if not rooting:
+                calls.append((p, q))
             return ham.gradient(p, q)
+
+        monkeypatch.setattr(enhq.dynamics, "brentq", counted_brentq)
 
         def fun(t, y):
             gp, gq = ham.gradient(y[0], y[1])
             return -gq, gp
 
-        # the bounce as an explicit g, so that every counted call is a stage's
-        events = [(lambda p, q: ham.gradient(p, q)[0], 1.0, False)]
-        if ham.q_positive:
-            events.append((lambda p, q: q - q_floor, -1.0, True))
+        margins = [lambda p, q: q - q_floor] if ham.q_positive else []
         kinds = ["bounce", "singularity_hit"]
         t_eval = np.linspace(0.0, t_final, 500)
 
@@ -526,23 +539,15 @@ class TestRK45AgainstScipy:
 
         ref = solve_ivp(
             fun, (0.0, t_final), (p0, q0), method="RK45",
-            rtol=tol, atol=tol * 1e-3, t_eval=t_eval, max_step=max_step,
-            events=[scipy_event(*e) for e in events], dense_output=True,
+            rtol=tol, atol=tol * 1e-3, t_eval=t_eval, dense_output=True,
+            events=[scipy_event(lambda p, q: ham.gradient(p, q)[0], 1.0, False),
+                    *(scipy_event(margin, -1.0, True) for margin in margins)],
         )
-        result = _dormand_prince(
-            gradient, p0, q0, t_final, tol, tol * 1e-3, max_step, t_eval, events
+        ts, ps, qs, hits, stop = _dormand_prince(
+            gradient, p0, q0, t_final, tol, tol * 1e-3, t_eval, margins
         )
-        ts, ps, qs, hits, stop = result
         # one gradient call per stage: the same steps, accepted and rejected
         assert len(calls) == ref.nfev
-        # g = None, the bounce's dq/dt read from the last stage, gives the same run
-        rate_events = [(None, 1.0, False), *events[1:]]
-        assert as_lists(_dormand_prince(
-            ham.gradient, p0, q0, t_final, tol, tol * 1e-3, max_step, t_eval, rate_events
-        )) == as_lists(result)
-        if np.isfinite(max_step):
-            # six stages a step, and at least one step per max_step of time
-            assert ref.nfev >= 6 * ref.sol.t_max / max_step
         if ref.status < 0:
             # gave up at the same last accepted step
             assert stop is not None
@@ -560,19 +565,15 @@ class TestRK45AgainstScipy:
         assert_allclose([t for t, _ in got], [t for t, _ in expected], rtol=0, atol=1e-10)
         assert got or stop, "each case should end in an event or a give-up"
 
-    @pytest.mark.parametrize("max_step", [np.inf, 0.01])
     @pytest.mark.parametrize("tol", [1e-10, 1e-6])
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_bit_identical_to_the_tableau_loop(self, case, tol, max_step, harmonic):
+    def test_bit_identical_to_the_tableau_loop(self, case, tol, harmonic):
         build, (p0, q0), t_final = self.CASES[case]
         ham = harmonic if build is None else build()
-        events = [(None, 1.0, False)]
-        if ham.q_positive:
-            events.append((lambda p, q: q - 1e-8, -1.0, True))
-        args = (p0, q0, t_final, tol, tol * 1e-3, max_step, np.linspace(0.0, t_final, 500))
-        got = _dormand_prince(ham.gradient, *args, events)
-        bounce = (lambda p, q: ham.gradient(p, q)[0], 1.0, False)
-        assert as_lists(got) == tableau_loop(ham.gradient, *args, [bounce, *events[1:]])
+        margins = [lambda p, q: q - 1e-8] if ham.q_positive else []
+        args = (p0, q0, t_final, tol, tol * 1e-3, np.linspace(0.0, t_final, 500), margins)
+        got = _dormand_prince(ham.gradient, *args)
+        assert as_lists(got) == tableau_loop(ham.gradient, *args)
         assert got[3] or got[4]
 
     @pytest.mark.parametrize("x0,t_final", [((-0.3, 1.0), 4.0), ((0.773, 2.587), 133.0)])
@@ -625,42 +626,51 @@ class TestRK45AgainstScipy:
             return p - 0.5, 0.0
 
         step = (0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.5)
-        hits, t_stop = _event_roots([(None, 1.0, False)], [0], gradient, step,
+        hits, t_stop = _event_roots([], [0], gradient, step,
                                     (1.0, 0.0, 0.0, 0.0), (-0.5, 0.5, 0.0, 0.0))
         assert t_stop is None
         assert hits == [(0, 0.5, 0.5, -0.125)]
         assert calls and (0.0, 0.0) not in calls and (1.0, 0.0) not in calls
 
-    def test_a_terminal_event_drops_the_later_ones_of_its_step(self):
+    def test_a_terminal_event_drops_the_later_ones_of_its_step(self, monkeypatch):
         # straight-line motion has no error estimate, so steps grow tenfold
-        # and one step crosses all three levels; the last lies beyond the
-        # terminal one
+        # and one step crosses all three levels; the first root in time, not
+        # in index order, ends the run and the later two are dropped
         def gradient(p, q):
             # H = -p: dp/dt = 0, dq/dt = -1
             return -1.0, 0.0
 
-        levels = ((0.7, False), (0.5, True), (0.2, False))
-        events = [(lambda p, q, c=c: q - c, -1.0, terminal) for c, terminal in levels]
+        scanned = []
+        event_roots = enhq.dynamics._event_roots
+
+        def spy(margins, active, *args):
+            scanned.append(list(active))
+            return event_roots(margins, active, *args)
+
+        monkeypatch.setattr(enhq.dynamics, "_event_roots", spy)
+        levels = (0.2, 0.45, 0.3)
+        margins = [lambda p, q, c=c: q - c for c in levels]
         t_eval = np.linspace(0.0, 10.0, 11)
         _, _, _, hits, stop = _dormand_prince(
-            gradient, 0.0, 1.0, 10.0, 1e-10, 1e-13, np.inf, t_eval, events
+            gradient, 0.0, 1.0, 10.0, 1e-10, 1e-13, t_eval, margins
         )
 
-        def scipy_event(c, terminal):
+        def scipy_event(c):
             def event(t, y):
                 return y[1] - c
 
-            event.direction, event.terminal = -1.0, terminal
+            event.direction, event.terminal = -1.0, True
             return event
 
         ref = solve_ivp(
             lambda t, y: (0.0, -1.0), (0.0, 10.0), (0.0, 1.0), method="RK45",
-            rtol=1e-10, atol=1e-13, t_eval=t_eval, events=[scipy_event(*lv) for lv in levels],
+            rtol=1e-10, atol=1e-13, t_eval=t_eval, events=[scipy_event(c) for c in levels],
         )
+        assert scanned == [[1, 2, 3]]
         assert stop is None and ref.status == 1
-        assert [i for i, _, _, _ in hits] == [0, 1]
-        assert [len(times) for times in ref.t_events] == [1, 1, 0]
-        assert_allclose([t for _, t, _, _ in hits], [0.3, 0.5], rtol=0, atol=1e-12)
+        assert [i for i, _, _, _ in hits] == [2]
+        assert [len(times) for times in ref.t_events] == [0, 1, 0]
+        assert_allclose([t for _, t, _, _ in hits], [0.55], rtol=0, atol=1e-12)
 
 
 class TestFlowValidation:
@@ -684,11 +694,6 @@ class TestFlowValidation:
     def test_numpy_integer_n_samples(self, harmonic, method):
         traj = hamiltonian_flow(harmonic, (0.0, 1.0), 1.0, n_samples=np.int32(11), method=method)
         assert len(traj) == 11
-
-    @pytest.mark.parametrize("max_step", [0.0, -1.0, np.nan])
-    def test_needs_positive_max_step(self, harmonic, max_step):
-        with pytest.raises(ValueError, match="max_step"):
-            hamiltonian_flow(harmonic, (0.0, 1.0), 1.0, max_step=max_step)
 
     def test_halfline_start_must_be_above_floor(self):
         ham = hydrogen_classical(HydrogenParams())
@@ -874,6 +879,17 @@ class TestFlowValidation:
         assert exit_.time == pytest.approx(2.0, abs=abs_tol)
         assert traj.t[-1] <= exit_.time + 1e-12
         assert exit_.energy == ham.evaluate(exit_.p, exit_.q)
+
+    @pytest.mark.xfail(strict=True, raises=DomainError, reason=(
+        "ROADMAP item 2: spin gradients are central differences of the direct "
+        "route, which step past the pole p = sqrt(s hbar) and raise DomainError"))
+    @pytest.mark.parametrize("method,n_steps", [("rk45", None), ("leapfrog", 300)])
+    def test_spin_flow_into_a_pole_ends_in_domain_exit(self, method, n_steps):
+        # S1 at s = 2 drives p up to the pole sqrt(2) from the equator
+        ham = enhance(parse_polynomial("S1", "spin"), spin_family(build_spin_rep(2.0)))
+        traj = hamiltonian_flow(ham, (0.0, math.pi / 2 * math.sqrt(2)), 3.0, n_samples=5,
+                                method=method, n_steps=n_steps)
+        assert traj.event_kinds()[-1] == "domain_exit"
 
     def test_unknown_method(self, harmonic):
         for method in ("euler", "dop853"):

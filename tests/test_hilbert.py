@@ -11,12 +11,12 @@ from enhq import (
     build_fock_rep,
     build_halfline_rep,
     build_spin_rep,
-    commutator_defect,
     expectation,
     variance,
 )
 from enhq.coherent import affine_wavefunction
 from enhq.hilbert import hermitian_defect
+from oracles import commutator_defect
 
 
 class TestFockRep:
@@ -63,13 +63,14 @@ class TestFockRep:
 
 class TestHalfLineRep:
     def test_q_diagonal_eigenvalue(self):
-        # linear grid containing x = 0.5 exactly
-        rep = build_halfline_rep(0.1, 1.0, 19, spacing="linear")
-        i = int(np.argmin(np.abs(rep.grid - 0.5)))
-        assert rep.grid[i] == pytest.approx(0.5, abs=1e-15)
-        e = np.zeros(19, dtype=complex)
-        e[i] = 1.0
-        assert_allclose((rep.Q @ e).real, 0.5 * e.real, atol=1e-15)
+        # geometric grid from 0.1 to 10 in ratio 10^(1/9): x = 1 is its
+        # middle point, and every point is an eigenvalue of Q
+        rep = build_halfline_rep(0.1, 10.0, 19)
+        assert rep.grid[9] == pytest.approx(1.0, rel=1e-15)
+        for i in (0, 9, 18):
+            e = np.zeros(19, dtype=complex)
+            e[i] = 1.0
+            assert_allclose((rep.Q @ e).real, rep.grid[i] * e.real, rtol=0, atol=1e-15)
 
     def test_grid_positive_and_increasing(self):
         rep = build_halfline_rep(1e-4, 30.0, 100)
@@ -77,16 +78,14 @@ class TestHalfLineRep:
         assert np.all(np.diff(rep.grid) > 0)
 
     def test_d_hermitian(self):
-        for spacing in ("geometric", "linear"):
-            rep = build_halfline_rep(1e-3, 20.0, 300, spacing=spacing)
-            assert hermitian_defect(rep.D) < 1e-12
+        rep = build_halfline_rep(1e-3, 20.0, 300)
+        assert hermitian_defect(rep.D) < 1e-12
 
-    @pytest.mark.parametrize("spacing", ["geometric", "linear"])
-    def test_commutator_on_smooth_state(self, spacing):
+    def test_commutator_on_smooth_state(self):
         hbar = 1.0
 
         def defect(n):
-            rep = build_halfline_rep(1e-4, 40.0, n, spacing=spacing)
+            rep = build_halfline_rep(1e-4, 40.0, n)
             psi = rep.state_from_samples(affine_wavefunction(rep.grid, 2.0, hbar))
             a = psi.amplitudes
             lhs = np.vdot(a, rep.Q @ (rep.D @ a)) - np.vdot(a, rep.D @ (rep.Q @ a))
