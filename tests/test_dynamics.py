@@ -497,8 +497,11 @@ class TestRK45AgainstScipy:
         "hydrogen_enhanced": (lambda: hydrogen_enhanced(HydrogenParams(beta=2.0)), (-0.3, 1.0), 30.0),
         "harmonic": (None, (0.3, 1.2), 6 * np.pi),
     }
+    # at 1e-4 the enhanced orbit's median step is 0.64 rather than 0.04 at
+    # 1e-10, so its bounces are rooted inside long steps
+    TOLS = [1e-10, 1e-6, 1e-4]
 
-    @pytest.mark.parametrize("tol", [1e-10, 1e-6])
+    @pytest.mark.parametrize("tol", TOLS)
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_same_steps_samples_and_events(self, case, tol, harmonic, monkeypatch):
         build, (p0, q0), t_final = self.CASES[case]
@@ -565,7 +568,7 @@ class TestRK45AgainstScipy:
         assert_allclose([t for t, _ in got], [t for t, _ in expected], rtol=0, atol=1e-10)
         assert got or stop, "each case should end in an event or a give-up"
 
-    @pytest.mark.parametrize("tol", [1e-10, 1e-6])
+    @pytest.mark.parametrize("tol", TOLS)
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_bit_identical_to_the_tableau_loop(self, case, tol, harmonic):
         build, (p0, q0), t_final = self.CASES[case]

@@ -77,15 +77,21 @@ class TestHalfLineRep:
         assert np.all(rep.grid > 0)
         assert np.all(np.diff(rep.grid) > 0)
 
+    def test_grid_is_geometric_between_its_bounds(self):
+        rep = build_halfline_rep(1e-4, 30.0, 100)
+        assert rep.grid[0] == pytest.approx(1e-4, rel=1e-14)
+        assert rep.grid[-1] == pytest.approx(30.0, rel=1e-14)
+        ratio = (30.0 / 1e-4) ** (1 / 99)
+        assert_allclose(rep.grid[1:] / rep.grid[:-1], ratio, rtol=1e-13, atol=0)
+
     def test_d_hermitian(self):
         rep = build_halfline_rep(1e-3, 20.0, 300)
         assert hermitian_defect(rep.D) < 1e-12
 
-    def test_commutator_on_smooth_state(self):
-        hbar = 1.0
-
+    @pytest.mark.parametrize("hbar", [1.0, 0.5])
+    def test_commutator_on_smooth_state(self, hbar):
         def defect(n):
-            rep = build_halfline_rep(1e-4, 40.0, n)
+            rep = build_halfline_rep(1e-4, 40.0, n, hbar=hbar)
             psi = rep.state_from_samples(affine_wavefunction(rep.grid, 2.0, hbar))
             a = psi.amplitudes
             lhs = np.vdot(a, rep.Q @ (rep.D @ a)) - np.vdot(a, rep.D @ (rep.Q @ a))
@@ -110,6 +116,11 @@ class TestHalfLineRep:
     def test_rejects_inverted_bounds(self):
         with pytest.raises(ValueError):
             build_halfline_rep(2.0, 1.0, 32)
+
+    @pytest.mark.parametrize("hbar", [0.0, -1.0])
+    def test_rejects_bad_hbar(self, hbar):
+        with pytest.raises(ValueError, match="hbar must be positive"):
+            build_halfline_rep(0.1, 1.0, 32, hbar=hbar)
 
 
 class TestSpinRep:
