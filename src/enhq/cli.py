@@ -14,7 +14,6 @@ import datetime as dt
 import functools
 import hashlib
 import json
-import shutil
 import sys
 from pathlib import Path
 
@@ -47,174 +46,43 @@ from .errors import CapacityError, DomainError, NumericalFailure
 from .hilbert import build_fock_rep, build_halfline_rep, build_spin_rep, expectation, variance
 from .models import HydrogenParams, hydrogen_classical, hydrogen_enhanced, min_radius, spin_precession
 
-_HYDROGEN = ("hydrogen_classical", "hydrogen_enhanced")
-_MODELS = ("harmonic", *_HYDROGEN, "spin_precession")
-_LABELLED = ("hbar", "seed", "representation", "family", "labels")
-_FLOW = ("hbar", "model", "x0", "integrator")
-_EXPRESSION = ("representation", "family", "hamiltonian")
-
-# each experiment: the top-level keys its runner reads besides experiment and
-# output (output.format is evolve's alone), the models it can run, and the
-# models or family kinds it takes in closed form, building no representation;
-# run rejects any other key or model, which would be silently ignored
-EXPERIMENTS = {
-    "expectation": (_LABELLED, (), ()),
-    "metric": (_LABELLED, (), ()),
-    "curvature": (_LABELLED, (), ("canonical", "affine")),
-    "evolve": ((*_FLOW, *_EXPRESSION, "output.format"), _MODELS, _HYDROGEN),
-    "compare_hydrogen": ((*_FLOW, "horizon_factor"), _HYDROGEN, ()),
-    "transform_check": ((*_FLOW, *_EXPRESSION, "transform"), _MODELS, _HYDROGEN),
-    "limit_study": (("seed", "representation", "hamiltonian", "labels", "hbar_sequence"), (), ()),
-}
-
-# each suite and the top-level keys it reads besides suites and output;
-# verify rejects a key that no requested suite reads
-SUITES = {
-    "label_means": ("hbar", "seed", "representation"),
-    "flat_metric": ("hbar", "representation"),
-    "fiducial_moments": ("hbar", "representation", "family"),
-    "curvature": ("hbar",),
-    "energy_drift": ("hbar", "representation"),
-}
-
-# [lo, hi, count] of one label axis
-_GRID_AXIS = {"type": "array", "minItems": 3, "maxItems": 3, "prefixItems": [
-    {"type": "number"}, {"type": "number"}, {"type": "integer", "minimum": 1}]}
-
-_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "experiment": {"enum": list(EXPERIMENTS)},
-        "seed": {"type": "integer", "minimum": 0},
-        "hbar": {"type": "number", "exclusiveMinimum": 0},
-        "representation": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"enum": ["line", "halfline", "spin"]},
-                "dim": {"type": "integer", "minimum": 2},
-                "x_min": {"type": "number", "exclusiveMinimum": 0},
-                "x_max": {"type": "number", "exclusiveMinimum": 0},
-                "n": {"type": "integer", "minimum": 16},
-                "s": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "family": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"enum": ["canonical", "affine", "spin", "extended"]},
-                "beta": {"type": "number", "exclusiveMinimum": 0},
-                "a": {"type": "number"},
-                "b": {"type": "number"},
-            },
-        },
-        "model": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "name": {"enum": list(_MODELS)},
-                "m": {"type": "number", "exclusiveMinimum": 0},
-                "e2": {"type": "number", "exclusiveMinimum": 0},
-                "beta": {"type": "number", "exclusiveMinimum": 0},
-                "B": {"type": "number"},
-            },
-        },
-        "hamiltonian": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["expression"],
-            "properties": {
-                "expression": {"type": "string"},
-                "variables": {"enum": ["canonical", "affine", "spin"]},
-            },
-        },
-        "labels": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "grid": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["p", "q"],
-                    "properties": {
-                        "p": _GRID_AXIS,
-                        "q": _GRID_AXIS,
-                    },
-                },
-                "random": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["count", "box"],
-                    "properties": {
-                        "count": {"type": "integer"},
-                        "box": {"type": "number"},
-                    },
-                },
-            },
-        },
-        "integrator": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "t_final": {"type": "number", "exclusiveMinimum": 0},
-                "tol": {"type": "number", "exclusiveMinimum": 0},
-                "n_samples": {"type": "integer", "minimum": 2},
-                "q_floor": {"type": "number", "exclusiveMinimum": 0},
-                "method": {"enum": ["rk45", "leapfrog"]},
-            },
-        },
-        "hbar_sequence": {
-            "type": "array",
-            "items": {"type": "number", "exclusiveMinimum": 0},
-            "minItems": 3,
-        },
-        "transform": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["name"],
-            "properties": {
-                "name": {"enum": ["rotation", "scaling"]},
-                "factor": {"type": "number"},
-            },
-        },
-        "x0": {
-            "type": "array",
-            "items": {"type": "number"},
-            "minItems": 2,
-            "maxItems": 2,
-        },
-        "horizon_factor": {"type": "number", "exclusiveMinimum": 0},
-        "suites": {"type": "array", "items": {"enum": list(SUITES)}, "minItems": 1},
-        "output": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "dir": {"type": "string"},
-                "basename": {"type": "string"},
-                "format": {"enum": ["csv", "json"]},
-            },
-        },
-    },
-}
-
-
-# built once: checking the constant schema against its metaschema on every
-# call took most of the validation time (the tests check it once)
-_VALIDATOR = jsonschema.validators.validator_for(_SCHEMA)(_SCHEMA)
+_HYDROGEN = {"hydrogen_classical": hydrogen_classical, "hydrogen_enhanced": hydrogen_enhanced}
 
 
 class ConfigError(ValueError):
     """Configuration rejected before any file is written."""
 
 
-def validate_config(cfg: dict) -> dict:
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(cfg))
-    if error is not None:
-        path = ".".join(str(x) for x in error.absolute_path) or "<root>"
-        raise ConfigError(f"config error at {path}: {error.message}") from error
-    return cfg
+class _Reads(dict):
+    """A config block that records the dotted path of every key looked up in it.
+
+    Only ``[]`` and ``get`` record; ``in``, iteration and ``json.dumps`` do
+    not.  A nested block comes back as a view sharing the record, so a run
+    that hands its runner a view can reject afterwards what nothing read.
+    """
+
+    def __init__(self, block, read=None, prefix=""):
+        super().__init__(block)
+        self.read = set() if read is None else read
+        self.prefix = prefix
+
+    def __getitem__(self, key):
+        path = self.prefix + key
+        self.read.add(path)
+        value = super().__getitem__(key)
+        return _Reads(value, self.read, path + ".") if isinstance(value, dict) else value
+
+    def get(self, key, default=None):
+        return self[key] if key in self else default
+
+    def check(self, command):
+        """Reject the first key, at any depth, that nothing looked up."""
+        for key, value in self.items():
+            path = self.prefix + key
+            if path not in self.read:
+                raise ConfigError(f"config error at {path}: {command} does not read it")
+            if isinstance(value, dict):
+                _Reads(value, self.read, path + ".").check(command)
 
 
 def config_hash(cfg: dict) -> str:
@@ -222,117 +90,81 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _header_lines(cfg, stamp):
-    lines = [f"enhq={__version__}", f"config_sha256={config_hash(cfg)}"]
+def _header(cfg, stamp) -> dict:
+    header = {"enhq": __version__, "config_sha256": config_hash(cfg)}
     if stamp:
-        lines.append(f"generated={dt.datetime.now(dt.timezone.utc).isoformat()}")
-    return lines
+        header["generated"] = dt.datetime.now(dt.timezone.utc).isoformat()
+    return header
 
 
-def _write_csv(path: Path, cfg, stamp, columns, rows):
-    with open(path, "w", newline="\n") as fh:
-        for line in _header_lines(cfg, stamp):
-            fh.write(f"# {line}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+def _header_lines(header) -> list:
+    return [f"{key}={value}" for key, value in header.items()]
 
 
-def _write_json(path: Path, cfg, stamp, payload):
-    doc = {"enhq": __version__, "config_sha256": config_hash(cfg)}
-    if stamp:
-        doc["generated"] = dt.datetime.now(dt.timezone.utc).isoformat()
-    doc.update(payload)
-    with open(path, "w", newline="\n") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+def _csv(header, columns, rows) -> str:
+    lines = [*(f"# {line}" for line in _header_lines(header)), ",".join(columns)]
+    # str of a float is its shortest round-trip repr
+    lines.extend(",".join(map(str, row)) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def _json(header, payload) -> str:
+    return json.dumps({**header, **payload}, indent=2) + "\n"
 
 
 def _hbar(cfg) -> float:
     return float(cfg.get("hbar", 1.0))
 
 
-# the representation each family kind, model and verify suite lives on; the
-# limit study enhances canonical expressions, compare_hydrogen runs both
-# hydrogen models, and the curvature suite checks closed forms at fixed
-# parameters, so it imposes no kind
-_REPRESENTATION_KIND = {
-    **dict.fromkeys(("canonical", "extended", "harmonic", "limit_study",
-                     "label_means", "flat_metric", "energy_drift"), "line"),
-    **dict.fromkeys(("affine", "hydrogen_classical", "hydrogen_enhanced", "compare_hydrogen",
-                     "fiducial_moments"), "halfline"),
-    **dict.fromkeys(("spin", "spin_precession"), "spin"),
-    "curvature": None,
-}
+_REPRESENTATION_DEFAULTS = {"dim": 200, "x_min": 1e-5, "x_max": 60.0, "n": 3000, "s": 0.5}
 
-_REPRESENTATION_DEFAULTS = {
-    "dim": 200, "x_min": 1e-5, "x_max": 60.0, "n": 3000, "s": 0.5,
-}
 
-# canonical and spin families take no parameter and read no family block
+def _representation_keys(cfg, kind, **derived):
+    """A reader of the ``kind`` representation's keys: the config's, else derived, else the default.
+
+    A ``representation.kind`` the config names must be ``kind``.
+    """
+    block = cfg.get("representation", {})
+    if block.get("kind", kind) != kind:
+        raise ConfigError(f"config error at representation.kind: this config builds the "
+                          f"{kind!r} representation, not {block['kind']!r}")
+    return lambda key: block.get(key, derived.get(key, _REPRESENTATION_DEFAULTS[key]))
+
+
+def _representation(cfg, kind, hbar=None, **derived):
+    value = _representation_keys(cfg, kind, **derived)
+    hbar = _hbar(cfg) if hbar is None else hbar
+    if kind == "line":
+        return build_fock_rep(value("dim"), hbar)
+    if kind == "halfline":
+        return build_halfline_rep(value("x_min"), value("x_max"), value("n"), hbar)
+    return build_spin_rep(value("s"), hbar)
+
+
+def _affine_beta(cfg):
+    return cfg.get("family", {}).get("beta", 2.0)
+
+
+# each family kind: the representation it lives on, and its builder; canonical
+# and spin families take no parameter and read no family block
 _FAMILIES = {
-    "canonical": lambda rep, cfg: canonical_family(rep),
-    "extended": lambda rep, cfg: extended_family(rep, *(cfg.get("family", {}).get(k, 0.0) for k in "ab")),
-    "affine": lambda rep, cfg: affine_family(rep, cfg.get("family", {}).get("beta", 2.0)),
-    "spin": lambda rep, cfg: spin_family(rep),
+    "canonical": ("line", lambda rep, cfg: canonical_family(rep)),
+    "extended": ("line", lambda rep, cfg: extended_family(
+        rep, *(cfg.get("family", {}).get(k, 0.0) for k in "ab"))),
+    "affine": ("halfline", lambda rep, cfg: affine_family(rep, _affine_beta(cfg))),
+    "spin": ("spin", lambda rep, cfg: spin_family(rep)),
 }
 
 _HARMONIC = "0.5*P^2 + 0.5*Q^2"
-
-
-def _check_kind(cfg, names):
-    # a representation.kind the config names must be the one each part lives on
-    kind = cfg.get("representation", {}).get("kind")
-    for name in names:
-        built = _REPRESENTATION_KIND[name]
-        if kind is not None and built is not None and kind != built:
-            raise ConfigError(f"config error at representation.kind: {name!r} lives on the "
-                              f"{built!r} representation, not {kind!r}")
 
 
 def _family_kind(cfg, default="canonical"):
     return cfg.get("family", {}).get("kind", default)
 
 
-def _subject(cfg) -> str:
-    """The table key of what an experiment builds: its model, family kind or itself."""
-    experiment = cfg["experiment"]
-    if experiment in ("limit_study", "compare_hydrogen"):
-        return experiment
-    if experiment not in ("evolve", "transform_check"):
-        return _family_kind(cfg)
-    if "model" in cfg:
-        for key in ("hamiltonian", "family"):
-            if key in cfg:
-                raise ConfigError(f"config error at {key}: {experiment} follows the model")
-        if "name" not in cfg["model"]:
-            raise ConfigError("model.name: required")
-        return cfg["model"]["name"]
-    if "hamiltonian" not in cfg:
-        raise ConfigError("either model or hamiltonian is required")
-    return _family_kind(cfg, cfg["hamiltonian"].get("variables", "canonical"))
-
-
-def _representation(cfg, kind, hbar=None, **derived):
-    # one default per key; a value in the config wins over a derived one
-    r = {**_REPRESENTATION_DEFAULTS, **derived, **cfg.get("representation", {})}
-    hbar = _hbar(cfg) if hbar is None else hbar
-    if kind == "line":
-        return build_fock_rep(r["dim"], hbar)
-    if kind == "halfline":
-        return build_halfline_rep(r["x_min"], r["x_max"], r["n"], hbar)
-    return build_spin_rep(r["s"], hbar)
-
-
 def _build_family(cfg, kind, **derived) -> CoherentFamily:
-    rep = _representation(cfg, _REPRESENTATION_KIND[kind], **derived)
-    return _FAMILIES[kind](rep, cfg)
+    rep_kind, build = _FAMILIES[kind]
+    return build(_representation(cfg, rep_kind, **derived), cfg)
 
 
 def _enhanced(cfg, poly, kind):
@@ -342,71 +174,70 @@ def _enhanced(cfg, poly, kind):
 
 
 def _label_points(cfg):
-    lab = cfg.get("labels")
-    if lab is None:
-        raise ConfigError("labels: required for this experiment")
-    if "grid" in lab:
-        p_lo, p_hi, n_p = lab["grid"]["p"]
-        q_lo, q_hi, n_q = lab["grid"]["q"]
-        if p_hi < p_lo or q_hi < q_lo:
-            raise ConfigError("labels.grid: empty label range")
-        ps = np.linspace(p_lo, p_hi, int(n_p))
-        qs = np.linspace(q_lo, q_hi, int(n_q))
-        return [(float(p), float(q)) for p in ps for q in qs]
-    if "random" in lab:
-        count = int(lab["random"]["count"])
-        box = float(lab["random"]["box"])
-        if count < 1 or box <= 0:
-            raise ConfigError("labels.random: empty label range")
+    labels = cfg.get("labels")
+    if labels is None:
+        raise ConfigError("config error at labels: this experiment needs label points")
+    if "grid" in labels:
+        axes = []
+        for name in "pq":
+            lo, hi, count = labels["grid"][name]
+            if hi < lo:
+                raise ConfigError(f"config error at labels.grid.{name}: empty label range")
+            axes.append(np.linspace(lo, hi, int(count)))
+        return [(float(p), float(q)) for p in axes[0] for q in axes[1]]
+    if "random" in labels:
+        box = float(labels["random"]["box"])
         rng = np.random.default_rng(int(cfg.get("seed", 0)))
-        pts = rng.uniform(-box, box, size=(count, 2))
+        pts = rng.uniform(-box, box, size=(int(labels["random"]["count"]), 2))
         return [(float(p), float(q)) for p, q in pts]
-    raise ConfigError("labels: provide either 'grid' or 'random'")
+    raise ConfigError("config error at labels: provide either 'grid' or 'random'")
+
+
+# the integrator keys passed to hamiltonian_flow, and their types (the schema
+# takes 5.0 as an integer)
+_FLOW_KEYS = {"tol": float, "n_samples": int, "q_floor": float, "method": str}
 
 
 def _integrator(cfg) -> dict:
+    # hamiltonian_flow's own defaults stand for the keys the config leaves out
     icfg = cfg.get("integrator", {})
-    return {
-        "tol": float(icfg.get("tol", 1e-10)),
-        "n_samples": int(icfg.get("n_samples", 1000)),
-        "q_floor": float(icfg.get("q_floor", 1e-8)),
-        "method": icfg.get("method", "rk45"),
-    }
+    return {key: cast(icfg[key]) for key, cast in _FLOW_KEYS.items() if key in icfg}
 
 
 def _hydrogen_params(cfg) -> HydrogenParams:
     model = cfg.get("model", {})
-    return HydrogenParams(
-        m=model.get("m", 1.0), e2=model.get("e2", 1.0), beta=model.get("beta", 2.0), hbar=_hbar(cfg)
-    )
+    return HydrogenParams(hbar=_hbar(cfg), **{key: model[key] for key in ("m", "e2", "beta") if key in model})
 
 
 def _build_hamiltonian(cfg):
-    name = _subject(cfg)
-    if name == "harmonic":
-        return _enhanced(cfg, parse_polynomial(_HARMONIC, "canonical"), "canonical")
-    if name == "hydrogen_classical":
-        return hydrogen_classical(_hydrogen_params(cfg))
-    if name == "hydrogen_enhanced":
-        return hydrogen_enhanced(_hydrogen_params(cfg))
-    if name == "spin_precession":
-        return spin_precession(cfg["model"].get("B", 1.0), _representation(cfg, "spin"))
-    # an expression, enhanced on family.kind (by default its variables)
-    ham = cfg["hamiltonian"]
-    return _enhanced(cfg, parse_polynomial(ham["expression"], ham.get("variables", "canonical")), name)
+    """The model the config names, or its expression enhanced on family.kind (by default its variables)."""
+    model = cfg.get("model")
+    if model is not None:
+        name = model["name"]
+        if name == "harmonic":
+            return _enhanced(cfg, parse_polynomial(_HARMONIC, "canonical"), "canonical")
+        if name == "spin_precession":
+            return spin_precession(model.get("B", 1.0), _representation(cfg, "spin"))
+        return _HYDROGEN[name](_hydrogen_params(cfg))
+    ham = cfg.get("hamiltonian")
+    if ham is None:
+        raise ConfigError(f"config error at model: {cfg['experiment']} needs a model or a hamiltonian")
+    variables = ham.get("variables", "canonical")
+    return _enhanced(cfg, parse_polynomial(ham["expression"], variables), _family_kind(cfg, variables))
 
 
 def _transform_from_config(cfg):
     tcfg = cfg.get("transform")
     if tcfg is None:
-        raise ConfigError("transform: required for this experiment")
+        raise ConfigError("config error at transform: transform_check needs a transform")
     if tcfg["name"] == "rotation":
         return rotation_transform()
     return scaling_transform(tcfg.get("factor", 2.0))
 
 
 # ---------------------------------------------------------------------------
-# experiments
+# experiments: each takes the config view and the file header, and returns
+# {file name: text}
 # ---------------------------------------------------------------------------
 
 # the expectation columns on each representation: (column, letter, statistic)
@@ -429,65 +260,56 @@ def _expectation_row(family, columns, p, q) -> list:
     return [_STATISTICS[stat](psi, family.letters[letter]) for _, letter, stat in columns]
 
 
-def _run_expectation(cfg, out, stamp):
+def _run_expectation(cfg, header):
     family = _build_family(cfg, _family_kind(cfg))
     columns = _EXPECTATION_COLUMNS[family.rep.kind]
     rows = [(p, q, *_expectation_row(family, columns, p, q)) for p, q in _label_points(cfg)]
-    path = out / "expectation.csv"
-    _write_csv(path, cfg, stamp, ["p", "q", *(column for column, _, _ in columns)], rows)
-    return [path]
+    return {"expectation.csv": _csv(header, ["p", "q", *(column for column, _, _ in columns)], rows)}
 
 
-def _run_metric(cfg, out, stamp):
+def _run_metric(cfg, header):
     family = _build_family(cfg, _family_kind(cfg))
     rows = []
     for p, q in _label_points(cfg):
         g = fs_metric(family, p, q)
         rows.append((p, q, g.g_pp, g.g_pq, g.g_qq))
-    path = out / "metric.csv"
-    _write_csv(path, cfg, stamp, ["p", "q", "g_pp", "g_pq", "g_qq"], rows)
-    return [path]
+    return {"metric.csv": _csv(header, ["p", "q", "g_pp", "g_pq", "g_qq"], rows)}
 
 
-def _run_curvature(cfg, out, stamp):
+def _run_curvature(cfg, header):
+    # closed forms: the spin curvature reads representation.s alone, the
+    # others no representation
     kind = _family_kind(cfg)
     if kind == "extended":
-        raise ConfigError("family.kind: no closed-form curvature for extended families")
+        raise ConfigError("config error at family.kind: no closed-form curvature for extended families")
     kwargs = {"hbar": _hbar(cfg)}
     if kind == "affine":
-        kwargs["beta"] = cfg.get("family", {}).get("beta", 2.0)
+        kwargs["beta"] = _affine_beta(cfg)
     if kind == "spin":
-        kwargs["s"] = cfg.get("representation", {}).get("s", _REPRESENTATION_DEFAULTS["s"])
+        kwargs["s"] = _representation_keys(cfg, "spin")("s")
     rows = [(p, q, scalar_curvature(kind, p, q, **kwargs)) for p, q in _label_points(cfg)]
-    path = out / "curvature.csv"
-    _write_csv(path, cfg, stamp, ["p", "q", "curvature"], rows)
-    return [path]
+    return {"curvature.csv": _csv(header, ["p", "q", "curvature"], rows)}
 
 
-def _run_evolve(cfg, out, stamp):
+def _run_evolve(cfg, header):
     ham = _build_hamiltonian(cfg)
     x0 = cfg.get("x0", [0.0, 1.0])
     t_final = float(cfg.get("integrator", {}).get("t_final", 2.0 * np.pi))
     traj = hamiltonian_flow(ham, PhasePoint(x0[0], x0[1]), t_final, **_integrator(cfg))
-    fmt = cfg.get("output", {}).get("format", "csv")
-    if fmt == "json":
-        path = out / "trajectory.json"
-        _write_json(path, cfg, stamp, {"trajectory": json.loads(traj.to_json())})
-    else:
-        path = out / "trajectory.csv"
-        with open(path, "w", newline="\n") as fh:
-            traj.to_csv(fh, _header_lines(cfg, stamp))
-    return [path]
+    if cfg.get("output", {}).get("format", "csv") == "json":
+        return {"trajectory.json": _json(header, {"trajectory": json.loads(traj.to_json())})}
+    return {"trajectory.csv": traj.to_csv(_header_lines(header))}
 
 
-def _run_compare_hydrogen(cfg, out, stamp):
+def _run_compare_hydrogen(cfg, header):
+    # both hydrogen models run; a model block sets their parameters
+    name = cfg.get("model", {}).get("name")
+    if name is not None and name not in _HYDROGEN:
+        raise ConfigError(f"config error at model.name: compare_hydrogen does not run {name!r}")
     params = _hydrogen_params(cfg)
     x0 = cfg.get("x0", [0.0, 1.0])
-    t_final = float(
-        cfg.get("integrator", {}).get(
-            "t_final", 10.0 * np.sqrt(params.m * abs(x0[1]) ** 3 / params.e2)
-        )
-    )
+    t_final = float(cfg.get("integrator", {}).get(
+        "t_final", 10.0 * np.sqrt(params.m * abs(x0[1]) ** 3 / params.e2)))
     horizon_factor = float(cfg.get("horizon_factor", 10.0))
 
     classical = hydrogen_classical(params)
@@ -511,19 +333,15 @@ def _run_compare_hydrogen(cfg, out, stamp):
         "c1": enhanced.c1,
         "c2": enhanced.c2,
     }
-    paths = []
-    for tag, traj in (("classical", traj_c), ("enhanced", traj_e)):
-        path = out / f"hydrogen_{tag}.csv"
-        with open(path, "w", newline="\n") as fh:
-            traj.to_csv(fh, _header_lines(cfg, stamp))
-        paths.append(path)
-    summary_path = out / "hydrogen_summary.json"
-    _write_json(summary_path, cfg, stamp, summary)
-    paths.append(summary_path)
-    return paths
+    lines = _header_lines(header)
+    return {
+        "hydrogen_classical.csv": traj_c.to_csv(lines),
+        "hydrogen_enhanced.csv": traj_e.to_csv(lines),
+        "hydrogen_summary.json": _json(header, summary),
+    }
 
 
-def _run_transform_check(cfg, out, stamp):
+def _run_transform_check(cfg, header):
     ham = _build_hamiltonian(cfg)
     tr = _transform_from_config(cfg)
     x0 = cfg.get("x0", [0.0, 1.0])
@@ -535,12 +353,8 @@ def _run_transform_check(cfg, out, stamp):
     x0_t = apply_transform(tr, PhasePoint(*x0))
     traj_t = hamiltonian_flow(transform_hamiltonian(ham, tr), x0_t, t_final, **_integrator(cfg))
     n = min(len(traj_t), len(transformed_traj))
-    dev = float(
-        max(
-            np.max(np.abs(traj_t.p[:n] - transformed_traj.p[:n])),
-            np.max(np.abs(traj_t.q[:n] - transformed_traj.q[:n])),
-        )
-    )
+    dev = float(max(np.max(np.abs(traj_t.p[:n] - transformed_traj.p[:n])),
+                    np.max(np.abs(traj_t.q[:n] - transformed_traj.q[:n]))))
     payload = {
         "transform": tr.name,
         "max_pointwise_deviation": dev,
@@ -549,18 +363,15 @@ def _run_transform_check(cfg, out, stamp):
         "generator_difference": action.generator_difference,
         "action_residual": action.residual,
     }
-    path = out / "transform_check.json"
-    _write_json(path, cfg, stamp, payload)
-    return [path]
+    return {"transform_check.json": _json(header, payload)}
 
 
-def _run_limit_study(cfg, out, stamp):
+def _run_limit_study(cfg, header):
     ham_cfg = cfg.get("hamiltonian")
     if ham_cfg is None:
-        raise ConfigError("hamiltonian: required for limit_study")
-    variables = ham_cfg.get("variables", "canonical")
-    if variables != "canonical":
-        raise ConfigError("limit_study supports canonical expressions")
+        raise ConfigError("config error at hamiltonian: limit_study needs a hamiltonian")
+    if ham_cfg.get("variables", "canonical") != "canonical":
+        raise ConfigError("config error at hamiltonian.variables: limit_study supports canonical expressions")
     poly = parse_polynomial(ham_cfg["expression"], "canonical")
     hbars = cfg.get("hbar_sequence", [1.0, 0.5, 0.25, 0.125])
 
@@ -573,16 +384,9 @@ def _run_limit_study(cfg, out, stamp):
     rows = []
     for p, q in _label_points(cfg):
         fit = classical_limit(builder, p, q, hbars)
-        rows.append(
-            (p, q, fit.limit, fit.leading_power, fit.residual, classical_value(poly, p, q))
-        )
-    path = out / "limit_study.csv"
-    _write_csv(
-        path, cfg, stamp,
-        ["p", "q", "limit", "leading_power", "residual", "classical_value"],
-        rows,
-    )
-    return [path]
+        rows.append((p, q, fit.limit, fit.leading_power, fit.residual, classical_value(poly, p, q)))
+    columns = ["p", "q", "limit", "leading_power", "residual", "classical_value"]
+    return {"limit_study.csv": _csv(header, columns, rows)}
 
 
 _RUNNERS = {
@@ -594,59 +398,6 @@ _RUNNERS = {
     "transform_check": _run_transform_check,
     "limit_study": _run_limit_study,
 }
-
-
-def _check_reads(cfg, command, reads, models=()):
-    # a block the command never reads, or a model it cannot run, would be silently ignored
-    for key in cfg:
-        if key not in ("output", *reads):
-            raise ConfigError(f"config error at {key}: {command} does not read it")
-    if "format" in cfg.get("output", {}) and "output.format" not in reads:
-        raise ConfigError(f"config error at output.format: {command} does not read it")
-    name = cfg.get("model", {}).get("name")
-    if name is not None and name not in models:
-        raise ConfigError(f"config error at model.name: {command} does not run {name!r}")
-
-
-def run(cfg: dict, out_dir=None, stamp=False, verbose=False) -> list:
-    """Execute one experiment; returns the list of written paths."""
-    validate_config(cfg)
-    experiment = cfg.get("experiment")
-    if experiment is None:
-        raise ConfigError("experiment: required")
-    out = Path(out_dir) if out_dir is not None else Path(cfg.get("output", {}).get("dir", "."))
-    runner = _RUNNERS[experiment]
-    reads, models, closed = EXPERIMENTS[experiment]
-    # validate everything cheap before creating the output directory; a wrong
-    # representation.kind is named as such, before the keys are checked
-    subject = _subject(cfg)
-    _check_kind(cfg, [subject])
-    if subject in closed:
-        reads = tuple(key for key in reads if key != "representation")
-    _check_reads(cfg, experiment, ("experiment", *reads), models)
-    if "labels" in reads:
-        _label_points(cfg)
-    # a failed run removes the directories it created, and what it wrote there
-    created = [d for d in (out, *out.parents) if not d.exists()]
-    out.mkdir(parents=True, exist_ok=True)
-    base = cfg.get("output", {}).get("basename")
-    try:
-        paths = runner(cfg, out, stamp)
-    except BaseException:
-        if created:
-            shutil.rmtree(created[-1], ignore_errors=True)
-        raise
-    if base:
-        renamed = []
-        for p in paths:
-            target = p.with_name(f"{base}_{p.name}")
-            p.replace(target)
-            renamed.append(target)
-        paths = renamed
-    if verbose:
-        for p in paths:
-            print(f"wrote {p}")
-    return paths
 
 
 # ---------------------------------------------------------------------------
@@ -728,31 +479,214 @@ _SUITE_RUNNERS = {
 }
 
 
-def report_verify(cfg: dict, out_dir=None, stamp=False) -> tuple[dict, int]:
-    """Run the requested invariant suites; returns (report, exit_code)."""
+# ---------------------------------------------------------------------------
+# config schema and the two commands
+# ---------------------------------------------------------------------------
+
+# [lo, hi, count] of one label axis
+_GRID_AXIS = {"type": "array", "minItems": 3, "maxItems": 3, "prefixItems": [
+    {"type": "number"}, {"type": "number"}, {"type": "integer", "minimum": 1}]}
+
+_SCHEMA = {
+    "type": "object",
+    "additionalProperties": False,
+    "properties": {
+        "experiment": {"enum": list(_RUNNERS)},
+        "seed": {"type": "integer", "minimum": 0},
+        "hbar": {"type": "number", "exclusiveMinimum": 0},
+        "representation": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                "kind": {"enum": ["line", "halfline", "spin"]},
+                "dim": {"type": "integer", "minimum": 2},
+                "x_min": {"type": "number", "exclusiveMinimum": 0},
+                "x_max": {"type": "number", "exclusiveMinimum": 0},
+                "n": {"type": "integer", "minimum": 16},
+                "s": {"type": "number", "exclusiveMinimum": 0},
+            },
+        },
+        "family": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                "kind": {"enum": list(_FAMILIES)},
+                "beta": {"type": "number", "exclusiveMinimum": 0},
+                "a": {"type": "number"},
+                "b": {"type": "number"},
+            },
+        },
+        "model": {
+            "type": "object",
+            "additionalProperties": False,
+            "required": ["name"],
+            "properties": {
+                "name": {"enum": ["harmonic", *_HYDROGEN, "spin_precession"]},
+                "m": {"type": "number", "exclusiveMinimum": 0},
+                "e2": {"type": "number", "exclusiveMinimum": 0},
+                "beta": {"type": "number", "exclusiveMinimum": 0},
+                "B": {"type": "number"},
+            },
+        },
+        "hamiltonian": {
+            "type": "object",
+            "additionalProperties": False,
+            "required": ["expression"],
+            "properties": {
+                "expression": {"type": "string"},
+                "variables": {"enum": ["canonical", "affine", "spin"]},
+            },
+        },
+        "labels": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                "grid": {
+                    "type": "object",
+                    "additionalProperties": False,
+                    "required": ["p", "q"],
+                    "properties": {
+                        "p": _GRID_AXIS,
+                        "q": _GRID_AXIS,
+                    },
+                },
+                "random": {
+                    "type": "object",
+                    "additionalProperties": False,
+                    "required": ["count", "box"],
+                    "properties": {
+                        "count": {"type": "integer", "minimum": 1},
+                        "box": {"type": "number", "exclusiveMinimum": 0},
+                    },
+                },
+            },
+        },
+        "integrator": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                "t_final": {"type": "number", "exclusiveMinimum": 0},
+                "tol": {"type": "number", "exclusiveMinimum": 0},
+                "n_samples": {"type": "integer", "minimum": 2},
+                "q_floor": {"type": "number", "exclusiveMinimum": 0},
+                "method": {"enum": ["rk45", "leapfrog"]},
+            },
+        },
+        "hbar_sequence": {
+            "type": "array",
+            "items": {"type": "number", "exclusiveMinimum": 0},
+            "minItems": 3,
+        },
+        "transform": {
+            "type": "object",
+            "additionalProperties": False,
+            "required": ["name"],
+            "properties": {
+                "name": {"enum": ["rotation", "scaling"]},
+                "factor": {"type": "number"},
+            },
+        },
+        "x0": {
+            "type": "array",
+            "items": {"type": "number"},
+            "minItems": 2,
+            "maxItems": 2,
+        },
+        "horizon_factor": {"type": "number", "exclusiveMinimum": 0},
+        "suites": {"type": "array", "items": {"enum": list(_SUITE_RUNNERS)}, "minItems": 1},
+        "output": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                "dir": {"type": "string"},
+                "basename": {"type": "string"},
+                "format": {"enum": ["csv", "json"]},
+            },
+        },
+    },
+}
+
+
+# built once: checking the constant schema against its metaschema on every
+# call took most of the validation time (the tests check it once)
+_VALIDATOR = jsonschema.validators.validator_for(_SCHEMA)(_SCHEMA)
+
+
+def validate_config(cfg: dict) -> dict:
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(cfg))
+    if error is not None:
+        path = ".".join(str(x) for x in error.absolute_path) or "<root>"
+        raise ConfigError(f"config error at {path}: {error.message}") from error
+    return cfg
+
+
+def _output(cfg, out_dir, basename=None):
+    # output.dir is read, and so accepted, even where --out overrides it
+    output = cfg.get("output", {})
+    directory = output.get("dir", ".")
+    return Path(directory if out_dir is None else out_dir), output.get("basename", basename)
+
+
+def _write(out: Path, texts: dict) -> list:
+    out.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for name, text in texts.items():
+        path = out / name
+        path.write_text(text, newline="\n")
+        paths.append(path)
+    return paths
+
+
+def run(cfg: dict, out_dir=None, stamp=False, verbose=False) -> list:
+    """Execute one experiment; returns the list of written paths.
+
+    The runner reads the config through a view that records each key it looks
+    up.  A key it never read, at any depth, is rejected after it returns, and
+    the output directory is made and written only once that check has passed.
+    """
     validate_config(cfg)
-    suites = cfg.get("suites")
-    if not suites:
-        raise ConfigError("suites: at least one suite is required")
-    _check_kind(cfg, suites)
-    _check_reads(cfg, "verify", ("suites", *(key for name in suites for key in SUITES[name])))
+    view = _Reads(cfg)
+    experiment = view.get("experiment")
+    if experiment is None:
+        raise ConfigError("config error at experiment: eq run needs an experiment")
+    out, base = _output(view, out_dir)
+    texts = _RUNNERS[experiment](view, _header(cfg, stamp))
+    view.check(experiment)
+    paths = _write(out, {f"{base}_{name}" if base else name: text for name, text in texts.items()})
+    if verbose:
+        for p in paths:
+            print(f"wrote {p}")
+    return paths
+
+
+def report_verify(cfg: dict, out_dir=None, stamp=False) -> tuple[dict, int]:
+    """Run the requested invariant suites; returns (report, exit_code).
+
+    Every suite runs before the keys are checked, so a rejected config prints
+    and writes nothing.
+    """
+    validate_config(cfg)
+    view = _Reads(cfg)
+    suites = view.get("suites")
+    if suites is None:
+        raise ConfigError("config error at suites: eq verify needs at least one suite")
+    out, base = _output(view, out_dir, "report")
     report = {"suites": {}, "passed": True}
     for name in suites:
-        checks = _SUITE_RUNNERS[name](cfg)
+        checks = _SUITE_RUNNERS[name](view)
         ok = all(c["passed"] for c in checks)
         report["suites"][name] = {"passed": ok, "checks": checks}
         report["passed"] = report["passed"] and ok
-        for c in checks:
+    view.check("verify")
+    for name in suites:
+        for c in report["suites"][name]["checks"]:
             tag = "PASS" if c["passed"] else "FAIL"
             print(
                 f"[{tag}] {name}: {c['name']} (measured {c['measured']:.12g}, "
                 f"expected {c['expected']:.12g}, tol {c['tolerance']:.1e})"
             )
     print(f"verify: {'all suites passed' if report['passed'] else 'FAILURES detected'}")
-    out = Path(out_dir) if out_dir is not None else Path(cfg.get("output", {}).get("dir", "."))
-    out.mkdir(parents=True, exist_ok=True)
-    base = cfg.get("output", {}).get("basename", "report")
-    _write_json(out / f"{base}_verify.json", cfg, stamp, report)
+    _write(out, {f"{base}_verify.json": _json(_header(cfg, stamp), report)})
     return report, 0 if report["passed"] else 1
 
 

@@ -2,9 +2,9 @@
 
 Three concrete representations are provided:
 
-* :class:`LineRep` realizes position ``Q``, momentum ``P``, and the dilation
-  generator ``D = (PQ + QP)/2`` in a truncated Fock basis, so that
-  ``[Q, P] = i*hbar`` holds exactly away from the truncation edge.
+* :class:`LineRep` realizes position ``Q`` and momentum ``P`` in a truncated
+  Fock basis, so that ``[Q, P] = i*hbar`` holds exactly away from the
+  truncation edge.
 * :class:`HalfLineRep` realizes ``Q`` (diagonal) and ``D`` on a strictly
   positive geometric grid, where ``D`` is the symmetric discretization of
   ``-i*hbar*(x d/dx + 1/2)``.  Momentum on the half line is exposed only as a
@@ -93,20 +93,18 @@ class LineRep:
         Basis size.
     hbar : float
         Value of the action quantum; ``Q`` and ``P`` carry units of
-        ``sqrt(hbar)``, ``D`` units of ``hbar``.
-    Q, P, D : ndarray
-        Dense complex Hermitian matrices, with ``D = (PQ + QP)/2`` exactly
-        as constructed.
+        ``sqrt(hbar)``.
+    Q, P : ndarray
+        Dense complex Hermitian matrices.
     """
 
     kind = "line"
 
-    def __init__(self, dim, hbar, Q, P, D):
+    def __init__(self, dim, hbar, Q, P):
         self.dim = int(dim)
         self.hbar = float(hbar)
         self.Q = _frozen(Q)
         self.P = _frozen(P)
-        self.D = _frozen(D)
 
     def basis_state(self, n: int) -> StateVector:
         if not 0 <= n < self.dim:
@@ -174,10 +172,10 @@ class SpinRep:
 
 
 def build_fock_rep(dim: int, hbar: float = 1.0) -> LineRep:
-    """Build ``Q``, ``P``, ``D`` in a truncated Fock basis.
+    """Build ``Q`` and ``P`` in a truncated Fock basis.
 
     ``Q = sqrt(hbar/2)(A + A^dag)`` and ``P = i sqrt(hbar/2)(A^dag - A)``
-    with ``A`` the truncated lowering matrix; ``D = (PQ + QP)/2``.  The
+    with ``A`` the truncated lowering matrix.  The
     commutator ``[Q, P] - i*hbar`` vanishes exactly on every basis state
     except the last one.
     """
@@ -192,8 +190,7 @@ def build_fock_rep(dim: int, hbar: float = 1.0) -> LineRep:
     scale = np.sqrt(hbar / 2.0)
     q = (scale * (lower + lower.T)).astype(complex)
     p = 1j * scale * (lower.T - lower)
-    d = 0.5 * (p @ q + q @ p)
-    return LineRep(dim, hbar, q, p, d)
+    return LineRep(dim, hbar, q, p)
 
 
 def build_halfline_rep(x_min: float, x_max: float, n: int, hbar: float = 1.0) -> HalfLineRep:

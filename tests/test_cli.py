@@ -14,26 +14,6 @@ def write_config(tmp_path, cfg, name="cfg.json"):
     return str(path)
 
 
-class _Recording(dict):
-    """A config that records which top-level keys are looked up."""
-
-    def __init__(self, cfg):
-        super().__init__(cfg)
-        self.read = set()
-
-    def get(self, key, default=None):
-        self.read.add(key)
-        return super().get(key, default)
-
-    def __getitem__(self, key):
-        self.read.add(key)
-        return super().__getitem__(key)
-
-    def __contains__(self, key):
-        self.read.add(key)
-        return super().__contains__(key)
-
-
 def read_rows(path):
     lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
     header = lines[0].split(",")
@@ -129,20 +109,79 @@ class TestValidation:
                     "family": {"kind": "affine"}, "seed": 3}, "representation"),
         ("verify", {"suites": ["label_means", "energy_drift"], "family": {"kind": "canonical"}},
          "family"),
+        ("run", {"experiment": "compare_hydrogen", "representation": {"kind": "spin", "s": 3}},
+         "representation"),
+        ("run", {"experiment": "evolve", "model": {"name": "harmonic", "m": 2.0},
+                 "integrator": {"t_final": 1.0, "n_samples": 5}}, "model.m"),
+        ("run", {"experiment": "compare_hydrogen", "model": {"name": "hydrogen_enhanced", "B": 1.0},
+                 "x0": [-0.3, 1.0], "horizon_factor": 2.0,
+                 "integrator": {"t_final": 1.0, "n_samples": 20}}, "model.B"),
+        ("run", {"experiment": "evolve", "model": {"name": "spin_precession", "m": 2.0},
+                 "x0": [0.1, 0.0], "integrator": {"t_final": 1.0, "n_samples": 5}}, "model.m"),
+        ("run", {"experiment": "expectation", "representation": {"dim": 48, "n": 500},
+                 "labels": {"grid": {"p": [0, 0, 1], "q": [0, 0, 1]}}}, "representation.n"),
+        ("run", {"experiment": "metric", "representation": {"dim": 16, "x_min": 0.1},
+                 "labels": {"grid": {"p": [0, 0, 1], "q": [0, 0, 1]}}}, "representation.x_min"),
+        ("run", {"experiment": "curvature", "family": {"kind": "spin"},
+                 "representation": {"s": 2, "dim": 7},
+                 "labels": {"grid": {"p": [0, 0.5, 2], "q": [0, 0.5, 2]}}}, "representation.dim"),
+        ("run", {"experiment": "metric", "family": {"kind": "canonical", "beta": 2.0},
+                 "representation": {"dim": 16},
+                 "labels": {"grid": {"p": [0, 0, 1], "q": [0, 0, 1]}}}, "family.beta"),
+        ("run", {"experiment": "expectation", "family": {"kind": "affine", "a": 0.3},
+                 "representation": {"n": 500},
+                 "labels": {"grid": {"p": [0, 0, 1], "q": [1, 1, 1]}}}, "family.a"),
+        ("run", {"experiment": "transform_check", "model": {"name": "harmonic"},
+                 "representation": {"dim": 8}, "transform": {"name": "rotation", "factor": 3.0},
+                 "integrator": {"t_final": 1.0, "n_samples": 20}}, "transform.factor"),
+        ("run", {"experiment": "metric", "representation": {"dim": 16},
+                 "labels": {"grid": {"p": [0, 0, 1], "q": [0, 0, 1]},
+                            "random": {"count": 2, "box": 0.5}}}, "labels.random"),
+        ("run", {"experiment": "metric", "seed": 3, "representation": {"dim": 16},
+                 "labels": {"grid": {"p": [0, 0, 1], "q": [0, 0, 1]}}}, "seed"),
+        # what a run needs and lacks, named the same way
+        ("run", {"seed": 1}, "experiment"),
+        ("verify", {"hbar": 1.0}, "suites"),
+        ("run", {"experiment": "evolve", "model": {"m": 1.0}}, "model"),
+        ("run", {"experiment": "evolve", "x0": [0.0, 1.0]}, "model"),
+        ("run", {"experiment": "metric", "representation": {"dim": 16}}, "labels"),
+        ("run", {"experiment": "metric", "representation": {"dim": 16}, "labels": {}}, "labels"),
+        ("run", {"experiment": "metric", "labels": {"grid": {"p": [1, 0, 3], "q": [0, 1, 3]}}},
+         "labels.grid.p"),
+        ("run", {"experiment": "metric", "labels": {"grid": {"p": [0, 1, 3], "q": [1, 0, 3]}}},
+         "labels.grid.q"),
+        ("run", {"experiment": "metric", "labels": {"random": {"count": 0, "box": 1.0}}},
+         "labels.random.count"),
+        ("run", {"experiment": "metric", "labels": {"random": {"count": 2, "box": 0.0}}},
+         "labels.random.box"),
+        ("run", {"experiment": "transform_check", "model": {"name": "harmonic"}}, "transform"),
+        ("run", {"experiment": "limit_study", "labels": {"grid": {"p": [0, 0, 1], "q": [0, 0, 1]}}},
+         "hamiltonian"),
+        ("run", {"experiment": "limit_study", "hamiltonian": {"expression": "Q", "variables": "affine"},
+                 "labels": {"grid": {"p": [0, 0, 1], "q": [1, 1, 1]}}}, "hamiltonian.variables"),
+        ("run", {"experiment": "curvature", "family": {"kind": "extended"},
+                 "labels": {"grid": {"p": [0, 0, 1], "q": [0, 0, 1]}}}, "family.kind"),
     ], ids=["metric-format", "verify-format", "dop853", "grid-text-bound", "grid-fractional-count",
             "grid-zero-count", "model-s", "hydrogen-with-spin-model", "expectation-with-model",
             "model-and-hamiltonian", "limit-study-hbar", "verify-x0", "hydrogen-representation",
-            "affine-curvature-representation", "curvature-suite-keys", "canonical-suites-family"])
+            "affine-curvature-representation", "curvature-suite-keys", "canonical-suites-family",
+            "spin-as-halfline-hydrogen", "harmonic-m", "compare-hydrogen-B", "spin-precession-m",
+            "line-n", "line-x-min", "spin-curvature-dim", "canonical-beta", "affine-a",
+            "rotation-factor", "random-next-to-grid", "seed-with-grid",
+            "no-experiment", "no-suites", "model-without-name", "no-model-or-hamiltonian",
+            "no-labels", "labels-without-points", "grid-p-range", "grid-q-range",
+            "random-zero-count", "random-zero-box", "no-transform", "limit-study-without-hamiltonian",
+            "limit-study-affine", "extended-curvature"])
     def test_rejected_keys_write_nothing(self, tmp_path, capsys, command, cfg, path):
         # output.format is read by evolve alone; dop853 is no longer a method;
         # a grid axis is [lo, hi, count] with an integer count of at least 1;
-        # the spin size is representation.s alone; a block or model the
-        # experiment, its subject or the requested suites never read would be
-        # silently ignored
+        # the spin size is representation.s alone; any other key, at any
+        # depth, that the run never read would be silently ignored
         out = tmp_path / "out"
         assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: config error at {path}:") and err.count("\n") == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: config error at {path}:")
+        assert captured.err.count("\n") == 1 and captured.out == ""
         assert not out.exists()
 
     @pytest.mark.parametrize("command,cfg", [
@@ -161,9 +200,8 @@ class TestValidation:
         ("run", {"experiment": "curvature", "family": {"kind": "spin"},
                  "representation": {"kind": "line", "s": 2},
                  "labels": {"grid": {"p": [0, 0.5, 2], "q": [0, 0.5, 2]}}}),
-        ("run", {"experiment": "compare_hydrogen", "representation": {"kind": "spin", "s": 3}}),
     ], ids=["spin-as-fock", "halfline-as-spin", "line-as-spin", "halfline-as-fock",
-            "line-as-halfline", "line-as-spin-curvature", "spin-as-halfline-hydrogen"])
+            "line-as-halfline", "line-as-spin-curvature"])
     def test_representation_kind_must_be_the_one_built(self, tmp_path, capsys, command, cfg):
         # checked before any suite prints and before the directory is made
         out = tmp_path / "fresh" / "out"
@@ -173,67 +211,27 @@ class TestValidation:
         assert captured.err.count("\n") == 1 and captured.out == ""
         assert not (tmp_path / "fresh").exists()
 
-    @pytest.mark.parametrize("configs", [
-        [{"experiment": "expectation", "hbar": 0.5, "representation": {"dim": 48},
-          "family": {"kind": "canonical"}, "labels": {"random": {"count": 2, "box": 0.5}}}],
-        [{"experiment": "metric", "family": {"kind": "spin"}, "seed": 3,
-          "labels": {"random": {"count": 2, "box": 0.5}}}],
-        [{"experiment": "curvature", "family": {"kind": "spin"}, "representation": {"s": 2},
-          "seed": 1, "labels": {"random": {"count": 2, "box": 0.5}}},
-         {"experiment": "curvature", "family": {"kind": "affine"},
-          "labels": {"grid": {"p": [0, 0.5, 2], "q": [0.5, 1, 2]}}}],
-        [{"experiment": "evolve", "model": {"name": "harmonic"}, "x0": [0.0, 1.0],
-          "integrator": {"t_final": 1.0, "n_samples": 5}, "output": {"format": "json"}},
-         {"experiment": "evolve", "hamiltonian": {"expression": "0.5*P^2 + 0.5*Q^2"},
-          "family": {"kind": "canonical"}, "hbar": 0.5, "representation": {"dim": 8}},
-         {"experiment": "evolve", "model": {"name": "hydrogen_enhanced"}, "x0": [-0.3, 1.0],
-          "integrator": {"t_final": 1.0, "n_samples": 5}}],
-        [{"experiment": "compare_hydrogen", "model": {"name": "hydrogen_enhanced"}, "hbar": 0.5,
-          "x0": [0.0, 1.0], "horizon_factor": 2.0, "integrator": {"n_samples": 20}}],
-        [{"experiment": "transform_check", "model": {"name": "harmonic"}, "x0": [0.0, 1.0],
-          "integrator": {"t_final": 1.0, "n_samples": 20}, "transform": {"name": "rotation"}},
-         {"experiment": "transform_check", "model": {"name": "hydrogen_classical"},
-          "x0": [-0.3, 1.0], "integrator": {"t_final": 1.0, "n_samples": 20},
-          "transform": {"name": "scaling"}},
-         {"experiment": "transform_check", "hamiltonian": {"expression": "0.5*P^2 + 0.5*Q^2"},
-          "family": {"kind": "canonical"}, "hbar": 0.5, "representation": {"dim": 8},
-          "transform": {"name": "rotation"}, "integrator": {"t_final": 1.0, "n_samples": 20}}],
-        [{"experiment": "limit_study", "hamiltonian": {"expression": "Q^2"}, "seed": 2,
-          "representation": {"dim": 4}, "hbar_sequence": [1.0, 0.5, 0.25],
-          "labels": {"random": {"count": 1, "box": 0.5}}}],
-    ], ids=lambda configs: configs[0]["experiment"])
-    def test_each_row_is_what_its_runner_reads(self, tmp_path, configs):
-        # the keys the runner reads over these configs, and no others, are its
-        # row; a subject it takes in closed form reads no representation
-        experiment = configs[0]["experiment"]
-        reads, _, closed = enhq.cli.EXPERIMENTS[experiment]
-        read = set()
-        for cfg in configs:
-            recording = _Recording(validate_config(cfg))
-            enhq.cli._RUNNERS[experiment](recording, tmp_path, False)
-            read |= recording.read
-            builds = "representation" in reads and enhq.cli._subject(cfg) not in closed
-            assert ("representation" in recording.read) == builds
-        assert read - {"experiment"} == {key.split(".")[0] for key in reads}
+    def test_output_dir_is_read_where_out_overrides_it(self, tmp_path):
+        cfg = {
+            "experiment": "metric",
+            "representation": {"dim": 16},
+            "labels": {"grid": {"p": [0, 0, 1], "q": [0, 0, 1]}},
+            "output": {"dir": str(tmp_path / "unused")},
+        }
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        assert (out / "metric.csv").exists() and not (tmp_path / "unused").exists()
 
-    @pytest.mark.parametrize("suite", list(enhq.cli.SUITES))
-    def test_each_suite_entry_is_what_it_reads(self, suite):
-        recording = _Recording({"representation": {"dim": 80, "n": 500}})
-        enhq.cli._SUITE_RUNNERS[suite](recording)
-        assert recording.read == set(enhq.cli.SUITES[suite])
-
-    def test_every_schema_subject_has_one_representation(self):
-        # a family kind, model or suite missing from the table would skip the
-        # kind check; each representation kind must build its own kind
-        props = _SCHEMA["properties"]
-        subjects = [*props["family"]["properties"]["kind"]["enum"],
-                    *props["model"]["properties"]["name"]["enum"],
-                    *props["suites"]["items"]["enum"]]
-        assert len(subjects) == len(set(subjects))
-        assert set(subjects) <= set(enhq.cli._REPRESENTATION_KIND)
-        cfg = {"representation": {"dim": 4, "n": 16}}
-        for kind in props["representation"]["properties"]["kind"]["enum"]:
-            assert enhq.cli._representation(cfg, kind).kind == kind
+    def test_the_view_records_lookups_only(self):
+        view = enhq.cli._Reads({"a": {"b": 1, "c": 2}, "d": 3})
+        assert "d" in view and json.loads(json.dumps(view)) == {"a": {"b": 1, "c": 2}, "d": 3}
+        assert view.read == set()
+        assert view["a"].get("b") == 1 and view.get("e") is None
+        assert view.read == {"a", "a.b"}
+        with pytest.raises(ConfigError, match="^config error at a.c: test does not read it$"):
+            view.check("test")
+        assert view["a"]["c"] == 2 and view["d"] == 3
+        view.check("test")
 
 
 class TestLibraryErrors:

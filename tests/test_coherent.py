@@ -571,9 +571,17 @@ def test_representations_are_immutable():
     assert {rep.kind: pickle.dumps(vars(rep)) for rep in (line, halfline, spin)} == before
 
 
+# the line's generators that are products of its letters
+_PRODUCTS = {
+    "D": lambda rep: 0.5 * (rep.P @ rep.Q + rep.Q @ rep.P),
+    "P^2 + Q^2": lambda rep: rep.P @ rep.P + rep.Q @ rep.Q,
+}
+
+
 def generator_matrix(rep, generator):
-    """A letter of ``rep`` by name, or the rotation generator ``P^2 + Q^2``."""
-    return rep.P @ rep.P + rep.Q @ rep.Q if generator == "P^2 + Q^2" else getattr(rep, generator)
+    """A letter of ``rep`` by name, the dilation ``D = (PQ + QP)/2`` or the rotation ``P^2 + Q^2``."""
+    product = _PRODUCTS.get(generator)
+    return getattr(rep, generator) if product is None else product(rep)
 
 
 @functools.cache

@@ -29,17 +29,9 @@ class TestFockRep:
         rep = build_fock_rep(200)
         assert commutator_defect(rep, margin=50) < 1e-10
 
-    def test_d_vanishes_at_vacuum_diagonal(self):
-        rep = build_fock_rep(2)
-        assert rep.D[0, 0] == 0
-
-    def test_d_is_symmetrized_product(self):
-        rep = build_fock_rep(24, hbar=0.5)
-        assert_allclose(rep.D, 0.5 * (rep.P @ rep.Q + rep.Q @ rep.P), atol=1e-15)
-
     def test_operators_hermitian(self):
         rep = build_fock_rep(64, hbar=2.0)
-        for op in (rep.Q, rep.P, rep.D):
+        for op in (rep.Q, rep.P):
             assert hermitian_defect(op) < 1e-14
 
     @pytest.mark.parametrize("dim", [1, 0, -3])
