@@ -34,11 +34,10 @@ from .coherent import (
 )
 from .correspondence import (
     EnhancedHamiltonian,
-    LimitFit,
     OperatorPolynomial,
-    classical_limit,
     classical_value,
     enhance,
+    hbar_series,
     parse_polynomial,
     poly_expectation,
 )

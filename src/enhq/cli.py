@@ -32,7 +32,7 @@ from .coherent import (
     scalar_curvature,
     spin_family,
 )
-from .correspondence import classical_limit, classical_value, enhance, parse_polynomial
+from .correspondence import MAX_DEGREE, classical_value, enhance, hbar_series, parse_polynomial
 from .dynamics import (
     PhasePoint,
     apply_transform,
@@ -373,19 +373,16 @@ def _run_limit_study(cfg, header):
     if ham_cfg.get("variables", "canonical") != "canonical":
         raise ConfigError("config error at hamiltonian.variables: limit_study supports canonical expressions")
     poly = parse_polynomial(ham_cfg["expression"], "canonical")
-    hbars = cfg.get("hbar_sequence", [1.0, 0.5, 0.25, 0.125])
-
-    @functools.cache
-    def builder(hbar):
-        # one representation and label function per hbar, shared by the label points
-        rep = _representation(cfg, "line", hbar, dim=poly.degree + 2)
-        return enhance(poly, canonical_family(rep))
-
+    # one representation at hbar = 1 holds the whole series in hbar
+    series = hbar_series(poly, canonical_family(_representation(cfg, "line", 1.0, dim=poly.degree + 2)))
     rows = []
     for p, q in _label_points(cfg):
-        fit = classical_limit(builder, p, q, hbars)
-        rows.append((p, q, fit.limit, fit.leading_power, fit.residual, classical_value(poly, p, q)))
-    columns = ["p", "q", "limit", "leading_power", "residual", "classical_value"]
+        h = [h_k(p, q) for h_k in series]
+        h += [0.0] * (MAX_DEGREE // 2 + 1 - len(h))
+        leading = next((k for k in range(1, len(h)) if h[k] != 0.0), 0)
+        rows.append((p, q, h[0], leading, classical_value(poly, p, q), *h[1:]))
+    columns = ["p", "q", "limit", "leading_power", "classical_value",
+               *(f"h{k}" for k in range(1, MAX_DEGREE // 2 + 1))]
     return {"limit_study.csv": _csv(header, columns, rows)}
 
 
@@ -571,11 +568,6 @@ _SCHEMA = {
                 "q_floor": {"type": "number", "exclusiveMinimum": 0},
                 "method": {"enum": ["rk45", "leapfrog"]},
             },
-        },
-        "hbar_sequence": {
-            "type": "array",
-            "items": {"type": "number", "exclusiveMinimum": 0},
-            "minItems": 3,
         },
         "transform": {
             "type": "object",

@@ -407,10 +407,9 @@ def fiducial_moments(family: CoherentFamily) -> dict:
     """Measure the affine fiducial moments on the grid.
 
     Returns ``q1``, ``q2``, ``q_inv`` (diagonal, exact per grid quadrature),
-    ``d`` and the second moments ``d2`` and ``p2`` computed through the
-    finite-difference generators.  ``q1 = 1``, ``d = 0``, and the closed form
-    of ``p2`` are the validated statements; ``d2`` is exposed as an
-    unvalidated query.
+    ``d`` and the second moment ``p2`` computed through the finite-difference
+    generators.  ``q1 = 1``, ``d = 0``, and the closed form of ``p2`` are the
+    validated statements.
     """
     if family.kind != "affine":
         raise ValueError("fiducial moments are defined for affine families")
@@ -418,14 +417,12 @@ def fiducial_moments(family: CoherentFamily) -> dict:
     psi = family.fiducial
     x = rep.grid
     dens = np.abs(psi.amplitudes) ** 2
-    d_psi = rep.D @ psi.amplitudes
     p_psi = rep.P_formal @ psi.amplitudes
     return {
         "q1": float(dens @ x),
         "q2": float(dens @ (x * x)),
         "q_inv": float(dens @ (1.0 / x)),
-        "d": complex(np.vdot(psi.amplitudes, d_psi)),
-        "d2": float(np.real(np.vdot(d_psi, d_psi))),
+        "d": complex(np.vdot(psi.amplitudes, rep.D @ psi.amplitudes)),
         "p2": float(np.real(np.vdot(p_psi, p_psi))),
     }
 

@@ -1,4 +1,4 @@
-"""Expectation-valued classical Hamiltonians and the small-hbar limit.
+"""Expectation-valued classical Hamiltonians and their exact hbar-series.
 
 An :class:`OperatorPolynomial` is a real-coefficient sum of ordered operator
 words over ``{P, Q}`` (canonical), ``{D, Q, P}`` (affine, with ``P`` formal),
@@ -15,13 +15,18 @@ into an explicit Laurent polynomial in ``(p, q)`` with exact gradients.
 Spin letters pull through to trigonometric functions of the labels, so spin
 words are evaluated by direct matrix products on the rotated states.  There
 is no operator-ordering engine.
+
+On the canonical family the vacuum moment of a kept subword of length ``m``
+is ``hbar^(m/2)`` times its value at ``hbar = 1``, and odd moments vanish,
+so :func:`hbar_series` reads ``H(p, q; hbar) = sum_k hbar^k h_k(p, q)`` off
+the same expansion, with no fit: ``h_0`` is the classical polynomial (weak
+correspondence) and the ``h_k`` are its quantum corrections.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,9 +35,6 @@ from .coherent import CoherentFamily
 
 #: Longest operator word a polynomial may contain.
 MAX_DEGREE = 6
-
-#: Largest fit residual of :func:`classical_limit`, relative to the value scale.
-LIMIT_RESIDUAL_TOL = 1e-6
 
 _ALPHABETS = {
     "canonical": ("P", "Q"),
@@ -262,11 +264,12 @@ def _realized(value: complex, context: str, tol: float = 1e-10) -> float:
     return float(value.real)
 
 
-def _label_polynomial(poly, family) -> _LabelPolynomial:
+def _label_terms(poly, family) -> dict:
     # <p,q| W |p,q> = <fiducial| U^dag W U |fiducial>: expand every word over
     # the product of its letters' shifted terms and compute the fiducial
-    # moment of each kept subword once.  The affine family, the one with a
-    # beta, lives on the half line.
+    # moment of each kept subword once.  The real coefficients are keyed by
+    # (power of p, power of q, length of the kept subword).  The affine
+    # family, the one with a beta, lives on the half line.
     rep, beta, hbar = family.rep, family.beta, family.rep.hbar
     k = max((word.count("P") for word, _ in poly.terms), default=0)
     tol = 1e-10
@@ -292,7 +295,7 @@ def _label_polynomial(poly, family) -> _LabelPolynomial:
     shifted, mats = family.shifted, family.letters
     fid = family.fiducial.amplitudes
     moments: dict[tuple[str, ...], complex] = {}
-    coeffs: dict[tuple[int, int], complex] = {}
+    coeffs: dict[tuple[int, int, int], complex] = {}
     for word, coeff in poly.terms:
         for terms in itertools.product(*(shifted[letter] for letter in word)):
             kept = tuple(letter for letter, _, _ in terms if letter is not None)
@@ -301,12 +304,20 @@ def _label_polynomial(poly, family) -> _LabelPolynomial:
                 for letter in reversed(kept):
                     vec = mats[letter] @ vec
                 moments[kept] = np.vdot(fid, vec)
-            key = (sum(t[1] for t in terms), sum(t[2] for t in terms))
+            key = (sum(t[1] for t in terms), sum(t[2] for t in terms), len(kept))
             coeffs[key] = coeffs.get(key, 0.0) + coeff * moments[kept]
-    return _LabelPolynomial({
-        key: _realized(complex(v), f"{family.kind} moment expansion at power {key}", tol)
+    # a word and its reversal share a key, so each key's sum is real
+    return {
+        key: _realized(complex(v), f"{family.kind} moment expansion at power {key[:2]}", tol)
         for key, v in coeffs.items()
-    }, q_positive=beta is not None)
+    }
+
+
+def _label_polynomial(poly, family) -> _LabelPolynomial:
+    coeffs: dict[tuple[int, int], float] = {}
+    for (i, j, _), c in _label_terms(poly, family).items():
+        coeffs[i, j] = coeffs.get((i, j), 0.0) + c
+    return _LabelPolynomial(coeffs, q_positive=family.beta is not None)
 
 
 class EnhancedHamiltonian:
@@ -387,48 +398,24 @@ def enhance(poly: OperatorPolynomial, family: CoherentFamily) -> EnhancedHamilto
     )
 
 
-@dataclass(frozen=True)
-class LimitFit:
-    """Polynomial-in-hbar extrapolation of ``H(p, q; hbar)`` to ``hbar = 0``.
+def hbar_series(poly: OperatorPolynomial, family: CoherentFamily) -> tuple:
+    """The label functions ``h_0 ... h_K`` of ``H(p, q; hbar) = sum_k hbar^k h_k(p, q)``.
 
-    ``leading_power`` is the lowest positive power with a non-negligible
-    coefficient, or 0 when the values are hbar independent.
+    ``K = poly.degree // 2``.  A kept subword of length ``m`` has a vacuum
+    moment ``hbar^(m/2)`` times its value at ``hbar = 1`` and odd moments
+    vanish, so each term of :func:`enhance`'s expansion on the canonical
+    family belongs to ``h_(m/2)``, divided by ``hbar^(m/2)`` of the family's
+    representation.  The series is exact in ``hbar`` and ``h_0`` is the
+    classical polynomial.  Other families raise :class:`ValueError`, as does
+    a representation with ``dim <= degree``.
     """
-
-    limit: float
-    leading_power: int
-    coefficients: tuple
-    residual: float
-
-
-def classical_limit(builder, p: float, q: float, hbar_sequence) -> LimitFit:
-    """Extrapolate ``builder(hbar).evaluate(p, q)`` to ``hbar -> 0``.
-
-    ``builder`` maps each hbar in the decreasing positive sequence (length at
-    least 3) to an :class:`EnhancedHamiltonian`; a polynomial fit in hbar, of
-    degree ``min(len(hbar_sequence) - 1, 4)``, yields the limit and the
-    leading power.  A fit residual above :data:`LIMIT_RESIDUAL_TOL` (relative
-    to the value scale) raises :class:`NumericalFailure` carrying the
-    residuals.
-    """
-    hbars = [float(h) for h in hbar_sequence]
-    if len(hbars) < 3:
-        raise ValueError("need at least 3 hbar values")
-    if any(h <= 0 for h in hbars) or any(b >= a for a, b in zip(hbars, hbars[1:])):
-        raise ValueError("hbar_sequence must be positive and strictly decreasing")
-    values = np.array([builder(h).evaluate(p, q) for h in hbars])
-    coeffs = np.polynomial.polynomial.polyfit(np.array(hbars), values, min(len(hbars) - 1, 4))
-    fitted = np.polynomial.polynomial.polyval(np.array(hbars), coeffs)
-    residual = float(np.max(np.abs(fitted - values)))
-    scale = max(1.0, float(np.max(np.abs(values))))
-    if residual > LIMIT_RESIDUAL_TOL * scale:
-        raise NumericalFailure(
-            "polynomial fit in hbar did not converge",
-            {"residuals": (fitted - values).tolist(), "hbars": hbars},
-        )
-    leading = 0
-    for k in range(1, len(coeffs)):
-        if abs(coeffs[k]) > 1e-8 * scale:
-            leading = k
-            break
-    return LimitFit(float(coeffs[0]), leading, tuple(float(c) for c in coeffs), residual)
+    if family.kind != "canonical":
+        raise ValueError(f"the hbar-series needs a canonical family, not a {family.kind} one")
+    _check_alphabet(poly, family)
+    hbar = family.rep.hbar
+    series: list[dict] = [{} for _ in range(poly.degree // 2 + 1)]
+    for (i, j, m), c in _label_terms(poly, family).items():
+        # odd moments are exactly zero: they add nothing
+        if m % 2 == 0:
+            series[m // 2][i, j] = c / hbar ** (m // 2)
+    return tuple(_LabelPolynomial(coeffs) for coeffs in series)

@@ -146,7 +146,7 @@ def hamiltonian_flow(
     H: EnhancedHamiltonian,
     x0,
     t_final: float,
-    tol: float = 1e-10,
+    tol: float | None = None,
     n_samples: int = 1000,
     q_floor: float = DEFAULT_Q_FLOOR,
     method: str = "rk45",
@@ -173,15 +173,17 @@ def hamiltonian_flow(
     ``H._evaluate``), not the methods that convert each value to ``float``,
     and return the samples as float64 arrays and the event hits, from which
     the events, energies and trajectory are built here; events and
-    energies are evaluated on Python floats.  ``tol`` and ``q_floor`` must
-    be positive and finite, ``n_samples`` an integer of at least 2 and
-    ``n_steps``, when given, a positive integer, on the leapfrog of at least
-    ``n_samples - 1``.
+    energies are evaluated on Python floats.  ``tol`` (rk45 only, by
+    default ``1e-10``) and ``q_floor`` must be positive and finite,
+    ``n_samples`` an integer of at least 2 and ``n_steps`` (leapfrog only),
+    when given, a positive integer of at least ``n_samples - 1``.  A ``tol``
+    given to the leapfrog or an ``n_steps`` given to rk45 raises
+    :class:`ValueError` rather than being ignored.
     """
     x0 = _as_point(x0)
     if not np.isfinite(t_final) or t_final <= 0:
         raise ValueError("t_final must be positive and finite")
-    if not np.isfinite(tol) or tol <= 0:
+    if tol is not None and (not np.isfinite(tol) or tol <= 0):
         raise ValueError("tol must be positive and finite")
     if not np.isfinite(q_floor) or q_floor <= 0:
         raise ValueError("q_floor must be positive and finite")
@@ -193,6 +195,10 @@ def hamiltonian_flow(
         raise ValueError(f"unknown integrator method {method!r}")
     if method == "leapfrog" and n_steps is not None and n_steps < n_samples - 1:
         raise ValueError(f"n_steps = {n_steps} is fewer than n_samples - 1 = {n_samples - 1}")
+    if method == "leapfrog" and tol is not None:
+        raise ValueError("tol applies to rk45 only; the leapfrog takes n_steps")
+    if method == "rk45" and n_steps is not None:
+        raise ValueError("n_steps applies to the leapfrog only; rk45 takes tol")
     half_line = H.half_line
     if half_line is not None and half_line(x0.p, x0.q) <= q_floor:
         raise ValueError(f"initial q = {half_line(x0.p, x0.q)} is not above the floor {q_floor}")
@@ -217,6 +223,7 @@ def hamiltonian_flow(
             q_floor if H.q_positive else None,
         )
     else:
+        tol = 1e-10 if tol is None else tol
         ts, ps, qs, hits, stop = _dormand_prince(
             gradient, x0.p, x0.q, t_final, tol, tol * 1e-3,
             np.linspace(0.0, t_final, n_samples), margins,
@@ -764,10 +771,8 @@ def line_integral_p_dq(trajectory: Trajectory) -> float:
 
 def _time_derivative(y: np.ndarray, t: np.ndarray) -> np.ndarray:
     # Fourth-order interior stencil on a uniform grid, third-order one-sided
-    # stencils at the edges.
+    # stencils at the edges; the caller passes at least 16 samples.
     n = y.size
-    if n < 6:
-        return np.gradient(y, t, edge_order=2)
     dt = t[1] - t[0]
     if np.max(np.abs(np.diff(t) - dt)) > 1e-9 * abs(dt):
         return np.gradient(y, t, edge_order=2)

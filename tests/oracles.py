@@ -2,8 +2,9 @@
 
 Each one is a second route to a value the library computes another way:
 the canonical commutator on the truncated Fock basis, the inner product of
-two states, and the direct state expectation of a polynomial against its
-shifted-moment label function.
+two states, the direct state expectation of a polynomial against its
+shifted-moment label function, and a polynomial fit in hbar over one
+representation per hbar against the exact hbar-series.
 """
 
 from dataclasses import dataclass
@@ -18,7 +19,11 @@ from enhq.correspondence import (
     _realized,
     poly_expectation,
 )
+from enhq.errors import NumericalFailure
 from enhq.hilbert import DEFAULT_TRUNCATION_MARGIN, LineRep, StateVector
+
+#: Largest fit residual of :func:`classical_limit`, relative to the value scale.
+LIMIT_RESIDUAL_TOL = 1e-6
 
 
 def commutator_defect(rep: LineRep, margin: int = DEFAULT_TRUNCATION_MARGIN) -> float:
@@ -62,3 +67,50 @@ def shift_identity_check(poly: OperatorPolynomial, family: CoherentFamily, sampl
         rows.append((float(p), float(q), abs(direct - shifted)))
     worst = max((r[2] for r in rows), default=0.0)
     return ShiftCheckReport(worst, tuple(rows))
+
+
+@dataclass(frozen=True)
+class LimitFit:
+    """Polynomial-in-hbar extrapolation of ``H(p, q; hbar)`` to ``hbar = 0``.
+
+    ``leading_power`` is the lowest positive power with a non-negligible
+    coefficient, or 0 when the values are hbar independent.
+    """
+
+    limit: float
+    leading_power: int
+    coefficients: tuple
+    residual: float
+
+
+def classical_limit(builder, p: float, q: float, hbar_sequence) -> LimitFit:
+    """Extrapolate ``builder(hbar).evaluate(p, q)`` to ``hbar -> 0``.
+
+    ``builder`` maps each hbar in the decreasing positive sequence (length at
+    least 3) to an :class:`EnhancedHamiltonian`; a polynomial fit in hbar, of
+    degree ``min(len(hbar_sequence) - 1, 4)``, yields the limit and the
+    leading power.  A fit residual above :data:`LIMIT_RESIDUAL_TOL` (relative
+    to the value scale) raises :class:`NumericalFailure` carrying the
+    residuals.
+    """
+    hbars = [float(h) for h in hbar_sequence]
+    if len(hbars) < 3:
+        raise ValueError("need at least 3 hbar values")
+    if any(h <= 0 for h in hbars) or any(b >= a for a, b in zip(hbars, hbars[1:])):
+        raise ValueError("hbar_sequence must be positive and strictly decreasing")
+    values = np.array([builder(h).evaluate(p, q) for h in hbars])
+    coeffs = np.polynomial.polynomial.polyfit(np.array(hbars), values, min(len(hbars) - 1, 4))
+    fitted = np.polynomial.polynomial.polyval(np.array(hbars), coeffs)
+    residual = float(np.max(np.abs(fitted - values)))
+    scale = max(1.0, float(np.max(np.abs(values))))
+    if residual > LIMIT_RESIDUAL_TOL * scale:
+        raise NumericalFailure(
+            "polynomial fit in hbar did not converge",
+            {"residuals": (fitted - values).tolist(), "hbars": hbars},
+        )
+    leading = 0
+    for k in range(1, len(coeffs)):
+        if abs(coeffs[k]) > 1e-8 * scale:
+            leading = k
+            break
+    return LimitFit(float(coeffs[0]), leading, tuple(float(c) for c in coeffs), residual)

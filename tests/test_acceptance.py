@@ -21,7 +21,6 @@ from enhq import (
     build_spin_rep,
     canonical_family,
     classical_value,
-    classical_limit,
     enhance,
     expectation,
     affine_family,
@@ -30,6 +29,7 @@ from enhq import (
     fs_metric_analytic,
     fs_metric_numeric,
     hamiltonian_flow,
+    hbar_series,
     hydrogen_classical,
     hydrogen_enhanced,
     line_integral_p_dq,
@@ -44,6 +44,7 @@ from enhq import (
     variance,
 )
 from enhq.cli import main as cli_main
+from oracles import classical_limit
 
 
 def _report(number, name, ok, detail):
@@ -160,24 +161,34 @@ def test_criterion_05_fiducial_moments():
 
 
 def test_criterion_06_weak_correspondence():
+    # H(p, q; hbar) = sum_k hbar^k h_k(p, q) from one representation at
+    # hbar = 1: h_0 is the classical value and the leading correction has
+    # k >= 1.  A polynomial fit over one representation per hbar is the
+    # independent cross-check of both.
     expressions = ["P^2", "Q^2", "0.5*P^2 + 0.5*Q^2", "P*Q*Q*P", "Q^4"]
     p0, q0 = 0.7, -1.2
     hbars = [1.0, 0.5, 0.25, 0.125, 0.0625]
-    worst_limit = 0.0
+    worst_limit = worst_fit = 0.0
     min_power = 99
+    powers_agree = True
     for expr in expressions:
         poly = parse_polynomial(expr, "canonical")
+        series = [h_k(p0, q0) for h_k in hbar_series(poly, canonical_family(build_fock_rep(8, 1.0)))]
+        leading = next((k for k in range(1, len(series)) if series[k] != 0.0), 0)
 
         def builder(hbar, poly=poly):
             return enhance(poly, canonical_family(build_fock_rep(8, hbar)))
 
         fit = classical_limit(builder, p0, q0, hbars)
-        worst_limit = max(worst_limit, abs(fit.limit - classical_value(poly, p0, q0)))
-        min_power = min(min_power, fit.leading_power)
-    ok = min_power >= 1 and worst_limit < 1e-6
+        worst_limit = max(worst_limit, abs(series[0] - classical_value(poly, p0, q0)))
+        worst_fit = max(worst_fit, abs(fit.limit - series[0]))
+        min_power = min(min_power, leading)
+        powers_agree = powers_agree and fit.leading_power == leading
+    ok = min_power >= 1 and worst_limit < 1e-12 and worst_fit < 1e-6 and powers_agree
     _report(
         6, "weak correspondence", ok,
-        f"min leading power {min_power}, max limit dev {worst_limit:.2e}",
+        f"min leading power {min_power}, max limit dev {worst_limit:.2e}, "
+        f"fit dev {worst_fit:.2e}, fitted powers agree {powers_agree}",
     )
 
 

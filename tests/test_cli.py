@@ -161,6 +161,10 @@ class TestValidation:
                  "labels": {"grid": {"p": [0, 0, 1], "q": [1, 1, 1]}}}, "hamiltonian.variables"),
         ("run", {"experiment": "curvature", "family": {"kind": "extended"},
                  "labels": {"grid": {"p": [0, 0, 1], "q": [0, 0, 1]}}}, "family.kind"),
+        # the limit is read off one exact series: there is no hbar sequence
+        ("run", {"experiment": "limit_study", "hamiltonian": {"expression": "Q^2"},
+                 "hbar_sequence": [1.0, 0.5, 0.25],
+                 "labels": {"grid": {"p": [0, 0, 1], "q": [0, 0, 1]}}}, "<root>"),
     ], ids=["metric-format", "verify-format", "dop853", "grid-text-bound", "grid-fractional-count",
             "grid-zero-count", "model-s", "hydrogen-with-spin-model", "expectation-with-model",
             "model-and-hamiltonian", "limit-study-hbar", "verify-x0", "hydrogen-representation",
@@ -171,7 +175,7 @@ class TestValidation:
             "no-experiment", "no-suites", "model-without-name", "no-model-or-hamiltonian",
             "no-labels", "labels-without-points", "grid-p-range", "grid-q-range",
             "random-zero-count", "random-zero-box", "no-transform", "limit-study-without-hamiltonian",
-            "limit-study-affine", "extended-curvature"])
+            "limit-study-affine", "extended-curvature", "hbar-sequence"])
     def test_rejected_keys_write_nothing(self, tmp_path, capsys, command, cfg, path):
         # output.format is read by evolve alone; dop853 is no longer a method;
         # a grid axis is [lo, hi, count] with an integer count of at least 1;
@@ -441,6 +445,20 @@ class TestExperiments:
         energies = np.array([float(r[3]) for r in rows])
         assert np.max(np.abs(energies - energies[0])) < drift * abs(energies[0])
 
+    def test_leapfrog_rejects_tol(self, tmp_path, capsys):
+        # the fixed-step leapfrog has no tolerance to honour
+        cfg = {
+            "experiment": "evolve",
+            "model": {"name": "harmonic"},
+            "integrator": {"t_final": 1.0, "method": "leapfrog", "tol": 1e-3},
+        }
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: tol applies to rk45 only; the leapfrog takes n_steps\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_evolve_csv_and_json(self, tmp_path):
         base = {
             "experiment": "evolve",
@@ -520,25 +538,44 @@ class TestExperiments:
         assert doc["generator_difference"] == 0.0 and abs(doc["action_residual"]) < 1e-12
 
     def test_limit_study(self, tmp_path):
+        # 0.5 P^2 + 0.5 Q^2 + 0.1 Q^4 has h_1 = 0.5 + 0.3 q^2 and h_2 = 0.075
         cfg = {
             "experiment": "limit_study",
-            "hamiltonian": {"expression": "0.5*P^2 + 0.5*Q^2"},
-            "hbar_sequence": [1.0, 0.5, 0.25, 0.125],
-            "labels": {"grid": {"p": [1, 1, 1], "q": [1, 1, 1]}},
+            "hamiltonian": {"expression": "0.5*P^2 + 0.5*Q^2 + 0.1*Q^4"},
+            "representation": {"dim": 8},
+            "labels": {"grid": {"p": [-0.5, 0.5, 2], "q": [-0.5, 0.5, 2]}},
         }
         out = tmp_path / "out"
         assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
         header, rows = read_rows(out / "limit_study.csv")
-        assert header == ["p", "q", "limit", "leading_power", "residual", "classical_value"]
-        assert float(rows[0][2]) == pytest.approx(float(rows[0][5]), abs=1e-8)
-        assert int(rows[0][3]) >= 1
+        assert header == ["p", "q", "limit", "leading_power", "classical_value", "h1", "h2", "h3"]
+        assert len(rows) == 4
+        for row in rows:
+            p, q, limit, leading, classical, h1, h2, h3 = row
+            q = float(q)
+            assert float(limit) == pytest.approx(float(classical), abs=1e-12)
+            assert leading == "1"
+            assert float(h1) == pytest.approx(0.5 + 0.3 * q * q, abs=1e-12)
+            assert float(h2) == pytest.approx(0.075, abs=1e-12)
+            assert float(h3) == 0.0
 
-    def test_limit_study_builds_each_hbar_once(self, tmp_path, monkeypatch):
+    def test_limit_study_of_an_hbar_free_word(self, tmp_path):
+        cfg = {
+            "experiment": "limit_study",
+            "hamiltonian": {"expression": "Q"},
+            "labels": {"grid": {"p": [0.3, 0.3, 1], "q": [2, 2, 1]}},
+        }
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        _, [row] = read_rows(out / "limit_study.csv")
+        assert row == ["0.3", "2.0", "2.0", "0", "2.0", "0.0", "0.0", "0.0"]
+
+    def test_limit_study_builds_one_fock_representation(self, tmp_path, monkeypatch):
         built = []
         build = enhq.cli.build_fock_rep
 
         def counted(dim, hbar):
-            built.append(hbar)
+            built.append((dim, hbar))
             return build(dim, hbar)
 
         monkeypatch.setattr(enhq.cli, "build_fock_rep", counted)
@@ -551,7 +588,7 @@ class TestExperiments:
         out = tmp_path / "out"
         assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
         assert len(read_rows(out / "limit_study.csv")[1]) == 4
-        assert built == [1.0, 0.5, 0.25, 0.125]
+        assert built == [(8, 1.0)]
 
     def test_basename_prefix(self, tmp_path):
         cfg = {

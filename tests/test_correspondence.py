@@ -8,18 +8,18 @@ from enhq import (
     build_fock_rep,
     build_spin_rep,
     canonical_family,
-    classical_limit,
     classical_value,
     enhance,
     fiducial_p2_closed,
     hamiltonian_flow,
+    hbar_series,
     hydrogen_enhanced,
     parse_polynomial,
     poly_expectation,
     spin_family,
 )
 from enhq.correspondence import EnhancedHamiltonian, OperatorPolynomial
-from oracles import shift_identity_check
+from oracles import classical_limit, shift_identity_check
 
 
 class TestParser:
@@ -357,6 +357,42 @@ class TestClassicalLimit:
         assert fit.limit == pytest.approx(classical_value(poly, p, q), abs=1e-8)
         assert fit.leading_power >= 1
         assert fit.residual < 1e-6
+
+
+class TestHbarSeries:
+    EXPRESSION = "P^4 + 0.5*Q^4 + P*Q*P*Q + Q*P*Q*P - 2*Q^2"
+
+    @pytest.mark.parametrize("hbar", [1.0, 0.5, 0.25, 0.0625])
+    def test_series_sums_to_enhance(self, hbar):
+        # one representation at hbar = 1 gives H at every hbar
+        poly = parse_polynomial(self.EXPRESSION, "canonical")
+        series = hbar_series(poly, canonical_family(build_fock_rep(8, 1.0)))
+        ham = enhance(poly, canonical_family(build_fock_rep(8, hbar)))
+        assert len(series) == 3
+        for p, q in [(0.0, 0.0), (0.7, -1.2), (-1.5, 0.4), (2.0, 2.0)]:
+            summed = sum(hbar**k * h_k(p, q) for k, h_k in enumerate(series))
+            assert summed == pytest.approx(ham(p, q), abs=1e-14)
+
+    @pytest.mark.parametrize("hbar", [1.0, 0.37])
+    def test_coefficients_are_those_of_the_moments(self, hbar):
+        # <P^4> = <Q^4> = 3 hbar^2 / 4, <PQPQ + QPQP> = hbar^2 / 2 and
+        # <Q^2> = hbar / 2: the constant term is -hbar + 1.625 hbar^2
+        poly = parse_polynomial(self.EXPRESSION, "canonical")
+        h_0, h_1, h_2 = hbar_series(poly, canonical_family(build_fock_rep(8, hbar)))
+        assert h_0.coeffs == pytest.approx({(4, 0): 1.0, (0, 4): 0.5, (2, 2): 2.0, (0, 2): -2.0},
+                                           abs=1e-14)
+        assert h_1.coeffs == pytest.approx({(2, 0): 4.0, (0, 2): 2.5, (0, 0): -1.0}, abs=1e-14)
+        assert h_2.coeffs == pytest.approx({(0, 0): 1.625}, abs=1e-14)
+
+    def test_rejects_affine_and_spin_families(self, affine_beta2, spin_half):
+        with pytest.raises(ValueError, match="canonical family"):
+            hbar_series(parse_polynomial("Q^2", "affine"), affine_beta2)
+        with pytest.raises(ValueError, match="canonical family"):
+            hbar_series(parse_polynomial("S3", "spin"), spin_family(spin_half))
+
+    def test_needs_dim_above_degree(self):
+        with pytest.raises(ValueError, match="dim 4 is too small"):
+            hbar_series(parse_polynomial("Q^4", "canonical"), canonical_family(build_fock_rep(4, 1.0)))
 
 
 class TestOperatorPolynomialInvariants:

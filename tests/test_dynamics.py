@@ -325,7 +325,7 @@ class TestHarmonicFlow:
 
         ham = EnhancedHamiltonian(evaluate, lambda p, q: (np.float64(p), np.float64(q)))
         traj = hamiltonian_flow(ham, (0.3, 1.2), 4.0, n_samples=50, method=method,
-                                n_steps=4000)
+                                n_steps=4000 if method == "leapfrog" else None)
         assert traj.event_kinds() == ("bounce",)
         assert set(labels) == {(float, float)}
         for values in (traj.t, traj.p, traj.q, traj.energy):
@@ -788,14 +788,15 @@ class TestFlowValidation:
             ref = solve_ivp(rates, (0.0, 4.0), [0.3, 1.2], rtol=1e-10, atol=1e-13)
         assert ref.status == -1 and list(ref.t) == [0.0]
 
-    @pytest.mark.parametrize("method", ["rk45", "leapfrog"])
-    def test_non_finite_float64_gradient_gives_python_float_diagnostics(self, method):
+    @pytest.mark.parametrize("method,n_steps", [("rk45", None), ("leapfrog", 400)],
+                             ids=["rk45", "leapfrog"])
+    def test_non_finite_float64_gradient_gives_python_float_diagnostics(self, method, n_steps):
         ham = EnhancedHamiltonian(
             lambda p, q: p,
             lambda p, q: (np.float64(1.0), np.float64(np.nan if q > 2.0 else 0.0)),
         )
         with pytest.raises(NumericalFailure, match="gradient is not finite") as err:
-            hamiltonian_flow(ham, (0.0, 1.0), 4.0, method=method, n_samples=5, n_steps=400)
+            hamiltonian_flow(ham, (0.0, 1.0), 4.0, method=method, n_samples=5, n_steps=n_steps)
         assert [type(v) for v in err.value.diagnostics.values()] == [float] * 3
 
     def test_non_finite_gradient_raises_on_the_leapfrog(self):
@@ -852,6 +853,20 @@ class TestFlowValidation:
     def test_needs_positive_integer_n_steps(self, harmonic, n_steps):
         with pytest.raises(ValueError, match="n_steps"):
             hamiltonian_flow(harmonic, (0.0, 1.0), 1.0, method="leapfrog", n_steps=n_steps)
+
+    def test_leapfrog_rejects_tol(self, harmonic):
+        # the fixed steps would ignore it
+        with pytest.raises(ValueError, match="tol applies to rk45 only"):
+            hamiltonian_flow(harmonic, (0.0, 1.0), 1.0, tol=1e-3, method="leapfrog")
+
+    def test_rk45_rejects_n_steps(self, harmonic):
+        # the adaptive steps would ignore it
+        with pytest.raises(ValueError, match="n_steps applies to the leapfrog only"):
+            hamiltonian_flow(harmonic, (0.0, 1.0), 1.0, n_steps=4000)
+
+    def test_rk45_default_tol_is_1e_10(self, harmonic):
+        assert (hamiltonian_flow(harmonic, (0.3, 1.2), 4.0).to_json()
+                == hamiltonian_flow(harmonic, (0.3, 1.2), 4.0, tol=1e-10).to_json())
 
     @pytest.mark.parametrize("q_floor", [np.nan, 0.0, -1.0, np.inf])
     @pytest.mark.parametrize("method", ["rk45", "leapfrog"])
