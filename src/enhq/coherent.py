@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,7 +92,8 @@ class CoherentFamily:
     its label derivatives (None otherwise).  ``shifted`` maps each letter to
     its adjoint action ``U(p, q)^dag X U(p, q)`` as terms (fiducial letter or
     None, power of ``p``, power of ``q``) where that is a polynomial in the
-    labels (canonical, affine), and ``beta`` is the affine fiducial parameter.
+    labels (canonical, affine, each with an exact ``fiducial_moment(word)``),
+    and ``beta`` is the affine fiducial parameter.
 
     Instances are immutable; ``state`` is a pure function of the labels and
     families may be shared across threads and swept in parallel.
@@ -135,6 +137,16 @@ class _Canonical(CoherentFamily):
 
     def __init__(self, rep):
         super().__init__(rep, rep.vacuum(), {"P": rep.P, "Q": rep.Q})
+
+    def fiducial_moment(self, word):
+        # a word of length L reaches Fock level L: the moment is exact only when dim > L
+        if self.rep.dim <= len(word):
+            raise ValueError(f"representation dim {self.rep.dim} is too small for exact moments "
+                             f"of a degree-{len(word)} word")
+        fid = vec = self.fiducial.amplitudes
+        for letter in reversed(word):
+            vec = self.letters[letter] @ vec
+        return complex(np.vdot(fid, vec))
 
     def _build(self, p, q, tangent):
         psi, d_p, d_q = _displaced(p, q, self.rep, tangent)
@@ -212,6 +224,33 @@ class _Affine(CoherentFamily):
 
     def label_in_domain(self, p, q):
         return super().label_in_domain(p, q) and q > 0
+
+    def fiducial_moment(self, word):
+        # The letters keep the span of f_k = x^(nu - 1/2 + k) e^(-nu x), nu = beta / hbar,
+        # whose f_0 is the fiducial: Q f_k = f_(k+1), D f_k = -i hbar [(nu + k) f_k - nu f_(k+1)],
+        # P f_k = -i hbar [(nu - 1/2 + k) f_(k-1) - nu f_k], and <f_0|f_m> / <f_0|f_0> = <Q^m>.
+        # A word with k momentum letters reaches f_(-k), whose moment is finite
+        # only for beta > k hbar / 2.
+        hbar = self.rep.hbar
+        n_p = word.count("P")
+        if self.beta <= 0.5 * n_p * hbar:
+            raise DomainError(f"fiducial moments of a word with {n_p} momentum letters diverge "
+                              f"unless beta > {n_p}/2 * hbar (got beta = {self.beta}, hbar = {hbar})")
+        nu = self.beta / hbar
+        vec = {0: 1.0}
+        for letter in reversed(word):
+            out = defaultdict(complex)
+            for k, c in vec.items():
+                if letter == "Q":
+                    out[k + 1] += c
+                elif letter == "P":
+                    out[k - 1] -= 1j * hbar * (nu - 0.5 + k) * c
+                    out[k] += 1j * hbar * nu * c
+                else:
+                    out[k] -= 1j * hbar * (nu + k) * c
+                    out[k + 1] += 1j * hbar * nu * c
+            vec = out
+        return sum(c * fiducial_q_moment_closed(self.beta, hbar, m) for m, c in vec.items())
 
     def _build(self, p, q, tangent):
         # both unitaries act pointwise on half-line wavefunctions (a phase and
@@ -428,21 +467,22 @@ def fiducial_moments(family: CoherentFamily) -> dict:
 
 
 def fiducial_q_moment_closed(beta: float, hbar: float, n: int) -> float:
-    """Closed form of ``<beta| Q^n |beta>`` for integer ``n >= -1``.
+    """Closed form of ``<beta| Q^n |beta>`` for an integer ``n``.
 
-    The fiducial density is a Gamma density with shape and rate both equal
-    to ``2 beta / hbar``, so the moments are ratios of Gamma functions.
+    The fiducial density is a Gamma density with shape and rate both equal to
+    ``2 beta / hbar``, so the moments are ratios of Gamma functions; a negative
+    power is finite only for ``beta > -n hbar / 2`` (else :class:`DomainError`).
     """
     nu2 = 2.0 * beta / hbar
-    if n == -1:
-        if nu2 <= 1:
-            raise DomainError("<Q^-1> requires beta > hbar / 2")
-        return nu2 / (nu2 - 1.0)
-    if n < -1 or int(n) != n:
-        raise ValueError("n must be an integer >= -1")
+    if int(n) != n:
+        raise ValueError("n must be an integer")
+    if nu2 + n <= 0:
+        raise DomainError(f"<Q^{n}> requires beta > {-n}/2 * hbar")
     out = 1.0
-    for k in range(int(n)):
-        out *= (nu2 + k) / nu2
+    for j in range(int(n)):
+        out *= (nu2 + j) / nu2
+    for j in range(int(n), 0):
+        out *= nu2 / (nu2 + j)
     return out
 
 

@@ -11,10 +11,11 @@ letters pulled through the group element (Perelomov): ``P -> P + p``,
 ``Q -> Q + q`` on the line, ``D -> D + p q Q``, ``Q -> q Q``,
 ``P -> P / q + p`` on the half line.  Expanding each word over the shifted
 letters and caching the fiducial moments of the kept subwords turns ``H``
-into an explicit Laurent polynomial in ``(p, q)`` with exact gradients.
-Spin letters pull through to trigonometric functions of the labels, so spin
-words are evaluated by direct matrix products on the rotated states.  There
-is no operator-ordering engine.
+into an explicit Laurent polynomial in ``(p, q)`` with exact moments and
+gradients.  Spin letters pull through to trigonometric functions of the
+labels, so a spin polynomial is formed once as a matrix ``M``, and
+``H = <psi|M psi>`` takes the gradient ``2 Re <d psi|M psi>`` from the
+state's tangent.  Nothing is differenced, and there is no ordering engine.
 
 On the canonical family the vacuum moment of a kept subword of length ``m``
 is ``hbar^(m/2)`` times its value at ``hbar = 1``, and odd moments vanish,
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from functools import reduce
 
 import numpy as np
 
@@ -205,7 +207,10 @@ def _check_alphabet(poly: OperatorPolynomial, family: CoherentFamily) -> None:
 
 
 def poly_expectation(poly: OperatorPolynomial, family: CoherentFamily, p: float, q: float) -> complex:
-    """Complex ``<p,q| poly |p,q>`` by direct matrix products on the state."""
+    """Complex ``<p,q| poly |p,q>`` by direct matrix products on the state.
+
+    The tests' per-word reference for :func:`enhance`; no library code calls it.
+    """
     _check_alphabet(poly, family)
     psi = family.state(p, q)
     mats = family.letters
@@ -254,8 +259,8 @@ class _LabelPolynomial:
         return float(gp), float(gq)
 
 
-def _realized(value: complex, context: str, tol: float = 1e-10) -> float:
-    if abs(value.imag) > tol * (1.0 + abs(value.real)):
+def _realized(value: complex, context: str) -> float:
+    if abs(value.imag) > 1e-10 * (1.0 + abs(value.real)):
         raise NumericalFailure(
             f"{context} produced a non-real value {value}; the polynomial is not "
             f"effectively Hermitian at this tolerance",
@@ -266,49 +271,21 @@ def _realized(value: complex, context: str, tol: float = 1e-10) -> float:
 
 def _label_terms(poly, family) -> dict:
     # <p,q| W |p,q> = <fiducial| U^dag W U |fiducial>: expand every word over
-    # the product of its letters' shifted terms and compute the fiducial
+    # the product of its letters' shifted terms and take the family's exact
     # moment of each kept subword once.  The real coefficients are keyed by
-    # (power of p, power of q, length of the kept subword).  The affine
-    # family, the one with a beta, lives on the half line.
-    rep, beta, hbar = family.rep, family.beta, family.rep.hbar
-    k = max((word.count("P") for word, _ in poly.terms), default=0)
-    tol = 1e-10
-    if rep.dim <= poly.degree:
-        # a word of length L explores Fock levels up to L, so the moments are
-        # truncation-exact only when the basis holds one more level than that
-        # (a half-line grid has at least 16 points, more than any word's length)
-        raise ValueError(
-            f"representation dim {rep.dim} is too small for exact moments of a "
-            f"degree-{poly.degree} polynomial (need dim > degree)"
-        )
-    if beta is not None and k:
-        # a word with k momentum letters differentiates the fiducial k/2 times
-        # on each side; integrability at the origin then needs beta > k/2 * hbar
-        if beta <= 0.5 * k * hbar:
-            raise DomainError(
-                f"fiducial moments of a word with {k} momentum letters diverge "
-                f"unless beta > {k}/2 * hbar (got beta = {beta}, hbar = {hbar})"
-            )
-        # the formal momentum matrix is Hermitian only up to discretization
-        # error, so the reality guard is grid level rather than roundoff level
-        tol = 1e-7
-    shifted, mats = family.shifted, family.letters
-    fid = family.fiducial.amplitudes
+    # (power of p, power of q, length of the kept subword).
     moments: dict[tuple[str, ...], complex] = {}
     coeffs: dict[tuple[int, int, int], complex] = {}
     for word, coeff in poly.terms:
-        for terms in itertools.product(*(shifted[letter] for letter in word)):
+        for terms in itertools.product(*(family.shifted[letter] for letter in word)):
             kept = tuple(letter for letter, _, _ in terms if letter is not None)
             if kept not in moments:
-                vec = fid
-                for letter in reversed(kept):
-                    vec = mats[letter] @ vec
-                moments[kept] = np.vdot(fid, vec)
+                moments[kept] = family.fiducial_moment(kept)
             key = (sum(t[1] for t in terms), sum(t[2] for t in terms), len(kept))
             coeffs[key] = coeffs.get(key, 0.0) + coeff * moments[kept]
     # a word and its reversal share a key, so each key's sum is real
     return {
-        key: _realized(complex(v), f"{family.kind} moment expansion at power {key[:2]}", tol)
+        key: _realized(complex(v), f"{family.kind} moment expansion at power {key[:2]}")
         for key, v in coeffs.items()
     }
 
@@ -321,11 +298,8 @@ def _label_polynomial(poly, family) -> _LabelPolynomial:
 
 
 class EnhancedHamiltonian:
-    """Real label function ``H(p, q)`` with gradient access.
+    """Real label function ``H(p, q)`` with its required, exact ``gradient``.
 
-    When no analytic gradient is supplied the gradient falls back to central
-    finite differences of ``evaluate``, with steps of ``1e-6`` relative to
-    ``max(1, |label|)``, built once and stored like a supplied gradient.
     The ``evaluate`` and ``gradient`` methods convert what the stored
     callables return to ``float``; flows call the stored ``_evaluate`` and
     ``_gradient`` directly and convert once, at their boundary.
@@ -336,21 +310,8 @@ class EnhancedHamiltonian:
     signed margin that is positive inside the domain.
     """
 
-    def __init__(
-        self,
-        evaluate,
-        gradient=None,
-        hbar: float = 1.0,
-        q_positive: bool = False,
-        label_domain=None,
-    ):
-        if gradient is None:
-            def gradient(p, q):
-                hp = 1e-6 * max(1.0, abs(p))
-                hq = 1e-6 * max(1.0, abs(q))
-                return ((evaluate(p + hp, q) - evaluate(p - hp, q)) / (2.0 * hp),
-                        (evaluate(p, q + hq) - evaluate(p, q - hq)) / (2.0 * hq))
-
+    def __init__(self, evaluate, gradient, hbar: float = 1.0, q_positive: bool = False,
+                 label_domain=None):
         self._evaluate = evaluate
         self._gradient = gradient
         self.hbar = float(hbar)
@@ -374,28 +335,39 @@ def enhance(poly: OperatorPolynomial, family: CoherentFamily) -> EnhancedHamilto
 
     Canonical and affine polynomials are reduced once to explicit label
     polynomials (Laurent in ``q`` when affine words contain the formal
-    momentum) through cached fiducial moments, with exact gradients.
+    momentum) through exact fiducial moments, with exact gradients.
     Canonical moments need ``dim > degree``; affine words with ``k``
     momentum letters need ``beta > k/2 * hbar``, and the affine label
-    function raises :class:`DomainError` at ``q <= 0``.  Spin polynomials are
-    evaluated directly on the rotated states.
+    function raises :class:`DomainError` at ``q <= 0``.  A spin polynomial
+    is formed once as ``M = sum_w c_w W``: ``H = <psi|M psi>`` on the rotated
+    state, with the gradient ``2 Re <d_(p,q) psi|M psi>`` from
+    :meth:`CoherentFamily.tangent`, which raises at the poles.
     """
     _check_alphabet(poly, family)
     hbar = family.rep.hbar
     if family.shifted is not None:
         label_poly = _label_polynomial(poly, family)
-        ham = EnhancedHamiltonian(
-            label_poly, label_poly.gradient, hbar=hbar, q_positive=label_poly.q_positive
-        )
+        ham = EnhancedHamiltonian(label_poly, label_poly.gradient, hbar=hbar,
+                                  q_positive=label_poly.q_positive)
         ham.polynomial = dict(label_poly.coeffs)
         return ham
-    # the spin letters pull through to no polynomial: evaluate on the states
-    shbar = family.rep.s * hbar
-    return EnhancedHamiltonian(
-        lambda p, q: _realized(poly_expectation(poly, family, p, q), "spin expectation"),
-        hbar=hbar,
-        label_domain=lambda p, q: shbar - p * p,
-    )
+    # the spin letters pull through to no polynomial: form the operator once
+    eye = np.eye(family.rep.dim)
+    op = sum((c * reduce(np.matmul, (family.letters[letter] for letter in word), eye)
+              for word, c in poly.terms), np.zeros_like(eye))
+
+    def evaluate(p, q):
+        psi = family.state(p, q).amplitudes
+        return _realized(complex(np.vdot(psi, op @ psi)), "spin expectation")
+
+    def gradient(p, q):
+        # d <psi|M psi> = 2 Re <d psi|M psi>, as M is Hermitian
+        psi, d_p, d_q = family.tangent(p, q)
+        op_psi = op @ psi
+        return 2.0 * np.vdot(d_p, op_psi).real, 2.0 * np.vdot(d_q, op_psi).real
+
+    return EnhancedHamiltonian(evaluate, gradient, hbar=hbar,
+                               label_domain=lambda p, q: family.rep.s * hbar - p * p)
 
 
 def hbar_series(poly: OperatorPolynomial, family: CoherentFamily) -> tuple:

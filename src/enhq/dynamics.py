@@ -9,9 +9,9 @@ not, stop with a ``singularity_hit`` event when ``q`` falls below a
 configurable floor, and local minima of ``q`` are annotated as ``bounce``
 events.
 
-Canonical coordinate transformations are user-supplied forward/inverse pairs;
-the library verifies them (round trip and unit Jacobian) rather than deriving
-generators.
+Canonical coordinate transformations are user-supplied forward/inverse pairs
+with the Jacobian of the forward map; the library verifies them (round trip
+and unit Jacobian) rather than deriving generators.
 """
 
 from __future__ import annotations
@@ -632,19 +632,18 @@ def _leapfrog_flow(gradient, p, q, t_final, n_samples, n_steps, margins, q_floor
 
 @dataclass(frozen=True)
 class CanonicalTransform:
-    """A forward/inverse relabeling pair with optional generator check.
+    """A forward/inverse relabeling pair with its Jacobian and optional generator.
 
-    ``forward`` maps ``(p, q)`` to ``(p~, q~)``; ``generator``, when given,
-    is the function of the new labels whose endpoint difference accounts for
-    ``integral(p dq) - integral(p~ dq~)``.  ``jacobian``, when given, returns
-    the 2x2 Jacobian of ``forward`` and is used for exact chain-rule
-    gradients of transformed Hamiltonians.
+    ``forward`` maps ``(p, q)`` to ``(p~, q~)``; ``jacobian(p, q)`` is its 2x2
+    Jacobian, checked for unit determinant and used for exact chain-rule gradients.
+    ``generator``, when given, is the function of the new labels whose endpoint
+    difference accounts for ``integral(p dq) - integral(p~ dq~)``.
     """
 
     forward: object
     inverse: object
+    jacobian: object
     generator: object = None
-    jacobian: object = None
     name: str = ""
 
     def check_on(self, points):
@@ -659,20 +658,11 @@ class CanonicalTransform:
                 raise InvalidTransformError(
                     f"inverse mismatch at (p, q) = ({p}, {q}): round-trip error {err:.3e}"
                 )
-            det = np.linalg.det(self._jacobian_at(p, q))
+            det = np.linalg.det(np.asarray(self.jacobian(p, q), dtype=float))
             if abs(det - 1.0) > _TRANSFORM_JACOBIAN_TOL:
                 raise InvalidTransformError(
                     f"transform does not preserve dp^dq at ({p}, {q}): det J = {det!r}"
                 )
-
-    def _jacobian_at(self, p, q):
-        if self.jacobian is not None:
-            return np.asarray(self.jacobian(p, q), dtype=float)
-        hp = 1e-6 * max(1.0, abs(p))
-        hq = 1e-6 * max(1.0, abs(q))
-        fp = np.array(self.forward(p + hp, q)) - np.array(self.forward(p - hp, q))
-        fq = np.array(self.forward(p, q + hq)) - np.array(self.forward(p, q - hq))
-        return np.column_stack([fp / (2 * hp), fq / (2 * hq)])
 
 
 def rotation_transform() -> CanonicalTransform:
@@ -726,27 +716,24 @@ def apply_transform(tr: CanonicalTransform, obj):
 def transform_hamiltonian(H: EnhancedHamiltonian, tr: CanonicalTransform) -> EnhancedHamiltonian:
     """Express ``H`` in the new labels: ``H~(p~, q~) = H(p, q)``.
 
-    The gradient uses the exact chain rule when the transform carries a
-    Jacobian (a singular Jacobian raises :class:`InvalidTransformError`),
-    otherwise finite differences of the composite.  The label domain and
-    the half-line coordinate are composed through the inverse map, so a
-    relabeled half-line flow still ends in ``singularity_hit``.
+    The gradient is the exact chain rule through the transform's Jacobian;
+    a singular Jacobian raises :class:`InvalidTransformError`.  The label
+    domain and the half-line coordinate are composed through the inverse
+    map, so a relabeled half-line flow still ends in ``singularity_hit``.
     """
 
     def evaluate(pt, qt):
         return H.evaluate(*tr.inverse(pt, qt))
 
-    gradient = None
-    if tr.jacobian is not None:
-        def gradient(pt, qt):
-            # grad~ = J^-T grad with J = ((a, b), (c, d)), the Jacobian of forward
-            p, q = tr.inverse(pt, qt)
-            gp, gq = H.gradient(p, q)
-            (a, b), (c, d) = tr.jacobian(p, q)
-            det = a * d - b * c
-            if det == 0:
-                raise InvalidTransformError(f"transform Jacobian is singular at ({p}, {q})")
-            return (d * gp - c * gq) / det, (a * gq - b * gp) / det
+    def gradient(pt, qt):
+        # grad~ = J^-T grad with J = ((a, b), (c, d)), the Jacobian of forward
+        p, q = tr.inverse(pt, qt)
+        gp, gq = H.gradient(p, q)
+        (a, b), (c, d) = tr.jacobian(p, q)
+        det = a * d - b * c
+        if det == 0:
+            raise InvalidTransformError(f"transform Jacobian is singular at ({p}, {q})")
+        return (d * gp - c * gq) / det, (a * gq - b * gp) / det
 
     label_domain = None
     if H.label_domain is not None:

@@ -153,6 +153,20 @@ class TestAffineFiducial:
         m = fiducial_moments(affine_beta2)
         assert m["p2"] == pytest.approx(closed, rel=1e-5)
 
+    @pytest.mark.parametrize("n", [-3, -2, -1, 1, 3])
+    def test_q_powers_against_quadrature_oracle(self, n):
+        # negative powers are finite for beta > -n hbar / 2; the affine
+        # moment route reads every word's moment off these
+        beta, hbar = 2.5, 1.0
+        oracle, _ = quad(lambda x: x**n * affine_wavefunction(x, beta, hbar) ** 2, 0, 80)
+        assert fiducial_q_moment_closed(beta, hbar, n) == pytest.approx(oracle, rel=1e-10)
+
+    def test_q_powers_diverge_past_the_integrability_bound(self):
+        with pytest.raises(DomainError, match="beta > 2/2"):
+            fiducial_q_moment_closed(1.0, 1.0, -2)
+        with pytest.raises(ValueError, match="integer"):
+            fiducial_q_moment_closed(2.0, 1.0, 0.5)
+
     def test_q_inverse_closed_form(self, affine_beta2):
         m = fiducial_moments(affine_beta2)
         assert m["q_inv"] == pytest.approx(fiducial_q_moment_closed(2.0, 1.0, -1), rel=1e-10)

@@ -5,6 +5,7 @@ from enhq import (
     DomainError,
     HydrogenParams,
     NumericalFailure,
+    affine_family,
     build_fock_rep,
     build_spin_rep,
     canonical_family,
@@ -148,20 +149,25 @@ class TestEnhanceAffine:
         q = 1.4
         assert ham(0.0, q) == pytest.approx(q * q * (1 + 1.0 / 4.0), rel=1e-9)
 
-    def test_momentum_word_direct_route(self, affine_beta2):
-        ham = enhance(parse_polynomial("P^2", "affine"), affine_beta2)
-        c2 = fiducial_p2_closed(2.0, 1.0)
+    @pytest.mark.parametrize("beta", [1.1, 1.5, 2.0])
+    def test_momentum_word_is_exact(self, halfline4000, beta):
+        # the moments come from the closed-form span, not the grid, whose
+        # P^2 moment at beta = 1.1 is 40.28 on the CLI's 3,000-point grid
+        ham = enhance(parse_polynomial("P^2", "affine"), affine_family(halfline4000, beta))
+        c2 = fiducial_p2_closed(beta, 1.0)
+        assert ham.polynomial == pytest.approx({(2, 0): 1.0, (0, -2): c2}, rel=1e-12)
         for p, q in [(0.0, 1.0), (0.6, 1.8)]:
-            assert ham(p, q) == pytest.approx(p * p + c2 / (q * q), rel=1e-4)
+            assert ham(p, q) == pytest.approx(p * p + c2 / (q * q), rel=1e-12)
 
     @pytest.mark.parametrize(
         "expression,rel",
         [("Q", 1e-9), ("D", 1e-9), ("Q^2", 1e-9), ("D*Q + Q*D", 1e-9), ("D*Q*D + Q^3", 1e-9),
-         ("P^2", 1e-6), ("P*Q*P", 1e-6), ("D*P + P*D", 1e-6), ("Q*P^2*Q + D^2", 1e-6)],
+         ("Q*D*Q", 1e-8), ("D^2", 1e-8), ("P^2", 1e-6), ("P*Q*P", 1e-6), ("D*P + P*D", 1e-6),
+         ("Q*P^2*Q + D^2", 1e-6)],
     )
     def test_moment_route_matches_direct_expectation(self, affine_beta2, expression, rel):
-        # both routes carry grid error; words with the formal momentum only
-        # reach grid level, where the reality guard is 1e-7
+        # the moment route is exact; the direct route carries the grid error of
+        # the finite-difference D (about 1e-9) and of the formal P (about 1e-7)
         poly = parse_polynomial(expression, "affine")
         ham = enhance(poly, affine_beta2)
         for p, q in [(0.3, 0.5), (1.1, 0.5), (-0.4, 3.0), (0.2, 3.0), (0.7, 1.3)]:
@@ -264,6 +270,42 @@ class TestEnhanceSpin:
         ham = enhance(parse_polynomial("S1^2 + S2^2 + S3^2", "spin"), family)
         assert ham(0.2, 0.5) == pytest.approx(1.5 * 2.5, abs=1e-12)
 
+    POLYNOMIALS = ("S3", "S3*S3 + S1", "S1*S2*S1 - 0.5*S2^2 + S3",
+                   "S1^4 + S2*S3*S2 - 2*S3*S1*S3")
+
+    @pytest.mark.parametrize("hbar", [1.0, 0.7, 0.1])
+    @pytest.mark.parametrize("s", [0.5, 2.5, 10.0, 50.0])
+    def test_gradient_matches_richardson_differences_of_the_direct_route(self, s, hbar):
+        # the exact gradient 2 Re <d psi|M psi> against differences of the
+        # per-word route, at steps h and h/2 combined to O(h^4)
+        family = spin_family(build_spin_rep(s, hbar))
+        sq = np.sqrt(s * hbar)
+        h = 1e-3 * sq
+        for expression in self.POLYNOMIALS:
+            poly = parse_polynomial(expression, "spin")
+            ham = enhance(poly, family)
+
+            def direct(p, q):
+                return poly_expectation(poly, family, p, q).real
+
+            for p, q in [(0.3 * sq, 0.7 * sq), (-0.55 * sq, -2.0 * sq)]:
+                assert ham(p, q) == pytest.approx(direct(p, q), rel=1e-12, abs=1e-12 * s * hbar)
+
+                def central(step):
+                    return np.array([direct(p + step, q) - direct(p - step, q),
+                                     direct(p, q + step) - direct(p, q - step)]) / (2 * step)
+
+                richardson = (4 * central(h / 2) - central(h)) / 3
+                grad = np.array(ham.gradient(p, q))
+                assert np.max(np.abs(grad - richardson)) <= 1e-8 * np.max(np.abs(grad)), expression
+
+    def test_flow_conserves_energy_to_the_solver_tolerance(self):
+        # an exact gradient leaves only the solver's drift; central
+        # differences of the direct route drift 8e-11 on this orbit
+        ham = enhance(parse_polynomial("S3*S3 + S1", "spin"), spin_family(build_spin_rep(10.0)))
+        traj = hamiltonian_flow(ham, (0.05, -0.3), 0.15, n_samples=200)
+        assert np.max(np.abs(traj.energy - traj.energy[0])) <= 1e-11
+
     @pytest.mark.parametrize("route,expression,variables", [
         (enhance, "S3", "spin"),
         (lambda poly, family: poly_expectation(poly, family, 0.1, 0.2), "S3", "spin"),
@@ -341,7 +383,8 @@ class TestClassicalLimit:
 
     def test_nonconvergent_values_raise(self):
         def noisy_builder(hbar):
-            return EnhancedHamiltonian(lambda p, q: np.sin(1e6 / hbar), hbar=hbar)
+            return EnhancedHamiltonian(lambda p, q: np.sin(1e6 / hbar), lambda p, q: (0.0, 0.0),
+                                       hbar=hbar)
 
         with pytest.raises(NumericalFailure) as err:
             classical_limit(noisy_builder, 0.0, 0.0, [1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4])

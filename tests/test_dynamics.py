@@ -365,17 +365,15 @@ class TestHarmonicFlow:
         assert single.event_kinds() == ("bounce",)
         assert single.to_json() == double.to_json()
 
-    @pytest.mark.parametrize("build,x0,t_final,calls,evaluations,fd_evaluations", [
-        (hydrogen_classical, (-0.3, 1.0), 4.0, 3560, 219, 14051),
-        (hydrogen_enhanced, (-0.3, 1.0), 30.0, 2238, 1002, 9914),
-        (hydrogen_classical, (0.773, 2.587), 133.0, 4406, 627, 17363),
+    @pytest.mark.parametrize("build,x0,t_final,calls,evaluations", [
+        (hydrogen_classical, (-0.3, 1.0), 4.0, 3560, 219),
+        (hydrogen_enhanced, (-0.3, 1.0), 30.0, 2238, 1002),
+        (hydrogen_classical, (0.773, 2.587), 133.0, 4406, 627),
     ], ids=["classical", "enhanced", "classical-gives-up"])
-    def test_counted_calls_of_user_callables(
-            self, build, x0, t_final, calls, evaluations, fd_evaluations):
+    def test_counted_calls_of_user_callables(self, build, x0, t_final, calls, evaluations):
         # flows call the stored callables; the counts are those of the loop
         # that called H.gradient and H.evaluate: one gradient per stage and
-        # per point Brent's method tries, one evaluation per sample and event,
-        # and four evaluations per finite-difference gradient
+        # per point Brent's method tries, and one evaluation per sample and event
         ham = build(HydrogenParams())
         grads, evals = [], []
 
@@ -391,9 +389,11 @@ class TestHarmonicFlow:
                                 x0, t_final)
         assert len(grads) == calls
         assert len(evals) == len(traj) + len(traj.events) == evaluations
-        evals.clear()
-        hamiltonian_flow(EnhancedHamiltonian(evaluate, q_positive=True), x0, t_final)
-        assert len(evals) == fd_evaluations
+
+    def test_a_gradient_is_required(self):
+        # no label function is differentiated numerically
+        with pytest.raises(TypeError, match="gradient"):
+            EnhancedHamiltonian(lambda p, q: 0.5 * (p * p + q * q))
 
     @pytest.mark.parametrize("n_samples", [2, 5, 1000, 20000])
     def test_records_at_most_one_step_per_sample(self, harmonic, monkeypatch, n_samples):
@@ -904,8 +904,9 @@ class TestFlowValidation:
         assert exit_.energy == ham.evaluate(exit_.p, exit_.q)
 
     @pytest.mark.xfail(strict=True, raises=DomainError, reason=(
-        "ROADMAP item 2: spin gradients are central differences of the direct "
-        "route, which step past the pole p = sqrt(s hbar) and raise DomainError"))
+        "an rk45 stage or a leapfrog kick lands past the pole p = sqrt(s hbar), "
+        "where the state map raises DomainError, before the margin is tested "
+        "at the step end"))
     @pytest.mark.parametrize("method,n_steps", [("rk45", None), ("leapfrog", 300)])
     def test_spin_flow_into_a_pole_ends_in_domain_exit(self, method, n_steps):
         # S1 at s = 2 drives p up to the pole sqrt(2) from the equator
@@ -1007,7 +1008,7 @@ class TestTransforms:
         ham_t = transform_hamiltonian(harmonic, tr)
         for pt, qt in [(0.2, 0.9), (-1.3, 0.4), (0.0, -0.7)]:
             p, q = tr.inverse(pt, qt)
-            expected = np.linalg.inv(tr._jacobian_at(p, q)).T @ np.array(harmonic.gradient(p, q))
+            expected = np.linalg.inv(tr.jacobian(p, q)).T @ np.array(harmonic.gradient(p, q))
             got = ham_t.gradient(pt, qt)
             if tr.name == "rotation":
                 assert got == (expected[0], expected[1])
@@ -1026,13 +1027,18 @@ class TestTransforms:
 
     def test_scaling_preserves_area_exactly(self):
         tr = scaling_transform(3.0)
-        jac = tr._jacobian_at(0.7, -0.4)
+        jac = np.asarray(tr.jacobian(0.7, -0.4), dtype=float)
         assert np.linalg.det(jac) == pytest.approx(1.0, abs=0)
+
+    def test_a_jacobian_is_required(self):
+        with pytest.raises(TypeError, match="jacobian"):
+            CanonicalTransform(lambda p, q: (p, q), lambda pt, qt: (pt, qt))
 
     def test_inverse_mismatch_rejected(self, harmonic):
         bad = CanonicalTransform(
             forward=lambda p, q: (p + 0.1, q),
             inverse=lambda pt, qt: (pt, qt),
+            jacobian=lambda p, q: ((1.0, 0.0), (0.0, 1.0)),
             name="broken",
         )
         with pytest.raises(InvalidTransformError, match="round-trip"):
@@ -1042,6 +1048,7 @@ class TestTransforms:
         bad = CanonicalTransform(
             forward=lambda p, q: (2 * p, q),
             inverse=lambda pt, qt: (pt / 2, qt),
+            jacobian=lambda p, q: ((2.0, 0.0), (0.0, 1.0)),
             name="squash",
         )
         with pytest.raises(InvalidTransformError, match="dp\\^dq"):

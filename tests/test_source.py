@@ -28,10 +28,16 @@ ALLOWED_UNUSED_IMPORTS = {
 EXPONENTIAL_NAMES = {"apply_unitary", "eigh", "expm"}
 ALLOWED_EXPONENTIAL_REFERENCES = {("__init__.py", "apply_unitary")}
 
+# the per-word expectation and the differenced metric are the tests'
+# references for enhance and fs_metric: defined in their modules, exported by
+# the package, and called by no library code
+ORACLE_NAMES = {"poly_expectation", "fs_metric_numeric"}
+ALLOWED_ORACLE_REFERENCES = {("__init__.py", "poly_expectation"),
+                             ("__init__.py", "fs_metric_numeric")}
 
-def _exponential_references(tree, module):
-    if module == "hilbert.py":
-        return []
+
+def _referenced_names(tree):
+    # a definition is not a reference: a def's name is no Name node
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -42,7 +48,17 @@ def _exponential_references(tree, module):
             names.update((node.name.split(".")[-1], node.asname))
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             names.add(node.value)  # getattr(module, "eigh")
-    return [(module, name) for name in sorted(names & EXPONENTIAL_NAMES)]
+    return names
+
+
+def _exponential_references(tree, module):
+    if module == "hilbert.py":
+        return []
+    return [(module, name) for name in sorted(_referenced_names(tree) & EXPONENTIAL_NAMES)]
+
+
+def _oracle_references(tree, module):
+    return [(module, name) for name in sorted(_referenced_names(tree) & ORACLE_NAMES)]
 
 
 def _unread_parameters(tree, module):
@@ -111,6 +127,20 @@ def test_the_check_sees_an_exponential():
     assert _exponential_references(tree, "m.py") == [
         ("m.py", "apply_unitary"), ("m.py", "eigh"), ("m.py", "expm")]
     assert _exponential_references(tree, "hilbert.py") == []
+
+
+def test_no_library_code_calls_an_oracle():
+    assert set(_findings(_oracle_references)) == ALLOWED_ORACLE_REFERENCES
+
+
+def test_the_check_sees_an_oracle_reference():
+    tree = ast.parse("def poly_expectation(poly):\n    return 0\n\n"
+                     "def enhance(poly):\n    return poly_expectation(poly)\n\n"
+                     "def metric(family):\n    return coherent.fs_metric_numeric(family)\n")
+    assert _oracle_references(tree, "m.py") == [
+        ("m.py", "fs_metric_numeric"), ("m.py", "poly_expectation")]
+    assert _oracle_references(ast.parse("def poly_expectation(poly):\n    return 0\n"),
+                              "m.py") == []
 
 
 def test_the_check_sees_an_unread_parameter():
