@@ -1,10 +1,10 @@
 """Command-line driver: ``eq run --config <path>`` and ``eq verify --config <path>``.
 
-Experiments are described by a JSON config (schema below, published in the
-README).  Outputs are flat CSV/JSON files whose bodies are byte identical
-across reruns with the same config; every file carries a header block with
-the config hash and the library version, and a timestamp only when ``--stamp``
-is passed.
+Experiments are described by a JSON config, checked against the key table
+below and described in the README.  Outputs are flat CSV/JSON files whose
+bodies are byte identical across reruns with the same config; every file
+carries a header block with the config hash and the library version, and a
+timestamp only when ``--stamp`` is passed.
 """
 
 from __future__ import annotations
@@ -14,11 +14,11 @@ import datetime as dt
 import functools
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
-import jsonschema
 
 from . import __version__
 from .coherent import (
@@ -193,8 +193,8 @@ def _label_points(cfg):
     raise ConfigError("config error at labels: provide either 'grid' or 'random'")
 
 
-# the integrator keys passed to hamiltonian_flow, and their types (the schema
-# takes 5.0 as an integer)
+# the integrator keys passed to hamiltonian_flow, and their types (the config
+# check takes 5.0 as an integer)
 _FLOW_KEYS = {"tol": float, "n_samples": int, "q_floor": float, "method": str}
 
 
@@ -240,31 +240,36 @@ def _transform_from_config(cfg):
 # {file name: text}
 # ---------------------------------------------------------------------------
 
-# the expectation columns on each representation: (column, letter, statistic)
-_EXPECTATION_COLUMNS = {
-    "line": (("mean_p", "P", "mean"), ("mean_q", "Q", "mean"),
-             ("var_p", "P", "var"), ("var_q", "Q", "var")),
-    "halfline": (("mean_q", "Q", "mean"), ("mean_q2", "Q", "square"), ("mean_p2", "P", "square")),
-    "spin": (("mean_s3", "S3", "mean"),),
-}
+def _mean(psi, op):
+    return float(expectation(psi, op).real)
 
-_STATISTICS = {
-    "mean": lambda psi, op: float(expectation(psi, op).real),
-    "var": variance,
-    "square": lambda psi, op: variance(psi, op) + float(expectation(psi, op).real) ** 2,
+
+# the expectation columns: (column, letter, statistic of the state) on the
+# line and the sphere; on the half-line, whose formal P has no state statistic,
+# (column, affine word) restricted exactly: q, q^2 (1 + hbar/2 beta), p^2 + C2/q^2
+_EXPECTATION_COLUMNS = {
+    "line": (("mean_p", "P", _mean), ("mean_q", "Q", _mean),
+             ("var_p", "P", variance), ("var_q", "Q", variance)),
+    "halfline": (("mean_q", "Q"), ("mean_q2", "Q^2"), ("mean_p2", "P^2")),
+    "spin": (("mean_s3", "S3", _mean),),
 }
 
 
 def _expectation_row(family, columns, p, q) -> list:
     psi = family.state(p, q)
-    return [_STATISTICS[stat](psi, family.letters[letter]) for _, letter, stat in columns]
+    return [statistic(psi, family.letters[letter]) for _, letter, statistic in columns]
 
 
 def _run_expectation(cfg, header):
     family = _build_family(cfg, _family_kind(cfg))
     columns = _EXPECTATION_COLUMNS[family.rep.kind]
-    rows = [(p, q, *_expectation_row(family, columns, p, q)) for p, q in _label_points(cfg)]
-    return {"expectation.csv": _csv(header, ["p", "q", *(column for column, _, _ in columns)], rows)}
+    points = _label_points(cfg)
+    if family.rep.kind == "halfline":
+        labels = [enhance(parse_polynomial(word, "affine"), family) for _, word in columns]
+        rows = [(p, q, *(h(p, q) for h in labels)) for p, q in points]
+    else:
+        rows = [(p, q, *_expectation_row(family, columns, p, q)) for p, q in points]
+    return {"expectation.csv": _csv(header, ["p", "q", *(column[0] for column in columns)], rows)}
 
 
 def _run_metric(cfg, header):
@@ -477,138 +482,132 @@ _SUITE_RUNNERS = {
 
 
 # ---------------------------------------------------------------------------
-# config schema and the two commands
+# config check and the two commands
 # ---------------------------------------------------------------------------
 
-# [lo, hi, count] of one label axis
-_GRID_AXIS = {"type": "array", "minItems": 3, "maxItems": 3, "prefixItems": [
-    {"type": "number"}, {"type": "number"}, {"type": "integer", "minimum": 1}]}
+def _reject(path, message):
+    raise ConfigError(f"config error at {path}: {message}")
 
-_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "experiment": {"enum": list(_RUNNERS)},
-        "seed": {"type": "integer", "minimum": 0},
-        "hbar": {"type": "number", "exclusiveMinimum": 0},
-        "representation": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"enum": ["line", "halfline", "spin"]},
-                "dim": {"type": "integer", "minimum": 2},
-                "x_min": {"type": "number", "exclusiveMinimum": 0},
-                "x_max": {"type": "number", "exclusiveMinimum": 0},
-                "n": {"type": "integer", "minimum": 16},
-                "s": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "family": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"enum": list(_FAMILIES)},
-                "beta": {"type": "number", "exclusiveMinimum": 0},
-                "a": {"type": "number"},
-                "b": {"type": "number"},
-            },
-        },
-        "model": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["name"],
-            "properties": {
-                "name": {"enum": ["harmonic", *_HYDROGEN, "spin_precession"]},
-                "m": {"type": "number", "exclusiveMinimum": 0},
-                "e2": {"type": "number", "exclusiveMinimum": 0},
-                "beta": {"type": "number", "exclusiveMinimum": 0},
-                "B": {"type": "number"},
-            },
-        },
-        "hamiltonian": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["expression"],
-            "properties": {
-                "expression": {"type": "string"},
-                "variables": {"enum": ["canonical", "affine", "spin"]},
-            },
-        },
-        "labels": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "grid": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["p", "q"],
-                    "properties": {
-                        "p": _GRID_AXIS,
-                        "q": _GRID_AXIS,
-                    },
-                },
-                "random": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["count", "box"],
-                    "properties": {
-                        "count": {"type": "integer", "minimum": 1},
-                        "box": {"type": "number", "exclusiveMinimum": 0},
-                    },
-                },
-            },
-        },
-        "integrator": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "t_final": {"type": "number", "exclusiveMinimum": 0},
-                "tol": {"type": "number", "exclusiveMinimum": 0},
-                "n_samples": {"type": "integer", "minimum": 2},
-                "q_floor": {"type": "number", "exclusiveMinimum": 0},
-                "method": {"enum": ["rk45", "leapfrog"]},
-            },
-        },
-        "transform": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["name"],
-            "properties": {
-                "name": {"enum": ["rotation", "scaling"]},
-                "factor": {"type": "number"},
-            },
-        },
-        "x0": {
-            "type": "array",
-            "items": {"type": "number"},
-            "minItems": 2,
-            "maxItems": 2,
-        },
-        "horizon_factor": {"type": "number", "exclusiveMinimum": 0},
-        "suites": {"type": "array", "items": {"enum": list(_SUITE_RUNNERS)}, "minItems": 1},
-        "output": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "dir": {"type": "string"},
-                "basename": {"type": "string"},
-                "format": {"enum": ["csv", "json"]},
-            },
-        },
-    },
+
+def _finite(value) -> bool:
+    # json.load parses NaN and Infinity; a bool is no number, and an int of any size is finite
+    return type(value) is int or isinstance(value, float) and math.isfinite(value)
+
+
+def _is(test, expected):
+    """A value check: a value that fails ``test`` is rejected as not ``expected``."""
+    def check(path, value):
+        if not test(value):
+            _reject(path, f"{value!r} is not {expected}")
+    return check
+
+
+def _integer(least):
+    # 5.0 counts as an integer
+    return _is(lambda v: _finite(v) and v == int(v) and v >= least, f"an integer >= {least}")
+
+
+def _one_of(*choices):
+    return _is(lambda v: v in choices, f"one of {list(choices)}")
+
+
+def _items(*checks):
+    """A list of ``len(checks)`` items, the i-th checked at ``<path>.i``."""
+    shape = _is(lambda v: isinstance(v, list) and len(v) == len(checks), f"a list of {len(checks)} items")
+
+    def check(path, value):
+        shape(path, value)
+        for i, (item_check, item) in enumerate(zip(checks, value)):
+            item_check(f"{path}.{i}", item)
+    return check
+
+
+def _nonempty_list(item_check):
+    shape = _is(lambda v: isinstance(v, list) and v, "a nonempty list")
+
+    def check(path, value):
+        shape(path, value)
+        for i, item in enumerate(value):
+            item_check(f"{path}.{i}", item)
+    return check
+
+
+_NUMBER = _is(_finite, "a finite number")
+_POSITIVE = _is(lambda v: _finite(v) and v > 0, "a finite number > 0")
+_STRING = _is(lambda v: isinstance(v, str), "a string")
+_GRID_AXIS = _items(_NUMBER, _NUMBER, _integer(1))  # [lo, hi, count] of one label axis
+
+# every leaf a config may hold, by dotted path, and its value check; the
+# proper prefixes of these paths are the blocks, and each must be an object
+_KEYS = {
+    "experiment": _one_of(*_RUNNERS),
+    "seed": _integer(0),
+    "hbar": _POSITIVE,
+    "representation.kind": _one_of("line", "halfline", "spin"),
+    "representation.dim": _integer(2),
+    "representation.x_min": _POSITIVE,
+    "representation.x_max": _POSITIVE,
+    "representation.n": _integer(16),
+    "representation.s": _POSITIVE,
+    "family.kind": _one_of(*_FAMILIES),
+    "family.beta": _POSITIVE,
+    "family.a": _NUMBER,
+    "family.b": _NUMBER,
+    "model.name": _one_of("harmonic", *_HYDROGEN, "spin_precession"),
+    "model.m": _POSITIVE,
+    "model.e2": _POSITIVE,
+    "model.beta": _POSITIVE,
+    "model.B": _NUMBER,
+    "hamiltonian.expression": _STRING,
+    "hamiltonian.variables": _one_of("canonical", "affine", "spin"),
+    "labels.grid.p": _GRID_AXIS,
+    "labels.grid.q": _GRID_AXIS,
+    "labels.random.count": _integer(1),
+    "labels.random.box": _POSITIVE,
+    "integrator.t_final": _POSITIVE,
+    "integrator.tol": _POSITIVE,
+    "integrator.n_samples": _integer(2),
+    "integrator.q_floor": _POSITIVE,
+    "integrator.method": _one_of("rk45", "leapfrog"),
+    "transform.name": _one_of("rotation", "scaling"),
+    "transform.factor": _NUMBER,
+    "x0": _items(_NUMBER, _NUMBER),
+    "horizon_factor": _POSITIVE,
+    "suites": _nonempty_list(_one_of(*_SUITE_RUNNERS)),
+    "output.dir": _STRING,
+    "output.basename": _STRING,
+    "output.format": _one_of("csv", "json"),
 }
 
+_BLOCKS = {path[:i] for path in _KEYS for i, char in enumerate(path) if char == "."}
 
-# built once: checking the constant schema against its metaschema on every
-# call took most of the validation time (the tests check it once)
-_VALIDATOR = jsonschema.validators.validator_for(_SCHEMA)(_SCHEMA)
+# the keys a block must hold when it is given
+_REQUIRED = ("model.name", "hamiltonian.expression", "labels.grid.p", "labels.grid.q",
+             "labels.random.count", "labels.random.box", "transform.name")
+
+
+def _check_block(block, prefix):
+    # a missing key is the block's fault, reported before any of its values'
+    where = prefix.rstrip(".") or "<root>"
+    if not isinstance(block, dict):
+        _reject(where, f"{block!r} is not an object")
+    for path in _REQUIRED:
+        block_path, _, key = path.rpartition(".")
+        if block_path == where and key not in block:
+            _reject(where, f"{key!r} is required")
+    for key, value in block.items():
+        path = prefix + key
+        if path in _KEYS:
+            _KEYS[path](path, value)
+        elif path in _BLOCKS:
+            _check_block(value, path + ".")
+        else:
+            _reject(where, f"unknown key {key!r}")
 
 
 def validate_config(cfg: dict) -> dict:
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(cfg))
-    if error is not None:
-        path = ".".join(str(x) for x in error.absolute_path) or "<root>"
-        raise ConfigError(f"config error at {path}: {error.message}") from error
+    """Check every key and value of ``cfg`` against ``_KEYS``; the first fault raises ConfigError."""
+    _check_block(cfg, "")
     return cfg
 
 
@@ -697,7 +696,7 @@ Hamiltonian expressions use ordered operator words with real coefficients,
 for example "0.5*P^2 + 0.5*Q^2" or "P*Q*P - 2*Q" (letters P, Q for the
 canonical set, D, Q, P affine, S1, S2, S3 spin).  Only nonnegative integer
 powers are allowed ("D*Q^-1" is rejected) and the polynomial must be
-Hermitian.  The full config schema is described in the README.
+Hermitian.  Every config key is described in the README.
 
 Exit codes: 0 success, 1 verify check failed or numerical failure,
 2 config or input rejected, 3 representation too small.

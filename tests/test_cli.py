@@ -1,11 +1,14 @@
 import json
+import re
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import enhq.cli
-from enhq.cli import _SCHEMA, _VALIDATOR, ConfigError, main, run, validate_config
+from enhq.cli import ConfigError, main, run, validate_config
+
+NAN, INF = float("nan"), float("inf")
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -25,9 +28,81 @@ def body_of(path):
     return "\n".join(ln for ln in path.read_text().splitlines() if not ln.startswith("#"))
 
 
+# one wrong value for each entry of the config key table
+WRONG_VALUES = {
+    "experiment": "bogus",
+    "seed": -1,
+    "hbar": 0,
+    "representation.kind": "torus",
+    "representation.dim": 1,
+    "representation.x_min": 0.0,
+    "representation.x_max": -60.0,
+    "representation.n": 15,
+    "representation.s": 0,
+    "family.kind": "squeezed",
+    "family.beta": -2.0,
+    "family.a": "0.3",
+    "family.b": None,
+    "model.name": "oscillator",
+    "model.m": 0,
+    "model.e2": -1,
+    "model.beta": INF,
+    "model.B": True,
+    "hamiltonian.expression": 2,
+    "hamiltonian.variables": "polar",
+    "labels.grid.p": [0, 1],
+    "labels.grid.q": [0, 1, 3, 4],
+    "labels.random.count": 2.5,
+    "labels.random.box": 0,
+    "integrator.t_final": 0,
+    "integrator.tol": -1e-10,
+    "integrator.n_samples": 1,
+    "integrator.q_floor": 0.0,
+    "integrator.method": "dop853",
+    "transform.name": "shear",
+    "transform.factor": "2",
+    "x0": [0.0, 1.0, 2.0],
+    "horizon_factor": NAN,
+    "suites": [],
+    "output.dir": 1,
+    "output.basename": ["a"],
+    "output.format": "tsv",
+}
+
+# the keys each block requires, with valid values
+REQUIRED = {
+    "model": {"name": "harmonic"},
+    "hamiltonian": {"expression": "Q"},
+    "labels.grid": {"p": [0, 0, 1], "q": [0, 0, 1]},
+    "labels.random": {"count": 1, "box": 1.0},
+    "transform": {"name": "rotation"},
+}
+
+
+def config_with(path, value):
+    """A config holding ``value`` at the dotted ``path``, and its blocks' required keys."""
+    cfg = block = {}
+    *names, leaf = path.split(".")
+    for depth in range(len(names)):
+        block = block.setdefault(names[depth], dict(REQUIRED.get(".".join(names[:depth + 1]), {})))
+    block[leaf] = value
+    return cfg
+
+
 class TestValidation:
-    def test_schema_is_valid_against_its_metaschema(self):
-        type(_VALIDATOR).check_schema(_SCHEMA)
+    def test_every_table_entry_has_a_wrong_value(self):
+        assert set(WRONG_VALUES) == set(enhq.cli._KEYS)
+
+    @pytest.mark.parametrize("path", list(WRONG_VALUES))
+    def test_each_key_check_rejects_a_wrong_value(self, path):
+        with pytest.raises(ConfigError, match=rf"^config error at {re.escape(path)}(\.\d+)?: "):
+            validate_config(config_with(path, WRONG_VALUES[path]))
+
+    def test_integer_keys_take_integral_floats_and_numbers_no_bool(self):
+        cfg = {"representation": {"dim": 5.0}}
+        assert validate_config(cfg) is cfg
+        with pytest.raises(ConfigError, match="^config error at hbar: True is not a finite number > 0$"):
+            validate_config({"hbar": True})
 
     def test_unknown_experiment(self):
         with pytest.raises(ConfigError, match="experiment"):
@@ -60,7 +135,7 @@ class TestValidation:
         assert "line" in capsys.readouterr().err
 
     def test_empty_label_range_writes_nothing(self, tmp_path, capsys):
-        # a zero point count is a schema error (test_rejected_keys_write_nothing)
+        # a zero point count fails the key table's check (test_rejected_keys_write_nothing)
         cfg = {
             "experiment": "metric",
             "labels": {"grid": {"p": [1, 0, 3], "q": [0, 1, 3]}},
@@ -165,6 +240,18 @@ class TestValidation:
         ("run", {"experiment": "limit_study", "hamiltonian": {"expression": "Q^2"},
                  "hbar_sequence": [1.0, 0.5, 0.25],
                  "labels": {"grid": {"p": [0, 0, 1], "q": [0, 0, 1]}}}, "<root>"),
+        # json.load parses NaN and Infinity: every number must be finite
+        ("run", {"experiment": "curvature", "family": {"kind": "affine", "beta": NAN},
+                 "labels": {"grid": {"p": [0, 0, 1], "q": [1, 1, 1]}}}, "family.beta"),
+        ("run", {"experiment": "metric", "hbar": NAN, "representation": {"dim": 16},
+                 "labels": {"grid": {"p": [0, 0, 1], "q": [0, 0, 1]}}}, "hbar"),
+        ("run", {"experiment": "evolve", "model": {"name": "harmonic"}, "x0": [NAN, 1.0]}, "x0.0"),
+        ("run", {"experiment": "compare_hydrogen", "model": {"name": "hydrogen_enhanced", "beta": NAN}},
+         "model.beta"),
+        ("run", {"experiment": "evolve", "model": {"name": "spin_precession", "B": NAN},
+                 "x0": [0.1, 0.0]}, "model.B"),
+        ("run", {"experiment": "metric", "labels": {"grid": {"p": [0, INF, 2], "q": [0, 1, 3]}}},
+         "labels.grid.p.1"),
     ], ids=["metric-format", "verify-format", "dop853", "grid-text-bound", "grid-fractional-count",
             "grid-zero-count", "model-s", "hydrogen-with-spin-model", "expectation-with-model",
             "model-and-hamiltonian", "limit-study-hbar", "verify-x0", "hydrogen-representation",
@@ -175,7 +262,9 @@ class TestValidation:
             "no-experiment", "no-suites", "model-without-name", "no-model-or-hamiltonian",
             "no-labels", "labels-without-points", "grid-p-range", "grid-q-range",
             "random-zero-count", "random-zero-box", "no-transform", "limit-study-without-hamiltonian",
-            "limit-study-affine", "extended-curvature", "hbar-sequence"])
+            "limit-study-affine", "extended-curvature", "hbar-sequence",
+            "nan-affine-beta", "nan-hbar", "nan-x0", "nan-hydrogen-beta", "nan-spin-B",
+            "infinite-grid-bound"])
     def test_rejected_keys_write_nothing(self, tmp_path, capsys, command, cfg, path):
         # output.format is read by evolve alone; dop853 is no longer a method;
         # a grid axis is [lo, hi, count] with an integer count of at least 1;
@@ -387,17 +476,23 @@ class TestExperiments:
             assert float(row[4]) == pytest.approx(0.5, abs=1e-8)
 
     def test_expectation_affine_columns(self, tmp_path):
+        # exact restrictions of Q, Q^2 and P^2: q, q^2 (1 + hbar/2 beta) and
+        # p^2 + C2/q^2, with C2 = 6.05 at beta = 1.1
         cfg = {
             "experiment": "expectation",
-            "family": {"kind": "affine", "beta": 2.0},
+            "family": {"kind": "affine", "beta": 1.1},
             "representation": {"kind": "halfline", "n": 2000},
-            "labels": {"grid": {"p": [0, 0, 1], "q": [1, 2, 2]}},
+            "labels": {"grid": {"p": [0, 1, 2], "q": [1, 2, 2]}},
         }
         out = tmp_path / "out"
         assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
         header, rows = read_rows(out / "expectation.csv")
-        assert header == ["p", "q", "mean_q", "mean_q2", "mean_p2"]
-        assert float(rows[0][2]) == pytest.approx(1.0, abs=1e-8)
+        assert header == ["p", "q", "mean_q", "mean_q2", "mean_p2"] and len(rows) == 4
+        assert float(rows[0][4]) == pytest.approx(6.05, rel=0, abs=1e-12)
+        for p, q, mean_q, mean_q2, mean_p2 in (map(float, row) for row in rows):
+            assert mean_q == q
+            assert mean_q2 == pytest.approx(q * q * (1 + 1 / 2.2), rel=1e-12)
+            assert mean_p2 == pytest.approx(p * p + 6.05 / (q * q), rel=1e-12)
 
     def test_expectation_spin_rows(self, tmp_path):
         cfg = {

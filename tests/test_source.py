@@ -3,12 +3,15 @@
 import ast
 import importlib
 import importlib.util
+import re
+import sys
 from pathlib import Path
 
 import enhq
 
 SOURCE = Path(enhq.__file__).parent
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 # (module, qualified function name, parameter) left unread on purpose; a
 # method's receiver (self, cls) is not counted, since an override may not
@@ -59,6 +62,18 @@ def _exponential_references(tree, module):
 
 def _oracle_references(tree, module):
     return [(module, name) for name in sorted(_referenced_names(tree) & ORACLE_NAMES)]
+
+
+def _third_party_imports(tree, module):
+    # the top-level modules imported from outside the standard library; a
+    # relative import (level > 0) is the package's own
+    tops = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            tops.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            tops.add(node.module.split(".")[0])
+    return [(module, name) for name in sorted(tops - sys.stdlib_module_names)]
 
 
 def _unread_parameters(tree, module):
@@ -141,6 +156,23 @@ def test_the_check_sees_an_oracle_reference():
         ("m.py", "fs_metric_numeric"), ("m.py", "poly_expectation")]
     assert _oracle_references(ast.parse("def poly_expectation(poly):\n    return 0\n"),
                               "m.py") == []
+
+
+def test_the_library_imports_exactly_its_declared_dependencies():
+    imported = {name for _, name in _findings(_third_party_imports)}
+    # the names of the requirements in pyproject.toml's dependencies list
+    # (tomllib is not in Python 3.10, which the package supports)
+    listed = re.search(r"^dependencies = \[(.*?)\]", PYPROJECT.read_text(), re.M | re.S).group(1)
+    declared = set(re.findall(r'"([A-Za-z0-9_.-]+)', listed))
+    assert imported == declared == {"numpy", "scipy"}
+
+
+def test_the_check_sees_a_third_party_import():
+    tree = ast.parse("from __future__ import annotations\nimport os.path, numpy as np\n"
+                     "from scipy.linalg import eigh\nfrom . import errors\nfrom .errors import DomainError\n"
+                     "def f():\n    import jsonschema\n")
+    assert _third_party_imports(tree, "m.py") == [
+        ("m.py", "jsonschema"), ("m.py", "numpy"), ("m.py", "scipy")]
 
 
 def test_the_check_sees_an_unread_parameter():
