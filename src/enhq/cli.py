@@ -693,9 +693,17 @@ def _load_config(path: str) -> dict:
 
 _EPILOG = """\
 Hamiltonian expressions use ordered operator words with real coefficients,
-for example "0.5*P^2 + 0.5*Q^2" or "P*Q*P - 2*Q" (letters P, Q for the
-canonical set, D, Q, P affine, S1, S2, S3 spin).  Only nonnegative integer
-powers are allowed ("D*Q^-1" is rejected) and the polynomial must be
+for example "0.5*P^2 + 0.5*Q^2" or "P*Q*P - 2*Q":
+
+  expression := sign* term (sign+ term)*       sign := + | -
+  term       := factor (* factor)*
+  factor     := number | letter (^ sign? number)?
+  letter     := S1 | S2 | S3 | P | Q | D
+
+with whitespace between tokens, and numbers such as 2, 0.5, .5 or 1.5e-3.
+Letters are P, Q for the canonical set, D, Q, P affine, S1, S2, S3 spin.
+A power must be a whole number from 0 to 6 ("D*Q^-1" and "Q^7" are
+rejected), every word has degree at most 6 and the polynomial must be
 Hermitian.  Every config key is described in the README.
 
 Exit codes: 0 success, 1 verify check failed or numerical failure,

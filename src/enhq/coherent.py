@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -65,6 +66,11 @@ CANONICAL_TAIL_TOL = 1e-12
 
 #: Looser tail threshold for squeezed (extended) states.
 EXTENDED_TAIL_TOL = 1e-10
+
+# Poisson mean from which required_fock_dim names no dimension: the dense Q
+# and P of a basis that holds it take over 320 GB, and below it the summed
+# tail costs at most a few thousand terms per bisection step
+_MAX_ESTIMATED_MEAN = 1e5
 
 # log of a magnitude that is still far from underflow once squared and summed
 _LOG_UNDERFLOW = -300.0
@@ -149,16 +155,23 @@ class _Canonical(CoherentFamily):
         return complex(np.vdot(fid, vec))
 
     def _build(self, p, q, tangent):
-        psi, d_p, d_q = _displaced(p, q, self.rep, tangent)
-        tail = float(np.linalg.norm(psi.amplitudes[psi.dim - DEFAULT_TRUNCATION_MARGIN :]))
-        if tail > CANONICAL_TAIL_TOL:
-            need = required_fock_dim(p, q, self.rep.hbar)
-            raise CapacityError(
-                f"truncation inadequate at (p, q) = ({p}, {q}): tail amplitude {tail:.3e} "
-                f"exceeds {CANONICAL_TAIL_TOL:.1e}; estimated adequate dim is {need}",
-                required_dim=need,
-            )
-        return psi, d_p, d_q
+        # below a mean Fock level of dim the Poisson occupancy rises to the top
+        # level, so at or past it the margin holds at least 20/dim of the
+        # truncated mass: such a label fails the tail check without being built
+        # (a NaN label is built, and rejected there)
+        rep = self.rep
+        if not (p * p + q * q) / (2.0 * rep.hbar) >= rep.dim:
+            psi, d_p, d_q = _displaced(p, q, rep, tangent)
+            tail = float(np.linalg.norm(psi.amplitudes[psi.dim - DEFAULT_TRUNCATION_MARGIN :]))
+            if tail <= CANONICAL_TAIL_TOL:
+                return psi, d_p, d_q
+        need = required_fock_dim(p, q, rep.hbar)
+        raise CapacityError(
+            f"truncation inadequate at (p, q) = ({p}, {q}): the amplitude beyond the last "
+            f"{DEFAULT_TRUNCATION_MARGIN} levels exceeds {CANONICAL_TAIL_TOL:.1e}; "
+            + ("no buildable basis holds it" if need is None else f"estimated adequate dim is {need}"),
+            required_dim=need,
+        )
 
 
 class _Extended(CoherentFamily):
@@ -181,6 +194,11 @@ class _Extended(CoherentFamily):
         # are rescaled before they overflow: normalizing restores the scale, so a
         # far label reaches the tail check instead of underflowing.
         rep, a, b = self.rep, self.a, self.b
+        # the mean Fock level is at least e^{-4|b|} (p^2 + q^2) / 2 hbar: at or
+        # past the basis the state cannot fit, and far out the recurrence overflows
+        if (p * p + q * q) * math.exp(-4.0 * abs(b)) >= 2.0 * rep.hbar * rep.dim:
+            raise CapacityError(f"truncation inadequate for extended state at (p, q, a, b) = "
+                                f"({p}, {q}, {a}, {b}): its mean Fock level is past dim {rep.dim}")
         t, e = math.tanh(2.0 * b), math.exp(-2.0 * abs(b))
         alpha = complex(q, p) / math.sqrt(2.0 * rep.hbar) * (2.0 * e / (1.0 + e * e))  # sech(2b)
         amps = [0.0, cmath.exp(-0.5j * (1.0 + t) * p * q / rep.hbar)]  # c_{-1}, c_0
@@ -334,15 +352,19 @@ def extended_family(rep: LineRep, a: float, b: float) -> CoherentFamily:
     return _Extended(rep, a, b)
 
 
-def required_fock_dim(p: float, q: float, hbar: float) -> int:
+def required_fock_dim(p: float, q: float, hbar: float) -> int | None:
     """Estimate the Fock dimension adequate for the coherent state at ``(p, q)``.
 
     The level occupancy is Poisson with mean ``(p^2 + q^2) / (2 hbar)``; the
     estimate is the smallest size whose tail probability beyond the
     truncation margin stays below ``CANONICAL_TAIL_TOL**2``, found by
-    bisection on the directly summed tail (:func:`_poisson_tail`).
+    bisection on the directly summed tail (:func:`_poisson_tail`).  It is
+    ``None`` from a mean of 1e5 on, where no basis that can be built holds
+    the state.
     """
     lam = (p * p + q * q) / (2.0 * hbar)
+    if not lam < _MAX_ESTIMATED_MEAN:
+        return None
     if lam == 0.0:
         return 2 + DEFAULT_TRUNCATION_MARGIN
     target = CANONICAL_TAIL_TOL * CANONICAL_TAIL_TOL
@@ -585,7 +607,12 @@ def fs_metric_analytic(
             raise ValueError("affine metric requires beta > 0")
         if q <= 0:
             raise DomainError(f"affine labels require q > 0 (got q = {q})")
-        return MetricTensor2(q * q / beta, 0.0, beta / (q * q))
+        # q^2 / beta and its reciprocal must both be normal doubles
+        q2 = q * q
+        if not sys.float_info.min <= q2 / beta <= 1.0 / sys.float_info.min:
+            raise DomainError(f"the affine metric at q = {q}, beta = {beta} leaves the "
+                              f"normal range of double precision")
+        return MetricTensor2(q2 / beta, 0.0, beta / q2)
     if kind == "spin":
         if s is None or s <= 0:
             raise ValueError("spin metric requires s > 0")
@@ -599,41 +626,37 @@ def fs_metric_analytic(
 
 def _brioschi_curvature(metric, p, q, h):
     # Gaussian curvature of a 2-D metric from central differences of its
-    # components (Brioschi formula); works for non-diagonal tensors too.
-    def comps(pp, qq):
-        m = metric(pp, qq)
-        return np.array([m.g_pp, m.g_pq, m.g_qq])
+    # components (Brioschi formula); works for non-diagonal tensors too.  It
+    # is taken in the coordinates (sqrt(E0) p, sqrt(G0) q), where the metric
+    # at the point has a unit diagonal: the stencil is the same, but the
+    # components stay near 1 wherever the metric itself is in range.  A second
+    # difference is divided by one step at a time: the square of a step can
+    # underflow, and an exact zero must stay zero.
+    m0 = metric(p, q)
+    e0, g0 = m0.g_pp, m0.g_qq
+    hp, hq, f0 = math.sqrt(e0) * h, math.sqrt(g0) * h, math.sqrt(e0 * g0)
 
-    c0 = comps(p, q)
-    cp = comps(p + h, q)
-    cm = comps(p - h, q)
-    cq = comps(p, q + h)
-    cqm = comps(p, q - h)
-    d_p = (cp - cm) / (2 * h)
-    d_q = (cq - cqm) / (2 * h)
-    dd_pp = (cp - 2 * c0 + cm) / (h * h)
-    dd_qq = (cq - 2 * c0 + cqm) / (h * h)
-    dd_pq = (
-        comps(p + h, q + h) - comps(p + h, q - h) - comps(p - h, q + h) + comps(p - h, q - h)
-    ) / (4 * h * h)
+    def comps(i, j):
+        m = metric(p + i * h, q + j * h)
+        return m.g_pp / e0, m.g_pq / f0, m.g_qq / g0
 
-    E, F, G = c0
-    E_p, F_p, G_p = d_p
-    E_q, F_q, G_q = d_q
-    E_qq = dd_qq[0]
-    G_pp = dd_pp[2]
-    F_pq = dd_pq[1]
+    E, F, G = 1.0, m0.g_pq / f0, 1.0
+    cp, cm, cq, cqm = comps(1, 0), comps(-1, 0), comps(0, 1), comps(0, -1)
+    E_p, F_p, G_p = ((a - b) / (2.0 * hp) for a, b in zip(cp, cm))
+    E_q, F_q, G_q = ((a - b) / (2.0 * hq) for a, b in zip(cq, cqm))
+    E_qq = (cq[0] - 2.0 * E + cqm[0]) / hq / hq
+    G_pp = (cp[2] - 2.0 * G + cm[2]) / hp / hp
+    corners = [comps(i, j)[1] for i, j in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+    F_pq = (corners[0] - corners[1] - corners[2] + corners[3]) / (4.0 * hp) / hq
 
-    m1 = np.array(
-        [
-            [-0.5 * E_qq + F_pq - 0.5 * G_pp, 0.5 * E_p, F_p - 0.5 * E_q],
-            [F_q - 0.5 * G_p, E, F],
-            [0.5 * G_q, F, G],
-        ]
-    )
-    m2 = np.array([[0.0, 0.5 * E_q, 0.5 * G_p], [0.5 * E_q, E, F], [0.5 * G_p, F, G]])
-    denom = (E * G - F * F) ** 2
-    return (np.linalg.det(m1) - np.linalg.det(m2)) / denom
+    # det [[-E_qq/2 + F_pq - G_pp/2, E_p/2, F_p - E_q/2], [F_q - G_p/2, E, F], [G_q/2, F, G]]
+    # - det [[0, E_q/2, G_p/2], [E_q/2, E, F], [G_p/2, F, G]], each along its first row
+    row = F_q - 0.5 * G_p
+    det1 = ((-0.5 * E_qq + F_pq - 0.5 * G_pp) * (E * G - F * F)
+            - 0.5 * E_p * (row * G - 0.5 * G_q * F) + (F_p - 0.5 * E_q) * (row * F - 0.5 * G_q * E))
+    det2 = (-0.5 * E_q * (0.5 * E_q * G - 0.5 * G_p * F)
+            + 0.5 * G_p * (0.5 * E_q * F - 0.5 * G_p * E))
+    return (det1 - det2) / (E * G - F * F) ** 2
 
 
 def scalar_curvature(
@@ -647,24 +670,26 @@ def scalar_curvature(
     """Scalar (Ricci) curvature of the closed-form metric at ``(p, q)``.
 
     Computed as twice the Gaussian curvature obtained by finite differences
-    of :func:`fs_metric_analytic`, with one Richardson step.  The canonical
-    sheet is flat, the affine sheet has constant curvature ``-2/beta``, and
-    the spin sheet is a sphere of radius ``sqrt(s hbar)`` with curvature
-    ``2/(s hbar)``.
+    of :func:`fs_metric_analytic`, with one Richardson step.  The step is
+    scaled to the distance from the domain edge: ``1e-3 q`` on the half
+    line and ``1e-2 min(1, sqrt(s hbar) - |p|)`` on the spin chart.  The
+    canonical sheet is flat, the affine sheet has constant curvature
+    ``-2/beta``, and the spin sheet is a sphere of radius ``sqrt(s hbar)``
+    with curvature ``2/(s hbar)``.  A stencil whose metric leaves double
+    precision raises :class:`DomainError`.
     """
 
     def metric(pp, qq):
         return fs_metric_analytic(kind, pp, qq, hbar=hbar, beta=beta, s=s)
 
-    h = 1e-3 * max(1.0, abs(p), abs(q))
-    # keep the stencil inside the domain
-    if kind == "affine" and q - 2 * h <= 0:
-        h = q / 4.0
+    h = 1e-3
+    if kind == "affine":
+        h *= q
     if kind == "spin":
-        edge = np.sqrt(s * hbar) - abs(p)
+        edge = float(np.sqrt(s * hbar)) - abs(p)
         if edge <= 0:
             raise DomainError("label is not interior to the spin chart")
-        h = min(h, edge / 4.0)
+        h = 1e-2 * min(1.0, edge)
     k1 = _brioschi_curvature(metric, p, q, h)
     k2 = _brioschi_curvature(metric, p, q, h / 2.0)
     gauss = (4.0 * k2 - k1) / 3.0

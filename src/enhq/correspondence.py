@@ -44,11 +44,15 @@ _ALPHABETS = {
     "spin": ("S1", "S2", "S3"),
 }
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<sym>S[123]|[PQD])"
-    r"|(?P<op>[-+*^]))"
-)
+# The grammar, written once: a factor is a number, or a letter with an optional
+# ``^`` power; factors are joined by ``*`` and terms by runs of signs, with
+# whitespace allowed between tokens.
+_NUMBER = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+_FACTOR = rf"(?:({_NUMBER})|(S[123]|[PQD])(?:\s*\^\s*([+-]?)\s*({_NUMBER}))?)"
+_TERM = rf"{_FACTOR}(?:\s*\*\s*{_FACTOR})*"
+_EXPRESSION = re.compile(rf"\s*(?:[-+]\s*)*{_TERM}(?:\s*(?:[-+]\s*)+{_TERM})*\s*")
+_SIGNED_TERM = re.compile(rf"((?:[-+]\s*)*)({_TERM})")
+_FACTORS = re.compile(_FACTOR)
 
 
 class OperatorPolynomial:
@@ -99,84 +103,30 @@ def parse_polynomial(text: str, variable_set: str) -> OperatorPolynomial:
     """Parse expressions like ``0.5*P^2 + 0.5*Q^2`` or ``P*Q*P - 2*Q``.
 
     Words are ordered products of operator letters with nonnegative integer
-    powers; negative powers (for example ``Q^-1``) are rejected.
+    powers; negative powers (for example ``Q^-1``) are rejected, and so is a
+    power above :data:`MAX_DEGREE`, before any word is built.
     """
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip():
-                raise ValueError(f"cannot parse expression at: {text[pos:].strip()!r}")
-            break
-        pos = m.end()
-        if m.group("num") is not None:
-            tokens.append(("num", float(m.group("num"))))
-        elif m.group("sym") is not None:
-            tokens.append(("sym", m.group("sym")))
-        else:
-            tokens.append(("op", m.group("op")))
-
+    if not _EXPRESSION.fullmatch(text):
+        raise ValueError(f"cannot parse expression {text!r}: terms must be joined by + or -, "
+                         f"factors by *, each a number or a letter with an optional ^ power")
     terms = []
-    i = 0
-    n = len(tokens)
-    while i < n:
-        sign = 1.0
-        while i < n and tokens[i][0] == "op" and tokens[i][1] in "+-":
-            if tokens[i][1] == "-":
-                sign = -sign
-            i += 1
-        if i >= n:
-            if sign != 1.0 or terms:
-                raise ValueError("dangling sign at end of expression")
-            break
-        coeff = sign
+    for signs, term in (m.group(1, 2) for m in _SIGNED_TERM.finditer(text)):
+        coeff = -1.0 if signs.count("-") % 2 else 1.0
         word: list[str] = []
-        expect_factor = True
-        while i < n:
-            kind, val = tokens[i]
-            if kind == "op" and val in "+-" and not expect_factor:
-                break
-            if kind == "op" and val == "*":
-                if expect_factor:
-                    raise ValueError("misplaced '*' in expression")
-                expect_factor = True
-                i += 1
+        for number, letter, sign, power in _FACTORS.findall(term):
+            if number:
+                coeff *= float(number)
                 continue
-            if not expect_factor:
-                raise ValueError(f"missing operator before {val!r}")
-            if kind == "num":
-                coeff *= val
-                i += 1
-            elif kind == "sym":
-                letter = val
-                i += 1
-                power = 1
-                if i < n and tokens[i] == ("op", "^"):
-                    i += 1
-                    psign = 1
-                    if i < n and tokens[i][0] == "op" and tokens[i][1] in "+-":
-                        psign = -1 if tokens[i][1] == "-" else 1
-                        i += 1
-                    if i >= n or tokens[i][0] != "num":
-                        raise ValueError("'^' must be followed by an integer power")
-                    raw = tokens[i][1]
-                    if raw != int(raw):
-                        raise ValueError("operator powers must be integers")
-                    power = psign * int(raw)
-                    i += 1
-                    if power < 0:
-                        raise ValueError(
-                            "negative operator powers are not supported "
-                            "(only nonnegative integer powers are allowed)"
-                        )
-                word.extend([letter] * power)
-            else:
-                raise ValueError(f"unexpected token {val!r}")
-            expect_factor = False
+            n = float(sign + power) if power else 1.0
+            if n < 0:
+                raise ValueError("negative operator powers are not supported "
+                                 "(only nonnegative integer powers are allowed)")
+            if n > MAX_DEGREE:
+                raise ValueError(f"power {power} of {letter} exceeds the degree cap {MAX_DEGREE}")
+            if not n.is_integer():
+                raise ValueError(f"operator powers must be integers (got {letter}^{power})")
+            word += [letter] * int(n)
         terms.append((coeff, tuple(word)))
-    if not terms:
-        raise ValueError("empty expression")
     return OperatorPolynomial(terms, variable_set)
 
 

@@ -327,17 +327,32 @@ class TestValidation:
         view.check("test")
 
 
+BAD_EXPRESSIONS = ["Q*", "2*", "P*Q*", "0.5*P^2 + 0.5*Q^2*", "Q^2e40", "2^2", "(P)", "Q^7"]
+FAMILIES = {"canonical": {"kind": "canonical"}, "extended": {"kind": "extended", "a": 0.3, "b": 0.2}}
+
+
 class TestLibraryErrors:
     """Library exceptions reach the user as one line and a documented exit code."""
 
     @pytest.mark.parametrize("cfg,code,message", [
-        ({"experiment": "metric", "family": {"kind": "affine", "beta": 0.5},
-          "labels": {"grid": {"p": [0, 0, 1], "q": [1, 1, 1]}}},
-         2, "error: beta must exceed hbar"),
-        ({"experiment": "evolve", "hamiltonian": {"expression": "0.5*P^2 - Q^4"},
-          "representation": {"dim": 16}, "x0": [0.0, 2.0], "integrator": {"t_final": 5.0}},
-         1, "numerical failure: integration failed"),
-    ], ids=["domain-error", "numerical-failure"])
+        pytest.param({"experiment": "metric", "family": {"kind": "affine", "beta": 0.5},
+                      "labels": {"grid": {"p": [0, 0, 1], "q": [1, 1, 1]}}},
+                     2, "error: beta must exceed hbar", id="domain-error"),
+        pytest.param({"experiment": "evolve", "hamiltonian": {"expression": "0.5*P^2 - Q^4"},
+                      "representation": {"dim": 16}, "x0": [0.0, 2.0],
+                      "integrator": {"t_final": 5.0}},
+                     1, "numerical failure: integration failed", id="numerical-failure"),
+        *[pytest.param({"experiment": "evolve", "hamiltonian": {"expression": text},
+                        "x0": [0.0, 1.0], "integrator": {"t_final": 1.0}},
+                       2, "error: ", id=text) for text in BAD_EXPRESSIONS],
+        *[pytest.param({"experiment": "metric", "family": family, "representation": {"dim": 48},
+                        "labels": {"grid": {"p": [p, p, 1], "q": [0, 0, 1]}}},
+                       3, "capacity error: ", id=f"{name}-{p:g}")
+          for name, family in FAMILIES.items() for p in (1e6, 1e150, 1e300)],
+        pytest.param({"experiment": "curvature", "family": {"kind": "affine", "beta": 2.0},
+                      "labels": {"grid": {"p": [0.1, 0.1, 1], "q": [1e-300, 1e-300, 1]}}},
+                     2, "error: the affine metric", id="affine-curvature-1e-300"),
+    ])
     def test_exit_code_one_line_and_no_directory(self, tmp_path, capsys, cfg, code, message):
         out = tmp_path / "fresh" / "out"
         assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == code

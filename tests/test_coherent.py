@@ -119,6 +119,17 @@ class TestCanonicalStates:
         assert f"estimated adequate dim is {need}" in str(err.value)
         canonical_family(build_fock_rep(need)).state(-2.0, -1.0)
 
+    @pytest.mark.parametrize("p", [1e5, 1e6, 1e150, 1e160, 1e300])
+    @pytest.mark.parametrize("build", [canonical_family, lambda rep: extended_family(rep, 0.3, 0.2)],
+                             ids=["canonical", "extended"])
+    def test_far_labels_fail_fast_without_an_estimate(self, build, p):
+        # no buildable basis holds a mean level of 1e5: the estimate is dropped
+        # before its tail sum (about sqrt(mean) terms) or the state overflows
+        with pytest.raises(CapacityError) as err:
+            build(build_fock_rep(48)).state(p, 0.0)
+        assert err.value.required_dim is None
+        assert required_fock_dim(p, 0.0, 1.0) is None
+
     def test_fiducial_defining_relation(self, fock200):
         # (Q + i P)|0> = sqrt(2 hbar) A |0> = 0, exactly in the truncated basis
         a = fock200.vacuum().amplitudes
@@ -814,6 +825,10 @@ class TestMetricAnalytic:
             fs_metric_analytic("affine", 0.0, -1.0, beta=1.0)
         with pytest.raises(DomainError):
             fs_metric_analytic("spin", 1.0, 0.0, s=0.5)
+        # q^2 underflows to 0 and beta / q^2 overflows
+        for q in (1e-200, 1e-160, 1e160):
+            with pytest.raises(DomainError, match="double precision"):
+                fs_metric_analytic("affine", 0.1, q, beta=2.0)
 
 
 class TestScalarCurvature:
@@ -826,6 +841,29 @@ class TestScalarCurvature:
         for p, q in [(0.0, 1.0), (0.5, 0.7), (-0.3, 1.6)]:
             r = scalar_curvature("affine", p, q, beta=beta)
             assert r == pytest.approx(-2.0 / beta, abs=1e-6)
+
+    @pytest.mark.parametrize("beta,hbar", [(2.0, 1.0), (5.0, 0.3)])
+    def test_affine_to_1e_8_across_scales(self, beta, hbar):
+        # the step scales with q, so the error does not grow towards q = 0
+        for q in np.geomspace(1e-6, 1e3, 37):
+            r = scalar_curvature("affine", 0.1, q, hbar=hbar, beta=beta)
+            assert r == pytest.approx(-2.0 / beta, rel=1e-8, abs=0)
+
+    def test_affine_at_the_range_of_the_metric(self):
+        # the stencil works in coordinates where the metric is near 1
+        for q in (1e-150, 1e-100, 1e100, 1e150):
+            assert scalar_curvature("affine", 0.1, q, beta=2.0) == pytest.approx(-1.0, rel=1e-8)
+        for q in (1e-160, 1e-300, 1e160):
+            with pytest.raises(DomainError):
+                scalar_curvature("affine", 0.1, q, beta=2.0)
+
+    @pytest.mark.parametrize("s,hbar", [(0.5, 1.0), (5.0, 0.3), (100.0, 1.0)])
+    def test_spin_to_1e_5_up_to_the_poles(self, s, hbar):
+        # the step scales with the distance to the pole
+        sq = np.sqrt(s * hbar)
+        for frac in (-0.999, -0.997, -0.9, 0.0, 0.5, 0.99, 0.999):
+            r = scalar_curvature("spin", frac * sq, 0.3, hbar=hbar, s=s)
+            assert r == pytest.approx(2.0 / (s * hbar), rel=1e-5, abs=0)
 
     def test_spin_sphere(self):
         # sphere of radius sqrt(s hbar): curvature 2 / (s hbar)

@@ -1,5 +1,10 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enhq import (
     DomainError,
@@ -19,7 +24,7 @@ from enhq import (
     poly_expectation,
     spin_family,
 )
-from enhq.correspondence import EnhancedHamiltonian, OperatorPolynomial
+from enhq.correspondence import MAX_DEGREE, EnhancedHamiltonian, OperatorPolynomial
 from oracles import classical_limit, shift_identity_check
 
 
@@ -64,9 +69,37 @@ class TestParser:
         parse_polynomial("Q^6", "canonical")
 
     def test_garbage_rejected(self):
-        for bad in ("", "Q +", "* Q", "Q Q", "0.5 / Q"):
+        for bad in ("", "Q +", "* Q", "Q Q", "0.5 / Q", "Q*", "2*", "P*Q*", "0.5*P^2 + 0.5*Q^2*",
+                    "Q^2e40", "2^2", "(P)", "Q^7"):
             with pytest.raises(ValueError):
                 parse_polynomial(bad, "canonical")
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_rendered_terms_parse_back(self, data):
+        # Hermitian by construction: each word comes with its reversal
+        variables, alphabet = data.draw(st.sampled_from(
+            [("canonical", "PQ"), ("affine", "DQP"), ("spin", ("S1", "S2", "S3"))]))
+        space = st.sampled_from(["", " ", "  ", "\t"])
+        terms = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            word = tuple(data.draw(st.lists(st.sampled_from(alphabet), max_size=MAX_DEGREE)))
+            coeff = data.draw(st.floats(-1e300, 1e300, allow_subnormal=False))
+            terms += [(coeff, word)] + ([(coeff, word[::-1])] if word != word[::-1] else [])
+        text = ""
+        for k, (coeff, word) in enumerate(terms):
+            runs = [(letter, len(list(run))) for letter, run in itertools.groupby(word)]
+            factors = [data.draw(st.sampled_from([f"{letter}^{n}", "*".join([letter] * n)]))
+                       for letter, n in runs]
+            factors.insert(data.draw(st.integers(0, len(factors))), repr(abs(coeff)))
+            sign = "-" if math.copysign(1.0, coeff) < 0 else ("+" if k else "")
+            pad = data.draw(space)
+            text += pad + sign + data.draw(space) + (pad + "*" + pad).join(factors) + data.draw(space)
+        expected = {}
+        for coeff, word in terms:
+            expected[word] = expected.get(word, 0.0) + coeff
+        poly = parse_polynomial(text, variables)
+        assert dict(poly.terms) == {w: c for w, c in expected.items() if c != 0.0}
 
     def test_classical_value(self):
         poly = parse_polynomial("0.5*P^2 + 0.5*Q^2", "canonical")
