@@ -12,8 +12,6 @@ from .hilbert import (
     build_fock_rep,
     build_halfline_rep,
     build_spin_rep,
-    expectation,
-    variance,
 )
 from .coherent import (
     CoherentFamily,

@@ -43,7 +43,7 @@ from .dynamics import (
     verify_transform_action,
 )
 from .errors import CapacityError, DomainError, NumericalFailure
-from .hilbert import build_fock_rep, build_halfline_rep, build_spin_rep, expectation, variance
+from .hilbert import build_fock_rep, build_halfline_rep, build_spin_rep
 from .models import HydrogenParams, hydrogen_classical, hydrogen_enhanced, min_radius, spin_precession
 
 _HYDROGEN = {"hydrogen_classical": hydrogen_classical, "hydrogen_enhanced": hydrogen_enhanced}
@@ -240,36 +240,32 @@ def _transform_from_config(cfg):
 # {file name: text}
 # ---------------------------------------------------------------------------
 
-def _mean(psi, op):
-    return float(expectation(psi, op).real)
-
-
-# the expectation columns: (column, letter, statistic of the state) on the
-# line and the sphere; on the half-line, whose formal P has no state statistic,
-# (column, affine word) restricted exactly: q, q^2 (1 + hbar/2 beta), p^2 + C2/q^2
+# each variable set's expectation columns: (column, word), the word's restriction,
+# or (column, word, its square), the square's less the square of the word's (a
+# variance).  The affine columns are q, q^2 (1 + hbar/2 beta) and p^2 + C2/q^2.
 _EXPECTATION_COLUMNS = {
-    "line": (("mean_p", "P", _mean), ("mean_q", "Q", _mean),
-             ("var_p", "P", variance), ("var_q", "Q", variance)),
-    "halfline": (("mean_q", "Q"), ("mean_q2", "Q^2"), ("mean_p2", "P^2")),
-    "spin": (("mean_s3", "S3", _mean),),
+    "canonical": (("mean_p", "P"), ("mean_q", "Q"), ("var_p", "P", "P^2"), ("var_q", "Q", "Q^2")),
+    "affine": (("mean_q", "Q"), ("mean_q2", "Q^2"), ("mean_p2", "P^2")),
+    "spin": (("mean_s3", "S3"),),
 }
 
 
-def _expectation_row(family, columns, p, q) -> list:
-    psi = family.state(p, q)
-    return [statistic(psi, family.letters[letter]) for _, letter, statistic in columns]
+def _expectation_table(family, points) -> tuple:
+    """The expectation column names of ``family`` and the row ``(p, q, *columns)`` of each point."""
+    columns = _EXPECTATION_COLUMNS[family.variables]
+    labels = {word: enhance(parse_polynomial(word, family.variables), family)
+              for _, *words in columns for word in words}
+    rows = []
+    for p, q in points:
+        h = {word: label(p, q) for word, label in labels.items()}
+        rows.append((p, q, *(h[square[0]] - h[word] ** 2 if square else h[word]
+                             for _, word, *square in columns)))
+    return [column[0] for column in columns], rows
 
 
 def _run_expectation(cfg, header):
-    family = _build_family(cfg, _family_kind(cfg))
-    columns = _EXPECTATION_COLUMNS[family.rep.kind]
-    points = _label_points(cfg)
-    if family.rep.kind == "halfline":
-        labels = [enhance(parse_polynomial(word, "affine"), family) for _, word in columns]
-        rows = [(p, q, *(h(p, q) for h in labels)) for p, q in points]
-    else:
-        rows = [(p, q, *_expectation_row(family, columns, p, q)) for p, q in points]
-    return {"expectation.csv": _csv(header, ["p", "q", *(column[0] for column in columns)], rows)}
+    names, rows = _expectation_table(_build_family(cfg, _family_kind(cfg)), _label_points(cfg))
+    return {"expectation.csv": _csv(header, ["p", "q", *names], rows)}
 
 
 def _run_metric(cfg, header):
@@ -419,12 +415,10 @@ def _check(name, measured, expected, tolerance):
 def _suite_label_means(cfg):
     # the expectation columns mean_p, mean_q, var_p, var_q against p, q, hbar/2, hbar/2
     family = _build_family(cfg, "canonical")
-    half = family.rep.hbar / 2
     rng = np.random.default_rng(int(cfg.get("seed", 0)))
-    dev = np.zeros(4)
-    for p, q in rng.uniform(-3.0, 3.0, size=(50, 2)):
-        stats = _expectation_row(family, _EXPECTATION_COLUMNS["line"], p, q)
-        dev = np.maximum(dev, np.abs(np.subtract(stats, (p, q, half, half))))
+    rows = np.array(_expectation_table(family, rng.uniform(-3.0, 3.0, size=(50, 2)))[1])
+    expected = np.hstack([rows[:, :2], np.full((len(rows), 2), family.rep.hbar / 2)])
+    dev = np.max(np.abs(rows[:, 2:] - expected), axis=0)
     return [
         _check("max |<P> - p|", dev[0], 0.0, 1e-8),
         _check("max |<Q> - q|", dev[1], 0.0, 1e-8),

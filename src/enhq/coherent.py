@@ -95,19 +95,22 @@ class CoherentFamily:
     ``letters``, the matrix of each letter of the family's operator alphabet.
     Each family is a subclass, built by its factory function, whose
     ``_build(p, q, tangent)`` returns the state and, when ``tangent`` is set,
-    its label derivatives (None otherwise).  ``shifted`` maps each letter to
-    its adjoint action ``U(p, q)^dag X U(p, q)`` as terms (fiducial letter or
-    None, power of ``p``, power of ``q``) where that is a polynomial in the
-    labels (canonical, affine, each with an exact ``fiducial_moment(word)``),
-    and ``beta`` is the affine fiducial parameter.
+    its label derivatives (None otherwise).  It declares what restricting a
+    polynomial needs: its alphabet ``variables``; ``half_line``, true where
+    labels need ``q > 0``; a ``label_domain`` margin, positive inside the
+    chart, or None; and ``shifted``, each letter's adjoint action
+    ``U(p, q)^dag X U(p, q)`` as terms (coefficient, fiducial letter or None,
+    power of ``p``, power of ``q``) where that is a polynomial in the labels,
+    with an exact ``fiducial_moment(word)``.
 
     Instances are immutable; ``state`` is a pure function of the labels and
     families may be shared across threads and swept in parallel.
     """
 
     kind = None
+    half_line = False
+    label_domain = None
     shifted = None
-    beta = None
 
     def __init__(self, rep, fiducial, letters):
         self.rep = rep
@@ -115,7 +118,7 @@ class CoherentFamily:
         self.letters = letters
 
     def label_in_domain(self, p: float, q: float) -> bool:
-        return np.isfinite(p) and np.isfinite(q)
+        return np.isfinite(p) and np.isfinite(q) and (q > 0 or not self.half_line)
 
     def state(self, p: float, q: float) -> StateVector:
         return self._build(p, q, False)[0]
@@ -139,10 +142,27 @@ class CoherentFamily:
 
 class _Canonical(CoherentFamily):
     kind = "canonical"
-    shifted = {"P": (("P", 0, 0), (None, 1, 0)), "Q": (("Q", 0, 0), (None, 0, 1))}
+    variables = "canonical"
+    a = b = 0.0  # no rotation, no squeeze
 
     def __init__(self, rep):
         super().__init__(rep, rep.vacuum(), {"P": rep.P, "Q": rep.Q})
+
+    @property
+    def shifted(self):
+        # U^dag Q U = e^{2b} cos 2a (Q + q) + e^{-2b} sin 2a (P + p) and U^dag P U =
+        # e^{-2b} cos 2a (P + p) - e^{2b} sin 2a (Q + q), weights 1 and 0 at a = b = 0;
+        # formed on use, so that any (a, b) builds a family
+        try:
+            up, down = math.exp(2.0 * self.b), math.exp(-2.0 * self.b)
+        except OverflowError:
+            raise DomainError(f"the squeeze b = {self.b} overflows its adjoint action") from None
+        c, s = math.cos(2.0 * self.a), math.sin(2.0 * self.a)
+        # (weight, letter Y, powers of p and q of Y's label y): a nonzero weight w adds w Y + w y
+        weighted = {"P": ((down * c, "P", 1, 0), (-up * s, "Q", 0, 1)),
+                    "Q": ((up * c, "Q", 0, 1), (down * s, "P", 1, 0))}
+        return {x: tuple(t for w, y, i, j in weighted[x] if w for t in ((w, y, 0, 0), (w, None, i, j)))
+                for x in weighted}
 
     def fiducial_moment(self, word):
         # a word of length L reaches Fock level L: the moment is exact only when dim > L
@@ -174,13 +194,12 @@ class _Canonical(CoherentFamily):
         )
 
 
-class _Extended(CoherentFamily):
+class _Extended(_Canonical):
     kind = "extended"
 
     def __init__(self, rep, a, b):
-        super().__init__(rep, rep.vacuum(), {"P": rep.P, "Q": rep.Q})
-        self.a = float(a)
-        self.b = float(b)
+        super().__init__(rep)
+        self.a, self.b = float(a), float(b)
 
     def _build(self, p, q, tangent):
         # R S exp(-i q P / hbar) exp(i p Q / hbar)|0>: the rotation
@@ -229,19 +248,18 @@ class _Extended(CoherentFamily):
 
 class _Affine(CoherentFamily):
     kind = "affine"
+    variables = "affine"
+    half_line = True
     shifted = {
-        "D": (("D", 0, 0), ("Q", 1, 1)),
-        "Q": (("Q", 0, 1),),
-        "P": (("P", 0, -1), (None, 1, 0)),
+        "D": ((1.0, "D", 0, 0), (1.0, "Q", 1, 1)),
+        "Q": ((1.0, "Q", 0, 1),),
+        "P": ((1.0, "P", 0, -1), (1.0, None, 1, 0)),
     }
 
     def __init__(self, rep, beta):
         super().__init__(rep, affine_fiducial(beta, rep),
                          {"D": rep.D, "Q": rep.Q, "P": rep.P_formal})
         self.beta = float(beta)
-
-    def label_in_domain(self, p, q):
-        return super().label_in_domain(p, q) and q > 0
 
     def fiducial_moment(self, word):
         # The letters keep the span of f_k = x^(nu - 1/2 + k) e^(-nu x), nu = beta / hbar,
@@ -288,9 +306,11 @@ class _Affine(CoherentFamily):
 
 class _Spin(CoherentFamily):
     kind = "spin"
+    variables = "spin"
 
     def __init__(self, rep):
         super().__init__(rep, rep.highest_weight(), {"S1": rep.S1, "S2": rep.S2, "S3": rep.S3})
+        self.label_domain = lambda p, q: rep.s * rep.hbar - p * p
 
     def label_in_domain(self, p, q):
         # the azimuth is periodic: every real q is a label

@@ -4,11 +4,12 @@ An :class:`OperatorPolynomial` is a real-coefficient sum of ordered operator
 words over ``{P, Q}`` (canonical), ``{D, Q, P}`` (affine, with ``P`` formal),
 or ``{S1, S2, S3}`` (spin).  :func:`enhance` restricts it to a coherent-state
 family, producing the label function ``H(p, q) = <p,q| poly |p,q>`` together
-with its gradient.
+with its gradient, from what the family declares.
 
-For canonical and affine families ``H`` is the fiducial expectation of the
-letters pulled through the group element (Perelomov): ``P -> P + p``,
-``Q -> Q + q`` on the line, ``D -> D + p q Q``, ``Q -> q Q``,
+Except on the sphere, ``H`` is the fiducial expectation of the letters
+pulled through the group element (Perelomov): ``P -> P + p``, ``Q -> Q + q``
+on the line, rotated by ``2a`` and scaled by ``e^{+-2b}`` for the squeezed
+family (Stoler 1970; Yuen 1976), and ``D -> D + p q Q``, ``Q -> q Q``,
 ``P -> P / q + p`` on the half line.  Expanding each word over the shifted
 letters and caching the fiducial moments of the kept subwords turns ``H``
 into an explicit Laurent polynomial in ``(p, q)`` with exact moments and
@@ -17,16 +18,18 @@ labels, so a spin polynomial is formed once as a matrix ``M``, and
 ``H = <psi|M psi>`` takes the gradient ``2 Re <d psi|M psi>`` from the
 state's tangent.  Nothing is differenced, and there is no ordering engine.
 
-On the canonical family the vacuum moment of a kept subword of length ``m``
+On the line families the vacuum moment of a kept subword of length ``m``
 is ``hbar^(m/2)`` times its value at ``hbar = 1``, and odd moments vanish,
 so :func:`hbar_series` reads ``H(p, q; hbar) = sum_k hbar^k h_k(p, q)`` off
-the same expansion, with no fit: ``h_0`` is the classical polynomial (weak
-correspondence) and the ``h_k`` are its quantum corrections.
+the same expansion, with no fit: on the canonical family ``h_0`` is the
+classical polynomial (weak correspondence) and the ``h_k`` are its quantum
+corrections.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from functools import reduce
 
@@ -78,6 +81,8 @@ class OperatorPolynomial:
             if len(word) > MAX_DEGREE:
                 raise ValueError(f"word of degree {len(word)} exceeds the cap {MAX_DEGREE}")
             merged[word] = merged.get(word, 0.0) + float(coeff)
+        if not all(map(math.isfinite, merged.values())):
+            raise ValueError("polynomial coefficients must be finite")
         merged = {w: c for w, c in merged.items() if c != 0.0}
         scale = max((abs(c) for c in merged.values()), default=1.0)
         for word, coeff in merged.items():
@@ -115,6 +120,8 @@ def parse_polynomial(text: str, variable_set: str) -> OperatorPolynomial:
         word: list[str] = []
         for number, letter, sign, power in _FACTORS.findall(term):
             if number:
+                if not math.isfinite(float(number)):
+                    raise ValueError(f"number {number} overflows a double")
                 coeff *= float(number)
                 continue
             n = float(sign + power) if power else 1.0
@@ -149,7 +156,7 @@ def classical_value(poly: OperatorPolynomial, p: float, q: float) -> float:
 
 
 def _check_alphabet(poly: OperatorPolynomial, family: CoherentFamily) -> None:
-    if poly.variable_set != family.kind:
+    if poly.variable_set != family.variables:
         raise ValueError(
             f"polynomial over the {poly.variable_set} alphabet is incompatible with a "
             f"{family.kind} family"
@@ -210,6 +217,8 @@ class _LabelPolynomial:
 
 
 def _realized(value: complex, context: str) -> float:
+    if not math.isfinite(value.real):
+        raise DomainError(f"{context} overflows a double")
     if abs(value.imag) > 1e-10 * (1.0 + abs(value.real)):
         raise NumericalFailure(
             f"{context} produced a non-real value {value}; the polynomial is not "
@@ -221,30 +230,24 @@ def _realized(value: complex, context: str) -> float:
 
 def _label_terms(poly, family) -> dict:
     # <p,q| W |p,q> = <fiducial| U^dag W U |fiducial>: expand every word over
-    # the product of its letters' shifted terms and take the family's exact
-    # moment of each kept subword once.  The real coefficients are keyed by
-    # (power of p, power of q, length of the kept subword).
+    # the product of its letters' weighted shifted terms and take the family's
+    # exact moment of each kept subword once.  The real coefficients are keyed
+    # by (power of p, power of q, length of the kept subword).
+    shifted = family.shifted
     moments: dict[tuple[str, ...], complex] = {}
     coeffs: dict[tuple[int, int, int], complex] = {}
     for word, coeff in poly.terms:
-        for terms in itertools.product(*(family.shifted[letter] for letter in word)):
-            kept = tuple(letter for letter, _, _ in terms if letter is not None)
+        for terms in itertools.product(*(shifted[letter] for letter in word)):
+            kept = tuple(letter for _, letter, _, _ in terms if letter is not None)
             if kept not in moments:
                 moments[kept] = family.fiducial_moment(kept)
-            key = (sum(t[1] for t in terms), sum(t[2] for t in terms), len(kept))
-            coeffs[key] = coeffs.get(key, 0.0) + coeff * moments[kept]
+            key = (sum(t[2] for t in terms), sum(t[3] for t in terms), len(kept))
+            coeffs[key] = coeffs.get(key, 0.0) + coeff * math.prod(t[0] for t in terms) * moments[kept]
     # a word and its reversal share a key, so each key's sum is real
     return {
         key: _realized(complex(v), f"{family.kind} moment expansion at power {key[:2]}")
         for key, v in coeffs.items()
     }
-
-
-def _label_polynomial(poly, family) -> _LabelPolynomial:
-    coeffs: dict[tuple[int, int], float] = {}
-    for (i, j, _), c in _label_terms(poly, family).items():
-        coeffs[i, j] = coeffs.get((i, j), 0.0) + c
-    return _LabelPolynomial(coeffs, q_positive=family.beta is not None)
 
 
 class EnhancedHamiltonian:
@@ -257,18 +260,19 @@ class EnhancedHamiltonian:
     ``half_line`` then maps labels to the coordinate that must stay
     positive (``q``; a relabeling carries it through its inverse), and is
     ``None`` otherwise.  ``label_domain``, when given, maps labels to a
-    signed margin that is positive inside the domain.
+    signed margin that is positive inside the domain.  ``polynomial`` holds
+    the coefficients ``{(i, j): c}`` of an explicit label polynomial.
     """
 
     def __init__(self, evaluate, gradient, hbar: float = 1.0, q_positive: bool = False,
-                 label_domain=None):
+                 label_domain=None, polynomial=None):
         self._evaluate = evaluate
         self._gradient = gradient
         self.hbar = float(hbar)
         self.q_positive = bool(q_positive)
         self.half_line = (lambda p, q: q) if q_positive else None
         self.label_domain = label_domain
-        self.polynomial = None
+        self.polynomial = polynomial
 
     def evaluate(self, p: float, q: float) -> float:
         return float(self._evaluate(p, q))
@@ -283,41 +287,42 @@ class EnhancedHamiltonian:
 def enhance(poly: OperatorPolynomial, family: CoherentFamily) -> EnhancedHamiltonian:
     """Restrict an operator polynomial to a coherent-state family.
 
-    Canonical and affine polynomials are reduced once to explicit label
-    polynomials (Laurent in ``q`` when affine words contain the formal
-    momentum) through exact fiducial moments, with exact gradients.
-    Canonical moments need ``dim > degree``; affine words with ``k``
-    momentum letters need ``beta > k/2 * hbar``, and the affine label
-    function raises :class:`DomainError` at ``q <= 0``.  A spin polynomial
-    is formed once as ``M = sum_w c_w W``: ``H = <psi|M psi>`` on the rotated
-    state, with the gradient ``2 Re <d_(p,q) psi|M psi>`` from
-    :meth:`CoherentFamily.tangent`, which raises at the poles.
+    With a ``shifted`` table (canonical, squeezed, affine) the polynomial is
+    reduced once to an explicit label polynomial (Laurent in ``q`` when
+    affine words contain the formal momentum) through exact fiducial
+    moments, with exact gradients.  Vacuum moments need ``dim > degree``;
+    affine words with ``k`` momentum letters need ``beta > k/2 * hbar``, and
+    a ``half_line`` label function raises :class:`DomainError` at ``q <= 0``,
+    as does an expansion that overflows.  Otherwise (spin) it is formed once
+    as ``M = sum_w c_w W``: ``H = <psi|M psi>`` on the state, with the gradient
+    ``2 Re <d psi|M psi>`` from :meth:`CoherentFamily.tangent`.
     """
     _check_alphabet(poly, family)
-    hbar = family.rep.hbar
+    polynomial = None
     if family.shifted is not None:
-        label_poly = _label_polynomial(poly, family)
-        ham = EnhancedHamiltonian(label_poly, label_poly.gradient, hbar=hbar,
-                                  q_positive=label_poly.q_positive)
-        ham.polynomial = dict(label_poly.coeffs)
-        return ham
-    # the spin letters pull through to no polynomial: form the operator once
-    eye = np.eye(family.rep.dim)
-    op = sum((c * reduce(np.matmul, (family.letters[letter] for letter in word), eye)
-              for word, c in poly.terms), np.zeros_like(eye))
+        coeffs: dict[tuple[int, int], float] = {}
+        for (i, j, _), c in _label_terms(poly, family).items():
+            coeffs[i, j] = coeffs.get((i, j), 0.0) + c
+        evaluate = _LabelPolynomial(coeffs, q_positive=family.half_line)
+        gradient, polynomial = evaluate.gradient, dict(evaluate.coeffs)
+    else:
+        # the letters pull through to no polynomial: form the operator once
+        eye = np.eye(family.rep.dim)
+        op = sum((c * reduce(np.matmul, (family.letters[letter] for letter in word), eye)
+                  for word, c in poly.terms), np.zeros_like(eye))
 
-    def evaluate(p, q):
-        psi = family.state(p, q).amplitudes
-        return _realized(complex(np.vdot(psi, op @ psi)), "spin expectation")
+        def evaluate(p, q):
+            psi = family.state(p, q).amplitudes
+            return _realized(complex(np.vdot(psi, op @ psi)), f"{family.kind} expectation")
 
-    def gradient(p, q):
-        # d <psi|M psi> = 2 Re <d psi|M psi>, as M is Hermitian
-        psi, d_p, d_q = family.tangent(p, q)
-        op_psi = op @ psi
-        return 2.0 * np.vdot(d_p, op_psi).real, 2.0 * np.vdot(d_q, op_psi).real
+        def gradient(p, q):
+            # d <psi|M psi> = 2 Re <d psi|M psi>, as M is Hermitian
+            psi, d_p, d_q = family.tangent(p, q)
+            op_psi = op @ psi
+            return 2.0 * np.vdot(d_p, op_psi).real, 2.0 * np.vdot(d_q, op_psi).real
 
-    return EnhancedHamiltonian(evaluate, gradient, hbar=hbar,
-                               label_domain=lambda p, q: family.rep.s * hbar - p * p)
+    return EnhancedHamiltonian(evaluate, gradient, hbar=family.rep.hbar, q_positive=family.half_line,
+                               label_domain=family.label_domain, polynomial=polynomial)
 
 
 def hbar_series(poly: OperatorPolynomial, family: CoherentFamily) -> tuple:
@@ -325,15 +330,14 @@ def hbar_series(poly: OperatorPolynomial, family: CoherentFamily) -> tuple:
 
     ``K = poly.degree // 2``.  A kept subword of length ``m`` has a vacuum
     moment ``hbar^(m/2)`` times its value at ``hbar = 1`` and odd moments
-    vanish, so each term of :func:`enhance`'s expansion on the canonical
-    family belongs to ``h_(m/2)``, divided by ``hbar^(m/2)`` of the family's
-    representation.  The series is exact in ``hbar`` and ``h_0`` is the
-    classical polynomial.  Other families raise :class:`ValueError`, as does
-    a representation with ``dim <= degree``.
+    vanish, so each term of :func:`enhance`'s expansion on a line family
+    (canonical or squeezed) belongs to ``h_(m/2)``, divided by ``hbar^(m/2)``
+    of the family's representation.  The series is exact in ``hbar``.  Other
+    families raise :class:`ValueError`, as does ``dim <= degree``.
     """
-    if family.kind != "canonical":
-        raise ValueError(f"the hbar-series needs a canonical family, not a {family.kind} one")
     _check_alphabet(poly, family)
+    if poly.variable_set != "canonical":
+        raise ValueError(f"the hbar-series needs a canonical family or its squeeze, not a {family.kind} one")
     hbar = family.rep.hbar
     series: list[dict] = [{} for _ in range(poly.degree // 2 + 1)]
     for (i, j, m), c in _label_terms(poly, family).items():

@@ -29,7 +29,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from .correspondence import EnhancedHamiltonian
-from .errors import InvalidTransformError, NumericalFailure
+from .errors import DomainError, InvalidTransformError, NumericalFailure
 
 DEFAULT_Q_FLOOR = 1e-8
 _TRANSFORM_ROUNDTRIP_TOL = 1e-10
@@ -220,7 +220,7 @@ def hamiltonian_flow(
     if method == "leapfrog":
         ts, ps, qs, hits, stop = _leapfrog_flow(
             gradient, x0.p, x0.q, t_final, n_samples, n_steps, margins,
-            q_floor if H.q_positive else None,
+            q_floor if H.q_positive else None, len(margins) if H.label_domain is not None else None,
         )
     else:
         tol = 1e-10 if tol is None else tol
@@ -571,17 +571,20 @@ def _event_roots(margins, active, gradient, step, cp, cq):
     return [(i, root, *dense(root)) for root, i in found], t_stop
 
 
-def _leapfrog_flow(gradient, p, q, t_final, n_samples, n_steps, margins, q_floor):
+def _leapfrog_flow(gradient, p, q, t_final, n_samples, n_steps, margins, q_floor, domain_exit):
     """Kick-drift-kick with the call and return of :func:`_dormand_prince`.
 
     Symplectic only when H is separable, the contract of this backend.  The
     ``margins`` are those of :func:`_dormand_prince`: ``margins[i - 1]`` ends
     the run, as event ``i``, at the first step end where it is ``<= 0``.  Its
-    hit takes that step end's time and state, with ``q`` raised to
-    ``q_floor`` when given (a plain half line); without one (a relabeled half line, a label
-    domain) it takes the state of the step end before, the last inside,
-    where the Hamiltonian is still defined.  A bounce is a step end where
-    ``dq/dt`` turns nonnegative, whose gradient also serves the next kick.
+    hit takes that step end's time and state, with ``q`` raised to ``q_floor``
+    when given (a plain half line); without one (a relabeled half line, a
+    label domain) it takes the state of the step end before, the last
+    inside, where the Hamiltonian is still defined.  A gradient that raises
+    :class:`DomainError` within a step (a kick past a spin pole) ends the run
+    the same way, as event ``domain_exit`` (the label domain's), and is
+    raised where there is none.  A bounce is a step end where ``dq/dt`` turns
+    nonnegative, whose gradient also serves the next kick.
     Each gradient is tested for finiteness as it arrives.  The samples are
     the step ends nearest ``linspace(0, t_final, n_samples)``, distinct
     because ``n_steps`` (by default ``max(20 n_samples, 10000)``) is at
@@ -603,16 +606,20 @@ def _leapfrog_flow(gradient, p, q, t_final, n_samples, n_steps, margins, q_floor
 
     ts, ps, qs, hits = [0.0], [p], [q], []
     for k in range(1, n_steps + 1):
-        p_old, q_old = p, q
-        p -= 0.5 * dt * dh_dq
-        q += dt * finite_gradient((k - 1) * dt, p, q)[0]
-        t = k * dt
-        p -= 0.5 * dt * finite_gradient(t, p, q)[1]
-        for i, margin in enumerate(margins, 1):
-            if margin(p, q) <= 0:
-                hits.append((i, t, p, max(q, q_floor)) if q_floor is not None
-                            else (i, t, p_old, q_old))
-                return np.array(ts), np.array(ps), np.array(qs), hits, None
+        p_old, q_old, t = p, q, k * dt
+        try:
+            p -= 0.5 * dt * dh_dq
+            q += dt * finite_gradient((k - 1) * dt, p, q)[0]
+            p -= 0.5 * dt * finite_gradient(t, p, q)[1]
+        except DomainError:
+            if domain_exit is None:
+                raise
+            hits.append((domain_exit, t, p_old, q_old))
+            break
+        hit = next((i for i, margin in enumerate(margins, 1) if margin(p, q) <= 0), None)
+        if hit is not None:
+            hits.append((hit, t, p, max(q, q_floor)) if q_floor is not None else (hit, t, p_old, q_old))
+            break
         qdot, dh_dq = finite_gradient(t, p, q)
         if prev_qdot < 0.0 <= qdot:
             hits.append((0, t, p, q))

@@ -262,27 +262,6 @@ def build_spin_rep(s: float, hbar: float = 1.0) -> SpinRep:
     return SpinRep(s, hbar, s1, s2, s3)
 
 
-def expectation(state: StateVector, op) -> complex:
-    """Return ``<psi| op |psi>``.
-
-    The imaginary part is a roundoff-level residual whenever ``op`` is
-    Hermitian; callers that know this take the real part themselves.
-    """
-    a = state.amplitudes
-    if op.shape != (a.size, a.size):
-        raise ValueError(
-            f"operator shape {op.shape} does not match state dimension {a.size}"
-        )
-    return complex(np.vdot(a, op @ a))
-
-
-def variance(state: StateVector, op) -> float:
-    """Variance ``<op^2> - <op>^2`` for a Hermitian operator."""
-    w = op @ state.amplitudes
-    mean = np.real(np.vdot(state.amplitudes, w))
-    return float(np.real(np.vdot(w, w)) - mean * mean)
-
-
 def apply_unitary(op, theta: float, state: StateVector) -> StateVector:
     """Apply ``exp(-i * theta * op / hbar)`` to a state.
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent import fiducial_p2_closed, fiducial_q_moment_closed
+from .coherent import fiducial_p2_closed, fiducial_q_moment_closed, spin_family
 from .correspondence import EnhancedHamiltonian
 from .errors import DomainError
 from .hilbert import SpinRep
@@ -131,10 +131,5 @@ def spin_precession(B: float, rep: SpinRep) -> EnhancedHamiltonian:
     advances linearly at rate ``B`` while ``p`` stays constant.
     """
     sq = np.sqrt(rep.s * rep.hbar)
-    shbar = rep.s * rep.hbar
-    return EnhancedHamiltonian(
-        lambda p, q: B * sq * p,
-        lambda p, q: (B * sq, 0.0),
-        hbar=rep.hbar,
-        label_domain=lambda p, q: shbar - p * p,
-    )
+    return EnhancedHamiltonian(lambda p, q: B * sq * p, lambda p, q: (B * sq, 0.0), hbar=rep.hbar,
+                               label_domain=spin_family(rep).label_domain)

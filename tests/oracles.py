@@ -2,9 +2,10 @@
 
 Each one is a second route to a value the library computes another way:
 the canonical commutator on the truncated Fock basis, the inner product of
-two states, the direct state expectation of a polynomial against its
-shifted-moment label function, and a polynomial fit in hbar over one
-representation per hbar against the exact hbar-series.
+two states, the mean and variance of an operator in a state against the
+restricted label functions, the direct state expectation of a polynomial
+against its shifted-moment label function, and a polynomial fit in hbar over
+one representation per hbar against the exact hbar-series.
 """
 
 from dataclasses import dataclass
@@ -12,13 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from enhq.coherent import CoherentFamily
-from enhq.correspondence import (
-    OperatorPolynomial,
-    _check_alphabet,
-    _label_polynomial,
-    _realized,
-    poly_expectation,
-)
+from enhq.correspondence import OperatorPolynomial, _realized, enhance, poly_expectation
 from enhq.errors import NumericalFailure
 from enhq.hilbert import DEFAULT_TRUNCATION_MARGIN, LineRep, StateVector
 
@@ -33,6 +28,27 @@ def commutator_defect(rep: LineRep, margin: int = DEFAULT_TRUNCATION_MARGIN) -> 
     m = rep.dim - margin
     c = rep.Q @ rep.P - rep.P @ rep.Q - 1j * rep.hbar * np.eye(rep.dim)
     return float(np.linalg.norm(c[:m, :m]))
+
+
+def expectation(state: StateVector, op) -> complex:
+    """Return ``<psi| op |psi>``.
+
+    The imaginary part is a roundoff-level residual whenever ``op`` is
+    Hermitian; callers that know this take the real part themselves.
+    """
+    a = state.amplitudes
+    if op.shape != (a.size, a.size):
+        raise ValueError(
+            f"operator shape {op.shape} does not match state dimension {a.size}"
+        )
+    return complex(np.vdot(a, op @ a))
+
+
+def variance(state: StateVector, op) -> float:
+    """Variance ``<op^2> - <op>^2`` for a Hermitian operator."""
+    w = op @ state.amplitudes
+    mean = np.real(np.vdot(state.amplitudes, w))
+    return float(np.real(np.vdot(w, w)) - mean * mean)
 
 
 def overlap(s1: StateVector, s2: StateVector) -> complex:
@@ -58,8 +74,7 @@ def shift_identity_check(poly: OperatorPolynomial, family: CoherentFamily, sampl
     """
     if family.kind != "canonical":
         raise ValueError("the shift identity applies to canonical families")
-    _check_alphabet(poly, family)
-    label_poly = _label_polynomial(poly, family)
+    label_poly = enhance(poly, family)
     rows = []
     for p, q in samples:
         direct = _realized(poly_expectation(poly, family, p, q), "direct expectation")

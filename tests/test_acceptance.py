@@ -22,7 +22,6 @@ from enhq import (
     canonical_family,
     classical_value,
     enhance,
-    expectation,
     affine_family,
     fiducial_moments,
     fiducial_p2_closed,
@@ -41,10 +40,9 @@ from enhq import (
     scaling_transform,
     spin_family,
     transform_hamiltonian,
-    variance,
 )
 from enhq.cli import main as cli_main
-from oracles import classical_limit
+from oracles import classical_limit, expectation, variance
 
 
 def _report(number, name, ok, detail):

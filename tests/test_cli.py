@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -352,6 +353,18 @@ class TestLibraryErrors:
         pytest.param({"experiment": "curvature", "family": {"kind": "affine", "beta": 2.0},
                       "labels": {"grid": {"p": [0.1, 0.1, 1], "q": [1e-300, 1e-300, 1]}}},
                      2, "error: the affine metric", id="affine-curvature-1e-300"),
+        pytest.param({"experiment": "evolve", "hamiltonian": {"expression": "1e400*Q^2 + 0.5*P^2"},
+                      "x0": [0.0, 1.0], "integrator": {"t_final": 1.0}},
+                     2, "error: number 1e400 overflows a double", id="number-1e400"),
+        # the family builds at any squeeze, but its adjoint action leaves the doubles
+        pytest.param({"experiment": "evolve", "family": {"kind": "extended", "a": 0.0, "b": 400.0},
+                      "hamiltonian": {"expression": "0.5*P^2 + 0.5*Q^2"},
+                      "x0": [0.0, 1.0], "integrator": {"t_final": 1.0}},
+                     2, "error: the squeeze b = 400.0 overflows", id="evolve-squeeze-400"),
+        pytest.param({"experiment": "expectation", "family": {"kind": "extended", "a": 0.0, "b": -400.0},
+                      "representation": {"dim": 16},
+                      "labels": {"grid": {"p": [0, 0, 1], "q": [0, 0, 1]}}},
+                     2, "error: the squeeze b = -400.0 overflows", id="expectation-squeeze-minus-400"),
     ])
     def test_exit_code_one_line_and_no_directory(self, tmp_path, capsys, cfg, code, message):
         out = tmp_path / "fresh" / "out"
@@ -362,8 +375,9 @@ class TestLibraryErrors:
 
 
 class TestCapacity:
+    # the line families' expectation columns build no states: the metric does
     CFG = {
-        "experiment": "expectation",
+        "experiment": "metric",
         "representation": {"kind": "line", "dim": 40},
         "labels": {"grid": {"p": [0, 8, 3], "q": [0, 8, 3]}},
     }
@@ -446,6 +460,54 @@ class TestCompareHydrogen:
         assert "singularity_hit" in classical_body
 
 
+class TestExtendedRestriction:
+    """The squeezed family restricts through enhance: U^dag Q U and U^dag P U are linear."""
+
+    A, B = 0.3, 0.2
+    FAMILY = {"kind": "extended", "a": A, "b": B}
+    HARMONIC = {"expression": "0.5*P^2 + 0.5*Q^2"}
+
+    def harmonic(self, p, q):
+        # P^2 + Q^2 commutes with the rotation
+        return 0.5 * (math.exp(4 * self.B) * (q * q + 0.5) + math.exp(-4 * self.B) * (p * p + 0.5))
+
+    def test_evolve(self, tmp_path):
+        cfg = {"experiment": "evolve", "family": self.FAMILY, "hamiltonian": self.HARMONIC,
+               "x0": [0.3, 0.8], "integrator": {"t_final": 2.0, "n_samples": 21}}
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        _, rows = read_rows(out / "trajectory.csv")
+        assert len(rows) == 21
+        energy = self.harmonic(0.3, 0.8)
+        for _, p, q, h, _ in rows:
+            assert float(h) == pytest.approx(self.harmonic(float(p), float(q)), rel=1e-14)
+            assert float(h) == pytest.approx(energy, rel=1e-8)
+
+    def test_transform_check(self, tmp_path):
+        cfg = {"experiment": "transform_check", "family": self.FAMILY, "hamiltonian": self.HARMONIC,
+               "transform": {"name": "rotation"}, "x0": [0.2, 0.9],
+               "integrator": {"t_final": 2.0, "n_samples": 200}}
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "transform_check.json").read_text())
+        assert report["max_pointwise_deviation"] < 1e-6
+
+    def test_expectation_columns_in_closed_form(self, tmp_path):
+        cfg = {"experiment": "expectation", "family": self.FAMILY, "representation": {"dim": 40},
+               "labels": {"grid": {"p": [-1, 1, 3], "q": [-1, 1, 3]}}}
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        header, rows = read_rows(out / "expectation.csv")
+        assert header == ["p", "q", "mean_p", "mean_q", "var_p", "var_q"] and len(rows) == 9
+        up, down = math.exp(2 * self.B), math.exp(-2 * self.B)
+        c, s = math.cos(2 * self.A), math.sin(2 * self.A)
+        for p, q, mean_p, mean_q, var_p, var_q in (map(float, row) for row in rows):
+            assert mean_q == pytest.approx(up * c * q + down * s * p, abs=1e-15)
+            assert mean_p == pytest.approx(down * c * p - up * s * q, abs=1e-15)
+            assert var_q == pytest.approx(0.5 * (up**2 * c * c + down**2 * s * s), rel=1e-14)
+            assert var_p == pytest.approx(0.5 * (down**2 * c * c + up**2 * s * s), rel=1e-14)
+
+
 class TestDeterminism:
     def _expectation_config(self):
         return {
@@ -489,6 +551,22 @@ class TestExperiments:
         for row in rows:
             assert float(row[2]) == pytest.approx(float(row[0]), abs=1e-8)
             assert float(row[4]) == pytest.approx(0.5, abs=1e-8)
+
+    def test_line_expectation_columns_build_no_states(self, tmp_path):
+        # restricted exactly, so a basis too small for the states at (0, 4)
+        # and (8, 8) (TestCapacity) holds their columns
+        cfg = {
+            "experiment": "expectation",
+            "representation": {"kind": "line", "dim": 40},
+            "labels": {"grid": {"p": [0, 8, 3], "q": [0, 8, 3]}},
+        }
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        _, rows = read_rows(out / "expectation.csv")
+        assert len(rows) == 9
+        for p, q, mean_p, mean_q, var_p, var_q in (map(float, row) for row in rows):
+            assert (mean_p, mean_q) == (p, q)
+            assert var_p == pytest.approx(0.5, abs=1e-13) and var_q == pytest.approx(0.5, abs=1e-13)
 
     def test_expectation_affine_columns(self, tmp_path):
         # exact restrictions of Q, Q^2 and P^2: q, q^2 (1 + hbar/2 beta) and

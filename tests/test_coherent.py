@@ -23,7 +23,6 @@ from enhq import (
     build_halfline_rep,
     build_spin_rep,
     canonical_family,
-    expectation,
     fiducial_moments,
     fiducial_p2_closed,
     fiducial_q_moment_closed,
@@ -34,14 +33,13 @@ from enhq import (
     required_fock_dim,
     scalar_curvature,
     spin_family,
-    variance,
 )
 from enhq.hilbert import StateVector
 import enhq.hilbert
 from enhq.cli import main as cli_main
 from enhq.coherent import CANONICAL_TAIL_TOL, _metric_from_map, _poisson_tail, affine_wavefunction
 from enhq.hilbert import DEFAULT_TRUNCATION_MARGIN, apply_unitary
-from oracles import overlap
+from oracles import expectation, overlap, variance
 
 
 def coherent_series(p, q, hbar, dim):

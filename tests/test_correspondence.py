@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enhq import (
+    CapacityError,
     DomainError,
     HydrogenParams,
     NumericalFailure,
@@ -16,6 +17,7 @@ from enhq import (
     canonical_family,
     classical_value,
     enhance,
+    extended_family,
     fiducial_p2_closed,
     hamiltonian_flow,
     hbar_series,
@@ -70,9 +72,21 @@ class TestParser:
 
     def test_garbage_rejected(self):
         for bad in ("", "Q +", "* Q", "Q Q", "0.5 / Q", "Q*", "2*", "P*Q*", "0.5*P^2 + 0.5*Q^2*",
-                    "Q^2e40", "2^2", "(P)", "Q^7"):
+                    "Q^2e40", "2^2", "(P)", "Q^7", "1e400*Q^2 + P*Q", "1e400*Q - 1e400*Q + 0.5*P^2",
+                    "1e400*Q^2 + 0.5*P^2"):
             with pytest.raises(ValueError):
                 parse_polynomial(bad, "canonical")
+
+    def test_non_finite_coefficients_rejected(self):
+        # a number past the doubles is named; a product or a sum that
+        # overflows, or a term given directly, leaves a non-finite coefficient
+        with pytest.raises(ValueError, match="number 1e400 overflows a double"):
+            parse_polynomial("1e400*Q^2 + P*Q", "canonical")
+        for text in ("1e200*1e200*Q", "1e308*Q + 1e308*Q"):
+            with pytest.raises(ValueError, match="coefficients must be finite"):
+                parse_polynomial(text, "canonical")
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            OperatorPolynomial([(math.nan, ("Q",))], "canonical")
 
     @settings(max_examples=50, deadline=None)
     @given(st.data())
@@ -350,6 +364,100 @@ class TestEnhanceSpin:
             route(parse_polynomial(expression, variables), canonical200)
 
 
+class TestEnhanceExtended:
+    """The squeezed family restricts through its linear adjoint action on the vacuum."""
+
+    POLYNOMIALS = ("Q", "P", "0.5*P^2 + 0.5*Q^2", "P*Q + Q*P - 3*Q", "Q^3 + P*Q*P - 0.5*P",
+                   "P*Q*Q*P + 0.25*P^4 - Q^4 + 2*Q*P*Q + P^2")
+    PARAMETERS = [(0.3, 0.2), (-0.7, -0.15), (1.1, 0.05), (2.0, -0.25)]
+    LABELS = [(0.4, -0.7), (-1.0, 0.5), (0.0, 0.0), (1.3, 1.1)]
+
+    @staticmethod
+    def restricted(poly, a, b):
+        # the moments need only dim = degree + 2
+        return enhance(poly, extended_family(build_fock_rep(poly.degree + 2), a, b))
+
+    @pytest.mark.parametrize("a,b", PARAMETERS)
+    def test_matches_the_direct_expectation(self, fock200, a, b):
+        # the direct route needs a basis that holds the state
+        family = extended_family(fock200, a, b)
+        for expression in self.POLYNOMIALS:
+            poly = parse_polynomial(expression, "canonical")
+            ham = self.restricted(poly, a, b)
+            for p, q in self.LABELS:
+                direct = poly_expectation(poly, family, p, q)
+                assert abs(direct.imag) < 1e-10
+                assert ham(p, q) == pytest.approx(direct.real, rel=1e-12, abs=1e-14), expression
+
+    @pytest.mark.parametrize("a,b", PARAMETERS)
+    def test_gradient_matches_richardson_differences_of_the_direct_route(self, fock200, a, b):
+        family = extended_family(fock200, a, b)
+        h = 1e-3
+        for expression in self.POLYNOMIALS:
+            poly = parse_polynomial(expression, "canonical")
+            ham = self.restricted(poly, a, b)
+
+            def direct(p, q):
+                return poly_expectation(poly, family, p, q).real
+
+            for p, q in self.LABELS[:2]:
+                def central(step):
+                    return np.array([direct(p + step, q) - direct(p - step, q),
+                                     direct(p, q + step) - direct(p, q - step)]) / (2 * step)
+
+                richardson = (4 * central(h / 2) - central(h)) / 3
+                grad = np.array(ham.gradient(p, q))
+                assert np.max(np.abs(grad - richardson)) <= 1e-8 * np.max(np.abs(grad)), expression
+
+    def test_harmonic_restriction_in_closed_form(self):
+        # P^2 + Q^2 commutes with the rotation: H = [e^{4b} (q^2 + 1/2) + e^{-4b} (p^2 + 1/2)] / 2
+        a, b = 0.7, 0.2
+        ham = self.restricted(parse_polynomial("0.5*P^2 + 0.5*Q^2", "canonical"), a, b)
+        for p, q in self.LABELS:
+            expected = 0.5 * (math.exp(4 * b) * (q * q + 0.5) + math.exp(-4 * b) * (p * p + 0.5))
+            assert ham(p, q) == pytest.approx(expected, rel=1e-14)
+
+    def test_no_rotation_and_no_squeeze_is_the_canonical_restriction(self, canonical200):
+        poly = parse_polynomial("P*Q*Q*P + 0.25*P^4 - Q^4 + 2*Q*P*Q + P^2", "canonical")
+        assert self.restricted(poly, 0.0, 0.0).polynomial == enhance(poly, canonical200).polynomial
+
+    @pytest.mark.parametrize("b", [400.0, -400.0])
+    def test_a_squeeze_past_the_doubles_builds_but_does_not_restrict(self, b):
+        family = extended_family(build_fock_rep(48), 0.0, b)
+        with pytest.raises(CapacityError):
+            family.state(0.3, 0.4)
+        with pytest.raises(DomainError, match=f"the squeeze b = {b} overflows"):
+            enhance(parse_polynomial("0.5*P^2 + 0.5*Q^2", "canonical"), family)
+
+    def test_an_expansion_past_the_doubles_raises(self):
+        # e^{2b} is finite at b = 200, its square is not
+        family = extended_family(build_fock_rep(8), 0.0, 200.0)
+        assert enhance(parse_polynomial("Q", "canonical"), family)(0.0, 1.0) == math.exp(400.0)
+        with pytest.raises(DomainError, match="overflows a double"):
+            enhance(parse_polynomial("Q^2", "canonical"), family)
+
+
+class TestAlphabets:
+    EXPRESSIONS = {"canonical": "0.5*P^2 + 0.5*Q^2", "affine": "D*Q + Q*D + P^2",
+                   "spin": "S1*S3 + S3*S1 + S2"}
+    ACCEPTS = {"canonical": "canonical", "extended": "canonical", "affine": "affine", "spin": "spin"}
+
+    @pytest.fixture(scope="class")
+    def families(self, canonical200, fock200, affine_beta2):
+        return {"canonical": canonical200, "extended": extended_family(fock200, 0.3, -0.2),
+                "affine": affine_beta2, "spin": spin_family(build_spin_rep(2.0))}
+
+    @pytest.mark.parametrize("variables", ["canonical", "affine", "spin"])
+    @pytest.mark.parametrize("kind", ["canonical", "extended", "affine", "spin"])
+    def test_each_family_restricts_its_own_alphabet_only(self, families, kind, variables):
+        poly = parse_polynomial(self.EXPRESSIONS[variables], variables)
+        if self.ACCEPTS[kind] == variables:
+            assert math.isfinite(enhance(poly, families[kind])(0.3, 1.2))
+        else:
+            with pytest.raises(ValueError, match="incompatible"):
+                enhance(poly, families[kind])
+
+
 class TestShiftIdentity:
     def test_momentum_squared(self, canonical200):
         rng = np.random.default_rng(7)
@@ -459,6 +567,16 @@ class TestHbarSeries:
                                            abs=1e-14)
         assert h_1.coeffs == pytest.approx({(2, 0): 4.0, (0, 2): 2.5, (0, 0): -1.0}, abs=1e-14)
         assert h_2.coeffs == pytest.approx({(0, 0): 1.625}, abs=1e-14)
+
+    @pytest.mark.parametrize("hbar", [1.0, 0.3])
+    def test_squeezed_series_sums_to_enhance(self, hbar):
+        # the squeezed family shares the vacuum, and its table is free of hbar
+        poly = parse_polynomial(self.EXPRESSION, "canonical")
+        series = hbar_series(poly, extended_family(build_fock_rep(8, 1.0), 0.4, -0.3))
+        ham = enhance(poly, extended_family(build_fock_rep(8, hbar), 0.4, -0.3))
+        for p, q in [(0.0, 0.0), (0.7, -1.2), (-1.5, 0.4)]:
+            summed = sum(hbar**k * h_k(p, q) for k, h_k in enumerate(series))
+            assert summed == pytest.approx(ham(p, q), rel=1e-14, abs=1e-14)
 
     def test_rejects_affine_and_spin_families(self, affine_beta2, spin_half):
         with pytest.raises(ValueError, match="canonical family"):

@@ -11,12 +11,10 @@ from enhq import (
     build_fock_rep,
     build_halfline_rep,
     build_spin_rep,
-    expectation,
-    variance,
 )
 from enhq.coherent import affine_wavefunction
 from enhq.hilbert import hermitian_defect
-from oracles import commutator_defect
+from oracles import commutator_defect, expectation, variance
 
 
 class TestFockRep:

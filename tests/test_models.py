@@ -7,7 +7,6 @@ from enhq import (
     build_halfline_rep,
     build_spin_rep,
     enhance,
-    expectation,
     fiducial_p2_closed,
     fiducial_q_moment_closed,
     hamiltonian_flow,
@@ -18,6 +17,7 @@ from enhq import (
     spin_family,
     spin_precession,
 )
+from oracles import expectation
 
 
 class TestParams:

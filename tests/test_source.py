@@ -38,6 +38,11 @@ ORACLE_NAMES = {"poly_expectation", "fs_metric_numeric"}
 ALLOWED_ORACLE_REFERENCES = {("__init__.py", "poly_expectation"),
                              ("__init__.py", "fs_metric_numeric")}
 
+# what a family is, not what it declares: restriction and the CLI choose by
+# neither (an error message may still name the kind)
+FAMILY_IDENTITY = {"family.kind", "family.beta", "family.rep.s", "family.rep.kind"}
+RESTRICTING_MODULES = ("correspondence.py", "cli.py")
+
 
 def _referenced_names(tree):
     # a definition is not a reference: a def's name is no Name node
@@ -114,6 +119,16 @@ def _unused_imports(tree, module):
     return [(module, name) for name in imported if name not in used]
 
 
+def _choices_by_family_identity(tree, module):
+    # an identity attribute inside a comparison or a subscript chooses by it
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Compare, ast.Subscript)):
+            found.update((module, ast.unparse(n)) for n in ast.walk(node)
+                         if isinstance(n, ast.Attribute) and ast.unparse(n) in FAMILY_IDENTITY)
+    return sorted(found)
+
+
 def _findings(check):
     found = []
     for path in sorted(SOURCE.glob("*.py")):
@@ -156,6 +171,21 @@ def test_the_check_sees_an_oracle_reference():
         ("m.py", "fs_metric_numeric"), ("m.py", "poly_expectation")]
     assert _oracle_references(ast.parse("def poly_expectation(poly):\n    return 0\n"),
                               "m.py") == []
+
+
+def test_restriction_chooses_by_what_families_declare():
+    found = [f for module in RESTRICTING_MODULES
+             for f in _choices_by_family_identity(ast.parse((SOURCE / module).read_text()), module)]
+    assert found == []
+
+
+def test_the_check_sees_a_choice_by_family_identity():
+    tree = ast.parse("def f(family, table):\n"
+                     "    if family.kind != 'canonical' or family.beta is not None:\n"
+                     "        return table[family.rep.kind]\n"
+                     "    raise ValueError(f'not a {family.kind} family, s = {family.rep.s}')\n")
+    assert _choices_by_family_identity(tree, "m.py") == [
+        ("m.py", "family.beta"), ("m.py", "family.kind"), ("m.py", "family.rep.kind")]
 
 
 def test_the_library_imports_exactly_its_declared_dependencies():
