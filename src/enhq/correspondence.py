@@ -63,7 +63,8 @@ class OperatorPolynomial:
 
     Hermiticity is structural: after merging duplicates, every word must
     carry the same coefficient as its reversal (words of Hermitian letters
-    conjugate to their reversals).  Coefficients are real by the grammar.
+    conjugate to their reversals), to 1e-12 of the larger of the two.
+    Coefficients are real by the grammar.
     """
 
     def __init__(self, terms, variable_set):
@@ -84,10 +85,9 @@ class OperatorPolynomial:
         if not all(map(math.isfinite, merged.values())):
             raise ValueError("polynomial coefficients must be finite")
         merged = {w: c for w, c in merged.items() if c != 0.0}
-        scale = max((abs(c) for c in merged.values()), default=1.0)
         for word, coeff in merged.items():
-            rev = word[::-1]
-            if abs(merged.get(rev, 0.0) - coeff) > 1e-12 * scale:
+            rev = merged.get(word[::-1], 0.0)
+            if abs(rev - coeff) > 1e-12 * max(abs(coeff), abs(rev)):
                 raise ValueError(
                     f"polynomial is not Hermitian: word {'*'.join(word) or '1'} "
                     f"lacks a matching reversed term"

@@ -159,9 +159,13 @@ def hamiltonian_flow(
     half-line Hamiltonians the run stops with a ``singularity_hit`` event
     where the margin ``H.half_line - q_floor`` (``q``, or ``q`` carried
     through a relabeling) reaches zero, and a declared label domain, the
-    other margin, stops with ``domain_exit``.  Step-size underflow near a
-    collapse is converted into the singularity event, at the last accepted
-    step, rather than an exception, while non-finite gradients raise
+    other margin, stops with ``domain_exit``.  Where an integrator cannot
+    continue it reports one stop, ``(t, p, q, cause)``, mapped here: a
+    gradient that raises :class:`DomainError` (a stage or kick past a spin
+    pole) ends the run in ``domain_exit`` where a label domain is declared
+    and is re-raised where none is; step-size underflow near a collapse
+    ends a half-line run in ``singularity_hit`` and raises
+    :class:`NumericalFailure` otherwise.  Non-finite gradients raise
     :class:`NumericalFailure`.
 
     ``rk45`` runs :func:`_dormand_prince`, a scalar loop that takes the
@@ -171,8 +175,8 @@ def hamiltonian_flow(
     calls each, sampled at the step ends nearest the uniform grid.  Both
     call the Hamiltonian's stored callables (``H._gradient``,
     ``H._evaluate``), not the methods that convert each value to ``float``,
-    and return the samples as float64 arrays and the event hits, from which
-    the events, energies and trajectory are built here; events and
+    and return the samples as float64 arrays, the event hits and the stop,
+    from which the events, energies and trajectory are built here; events and
     energies are evaluated on Python floats.  ``tol`` (rk45 only, by
     default ``1e-10``) and ``q_floor`` must be positive and finite,
     ``n_samples`` an integer of at least 2 and ``n_steps`` (leapfrog only),
@@ -220,7 +224,7 @@ def hamiltonian_flow(
     if method == "leapfrog":
         ts, ps, qs, hits, stop = _leapfrog_flow(
             gradient, x0.p, x0.q, t_final, n_samples, n_steps, margins,
-            q_floor if H.q_positive else None, len(margins) if H.label_domain is not None else None,
+            q_floor if H.q_positive else None,
         )
     else:
         tol = 1e-10 if tol is None else tol
@@ -235,16 +239,22 @@ def hamiltonian_flow(
 
     recorded = [event(kinds[i], t, p, q) for i, t, p, q in hits]
     if stop is not None:
-        # solver gave up (typically step underflow against a collapse)
+        # the solver could not continue: a gradient raised DomainError (the
+        # edge of a declared domain), or the step size underflowed (a
+        # collapse, on a half line)
         t_last, p_last, q_last = map(float, stop[:3])
+        cause = stop[3]
+        kind = "domain_exit" if isinstance(cause, DomainError) else "singularity_hit"
+        if kind == "domain_exit" and H.label_domain is None:
+            raise cause
         if len(ts) == 0:
-            raise NumericalFailure(f"integration failed at t = 0: {stop[3]}", {})
-        if half_line is None:
+            raise NumericalFailure(f"integration failed at t = 0: {cause}", {})
+        if kind == "singularity_hit" and half_line is None:
             raise NumericalFailure(
-                f"integration failed at t = {t_last}: {stop[3]}",
+                f"integration failed at t = {t_last}: {cause}",
                 {"t": t_last, "p": p_last, "q": q_last},
             )
-        recorded.append(event("singularity_hit", t_last, p_last, q_last))
+        recorded.append(event(kind, t_last, p_last, q_last))
 
     # Python floats, not numpy scalars: label functions are scalar code
     energies = np.array([evaluate(p, q) for p, q in zip(ps.tolist(), qs.tolist())], dtype=float)
@@ -353,8 +363,9 @@ def _dormand_prince(gradient, p, q, t_final, rtol, atol, t_eval, margins):
     ``margins[i - 1](p, q)``, positive at the start, reaches zero.
 
     Returns sample times, ``p`` and ``q`` (float64 arrays), event hits
-    ``(index, t, p, q)`` and ``None``, or, when the step size underflowed,
-    ``(t, p, q, message)`` of the last accepted step.
+    ``(index, t, p, q)`` and the stop: ``None``, or, when the step size
+    underflowed or a gradient raised :class:`DomainError`, ``(t, p, q,
+    cause)`` of the last accepted step, the cause a message or the error.
     """
     sqrt, nextafter, inf = math.sqrt, math.nextafter, math.inf
     sqrt2, safety, min_factor, max_factor = _SQRT2, _SAFETY, _MIN_FACTOR, _MAX_FACTOR
@@ -379,6 +390,13 @@ def _dormand_prince(gradient, p, q, t_final, rtol, atol, t_eval, margins):
     if d - d:
         _check_finite(0.0, p, q, fp, fq)
     fp = -fp
+    t_eval = t_eval.tolist()
+    n_eval, i_eval = len(t_eval), 0
+    t_next = t_eval[0] if n_eval else inf
+    # per step holding samples: (t, h, p, q), the p rates of stages 1 and
+    # 3-7, the q rates, and how many samples it holds
+    steps, counts, hits = [], [], []
+    t = 0.0
 
     # initial step
     sp, sq = atol + abs(p) * rtol, atol + abs(q) * rtol
@@ -387,129 +405,126 @@ def _dormand_prince(gradient, p, q, t_final, rtol, atol, t_eval, margins):
     if h0 == 0.0:
         # finite rates whose scaled norm d1 overflows: scipy's first step
         # overflows with them and shrinks below ten ulp of t = 0
-        return (*_samples(t_eval.tolist(), [], []), [], (0.0, p, q, _TOO_SMALL_STEP))
-    ys_p, ys_q = p + h0 * fp, q + h0 * fq
-    gq, gp = gradient(ys_p, ys_q)
-    d = gp - gq
-    if d - d:
-        _check_finite(h0, ys_p, ys_q, gp, gq)
-    gp = -gp
-    d2 = _rms((gp - fp) / sp, (gq - fq) / sq) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
-    h_abs = min(100 * h0, h1, t_final)
+        return (*_samples(t_eval, steps, counts), hits, (t, p, q, _TOO_SMALL_STEP))
+    try:
+        ys_p, ys_q = p + h0 * fp, q + h0 * fq
+        gq, gp = gradient(ys_p, ys_q)
+        d = gp - gq
+        if d - d:
+            _check_finite(h0, ys_p, ys_q, gp, gq)
+        gp = -gp
+        d2 = _rms((gp - fp) / sp, (gq - fq) / sq) / h0
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** 0.2
+        h_abs = min(100 * h0, h1, t_final)
 
-    t_eval = t_eval.tolist()
-    n_eval, i_eval = len(t_eval), 0
-    t_next = t_eval[0] if n_eval else inf
-    # per step holding samples: (t, h, p, q), the p rates of stages 1 and
-    # 3-7, the q rates, and how many samples it holds
-    steps, counts, hits = [], [], []
-    t = 0.0
-    while True:
-        min_step = 10 * (nextafter(t, inf) - t)
-        if h_abs < min_step:
-            h_abs = min_step
-        rejected = False
         while True:
+            min_step = 10 * (nextafter(t, inf) - t)
             if h_abs < min_step:
-                return (*_samples(t_eval, steps, counts), hits, (t, p, q, _TOO_SMALL_STEP))
-            t_new = t + h_abs
-            if t_new > t_final:
-                t_new = t_final
-            h = t_new - t
-            h_abs = h
-            # each stage: the stage point (ys_p, ys_q), then k = (-dH/dq, dH/dp)
-            # there, with its finiteness test
-            ys_p, ys_q = p + fp * a21 * h, q + fq * a21 * h
-            k2q, k2p = gradient(ys_p, ys_q)
-            d = k2p - k2q
-            if d - d:
-                _check_finite(t + c2 * h, ys_p, ys_q, k2p, k2q)
-            k2p = -k2p
-            ys_p = p + (fp * a31 + k2p * a32) * h
-            ys_q = q + (fq * a31 + k2q * a32) * h
-            k3q, k3p = gradient(ys_p, ys_q)
-            d = k3p - k3q
-            if d - d:
-                _check_finite(t + c3 * h, ys_p, ys_q, k3p, k3q)
-            k3p = -k3p
-            ys_p = p + (fp * a41 + k2p * a42 + k3p * a43) * h
-            ys_q = q + (fq * a41 + k2q * a42 + k3q * a43) * h
-            k4q, k4p = gradient(ys_p, ys_q)
-            d = k4p - k4q
-            if d - d:
-                _check_finite(t + c4 * h, ys_p, ys_q, k4p, k4q)
-            k4p = -k4p
-            ys_p = p + (fp * a51 + k2p * a52 + k3p * a53 + k4p * a54) * h
-            ys_q = q + (fq * a51 + k2q * a52 + k3q * a53 + k4q * a54) * h
-            k5q, k5p = gradient(ys_p, ys_q)
-            d = k5p - k5q
-            if d - d:
-                _check_finite(t + c5 * h, ys_p, ys_q, k5p, k5q)
-            k5p = -k5p
-            ys_p = p + (fp * a61 + k2p * a62 + k3p * a63 + k4p * a64 + k5p * a65) * h
-            ys_q = q + (fq * a61 + k2q * a62 + k3q * a63 + k4q * a64 + k5q * a65) * h
-            k6q, k6p = gradient(ys_p, ys_q)
-            d = k6p - k6q
-            if d - d:
-                _check_finite(t + h, ys_p, ys_q, k6p, k6q)
-            k6p = -k6p
-            p_new = p + h * (fp * b1 + k3p * b3 + k4p * b4 + k5p * b5 + k6p * b6)
-            q_new = q + h * (fq * b1 + k3q * b3 + k4q * b4 + k5q * b5 + k6q * b6)
-            k7q, k7p = gradient(p_new, q_new)
-            d = k7p - k7q
-            if d - d:
-                _check_finite(t + h, p_new, q_new, k7p, k7q)
-            k7p = -k7p
-            x = (fp * e1 + k3p * e3 + k4p * e4 + k5p * e5 + k6p * e6 + k7p * e7) * h
-            y = (fq * e1 + k3q * e3 + k4q * e4 + k5q * e5 + k6q * e6 + k7q * e7) * h
-            # the scale atol + max(|y|, |y_new|) rtol of each component
-            a, b = p if p > 0 else -p, p_new if p_new > 0 else -p_new
-            x /= atol + (b if b > a else a) * rtol
-            a, b = q if q > 0 else -q, q_new if q_new > 0 else -q_new
-            y /= atol + (b if b > a else a) * rtol
-            error = sqrt(x * x + y * y) / sqrt2
-            if error < 1:
-                # min(max_factor, safety error^-1/5), and no growth after a
-                # rejected step
-                factor = safety * error ** -0.2 if error else max_factor
-                cap = 1.0 if rejected else max_factor
-                h_abs *= cap if factor > cap else factor
-                break
-            factor = safety * error ** -0.2
-            h_abs *= factor if factor > min_factor else min_factor
-            rejected = True
+                h_abs = min_step
+            rejected = False
+            while True:
+                if h_abs < min_step:
+                    return (*_samples(t_eval, steps, counts), hits, (t, p, q, _TOO_SMALL_STEP))
+                t_new = t + h_abs
+                if t_new > t_final:
+                    t_new = t_final
+                h = t_new - t
+                h_abs = h
+                # each stage: the stage point (ys_p, ys_q), then k = (-dH/dq, dH/dp)
+                # there, with its finiteness test
+                ys_p, ys_q = p + fp * a21 * h, q + fq * a21 * h
+                k2q, k2p = gradient(ys_p, ys_q)
+                d = k2p - k2q
+                if d - d:
+                    _check_finite(t + c2 * h, ys_p, ys_q, k2p, k2q)
+                k2p = -k2p
+                ys_p = p + (fp * a31 + k2p * a32) * h
+                ys_q = q + (fq * a31 + k2q * a32) * h
+                k3q, k3p = gradient(ys_p, ys_q)
+                d = k3p - k3q
+                if d - d:
+                    _check_finite(t + c3 * h, ys_p, ys_q, k3p, k3q)
+                k3p = -k3p
+                ys_p = p + (fp * a41 + k2p * a42 + k3p * a43) * h
+                ys_q = q + (fq * a41 + k2q * a42 + k3q * a43) * h
+                k4q, k4p = gradient(ys_p, ys_q)
+                d = k4p - k4q
+                if d - d:
+                    _check_finite(t + c4 * h, ys_p, ys_q, k4p, k4q)
+                k4p = -k4p
+                ys_p = p + (fp * a51 + k2p * a52 + k3p * a53 + k4p * a54) * h
+                ys_q = q + (fq * a51 + k2q * a52 + k3q * a53 + k4q * a54) * h
+                k5q, k5p = gradient(ys_p, ys_q)
+                d = k5p - k5q
+                if d - d:
+                    _check_finite(t + c5 * h, ys_p, ys_q, k5p, k5q)
+                k5p = -k5p
+                ys_p = p + (fp * a61 + k2p * a62 + k3p * a63 + k4p * a64 + k5p * a65) * h
+                ys_q = q + (fq * a61 + k2q * a62 + k3q * a63 + k4q * a64 + k5q * a65) * h
+                k6q, k6p = gradient(ys_p, ys_q)
+                d = k6p - k6q
+                if d - d:
+                    _check_finite(t + h, ys_p, ys_q, k6p, k6q)
+                k6p = -k6p
+                p_new = p + h * (fp * b1 + k3p * b3 + k4p * b4 + k5p * b5 + k6p * b6)
+                q_new = q + h * (fq * b1 + k3q * b3 + k4q * b4 + k5q * b5 + k6q * b6)
+                k7q, k7p = gradient(p_new, q_new)
+                d = k7p - k7q
+                if d - d:
+                    _check_finite(t + h, p_new, q_new, k7p, k7q)
+                k7p = -k7p
+                x = (fp * e1 + k3p * e3 + k4p * e4 + k5p * e5 + k6p * e6 + k7p * e7) * h
+                y = (fq * e1 + k3q * e3 + k4q * e4 + k5q * e5 + k6q * e6 + k7q * e7) * h
+                # the scale atol + max(|y|, |y_new|) rtol of each component
+                a, b = p if p > 0 else -p, p_new if p_new > 0 else -p_new
+                x /= atol + (b if b > a else a) * rtol
+                a, b = q if q > 0 else -q, q_new if q_new > 0 else -q_new
+                y /= atol + (b if b > a else a) * rtol
+                error = sqrt(x * x + y * y) / sqrt2
+                if error < 1:
+                    # min(max_factor, safety error^-1/5), and no growth after a
+                    # rejected step
+                    factor = safety * error ** -0.2 if error else max_factor
+                    cap = 1.0 if rejected else max_factor
+                    h_abs *= cap if factor > cap else factor
+                    break
+                factor = safety * error ** -0.2
+                h_abs *= factor if factor > min_factor else min_factor
+                rejected = True
 
-        # a bounce needs dq/dt at the step start, fq, strictly negative, so
-        # a dq/dt that stays at 0 (at rest) never fires; every margin was
-        # positive at the step start, or the run would have ended there
-        active = [0] if fq < 0 <= k7q else []
-        for i, margin in enumerate(margins, 1):
-            if margin(p_new, q_new) <= 0:
-                active.append(i)
-        t_end, terminate = t_new, False
-        if active:
-            found, t_stop = _event_roots(margins, active, gradient,
-                                         (t, p, q, t_new, p_new, q_new, k7q),
-                                         (fp, *_quartic(fp, k3p, k4p, k5p, k6p, k7p)),
-                                         (fq, *_quartic(fq, k3q, k4q, k5q, k6q, k7q)))
-            hits += found
-            if t_stop is not None:
-                t_end, terminate = t_stop, True
+            # a bounce needs dq/dt at the step start, fq, strictly negative, so
+            # a dq/dt that stays at 0 (at rest) never fires; every margin was
+            # positive at the step start, or the run would have ended there
+            active = [0] if fq < 0 <= k7q else []
+            for i, margin in enumerate(margins, 1):
+                if margin(p_new, q_new) <= 0:
+                    active.append(i)
+            t_end, terminate = t_new, False
+            if active:
+                found, t_stop = _event_roots(margins, active, gradient,
+                                             (t, p, q, t_new, p_new, q_new, k7q),
+                                             (fp, *_quartic(fp, k3p, k4p, k5p, k6p, k7p)),
+                                             (fq, *_quartic(fq, k3q, k4q, k5q, k6q, k7q)))
+                hits += found
+                if t_stop is not None:
+                    t_end, terminate = t_stop, True
 
-        if t_next <= t_end:
-            i_next = bisect_right(t_eval, t_end, i_eval)
-            steps.append((t, h, p, q, fp, k3p, k4p, k5p, k6p, k7p, fq, k3q, k4q, k5q, k6q, k7q))
-            counts.append(i_next - i_eval)
-            i_eval = i_next
-            t_next = t_eval[i_eval] if i_eval < n_eval else inf
+            if t_next <= t_end:
+                i_next = bisect_right(t_eval, t_end, i_eval)
+                steps.append((t, h, p, q, fp, k3p, k4p, k5p, k6p, k7p, fq, k3q, k4q, k5q, k6q, k7q))
+                counts.append(i_next - i_eval)
+                i_eval = i_next
+                t_next = t_eval[i_eval] if i_eval < n_eval else inf
 
-        if terminate or t_new >= t_final:
-            return (*_samples(t_eval, steps, counts), hits, None)
-        t, p, q, fp, fq = t_new, p_new, q_new, k7p, k7q
+            if terminate or t_new >= t_final:
+                return (*_samples(t_eval, steps, counts), hits, None)
+            t, p, q, fp, fq = t_new, p_new, q_new, k7p, k7q
+    except DomainError as exc:
+        # a stage (or a bounce search) left the domain: stop at the last accepted step
+        return (*_samples(t_eval, steps, counts), hits, (t, p, q, exc))
 
 
 def _samples(t_eval, steps, counts):
@@ -571,7 +586,7 @@ def _event_roots(margins, active, gradient, step, cp, cq):
     return [(i, root, *dense(root)) for root, i in found], t_stop
 
 
-def _leapfrog_flow(gradient, p, q, t_final, n_samples, n_steps, margins, q_floor, domain_exit):
+def _leapfrog_flow(gradient, p, q, t_final, n_samples, n_steps, margins, q_floor):
     """Kick-drift-kick with the call and return of :func:`_dormand_prince`.
 
     Symplectic only when H is separable, the contract of this backend.  The
@@ -581,10 +596,10 @@ def _leapfrog_flow(gradient, p, q, t_final, n_samples, n_steps, margins, q_floor
     when given (a plain half line); without one (a relabeled half line, a
     label domain) it takes the state of the step end before, the last
     inside, where the Hamiltonian is still defined.  A gradient that raises
-    :class:`DomainError` within a step (a kick past a spin pole) ends the run
-    the same way, as event ``domain_exit`` (the label domain's), and is
-    raised where there is none.  A bounce is a step end where ``dq/dt`` turns
-    nonnegative, whose gradient also serves the next kick.
+    :class:`DomainError` within a step (a kick past a spin pole) is the
+    stop ``(t, p, q, error)`` with the same time and state.  A bounce is a
+    step end where ``dq/dt`` turns nonnegative, whose gradient also serves
+    the next kick.
     Each gradient is tested for finiteness as it arrives.  The samples are
     the step ends nearest ``linspace(0, t_final, n_samples)``, distinct
     because ``n_steps`` (by default ``max(20 n_samples, 10000)``) is at
@@ -611,11 +626,8 @@ def _leapfrog_flow(gradient, p, q, t_final, n_samples, n_steps, margins, q_floor
             p -= 0.5 * dt * dh_dq
             q += dt * finite_gradient((k - 1) * dt, p, q)[0]
             p -= 0.5 * dt * finite_gradient(t, p, q)[1]
-        except DomainError:
-            if domain_exit is None:
-                raise
-            hits.append((domain_exit, t, p_old, q_old))
-            break
+        except DomainError as exc:
+            return np.array(ts), np.array(ps), np.array(qs), hits, (t, p_old, q_old, exc)
         hit = next((i for i, margin in enumerate(margins, 1) if margin(p, q) <= 0), None)
         if hit is not None:
             hits.append((hit, t, p, max(q, q_floor)) if q_floor is not None else (hit, t, p_old, q_old))

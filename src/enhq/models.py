@@ -16,6 +16,7 @@ strictly positive radius.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,92 +37,68 @@ class HydrogenParams:
     hbar: float = 1.0
 
     def __post_init__(self):
-        for name in ("m", "e2", "beta", "hbar"):
-            if getattr(self, name) <= 0:
+        for name, value in vars(self).items():
+            if value <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.beta <= self.hbar:
             raise DomainError(
                 f"beta must exceed hbar (got beta = {self.beta}, hbar = {self.hbar})"
             )
 
+    @property
+    def enhanced_core(self) -> tuple[float, float]:
+        """The core coefficients ``(C1, C2)`` of the enhanced hydrogen.
+
+        ``C1 = e^2 <beta| 1/Q |beta>`` and ``C2 = <beta| P^2 |beta>``, from
+        :func:`fiducial_q_moment_closed` and :func:`fiducial_p2_closed`;
+        :func:`fiducial_moments` measures both on a half-line grid as an
+        independent cross-check.
+        """
+        return (self.e2 * fiducial_q_moment_closed(self.beta, self.hbar, -1),
+                fiducial_p2_closed(self.beta, self.hbar))
+
 
 def hydrogen_classical(params: HydrogenParams) -> EnhancedHamiltonian:
     """Closed-form ``p^2/(2m) - e^2/q`` with its gradient, on ``q > 0``."""
     m, e2 = params.m, params.e2
-
-    ham = EnhancedHamiltonian(
+    return EnhancedHamiltonian(
         lambda p, q: p * p / (2.0 * m) - e2 / q,
         lambda p, q: (p / m, e2 / (q * q)),
         hbar=params.hbar,
         q_positive=True,
     )
-    ham.params = params
-    return ham
 
 
 def hydrogen_enhanced(params: HydrogenParams) -> EnhancedHamiltonian:
-    """Expectation-valued hydrogen with the closed-form core coefficients.
-
-    ``C1 = e^2 <beta| 1/Q |beta>`` and ``C2 = <beta| P^2 |beta>`` come from
-    :func:`fiducial_q_moment_closed` and :func:`fiducial_p2_closed`; the
-    returned Hamiltonian carries them as ``c1`` and ``c2`` attributes.
-    :func:`fiducial_moments` measures both on a half-line grid as an
-    independent cross-check.
-    """
-    c1 = params.e2 * fiducial_q_moment_closed(params.beta, params.hbar, -1)
-    c2 = fiducial_p2_closed(params.beta, params.hbar)
+    """Expectation-valued hydrogen with the core ``params.enhanced_core``."""
+    c1, c2 = params.enhanced_core
     m = params.m
-
-    ham = EnhancedHamiltonian(
+    return EnhancedHamiltonian(
         lambda p, q: p * p / (2.0 * m) - c1 / q + c2 / (2.0 * m * q * q),
         lambda p, q: (p / m, c1 / (q * q) - c2 / (m * q * q * q)),
         hbar=params.hbar,
         q_positive=True,
     )
-    ham.params = params
-    ham.c1 = float(c1)
-    ham.c2 = float(c2)
-    return ham
 
 
-def min_radius(H: EnhancedHamiltonian, energy: float) -> float:
-    """Smallest positive root of ``E = -C1/q + C2/(2 m q^2)``.
+def min_radius(params: HydrogenParams, energy: float) -> float:
+    """Inner turning radius of the enhanced hydrogen at energy ``E``.
 
-    This is the inner turning radius of the enhanced hydrogen at energy
-    ``E``; it satisfies ``|H(0, q_min) - E| < 1e-10``.  Energies below the
+    The smallest positive root of ``E = -C1/q + C2/(2 m q^2)``, in the
+    cancellation-free form ``(C2/m) / (C1 + sqrt(C1^2 + 2 E C2/m))``; it
+    satisfies ``|H(0, q_min) - E| <= 1e-10 max(1, |E|)``.  Energies below the
     minimum of the effective potential have no turning point and raise
     ``ValueError``.
     """
-    c1 = getattr(H, "c1", None)
-    c2 = getattr(H, "c2", None)
-    params = getattr(H, "params", None)
-    if c1 is None or c2 is None or params is None:
-        raise ValueError("min_radius requires an enhanced hydrogen Hamiltonian")
+    c1, c2 = params.enhanced_core
     m = params.m
-    if c2 <= 0:
-        raise ValueError("min_radius requires a positive repulsive coefficient")
-    disc = c1 * c1 + 2.0 * c2 * energy / m
+    disc = c1 * c1 + 2.0 * energy * c2 / m
     if disc < -1e-14 * c1 * c1:
         raise ValueError(
             f"energy {energy} lies below the effective potential minimum "
             f"{-c1 * c1 * m / (2.0 * c2)}"
         )
-    # largest root u of (C2/2m) u^2 - C1 u - E = 0 with u = 1/q
-    u = (c1 + np.sqrt(max(disc, 0.0))) * m / c2
-    q = 1.0 / u
-    # one Newton polish on H(0, q) - E for a clean residual
-    for _ in range(3):
-        f = H.evaluate(0.0, q) - energy
-        df = H.gradient(0.0, q)[1]
-        if df == 0.0:
-            break
-        step = f / df
-        q -= step
-        if abs(step) < 1e-15 * q:
-            break
-    if abs(H.evaluate(0.0, q) - energy) > 1e-10 * max(1.0, abs(energy)):
-        raise ValueError(f"no reliable turning point at energy {energy}")
-    return float(q)
+    return (c2 / m) / (c1 + math.sqrt(max(disc, 0.0)))
 
 
 def spin_precession(B: float, rep: SpinRep) -> EnhancedHamiltonian:

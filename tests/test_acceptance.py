@@ -210,7 +210,7 @@ def test_criterion_07_hydrogen_contrast():
     horizon = 10.0 * oracle
     traj_e = hamiltonian_flow(enhanced, (0.0, 1.0), horizon, tol=1e-10, n_samples=4000)
     no_hit = "singularity_hit" not in traj_e.event_kinds()
-    q_min_ok = abs(traj_e.min_q() - min_radius(enhanced, enhanced(0.0, 1.0))) < 1e-6
+    q_min_ok = abs(traj_e.min_q() - min_radius(params, enhanced(0.0, 1.0))) < 1e-6
     elapsed = time.perf_counter() - start
     ok = collapse_ok and no_hit and q_min_ok and elapsed < 60.0
     detail = (

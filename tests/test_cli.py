@@ -29,6 +29,16 @@ def body_of(path):
     return "\n".join(ln for ln in path.read_text().splitlines() if not ln.startswith("#"))
 
 
+@pytest.fixture
+def fock_reps(monkeypatch):
+    """The ``(dim, hbar)`` of each Fock representation the CLI builds, in order."""
+    built = []
+    build = enhq.cli.build_fock_rep
+    monkeypatch.setattr(enhq.cli, "build_fock_rep",
+                        lambda dim, hbar: built.append((dim, hbar)) or build(dim, hbar))
+    return built
+
+
 # one wrong value for each entry of the config key table
 WRONG_VALUES = {
     "experiment": "bogus",
@@ -568,6 +578,19 @@ class TestExperiments:
             assert (mean_p, mean_q) == (p, q)
             assert var_p == pytest.approx(0.5, abs=1e-13) and var_q == pytest.approx(0.5, abs=1e-13)
 
+    @pytest.mark.parametrize("kind", ["canonical", "extended"])
+    def test_line_expectation_derives_a_dim_4_basis(self, tmp_path, fock_reps, kind):
+        # the columns' words have degree 2, so a dim the config leaves out is
+        # 4; a dim the config gives still wins, with the same body
+        cfg = {"experiment": "expectation", "family": {"kind": kind},
+               "labels": {"grid": {"p": [-2, 2, 3], "q": [-1, 3, 3]}}}
+        derived, explicit = tmp_path / "derived", tmp_path / "explicit"
+        assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(derived)]) == 0
+        cfg["representation"] = {"dim": 200}
+        assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(explicit)]) == 0
+        assert fock_reps == [(4, 1.0), (200, 1.0)]
+        assert body_of(derived / "expectation.csv") == body_of(explicit / "expectation.csv")
+
     def test_expectation_affine_columns(self, tmp_path):
         # exact restrictions of Q, Q^2 and P^2: q, q^2 (1 + hbar/2 beta) and
         # p^2 + C2/q^2, with C2 = 6.05 at beta = 1.1
@@ -758,15 +781,7 @@ class TestExperiments:
         _, [row] = read_rows(out / "limit_study.csv")
         assert row == ["0.3", "2.0", "2.0", "0", "2.0", "0.0", "0.0", "0.0"]
 
-    def test_limit_study_builds_one_fock_representation(self, tmp_path, monkeypatch):
-        built = []
-        build = enhq.cli.build_fock_rep
-
-        def counted(dim, hbar):
-            built.append((dim, hbar))
-            return build(dim, hbar)
-
-        monkeypatch.setattr(enhq.cli, "build_fock_rep", counted)
+    def test_limit_study_builds_one_fock_representation(self, tmp_path, fock_reps):
         cfg = {
             "experiment": "limit_study",
             "hamiltonian": {"expression": "0.5*P^2 + 0.5*Q^2 + 0.1*Q^4"},
@@ -776,7 +791,7 @@ class TestExperiments:
         out = tmp_path / "out"
         assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
         assert len(read_rows(out / "limit_study.csv")[1]) == 4
-        assert built == [(8, 1.0)]
+        assert fock_reps == [(8, 1.0)]
 
     def test_basename_prefix(self, tmp_path):
         cfg = {
@@ -820,6 +835,14 @@ class TestVerify:
         assert report["suites"]["label_means"]["passed"]
         assert report["suites"]["flat_metric"]["passed"]
         assert report["suites"]["flat_metric"]["checks"][0]["measured"] < 1e-12
+
+    def test_label_means_suite_derives_a_dim_4_basis(self, tmp_path, fock_reps):
+        derived, code = run_verify(tmp_path / "derived", {"suites": ["label_means"]})
+        assert code == 0
+        explicit, code = run_verify(tmp_path / "explicit",
+                                    {"suites": ["label_means"], "representation": {"dim": 200}})
+        assert code == 0 and fock_reps == [(4, 1.0), (200, 1.0)]
+        assert derived["suites"] == explicit["suites"]
 
     def test_requires_suites(self, tmp_path, capsys):
         code = main(["verify", "--config", write_config(tmp_path, {"hbar": 1.0})])

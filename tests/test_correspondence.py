@@ -59,6 +59,18 @@ class TestParser:
         poly = parse_polynomial("P*Q + Q*P", "canonical")
         assert len(poly.terms) == 2
 
+    def test_large_term_elsewhere_hides_no_mismatch(self):
+        # each word is compared with its reversal at the pair's own scale,
+        # not at the largest coefficient of the polynomial
+        with pytest.raises(ValueError, match="not Hermitian: word P\\*Q"):
+            parse_polynomial("1e12*Q^2 + P*Q", "canonical")
+
+    def test_large_term_beside_a_symmetrized_pair_accepted(self):
+        poly = parse_polynomial("1e12*Q^2 + P*Q + Q*P", "canonical")
+        assert dict(poly.terms) == {("Q", "Q"): 1e12, ("P", "Q"): 1.0, ("Q", "P"): 1.0}
+        # a mismatch of 1e-13 of the pair's own size is roundoff
+        parse_polynomial("1e12*Q^2 + P*Q + 1.0000000000001*Q*P", "canonical")
+
     def test_letter_outside_alphabet(self):
         with pytest.raises(ValueError, match="variable set"):
             parse_polynomial("S1", "canonical")

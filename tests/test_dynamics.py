@@ -463,17 +463,19 @@ class TestHydrogenFlows:
         assert back.final.q == pytest.approx(1.5, abs=1e-6)
 
     def test_enhanced_flow_avoids_singularity(self):
-        ham = hydrogen_enhanced(HydrogenParams(beta=2.0))
+        params = HydrogenParams(beta=2.0)
+        ham = hydrogen_enhanced(params)
         t_c = collapse_oracle(1.0, 1.0, 0.0, 1.0)
         traj = hamiltonian_flow(ham, (0.0, 1.0), 10.0 * t_c, tol=1e-10, n_samples=4000)
         assert "singularity_hit" not in traj.event_kinds()
         assert traj.min_q() > 0
-        expected = min_radius(ham, ham.evaluate(0.0, 1.0))
+        expected = min_radius(params, ham.evaluate(0.0, 1.0))
         assert traj.min_q() == pytest.approx(expected, abs=1e-6)
 
     @pytest.mark.parametrize("p0,q0", [(0.0, 2.0), (-0.5, 1.0), (0.0, 5.0), (0.0, 0.8)])
     def test_enhanced_positivity_grid(self, p0, q0):
-        ham = hydrogen_enhanced(HydrogenParams(beta=2.0))
+        params = HydrogenParams(beta=2.0)
+        ham = hydrogen_enhanced(params)
         energy = ham.evaluate(p0, q0)
         if energy >= 0:
             pytest.skip("unbounded orbit; the positivity claim is for E < 0")
@@ -482,7 +484,7 @@ class TestHydrogenFlows:
         traj = hamiltonian_flow(ham, (p0, q0), 100.0, tol=1e-10, n_samples=4000)
         assert "singularity_hit" not in traj.event_kinds()
         assert any(e.kind == "bounce" and e.time > 0 for e in traj.events)
-        assert traj.min_q() == pytest.approx(min_radius(ham, energy), abs=1e-6)
+        assert traj.min_q() == pytest.approx(min_radius(params, energy), abs=1e-6)
 
 
 class TestRK45AgainstScipy:
@@ -921,22 +923,31 @@ class TestFlowValidation:
         assert 0.0 < ham.label_domain(exit_.p, exit_.q) and exit_.energy == ham.evaluate(exit_.p, exit_.q)
         assert traj.t[-1] <= exit_.time
 
-    def test_leapfrog_without_a_label_domain_raises_the_domain_error(self):
+    @pytest.mark.parametrize("method,n_steps", [("rk45", None), ("leapfrog", 300)])
+    def test_without_a_label_domain_the_domain_error_is_raised(self, method, n_steps):
         # the same gradient with no declared domain has no edge to end at
         ham = self._towards_a_pole()
         bare = EnhancedHamiltonian(ham.evaluate, ham.gradient)
-        with pytest.raises(DomainError):
-            hamiltonian_flow(bare, self.POLE_X0, 3.0, n_samples=5, method="leapfrog", n_steps=300)
+        with pytest.raises(DomainError, match="must not exceed"):
+            hamiltonian_flow(bare, self.POLE_X0, 3.0, n_samples=5, method=method, n_steps=n_steps)
 
-    @pytest.mark.xfail(strict=True, raises=DomainError, reason=(
-        "an rk45 stage lands past the pole p = sqrt(s hbar), where the state map "
-        "raises DomainError, before the margin is tested at the step end; rejecting "
-        "the steps whose stages raise is not enough: rk45 then creeps to "
-        "p = 1.414213562373095, 1 ulp below sqrt(2), and passes 200,000 gradient "
-        "calls without its margin firing"))
     def test_rk45_spin_flow_into_a_pole_ends_in_domain_exit(self):
-        traj = hamiltonian_flow(self._towards_a_pole(), self.POLE_X0, 3.0, n_samples=5)
-        assert traj.event_kinds()[-1] == "domain_exit"
+        # a stage lands past the pole before the margin fires at a step end:
+        # the run ends at the last accepted step, just inside the domain
+        ham = self._towards_a_pole()
+        traj = hamiltonian_flow(ham, self.POLE_X0, 3.0, n_samples=5)
+        assert traj.event_kinds() == ("domain_exit",)
+        exit_ = traj.events[0]
+        assert exit_.time == pytest.approx(math.pi / 2, abs=1e-3)
+        assert 0.0 < ham.label_domain(exit_.p, exit_.q) < 1e-6
+        assert exit_.energy == ham.evaluate(exit_.p, exit_.q)
+        assert traj.t[-1] <= exit_.time
+
+    def test_rk45_start_beside_a_pole_fails_at_t_0(self):
+        # the first step's stages leave the domain before any step is accepted
+        p0 = math.sqrt(2.0) * (1.0 - 1e-10)
+        with pytest.raises(NumericalFailure, match="at t = 0: .*must not exceed"):
+            hamiltonian_flow(self._towards_a_pole(), (p0, self.POLE_X0[1]), 3.0, n_samples=5)
 
     def test_unknown_method(self, harmonic):
         for method in ("euler", "dop853"):

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enhq import (
     DomainError,
     HydrogenParams,
+    affine_family,
     build_halfline_rep,
     build_spin_rep,
     enhance,
@@ -60,29 +63,49 @@ class TestEnhancedHydrogen:
     @pytest.mark.parametrize("beta", [1.1, 1.5, 2.0, 3.0])
     def test_core_is_the_closed_form(self, beta, hbar):
         # beta = 1.1 hbar sits where a half-line grid misjudges <P^2> badly
-        params = HydrogenParams(e2=0.7, beta=beta, hbar=hbar)
+        c1, c2 = HydrogenParams(e2=0.7, beta=beta, hbar=hbar).enhanced_core
+        assert c1 == pytest.approx(0.7 * fiducial_q_moment_closed(beta, hbar, -1), rel=1e-12)
+        assert c2 == pytest.approx(fiducial_p2_closed(beta, hbar), rel=1e-12)
+
+    def test_hamiltonian_is_built_from_the_core(self):
+        params = HydrogenParams(m=1.3, e2=0.7, beta=2.5, hbar=0.8)
+        c1, c2 = params.enhanced_core
         ham = hydrogen_enhanced(params)
-        assert ham.c1 == pytest.approx(0.7 * fiducial_q_moment_closed(beta, hbar, -1), rel=1e-12)
-        assert ham.c2 == pytest.approx(fiducial_p2_closed(beta, hbar), rel=1e-12)
+        for p, q in [(0.3, 0.9), (-0.5, 2.0)]:
+            assert ham(p, q) == p * p / (2.0 * 1.3) - c1 / q + c2 / (2.0 * 1.3 * q * q)
+
+    def test_no_attributes_are_set_on_the_hamiltonians(self):
+        # the core lives on the parameters, not on what the models return
+        params = HydrogenParams()
+        for ham in (hydrogen_classical(params), hydrogen_enhanced(params)):
+            assert not {"params", "c1", "c2"} & set(vars(ham))
+
+    @pytest.mark.parametrize("beta,hbar", [(2.0, 1.0), (1.1, 1.0), (3.0, 0.5)])
+    def test_c2_is_the_restricted_p2_core(self, beta, hbar):
+        # <P^2> on affine states is p^2 + C2/q^2: the restriction engine's
+        # (0, -2) coefficient is the flagship's C2
+        family = affine_family(build_halfline_rep(1e-5, 60.0, 3000, hbar), beta)
+        restricted = enhance(parse_polynomial("P^2", "affine"), family).polynomial
+        c2 = HydrogenParams(beta=beta, hbar=hbar).enhanced_core[1]
+        assert restricted[(0, -2)] == pytest.approx(c2, rel=1e-12)
 
     def test_c2_matches_closed_form(self):
-        ham = hydrogen_enhanced(HydrogenParams(beta=2.0))
-        assert ham.c2 == pytest.approx(fiducial_p2_closed(2.0, 1.0), rel=1e-5)
+        c2 = HydrogenParams(beta=2.0).enhanced_core[1]
+        assert c2 == pytest.approx(fiducial_p2_closed(2.0, 1.0), rel=1e-5)
 
     def test_c2_scaling_with_hbar(self):
         # beta = 2 hbar keeps the shape fixed, so C2 = 2 hbar^2 exactly
         for hbar in (1.0, 0.5, 0.25):
-            ham = hydrogen_enhanced(HydrogenParams(beta=2 * hbar, hbar=hbar))
-            assert ham.c2 / hbar**2 == pytest.approx(2.0, rel=1e-5)
+            c2 = HydrogenParams(beta=2 * hbar, hbar=hbar).enhanced_core[1]
+            assert c2 / hbar**2 == pytest.approx(2.0, rel=1e-5)
 
     def test_c1_is_measured_inverse_moment(self):
         params = HydrogenParams(beta=2.0)
-        ham = hydrogen_enhanced(params)
         expected = params.e2 * fiducial_q_moment_closed(2.0, 1.0, -1)
-        assert ham.c1 == pytest.approx(expected, rel=1e-10)
+        assert params.enhanced_core[0] == pytest.approx(expected, rel=1e-10)
         # C1 = e2 (1 + O(hbar)): the correction shrinks with hbar at fixed beta
         gaps = [
-            abs(hydrogen_enhanced(HydrogenParams(beta=2.0, hbar=h)).c1 - 1.0)
+            abs(HydrogenParams(beta=2.0, hbar=h).enhanced_core[0] - 1.0)
             for h in (0.5, 0.25, 0.125)
         ]
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
@@ -91,10 +114,8 @@ class TestEnhancedHydrogen:
         # C2/(2m) over (hbar^2 / m e2) C1 is an order-one number; it equals
         # 3/4 for beta = 2 hbar
         params = HydrogenParams(beta=2.0)
-        ham = hydrogen_enhanced(params)
-        ratio = (ham.c2 / (2 * params.m)) / (
-            params.hbar**2 / (params.m * params.e2) * ham.c1
-        )
+        c1, c2 = params.enhanced_core
+        ratio = (c2 / (2 * params.m)) / (params.hbar**2 / (params.m * params.e2) * c1)
         assert 0.5 < ratio < 1.5
         assert ratio == pytest.approx(0.75, abs=1e-4)
 
@@ -112,17 +133,15 @@ class TestEnhancedHydrogen:
     def test_route_consistency_of_coulomb_term(self):
         # the -C1/q term equals the direct grid expectation of e2/Q on the
         # dilated states (1/Q is diagonal there)
-        from enhq import affine_family
-
         params = HydrogenParams(beta=2.0)
         rep = build_halfline_rep(1e-5, 20.0, 4000, hbar=params.hbar)
         family = affine_family(rep, params.beta)
-        ham = hydrogen_enhanced(params)
+        c1 = params.enhanced_core[0]
         for p, q in [(0.0, 1.0), (0.5, 2.2), (-0.7, 0.6)]:
             psi = family.state(p, q)
             dens = np.abs(psi.amplitudes) ** 2
             direct = params.e2 * float(dens @ (1.0 / rep.grid))
-            assert direct == pytest.approx(ham.c1 / q, rel=1e-8)
+            assert direct == pytest.approx(c1 / q, rel=1e-8)
 
     def test_gradient_consistency(self):
         ham = hydrogen_enhanced(HydrogenParams(beta=2.0))
@@ -135,44 +154,54 @@ class TestEnhancedHydrogen:
 
 class TestMinRadius:
     def test_potential_minimum_is_circular_point(self):
-        ham = hydrogen_enhanced(HydrogenParams(beta=2.0))
-        m = ham.params.m
-        e_min = -ham.c1**2 * m / (2 * ham.c2)
-        q_circ = ham.c2 / (m * ham.c1)
-        assert min_radius(ham, e_min) == pytest.approx(q_circ, rel=1e-8)
+        params = HydrogenParams(beta=2.0)
+        c1, c2 = params.enhanced_core
+        e_min = -c1**2 * params.m / (2 * c2)
+        q_circ = c2 / (params.m * c1)
+        assert min_radius(params, e_min) == pytest.approx(q_circ, rel=1e-8)
 
     def test_residual_bound(self):
-        ham = hydrogen_enhanced(HydrogenParams(beta=2.0))
+        params = HydrogenParams(beta=2.0)
+        ham = hydrogen_enhanced(params)
         for energy in (-0.3, -0.1, 0.2):
-            q = min_radius(ham, energy)
+            q = min_radius(params, energy)
             assert abs(ham(0.0, q) - energy) < 1e-10
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=st.floats(0.1, 10.0), e2=st.floats(0.1, 10.0), ratio=st.floats(1.01, 10.0),
+           hbar=st.floats(0.05, 5.0), share=st.floats(0.0, 1.0))
+    def test_residual_and_range_over_parameters(self, m, e2, ratio, hbar, share):
+        # energies from the potential minimum -C1^2 m / 2 C2 up to its depth
+        # above 0 have a turning point; below the minimum there is none
+        params = HydrogenParams(m=m, e2=e2, beta=ratio * hbar, hbar=hbar)
+        c1, c2 = params.enhanced_core
+        e_min = -c1 * c1 * m / (2.0 * c2)
+        energy = e_min * (1.0 - 2.0 * share)
+        q = min_radius(params, energy)
+        assert q > 0.0
+        assert abs(hydrogen_enhanced(params)(0.0, q) - energy) <= 1e-10 * max(1.0, abs(energy))
+        with pytest.raises(ValueError, match="below the effective potential minimum"):
+            min_radius(params, e_min * (1.0 + 1e-6))
 
     def test_vanishing_core_restores_collapse(self):
         # beta = 2 hbar makes C2 = 2 hbar^2, so the turning radius shrinks
         # to zero with hbar
-        radii = []
-        for hbar in (1.0, 0.25, 0.0625):
-            ham = hydrogen_enhanced(HydrogenParams(beta=2 * hbar, hbar=hbar))
-            radii.append(min_radius(ham, -0.4))
+        radii = [min_radius(HydrogenParams(beta=2 * hbar, hbar=hbar), -0.4)
+                 for hbar in (1.0, 0.25, 0.0625)]
         assert all(a > b for a, b in zip(radii, radii[1:]))
         assert radii[-1] < 0.02
 
     def test_energy_below_minimum_rejected(self):
-        ham = hydrogen_enhanced(HydrogenParams(beta=2.0))
         with pytest.raises(ValueError):
-            min_radius(ham, -10.0)
-
-    def test_requires_enhanced_hydrogen(self):
-        ham = hydrogen_classical(HydrogenParams())
-        with pytest.raises(ValueError):
-            min_radius(ham, -0.5)
+            min_radius(HydrogenParams(beta=2.0), -10.0)
 
     def test_flow_minimum_matches(self):
-        ham = hydrogen_enhanced(HydrogenParams(beta=2.0))
+        params = HydrogenParams(beta=2.0)
+        ham = hydrogen_enhanced(params)
         q0 = 3.0
         energy = ham.evaluate(0.0, q0)
         traj = hamiltonian_flow(ham, (0.0, q0), 40.0, tol=1e-10, n_samples=4000)
-        assert traj.min_q() == pytest.approx(min_radius(ham, energy), abs=1e-6)
+        assert traj.min_q() == pytest.approx(min_radius(params, energy), abs=1e-6)
 
 
 class TestSpinPrecession:
