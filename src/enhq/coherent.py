@@ -92,7 +92,10 @@ class CoherentFamily:
     """A parametrized map from labels ``(p, q)`` to unit state vectors.
 
     It holds the representation ``rep``, the ``fiducial`` state and
-    ``letters``, the matrix of each letter of the family's operator alphabet.
+    ``letters``, the matrix of each letter of the family's operator alphabet
+    that its representation realizes: none on the half line, which is a grid
+    and its weights only (the tests' oracles keep its finite-difference
+    letters).
     Each family is a subclass, built by its factory function, whose
     ``_build(p, q, tangent)`` returns the state and, when ``tangent`` is set,
     its label derivatives (None otherwise).  It declares what restricting a
@@ -257,8 +260,7 @@ class _Affine(CoherentFamily):
     }
 
     def __init__(self, rep, beta):
-        super().__init__(rep, affine_fiducial(beta, rep),
-                         {"D": rep.D, "Q": rep.Q, "P": rep.P_formal})
+        super().__init__(rep, affine_fiducial(beta, rep), {})
         self.beta = float(beta)
 
     def fiducial_moment(self, word):
@@ -485,26 +487,30 @@ def affine_fiducial(beta: float, rep: HalfLineRep) -> StateVector:
 # ---------------------------------------------------------------------------
 
 def fiducial_moments(family: CoherentFamily) -> dict:
-    """Measure the affine fiducial moments on the grid.
+    """Measure the affine fiducial moments by quadrature on the grid.
 
-    Returns ``q1``, ``q2``, ``q_inv`` (diagonal, exact per grid quadrature),
-    ``d`` and the second moment ``p2`` computed through the finite-difference
-    generators.  ``q1 = 1``, ``d = 0``, and the closed form of ``p2`` are the
-    validated statements.
+    Returns ``q1``, ``q2`` and ``q_inv``, the grid quadratures of ``x``,
+    ``x^2`` and ``1/x`` against the fiducial density, and ``d`` and ``p2``
+    from the closed-form derivative ``psi' = ((nu - 1/2)/x - nu) psi``,
+    ``nu = beta / hbar``: ``D = -i hbar (x d/dx + 1/2)`` gives
+    ``<D> = -i hbar nu (1 - q1)`` and ``P = -i hbar d/dx`` gives
+    ``p2 = sum dens hbar^2 ((nu - 1/2)/x - nu)^2``.  ``q1 = 1``, ``d = 0``, and
+    the closed form of ``p2`` are the validated statements.
     """
     if family.kind != "affine":
         raise ValueError("fiducial moments are defined for affine families")
-    rep = family.rep
-    psi = family.fiducial
-    x = rep.grid
-    dens = np.abs(psi.amplitudes) ** 2
-    p_psi = rep.P_formal @ psi.amplitudes
+    hbar = family.rep.hbar
+    nu = family.beta / hbar
+    x = family.rep.grid
+    dens = np.abs(family.fiducial.amplitudes) ** 2
+    log_slope = (nu - 0.5) / x - nu  # psi' / psi
+    q1 = float(dens @ x)
     return {
-        "q1": float(dens @ x),
+        "q1": q1,
         "q2": float(dens @ (x * x)),
         "q_inv": float(dens @ (1.0 / x)),
-        "d": complex(np.vdot(psi.amplitudes, rep.D @ psi.amplitudes)),
-        "p2": float(np.real(np.vdot(p_psi, p_psi))),
+        "d": complex(0.0, -hbar * nu * (1.0 - q1)),
+        "p2": float(hbar * hbar * (dens @ (log_slope * log_slope))),
     }
 
 

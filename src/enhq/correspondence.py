@@ -166,11 +166,17 @@ def _check_alphabet(poly: OperatorPolynomial, family: CoherentFamily) -> None:
 def poly_expectation(poly: OperatorPolynomial, family: CoherentFamily, p: float, q: float) -> complex:
     """Complex ``<p,q| poly |p,q>`` by direct matrix products on the state.
 
-    The tests' per-word reference for :func:`enhance`; no library code calls it.
+    The tests' per-word reference for :func:`enhance`; no library code calls
+    it.  A family that holds no matrix for one of the polynomial's letters
+    (the affine family holds none) raises :class:`ValueError`.
     """
     _check_alphabet(poly, family)
-    psi = family.state(p, q)
     mats = family.letters
+    missing = sorted({letter for word, _ in poly.terms for letter in word} - mats.keys())
+    if missing:
+        raise ValueError(f"the {family.kind} family holds no matrix for {', '.join(missing)}: "
+                         f"restrict it through enhance")
+    psi = family.state(p, q)
     total = 0.0 + 0.0j
     for word, coeff in poly.terms:
         vec = psi.amplitudes

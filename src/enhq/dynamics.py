@@ -165,8 +165,10 @@ def hamiltonian_flow(
     pole) ends the run in ``domain_exit`` where a label domain is declared
     and is re-raised where none is; step-size underflow near a collapse
     ends a half-line run in ``singularity_hit`` and raises
-    :class:`NumericalFailure` otherwise.  Non-finite gradients raise
-    :class:`NumericalFailure`.
+    :class:`NumericalFailure` otherwise.  Before rk45 accepts a step, the
+    ``domain_exit`` ends the run at ``t = 0`` with the start as the only
+    sample, and any other stop raises :class:`NumericalFailure`.  Non-finite
+    gradients raise :class:`NumericalFailure`.
 
     ``rk45`` runs :func:`_dormand_prince`, a scalar loop that takes the
     steps of scipy's ``RK45``, calls the gradient once per stage and
@@ -248,7 +250,11 @@ def hamiltonian_flow(
         if kind == "domain_exit" and H.label_domain is None:
             raise cause
         if len(ts) == 0:
-            raise NumericalFailure(f"integration failed at t = 0: {cause}", {})
+            # no step was accepted: a start beside a declared domain's edge
+            # ends there, with the start as the only sample
+            if kind != "domain_exit":
+                raise NumericalFailure(f"integration failed at t = 0: {cause}", {})
+            ts, ps, qs = np.zeros(1), np.array([x0.p]), np.array([x0.q])
         if kind == "singularity_hit" and half_line is None:
             raise NumericalFailure(
                 f"integration failed at t = {t_last}: {cause}",

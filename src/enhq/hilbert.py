@@ -5,10 +5,11 @@ Three concrete representations are provided:
 * :class:`LineRep` realizes position ``Q`` and momentum ``P`` in a truncated
   Fock basis, so that ``[Q, P] = i*hbar`` holds exactly away from the
   truncation edge.
-* :class:`HalfLineRep` realizes ``Q`` (diagonal) and ``D`` on a strictly
-  positive geometric grid, where ``D`` is the symmetric discretization of
-  ``-i*hbar*(x d/dx + 1/2)``.  Momentum on the half line is exposed only as a
-  formal finite-difference matrix and is never exponentiated.
+* :class:`HalfLineRep` is a strictly positive geometric grid and its
+  quadrature weights, and nothing more: the affine family samples closed-form
+  wavefunctions on it and takes every moment in closed form or by quadrature.
+  No operator on the half line is stored or differenced; the tests' oracles
+  keep the finite-difference ``Q``, ``D`` and formal ``P`` they compare against.
 * :class:`SpinRep` carries the standard ladder construction of ``S1, S2, S3``
   with ``[S1, S2] = i*hbar*S3`` and the Casimir identity exact.
 
@@ -20,7 +21,6 @@ may be shared freely across threads.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import eigh
 
 from .errors import DomainError
@@ -32,17 +32,10 @@ HERMITIAN_TOL = 1e-10
 #: Number of Fock levels at the truncation edge treated as unreliable.
 DEFAULT_TRUNCATION_MARGIN = 20
 
-#: Largest matrix that apply_unitary will densify and diagonalize.
-_MAX_DENSE_DIM = 4096
-
-
-def _as_dense(op):
-    return op.toarray() if sp.issparse(op) else np.asarray(op)
-
 
 def hermitian_defect(op) -> float:
     """Return the relative Frobenius asymmetry ``||A - A^dag|| / ||A||``."""
-    a = _as_dense(op)
+    a = np.asarray(op)
     den = np.linalg.norm(a)
     if den == 0.0:
         return 0.0
@@ -118,26 +111,20 @@ class LineRep:
 
 
 class HalfLineRep:
-    """Grid representation of the ``Q > 0`` sector, on a geometric grid.
+    """The ``Q > 0`` sector as a geometric grid and its quadrature weights.
 
-    ``Q`` is diagonal with the grid values, and ``weights`` are the
-    trapezoid weights of ``dx = x du`` on the uniform grid in ``u = log x``.
-    ``D`` is a banded antisymmetric finite-difference matrix times
-    ``-i*hbar`` and is therefore Hermitian by construction with respect to
-    the weight-folded inner product.  ``P_formal`` is the formal momentum
-    ``Q^{-1} (D + i*hbar/2)``; it is not self adjoint on the half line and
-    is never exponentiated.
+    ``grid`` holds the sample points ``x`` and ``weights`` the trapezoid
+    weights of ``dx = x du`` on the uniform grid in ``u = log x``; amplitudes
+    carry the square roots of the weights, so plain Euclidean inner products
+    are quadratures.  It holds no operator.
     """
 
     kind = "halfline"
 
-    def __init__(self, grid, weights, hbar, Q, D, P_formal):
+    def __init__(self, grid, weights, hbar):
         self.grid = _frozen(np.asarray(grid, dtype=float))
         self.weights = _frozen(np.asarray(weights, dtype=float))
         self.hbar = float(hbar)
-        self.Q = Q
-        self.D = D
-        self.P_formal = P_formal
 
     @property
     def dim(self) -> int:
@@ -194,7 +181,7 @@ def build_fock_rep(dim: int, hbar: float = 1.0) -> LineRep:
 
 
 def build_halfline_rep(x_min: float, x_max: float, n: int, hbar: float = 1.0) -> HalfLineRep:
-    """Build ``Q`` and ``D`` on a strictly positive geometric grid.
+    """Build a strictly positive geometric grid and its trapezoid weights.
 
     Parameters
     ----------
@@ -206,10 +193,9 @@ def build_halfline_rep(x_min: float, x_max: float, n: int, hbar: float = 1.0) ->
 
     Notes
     -----
-    The grid is log-spaced: the dilation generator acts multiplicatively
-    there and the fiducial states of interest decay exponentially.  The
-    amplitudes are half-density samples in ``u = log x``, where ``D``
-    reduces to ``-i*hbar d/du``.
+    The grid is log-spaced: dilations act multiplicatively there and the
+    fiducial states of interest decay exponentially.  The weights are those
+    of the trapezoid rule in ``u = log x``, times ``dx/du = x``.
     """
     if hbar <= 0:
         raise ValueError("hbar must be positive")
@@ -219,22 +205,12 @@ def build_halfline_rep(x_min: float, x_max: float, n: int, hbar: float = 1.0) ->
         raise ValueError("x_max must exceed x_min")
     if int(n) != n or n < 16:
         raise ValueError("n must be an integer >= 16")
-    n = int(n)
-
-    u = np.linspace(np.log(x_min), np.log(x_max), n)
-    du = u[1] - u[0]
+    u = np.linspace(np.log(x_min), np.log(x_max), int(n))
     x = np.exp(u)
-    w = x * du
+    w = x * (u[1] - u[0])
     w[0] *= 0.5
     w[-1] *= 0.5
-    # five-point central stencil in u: exactly antisymmetric, so -i*hbar
-    # times it is Hermitian regardless of boundary truncation
-    stencil = sp.diags([np.full(n - 2, 1.0), np.full(n - 1, -8.0), np.full(n - 1, 8.0),
-                        np.full(n - 2, -1.0)], [-2, -1, 1, 2], format="csr")
-    d_op = (-1j * hbar) * (stencil / (12.0 * du))
-    p_formal = sp.diags(1.0 / x).dot(d_op + (0.5j * hbar) * sp.identity(n))
-    q_op = sp.diags(x, format="csr")
-    return HalfLineRep(x, w, hbar, q_op, d_op.tocsr(), p_formal.tocsr())
+    return HalfLineRep(x, w, hbar)
 
 
 def build_spin_rep(s: float, hbar: float = 1.0) -> SpinRep:
@@ -273,11 +249,7 @@ def apply_unitary(op, theta: float, state: StateVector) -> StateVector:
     """
     rep = state.rep
     d = state.dim
-    if sp.issparse(op) and op.shape[0] > _MAX_DENSE_DIM:
-        raise ValueError(
-            f"operator of dimension {op.shape[0]} is too large to exponentiate densely"
-        )
-    dense = _as_dense(op)
+    dense = np.asarray(op)
     if dense.shape != (d, d):
         raise ValueError(f"operator shape {dense.shape} does not match state dimension {d}")
     defect = hermitian_defect(dense)

@@ -29,7 +29,11 @@ from .hilbert import SpinRep
 
 @dataclass(frozen=True)
 class HydrogenParams:
-    """Mass, coupling, fiducial width, and action quantum for the hydrogen models."""
+    """Mass, coupling, fiducial width, and action quantum for the hydrogen models.
+
+    Each must be positive and finite, else :class:`ValueError` names it, and
+    ``beta > hbar``, else :class:`DomainError`.
+    """
 
     m: float = 1.0
     e2: float = 1.0
@@ -38,8 +42,8 @@ class HydrogenParams:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if value <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite (got {value})")
         if self.beta <= self.hbar:
             raise DomainError(
                 f"beta must exceed hbar (got beta = {self.beta}, hbar = {self.hbar})"

@@ -1,21 +1,24 @@
 """Reference computations that only the tests use.
 
 Each one is a second route to a value the library computes another way:
-the canonical commutator on the truncated Fock basis, the inner product of
-two states, the mean and variance of an operator in a state against the
+the canonical commutator on the truncated Fock basis, the half line's
+finite-difference letters against its closed-form moments, the inner product
+of two states, the mean and variance of an operator in a state against the
 restricted label functions, the direct state expectation of a polynomial
 against its shifted-moment label function, and a polynomial fit in hbar over
 one representation per hbar against the exact hbar-series.
 """
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from enhq.coherent import CoherentFamily
 from enhq.correspondence import OperatorPolynomial, _realized, enhance, poly_expectation
 from enhq.errors import NumericalFailure
-from enhq.hilbert import DEFAULT_TRUNCATION_MARGIN, LineRep, StateVector
+from enhq.hilbert import DEFAULT_TRUNCATION_MARGIN, HalfLineRep, LineRep, StateVector
 
 #: Largest fit residual of :func:`classical_limit`, relative to the value scale.
 LIMIT_RESIDUAL_TOL = 1e-6
@@ -28,6 +31,37 @@ def commutator_defect(rep: LineRep, margin: int = DEFAULT_TRUNCATION_MARGIN) -> 
     m = rep.dim - margin
     c = rep.Q @ rep.P - rep.P @ rep.Q - 1j * rep.hbar * np.eye(rep.dim)
     return float(np.linalg.norm(c[:m, :m]))
+
+
+def halfline_letters(rep: HalfLineRep) -> dict:
+    """The half line's ``Q``, ``D`` and formal ``P`` as sparse matrices on its grid.
+
+    ``Q`` is diagonal with the grid values.  ``D``, the discretization of
+    ``-i*hbar*(x d/dx + 1/2)``, is ``-i*hbar`` times the five-point central
+    stencil of ``d/du`` in ``u = log x``, where the weight-folded amplitudes
+    are half-density samples: the stencil is exactly antisymmetric, so ``D``
+    is Hermitian regardless of boundary truncation.  ``P = Q^-1 (D + i*hbar/2)``
+    is the formal momentum ``-i*hbar d/dx``, which is not self adjoint on the
+    half line.
+    """
+    n, hbar, x = rep.dim, rep.hbar, rep.grid
+    du = (np.log(x[-1]) - np.log(x[0])) / (n - 1)
+    stencil = sp.diags([np.full(n - 2, 1.0), np.full(n - 1, -8.0), np.full(n - 1, 8.0),
+                        np.full(n - 2, -1.0)], [-2, -1, 1, 2], format="csr")
+    d_op = (-1j * hbar / (12.0 * du)) * stencil
+    p_op = sp.diags(1.0 / x) @ (d_op + (0.5j * hbar) * sp.identity(n))
+    return {"Q": sp.diags(x, format="csr"), "D": d_op.tocsr(), "P": p_op.tocsr()}
+
+
+def stencil_family(family: CoherentFamily) -> CoherentFamily:
+    """A copy of an affine family that holds the :func:`halfline_letters` of its grid.
+
+    :func:`poly_expectation` on the copy is the grid route of an affine
+    polynomial, against the span engine of :func:`enhance`.
+    """
+    grid = copy.copy(family)
+    grid.letters = halfline_letters(family.rep)
+    return grid
 
 
 def expectation(state: StateVector, op) -> complex:

@@ -27,7 +27,7 @@ from enhq import (
     spin_family,
 )
 from enhq.correspondence import MAX_DEGREE, EnhancedHamiltonian, OperatorPolynomial
-from oracles import classical_limit, shift_identity_check
+from oracles import classical_limit, shift_identity_check, stencil_family
 
 
 class TestParser:
@@ -225,14 +225,22 @@ class TestEnhanceAffine:
          ("Q*P^2*Q + D^2", 1e-6)],
     )
     def test_moment_route_matches_direct_expectation(self, affine_beta2, expression, rel):
-        # the moment route is exact; the direct route carries the grid error of
-        # the finite-difference D (about 1e-9) and of the formal P (about 1e-7)
+        # the moment route is exact; the direct route on the oracle's stencil
+        # letters carries the grid error of the finite-difference D (about
+        # 1e-9) and of the formal P (about 1e-7)
         poly = parse_polynomial(expression, "affine")
         ham = enhance(poly, affine_beta2)
+        grid = stencil_family(affine_beta2)
         for p, q in [(0.3, 0.5), (1.1, 0.5), (-0.4, 3.0), (0.2, 3.0), (0.7, 1.3)]:
-            direct = poly_expectation(poly, affine_beta2, p, q)
+            direct = poly_expectation(poly, grid, p, q)
             assert abs(direct.imag) < 1e-7 * (1.0 + abs(direct.real))
             assert ham(p, q) == pytest.approx(direct.real, rel=rel)
+
+    def test_direct_expectation_needs_the_oracle_letters(self, affine_beta2):
+        # the half line holds no operator: the per-word route names the family
+        # rather than failing on a letter lookup
+        with pytest.raises(ValueError, match="affine family holds no matrix for D, P"):
+            poly_expectation(parse_polynomial("D*Q*D + P^2", "affine"), affine_beta2, 0.3, 1.2)
 
     def test_dilation_squared_closed_form(self, affine_beta2):
         # <beta| D^2 |beta> = beta hbar / 2 and <beta| Q^2 |beta> = 1 + hbar / (2 beta)

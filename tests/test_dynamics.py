@@ -943,11 +943,20 @@ class TestFlowValidation:
         assert exit_.energy == ham.evaluate(exit_.p, exit_.q)
         assert traj.t[-1] <= exit_.time
 
-    def test_rk45_start_beside_a_pole_fails_at_t_0(self):
-        # the first step's stages leave the domain before any step is accepted
-        p0 = math.sqrt(2.0) * (1.0 - 1e-10)
-        with pytest.raises(NumericalFailure, match="at t = 0: .*must not exceed"):
-            hamiltonian_flow(self._towards_a_pole(), (p0, self.POLE_X0[1]), 3.0, n_samples=5)
+    def test_rk45_start_beside_a_pole_ends_at_t_0(self):
+        # the first step's stages leave the domain before any step is accepted:
+        # the run ends at the start, as the leapfrog's does after one step
+        ham = self._towards_a_pole()
+        x0 = (math.sqrt(2.0) * (1.0 - 1e-10), self.POLE_X0[1])
+        traj = hamiltonian_flow(ham, x0, 3.0, n_samples=5)
+        assert traj.event_kinds() == ("domain_exit",)
+        exit_ = traj.events[0]
+        assert (exit_.time, exit_.p, exit_.q) == (0.0, *x0)
+        assert exit_.energy == ham.evaluate(*x0)
+        assert (traj.t.tolist(), traj.p.tolist(), traj.q.tolist()) == ([0.0], [x0[0]], [x0[1]])
+        assert traj.energy.tolist() == [ham.evaluate(*x0)]
+        leapfrog = hamiltonian_flow(ham, x0, 3.0, n_samples=5, method="leapfrog", n_steps=300)
+        assert leapfrog.event_kinds() == ("domain_exit",) and len(leapfrog) == 1
 
     def test_unknown_method(self, harmonic):
         for method in ("euler", "dop853"):

@@ -14,7 +14,7 @@ from enhq import (
 )
 from enhq.coherent import affine_wavefunction
 from enhq.hilbert import hermitian_defect
-from oracles import commutator_defect, expectation, variance
+from oracles import commutator_defect, expectation, halfline_letters, variance
 
 
 class TestFockRep:
@@ -57,10 +57,11 @@ class TestHalfLineRep:
         # middle point, and every point is an eigenvalue of Q
         rep = build_halfline_rep(0.1, 10.0, 19)
         assert rep.grid[9] == pytest.approx(1.0, rel=1e-15)
+        q = halfline_letters(rep)["Q"]
         for i in (0, 9, 18):
             e = np.zeros(19, dtype=complex)
             e[i] = 1.0
-            assert_allclose((rep.Q @ e).real, rep.grid[i] * e.real, rtol=0, atol=1e-15)
+            assert_allclose((q @ e).real, rep.grid[i] * e.real, rtol=0, atol=1e-15)
 
     def test_grid_positive_and_increasing(self):
         rep = build_halfline_rep(1e-4, 30.0, 100)
@@ -76,16 +77,17 @@ class TestHalfLineRep:
 
     def test_d_hermitian(self):
         rep = build_halfline_rep(1e-3, 20.0, 300)
-        assert hermitian_defect(rep.D) < 1e-12
+        assert hermitian_defect(halfline_letters(rep)["D"].toarray()) < 1e-12
 
     @pytest.mark.parametrize("hbar", [1.0, 0.5])
     def test_commutator_on_smooth_state(self, hbar):
         def defect(n):
             rep = build_halfline_rep(1e-4, 40.0, n, hbar=hbar)
-            psi = rep.state_from_samples(affine_wavefunction(rep.grid, 2.0, hbar))
-            a = psi.amplitudes
-            lhs = np.vdot(a, rep.Q @ (rep.D @ a)) - np.vdot(a, rep.D @ (rep.Q @ a))
-            rhs = 1j * hbar * np.vdot(a, rep.Q @ a)
+            letters = halfline_letters(rep)
+            q, d = letters["Q"], letters["D"]
+            a = rep.state_from_samples(affine_wavefunction(rep.grid, 2.0, hbar)).amplitudes
+            lhs = np.vdot(a, q @ (d @ a)) - np.vdot(a, d @ (q @ a))
+            rhs = 1j * hbar * np.vdot(a, q @ a)
             return abs(lhs - rhs) / abs(rhs)
 
         coarse, fine = defect(1000), defect(2000)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,9 +30,12 @@ class TestParams:
         p = HydrogenParams()
         assert p.beta > p.hbar
 
-    @pytest.mark.parametrize("kwargs", [{"m": -1.0}, {"e2": 0.0}, {"hbar": -0.1}])
+    @pytest.mark.parametrize("kwargs", [{"m": -1.0}, {"e2": 0.0}, {"hbar": -0.1},
+                                        {"m": math.nan}, {"e2": math.inf}, {"beta": math.inf},
+                                        {"hbar": math.nan}, {"beta": -math.inf}])
     def test_rejects_nonpositive(self, kwargs):
-        with pytest.raises(ValueError):
+        [(name, value)] = kwargs.items()
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
             HydrogenParams(**kwargs)
 
     def test_rejects_narrow_fiducial(self):
