@@ -33,7 +33,7 @@ from .coherent import (
 from .correspondence import (
     EnhancedHamiltonian,
     OperatorPolynomial,
-    classical_value,
+    classical_hamiltonian,
     enhance,
     hbar_series,
     parse_polynomial,

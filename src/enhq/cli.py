@@ -32,7 +32,7 @@ from .coherent import (
     scalar_curvature,
     spin_family,
 )
-from .correspondence import MAX_DEGREE, classical_value, enhance, hbar_series, parse_polynomial
+from .correspondence import MAX_DEGREE, classical_hamiltonian, enhance, hbar_series, parse_polynomial
 from .dynamics import (
     PhasePoint,
     apply_transform,
@@ -385,12 +385,13 @@ def _run_limit_study(cfg, header):
     poly = parse_polynomial(ham_cfg["expression"], "canonical")
     # one representation at hbar = 1 holds the whole series in hbar
     series = hbar_series(poly, canonical_family(_representation(cfg, "line", 1.0, dim=poly.degree + 2)))
+    classical = classical_hamiltonian(poly)
     rows = []
     for p, q in _label_points(cfg):
         h = [h_k(p, q) for h_k in series]
         h += [0.0] * (MAX_DEGREE // 2 + 1 - len(h))
         leading = next((k for k in range(1, len(h)) if h[k] != 0.0), 0)
-        rows.append((p, q, h[0], leading, classical_value(poly, p, q), *h[1:]))
+        rows.append((p, q, h[0], leading, classical(p, q), *h[1:]))
     columns = ["p", "q", "limit", "leading_power", "classical_value",
                *(f"h{k}" for k in range(1, MAX_DEGREE // 2 + 1))]
     return {"limit_study.csv": _csv(header, columns, rows)}
@@ -705,9 +706,9 @@ for example "0.5*P^2 + 0.5*Q^2" or "P*Q*P - 2*Q":
 
 with whitespace between tokens, and numbers such as 2, 0.5, .5 or 1.5e-3.
 Letters are P, Q for the canonical set, D, Q, P affine, S1, S2, S3 spin.
-A power must be a whole number from 0 to 6 ("D*Q^-1" and "Q^7" are
-rejected), every word has degree at most 6 and the polynomial must be
-Hermitian.  Every config key is described in the README.
+A power is a whole number from -6 to 6, negative on the affine Q only
+("0.5*P^2 - Q^-1" is hydrogen; "P^-1" and "Q^7" are rejected), every word
+has degree at most 6, the polynomial is Hermitian.  The README lists every key.
 
 Exit codes: 0 success, 1 verify check failed or numerical failure,
 2 config or input rejected, 3 representation too small.

@@ -256,6 +256,7 @@ class _Affine(CoherentFamily):
     shifted = {
         "D": ((1.0, "D", 0, 0), (1.0, "Q", 1, 1)),
         "Q": ((1.0, "Q", 0, 1),),
+        "Q^-1": ((1.0, "Q^-1", 0, -1),),
         "P": ((1.0, "P", 0, -1), (1.0, None, 1, 0)),
     }
 
@@ -266,14 +267,14 @@ class _Affine(CoherentFamily):
     def fiducial_moment(self, word):
         # The letters keep the span of f_k = x^(nu - 1/2 + k) e^(-nu x), nu = beta / hbar,
         # whose f_0 is the fiducial: Q f_k = f_(k+1), D f_k = -i hbar [(nu + k) f_k - nu f_(k+1)],
-        # P f_k = -i hbar [(nu - 1/2 + k) f_(k-1) - nu f_k], and <f_0|f_m> / <f_0|f_0> = <Q^m>.
-        # A word with k momentum letters reaches f_(-k), whose moment is finite
-        # only for beta > k hbar / 2.
+        # P f_k = -i hbar [(nu - 1/2 + k) f_(k-1) - nu f_k], Q^-1 f_k = f_(k-1), and
+        # <f_0|f_m> / <f_0|f_0> = <Q^m>.  A word with k letters P or Q^-1 reaches
+        # f_(-k), whose moment is finite only for beta > k hbar / 2.
         hbar = self.rep.hbar
-        n_p = word.count("P")
-        if self.beta <= 0.5 * n_p * hbar:
-            raise DomainError(f"fiducial moments of a word with {n_p} momentum letters diverge "
-                              f"unless beta > {n_p}/2 * hbar (got beta = {self.beta}, hbar = {hbar})")
+        n_down = word.count("P") + word.count("Q^-1")
+        if self.beta <= 0.5 * n_down * hbar:
+            raise DomainError(f"fiducial moments of a word with {n_down} momentum letters and inverse "
+                              f"letters Q^-1 diverge unless beta > {n_down}/2 * hbar (beta = {self.beta})")
         nu = self.beta / hbar
         vec = {0: 1.0}
         for letter in reversed(word):
@@ -281,6 +282,8 @@ class _Affine(CoherentFamily):
             for k, c in vec.items():
                 if letter == "Q":
                     out[k + 1] += c
+                elif letter == "Q^-1":
+                    out[k - 1] += c
                 elif letter == "P":
                     out[k - 1] -= 1j * hbar * (nu - 0.5 + k) * c
                     out[k] += 1j * hbar * nu * c

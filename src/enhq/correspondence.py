@@ -1,19 +1,20 @@
 """Expectation-valued classical Hamiltonians and their exact hbar-series.
 
 An :class:`OperatorPolynomial` is a real-coefficient sum of ordered operator
-words over ``{P, Q}`` (canonical), ``{D, Q, P}`` (affine, with ``P`` formal),
-or ``{S1, S2, S3}`` (spin).  :func:`enhance` restricts it to a coherent-state
-family, producing the label function ``H(p, q) = <p,q| poly |p,q>`` together
-with its gradient, from what the family declares.
+words over ``{P, Q}`` (canonical), ``{D, Q, P, Q^-1}`` (affine, with ``P``
+formal), or ``{S1, S2, S3}`` (spin).  :func:`enhance` restricts it to a
+coherent-state family, producing the label function ``H(p, q) = <p,q| poly |p,q>``
+together with its gradient, from what the family declares.
 
 Except on the sphere, ``H`` is the fiducial expectation of the letters
 pulled through the group element (Perelomov): ``P -> P + p``, ``Q -> Q + q``
 on the line, rotated by ``2a`` and scaled by ``e^{+-2b}`` for the squeezed
 family (Stoler 1970; Yuen 1976), and ``D -> D + p q Q``, ``Q -> q Q``,
-``P -> P / q + p`` on the half line.  Expanding each word over the shifted
-letters and caching the fiducial moments of the kept subwords turns ``H``
-into an explicit Laurent polynomial in ``(p, q)`` with exact moments and
-gradients.  Spin letters pull through to trigonometric functions of the
+``Q^-1 -> Q^-1 / q``, ``P -> P / q + p`` on the half line.  Expanding each
+word over the shifted letters and caching the fiducial moments of the kept
+subwords turns ``H`` into an explicit Laurent polynomial in ``(p, q)`` with
+exact moments, compiled once to straight-line code for its value and
+gradient.  Spin letters pull through to trigonometric functions of the
 labels, so a spin polynomial is formed once as a matrix ``M``, and
 ``H = <psi|M psi>`` takes the gradient ``2 Re <d psi|M psi>`` from the
 state's tangent.  Nothing is differenced, and there is no ordering engine.
@@ -43,7 +44,7 @@ MAX_DEGREE = 6
 
 _ALPHABETS = {
     "canonical": ("P", "Q"),
-    "affine": ("D", "Q", "P"),
+    "affine": ("D", "Q", "P", "Q^-1"),
     "spin": ("S1", "S2", "S3"),
 }
 
@@ -107,9 +108,10 @@ class OperatorPolynomial:
 def parse_polynomial(text: str, variable_set: str) -> OperatorPolynomial:
     """Parse expressions like ``0.5*P^2 + 0.5*Q^2`` or ``P*Q*P - 2*Q``.
 
-    Words are ordered products of operator letters with nonnegative integer
-    powers; negative powers (for example ``Q^-1``) are rejected, and so is a
-    power above :data:`MAX_DEGREE`, before any word is built.
+    Words are ordered products of operator letters with integer powers, each
+    ``X^-n`` being ``n`` letters ``X^-1``, which only the affine set holds, as
+    ``Q^-1`` (``P^2 - Q^-1`` is the quantum hydrogen).  A power beyond
+    :data:`MAX_DEGREE` either way is rejected before any word is built.
     """
     if not _EXPRESSION.fullmatch(text):
         raise ValueError(f"cannot parse expression {text!r}: terms must be joined by + or -, "
@@ -125,34 +127,34 @@ def parse_polynomial(text: str, variable_set: str) -> OperatorPolynomial:
                 coeff *= float(number)
                 continue
             n = float(sign + power) if power else 1.0
-            if n < 0:
-                raise ValueError("negative operator powers are not supported "
-                                 "(only nonnegative integer powers are allowed)")
-            if n > MAX_DEGREE:
-                raise ValueError(f"power {power} of {letter} exceeds the degree cap {MAX_DEGREE}")
+            if abs(n) > MAX_DEGREE:
+                raise ValueError(f"power {sign}{power} of {letter} exceeds the degree cap {MAX_DEGREE}")
             if not n.is_integer():
-                raise ValueError(f"operator powers must be integers (got {letter}^{power})")
-            word += [letter] * int(n)
+                raise ValueError(f"operator powers must be integers (got {letter}^{sign}{power})")
+            word += [letter if n > 0 else f"{letter}^-1"] * int(abs(n))
         terms.append((coeff, tuple(word)))
     return OperatorPolynomial(terms, variable_set)
 
 
-def classical_value(poly: OperatorPolynomial, p: float, q: float) -> float:
-    """Evaluate the polynomial with each letter replaced by its classical label.
+# each letter's classical label, as its powers of (p, q)
+_SYMBOLS = {"P": (1, 0), "Q": (0, 1), "D": (1, 1), "Q^-1": (0, -1)}
 
-    ``P -> p``, ``Q -> q``, ``D -> p*q``; spin letters have no classical
-    monomial reading and are rejected.
+
+def classical_hamiltonian(poly: OperatorPolynomial, hbar: float = 1.0) -> EnhancedHamiltonian:
+    """The classical symbol of the polynomial as a label function with its gradient.
+
+    Each letter is replaced by its classical label, ``P -> p``, ``Q -> q``,
+    ``D -> p q`` and ``Q^-1 -> 1/q``; an affine symbol lives on ``q > 0``.
+    Spin letters have no classical monomial reading and are rejected.
     """
-    subs = {"P": p, "Q": q, "D": p * q}
-    total = 0.0
-    for word, coeff in poly.terms:
-        value = coeff
-        for letter in word:
-            if letter not in subs:
-                raise ValueError(f"no classical monomial value for letter {letter!r}")
-            value *= subs[letter]
-        total += value
-    return total
+    coeffs: dict[tuple[int, int], float] = {}
+    for word, c in poly.terms:
+        if not set(word) <= _SYMBOLS.keys():
+            raise ValueError(f"no classical monomial value for letter {min(set(word) - _SYMBOLS.keys())!r}")
+        key = (sum(_SYMBOLS[x][0] for x in word), sum(_SYMBOLS[x][1] for x in word))
+        coeffs[key] = coeffs.get(key, 0.0) + c
+    lp = _LabelPolynomial(coeffs, q_positive=poly.variable_set == "affine")
+    return EnhancedHamiltonian(lp, lp.gradient, hbar=hbar, q_positive=lp.q_positive, polynomial=lp)
 
 
 def _check_alphabet(poly: OperatorPolynomial, family: CoherentFamily) -> None:
@@ -186,40 +188,49 @@ def poly_expectation(poly: OperatorPolynomial, family: CoherentFamily, p: float,
     return complex(total)
 
 
-class _LabelPolynomial:
-    """Real Laurent polynomial in (p, q) stored as a coefficient dict {(i, j): c}.
+def _code(terms) -> str:
+    # the sum of the terms c p^i q^j in order, as products and divisions grouped
+    # as (c * p^i) * q^j: with no pow, floats and float64 arrays give the same bits
+    def factor(x, n):
+        product = " * ".join([x] * abs(n))
+        return (" * " if n > 0 else " / ") + (product if abs(n) == 1 else f"({product})")
 
-    With ``q_positive`` the labels are half-line labels, and evaluating at
-    ``q <= 0`` raises :class:`DomainError`.  ``gradient`` is left unguarded:
-    an integrator may evaluate a stage below the floor before its terminal
-    ``q_floor`` event ends the run.
+    return " + ".join(repr(c) + "".join(factor(x, n) for x, n in (("p", i), ("q", j)) if n)
+                      for c, i, j in terms) or "0.0"
+
+
+class _LabelPolynomial:
+    """Real Laurent polynomial ``{(i, j): c}`` in (p, q), compiled once to straight-line code.
+
+    ``value`` and ``gradient`` are generated from the float reprs of the
+    coefficients and the integer powers alone; both take floats or,
+    elementwise and to the same bits, float64 arrays.  A coefficient of
+    either that is not finite raises :class:`DomainError`.  With
+    ``q_positive`` calling the polynomial at ``q <= 0`` raises
+    :class:`DomainError`; ``gradient`` is left unguarded, as an integrator
+    may evaluate a stage below the floor before its ``q_floor`` event.
     """
 
     def __init__(self, coeffs: dict, q_positive: bool = False):
-        self.coeffs = {k: float(v) for k, v in coeffs.items() if v != 0.0}
+        self.coeffs = {(int(i), int(j)): float(c) for (i, j), c in coeffs.items() if c != 0.0}
         self.q_positive = q_positive
-        # the partial derivatives as (coefficient, power of p, power of q)
-        # terms; powers of q may be negative, so d/dq keeps every j != 0
-        self._d_p = [(i * c, i - 1, j) for (i, j), c in self.coeffs.items() if i]
-        self._d_q = [(j * c, i, j - 1) for (i, j), c in self.coeffs.items() if j]
+        # powers of q may be negative, so d/dq keeps every j != 0
+        terms = [(c, i, j) for (i, j), c in self.coeffs.items()]
+        d_p = [(i * c, i - 1, j) for c, i, j in terms if i]
+        d_q = [(j * c, i, j - 1) for c, i, j in terms if j]
+        for c, i, j in terms + d_p + d_q:
+            if not math.isfinite(c):
+                raise DomainError(f"the label polynomial or its gradient overflows a double "
+                                  f"at the power p^{i} q^{j}")
+        namespace: dict = {}
+        exec(f"def value(p, q):\n    return {_code(terms)}\n"
+             f"def gradient(p, q):\n    return {_code(d_p)}, {_code(d_q)}\n", namespace)
+        self.value, self.gradient = namespace["value"], namespace["gradient"]
 
     def __call__(self, p: float, q: float) -> float:
         if self.q_positive and q <= 0:
             raise DomainError(f"affine labels require q > 0 (got q = {q})")
-        # a running total in term order, with no list built: flows call these
-        # once per stage
-        value = 0
-        for (i, j), c in self.coeffs.items():
-            value += c * p**i * q**j
-        return float(value)
-
-    def gradient(self, p: float, q: float) -> tuple[float, float]:
-        gp = gq = 0
-        for c, i, j in self._d_p:
-            gp += c * p**i * q**j
-        for c, i, j in self._d_q:
-            gq += c * p**i * q**j
-        return float(gp), float(gq)
+        return float(self.value(p, q))
 
 
 def _realized(value: complex, context: str) -> float:
@@ -267,7 +278,7 @@ class EnhancedHamiltonian:
     positive (``q``; a relabeling carries it through its inverse), and is
     ``None`` otherwise.  ``label_domain``, when given, maps labels to a
     signed margin that is positive inside the domain.  ``polynomial`` holds
-    the coefficients ``{(i, j): c}`` of an explicit label polynomial.
+    a compiled label polynomial: ``coeffs`` and a ``value`` taking arrays too.
     """
 
     def __init__(self, evaluate, gradient, hbar: float = 1.0, q_positive: bool = False,
@@ -296,39 +307,38 @@ def enhance(poly: OperatorPolynomial, family: CoherentFamily) -> EnhancedHamilto
     With a ``shifted`` table (canonical, squeezed, affine) the polynomial is
     reduced once to an explicit label polynomial (Laurent in ``q`` when
     affine words contain the formal momentum) through exact fiducial
-    moments, with exact gradients.  Vacuum moments need ``dim > degree``;
-    affine words with ``k`` momentum letters need ``beta > k/2 * hbar``, and
-    a ``half_line`` label function raises :class:`DomainError` at ``q <= 0``,
-    as does an expansion that overflows.  Otherwise (spin) it is formed once
-    as ``M = sum_w c_w W``: ``H = <psi|M psi>`` on the state, with the gradient
+    moments, compiled once with its exact gradient.  Vacuum moments need
+    ``dim > degree``; affine words with ``k`` letters ``P`` or ``Q^-1`` need
+    ``beta > k/2 * hbar``, and a ``half_line`` label function raises
+    :class:`DomainError` at ``q <= 0``, as does an expansion or a merged
+    coefficient that overflows.  Otherwise (spin) it is formed once as
+    ``M = sum_w c_w W``: ``H = <psi|M psi>`` on the state, with the gradient
     ``2 Re <d psi|M psi>`` from :meth:`CoherentFamily.tangent`.
     """
     _check_alphabet(poly, family)
-    polynomial = None
     if family.shifted is not None:
         coeffs: dict[tuple[int, int], float] = {}
         for (i, j, _), c in _label_terms(poly, family).items():
             coeffs[i, j] = coeffs.get((i, j), 0.0) + c
-        evaluate = _LabelPolynomial(coeffs, q_positive=family.half_line)
-        gradient, polynomial = evaluate.gradient, dict(evaluate.coeffs)
-    else:
-        # the letters pull through to no polynomial: form the operator once
-        eye = np.eye(family.rep.dim)
-        op = sum((c * reduce(np.matmul, (family.letters[letter] for letter in word), eye)
-                  for word, c in poly.terms), np.zeros_like(eye))
+        lp = _LabelPolynomial(coeffs, q_positive=family.half_line)
+        return EnhancedHamiltonian(lp, lp.gradient, hbar=family.rep.hbar, q_positive=family.half_line,
+                                   label_domain=family.label_domain, polynomial=lp)
+    # the letters pull through to no polynomial: form the operator once
+    eye = np.eye(family.rep.dim)
+    op = sum((c * reduce(np.matmul, (family.letters[letter] for letter in word), eye)
+              for word, c in poly.terms), np.zeros_like(eye))
 
-        def evaluate(p, q):
-            psi = family.state(p, q).amplitudes
-            return _realized(complex(np.vdot(psi, op @ psi)), f"{family.kind} expectation")
+    def evaluate(p, q):
+        psi = family.state(p, q).amplitudes
+        return _realized(complex(np.vdot(psi, op @ psi)), f"{family.kind} expectation")
 
-        def gradient(p, q):
-            # d <psi|M psi> = 2 Re <d psi|M psi>, as M is Hermitian
-            psi, d_p, d_q = family.tangent(p, q)
-            op_psi = op @ psi
-            return 2.0 * np.vdot(d_p, op_psi).real, 2.0 * np.vdot(d_q, op_psi).real
+    def gradient(p, q):
+        # d <psi|M psi> = 2 Re <d psi|M psi>, as M is Hermitian
+        psi, d_p, d_q = family.tangent(p, q)
+        op_psi = op @ psi
+        return 2.0 * np.vdot(d_p, op_psi).real, 2.0 * np.vdot(d_q, op_psi).real
 
-    return EnhancedHamiltonian(evaluate, gradient, hbar=family.rep.hbar, q_positive=family.half_line,
-                               label_domain=family.label_domain, polynomial=polynomial)
+    return EnhancedHamiltonian(evaluate, gradient, hbar=family.rep.hbar, label_domain=family.label_domain)
 
 
 def hbar_series(poly: OperatorPolynomial, family: CoherentFamily) -> tuple:

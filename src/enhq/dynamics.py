@@ -179,12 +179,12 @@ def hamiltonian_flow(
     ``H._evaluate``), not the methods that convert each value to ``float``,
     and return the samples as float64 arrays, the event hits and the stop,
     from which the events, energies and trajectory are built here; events and
-    energies are evaluated on Python floats.  ``tol`` (rk45 only, by
-    default ``1e-10``) and ``q_floor`` must be positive and finite,
-    ``n_samples`` an integer of at least 2 and ``n_steps`` (leapfrog only),
-    when given, a positive integer of at least ``n_samples - 1``.  A ``tol``
-    given to the leapfrog or an ``n_steps`` given to rk45 raises
-    :class:`ValueError` rather than being ignored.
+    energies are evaluated on Python floats, or by ``H.polynomial`` on the
+    sample arrays.  ``tol`` (rk45 only, by default ``1e-10``) and ``q_floor``
+    must be positive and finite, ``n_samples`` an integer of at least 2 and
+    ``n_steps`` (leapfrog only), when given, a positive integer of at least
+    ``n_samples - 1``.  A ``tol`` given to the leapfrog or an ``n_steps``
+    given to rk45 raises :class:`ValueError` rather than being ignored.
     """
     x0 = _as_point(x0)
     if not np.isfinite(t_final) or t_final <= 0:
@@ -262,8 +262,10 @@ def hamiltonian_flow(
             )
         recorded.append(event(kind, t_last, p_last, q_last))
 
-    # Python floats, not numpy scalars: label functions are scalar code
-    energies = np.array([evaluate(p, q) for p, q in zip(ps.tolist(), qs.tolist())], dtype=float)
+    # a compiled polynomial takes the sample arrays, with the scalar bits;
+    # other label functions are scalar code, called on Python floats
+    energies = (np.broadcast_to(H.polynomial.value(ps, qs), ps.shape) if H.polynomial is not None
+                else [evaluate(p, q) for p, q in zip(ps.tolist(), qs.tolist())])
     recorded.sort(key=lambda e: e.time)
     return Trajectory(ts, ps, qs, energies, tuple(recorded))
 

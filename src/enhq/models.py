@@ -1,17 +1,11 @@
 """Concrete model Hamiltonians: one-dimensional hydrogen and spin precession.
 
-The classical hydrogen Hamiltonian ``p^2/(2m) - e^2/q`` on ``q > 0`` collapses
-in finite time.  Its expectation-valued counterpart over affine coherent
-states gains a repulsive core,
-
-    ``H(p, q) = p^2/(2m) - C1/q + C2/(2 m q^2)``,
-
-whose coefficients are fiducial expectations rather than assumptions:
-``C1 = e^2 <beta| 1/Q |beta> = e^2 2 nu / (2 nu - 1)`` and
-``C2 = <beta| P^2 |beta> = beta^2 hbar / (2 (beta - hbar))`` with
-``nu = beta / hbar``, both in closed form (the fiducial density is a Gamma
-density).  With the core present every negative-energy flow turns at a
-strictly positive radius.
+Hydrogen is the affine polynomial ``P^2/(2m) - e2 Q^-1``.  Its classical
+symbol ``p^2/(2m) - e^2/q`` collapses in finite time; restricted to affine
+coherent states by :func:`~enhq.correspondence.enhance` it becomes
+``p^2/(2m) - C1/q + C2/(2m q^2)`` with ``C1 = e^2 <beta| Q^-1 |beta>`` and
+``C2 = <beta| P^2 |beta>`` (Klauder, arXiv 1204.2870), whose repulsive core
+turns every negative-energy flow at a strictly positive radius.
 """
 
 from __future__ import annotations
@@ -21,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent import fiducial_p2_closed, fiducial_q_moment_closed, spin_family
-from .correspondence import EnhancedHamiltonian
+from .coherent import affine_family, spin_family
+from .correspondence import EnhancedHamiltonian, OperatorPolynomial, classical_hamiltonian, enhance
 from .errors import DomainError
-from .hilbert import SpinRep
+from .hilbert import SpinRep, build_halfline_rep
 
 
 @dataclass(frozen=True)
@@ -51,38 +45,28 @@ class HydrogenParams:
 
     @property
     def enhanced_core(self) -> tuple[float, float]:
-        """The core coefficients ``(C1, C2)`` of the enhanced hydrogen.
+        """The core ``(C1, C2)``, read off the label polynomial of :func:`hydrogen_enhanced`.
 
-        ``C1 = e^2 <beta| 1/Q |beta>`` and ``C2 = <beta| P^2 |beta>``, from
-        :func:`fiducial_q_moment_closed` and :func:`fiducial_p2_closed`;
-        :func:`fiducial_moments` measures both on a half-line grid as an
-        independent cross-check.
+        ``C1`` is minus its ``(0, -1)`` coefficient and ``C2`` is ``2m`` times its ``(0, -2)``
+        one; their closed forms are :func:`fiducial_q_moment_closed` and :func:`fiducial_p2_closed`.
         """
-        return (self.e2 * fiducial_q_moment_closed(self.beta, self.hbar, -1),
-                fiducial_p2_closed(self.beta, self.hbar))
+        coeffs = hydrogen_enhanced(self).polynomial.coeffs
+        return -coeffs[0, -1], 2.0 * self.m * coeffs[0, -2]
+
+
+def _hydrogen(params: HydrogenParams) -> OperatorPolynomial:
+    return OperatorPolynomial([(0.5 / params.m, ("P", "P")), (-params.e2, ("Q^-1",))], "affine")
 
 
 def hydrogen_classical(params: HydrogenParams) -> EnhancedHamiltonian:
-    """Closed-form ``p^2/(2m) - e^2/q`` with its gradient, on ``q > 0``."""
-    m, e2 = params.m, params.e2
-    return EnhancedHamiltonian(
-        lambda p, q: p * p / (2.0 * m) - e2 / q,
-        lambda p, q: (p / m, e2 / (q * q)),
-        hbar=params.hbar,
-        q_positive=True,
-    )
+    """The classical symbol ``p^2/(2m) - e^2/q`` of the hydrogen polynomial, on ``q > 0``."""
+    return classical_hamiltonian(_hydrogen(params), params.hbar)
 
 
 def hydrogen_enhanced(params: HydrogenParams) -> EnhancedHamiltonian:
-    """Expectation-valued hydrogen with the core ``params.enhanced_core``."""
-    c1, c2 = params.enhanced_core
-    m = params.m
-    return EnhancedHamiltonian(
-        lambda p, q: p * p / (2.0 * m) - c1 / q + c2 / (2.0 * m * q * q),
-        lambda p, q: (p / m, c1 / (q * q) - c2 / (m * q * q * q)),
-        hbar=params.hbar,
-        q_positive=True,
-    )
+    """The hydrogen polynomial restricted to the affine family of width ``params.beta``."""
+    rep = build_halfline_rep(0.1, 10.0, 16, params.hbar)  # no moment reads the grid
+    return enhance(_hydrogen(params), affine_family(rep, params.beta))
 
 
 def min_radius(params: HydrogenParams, energy: float) -> float:

@@ -5,8 +5,9 @@ the canonical commutator on the truncated Fock basis, the half line's
 finite-difference letters against its closed-form moments, the inner product
 of two states, the mean and variance of an operator in a state against the
 restricted label functions, the direct state expectation of a polynomial
-against its shifted-moment label function, and a polynomial fit in hbar over
-one representation per hbar against the exact hbar-series.
+against its shifted-moment label function, a walk over a label polynomial's
+terms against its compiled code, and a polynomial fit in hbar over one
+representation per hbar against the exact hbar-series.
 """
 
 import copy
@@ -15,10 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from enhq.coherent import CoherentFamily
+from enhq.coherent import CoherentFamily, fiducial_p2_closed, fiducial_q_moment_closed
 from enhq.correspondence import OperatorPolynomial, _realized, enhance, poly_expectation
 from enhq.errors import NumericalFailure
 from enhq.hilbert import DEFAULT_TRUNCATION_MARGIN, HalfLineRep, LineRep, StateVector
+from enhq.models import HydrogenParams
 
 #: Largest fit residual of :func:`classical_limit`, relative to the value scale.
 LIMIT_RESIDUAL_TOL = 1e-6
@@ -34,9 +36,9 @@ def commutator_defect(rep: LineRep, margin: int = DEFAULT_TRUNCATION_MARGIN) -> 
 
 
 def halfline_letters(rep: HalfLineRep) -> dict:
-    """The half line's ``Q``, ``D`` and formal ``P`` as sparse matrices on its grid.
+    """The half line's ``Q``, ``Q^-1``, ``D`` and formal ``P`` as sparse matrices on its grid.
 
-    ``Q`` is diagonal with the grid values.  ``D``, the discretization of
+    ``Q`` and ``Q^-1`` are diagonal with the grid values and their reciprocals.  ``D``, the discretization of
     ``-i*hbar*(x d/dx + 1/2)``, is ``-i*hbar`` times the five-point central
     stencil of ``d/du`` in ``u = log x``, where the weight-folded amplitudes
     are half-density samples: the stencil is exactly antisymmetric, so ``D``
@@ -50,7 +52,8 @@ def halfline_letters(rep: HalfLineRep) -> dict:
                         np.full(n - 2, -1.0)], [-2, -1, 1, 2], format="csr")
     d_op = (-1j * hbar / (12.0 * du)) * stencil
     p_op = sp.diags(1.0 / x) @ (d_op + (0.5j * hbar) * sp.identity(n))
-    return {"Q": sp.diags(x, format="csr"), "D": d_op.tocsr(), "P": p_op.tocsr()}
+    return {"Q": sp.diags(x, format="csr"), "Q^-1": sp.diags(1.0 / x, format="csr"),
+            "D": d_op.tocsr(), "P": p_op.tocsr()}
 
 
 def stencil_family(family: CoherentFamily) -> CoherentFamily:
@@ -62,6 +65,47 @@ def stencil_family(family: CoherentFamily) -> CoherentFamily:
     grid = copy.copy(family)
     grid.letters = halfline_letters(family.rep)
     return grid
+
+
+def label_polynomial_loop(coeffs: dict, p: float, q: float):
+    """The value and gradient of a label polynomial ``{(i, j): c}`` by a walk over its terms.
+
+    Each term is ``c * p**i * q**j``, with ``pow``, summed in the dict's
+    order; the gradient takes the terms' derivatives the same way.  Returns
+    ``(value, dH/dp, dH/dq)`` and, for each, the sum of its terms' absolute
+    values, the scale of its roundoff.
+    """
+    parts = ([(c, i, j) for (i, j), c in coeffs.items()],
+             [(i * c, i - 1, j) for (i, j), c in coeffs.items() if i],
+             [(j * c, i, j - 1) for (i, j), c in coeffs.items() if j])
+    sums, scales = [], []
+    for terms in parts:
+        total = scale = 0.0
+        for c, i, j in terms:
+            total += c * p**i * q**j
+            scale += abs(c * p**i * q**j)
+        sums.append(total)
+        scales.append(scale)
+    return tuple(sums), tuple(scales)
+
+
+def hydrogen_by_hand(params: HydrogenParams):
+    """The hydrogen label functions and gradients as written by hand.
+
+    Returns the classical ``p^2/(2m) - e^2/q`` and the enhanced
+    ``p^2/(2m) - C1/q + C2/(2m q^2)``, each as ``(value, gradient)``, with
+    ``C1`` and ``C2`` from the closed forms :func:`fiducial_q_moment_closed`
+    and :func:`fiducial_p2_closed`: the reference for the models, which
+    restrict the operator polynomial through the engine.
+    """
+    m, e2 = params.m, params.e2
+    c1 = e2 * fiducial_q_moment_closed(params.beta, params.hbar, -1)
+    c2 = fiducial_p2_closed(params.beta, params.hbar)
+    classical = (lambda p, q: p * p / (2.0 * m) - e2 / q,
+                 lambda p, q: (p / m, e2 / (q * q)))
+    enhanced = (lambda p, q: p * p / (2.0 * m) - c1 / q + c2 / (2.0 * m * q * q),
+                lambda p, q: (p / m, c1 / (q * q) - c2 / (m * q * q * q)))
+    return classical, enhanced
 
 
 def expectation(state: StateVector, op) -> complex:

@@ -20,7 +20,7 @@ from enhq import (
     build_halfline_rep,
     build_spin_rep,
     canonical_family,
-    classical_value,
+    classical_hamiltonian,
     enhance,
     affine_family,
     fiducial_moments,
@@ -178,7 +178,7 @@ def test_criterion_06_weak_correspondence():
             return enhance(poly, canonical_family(build_fock_rep(8, hbar)))
 
         fit = classical_limit(builder, p0, q0, hbars)
-        worst_limit = max(worst_limit, abs(series[0] - classical_value(poly, p0, q0)))
+        worst_limit = max(worst_limit, abs(series[0] - classical_hamiltonian(poly)(p0, q0)))
         worst_fit = max(worst_fit, abs(fit.limit - series[0]))
         min_power = min(min_power, leading)
         powers_agree = powers_agree and fit.leading_power == leading

@@ -366,6 +366,12 @@ class TestLibraryErrors:
         pytest.param({"experiment": "evolve", "hamiltonian": {"expression": "1e400*Q^2 + 0.5*P^2"},
                       "x0": [0.0, 1.0], "integrator": {"t_final": 1.0}},
                      2, "error: number 1e400 overflows a double", id="number-1e400"),
+        # each word's moments are finite; the merged constant is not
+        pytest.param({"experiment": "evolve",
+                      "hamiltonian": {"expression": "1e308*P^2 + 1e308*Q^2 + 1e308"},
+                      "x0": [0.0, 1.0], "integrator": {"t_final": 1.0}},
+                     2, "error: the label polynomial or its gradient overflows a double",
+                     id="merged-coefficient-overflow"),
         # the family builds at any squeeze, but its adjoint action leaves the doubles
         pytest.param({"experiment": "evolve", "family": {"kind": "extended", "a": 0.0, "b": 400.0},
                       "hamiltonian": {"expression": "0.5*P^2 + 0.5*Q^2"},
@@ -655,6 +661,19 @@ class TestExperiments:
         assert [r[4] for r in rows if r[4]] == ["bounce", "bounce"]
         energies = np.array([float(r[3]) for r in rows])
         assert np.max(np.abs(energies - energies[0])) < drift * abs(energies[0])
+
+    def test_hydrogen_model_is_its_affine_expression(self, tmp_path):
+        # one engine: the model and its operator polynomial give the same bytes
+        bodies = []
+        for source in ({"model": {"name": "hydrogen_enhanced"}},
+                       {"hamiltonian": {"expression": "0.5*P^2 - Q^-1", "variables": "affine"},
+                        "family": {"kind": "affine", "beta": 2.0}}):
+            cfg = {"experiment": "evolve", "x0": [-0.3, 1.0], "integrator": {"t_final": 20.0}, **source}
+            out = tmp_path / f"out{len(bodies)}"
+            assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+            bodies.append(body_of(out / "trajectory.csv"))
+        assert bodies[0] == bodies[1]
+        assert bodies[0].count("bounce") == 2
 
     def test_leapfrog_rejects_tol(self, tmp_path, capsys):
         # the fixed-step leapfrog has no tolerance to honour

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from enhq import (
     build_fock_rep,
     build_spin_rep,
     canonical_family,
-    classical_value,
+    classical_hamiltonian,
     enhance,
     extended_family,
     fiducial_p2_closed,
@@ -27,7 +28,7 @@ from enhq import (
     spin_family,
 )
 from enhq.correspondence import MAX_DEGREE, EnhancedHamiltonian, OperatorPolynomial
-from oracles import classical_limit, shift_identity_check, stencil_family
+from oracles import classical_limit, label_polynomial_loop, shift_identity_check, stencil_family
 
 
 class TestParser:
@@ -48,7 +49,24 @@ class TestParser:
         assert dict(poly.terms) == {("Q", "Q"): pytest.approx(0.85)}
 
     def test_negative_power_rejected(self):
-        with pytest.raises(ValueError, match="negative"):
+        # only the affine set holds an inverse letter, Q^-1; a rejection
+        # names the letter, and the degree cap holds either way
+        for text, variables, letter in [("P^-1", "affine", "P^-1"), ("D^-2", "affine", "D^-1"),
+                                        ("Q^-1", "canonical", "Q^-1"), ("Q^-1", "spin", "Q^-1"),
+                                        ("S3^-1", "spin", "S3^-1")]:
+            with pytest.raises(ValueError, match=re.escape(f"letter '{letter}' is not available "
+                                                           f"in the {variables} variable set")):
+                parse_polynomial(text, variables)
+        with pytest.raises(ValueError, match="power -7 of Q exceeds the degree cap 6"):
+            parse_polynomial("Q^-7", "affine")
+
+    def test_inverse_powers_of_q_on_the_affine_set(self):
+        poly = parse_polynomial("0.5*P^2 - Q^-2 + 2*Q^-0 + Q^-1*D*Q^-1", "affine")
+        assert dict(poly.terms) == {("P", "P"): 0.5, ("Q^-1", "Q^-1"): -1.0, (): 2.0,
+                                    ("Q^-1", "D", "Q^-1"): 1.0}
+        assert parse_polynomial("Q^-6", "affine").degree == 6
+        # Q^-1 is Hermitian, but a word of it beside D is not
+        with pytest.raises(ValueError, match="not Hermitian: word D\\*Q\\^-1"):
             parse_polynomial("D*Q^-1", "affine")
 
     def test_non_hermitian_rejected(self):
@@ -129,9 +147,16 @@ class TestParser:
 
     def test_classical_value(self):
         poly = parse_polynomial("0.5*P^2 + 0.5*Q^2", "canonical")
-        assert classical_value(poly, 1.0, 2.0) == pytest.approx(2.5)
+        assert classical_hamiltonian(poly)(1.0, 2.0) == pytest.approx(2.5)
         affine = parse_polynomial("D^2", "affine")
-        assert classical_value(affine, 2.0, 3.0) == pytest.approx(36.0)
+        assert classical_hamiltonian(affine)(2.0, 3.0) == pytest.approx(36.0)
+        hydrogen = parse_polynomial("0.5*P^2 - Q^-1", "affine")
+        assert classical_hamiltonian(hydrogen)(2.0, 4.0) == 1.75
+        assert classical_hamiltonian(hydrogen).gradient(2.0, 4.0) == (2.0, 0.0625)
+        with pytest.raises(DomainError, match="q > 0"):
+            classical_hamiltonian(hydrogen)(2.0, 0.0)
+        with pytest.raises(ValueError, match="no classical monomial value for letter 'S1'"):
+            classical_hamiltonian(parse_polynomial("S1", "spin"))
 
 
 class TestEnhanceCanonical:
@@ -156,9 +181,9 @@ class TestEnhanceCanonical:
 
     def test_polynomial_coefficients_exposed(self, canonical200):
         ham = enhance(parse_polynomial("0.5*P^2 + 0.5*Q^2", "canonical"), canonical200)
-        assert ham.polynomial[(2, 0)] == pytest.approx(0.5)
-        assert ham.polynomial[(0, 2)] == pytest.approx(0.5)
-        assert ham.polynomial[(0, 0)] == pytest.approx(0.5)
+        assert ham.polynomial.coeffs[(2, 0)] == pytest.approx(0.5)
+        assert ham.polynomial.coeffs[(0, 2)] == pytest.approx(0.5)
+        assert ham.polynomial.coeffs[(0, 0)] == pytest.approx(0.5)
 
     def test_gradient_matches_finite_differences(self, canonical200):
         ham = enhance(parse_polynomial("P*Q*Q*P + Q^4", "canonical"), canonical200)
@@ -214,7 +239,7 @@ class TestEnhanceAffine:
         # P^2 moment at beta = 1.1 is 40.28 on the CLI's 3,000-point grid
         ham = enhance(parse_polynomial("P^2", "affine"), affine_family(halfline4000, beta))
         c2 = fiducial_p2_closed(beta, 1.0)
-        assert ham.polynomial == pytest.approx({(2, 0): 1.0, (0, -2): c2}, rel=1e-12)
+        assert ham.polynomial.coeffs == pytest.approx({(2, 0): 1.0, (0, -2): c2}, rel=1e-12)
         for p, q in [(0.0, 1.0), (0.6, 1.8)]:
             assert ham(p, q) == pytest.approx(p * p + c2 / (q * q), rel=1e-12)
 
@@ -222,7 +247,8 @@ class TestEnhanceAffine:
         "expression,rel",
         [("Q", 1e-9), ("D", 1e-9), ("Q^2", 1e-9), ("D*Q + Q*D", 1e-9), ("D*Q*D + Q^3", 1e-9),
          ("Q*D*Q", 1e-8), ("D^2", 1e-8), ("P^2", 1e-6), ("P*Q*P", 1e-6), ("D*P + P*D", 1e-6),
-         ("Q*P^2*Q + D^2", 1e-6)],
+         ("Q*P^2*Q + D^2", 1e-6), ("Q^-1", 1e-9), ("Q^-2 + Q^-1*D*Q^-1", 1e-8),
+         ("0.5*P^2 + Q^-1", 1e-6), ("Q*P*Q^-1 + Q^-1*P*Q", 1e-6)],
     )
     def test_moment_route_matches_direct_expectation(self, affine_beta2, expression, rel):
         # the moment route is exact; the direct route on the oracle's stencil
@@ -252,7 +278,7 @@ class TestEnhanceAffine:
     def test_laurent_gradient_matches_finite_differences(self, affine_beta2, expression):
         # words with P carry negative powers of q
         ham = enhance(parse_polynomial(expression, "affine"), affine_beta2)
-        assert any(j < 0 for _, j in ham.polynomial)
+        assert any(j < 0 for _, j in ham.polynomial.coeffs)
         for p, q in [(0.2, 1.1), (-0.4, 2.5)]:
             gp, gq = ham.gradient(p, q)
             h = 1e-5
@@ -267,6 +293,16 @@ class TestEnhanceAffine:
         assert traj.t[-1] == 0.3
         assert np.max(np.abs(traj.energy - traj.energy[0])) <= 1e-8 * abs(traj.energy[0])
 
+    @pytest.mark.parametrize("expression,k", [("Q^-3", 3), ("P*Q^-1*P", 3), ("Q^-1*P*Q^-1", 3),
+                                              ("Q*Q^-4*Q", 4)])
+    def test_inverse_letters_require_a_wide_fiducial(self, halfline4000, expression, k):
+        # a word with k letters P or Q^-1 reaches f_(-k), whose moment is
+        # finite only for beta > k hbar / 2
+        with pytest.raises(DomainError, match=f"a word with {k} momentum letters and inverse letters"):
+            enhance(parse_polynomial(expression, "affine"), affine_family(halfline4000, k / 2))
+        ham = enhance(parse_polynomial(expression, "affine"), affine_family(halfline4000, k / 2 + 0.01))
+        assert math.isfinite(ham(0.3, 1.2))
+
     def test_momentum_word_requires_wide_fiducial(self, halfline4000):
         from enhq import affine_family
 
@@ -279,26 +315,47 @@ class TestEnhanceAffine:
         assert ham.q_positive
 
 
-class TestLabelPolynomialGradient:
+class TestCompiledLabelPolynomial:
     @staticmethod
-    def summed_gradient(coeffs, p, q):
-        # the gradient as direct sums over the coefficient dict
-        gp = sum(i * c * p ** (i - 1) * q**j for (i, j), c in coeffs.items() if i)
-        gq = sum(j * c * p**i * q ** (j - 1) for (i, j), c in coeffs.items() if j)
-        return float(gp), float(gq)
+    def assert_matches_loop(ham, p, q):
+        # within 4 ulp of the sum of the terms' absolute values, per component
+        (value, gp, gq), scales = label_polynomial_loop(ham.polynomial.coeffs, p, q)
+        got = (ham.polynomial.value(p, q), *ham.gradient(p, q))
+        for a, b, scale in zip(got, (value, gp, gq), scales):
+            assert abs(a - b) <= 4 * math.ulp(scale), (a, b, scale)
 
     @pytest.mark.parametrize(
         "family,expression",
         [("canonical200", "0.5*P^2 + 0.5*Q^2 + 0.1*Q^4 + P*Q*P - 0.3*Q"),
-         ("affine_beta2", "0.5*P^2 + 0.5*Q^2 + P*Q*P + D*Q*D + Q^3 - D")],
+         ("squeezed", "0.5*P^2 + 0.5*Q^2 + 0.1*Q^4 + P*Q*P - 0.3*Q + Q*P^2*Q"),
+         ("affine_beta2", "0.5*P^2 + 0.5*Q^2 + P*Q*P + D*Q*D + Q^3 - D"),
+         ("affine_beta2", "0.5*P^2 - Q^-1 + 0.3*Q^-3 + Q^-1*D*Q^-1 + Q*P*Q^-1 + Q^-1*P*Q + D")],
     )
-    def test_bit_identical_to_direct_sums(self, request, family, expression):
-        family = request.getfixturevalue(family)
-        ham = enhance(parse_polynomial(expression, family.kind), family)
+    def test_compiled_code_matches_the_loop_oracle(self, request, family, expression):
+        family = (extended_family(build_fock_rep(16), 0.3, 0.2) if family == "squeezed"
+                  else request.getfixturevalue(family))
+        ham = enhance(parse_polynomial(expression, family.variables), family)
         rng = np.random.default_rng(3)
         for p, q in zip(rng.uniform(-2, 2, 50), rng.uniform(0.2, 3, 50)):
-            p, q = float(p), float(q)
-            assert ham.gradient(p, q) == self.summed_gradient(ham.polynomial, p, q)
+            self.assert_matches_loop(ham, float(p), float(q))
+
+    def test_array_values_are_the_scalar_values(self, affine_beta2):
+        ham = enhance(parse_polynomial("0.5*P^2 - Q^-1 + D*Q*D + 0.3*Q^-3", "affine"), affine_beta2)
+        rng = np.random.default_rng(5)
+        p, q = rng.uniform(-2, 2, 64), rng.uniform(0.2, 3, 64)
+        values = ham.polynomial.value(p, q)
+        assert values.tolist() == [ham(a, b) for a, b in zip(p.tolist(), q.tolist())]
+
+    def test_code_holds_only_numbers_and_labels(self, affine_beta2):
+        ham = enhance(parse_polynomial("0.5*P^2 - Q^-1 + Q^-1*D*Q^-1", "affine"), affine_beta2)
+        for fn in (ham.polynomial.value, ham.polynomial.gradient):
+            assert set(fn.__code__.co_names) == set()
+            assert fn.__code__.co_varnames == ("p", "q")
+            assert all(isinstance(c, float) or c is None for c in fn.__code__.co_consts)
+
+    def test_empty_polynomial_is_zero(self):
+        ham = enhance(parse_polynomial("Q - Q", "canonical"), canonical_family(build_fock_rep(4)))
+        assert ham(0.3, 0.4) == 0.0 and ham.gradient(0.3, 0.4) == (0.0, 0.0)
 
 
 class TestAffineLabelDomain:
@@ -312,10 +369,9 @@ class TestAffineLabelDomain:
     def test_gradient_is_unguarded_below_the_half_line(self, affine_beta2):
         # integrator stages may land below the floor before the floor event
         # ends the run, so the gradient keeps the Laurent polynomial's value
-        for expression in ("P^2", "D*Q + Q*D"):
+        for expression in ("P^2", "D*Q + Q*D", "P^2 - Q^-1"):
             ham = enhance(parse_polynomial(expression, "affine"), affine_beta2)
-            expected = TestLabelPolynomialGradient.summed_gradient(ham.polynomial, 0.1, -1.0)
-            assert ham.gradient(0.1, -1.0) == expected
+            TestCompiledLabelPolynomial.assert_matches_loop(ham, 0.1, -1.0)
 
     def test_canonical_labels_are_unrestricted(self, canonical200):
         ham = enhance(parse_polynomial("P^2", "canonical"), canonical200)
@@ -439,7 +495,8 @@ class TestEnhanceExtended:
 
     def test_no_rotation_and_no_squeeze_is_the_canonical_restriction(self, canonical200):
         poly = parse_polynomial("P*Q*Q*P + 0.25*P^4 - Q^4 + 2*Q*P*Q + P^2", "canonical")
-        assert self.restricted(poly, 0.0, 0.0).polynomial == enhance(poly, canonical200).polynomial
+        restricted = self.restricted(poly, 0.0, 0.0).polynomial.coeffs
+        assert restricted == enhance(poly, canonical200).polynomial.coeffs
 
     @pytest.mark.parametrize("b", [400.0, -400.0])
     def test_a_squeeze_past_the_doubles_builds_but_does_not_restrict(self, b):
@@ -455,6 +512,24 @@ class TestEnhanceExtended:
         assert enhance(parse_polynomial("Q", "canonical"), family)(0.0, 1.0) == math.exp(400.0)
         with pytest.raises(DomainError, match="overflows a double"):
             enhance(parse_polynomial("Q^2", "canonical"), family)
+
+
+class TestMergedCoefficientOverflow:
+    def test_enhance_raises_where_merged_powers_overflow(self, canonical200):
+        # each moment term is finite; the constants of three words sum past the doubles
+        with pytest.raises(DomainError, match="overflows a double at the power p\\^0 q\\^0"):
+            enhance(parse_polynomial("1e308*P^2 + 1e308*Q^2 + 1e308", "canonical"), canonical200)
+
+    def test_enhance_raises_where_a_gradient_coefficient_overflows(self, canonical200):
+        with pytest.raises(DomainError, match="overflows a double at the power p\\^1 q\\^0"):
+            enhance(parse_polynomial("1e308*P^2", "canonical"), canonical200)
+
+    def test_hbar_series_raises_where_a_rescaled_term_overflows(self):
+        # the q^4 term of Q^6 is 15 <Q^2> = 7.5 hbar times the coefficient:
+        # finite at hbar = 0.5, not once divided by hbar for h_1
+        family = canonical_family(build_fock_rep(8, hbar=0.5))
+        with pytest.raises(DomainError, match="overflows a double at the power p\\^0 q\\^4"):
+            hbar_series(parse_polynomial("2.5e307*Q^6", "canonical"), family)
 
 
 class TestAlphabets:
@@ -558,7 +633,7 @@ class TestClassicalLimit:
         p, q = 0.7, -1.2
         fit = classical_limit(_canonical_builder(expression), p, q, [1.0, 0.5, 0.25, 0.125, 0.0625])
         poly = parse_polynomial(expression, "canonical")
-        assert fit.limit == pytest.approx(classical_value(poly, p, q), abs=1e-8)
+        assert fit.limit == pytest.approx(classical_hamiltonian(poly)(p, q), abs=1e-8)
         assert fit.leading_power >= 1
         assert fit.residual < 1e-6
 

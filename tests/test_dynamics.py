@@ -453,6 +453,20 @@ class TestHydrogenFlows:
         assert hits[0].time == pytest.approx(oracle, rel=1e-8)
         assert traj.t[-1] < hits[0].time
 
+    @pytest.mark.parametrize("model", ["hydrogen", "quartic"])
+    def test_energy_column_is_the_scalar_evaluation(self, model):
+        # the compiled polynomial takes the sample arrays in one call, with
+        # the bits of one scalar call per sample
+        if model == "hydrogen":
+            ham, x0, t_final = hydrogen_enhanced(HydrogenParams(m=1.3, e2=0.7)), (-0.3, 1.1), 30.0
+        else:
+            family = canonical_family(build_fock_rep(8))
+            ham = enhance(parse_polynomial("0.5*P^2 + 0.5*Q^2 + 0.1*Q^4", "canonical"), family)
+            x0, t_final = (0.2, 1.5), 10.0
+        traj = hamiltonian_flow(ham, x0, t_final)
+        scalar = [ham.evaluate(p, q) for p, q in zip(traj.p.tolist(), traj.q.tolist())]
+        assert traj.energy.tobytes() == np.array(scalar).tobytes()
+
     def test_enhanced_time_reversal(self):
         ham = hydrogen_enhanced(HydrogenParams(beta=2.0))
         fwd = hamiltonian_flow(ham, (-0.2, 1.5), 6.0, tol=1e-10)

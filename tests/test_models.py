@@ -22,7 +22,7 @@ from enhq import (
     spin_family,
     spin_precession,
 )
-from oracles import expectation
+from oracles import expectation, hydrogen_by_hand
 
 
 class TestParams:
@@ -72,6 +72,39 @@ class TestEnhancedHydrogen:
         assert c1 == pytest.approx(0.7 * fiducial_q_moment_closed(beta, hbar, -1), rel=1e-12)
         assert c2 == pytest.approx(fiducial_p2_closed(beta, hbar), rel=1e-12)
 
+    def test_engine_matches_the_hand_written_hydrogen(self):
+        # 200 random (m, e2, beta > hbar, hbar), each at 5 labels; value and
+        # gradient components relative to the sum of their terms' magnitudes
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            m, e2, hbar = np.exp(rng.uniform(-2.0, 2.0, 3))
+            params = HydrogenParams(m=m, e2=e2, beta=hbar * (1.0 + np.exp(rng.uniform(-3.0, 2.0))),
+                                    hbar=hbar)
+            ham = hydrogen_enhanced(params)
+            assert ham.polynomial.coeffs.get((1, -1), 0.0) == 0.0
+            c1, c2 = params.enhanced_core
+            _, (value, gradient) = hydrogen_by_hand(params)
+            assert c1 == pytest.approx(e2 * fiducial_q_moment_closed(params.beta, hbar, -1), rel=1e-14)
+            assert c2 == pytest.approx(fiducial_p2_closed(params.beta, hbar), rel=1e-13)
+            for p, q in zip(rng.uniform(-3, 3, 5), np.exp(rng.uniform(-3, 3, 5))):
+                p, q = float(p), float(q)
+                scale = p * p / (2 * m) + c1 / q + c2 / (2 * m * q * q)
+                assert abs(ham(p, q) - value(p, q)) <= 1e-14 * scale
+                gp, gq = ham.gradient(p, q)
+                assert abs(gp - gradient(p, q)[0]) <= 1e-13 * abs(p / m)
+                assert abs(gq - gradient(p, q)[1]) <= 1e-13 * (c1 / (q * q) + c2 / (m * q * q * q))
+
+    def test_classical_matches_the_hand_written_hydrogen(self):
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            m, e2 = np.exp(rng.uniform(-2.0, 2.0, 2))
+            ham = hydrogen_classical(HydrogenParams(m=m, e2=e2))
+            (value, gradient), _ = hydrogen_by_hand(HydrogenParams(m=m, e2=e2))
+            for p, q in zip(rng.uniform(-3, 3, 5), np.exp(rng.uniform(-3, 3, 5))):
+                p, q = float(p), float(q)
+                assert abs(ham(p, q) - value(p, q)) <= 1e-15 * (p * p / (2 * m) + e2 / q)
+                assert ham.gradient(p, q) == pytest.approx(gradient(p, q), rel=1e-15)
+
     def test_hamiltonian_is_built_from_the_core(self):
         params = HydrogenParams(m=1.3, e2=0.7, beta=2.5, hbar=0.8)
         c1, c2 = params.enhanced_core
@@ -90,7 +123,7 @@ class TestEnhancedHydrogen:
         # <P^2> on affine states is p^2 + C2/q^2: the restriction engine's
         # (0, -2) coefficient is the flagship's C2
         family = affine_family(build_halfline_rep(1e-5, 60.0, 3000, hbar), beta)
-        restricted = enhance(parse_polynomial("P^2", "affine"), family).polynomial
+        restricted = enhance(parse_polynomial("P^2", "affine"), family).polynomial.coeffs
         c2 = HydrogenParams(beta=beta, hbar=hbar).enhanced_core[1]
         assert restricted[(0, -2)] == pytest.approx(c2, rel=1e-12)
 
