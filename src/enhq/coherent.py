@@ -45,6 +45,8 @@ import math
 import sys
 from collections import defaultdict
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gammaln, xlogy
@@ -91,11 +93,11 @@ class MetricTensor2:
 class CoherentFamily:
     """A parametrized map from labels ``(p, q)`` to unit state vectors.
 
-    It holds the representation ``rep``, the ``fiducial`` state and
-    ``letters``, the matrix of each letter of the family's operator alphabet
-    that its representation realizes: none on the half line, which is a grid
-    and its weights only (the tests' oracles keep its finite-difference
-    letters).
+    It holds the representation ``rep``, the ``fiducial`` state (on the half
+    line sampled on first use) and ``letters``, the matrix of each letter of
+    the family's operator alphabet that its representation realizes: none on
+    the half line, which is a grid and its weights only (the tests' oracles
+    keep its finite-difference letters).
     Each family is a subclass, built by its factory function, whose
     ``_build(p, q, tangent)`` returns the state and, when ``tangent`` is set,
     its label derivatives (None otherwise).  It declares what restricting a
@@ -261,37 +263,48 @@ class _Affine(CoherentFamily):
     }
 
     def __init__(self, rep, beta):
-        super().__init__(rep, affine_fiducial(beta, rep), {})
-        self.beta = float(beta)
+        # the fiducial is sampled on first use: restricting a polynomial reads no grid
+        _require_wide(beta, rep.hbar)
+        self.rep, self.letters, self.beta = rep, {}, float(beta)
+
+    @cached_property
+    def fiducial(self):
+        return affine_fiducial(self.beta, self.rep)
 
     def fiducial_moment(self, word):
         # The letters keep the span of f_k = x^(nu - 1/2 + k) e^(-nu x), nu = beta / hbar,
         # whose f_0 is the fiducial: Q f_k = f_(k+1), D f_k = -i hbar [(nu + k) f_k - nu f_(k+1)],
         # P f_k = -i hbar [(nu - 1/2 + k) f_(k-1) - nu f_k], Q^-1 f_k = f_(k-1), and
         # <f_0|f_m> / <f_0|f_0> = <Q^m>.  A word with k letters P or Q^-1 reaches
-        # f_(-k), whose moment is finite only for beta > k hbar / 2.
+        # f_(-k), whose moment is finite only for beta > k hbar / 2.  Each P and D carries
+        # -i hbar; the rest is rational in nu, summed exactly and rounded once, as its
+        # terms grow like nu^(letters) and cancel.
         hbar = self.rep.hbar
         n_down = word.count("P") + word.count("Q^-1")
         if self.beta <= 0.5 * n_down * hbar:
             raise DomainError(f"fiducial moments of a word with {n_down} momentum letters and inverse "
                               f"letters Q^-1 diverge unless beta > {n_down}/2 * hbar (beta = {self.beta})")
-        nu = self.beta / hbar
-        vec = {0: 1.0}
+        nu = Fraction(self.beta) / Fraction(hbar)
+        vec = {0: Fraction(1)}
         for letter in reversed(word):
-            out = defaultdict(complex)
+            out = defaultdict(Fraction)
             for k, c in vec.items():
                 if letter == "Q":
                     out[k + 1] += c
                 elif letter == "Q^-1":
                     out[k - 1] += c
                 elif letter == "P":
-                    out[k - 1] -= 1j * hbar * (nu - 0.5 + k) * c
-                    out[k] += 1j * hbar * nu * c
+                    out[k - 1] += (nu - Fraction(1, 2) + k) * c
+                    out[k] -= nu * c
                 else:
-                    out[k] -= 1j * hbar * (nu + k) * c
-                    out[k + 1] += 1j * hbar * nu * c
+                    out[k] += (nu + k) * c
+                    out[k + 1] -= nu * c
             vec = out
-        return sum(c * fiducial_q_moment_closed(self.beta, hbar, m) for m, c in vec.items())
+        moment = sum(c * _q_moment(2 * nu, m) for m, c in vec.items())
+        try:
+            return (-1j * hbar) ** (word.count("P") + word.count("D")) * float(moment)
+        except OverflowError:
+            raise DomainError(f"the fiducial moment of {'*'.join(word)} overflows a double") from None
 
     def _build(self, p, q, tangent):
         # both unitaries act pointwise on half-line wavefunctions (a phase and
@@ -470,6 +483,12 @@ def affine_wavefunction(x, beta: float, hbar: float):
     return np.exp(0.5 * _affine_log_norm(nu) + (nu - 0.5) * np.log(x) - nu * x)
 
 
+def _require_wide(beta: float, hbar: float) -> None:
+    if beta <= hbar:
+        raise DomainError(f"beta must exceed hbar for a normalizable momentum moment "
+                          f"(got beta = {beta}, hbar = {hbar})")
+
+
 def affine_fiducial(beta: float, rep: HalfLineRep) -> StateVector:
     """Sample the extremal-weight fiducial on the grid of ``rep``.
 
@@ -477,11 +496,7 @@ def affine_fiducial(beta: float, rep: HalfLineRep) -> StateVector:
     and a :class:`DomainError` is raised.  The returned state has
     ``<Q> = 1`` and ``<D> = 0`` within grid tolerance.
     """
-    if beta <= rep.hbar:
-        raise DomainError(
-            f"beta must exceed hbar for a normalizable momentum moment "
-            f"(got beta = {beta}, hbar = {rep.hbar})"
-        )
+    _require_wide(beta, rep.hbar)
     return rep.state_from_samples(affine_wavefunction(rep.grid, beta, rep.hbar))
 
 
@@ -524,23 +539,26 @@ def fiducial_q_moment_closed(beta: float, hbar: float, n: int) -> float:
     ``2 beta / hbar``, so the moments are ratios of Gamma functions; a negative
     power is finite only for ``beta > -n hbar / 2`` (else :class:`DomainError`).
     """
-    nu2 = 2.0 * beta / hbar
     if int(n) != n:
         raise ValueError("n must be an integer")
-    if nu2 + n <= 0:
+    if 2.0 * beta + n * hbar <= 0:
         raise DomainError(f"<Q^{n}> requires beta > {-n}/2 * hbar")
-    out = 1.0
-    for j in range(int(n)):
+    return float(_q_moment(2 * Fraction(beta) / Fraction(hbar), int(n)))
+
+
+def _q_moment(nu2: Fraction, n: int) -> Fraction:
+    # Gamma(nu2 + n) / (Gamma(nu2) nu2^n), exactly, for nu2 = 2 beta / hbar
+    out = Fraction(1)
+    for j in range(n):
         out *= (nu2 + j) / nu2
-    for j in range(int(n), 0):
+    for j in range(n, 0):
         out *= nu2 / (nu2 + j)
     return out
 
 
 def fiducial_p2_closed(beta: float, hbar: float) -> float:
     """Closed form ``beta^2 hbar / (2 (beta - hbar))`` of the momentum second moment."""
-    if beta <= hbar:
-        raise DomainError("the momentum second moment diverges unless beta > hbar")
+    _require_wide(beta, hbar)
     return float(beta * beta * hbar / (2.0 * (beta - hbar)))
 
 

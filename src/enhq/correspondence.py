@@ -140,7 +140,7 @@ def parse_polynomial(text: str, variable_set: str) -> OperatorPolynomial:
 _SYMBOLS = {"P": (1, 0), "Q": (0, 1), "D": (1, 1), "Q^-1": (0, -1)}
 
 
-def classical_hamiltonian(poly: OperatorPolynomial, hbar: float = 1.0) -> EnhancedHamiltonian:
+def classical_hamiltonian(poly: OperatorPolynomial) -> EnhancedHamiltonian:
     """The classical symbol of the polynomial as a label function with its gradient.
 
     Each letter is replaced by its classical label, ``P -> p``, ``Q -> q``,
@@ -154,7 +154,7 @@ def classical_hamiltonian(poly: OperatorPolynomial, hbar: float = 1.0) -> Enhanc
         key = (sum(_SYMBOLS[x][0] for x in word), sum(_SYMBOLS[x][1] for x in word))
         coeffs[key] = coeffs.get(key, 0.0) + c
     lp = _LabelPolynomial(coeffs, q_positive=poly.variable_set == "affine")
-    return EnhancedHamiltonian(lp, lp.gradient, hbar=hbar, q_positive=lp.q_positive, polynomial=lp)
+    return EnhancedHamiltonian(lp, lp.gradient, q_positive=lp.q_positive, polynomial=lp)
 
 
 def _check_alphabet(poly: OperatorPolynomial, family: CoherentFamily) -> None:

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .coherent import affine_family, spin_family
 from .correspondence import EnhancedHamiltonian, OperatorPolynomial, classical_hamiltonian, enhance
 from .errors import DomainError
-from .hilbert import SpinRep, build_halfline_rep
+from .hilbert import HalfLineRep, SpinRep
 
 
 @dataclass(frozen=True)
@@ -43,9 +44,9 @@ class HydrogenParams:
                 f"beta must exceed hbar (got beta = {self.beta}, hbar = {self.hbar})"
             )
 
-    @property
+    @cached_property
     def enhanced_core(self) -> tuple[float, float]:
-        """The core ``(C1, C2)``, read off the label polynomial of :func:`hydrogen_enhanced`.
+        """The core ``(C1, C2)``, read once off the label polynomial of :func:`hydrogen_enhanced`.
 
         ``C1`` is minus its ``(0, -1)`` coefficient and ``C2`` is ``2m`` times its ``(0, -2)``
         one; their closed forms are :func:`fiducial_q_moment_closed` and :func:`fiducial_p2_closed`.
@@ -60,12 +61,12 @@ def _hydrogen(params: HydrogenParams) -> OperatorPolynomial:
 
 def hydrogen_classical(params: HydrogenParams) -> EnhancedHamiltonian:
     """The classical symbol ``p^2/(2m) - e^2/q`` of the hydrogen polynomial, on ``q > 0``."""
-    return classical_hamiltonian(_hydrogen(params), params.hbar)
+    return classical_hamiltonian(_hydrogen(params))
 
 
 def hydrogen_enhanced(params: HydrogenParams) -> EnhancedHamiltonian:
     """The hydrogen polynomial restricted to the affine family of width ``params.beta``."""
-    rep = build_halfline_rep(0.1, 10.0, 16, params.hbar)  # no moment reads the grid
+    rep = HalfLineRep(np.empty(0), np.empty(0), params.hbar)  # the moments are closed forms: no grid
     return enhance(_hydrogen(params), affine_family(rep, params.beta))
 
 
@@ -73,8 +74,8 @@ def min_radius(params: HydrogenParams, energy: float) -> float:
     """Inner turning radius of the enhanced hydrogen at energy ``E``.
 
     The smallest positive root of ``E = -C1/q + C2/(2 m q^2)``, in the
-    cancellation-free form ``(C2/m) / (C1 + sqrt(C1^2 + 2 E C2/m))``; it
-    satisfies ``|H(0, q_min) - E| <= 1e-10 max(1, |E|)``.  Energies below the
+    cancellation-free form ``(C2/m) / (C1 + sqrt(C1^2 + 2 E C2/m))``; ``H(0, q_min)``
+    meets ``E`` to the rounding of its terms ``C1/q_min``.  Energies below the
     minimum of the effective potential have no turning point and raise
     ``ValueError``.
     """

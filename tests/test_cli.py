@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import enhq.cli
+from enhq import fiducial_p2_closed
 from enhq.cli import ConfigError, main, run, validate_config
 
 NAN, INF = float("nan"), float("inf")
@@ -474,6 +475,19 @@ class TestCompareHydrogen:
         )
         classical_body = body_of(out / "hydrogen_classical.csv")
         assert "singularity_hit" in classical_body
+
+    def test_classical_limit_run(self, tmp_path):
+        # nu = beta / hbar = 1e5: the core shrinks to C2 = beta^2 hbar / (2 (beta - hbar))
+        # and the enhanced orbit still turns, at the predicted radius near 1e-5
+        cfg = {"experiment": "compare_hydrogen", "model": {"name": "hydrogen_enhanced", "beta": 2.0},
+               "hbar": 2e-5}
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "hydrogen_summary.json").read_text())
+        assert summary["c2"] == pytest.approx(fiducial_p2_closed(2.0, 2e-5), rel=1e-15)
+        assert not summary["enhanced_singularity"]
+        assert summary["enhanced_min_q"] == pytest.approx(summary["predicted_min_radius"], rel=1e-6)
+        assert summary["predicted_min_radius"] == pytest.approx(1e-5, rel=1e-4)
 
 
 class TestExtendedRestriction:

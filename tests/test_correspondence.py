@@ -14,6 +14,7 @@ from enhq import (
     NumericalFailure,
     affine_family,
     build_fock_rep,
+    build_halfline_rep,
     build_spin_rep,
     canonical_family,
     classical_hamiltonian,
@@ -242,6 +243,15 @@ class TestEnhanceAffine:
         assert ham.polynomial.coeffs == pytest.approx({(2, 0): 1.0, (0, -2): c2}, rel=1e-12)
         for p, q in [(0.0, 1.0), (0.6, 1.8)]:
             assert ham(p, q) == pytest.approx(p * p + c2 / (q * q), rel=1e-12)
+
+    @pytest.mark.parametrize("nu", [1e5, 1e8])
+    def test_momentum_moment_is_exact_in_the_classical_limit(self, nu):
+        # the span terms of <P^2> grow like nu^2 and cancel to beta hbar / 2 + ...;
+        # summed exactly they round once.  Restricting samples no grid, and on
+        # this one the fiducial underflows.
+        rep = build_halfline_rep(0.1, 10.0, 16, 2.0 / nu)
+        ham = enhance(parse_polynomial("P^2", "affine"), affine_family(rep, 2.0))
+        assert ham.polynomial.coeffs[0, -2] == pytest.approx(fiducial_p2_closed(2.0, 2.0 / nu), rel=4e-16)
 
     @pytest.mark.parametrize(
         "expression,rel",
@@ -523,6 +533,14 @@ class TestMergedCoefficientOverflow:
     def test_enhance_raises_where_a_gradient_coefficient_overflows(self, canonical200):
         with pytest.raises(DomainError, match="overflows a double at the power p\\^1 q\\^0"):
             enhance(parse_polynomial("1e308*P^2", "canonical"), canonical200)
+
+    def test_an_affine_moment_past_the_doubles_raises(self):
+        # at beta / hbar = 1e300 the exact <P^2> / hbar^2, about nu / 2, is a double;
+        # <P^4> / hbar^4, about nu^2 / 4, is not
+        family = affine_family(build_halfline_rep(0.1, 10.0, 16, 1.0), 1e300)
+        assert enhance(parse_polynomial("P^2", "affine"), family).polynomial.coeffs[0, -2] == 5e299
+        with pytest.raises(DomainError, match="the fiducial moment of P\\*P\\*P\\*P overflows a double"):
+            enhance(parse_polynomial("P^4", "affine"), family)
 
     def test_hbar_series_raises_where_a_rescaled_term_overflows(self):
         # the q^4 term of Q^6 is 15 <Q^2> = 7.5 hbar times the coefficient:

@@ -94,6 +94,32 @@ class TestEnhancedHydrogen:
                 assert abs(gp - gradient(p, q)[0]) <= 1e-13 * abs(p / m)
                 assert abs(gq - gradient(p, q)[1]) <= 1e-13 * (c1 / (q * q) + c2 / (m * q * q * q))
 
+    @pytest.mark.parametrize("nu", [1e5, 1e9])
+    def test_classical_limit_matches_the_hand_written_hydrogen(self, nu):
+        # small hbar at fixed beta is the classical limit, where a sampled
+        # fiducial underflows; the restriction reads no grid
+        params = HydrogenParams(m=1.3, e2=0.7, beta=2.0, hbar=2.0 / nu)
+        ham = hydrogen_enhanced(params)
+        c1, c2 = params.enhanced_core
+        _, (value, gradient) = hydrogen_by_hand(params)
+        assert c1 == pytest.approx(0.7 * fiducial_q_moment_closed(2.0, params.hbar, -1), rel=1e-15)
+        assert c2 == pytest.approx(fiducial_p2_closed(2.0, params.hbar), rel=1e-15)
+        for p, q in [(0.3, 1.0), (-0.5, 1e-3), (0.0, params.hbar)]:
+            scale = p * p / 2.6 + c1 / q + c2 / (2.6 * q * q)
+            assert abs(ham(p, q) - value(p, q)) <= 1e-14 * scale
+            gp, gq = ham.gradient(p, q)
+            assert abs(gp - gradient(p, q)[0]) <= 1e-13 * abs(p / 1.3)
+            assert abs(gq - gradient(p, q)[1]) <= 1e-13 * (c1 / (q * q) + c2 / (1.3 * q * q * q))
+        # near q_min the two core terms are about 1 / q_min and cancel to E
+        energy = ham(0.0, 1.0)
+        q_min = min_radius(params, energy)
+        assert abs(ham(0.0, q_min) - energy) <= 1e-14 * (c1 / q_min + c2 / (2.6 * q_min * q_min))
+
+    def test_core_is_restricted_once_per_parameter_set(self):
+        params = HydrogenParams(beta=2.5)
+        assert params.enhanced_core is params.enhanced_core
+        assert params == HydrogenParams(beta=2.5) and hash(params) == hash(HydrogenParams(beta=2.5))
+
     def test_classical_matches_the_hand_written_hydrogen(self):
         rng = np.random.default_rng(12)
         for _ in range(50):
