@@ -557,9 +557,13 @@ def _q_moment(nu2: Fraction, n: int) -> Fraction:
 
 
 def fiducial_p2_closed(beta: float, hbar: float) -> float:
-    """Closed form ``beta^2 hbar / (2 (beta - hbar))`` of the momentum second moment."""
+    """Closed form ``beta^2 hbar / (2 (beta - hbar))`` of the momentum second moment.
+
+    Formed as ``beta / (beta - hbar) * (beta / 2) * hbar``, which overflows
+    only where the moment itself does.
+    """
     _require_wide(beta, hbar)
-    return float(beta * beta * hbar / (2.0 * (beta - hbar)))
+    return float(beta / (beta - hbar) * (0.5 * beta) * hbar)
 
 
 # ---------------------------------------------------------------------------

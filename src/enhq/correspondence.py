@@ -199,16 +199,35 @@ def _code(terms) -> str:
                       for c, i, j in terms) or "0.0"
 
 
+def _function(name, body) -> str:
+    # Python floats raise ZeroDivisionError where a power underflows to 0:
+    # then the function runs again on float64 scalars, as ieee does
+    return (f"def {name}(p, q):\n    try:\n        return {body}\n"
+            f"    except ZeroDivisionError:\n        return ieee({name}, p, q)\n")
+
+
+def _ieee(fn, p, q):
+    # fn on float64 scalars, which give the IEEE infinity or nan of arrays
+    # and the compiled step loop, converted back to Python floats
+    with np.errstate(all="ignore"):
+        result = fn(np.float64(p), np.float64(q))
+    return tuple(map(float, result)) if isinstance(result, tuple) else float(result)
+
+
 class _LabelPolynomial:
     """Real Laurent polynomial ``{(i, j): c}`` in (p, q), compiled once to straight-line code.
 
     ``value`` and ``gradient`` are generated from the float reprs of the
     coefficients and the integer powers alone; both take floats or,
-    elementwise and to the same bits, float64 arrays.  A coefficient of
-    either that is not finite raises :class:`DomainError`.  With
-    ``q_positive`` calling the polynomial at ``q <= 0`` raises
-    :class:`DomainError`; ``gradient`` is left unguarded, as an integrator
-    may evaluate a stage below the floor before its ``q_floor`` event.
+    elementwise and to the same bits, float64 arrays, and compute in IEEE
+    double arithmetic (a division by a power that underflows to 0 gives an
+    infinity, not an error).  ``gradient_terms`` holds the ``(c, i, j)``
+    terms of ``dH/dp`` and ``dH/dq`` that ``gradient`` sums, in its order.  A
+    coefficient of either that is not finite raises :class:`DomainError`.
+    Calling the polynomial raises :class:`DomainError` where its value is not
+    finite and, with ``q_positive``, at ``q <= 0``; ``gradient`` is left
+    unguarded, as an integrator may evaluate a stage below the floor before
+    its ``q_floor`` event, and tests its rates itself.
     """
 
     def __init__(self, coeffs: dict, q_positive: bool = False):
@@ -222,15 +241,19 @@ class _LabelPolynomial:
             if not math.isfinite(c):
                 raise DomainError(f"the label polynomial or its gradient overflows a double "
                                   f"at the power p^{i} q^{j}")
-        namespace: dict = {}
-        exec(f"def value(p, q):\n    return {_code(terms)}\n"
-             f"def gradient(p, q):\n    return {_code(d_p)}, {_code(d_q)}\n", namespace)
+        self.gradient_terms = (d_p, d_q)
+        namespace: dict = {"ieee": _ieee}
+        exec(_function("value", _code(terms)) + _function("gradient", f"{_code(d_p)}, {_code(d_q)}"),
+             namespace)
         self.value, self.gradient = namespace["value"], namespace["gradient"]
 
     def __call__(self, p: float, q: float) -> float:
         if self.q_positive and q <= 0:
             raise DomainError(f"affine labels require q > 0 (got q = {q})")
-        return float(self.value(p, q))
+        value = float(self.value(p, q))
+        if not math.isfinite(value):
+            raise DomainError(f"the label polynomial overflows a double at (p, q) = ({p}, {q})")
+        return value
 
 
 def _realized(value: complex, context: str) -> float:
@@ -278,7 +301,9 @@ class EnhancedHamiltonian:
     positive (``q``; a relabeling carries it through its inverse), and is
     ``None`` otherwise.  ``label_domain``, when given, maps labels to a
     signed margin that is positive inside the domain.  ``polynomial`` holds
-    a compiled label polynomial: ``coeffs`` and a ``value`` taking arrays too.
+    the compiled label polynomial that ``evaluate`` and ``gradient`` are, when
+    there is one: ``coeffs``, a ``value`` taking arrays too, and the
+    ``gradient_terms`` from which rk45 flows take compiled steps.
     """
 
     def __init__(self, evaluate, gradient, hbar: float = 1.0, q_positive: bool = False,

@@ -2,12 +2,14 @@
 
 The equations of motion are ``dq/dt = dH/dp``, ``dp/dt = -dH/dq`` for an
 :class:`~enhq.correspondence.EnhancedHamiltonian`.  The one adaptive
-integrator is an embedded Runge-Kutta 5(4) pair; a fixed-step leapfrog is
-the cross-check for separable Hamiltonians, and :func:`hamiltonian_flow`
-assembles the trajectory from either.  Flows on the half line, relabeled or
-not, stop with a ``singularity_hit`` event when ``q`` falls below a
-configurable floor, and local minima of ``q`` are annotated as ``bounce``
-events.
+integrator is an embedded Runge-Kutta 5(4) pair, whose step loop runs in C
+(``_rk45.c``, built on first use into a per-user cache and loaded with
+``ctypes``) for compiled label polynomials, to the bits of the Python
+loop; a fixed-step leapfrog is the cross-check for separable Hamiltonians,
+and :func:`hamiltonian_flow` assembles the trajectory from either.  Flows
+on the half line, relabeled or not, stop with a ``singularity_hit`` event
+when ``q`` falls below a configurable floor, and local minima of ``q`` are
+annotated as ``bounce`` events.
 
 Canonical coordinate transformations are user-supplied forward/inverse pairs
 with the Jacobian of the forward map; the library verifies them (round trip
@@ -16,19 +18,23 @@ and unit Jacobian) rather than deriving generators.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import os
+import stat
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
 from numbers import Integral
+from pathlib import Path
 
 import numpy as np
 # unused here, but perfbench/tracer.py wraps enhq.dynamics.solve_ivp by name
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from .correspondence import EnhancedHamiltonian
+from .correspondence import EnhancedHamiltonian, _LabelPolynomial
 from .errors import DomainError, InvalidTransformError, NumericalFailure
 
 DEFAULT_Q_FLOOR = 1e-8
@@ -172,7 +178,10 @@ def hamiltonian_flow(
 
     ``rk45`` runs :func:`_dormand_prince`, a scalar loop that takes the
     steps of scipy's ``RK45``, calls the gradient once per stage and
-    evaluates all samples in one numpy pass after the loop; ``leapfrog``
+    evaluates all samples in one numpy pass after the loop.  For a
+    compiled polynomial (``H.polynomial``) with no label domain its steps
+    are taken, to the same bits, by the compiled kernel wherever
+    :func:`_kernel` loads one, and by the Python loop otherwise; ``leapfrog``
     runs :func:`_leapfrog_flow`, ``n_steps`` fixed steps of three gradient
     calls each, sampled at the step ends nearest the uniform grid.  Both
     call the Hamiltonian's stored callables (``H._gradient``,
@@ -230,9 +239,13 @@ def hamiltonian_flow(
         )
     else:
         tol = 1e-10 if tol is None else tol
+        # a compiled polynomial, on a half line or none, takes the kernel's steps
+        run = _kernel() if H.polynomial is not None and H.label_domain is None else None
         ts, ps, qs, hits, stop = _dormand_prince(
             gradient, x0.p, x0.q, t_final, tol, tol * 1e-3,
             np.linspace(0.0, t_final, n_samples), margins,
+            None if run is None else _kernel_args(
+                run, H.polynomial, q_floor if half_line is not None else -math.inf),
         )
 
     def event(kind, t, p, q):
@@ -347,7 +360,7 @@ def _interpolate(s, t, h, y, c1, c2, c3, c4):
     return h * (c1 * x + c2 * x2 + c3 * x3 + c4 * x4) + y
 
 
-def _dormand_prince(gradient, p, q, t_final, rtol, atol, t_eval, margins):
+def _dormand_prince(gradient, p, q, t_final, rtol, atol, t_eval, margins, compiled=None):
     """Integrate ``p' = -dH/dq``, ``q' = dH/dp`` from ``t = 0`` with Python floats.
 
     ``gradient(p, q)`` returns ``(dH/dp, dH/dq)``.  Each stage calls it
@@ -369,6 +382,11 @@ def _dormand_prince(gradient, p, q, t_final, rtol, atol, t_eval, margins):
     bounce, ``dq/dt`` turning nonnegative, which a stage has at the start
     and at every step end.  Event ``i >= 1`` ends the run where
     ``margins[i - 1](p, q)``, positive at the start, reaches zero.
+
+    With ``compiled``, the arguments :func:`_kernel_args` makes for the
+    polynomial whose gradient ``gradient`` is and the margin ``q - q_floor``
+    (if any), the steps after the first step size are taken by the compiled
+    kernel (:func:`_compiled_steps`), to the same bits.
 
     Returns sample times, ``p`` and ``q`` (float64 arrays), event hits
     ``(index, t, p, q)`` and the stop: ``None``, or, when the step size
@@ -398,9 +416,9 @@ def _dormand_prince(gradient, p, q, t_final, rtol, atol, t_eval, margins):
     if d - d:
         _check_finite(0.0, p, q, fp, fq)
     fp = -fp
-    t_eval = t_eval.tolist()
-    n_eval, i_eval = len(t_eval), 0
-    t_next = t_eval[0] if n_eval else inf
+    times = t_eval.tolist()
+    n_eval, i_eval = len(times), 0
+    t_next = times[0] if n_eval else inf
     # per step holding samples: (t, h, p, q), the p rates of stages 1 and
     # 3-7, the q rates, and how many samples it holds
     steps, counts, hits = [], [], []
@@ -413,7 +431,7 @@ def _dormand_prince(gradient, p, q, t_final, rtol, atol, t_eval, margins):
     if h0 == 0.0:
         # finite rates whose scaled norm d1 overflows: scipy's first step
         # overflows with them and shrinks below ten ulp of t = 0
-        return (*_samples(t_eval, steps, counts), hits, (t, p, q, _TOO_SMALL_STEP))
+        return (*_samples(t_eval, _stacked(steps), counts), hits, (t, p, q, _TOO_SMALL_STEP))
     try:
         ys_p, ys_q = p + h0 * fp, q + h0 * fq
         gq, gp = gradient(ys_p, ys_q)
@@ -427,6 +445,9 @@ def _dormand_prince(gradient, p, q, t_final, rtol, atol, t_eval, margins):
         else:
             h1 = (0.01 / max(d1, d2)) ** 0.2
         h_abs = min(100 * h0, h1, t_final)
+        if compiled is not None:
+            return _compiled_steps(compiled, gradient, p, q, fp, fq, h_abs, t_final, rtol, atol,
+                                   t_eval, margins)
 
         while True:
             min_step = 10 * (nextafter(t, inf) - t)
@@ -435,7 +456,8 @@ def _dormand_prince(gradient, p, q, t_final, rtol, atol, t_eval, margins):
             rejected = False
             while True:
                 if h_abs < min_step:
-                    return (*_samples(t_eval, steps, counts), hits, (t, p, q, _TOO_SMALL_STEP))
+                    return (*_samples(t_eval, _stacked(steps), counts), hits,
+                            (t, p, q, _TOO_SMALL_STEP))
                 t_new = t + h_abs
                 if t_new > t_final:
                     t_new = t_final
@@ -521,39 +543,46 @@ def _dormand_prince(gradient, p, q, t_final, rtol, atol, t_eval, margins):
                     t_end, terminate = t_stop, True
 
             if t_next <= t_end:
-                i_next = bisect_right(t_eval, t_end, i_eval)
+                i_next = bisect_right(times, t_end, i_eval)
                 steps.append((t, h, p, q, fp, k3p, k4p, k5p, k6p, k7p, fq, k3q, k4q, k5q, k6q, k7q))
                 counts.append(i_next - i_eval)
                 i_eval = i_next
-                t_next = t_eval[i_eval] if i_eval < n_eval else inf
+                t_next = times[i_eval] if i_eval < n_eval else inf
 
             if terminate or t_new >= t_final:
-                return (*_samples(t_eval, steps, counts), hits, None)
+                return (*_samples(t_eval, _stacked(steps), counts), hits, None)
             t, p, q, fp, fq = t_new, p_new, q_new, k7p, k7q
     except DomainError as exc:
         # a stage (or a bounce search) left the domain: stop at the last accepted step
-        return (*_samples(t_eval, steps, counts), hits, (t, p, q, exc))
+        return (*_samples(t_eval, _stacked(steps), counts), hits, (t, p, q, exc))
 
 
-def _samples(t_eval, steps, counts):
+def _stacked(steps):
+    # the records of the Python loop, as the kernel writes them: one row each
+    return np.fromiter(chain.from_iterable(steps), float, 16 * len(steps)).reshape(-1, 16)
+
+
+def _samples(t_eval, records, counts):
     """The samples of :func:`_dormand_prince`, from the steps it recorded.
 
-    ``steps[j]`` is ``(t, h, p, q)`` and the stage rates of the ``j``-th
+    ``records[j]`` is ``(t, h, p, q)`` and the stage rates of the ``j``-th
     step that holds samples, as the loop records it, and ``counts[j]`` the
     number of the next ``t_eval`` it holds.  Each step's quartic is formed
-    once and all samples are evaluated in one numpy pass, in the loop's
-    operation order, so they equal the scalar values bit for bit.  Returns
-    the sample times, ``p`` and ``q`` as float64 arrays.
+    once, for both components at once, and all samples are evaluated in one
+    numpy pass, in the loop's operation order, so they equal the scalar
+    values bit for bit.  Returns the sample times, ``p`` and ``q`` as
+    float64 arrays.
     """
-    n = sum(counts)
-    s = np.array(t_eval[:n])
-    if n == 0:
+    s = t_eval[:int(np.sum(counts))]
+    if s.size == 0:
         return s, np.empty(0), np.empty(0)
-    m = len(steps)
-    t, h, p, q, *k = np.fromiter(chain.from_iterable(steps), float, 16 * m).reshape(m, 16).T
-    t, h, p, fp, c2, c3, c4, q, fq, d2, d3, d4 = np.repeat(
-        np.array([t, h, p, k[0], *_quartic(*k[:6]), q, k[6], *_quartic(*k[6:])]), counts, axis=1)
-    return s, _interpolate(s, t, h, p, fp, c2, c3, c4), _interpolate(s, t, h, q, fq, d2, d3, d4)
+    # the rates of stages 1 and 3-7 as (2, 6, m): p's, then q's
+    k = records[:, 4:].T.reshape(2, 6, -1)
+    # per step: t, h, then (p, q), their linear terms and quartic coefficients
+    rows = np.concatenate([records[:, :4].T, k[:, 0], *_quartic(*k.transpose(1, 0, 2))])
+    (t, h), *y = np.repeat(rows, counts, axis=1).reshape(6, 2, -1)
+    p, q = _interpolate(s, t, h, *y)
+    return s, p, q
 
 
 def _event_roots(margins, active, gradient, step, cp, cq):
@@ -651,6 +680,166 @@ def _leapfrog_flow(gradient, p, q, t_final, n_samples, n_steps, margins, q_floor
             j += 1
             k_sample = (2 * j * n_steps + m) // (2 * m)
     return np.array(ts), np.array(ps), np.array(qs), hits, None
+
+
+# ---------------------------------------------------------------------------
+# The compiled step loop
+# ---------------------------------------------------------------------------
+
+# the kernel's returns (see _rk45.c) and how it is built
+_DONE, _EVENT, _UNDERFLOW, _NONFINITE = range(4)
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+
+
+def _kernel_args(run, poly, q_floor):
+    # the kernel, the (c, i, j) rows of dH/dp and dH/dq, and the floor of the
+    # margin q - q_floor (-inf: no half line)
+    d_p, d_q = poly.gradient_terms
+    return run, np.array(d_p, dtype=float), np.array(d_q, dtype=float), q_floor
+
+
+def _compiled_steps(compiled, gradient, p, q, fp, fq, h_abs, t_final, rtol, atol, t_eval, margins):
+    """The step loop of :func:`_dormand_prince` from its first step size, run by the kernel.
+
+    The kernel takes the steps and records the samples.  It comes back at
+    ``t_final``, at step-size underflow, at a non-finite rate (raised here,
+    naming its stage) and at each step end where an event is active, whose
+    roots, samples and end are handled as the Python loop handles them;
+    ``gradient`` serves the bounce roots.  Returns what
+    :func:`_dormand_prince` returns.
+    """
+    run, d_p, d_q, q_floor = compiled
+    t_eval = np.ascontiguousarray(t_eval, dtype=float)  # the kernel reads its buffer
+    n = len(t_eval)
+    y = np.array([0.0, p, q, fp, fq, h_abs])
+    at = np.zeros(2, dtype=np.int64)
+    records, counts, out = np.empty((n, 16)), np.empty(n, dtype=np.int64), np.empty(19)
+    args = (d_p.ctypes.data, len(d_p), d_q.ctypes.data, len(d_q), y.ctypes.data, t_final, rtol,
+            atol, q_floor, t_eval.ctypes.data, n, at.ctypes.data, records.ctypes.data,
+            counts.ctypes.data, out.ctypes.data)
+    hits, stop = [], None
+    while True:
+        status = run(*args)
+        if status == _NONFINITE:
+            _check_finite(*out[:5].tolist())
+        if status == _UNDERFLOW:
+            stop = (*y[:3].tolist(), _TOO_SMALL_STEP)
+        if status != _EVENT:
+            break
+        (t, h, p, q, fp, k3p, k4p, k5p, k6p, k7p, fq, k3q, k4q, k5q, k6q, k7q,
+         t_new, p_new, q_new) = out.tolist()
+        active = [0] if fq < 0 <= k7q else []
+        active += [i for i, margin in enumerate(margins, 1) if margin(p_new, q_new) <= 0]
+        found, t_stop = _event_roots(margins, active, gradient, (t, p, q, t_new, p_new, q_new, k7q),
+                                     (fp, *_quartic(fp, k3p, k4p, k5p, k6p, k7p)),
+                                     (fq, *_quartic(fq, k3q, k4q, k5q, k6q, k7q)))
+        hits += found
+        m, i_eval = at.tolist()
+        i_next = bisect_right(t_eval, t_new if t_stop is None else t_stop, i_eval)
+        if i_next > i_eval:
+            records[m], counts[m], at[:] = out[:16], i_next - i_eval, (m + 1, i_next)
+        if t_stop is not None or t_new >= t_final:
+            break
+        y[:5] = t_new, p_new, q_new, k7p, k7q
+    m = int(at[0])
+    return (*_samples(t_eval, records[:m], counts[:m]), hits, stop)
+
+
+@functools.cache
+def _kernel():
+    """The compiled step loop ``_rk45.c``, or ``None`` where it is not to be had.
+
+    The library lives in a private per-user cache, ``$XDG_CACHE_HOME/enhq``
+    (by default ``~/.cache/enhq``), created mode 0700 and used only while
+    the user owns it and no one else can write to it, under a name keyed by
+    the hash of the source, the compiler command and the platform.  A
+    missing library is built there once with the compiler Python was built
+    with (sysconfig's ``CC``) and ``-O2 -ffp-contract=off``, no fast-math,
+    under a temporary name, and enters the cache by ``os.replace`` only
+    after it reproduces the Python loop's bits on fixed probe orbits; a
+    build that fails or disagrees leaves a ``.rejected`` mark instead, and
+    is not tried again.  No process builds outside the cache.
+    """
+    import hashlib
+    import shlex
+    import shutil
+    import subprocess
+    import sysconfig
+    import tempfile
+
+    cc = shlex.split(sysconfig.get_config_var("CC") or "")
+    cache = _cache_dir() if os.name == "posix" and cc and shutil.which(cc[0]) else None
+    if cache is None:
+        return None
+    command = [*cc, *_CFLAGS]
+    source = Path(__file__).with_name("_rk45.c")
+    key = hashlib.sha256(
+        source.read_bytes() + repr((command, sysconfig.get_platform())).encode()).hexdigest()[:16]
+    library, rejected = cache / f"rk45-{key}.so", cache / f"rk45-{key}.rejected"
+    try:
+        if library.exists():
+            return _load(library)
+        if rejected.exists():
+            return None
+        fd, build = tempfile.mkstemp(prefix="rk45-", suffix=".so", dir=cache)
+        os.close(fd)
+        try:
+            subprocess.run([*command, "-o", build, str(source), "-lm"],
+                           capture_output=True, timeout=300, check=True)
+            run = _load(build)
+            if _probe(run):
+                os.replace(build, library)
+                return run
+        except (OSError, subprocess.SubprocessError):
+            pass
+        finally:
+            if os.path.exists(build):
+                os.unlink(build)
+        rejected.touch()
+    except OSError:
+        pass
+    return None
+
+
+def _cache_dir():
+    # the kernel cache, made private, or None where it cannot be made or is
+    # not the user's alone
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    try:
+        path = Path(base if os.path.isabs(base) else Path.home() / ".cache", "enhq")
+        path.mkdir(mode=0o700, parents=True, exist_ok=True)
+        st = path.stat()
+    except (OSError, RuntimeError):  # RuntimeError: no home directory
+        return None
+    private = stat.S_ISDIR(st.st_mode) and st.st_uid == os.getuid() and not st.st_mode & 0o022
+    return path if private else None
+
+
+def _load(path):
+    import ctypes
+
+    run = ctypes.CDLL(str(path)).enhq_rk45
+    pointer, count, double = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+    run.argtypes = (pointer, count, pointer, count, pointer, double, double, double, double,
+                    pointer, count, pointer, pointer, pointer, pointer)
+    run.restype = ctypes.c_int
+    return run
+
+
+def _probe(run) -> bool:
+    # the kernel against the Python loop, bit for bit: an enhanced hydrogen
+    # orbit that turns twice, and a classical one that falls to the floor
+    for coeffs, t_final in (({(2, 0): 0.5, (0, -1): -4 / 3, (0, -2): 1.0}, 30.0),
+                            ({(2, 0): 0.5, (0, -1): -1.0}, 4.0)):
+        poly = _LabelPolynomial(coeffs, q_positive=True)
+        args = (poly.gradient, -0.3, 1.0, t_final, 1e-10, 1e-13, np.linspace(0.0, t_final, 50),
+                [lambda p, q: q - 1e-8])
+        python, kernel = ([a.tobytes() if isinstance(a, np.ndarray) else repr(a)
+                           for a in _dormand_prince(*args, compiled)]
+                          for compiled in (None, _kernel_args(run, poly, 1e-8)))
+        if python != kernel:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

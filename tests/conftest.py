@@ -9,6 +9,14 @@ from enhq import (
 )
 
 
+@pytest.fixture(scope="session", autouse=True)
+def kernel_cache(tmp_path_factory):
+    """A fresh cache for the compiled step loop: the suite builds its own kernel."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
+        yield
+
+
 @pytest.fixture(scope="session")
 def fock200():
     return build_fock_rep(200)

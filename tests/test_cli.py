@@ -364,6 +364,12 @@ class TestLibraryErrors:
         pytest.param({"experiment": "curvature", "family": {"kind": "affine", "beta": 2.0},
                       "labels": {"grid": {"p": [0.1, 0.1, 1], "q": [1e-300, 1e-300, 1]}}},
                      2, "error: the affine metric", id="affine-curvature-1e-300"),
+        # q^3 = 1e-510 underflows to 0 in the first gradient
+        pytest.param({"experiment": "evolve",
+                      "hamiltonian": {"expression": "0.5*P^2 + Q^-2", "variables": "affine"},
+                      "x0": [0.1, 1e-170], "integrator": {"q_floor": 1e-200}},
+                     1, "numerical failure: gradient is not finite at (p, q) = (0.1, 1e-170)",
+                     id="underflowing-power"),
         pytest.param({"experiment": "evolve", "hamiltonian": {"expression": "1e400*Q^2 + 0.5*P^2"},
                       "x0": [0.0, 1.0], "integrator": {"t_final": 1.0}},
                      2, "error: number 1e400 overflows a double", id="number-1e400"),

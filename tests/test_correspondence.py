@@ -253,6 +253,13 @@ class TestEnhanceAffine:
         ham = enhance(parse_polynomial("P^2", "affine"), affine_family(rep, 2.0))
         assert ham.polynomial.coeffs[0, -2] == pytest.approx(fiducial_p2_closed(2.0, 2.0 / nu), rel=4e-16)
 
+    def test_momentum_moment_closed_form_does_not_overflow(self):
+        # beta^2 alone would overflow at beta = 1e300; the moment is 5e299
+        rep = build_halfline_rep(0.1, 10.0, 16, 1.0)
+        ham = enhance(parse_polynomial("P^2", "affine"), affine_family(rep, 1e300))
+        assert ham.polynomial.coeffs[0, -2] == 5e299
+        assert fiducial_p2_closed(1e300, 1.0) == pytest.approx(5e299, rel=1e-15)
+
     @pytest.mark.parametrize(
         "expression,rel",
         [("Q", 1e-9), ("D", 1e-9), ("Q^2", 1e-9), ("D*Q + Q*D", 1e-9), ("D*Q*D + Q^3", 1e-9),
@@ -359,9 +366,28 @@ class TestCompiledLabelPolynomial:
     def test_code_holds_only_numbers_and_labels(self, affine_beta2):
         ham = enhance(parse_polynomial("0.5*P^2 - Q^-1 + Q^-1*D*Q^-1", "affine"), affine_beta2)
         for fn in (ham.polynomial.value, ham.polynomial.gradient):
-            assert set(fn.__code__.co_names) == set()
+            # the names of the IEEE fallback alone (see _function)
+            assert set(fn.__code__.co_names) == {"ZeroDivisionError", "ieee", fn.__name__}
             assert fn.__code__.co_varnames == ("p", "q")
             assert all(isinstance(c, float) or c is None for c in fn.__code__.co_consts)
+
+    def test_a_power_that_underflows_to_zero_divides_as_ieee(self):
+        # q^2 = 1e-340 underflows to 0: the value overflows a double, and the
+        # gradient divides by 0 as float64 arrays do (dH/dq = -inf + inf here)
+        ham = hydrogen_enhanced(HydrogenParams(m=1, e2=1, beta=2, hbar=1))
+        with pytest.raises(DomainError, match="overflows a double"):
+            ham.evaluate(0.1, 1e-170)
+        gp, gq = ham.gradient(0.1, 0.0)
+        assert gp == pytest.approx(0.1) and math.isnan(gq)
+        with np.errstate(all="ignore"):
+            arrays = ham.polynomial.gradient(np.array([0.1]), np.array([0.0]))
+        assert [a[0] for a in arrays] == [gp, pytest.approx(gq, nan_ok=True)]
+        assert ham.polynomial.value(0.1, 1e-170) == math.inf
+
+    def test_a_flow_from_an_underflowing_power_names_its_point(self, affine_beta2):
+        ham = enhance(parse_polynomial("0.5*P^2 + Q^-2", "affine"), affine_beta2)
+        with pytest.raises(NumericalFailure, match=r"gradient is not finite at \(p, q\) = \(0.1, 1e-170\)"):
+            hamiltonian_flow(ham, (0.1, 1e-170), 1.0, q_floor=1e-200)
 
     def test_empty_polynomial_is_zero(self):
         ham = enhance(parse_polynomial("Q - Q", "canonical"), canonical_family(build_fock_rep(4)))

@@ -400,9 +400,9 @@ class TestHarmonicFlow:
         recorded = []
         sample_pass = enhq.dynamics._samples
 
-        def spy(t_eval, steps, counts):
-            recorded.append((len(steps), counts))
-            return sample_pass(t_eval, steps, counts)
+        def spy(t_eval, records, counts):
+            recorded.append((len(records), counts))
+            return sample_pass(t_eval, records, counts)
 
         monkeypatch.setattr(enhq.dynamics, "_samples", spy)
         traj = hamiltonian_flow(harmonic, (0.3, 1.2), 6 * np.pi, n_samples=n_samples)

@@ -1,0 +1,214 @@
+"""The compiled step loop (``_rk45.c``) against the Python loop, and its cache."""
+
+import math
+import shlex
+import shutil
+import subprocess
+import sysconfig
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
+
+import enhq.dynamics
+from enhq import NumericalFailure, hamiltonian_flow, parse_polynomial, enhance
+from enhq.correspondence import _LabelPolynomial
+from enhq.dynamics import (_DONE, _EVENT, _NONFINITE, _TOO_SMALL_STEP, _UNDERFLOW,
+                           _dormand_prince, _kernel, _kernel_args)
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+CC = shlex.split(sysconfig.get_config_var("CC") or "")
+needs_compiler = pytest.mark.skipif(not CC or shutil.which(CC[0]) is None,
+                                    reason="Python's C compiler is not installed")
+CLASSICAL = {(2, 0): 0.5, (0, -1): -1.0}
+ENHANCED = {(2, 0): 0.5, (0, -1): -4 / 3, (0, -2): 1.0}
+
+
+@pytest.fixture(scope="module")
+def run():
+    kernel = _kernel()
+    if kernel is None:
+        pytest.skip("the kernel did not load")
+    return kernel
+
+
+def outcome(poly, x0, t_final, tol, q_floor, n_samples, run=None):
+    """``_dormand_prince`` on ``poly``, by the Python loop or the kernel ``run``, as bytes and reprs."""
+    margins = [lambda p, q: q - q_floor] if poly.q_positive else []
+    compiled = None if run is None else _kernel_args(
+        run, poly, q_floor if poly.q_positive else -math.inf)
+    try:
+        ts, ps, qs, hits, stop = _dormand_prince(
+            poly.gradient, *x0, t_final, tol, tol * 1e-3, np.linspace(0.0, t_final, n_samples),
+            margins, compiled)
+    except NumericalFailure as exc:
+        return "NumericalFailure", str(exc), repr(exc.diagnostics)
+    except ValueError as exc:
+        # brentq finding no sign change for a bounce, in both loops alike
+        return "ValueError", str(exc)
+    return ts.tobytes(), ps.tobytes(), qs.tobytes(), repr(hits), repr(stop)
+
+
+def statuses_of(run, calls):
+    # the kernel, recording what each call returns
+    def spy(*args):
+        calls.append(run(*args))
+        return calls[-1]
+
+    return spy
+
+
+class TestBuild:
+    @needs_compiler
+    def test_the_kernel_is_built_here(self):
+        # a broken build would otherwise hide behind the Python loop
+        assert _kernel() is not None
+
+    @needs_compiler
+    def test_a_cold_cache_builds_once_in_a_private_directory(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        assert _kernel.__wrapped__() is not None
+        cache = tmp_path / "enhq"
+        assert cache.stat().st_mode & 0o777 == 0o700
+        [library] = cache.iterdir()  # no temporary file is left
+        assert library.name.startswith("rk45-") and library.suffix == ".so"
+
+        def no_compiler(*args, **kwargs):
+            raise AssertionError("a cached kernel was built again")
+
+        monkeypatch.setattr(subprocess, "run", no_compiler)
+        assert _kernel.__wrapped__() is not None
+
+    def test_a_cache_others_can_write_to_is_not_used(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        cache = tmp_path / "enhq"
+        cache.mkdir()
+        cache.chmod(0o777)
+        assert _kernel.__wrapped__() is None
+        assert list(cache.iterdir()) == []
+
+    @needs_compiler
+    def test_a_library_that_fails_the_probe_is_rejected_once(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        with monkeypatch.context() as m:
+            m.setattr(enhq.dynamics, "_probe", lambda run: False)
+            assert _kernel.__wrapped__() is None
+        [mark] = (tmp_path / "enhq").iterdir()
+        assert mark.suffix == ".rejected"
+
+        def no_compiler(*args, **kwargs):
+            raise AssertionError("a rejected kernel was built again")
+
+        monkeypatch.setattr(subprocess, "run", no_compiler)
+        assert _kernel.__wrapped__() is None
+
+    def test_without_a_compiler_there_is_no_kernel(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(sysconfig, "get_config_var",
+                            lambda name: "enhq-no-such-compiler" if name == "CC" else None)
+        assert _kernel.__wrapped__() is None
+        assert list(tmp_path.iterdir()) == []
+
+
+@pytest.fixture(scope="module")
+def pool():
+    # the 40 starts of perfbench's hydrogen_contrast workload
+    with pytest.MonkeyPatch.context() as m:
+        m.syspath_prepend(str(PERFBENCH))
+        import workloads
+        items = workloads.HydrogenContrast._pool()
+        params = workloads.HydrogenContrast()
+        params.setup(None)
+    return items, params.classical, params.enhanced
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize("n_samples", [1000, 200, 7])
+    def test_pool_orbits_match_the_python_loop(self, run, pool, monkeypatch, n_samples):
+        # the whole Trajectory, with the loader returning None for the fallback
+        items, classical, enhanced = pool
+
+        def flows():
+            found = []
+            for p0, q0, horizon in items:
+                traj = hamiltonian_flow(classical, (p0, q0), horizon, n_samples=n_samples)
+                t_hit = next(e.time for e in traj.events if e.kind == "singularity_hit")
+                found += [traj.to_json(), hamiltonian_flow(
+                    enhanced, (p0, q0), 10.0 * t_hit, n_samples=n_samples).to_json()]
+            return found
+
+        kernel = flows()
+        monkeypatch.setattr(enhq.dynamics, "_kernel", lambda: None)
+        assert flows() == kernel
+
+    # (coefficients, half line, start, t_final, tol, q_floor, the kernel's returns)
+    CASES = {
+        "bounce": (ENHANCED, True, (-0.3, 1.0), 30.0, 1e-10, 1e-8, [_EVENT, _EVENT, _DONE]),
+        "floor": (CLASSICAL, True, (-0.3, 1.0), 4.0, 1e-10, 1e-8, [_EVENT]),
+        "t_final": ({(2, 0): 0.5, (0, 2): 0.5}, False, (0.3, 1.2), 1.234, 1e-10, 1e-8, [_DONE]),
+        # the case of test_collapse_time_when_the_step_size_underflows
+        "underflow": (CLASSICAL, True, (0.773, 2.587), 133.0, 1e-10, 1e-8, [_UNDERFLOW]),
+        # H = -p + 1e-10 / q^2: a stage's q^3 underflows to 0
+        "non_finite": ({(1, 0): -1.0, (0, -2): 1e-10}, True, (0.0, 1e-100), 1.0, 1e-10, 1e-300,
+                       [_NONFINITE]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_each_way_out_of_the_kernel(self, run, case):
+        coeffs, half_line, x0, t_final, tol, q_floor, expected = self.CASES[case]
+        poly = _LabelPolynomial(coeffs, q_positive=half_line)
+        calls = []
+        kernel = outcome(poly, x0, t_final, tol, q_floor, 100, statuses_of(run, calls))
+        assert kernel == outcome(poly, x0, t_final, tol, q_floor, 100)
+        assert calls == expected
+        if case == "t_final":
+            assert np.frombuffer(kernel[0])[-1] == t_final
+        if case == "underflow":
+            assert kernel[-1].endswith(f"{_TOO_SMALL_STEP!r})")
+
+    def test_rejected_steps(self, run):
+        # scipy's RK45 counts the same steps (TestRK45AgainstScipy): six
+        # right-hand sides per attempt and two for the first step
+        poly = _LabelPolynomial(CLASSICAL)
+        ref = solve_ivp(lambda t, y: (-poly.gradient(*y)[1], poly.gradient(*y)[0]), (0.0, 1.0),
+                        (0.0, 1.0), method="RK45", rtol=1e-6, atol=1e-9)
+        assert ref.status == 0 and ref.nfev > 2 + 6 * (len(ref.t) - 1)
+        calls = []
+        kernel = outcome(poly, (0.0, 1.0), 1.0, 1e-6, 1e-8, 50, statuses_of(run, calls))
+        assert kernel == outcome(poly, (0.0, 1.0), 1.0, 1e-6, 1e-8, 50) and calls == [_DONE]
+
+    def test_a_non_finite_flow_names_the_same_point(self, run, affine_beta2, monkeypatch):
+        ham = enhance(parse_polynomial("-P + 1e-10*Q^-2", "affine"), affine_beta2)
+
+        def failure():
+            with pytest.raises(NumericalFailure, match="gradient is not finite") as info:
+                hamiltonian_flow(ham, (0.0, 1e-100), 1.0, q_floor=1e-300)
+            return str(info.value), repr(info.value.diagnostics)  # nan != nan
+
+        kernel = failure()
+        monkeypatch.setattr(enhq.dynamics, "_kernel", lambda: None)
+        assert failure() == kernel
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_random_label_polynomials(self, run, data):
+        half_line = data.draw(st.booleans(), label="half_line")
+        powers = st.tuples(st.integers(0, 3), st.integers(-3, 3) if half_line else st.integers(0, 4))
+        coefficient = st.floats(0.05, 2.0).flatmap(lambda c: st.sampled_from([c, -c]))
+        coeffs = data.draw(st.dictionaries(powers, coefficient, min_size=1, max_size=4), label="coeffs")
+        poly = _LabelPolynomial(coeffs, q_positive=half_line)
+        q_floor = data.draw(st.sampled_from([1e-8, 1e-300]), label="q_floor")
+        q0 = st.floats(0.2, 3.0) if half_line else st.floats(-2.0, 2.0)
+        if half_line and q_floor < 1e-100:
+            # a start this close to 0 reaches stages whose negative powers of q underflow
+            q0 |= st.just(1e-100)
+        x0 = (data.draw(st.floats(-2.0, 2.0), label="p0"), data.draw(q0, label="q0"))
+        t_final = data.draw(st.floats(0.1, 5.0), label="t_final")
+        tol = data.draw(st.sampled_from([1e-10, 1e-6, 1e-3]), label="tol")
+        n_samples = data.draw(st.sampled_from([2, 7, 200]), label="n_samples")
+        args = (poly, x0, t_final, tol, q_floor, n_samples)
+        assert outcome(*args, run) == outcome(*args)
+

@@ -4,8 +4,14 @@ import ast
 import importlib
 import importlib.util
 import re
+import shlex
+import shutil
+import subprocess
 import sys
+import sysconfig
 from pathlib import Path
+
+import pytest
 
 import enhq
 
@@ -258,3 +264,32 @@ def test_every_name_the_tracer_wraps_resolves():
         cls = getattr(importlib.import_module(module), cls_name)
         # on the class itself: a subclass's copy would escape the wrapper
         assert callable(vars(cls).get(attr)), (module, cls_name, attr)
+
+
+def test_the_kernel_source_ships_as_package_data():
+    package_data = re.search(r"^\[tool\.setuptools\.package-data\]\n(.*?)(?:^\[|\Z)",
+                             PYPROJECT.read_text(), re.M | re.S).group(1)
+    assert re.search(r'^enhq = \[.*"_rk45\.c".*\]$', package_data, re.M)
+    assert (SOURCE / "_rk45.c").is_file()
+
+
+def test_the_kernel_source_compiles_without_warnings(tmp_path):
+    from enhq.dynamics import _CFLAGS
+
+    cc = shlex.split(sysconfig.get_config_var("CC") or "")
+    if not cc or shutil.which(cc[0]) is None:
+        pytest.skip("Python's C compiler is not installed")
+    subprocess.run([*cc, *_CFLAGS, "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "rk45.so"),
+                    str(SOURCE / "_rk45.c"), "-lm"], check=True)
+
+
+def test_importing_the_cli_loads_and_builds_no_kernel(tmp_path):
+    # numpy imports ctypes itself: no module of the package may hold it
+    # before a flow asks for the kernel, and the cache stays untouched
+    code = ("import sys, enhq.cli, enhq.dynamics\n"
+            "assert enhq.dynamics._kernel.cache_info().currsize == 0\n"
+            "assert not [m for m in sys.modules if m.startswith('enhq') and "
+            "'ctypes' in vars(sys.modules[m])]\n")
+    env = {"XDG_CACHE_HOME": str(tmp_path), "PYTHONPATH": str(SOURCE.parent)}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+    assert list(tmp_path.iterdir()) == []
