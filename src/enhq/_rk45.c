@@ -1,33 +1,41 @@
 /*
- * The step loop of enhq.dynamics._dormand_prince for a label polynomial.
+ * The step loop of enhq.dynamics._dormand_prince for a label polynomial,
+ * with its samples and its event roots.
  *
  * It integrates p' = -dH/dq, q' = dH/dp with the Dormand-Prince 5(4) pair in
  * the operation order of the Python loop, and evaluates the gradient from the
  * (c, i, j) terms that enhq.correspondence._LabelPolynomial compiles, in the
- * order and grouping of its generated code.  Built with -O2
- * -ffp-contract=off and no fast-math, every operation is one IEEE double
+ * order and grouping of its generated code.  Samples and event roots come
+ * from each step's quartic dense output, formed as _quartic and _interpolate
+ * form it, and the roots from Brent's method as _brent runs it.  Built with
+ * -O2 -ffp-contract=off and no fast-math, every operation is one IEEE double
  * operation rounded as Python rounds it, so the two loops agree bit for bit;
- * the library is admitted to its cache only after it shows this on a probe
- * orbit.
+ * the library is admitted to its cache only after it shows this on probe
+ * orbits.
  *
- * enhq_rk45 runs from the state y = (t, p, q, dp/dt, dq/dt, h_abs) until
- *   RK45_DONE       a step reached t_final: its samples are recorded;
- *   RK45_EVENT      an accepted step ended with dq/dt turning nonnegative or
- *                   with q - q_floor <= 0: out holds the step's record and
- *                   (t_new, p_new, q_new), y the next step size, and the step
- *                   is not recorded;
+ * buf holds the samples p and q (n_eval each), the state y = (t, p, q, dp/dt,
+ * dq/dt, h_abs) and out (8 doubles); count holds the samples written, the
+ * accepted steps, the rejected steps, the gradient calls and the hits in out.
+ * An accepted step end where dq/dt turned nonnegative (event 0, the bounce)
+ * or q - q_floor <= 0 (event 1, the floor) has each root found on the step's
+ * dense output, the hits after a floor root dropped, and the rest written to
+ * out as rows (event, t, p, q).  Then each step end writes the samples
+ * t_eval[i] up to it, or up to the floor root, into p and q.
+ * enhq_rk45 runs from y until
+ *   RK45_DONE       the flow ended, at t_final or at a floor root;
+ *   RK45_EVENT      a bounce was hit: y holds the step end to resume from;
  *   RK45_UNDERFLOW  the step size fell below ten ulp of t: y holds the last
  *                   accepted state;
- *   RK45_NONFINITE  a stage's rate is not finite: out holds (t, p, q) of the
- *                   stage and its rates (-dH/dq, dH/dp).
- * A step end holding samples t_eval[i] (those after at[1]) is recorded as
- * records[at[0]] = (t, h, p, q, the p rates of stages 1 and 3-7, the q rates)
- * with counts[at[0]] the number of samples it holds, and at is advanced.
+ *   RK45_NONFINITE  a rate is not finite: out holds (t, p, q) of the stage or
+ *                   the point Brent's method tried, and (dH/dq, dH/dp) there;
+ *   RK45_NOROOT     Brent's method met a nan or did not converge: out holds
+ *                   the step's (t, t_new).
  */
+#include <float.h>
 #include <math.h>
 #include <stdint.h>
 
-enum { RK45_DONE, RK45_EVENT, RK45_UNDERFLOW, RK45_NONFINITE };
+enum { RK45_DONE, RK45_EVENT, RK45_UNDERFLOW, RK45_NONFINITE, RK45_NOROOT, GO_ON = -1 };
 
 /* Dormand & Prince (1980), as tabulated in scipy's RK45 */
 static const double C2 = 1.0 / 5, C3 = 3.0 / 10, C4 = 4.0 / 5, C5 = 8.0 / 9;
@@ -43,6 +51,19 @@ static const double B1 = 35.0 / 384, B3 = 500.0 / 1113, B4 = 125.0 / 192,
 static const double E1 = -71.0 / 57600, E3 = 71.0 / 16695, E4 = -71.0 / 1920,
                     E5 = 17253.0 / 339200, E6 = -22.0 / 525, E7 = 1.0 / 40;
 static const double SAFETY = 0.9, MIN_FACTOR = 0.2, MAX_FACTOR = 10.0;
+/* Shampine's (1986) dense output, _DENSE: the x^2, x^3 and x^4 coefficients
+ * on the rates of stages 1 and 3-7 */
+static const double DENSE[3][6] = {
+    {-8048581381.0 / 2820520608, 131558114200.0 / 32700410799, -1754552775.0 / 470086768,
+     127303824393.0 / 49829197408, -282668133.0 / 205662961, 40617522.0 / 29380423},
+    {8663915743.0 / 2820520608, -68118460800.0 / 10900136933, 14199869525.0 / 1410260304,
+     -318862633887.0 / 49829197408, 2019193451.0 / 616988883, -110615467.0 / 29380423},
+    {-12715105075.0 / 11282082432, 87487479700.0 / 32700410799, -10690763975.0 / 1880347072,
+     701980252875.0 / 199316789632, -1453857185.0 / 822651844, 69997945.0 / 29380423},
+};
+/* _brent: scipy's brentq with xtol = rtol = 4 eps and its 100 iterations */
+static const double BRENT_TOL = 4 * DBL_EPSILON;
+static const int BRENT_ITERATIONS = 100;
 
 /* x^n for n >= 1 as the product x * x * ... * x, left to right */
 static double power(double x, int n)
@@ -70,27 +91,149 @@ static double term_sum(const double *terms, int64_t n, double p, double q)
     return s;
 }
 
-/* the rates (kp, kq) = (-dH/dq, dH/dp) at the stage (ts, sp, sq), or a return
- * with that stage where a rate is not finite */
+/* the polynomial, its floor and where gradient calls are counted and
+ * failures reported */
+struct flow {
+    const double *d_p, *d_q;
+    int64_t n_p, n_q, *calls;
+    double q_floor, *out;
+};
+
+/* the rates (kp, kq) = (-dH/dq, dH/dp) at (p, q), a gradient call, or
+ * RK45_NONFINITE with (t, p, q) and the rates in out */
+static int rates(const struct flow *fl, double t, double p, double q, double *kp, double *kq)
+{
+    double a = term_sum(fl->d_p, fl->n_p, p, q), b = term_sum(fl->d_q, fl->n_q, p, q);
+    ++*fl->calls;
+    if (!(isfinite(a) && isfinite(b))) {
+        double *out = fl->out;
+        out[0] = t, out[1] = p, out[2] = q, out[3] = b, out[4] = a;
+        return RK45_NONFINITE;
+    }
+    *kp = -b, *kq = a;
+    return GO_ON;
+}
+
+/* an accepted step from (t, p, q) of size h, and the coefficients of x to
+ * x^4 of its dense output in each component */
+struct step {
+    double t, h, p, q, cp[4], cq[4];
+};
+
+/* the rates of stages 1 and 3-7 of one component in c, those of x to x^4 out */
+static void quartic(double *c, double f, double k3, double k4, double k5, double k6, double k7)
+{
+    c[0] = f;
+    for (int r = 0; r < 3; r++) {
+        const double *d = DENSE[r];
+        c[r + 1] = f * d[0] + k3 * d[1] + k4 * d[2] + k5 * d[3] + k6 * d[4] + k7 * d[5];
+    }
+}
+
+/* y(s) = h (c1 x + c2 x^2 + c3 x^3 + c4 x^4) + y with x = (s - t) / h */
+static double interpolate(const struct step *st, const double *c, double y, double s)
+{
+    double x = (s - st->t) / st->h, x2 = x * x, x3 = x2 * x, x4 = x3 * x;
+    return st->h * (c[0] * x + c[1] * x2 + c[2] * x3 + c[3] * x4) + y;
+}
+
+/* event k at s on the step's dense output: dH/dp for the bounce, q - q_floor
+ * for the floor */
+static int event_value(const struct flow *fl, const struct step *st, int k, double s, double *f)
+{
+    double p = interpolate(st, st->cp, st->p, s), q = interpolate(st, st->cq, st->q, s), kp;
+    if (k) {
+        *f = q - fl->q_floor;
+        return GO_ON;
+    }
+    return rates(fl, s, p, q, &kp, f);
+}
+
+static int no_root(const struct flow *fl, double a, double b)
+{
+    fl->out[0] = a, fl->out[1] = b;
+    return RK45_NOROOT;
+}
+
+/* The root of event k in [st->t, b], where it takes the values fa and fb:
+ * scipy's brentq, in its operation order */
+static int brent(const struct flow *fl, const struct step *st, int k, double b, double fa,
+                 double fb, double *root)
+{
+    double xpre = st->t, xcur = b, fpre = fa, fcur = fb;
+    double xblk = 0, fblk = 0, spre = 0, scur = 0;
+    if (fpre == 0) {
+        *root = xpre;
+        return GO_ON;
+    }
+    if (fcur == 0) {
+        *root = xcur;
+        return GO_ON;
+    }
+    if (!((fpre < 0 && 0 < fcur) || (fcur < 0 && 0 < fpre)))
+        return no_root(fl, st->t, b);
+    for (int n = 0; n < BRENT_ITERATIONS; n++) {
+        if (fpre != 0 && fcur != 0 && (fpre < 0) != (fcur < 0)) {
+            xblk = xpre, fblk = fpre;
+            spre = scur = xcur - xpre;
+        }
+        if (fabs(fblk) < fabs(fcur)) {
+            xpre = xcur, xcur = xblk, xblk = xpre;
+            fpre = fcur, fcur = fblk, fblk = fpre;
+        }
+        double delta = (BRENT_TOL + BRENT_TOL * fabs(xcur)) / 2;
+        double sbis = (xblk - xcur) / 2;
+        if (fcur == 0 || fabs(sbis) < delta) {
+            *root = xcur;
+            return GO_ON;
+        }
+        if (fabs(spre) > delta && fabs(fcur) < fabs(fpre)) {
+            double stry;
+            if (xpre == xblk) {
+                stry = -fcur * (xcur - xpre) / (fcur - fpre);
+            } else {
+                double dpre = (fpre - fcur) / (xpre - xcur);
+                double dblk = (fblk - fcur) / (xblk - xcur);
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre));
+            }
+            double bound = 3 * fabs(sbis) - delta;
+            if (2 * fabs(stry) < (fabs(spre) < bound ? fabs(spre) : bound)) {
+                spre = scur, scur = stry;
+            } else {
+                spre = scur = sbis;
+            }
+        } else {
+            spre = scur = sbis;
+        }
+        xpre = xcur, fpre = fcur;
+        xcur += fabs(scur) > delta ? scur : sbis > 0 ? delta : -delta;
+        int status = event_value(fl, st, k, xcur, &fcur);
+        if (status != GO_ON)
+            return status;
+        if (isnan(fcur))
+            break;
+    }
+    return no_root(fl, st->t, b);
+}
+
+/* the rates (kp, kq) of a stage, or a return with its failure */
 #define STAGE(kp, kq, ts, sp, sq)                                               \
     do {                                                                        \
-        kq = term_sum(d_p, n_p, sp, sq);                                        \
-        kp = term_sum(d_q, n_q, sp, sq);                                        \
-        if (!(isfinite(kp) && isfinite(kq))) {                                  \
-            out[0] = ts, out[1] = sp, out[2] = sq, out[3] = kp, out[4] = kq;    \
-            return RK45_NONFINITE;                                              \
-        }                                                                       \
-        kp = -kp;                                                               \
+        int status_ = rates(&fl, ts, sp, sq, &kp, &kq);                         \
+        if (status_ != GO_ON)                                                   \
+            return status_;                                                     \
     } while (0)
 
-int enhq_rk45(const double *d_p, int64_t n_p, const double *d_q, int64_t n_q, double *y,
+int enhq_rk45(const double *d_p, int64_t n_p, const double *d_q, int64_t n_q,
               double t_final, double rtol, double atol, double q_floor,
-              const double *t_eval, int64_t n_eval, int64_t *at,
-              double *records, int64_t *counts, double *out)
+              const double *t_eval, int64_t n_eval, double *buf, int64_t *count)
 {
+    double *ps = buf, *qs = buf + n_eval, *y = buf + 2 * n_eval, *out = y + 6;
     double t = y[0], p = y[1], q = y[2], fp = y[3], fq = y[4], h_abs = y[5];
     const double sqrt2 = sqrt(2.0);
+    const struct flow fl = {d_p, d_q, n_p, n_q, &count[3], q_floor, out};
 
+    count[4] = 0;
     for (;;) {
         double min_step = 10 * (nextafter(t, INFINITY) - t);
         double t_new, h, p_new, q_new, sp, sq, a, b, x, z, error;
@@ -142,28 +285,55 @@ int enhq_rk45(const double *d_p, int64_t n_p, const double *d_q, int64_t n_q, do
             double factor = SAFETY * pow(error, -0.2);
             h_abs *= factor > MIN_FACTOR ? factor : MIN_FACTOR;
             rejected = 1;
+            count[2]++;
         }
+        count[1]++;
 
-        double step[16] = {t, h, p, q, fp, k3p, k4p, k5p, k6p, k7p,
-                           fq, k3q, k4q, k5q, k6q, k7q};
-        if ((fq < 0 && 0 <= k7q) || q_new - q_floor <= 0) {
-            for (int k = 0; k < 16; k++)
-                out[k] = step[k];
-            out[16] = t_new, out[17] = p_new, out[18] = q_new;
-            y[5] = h_abs;
-            return RK45_EVENT;
+        int bounce = fq < 0 && 0 <= k7q, at_floor = q_new - q_floor <= 0;
+        int64_t i = count[0];
+        double t_end = t_new;
+        struct step st = {t, h, p, q, {0}, {0}};
+        if (bounce || at_floor || (i < n_eval && t_eval[i] <= t_new)) {
+            quartic(st.cp, fp, k3p, k4p, k5p, k6p, k7p);
+            quartic(st.cq, fq, k3q, k4q, k5q, k6q, k7q);
         }
-        int64_t i = at[1];
-        if (i < n_eval && t_eval[i] <= t_new) {
-            while (i < n_eval && t_eval[i] <= t_new)
-                i++;
-            for (int k = 0; k < 16; k++)
-                records[16 * at[0] + k] = step[k];
-            counts[at[0]++] = i - at[1];
-            at[1] = i;
+        if (bounce || at_floor) {
+            /* the roots in time order, none after the floor's */
+            double roots[2];
+            int kinds[2], n = 0, status;
+            if (bounce) {
+                status = brent(&fl, &st, 0, t_new, fq, k7q, &roots[n]);
+                if (status != GO_ON)
+                    return status;
+                kinds[n++] = 0;
+            }
+            if (at_floor) {
+                status = brent(&fl, &st, 1, t_new, q - q_floor, q_new - q_floor, &roots[n]);
+                if (status != GO_ON)
+                    return status;
+                kinds[n++] = 1;
+                if (n == 2 && roots[1] < roots[0])
+                    roots[0] = roots[1], kinds[0] = 1, n = 1;
+                t_end = roots[n - 1];
+            }
+            for (int k = 0; k < n; k++) {
+                out[4 * k] = kinds[k], out[4 * k + 1] = roots[k];
+                out[4 * k + 2] = interpolate(&st, st.cp, p, roots[k]);
+                out[4 * k + 3] = interpolate(&st, st.cq, q, roots[k]);
+            }
+            count[4] = n;
         }
-        if (t_new >= t_final)
+        for (; i < n_eval && t_eval[i] <= t_end; i++) {
+            ps[i] = interpolate(&st, st.cp, p, t_eval[i]);
+            qs[i] = interpolate(&st, st.cq, q, t_eval[i]);
+        }
+        count[0] = i;
+        if (at_floor || t_new >= t_final)
             return RK45_DONE;
         t = t_new, p = p_new, q = q_new, fp = k7p, fq = k7q;
+        if (bounce) {
+            y[0] = t, y[1] = p, y[2] = q, y[3] = fp, y[4] = fq, y[5] = h_abs;
+            return RK45_EVENT;
+        }
     }
 }

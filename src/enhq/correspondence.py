@@ -222,7 +222,8 @@ class _LabelPolynomial:
     elementwise and to the same bits, float64 arrays, and compute in IEEE
     double arithmetic (a division by a power that underflows to 0 gives an
     infinity, not an error).  ``gradient_terms`` holds the ``(c, i, j)``
-    terms of ``dH/dp`` and ``dH/dq`` that ``gradient`` sums, in its order.  A
+    terms of ``dH/dp`` and ``dH/dq`` that ``gradient`` sums, in its order, as
+    the rows of two float arrays.  A
     coefficient of either that is not finite raises :class:`DomainError`.
     Calling the polynomial raises :class:`DomainError` where its value is not
     finite and, with ``q_positive``, at ``q <= 0``; ``gradient`` is left
@@ -241,7 +242,7 @@ class _LabelPolynomial:
             if not math.isfinite(c):
                 raise DomainError(f"the label polynomial or its gradient overflows a double "
                                   f"at the power p^{i} q^{j}")
-        self.gradient_terms = (d_p, d_q)
+        self.gradient_terms = tuple(np.array(d, dtype=float).reshape(-1, 3) for d in (d_p, d_q))
         namespace: dict = {"ieee": _ieee}
         exec(_function("value", _code(terms)) + _function("gradient", f"{_code(d_p)}, {_code(d_q)}"),
              namespace)

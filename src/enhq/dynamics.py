@@ -32,7 +32,6 @@ from pathlib import Path
 import numpy as np
 # unused here, but perfbench/tracer.py wraps enhq.dynamics.solve_ivp by name
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .correspondence import EnhancedHamiltonian, _LabelPolynomial
 from .errors import DomainError, InvalidTransformError, NumericalFailure
@@ -63,14 +62,33 @@ class TrajectoryEvent:
 
 
 @dataclass(frozen=True)
+class FlowWork:
+    """The work of one flow: accepted and rejected steps, and gradient calls.
+
+    The leapfrog rejects no step.  The gradient calls are all the
+    integrator made, those of Brent's method included, less those of a
+    step that a gradient's :class:`DomainError` cut short.
+    """
+
+    steps: int
+    rejected: int
+    gradient_calls: int
+
+
+@dataclass(frozen=True)
 class Trajectory:
-    """Time-ordered samples of ``(t, p, q, H)`` plus event annotations."""
+    """Time-ordered samples of ``(t, p, q, H)`` plus event annotations.
+
+    ``work`` is the :class:`FlowWork` of the flow that made it, if any; it
+    takes no part in equality and is written to no CSV or JSON body.
+    """
 
     t: np.ndarray
     p: np.ndarray
     q: np.ndarray
     energy: np.ndarray
     events: tuple = field(default_factory=tuple)
+    work: FlowWork | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         for name in ("t", "p", "q", "energy"):
@@ -174,20 +192,22 @@ def hamiltonian_flow(
     :class:`NumericalFailure` otherwise.  Before rk45 accepts a step, the
     ``domain_exit`` ends the run at ``t = 0`` with the start as the only
     sample, and any other stop raises :class:`NumericalFailure`.  Non-finite
-    gradients raise :class:`NumericalFailure`.
+    gradients raise :class:`NumericalFailure`, as does an event whose root
+    Brent's method cannot find (a nan on the step's dense output).
 
     ``rk45`` runs :func:`_dormand_prince`, a scalar loop that takes the
     steps of scipy's ``RK45``, calls the gradient once per stage and
     evaluates all samples in one numpy pass after the loop.  For a
-    compiled polynomial (``H.polynomial``) with no label domain its steps
-    are taken, to the same bits, by the compiled kernel wherever
-    :func:`_kernel` loads one, and by the Python loop otherwise; ``leapfrog``
-    runs :func:`_leapfrog_flow`, ``n_steps`` fixed steps of three gradient
-    calls each, sampled at the step ends nearest the uniform grid.  Both
-    call the Hamiltonian's stored callables (``H._gradient``,
-    ``H._evaluate``), not the methods that convert each value to ``float``,
-    and return the samples as float64 arrays, the event hits and the stop,
-    from which the events, energies and trajectory are built here; events and
+    compiled polynomial (``H.polynomial``) with no label domain the whole
+    loop after the first step size, steps, samples and event roots, runs to
+    the same bits in the compiled kernel wherever :func:`_kernel` loads
+    one, and in Python otherwise; ``leapfrog`` runs :func:`_leapfrog_flow`,
+    ``n_steps`` fixed steps of three gradient calls each, sampled at the
+    step ends nearest the uniform grid.  Both call the Hamiltonian's stored
+    callables (``H._gradient``, ``H._evaluate``), not the methods that
+    convert each value to ``float``, and return the samples as float64
+    arrays, the event hits, the stop and the :class:`FlowWork`, from which
+    the events, energies and trajectory are built here; events and
     energies are evaluated on Python floats, or by ``H.polynomial`` on the
     sample arrays.  ``tol`` (rk45 only, by default ``1e-10``) and ``q_floor``
     must be positive and finite, ``n_samples`` an integer of at least 2 and
@@ -233,7 +253,7 @@ def hamiltonian_flow(
 
     gradient, evaluate = H._gradient, H._evaluate
     if method == "leapfrog":
-        ts, ps, qs, hits, stop = _leapfrog_flow(
+        ts, ps, qs, hits, stop, work = _leapfrog_flow(
             gradient, x0.p, x0.q, t_final, n_samples, n_steps, margins,
             q_floor if H.q_positive else None,
         )
@@ -241,7 +261,7 @@ def hamiltonian_flow(
         tol = 1e-10 if tol is None else tol
         # a compiled polynomial, on a half line or none, takes the kernel's steps
         run = _kernel() if H.polynomial is not None and H.label_domain is None else None
-        ts, ps, qs, hits, stop = _dormand_prince(
+        ts, ps, qs, hits, stop, work = _dormand_prince(
             gradient, x0.p, x0.q, t_final, tol, tol * 1e-3,
             np.linspace(0.0, t_final, n_samples), margins,
             None if run is None else _kernel_args(
@@ -280,7 +300,7 @@ def hamiltonian_flow(
     energies = (np.broadcast_to(H.polynomial.value(ps, qs), ps.shape) if H.polynomial is not None
                 else [evaluate(p, q) for p, q in zip(ps.tolist(), qs.tolist())])
     recorded.sort(key=lambda e: e.time)
-    return Trajectory(ts, ps, qs, energies, tuple(recorded))
+    return Trajectory(ts, ps, qs, energies, tuple(recorded), work)
 
 
 def _is_integer(n):
@@ -378,20 +398,23 @@ def _dormand_prince(gradient, p, q, t_final, rtol, atol, t_eval, margins, compil
     samples come from the dense output: the loop only records each step
     that holds samples, at most one per sample, and :func:`_samples`
     evaluates them all in one pass at the end.  An event is found at a step
-    end and placed at the Brent root on the dense output.  Event 0 is the
-    bounce, ``dq/dt`` turning nonnegative, which a stage has at the start
-    and at every step end.  Event ``i >= 1`` ends the run where
-    ``margins[i - 1](p, q)``, positive at the start, reaches zero.
+    end and placed by :func:`_event_roots` at the Brent root on the dense
+    output.  Event 0 is the bounce, ``dq/dt`` turning nonnegative, which a
+    stage has at the start and at every step end.  Event ``i >= 1`` ends
+    the run where ``margins[i - 1](p, q)``, positive at the start, reaches
+    zero.
 
     With ``compiled``, the arguments :func:`_kernel_args` makes for the
     polynomial whose gradient ``gradient`` is and the margin ``q - q_floor``
-    (if any), the steps after the first step size are taken by the compiled
-    kernel (:func:`_compiled_steps`), to the same bits.
+    (if any), the steps after the first step size are taken, sampled and
+    rooted by the compiled kernel (:func:`_compiled_steps`), to the same
+    bits.
 
     Returns sample times, ``p`` and ``q`` (float64 arrays), event hits
-    ``(index, t, p, q)`` and the stop: ``None``, or, when the step size
+    ``(index, t, p, q)``, the stop: ``None``, or, when the step size
     underflowed or a gradient raised :class:`DomainError`, ``(t, p, q,
-    cause)`` of the last accepted step, the cause a message or the error.
+    cause)`` of the last accepted step, the cause a message or the error;
+    and the :class:`FlowWork`.
     """
     sqrt, nextafter, inf = math.sqrt, math.nextafter, math.inf
     sqrt2, safety, min_factor, max_factor = _SQRT2, _SAFETY, _MIN_FACTOR, _MAX_FACTOR
@@ -416,9 +439,6 @@ def _dormand_prince(gradient, p, q, t_final, rtol, atol, t_eval, margins, compil
     if d - d:
         _check_finite(0.0, p, q, fp, fq)
     fp = -fp
-    times = t_eval.tolist()
-    n_eval, i_eval = len(times), 0
-    t_next = times[0] if n_eval else inf
     # per step holding samples: (t, h, p, q), the p rates of stages 1 and
     # 3-7, the q rates, and how many samples it holds
     steps, counts, hits = [], [], []
@@ -431,7 +451,21 @@ def _dormand_prince(gradient, p, q, t_final, rtol, atol, t_eval, margins, compil
     if h0 == 0.0:
         # finite rates whose scaled norm d1 overflows: scipy's first step
         # overflows with them and shrinks below ten ulp of t = 0
-        return (*_samples(t_eval, _stacked(steps), counts), hits, (t, p, q, _TOO_SMALL_STEP))
+        return (*_samples(t_eval, steps, counts), hits, (t, p, q, _TOO_SMALL_STEP),
+                FlowWork(0, 0, 1))
+    # the gradient calls outside the stages: the start's, the first step
+    # size's and those of Brent's method
+    accepted = n_rejected = 0
+    calls = [2]
+
+    def root_gradient(p, q):
+        calls[0] += 1
+        return gradient(p, q)
+
+    def finish(stop):
+        work = FlowWork(accepted, n_rejected, calls[0] + 6 * (accepted + n_rejected))
+        return (*_samples(t_eval, steps, counts), hits, stop, work)
+
     try:
         ys_p, ys_q = p + h0 * fp, q + h0 * fq
         gq, gp = gradient(ys_p, ys_q)
@@ -446,9 +480,11 @@ def _dormand_prince(gradient, p, q, t_final, rtol, atol, t_eval, margins, compil
             h1 = (0.01 / max(d1, d2)) ** 0.2
         h_abs = min(100 * h0, h1, t_final)
         if compiled is not None:
-            return _compiled_steps(compiled, gradient, p, q, fp, fq, h_abs, t_final, rtol, atol,
-                                   t_eval, margins)
+            return _compiled_steps(compiled, p, q, fp, fq, h_abs, t_final, rtol, atol, t_eval)
 
+        times = t_eval.tolist()
+        n_eval, i_eval = len(times), 0
+        t_next = times[0] if n_eval else inf
         while True:
             min_step = 10 * (nextafter(t, inf) - t)
             if h_abs < min_step:
@@ -456,8 +492,7 @@ def _dormand_prince(gradient, p, q, t_final, rtol, atol, t_eval, margins, compil
             rejected = False
             while True:
                 if h_abs < min_step:
-                    return (*_samples(t_eval, _stacked(steps), counts), hits,
-                            (t, p, q, _TOO_SMALL_STEP))
+                    return finish((t, p, q, _TOO_SMALL_STEP))
                 t_new = t + h_abs
                 if t_new > t_final:
                     t_new = t_final
@@ -524,6 +559,8 @@ def _dormand_prince(gradient, p, q, t_final, rtol, atol, t_eval, margins, compil
                 factor = safety * error ** -0.2
                 h_abs *= factor if factor > min_factor else min_factor
                 rejected = True
+                n_rejected += 1
+            accepted += 1
 
             # a bounce needs dq/dt at the step start, fq, strictly negative, so
             # a dq/dt that stays at 0 (at rest) never fires; every margin was
@@ -534,7 +571,7 @@ def _dormand_prince(gradient, p, q, t_final, rtol, atol, t_eval, margins, compil
                     active.append(i)
             t_end, terminate = t_new, False
             if active:
-                found, t_stop = _event_roots(margins, active, gradient,
+                found, t_stop = _event_roots(margins, active, root_gradient,
                                              (t, p, q, t_new, p_new, q_new, k7q),
                                              (fp, *_quartic(fp, k3p, k4p, k5p, k6p, k7p)),
                                              (fq, *_quartic(fq, k3q, k4q, k5q, k6q, k7q)))
@@ -550,16 +587,11 @@ def _dormand_prince(gradient, p, q, t_final, rtol, atol, t_eval, margins, compil
                 t_next = times[i_eval] if i_eval < n_eval else inf
 
             if terminate or t_new >= t_final:
-                return (*_samples(t_eval, _stacked(steps), counts), hits, None)
+                return finish(None)
             t, p, q, fp, fq = t_new, p_new, q_new, k7p, k7q
     except DomainError as exc:
         # a stage (or a bounce search) left the domain: stop at the last accepted step
-        return (*_samples(t_eval, _stacked(steps), counts), hits, (t, p, q, exc))
-
-
-def _stacked(steps):
-    # the records of the Python loop, as the kernel writes them: one row each
-    return np.fromiter(chain.from_iterable(steps), float, 16 * len(steps)).reshape(-1, 16)
+        return finish((t, p, q, exc))
 
 
 def _samples(t_eval, records, counts):
@@ -576,6 +608,7 @@ def _samples(t_eval, records, counts):
     s = t_eval[:int(np.sum(counts))]
     if s.size == 0:
         return s, np.empty(0), np.empty(0)
+    records = np.fromiter(chain.from_iterable(records), float, 16 * len(records)).reshape(-1, 16)
     # the rates of stages 1 and 3-7 as (2, 6, m): p's, then q's
     k = records[:, 4:].T.reshape(2, 6, -1)
     # per step: t, h, then (p, q), their linear terms and quartic coefficients
@@ -591,9 +624,13 @@ def _event_roots(margins, active, gradient, step, cp, cq):
     Event 0 is the root of ``dq/dt``, event ``i >= 1`` that of ``margins[i - 1]``.
     ``step`` is ``(t, p, q)`` at its start and end and ``dq/dt`` at its end;
     ``cp`` and ``cq`` are its dense-output coefficients, those of the sample
-    pass, so ``cq[0]`` is ``dq/dt`` at its start.  Returns the hits
-    ``(index, t, p, q)`` and, when a margin is among them, the time of the
-    first margin root, the hits after it dropped (otherwise ``None``).
+    pass, so ``cq[0]`` is ``dq/dt`` at its start.  :func:`_brent` searches
+    the dense output from the values at the step's own ends: ``dq/dt`` of
+    the stages there for the bounce, whose every other point is one call of
+    ``gradient`` with its rates tested as a stage's are, and a margin's
+    value at the step's ends.  Returns the hits ``(index, t, p, q)`` and,
+    when a margin is among them, the time of the first margin root, the
+    hits after it dropped (otherwise ``None``).
     """
     t_old, p_old, q_old, t_new, p_new, q_new, qdot_new = step
     h = t_new - t_old  # the step, as the loop computed it
@@ -601,17 +638,22 @@ def _event_roots(margins, active, gradient, step, cp, cq):
     def dense(s):
         return (_interpolate(s, t_old, h, p_old, *cp), _interpolate(s, t_old, h, q_old, *cq))
 
-    def rate(p, q):
-        # where the interpolant meets a step end, a stage has dq/dt already
-        if p == p_old and q == q_old:
-            return cq[0]
-        return qdot_new if p == p_new and q == q_new else gradient(p, q)[0]
+    def rate(s):
+        p, q = dense(s)
+        a, b = gradient(p, q)
+        d = a - b
+        if d - d:
+            _check_finite(s, p, q, a, b)
+        return a
 
-    found = [
-        (brentq(lambda s, g=margins[i - 1] if i else rate: g(*dense(s)), t_old, t_new,
-                xtol=4 * _EPS, rtol=4 * _EPS), i)
-        for i in active
-    ]
+    found = []
+    for i in active:
+        if i:
+            g = margins[i - 1]
+            root = _brent(lambda s: g(*dense(s)), t_old, t_new, g(p_old, q_old), g(p_new, q_new))
+        else:
+            root = _brent(rate, t_old, t_new, cq[0], qdot_new)
+        found.append((root, i))
     t_stop = None
     if active[-1]:
         # a margin fired (active runs in index order): the events up to and
@@ -621,6 +663,67 @@ def _event_roots(margins, active, gradient, step, cp, cq):
         found = found[: first + 1]
         t_stop = found[-1][0]
     return [(i, root, *dense(root)) for root, i in found], t_stop
+
+
+_BRENT_TOL = 4 * _EPS
+
+
+def _brent(f, a, b, fa, fb):
+    """The root of ``f`` in ``[a, b]`` by Brent's (1973) method, from ``fa = f(a)`` and ``fb = f(b)``.
+
+    The loop of scipy's ``brentq`` at ``xtol = rtol = 4 eps`` with its 100
+    iterations, in its operation order, so the two agree bit for bit where
+    scipy's evaluates ``f`` to ``fa`` and ``fb`` at the ends; ``_rk45.c``
+    runs the same loop.  ``fa`` and ``fb`` of one sign, a nan value of
+    ``f`` or no convergence raise :class:`NumericalFailure`.
+    """
+    xpre, xcur, fpre, fcur = a, b, fa, fb
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if not (fpre < 0 < fcur or fcur < 0 < fpre):
+        raise _no_root(a, b)
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_BRENT_TOL + _BRENT_TOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # inverse quadratic; where C divides by 0 its step is
+                # infinite or nan, and it bisects
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
+            bound = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else delta if sbis > 0 else -delta
+        fcur = f(xcur)
+        if fcur != fcur:
+            break
+    raise _no_root(a, b)
+
+
+def _no_root(a, b):
+    return NumericalFailure(f"Brent's method found no root in [{a}, {b}]", {"t": a, "t_new": b})
 
 
 def _leapfrog_flow(gradient, p, q, t_final, n_samples, n_steps, margins, q_floor):
@@ -640,7 +743,8 @@ def _leapfrog_flow(gradient, p, q, t_final, n_samples, n_steps, margins, q_floor
     Each gradient is tested for finiteness as it arrives.  The samples are
     the step ends nearest ``linspace(0, t_final, n_samples)``, distinct
     because ``n_steps`` (by default ``max(20 n_samples, 10000)``) is at
-    least ``n_samples - 1``; they are returned as float64 arrays.
+    least ``n_samples - 1``; they are returned as float64 arrays, with the
+    :class:`FlowWork`.
     """
     m = int(n_samples) - 1
     n_steps = max(20 * (m + 1), 10000) if n_steps is None else int(n_steps)
@@ -664,7 +768,8 @@ def _leapfrog_flow(gradient, p, q, t_final, n_samples, n_steps, margins, q_floor
             q += dt * finite_gradient((k - 1) * dt, p, q)[0]
             p -= 0.5 * dt * finite_gradient(t, p, q)[1]
         except DomainError as exc:
-            return np.array(ts), np.array(ps), np.array(qs), hits, (t, p_old, q_old, exc)
+            return (np.array(ts), np.array(ps), np.array(qs), hits, (t, p_old, q_old, exc),
+                    FlowWork(k - 1, 0, 3 * k - 2))
         hit = next((i for i, margin in enumerate(margins, 1) if margin(p, q) <= 0), None)
         if hit is not None:
             hits.append((hit, t, p, max(q, q_floor)) if q_floor is not None else (hit, t, p_old, q_old))
@@ -679,7 +784,9 @@ def _leapfrog_flow(gradient, p, q, t_final, n_samples, n_steps, margins, q_floor
             qs.append(q)
             j += 1
             k_sample = (2 * j * n_steps + m) // (2 * m)
-    return np.array(ts), np.array(ps), np.array(qs), hits, None
+    # three gradient calls a step and one at the start, less the last of a step that hit
+    work = FlowWork(k, 0, 3 * k + (hit is None))
+    return np.array(ts), np.array(ps), np.array(qs), hits, None, work
 
 
 # ---------------------------------------------------------------------------
@@ -687,62 +794,51 @@ def _leapfrog_flow(gradient, p, q, t_final, n_samples, n_steps, margins, q_floor
 # ---------------------------------------------------------------------------
 
 # the kernel's returns (see _rk45.c) and how it is built
-_DONE, _EVENT, _UNDERFLOW, _NONFINITE = range(4)
+_DONE, _EVENT, _UNDERFLOW, _NONFINITE, _NOROOT = range(5)
 _CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
 
 def _kernel_args(run, poly, q_floor):
     # the kernel, the (c, i, j) rows of dH/dp and dH/dq, and the floor of the
     # margin q - q_floor (-inf: no half line)
-    d_p, d_q = poly.gradient_terms
-    return run, np.array(d_p, dtype=float), np.array(d_q, dtype=float), q_floor
+    return (run, *poly.gradient_terms, q_floor)
 
 
-def _compiled_steps(compiled, gradient, p, q, fp, fq, h_abs, t_final, rtol, atol, t_eval, margins):
+def _compiled_steps(compiled, p, q, fp, fq, h_abs, t_final, rtol, atol, t_eval):
     """The step loop of :func:`_dormand_prince` from its first step size, run by the kernel.
 
-    The kernel takes the steps and records the samples.  It comes back at
-    ``t_final``, at step-size underflow, at a non-finite rate (raised here,
-    naming its stage) and at each step end where an event is active, whose
-    roots, samples and end are handled as the Python loop handles them;
-    ``gradient`` serves the bounce roots.  Returns what
+    The kernel takes the steps, writes the samples and finds the event
+    roots.  It comes back at the end of the flow, at each bounce, whose hit
+    is collected here before it goes on, at step-size underflow, at a
+    non-finite rate (raised here, naming its point) and where Brent's
+    method fails (raised as :func:`_brent` raises it).  Returns what
     :func:`_dormand_prince` returns.
     """
     run, d_p, d_q, q_floor = compiled
     t_eval = np.ascontiguousarray(t_eval, dtype=float)  # the kernel reads its buffer
     n = len(t_eval)
-    y = np.array([0.0, p, q, fp, fq, h_abs])
-    at = np.zeros(2, dtype=np.int64)
-    records, counts, out = np.empty((n, 16)), np.empty(n, dtype=np.int64), np.empty(19)
-    args = (d_p.ctypes.data, len(d_p), d_q.ctypes.data, len(d_q), y.ctypes.data, t_final, rtol,
-            atol, q_floor, t_eval.ctypes.data, n, at.ctypes.data, records.ctypes.data,
-            counts.ctypes.data, out.ctypes.data)
-    hits, stop = [], None
+    # the samples p and q, the state y and out, laid out as _rk45.c reads them
+    buf = np.empty(2 * n + 14)
+    y, out = buf[2 * n:2 * n + 6], buf[2 * n + 6:]
+    y[:] = 0.0, p, q, fp, fq, h_abs
+    count = np.zeros(5, dtype=np.int64)
+    args = (d_p.ctypes.data, len(d_p), d_q.ctypes.data, len(d_q), t_final, rtol, atol, q_floor,
+            t_eval.ctypes.data, n, buf.ctypes.data, count.ctypes.data)
+    hits = []
     while True:
         status = run(*args)
         if status == _NONFINITE:
             _check_finite(*out[:5].tolist())
-        if status == _UNDERFLOW:
-            stop = (*y[:3].tolist(), _TOO_SMALL_STEP)
+        if status == _NOROOT:
+            raise _no_root(*out[:2].tolist())
+        if count[4]:
+            rows = out[:4 * count[4]].tolist()
+            hits += [(int(rows[k]), *rows[k + 1:k + 4]) for k in range(0, len(rows), 4)]
         if status != _EVENT:
             break
-        (t, h, p, q, fp, k3p, k4p, k5p, k6p, k7p, fq, k3q, k4q, k5q, k6q, k7q,
-         t_new, p_new, q_new) = out.tolist()
-        active = [0] if fq < 0 <= k7q else []
-        active += [i for i, margin in enumerate(margins, 1) if margin(p_new, q_new) <= 0]
-        found, t_stop = _event_roots(margins, active, gradient, (t, p, q, t_new, p_new, q_new, k7q),
-                                     (fp, *_quartic(fp, k3p, k4p, k5p, k6p, k7p)),
-                                     (fq, *_quartic(fq, k3q, k4q, k5q, k6q, k7q)))
-        hits += found
-        m, i_eval = at.tolist()
-        i_next = bisect_right(t_eval, t_new if t_stop is None else t_stop, i_eval)
-        if i_next > i_eval:
-            records[m], counts[m], at[:] = out[:16], i_next - i_eval, (m + 1, i_next)
-        if t_stop is not None or t_new >= t_final:
-            break
-        y[:5] = t_new, p_new, q_new, k7p, k7q
-    m = int(at[0])
-    return (*_samples(t_eval, records[:m], counts[:m]), hits, stop)
+    m, accepted, rejected, calls, _ = count.tolist()
+    stop = (*y[:3].tolist(), _TOO_SMALL_STEP) if status == _UNDERFLOW else None
+    return t_eval[:m], buf[:m], buf[n:n + m], hits, stop, FlowWork(accepted, rejected, 2 + calls)
 
 
 @functools.cache
@@ -820,23 +916,27 @@ def _load(path):
 
     run = ctypes.CDLL(str(path)).enhq_rk45
     pointer, count, double = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-    run.argtypes = (pointer, count, pointer, count, pointer, double, double, double, double,
-                    pointer, count, pointer, pointer, pointer, pointer)
+    run.argtypes = (pointer, count, pointer, count, double, double, double, double,
+                    pointer, count, pointer, pointer)
     run.restype = ctypes.c_int
     return run
 
 
 def _probe(run) -> bool:
-    # the kernel against the Python loop, bit for bit: an enhanced hydrogen
-    # orbit that turns twice, and a classical one that falls to the floor
-    for coeffs, t_final in (({(2, 0): 0.5, (0, -1): -4 / 3, (0, -2): 1.0}, 30.0),
-                            ({(2, 0): 0.5, (0, -1): -1.0}, 4.0)):
+    # the kernel against the Python loop, bit for bit and work record too: an
+    # enhanced hydrogen orbit that turns twice, a classical one that falls to
+    # the floor, and a coarse enhanced one whose last step holds a floor root,
+    # which cuts the step's samples, and a bounce root after it
+    enhanced = {(2, 0): 0.5, (0, -1): -4 / 3, (0, -2): 1.0}
+    for coeffs, t_final, tol, q_floor in ((enhanced, 30.0, 1e-10, 1e-8),
+                                          ({(2, 0): 0.5, (0, -1): -1.0}, 4.0, 1e-10, 1e-8),
+                                          (enhanced, 30.0, 1e-3, 0.95)):
         poly = _LabelPolynomial(coeffs, q_positive=True)
-        args = (poly.gradient, -0.3, 1.0, t_final, 1e-10, 1e-13, np.linspace(0.0, t_final, 50),
-                [lambda p, q: q - 1e-8])
+        args = (poly.gradient, -0.3, 1.0, t_final, tol, tol * 1e-3, np.linspace(0.0, t_final, 50),
+                [lambda p, q: q - q_floor])
         python, kernel = ([a.tobytes() if isinstance(a, np.ndarray) else repr(a)
                            for a in _dormand_prince(*args, compiled)]
-                          for compiled in (None, _kernel_args(run, poly, 1e-8)))
+                          for compiled in (None, _kernel_args(run, poly, q_floor)))
         if python != kernel:
             return False
     return True
@@ -925,7 +1025,7 @@ def apply_transform(tr: CanonicalTransform, obj):
             TrajectoryEvent(e.time, e.kind, *map(float, tr.forward(e.p, e.q)), e.energy)
             for e in obj.events
         )
-        return Trajectory(obj.t, pts[:, 0], pts[:, 1], obj.energy, events)
+        return Trajectory(obj.t, pts[:, 0], pts[:, 1], obj.energy, events, obj.work)
     raise TypeError(f"cannot transform object of type {type(obj).__name__}")
 
 

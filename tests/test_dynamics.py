@@ -1,8 +1,12 @@
 import json
 import math
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import RK45, quad, solve_ivp
 from scipy.optimize import brentq
@@ -21,6 +25,7 @@ from enhq import (
     build_halfline_rep,
     build_spin_rep,
     canonical_family,
+    classical_hamiltonian,
     enhance,
     hamiltonian_flow,
     hydrogen_classical,
@@ -37,7 +42,7 @@ from enhq import (
 )
 import enhq.dynamics
 from enhq.correspondence import EnhancedHamiltonian
-from enhq.dynamics import CanonicalTransform, _dormand_prince, _event_roots
+from enhq.dynamics import CanonicalTransform, FlowWork, _brent, _dormand_prince, _event_roots
 
 
 @pytest.fixture(scope="module")
@@ -196,8 +201,8 @@ def tableau_loop(gradient, p, q, t_final, rtol, atol, t_eval, margins):
 
 
 def as_lists(result):
-    """A ``_dormand_prince`` result with its sample arrays as lists, for exact ``==``."""
-    ts, ps, qs, hits, stop = result
+    """A ``_dormand_prince`` result with its sample arrays as lists and no work record, for exact ``==``."""
+    ts, ps, qs, hits, stop, _ = result
     return ts.tolist(), ps.tolist(), qs.tolist(), hits, stop
 
 
@@ -367,7 +372,7 @@ class TestHarmonicFlow:
 
     @pytest.mark.parametrize("build,x0,t_final,calls,evaluations", [
         (hydrogen_classical, (-0.3, 1.0), 4.0, 3560, 219),
-        (hydrogen_enhanced, (-0.3, 1.0), 30.0, 2238, 1002),
+        (hydrogen_enhanced, (-0.3, 1.0), 30.0, 2236, 1002),
         (hydrogen_classical, (0.773, 2.587), 133.0, 4406, 627),
     ], ids=["classical", "enhanced", "classical-gives-up"])
     def test_counted_calls_of_user_callables(self, build, x0, t_final, calls, evaluations):
@@ -405,6 +410,8 @@ class TestHarmonicFlow:
             return sample_pass(t_eval, records, counts)
 
         monkeypatch.setattr(enhq.dynamics, "_samples", spy)
+        # the Python loop's records: the kernel writes its samples itself
+        monkeypatch.setattr(enhq.dynamics, "_kernel", lambda: None)
         traj = hamiltonian_flow(harmonic, (0.3, 1.2), 6 * np.pi, n_samples=n_samples)
         [(n_steps, counts)] = recorded
         assert n_steps <= n_samples and min(counts) >= 1 and sum(counts) == len(traj) == n_samples
@@ -532,10 +539,12 @@ class TestRK45AgainstScipy:
         # the gradient too while it locates a bounce: those are the stages'
         rooting, calls = [], []
 
-        def counted_brentq(*args, **kwargs):
+        brent = enhq.dynamics._brent
+
+        def counted_brent(*args):
             rooting.append(True)
             try:
-                return brentq(*args, **kwargs)
+                return brent(*args)
             finally:
                 rooting.pop()
 
@@ -544,7 +553,7 @@ class TestRK45AgainstScipy:
                 calls.append((p, q))
             return ham.gradient(p, q)
 
-        monkeypatch.setattr(enhq.dynamics, "brentq", counted_brentq)
+        monkeypatch.setattr(enhq.dynamics, "_brent", counted_brent)
 
         def fun(t, y):
             gp, gq = ham.gradient(y[0], y[1])
@@ -567,7 +576,7 @@ class TestRK45AgainstScipy:
             events=[scipy_event(lambda p, q: ham.gradient(p, q)[0], 1.0, False),
                     *(scipy_event(margin, -1.0, True) for margin in margins)],
         )
-        ts, ps, qs, hits, stop = _dormand_prince(
+        ts, ps, qs, hits, stop, _ = _dormand_prince(
             gradient, p0, q0, t_final, tol, tol * 1e-3, t_eval, margins
         )
         # one gradient call per stage: the same steps, accepted and rejected
@@ -656,6 +665,20 @@ class TestRK45AgainstScipy:
         assert hits == [(0, 0.5, 0.5, -0.125)]
         assert calls and (0.0, 0.0) not in calls and (1.0, 0.0) not in calls
 
+    @pytest.mark.parametrize("loop", ["kernel", "python"])
+    def test_a_bounce_bracket_takes_the_stages_rate_at_the_step_end(self, loop, monkeypatch):
+        # the stages' dq/dt turns nonnegative at a step end where a gradient
+        # at the dense output, which differs from the step end in its last
+        # bits, has the other sign; the bracket takes the stages' value, so
+        # Brent's method roots the bounce and the plunge goes on until its
+        # step size underflows
+        if loop == "python":
+            monkeypatch.setattr(enhq.dynamics, "_kernel", lambda: None)
+        ham = classical_hamiltonian(parse_polynomial("Q - 1.5*P^2 + 2*P*Q^2*P", "canonical"))
+        with pytest.raises(NumericalFailure, match="integration failed at t = 0.8283192978876779: "
+                           "Required step size"):
+            hamiltonian_flow(ham, (0.0, 1.0), 1.0, tol=1e-6, n_samples=2)
+
     def test_a_terminal_event_drops_the_later_ones_of_its_step(self, monkeypatch):
         # straight-line motion has no error estimate, so steps grow tenfold
         # and one step crosses all three levels; the first root in time, not
@@ -675,7 +698,7 @@ class TestRK45AgainstScipy:
         levels = (0.2, 0.45, 0.3)
         margins = [lambda p, q, c=c: q - c for c in levels]
         t_eval = np.linspace(0.0, 10.0, 11)
-        _, _, _, hits, stop = _dormand_prince(
+        _, _, _, hits, stop, _ = _dormand_prince(
             gradient, 0.0, 1.0, 10.0, 1e-10, 1e-13, t_eval, margins
         )
 
@@ -1231,3 +1254,132 @@ class TestTrajectorySerialization:
         traj = self._sample()
         data = json.loads(traj.to_json())
         assert data["events"][0]["kind"] == "bounce"
+
+
+EPS = float(np.finfo(float).eps)
+
+
+class TestBrent:
+    """``_brent`` against scipy's ``brentq``, the oracle it ports."""
+
+    @staticmethod
+    def horner(coeffs, shift):
+        def f(x):
+            value = 0.0
+            for c in coeffs:
+                value = value * x + c
+            return value - shift
+
+        return f
+
+    @settings(max_examples=300, deadline=None)
+    @given(coeffs=st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=6),
+           a=st.floats(-5.0, 5.0), width=st.floats(1e-9, 10.0), at=st.floats(0.0, 1.0))
+    def test_roots_are_brentqs(self, coeffs, a, width, at):
+        # a random polynomial shifted to vanish at a point of the bracket
+        b = a + width
+        f = self.horner(coeffs, 0.0)
+        f = self.horner(coeffs, f(a + at * width))
+        fa, fb = f(a), f(b)
+        assume(fa < 0 < fb or fb < 0 < fa)
+        tried = []
+
+        def g(x):
+            tried.append(x)
+            return f(x)
+
+        root = _brent(g, a, b, fa, fb)
+        expected = brentq(f, a, b, xtol=4 * EPS, rtol=4 * EPS, full_output=True)[1]
+        assert expected.converged and a <= root <= b
+        assert abs(root - expected.root) <= 4 * EPS * (1 + abs(expected.root))
+        # bit for bit, with the same points tried after the two ends
+        assert root == expected.root and len(tried) == expected.function_calls - 2
+
+    @pytest.mark.parametrize("fa,fb,root", [(0.0, 1.0, 0.5), (-1.0, 0.0, 2.0)])
+    def test_a_zero_end_is_the_root(self, fa, fb, root):
+        assert _brent(lambda x: 1 / 0, 0.5, 2.0, fa, fb) == root
+
+    def test_no_convergence_in_100_iterations_raises(self):
+        # a step function: Brent's method bisects, and 100 halvings of
+        # [-1e300, 1e300] are far from 4 eps
+        def f(x):
+            return -1.0 if x < 0.1 else 1.0
+
+        with pytest.raises(RuntimeError, match="Failed to converge after 100 iterations"):
+            brentq(f, -1e300, 1e300, xtol=4 * EPS, rtol=4 * EPS)
+        with pytest.raises(NumericalFailure, match=r"Brent's method found no root in \[-1e\+300, 1e\+300\]"):
+            _brent(f, -1e300, 1e300, -1.0, 1.0)
+
+    def test_a_nan_or_ends_of_one_sign_raise(self):
+        with pytest.raises(ValueError, match="NaN"):
+            brentq(lambda x: math.nan if 0 < x < 1 else x - 0.5, 0.0, 1.0)
+        with pytest.raises(NumericalFailure, match="found no root"):
+            _brent(lambda x: math.nan, 0.0, 1.0, -0.5, 0.5)
+        with pytest.raises(NumericalFailure, match="found no root"):
+            _brent(lambda x: x, 1.0, 2.0, 1.0, 2.0)
+
+
+class TestWorkRecord:
+    """``Trajectory.work`` against the gradient calls a wrapper counts."""
+
+    @staticmethod
+    def counted(ham):
+        calls = []
+
+        def gradient(p, q):
+            calls.append((p, q))
+            return ham._gradient(p, q)
+
+        return EnhancedHamiltonian(ham._evaluate, gradient, q_positive=ham.q_positive,
+                                   label_domain=ham.label_domain), calls
+
+    # (Hamiltonian, start, t_final, options, the record)
+    CASES = {
+        "rk45-floor": (lambda: hydrogen_classical(HydrogenParams()), (-0.3, 1.0), 4.0, {},
+                       FlowWork(593, 0, 3560)),
+        "rk45-bounces": (lambda: hydrogen_enhanced(HydrogenParams()), (-0.3, 1.0), 30.0, {},
+                         FlowWork(364, 7, 2236)),
+        "rk45-underflow": (lambda: hydrogen_classical(HydrogenParams()), (0.773, 2.587), 133.0, {},
+                           FlowWork(732, 2, 4406)),
+        "leapfrog-t_final": (lambda: hydrogen_enhanced(HydrogenParams()), (-0.3, 1.0), 30.0,
+                             {"method": "leapfrog", "n_steps": 250, "n_samples": 26}, FlowWork(250, 0, 751)),
+        "leapfrog-floor": (lambda: hydrogen_classical(HydrogenParams()), (0.0, 1.0), 2.0,
+                           {"method": "leapfrog", "n_steps": 2000, "n_samples": 26}, FlowWork(1111, 0, 3333)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_the_record_counts_every_call(self, case):
+        build, x0, t_final, options, expected = self.CASES[case]
+        ham, calls = self.counted(build())
+        traj = hamiltonian_flow(ham, x0, t_final, **options)
+        assert traj.work == expected and len(calls) == expected.gradient_calls
+        if case == "rk45-floor":
+            # no bounce: two calls before the first step and six an attempt
+            assert expected.gradient_calls == 2 + 6 * (expected.steps + expected.rejected)
+        if case.startswith("leapfrog"):
+            # three calls a step and one at the start, less the last of a step that hit
+            assert expected.gradient_calls == 3 * expected.steps + (case == "leapfrog-t_final")
+
+    @pytest.mark.parametrize("method,n_steps,expected,uncounted", [
+        ("rk45", None, FlowWork(79, 16, 572), 5), ("leapfrog", 300, FlowWork(155, 0, 466), 1),
+    ])
+    def test_a_step_a_domain_error_cuts_short_is_not_counted(self, method, n_steps, expected,
+                                                            uncounted):
+        # a spin flow into a pole, as in TestFlowValidation
+        family = spin_family(build_spin_rep(2.0))
+        ham, calls = self.counted(enhance(parse_polynomial("S1", "spin"), family))
+        traj = hamiltonian_flow(ham, (0.0, math.pi / 2 * math.sqrt(2)), 3.0, n_samples=5,
+                                method=method, n_steps=n_steps)
+        assert traj.event_kinds() == ("domain_exit",)
+        assert traj.work == expected and len(calls) == expected.gradient_calls + uncounted
+
+    def test_the_record_is_no_part_of_equality_or_of_a_body(self):
+        [work] = [f for f in dataclasses.fields(Trajectory) if f.name == "work"]
+        assert not work.compare and not work.repr
+        traj = hamiltonian_flow(hydrogen_classical(HydrogenParams()), (-0.3, 1.0), 4.0, n_samples=5)
+        bare = dataclasses.replace(traj, work=None)
+        assert traj.work is not None and bare.work is None
+        assert traj.to_json() == bare.to_json() and traj.to_csv() == bare.to_csv()
+        assert Trajectory.from_json(traj.to_json()).work is None
+        single = Trajectory(np.zeros(1), np.ones(1), np.ones(1), np.ones(1), (), FlowWork(1, 0, 7))
+        assert single == dataclasses.replace(single, work=FlowWork(2, 1, 9))

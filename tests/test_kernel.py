@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import enhq.dynamics
-from enhq import NumericalFailure, hamiltonian_flow, parse_polynomial, enhance
+from enhq import NumericalFailure, Trajectory, enhance, hamiltonian_flow, parse_polynomial
 from enhq.correspondence import _LabelPolynomial
-from enhq.dynamics import (_DONE, _EVENT, _NONFINITE, _TOO_SMALL_STEP, _UNDERFLOW,
+from enhq.dynamics import (_DONE, _EVENT, _NONFINITE, _NOROOT, _TOO_SMALL_STEP, _UNDERFLOW,
                            _dormand_prince, _kernel, _kernel_args)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -41,15 +41,12 @@ def outcome(poly, x0, t_final, tol, q_floor, n_samples, run=None):
     compiled = None if run is None else _kernel_args(
         run, poly, q_floor if poly.q_positive else -math.inf)
     try:
-        ts, ps, qs, hits, stop = _dormand_prince(
+        ts, ps, qs, hits, stop, work = _dormand_prince(
             poly.gradient, *x0, t_final, tol, tol * 1e-3, np.linspace(0.0, t_final, n_samples),
             margins, compiled)
     except NumericalFailure as exc:
         return "NumericalFailure", str(exc), repr(exc.diagnostics)
-    except ValueError as exc:
-        # brentq finding no sign change for a bounce, in both loops alike
-        return "ValueError", str(exc)
-    return ts.tobytes(), ps.tobytes(), qs.tobytes(), repr(hits), repr(stop)
+    return ts.tobytes(), ps.tobytes(), qs.tobytes(), repr(hits), repr(stop), repr(work)
 
 
 def statuses_of(run, calls):
@@ -126,34 +123,54 @@ def pool():
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("n_samples", [1000, 200, 7])
-    def test_pool_orbits_match_the_python_loop(self, run, pool, monkeypatch, n_samples):
-        # the whole Trajectory, with the loader returning None for the fallback
+    @staticmethod
+    def flows(pool, n_samples, turns):
+        # each classical orbit to its horizon, then the enhanced one to
+        # ``turns`` times the collapse, as JSON with the work record
         items, classical, enhanced = pool
+        found = []
+        for p0, q0, horizon in items:
+            traj = hamiltonian_flow(classical, (p0, q0), horizon, n_samples=n_samples)
+            t_hit = next(e.time for e in traj.events if e.kind == "singularity_hit")
+            found += [traj, hamiltonian_flow(enhanced, (p0, q0), turns * t_hit, n_samples=n_samples)]
+        return [(traj.to_json(), traj.work) for traj in found]
 
-        def flows():
-            found = []
-            for p0, q0, horizon in items:
-                traj = hamiltonian_flow(classical, (p0, q0), horizon, n_samples=n_samples)
-                t_hit = next(e.time for e in traj.events if e.kind == "singularity_hit")
-                found += [traj.to_json(), hamiltonian_flow(
-                    enhanced, (p0, q0), 10.0 * t_hit, n_samples=n_samples).to_json()]
-            return found
-
-        kernel = flows()
+    @pytest.mark.parametrize("n_samples", [1000, 200, 7, 2])
+    def test_pool_orbits_match_the_python_loop(self, run, pool, monkeypatch, n_samples):
+        # the whole Trajectory and its work record, with the loader returning
+        # None for the fallback
+        kernel = self.flows(pool, n_samples, 10.0)
         monkeypatch.setattr(enhq.dynamics, "_kernel", lambda: None)
-        assert flows() == kernel
+        assert self.flows(pool, n_samples, 10.0) == kernel
+
+    def test_long_enhanced_orbits_match_the_python_loop(self, run, pool, monkeypatch):
+        # fifty collapse times: the 40 orbits turn 224 times, up to 17 times
+        # each, and the kernel comes back at every bounce
+        calls = []
+        monkeypatch.setattr(enhq.dynamics, "_kernel", lambda: statuses_of(run, calls))
+        kernel = self.flows(pool, 200, 50.0)
+        bounces = [Trajectory.from_json(text).event_kinds().count("bounce") for text, _ in kernel[1::2]]
+        assert sum(bounces) == 224 and max(bounces) == 17 and calls.count(_EVENT) == sum(bounces)
+        monkeypatch.setattr(enhq.dynamics, "_kernel", lambda: None)
+        assert self.flows(pool, 200, 50.0) == kernel
 
     # (coefficients, half line, start, t_final, tol, q_floor, the kernel's returns)
     CASES = {
         "bounce": (ENHANCED, True, (-0.3, 1.0), 30.0, 1e-10, 1e-8, [_EVENT, _EVENT, _DONE]),
-        "floor": (CLASSICAL, True, (-0.3, 1.0), 4.0, 1e-10, 1e-8, [_EVENT]),
+        "floor": (CLASSICAL, True, (-0.3, 1.0), 4.0, 1e-10, 1e-8, [_DONE]),
+        # the orbit turns at q = 0.942: its first turn steps over the floor at
+        # 0.95, and its second ends a step below it, with both roots in that
+        # step (see test_a_bounce_and_a_floor_root_in_one_step)
+        "bounce_and_floor": (ENHANCED, True, (-0.3, 1.0), 30.0, 1e-3, 0.95, [_EVENT, _DONE]),
         "t_final": ({(2, 0): 0.5, (0, 2): 0.5}, False, (0.3, 1.2), 1.234, 1e-10, 1e-8, [_DONE]),
         # the case of test_collapse_time_when_the_step_size_underflows
         "underflow": (CLASSICAL, True, (0.773, 2.587), 133.0, 1e-10, 1e-8, [_UNDERFLOW]),
         # H = -p + 1e-10 / q^2: a stage's q^3 underflows to 0
         "non_finite": ({(1, 0): -1.0, (0, -2): 1e-10}, True, (0.0, 1e-100), 1.0, 1e-10, 1e-300,
                        [_NONFINITE]),
+        # H = -1e308 p: the step's dense output overflows, and the floor
+        # margin Brent's method tries is nan
+        "no_root": ({(1, 0): -1e308}, True, (0.0, 1e307), 10.0, 1e-3, 1e-8, [_NOROOT]),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -167,7 +184,35 @@ class TestBitIdentity:
         if case == "t_final":
             assert np.frombuffer(kernel[0])[-1] == t_final
         if case == "underflow":
-            assert kernel[-1].endswith(f"{_TOO_SMALL_STEP!r})")
+            assert kernel[-2].endswith(f"{_TOO_SMALL_STEP!r})")
+        if case == "no_root":
+            assert kernel[:2] == ("NumericalFailure", "Brent's method found no root in "
+                                  "[0.06762433378062413, 0.7438676715868655]")
+
+    @pytest.mark.parametrize("n_samples", [2, 7, 200, 1000])
+    def test_a_bounce_and_a_floor_root_in_one_step(self, run, monkeypatch, n_samples):
+        # the last step holds both roots, the floor's first; the samples of
+        # that step stop at the floor root
+        coeffs, _, x0, t_final, tol, q_floor, _ = self.CASES["bounce_and_floor"]
+        poly = _LabelPolynomial(coeffs, q_positive=True)
+        steps = []
+        event_roots = enhq.dynamics._event_roots
+
+        def spy(margins, active, gradient, step, cp, cq):
+            found = event_roots(margins, active, gradient, step, cp, cq)
+            steps.append((active, step[0], step[3], found))
+            return found
+
+        monkeypatch.setattr(enhq.dynamics, "_event_roots", spy)
+        python = outcome(poly, x0, t_final, tol, q_floor, n_samples)
+        active, t_old, t_new, (hits, t_stop) = steps[-1]
+        assert active == [0, 1] and [i for i, *_ in hits] == [1] and t_old < t_stop < t_new
+        t_eval = np.linspace(0.0, t_final, n_samples)
+        assert np.frombuffer(python[0]).tolist() == t_eval[t_eval <= t_stop].tolist()
+        if n_samples == 1000:
+            # samples on both sides of the floor root inside the step
+            assert t_old < t_eval[t_eval <= t_stop][-2] and t_eval[t_eval > t_stop][0] < t_new
+        assert outcome(poly, x0, t_final, tol, q_floor, n_samples, run) == python
 
     def test_rejected_steps(self, run):
         # scipy's RK45 counts the same steps (TestRK45AgainstScipy): six

@@ -87,17 +87,21 @@ def _third_party_imports(tree, module):
     return [(module, name) for name in sorted(tops - sys.stdlib_module_names)]
 
 
-def _sparse_imports(tree, module):
-    # every imported dotted name: import a.b gives a.b, from a import b gives
-    # a.b, so each form that reaches scipy.sparse names it
-    names = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            names += [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names += [f"{node.module}.{alias.name}" for alias in node.names]
-    return [(module, name) for name in names
-            if name == "scipy.sparse" or name.startswith("scipy.sparse.")]
+def _imports_of(package):
+    # the check for imports from package: every imported dotted name, where
+    # import a.b gives a.b and from a import b gives a.b, so each form that
+    # reaches the package names it
+    def check(tree, module):
+        names = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names += [f"{node.module}.{alias.name}" for alias in node.names]
+        return [(module, name) for name in names
+                if name == package or name.startswith(f"{package}.")]
+
+    return check
 
 
 def _unread_parameters(tree, module):
@@ -227,17 +231,25 @@ def test_the_check_sees_a_third_party_import():
 def test_the_library_imports_no_sparse_matrices():
     # the half line is a grid and its weights: no operator is stored on it,
     # and its finite-difference letters live in the tests' oracles
-    assert _findings(_sparse_imports) == []
+    assert _findings(_imports_of("scipy.sparse")) == []
+
+
+def test_the_library_imports_no_root_finder():
+    # event roots are found by the library's own Brent's method, which the
+    # tests check against scipy.optimize.brentq
+    assert _findings(_imports_of("scipy.optimize")) == []
 
 
 def test_the_check_sees_a_sparse_import():
     tree = ast.parse("import scipy.sparse as sp\nfrom scipy import sparse, special\n"
                      "from scipy.sparse.linalg import expm\nimport scipy.special\n"
                      "def f():\n    from scipy.sparse import diags\n")
-    assert sorted(_sparse_imports(tree, "m.py")) == [
+    assert sorted(_imports_of("scipy.sparse")(tree, "m.py")) == [
         ("m.py", "scipy.sparse"), ("m.py", "scipy.sparse"), ("m.py", "scipy.sparse.diags"),
         ("m.py", "scipy.sparse.linalg.expm")]
-    assert _sparse_imports(ast.parse("from scipy.special import gammaln\n"), "m.py") == []
+    assert _imports_of("scipy.sparse")(ast.parse("from scipy.special import gammaln\n"), "m.py") == []
+    assert _imports_of("scipy.optimize")(ast.parse("from scipy.optimize import brentq\n"), "m.py") == [
+        ("m.py", "scipy.optimize.brentq")]
 
 
 def test_the_check_sees_an_unread_parameter():
