@@ -21,8 +21,6 @@ from .coherent import (
     canonical_family,
     extended_family,
     fiducial_moments,
-    fiducial_p2_closed,
-    fiducial_q_moment_closed,
     fs_metric,
     fs_metric_analytic,
     fs_metric_numeric,

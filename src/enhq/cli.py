@@ -27,7 +27,6 @@ from .coherent import (
     canonical_family,
     extended_family,
     fiducial_moments,
-    fiducial_p2_closed,
     fs_metric,
     scalar_curvature,
     spin_family,
@@ -119,8 +118,8 @@ def _hbar(cfg) -> float:
 _REPRESENTATION_DEFAULTS = {"dim": 200, "x_min": 1e-5, "x_max": 60.0, "n": 3000, "s": 0.5}
 
 
-def _representation_keys(cfg, kind, **derived):
-    """A reader of the ``kind`` representation's keys: the config's, else derived, else the default.
+def _representation_keys(cfg, kind):
+    """A reader of the ``kind`` representation's keys: the config's, else the default.
 
     A ``representation.kind`` the config names must be ``kind``.
     """
@@ -128,11 +127,11 @@ def _representation_keys(cfg, kind, **derived):
     if block.get("kind", kind) != kind:
         raise ConfigError(f"config error at representation.kind: this config builds the "
                           f"{kind!r} representation, not {block['kind']!r}")
-    return lambda key: block.get(key, derived.get(key, _REPRESENTATION_DEFAULTS[key]))
+    return lambda key: block.get(key, _REPRESENTATION_DEFAULTS[key])
 
 
-def _representation(cfg, kind, hbar=None, **derived):
-    value = _representation_keys(cfg, kind, **derived)
+def _representation(cfg, kind, hbar=None):
+    value = _representation_keys(cfg, kind)
     hbar = _hbar(cfg) if hbar is None else hbar
     if kind == "line":
         return build_fock_rep(value("dim"), hbar)
@@ -162,15 +161,9 @@ def _family_kind(cfg, default="canonical"):
     return cfg.get("family", {}).get("kind", default)
 
 
-def _build_family(cfg, kind, **derived) -> CoherentFamily:
+def _build_family(cfg, kind) -> CoherentFamily:
     rep_kind, build = _FAMILIES[kind]
-    return build(_representation(cfg, rep_kind, **derived), cfg)
-
-
-def _enhanced(cfg, poly, kind):
-    # canonical moments are exact once dim > degree, so the dim a config leaves
-    # out is derived from the polynomial
-    return enhance(poly, _build_family(cfg, kind, dim=poly.degree + 2))
+    return build(_representation(cfg, rep_kind), cfg)
 
 
 def _label_points(cfg):
@@ -215,7 +208,7 @@ def _build_hamiltonian(cfg):
     if model is not None:
         name = model["name"]
         if name == "harmonic":
-            return _enhanced(cfg, parse_polynomial(_HARMONIC, "canonical"), "canonical")
+            return enhance(parse_polynomial(_HARMONIC, "canonical"), _build_family(cfg, "canonical"))
         if name == "spin_precession":
             return spin_precession(model.get("B", 1.0), _representation(cfg, "spin"))
         return _HYDROGEN[name](_hydrogen_params(cfg))
@@ -223,7 +216,8 @@ def _build_hamiltonian(cfg):
     if ham is None:
         raise ConfigError(f"config error at model: {cfg['experiment']} needs a model or a hamiltonian")
     variables = ham.get("variables", "canonical")
-    return _enhanced(cfg, parse_polynomial(ham["expression"], variables), _family_kind(cfg, variables))
+    poly = parse_polynomial(ham["expression"], variables)
+    return enhance(poly, _build_family(cfg, _family_kind(cfg, variables)))
 
 
 def _transform_from_config(cfg):
@@ -263,16 +257,8 @@ def _expectation_table(family, points) -> tuple:
     return [column[0] for column in columns], rows
 
 
-def _expectation_family(cfg, kind):
-    # as in _enhanced: a line basis the config leaves out is derived from the
-    # columns' words, whose restrictions are exact once dim exceeds their degree
-    degree = max(parse_polynomial(word, "canonical").degree
-                 for _, *words in _EXPECTATION_COLUMNS["canonical"] for word in words)
-    return _build_family(cfg, kind, dim=degree + 2)
-
-
 def _run_expectation(cfg, header):
-    names, rows = _expectation_table(_expectation_family(cfg, _family_kind(cfg)), _label_points(cfg))
+    names, rows = _expectation_table(_build_family(cfg, _family_kind(cfg)), _label_points(cfg))
     return {"expectation.csv": _csv(header, ["p", "q", *names], rows)}
 
 
@@ -384,7 +370,7 @@ def _run_limit_study(cfg, header):
         raise ConfigError("config error at hamiltonian.variables: limit_study supports canonical expressions")
     poly = parse_polynomial(ham_cfg["expression"], "canonical")
     # one representation at hbar = 1 holds the whole series in hbar
-    series = hbar_series(poly, canonical_family(_representation(cfg, "line", 1.0, dim=poly.degree + 2)))
+    series = hbar_series(poly, canonical_family(_representation(cfg, "line", 1.0)))
     classical = classical_hamiltonian(poly)
     rows = []
     for p, q in _label_points(cfg):
@@ -424,7 +410,7 @@ def _check(name, measured, expected, tolerance):
 
 def _suite_label_means(cfg):
     # the expectation columns mean_p, mean_q, var_p, var_q against p, q, hbar/2, hbar/2
-    family = _expectation_family(cfg, "canonical")
+    family = _build_family(cfg, "canonical")
     rng = np.random.default_rng(int(cfg.get("seed", 0)))
     rows = np.array(_expectation_table(family, rng.uniform(-3.0, 3.0, size=(50, 2)))[1])
     expected = np.hstack([rows[:, :2], np.full((len(rows), 2), family.rep.hbar / 2)])
@@ -447,12 +433,12 @@ def _suite_flat_metric(cfg):
 
 
 def _suite_fiducial_moments(cfg):
+    # the grid quadratures against the exact moments <Q> = 1 and C2 = <P^2>
     family = _build_family(cfg, "affine")
     m = fiducial_moments(family)
-    c2 = fiducial_p2_closed(family.beta, family.rep.hbar)
+    c2 = family.fiducial_moment(("P", "P")).real
     return [
         _check("<Q>", m["q1"], 1.0, 1e-6),
-        _check("<D>", abs(m["d"]), 0.0, 1e-6),
         _check("C2 relative", m["p2"] / c2, 1.0, 1e-5),
     ]
 
@@ -470,7 +456,7 @@ def _suite_curvature(cfg):
 
 
 def _suite_energy_drift(cfg):
-    ham = _enhanced(cfg, parse_polynomial(_HARMONIC, "canonical"), "canonical")
+    ham = enhance(parse_polynomial(_HARMONIC, "canonical"), _build_family(cfg, "canonical"))
     traj = hamiltonian_flow(ham, PhasePoint(0.0, 1.0), 4.0 * np.pi, tol=1e-10)
     drift = float(np.max(np.abs(traj.energy - traj.energy[0])) / abs(traj.energy[0]))
     return [_check("max relative energy drift", drift, 0.0, 1e-8)]

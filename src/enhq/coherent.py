@@ -97,7 +97,8 @@ class CoherentFamily:
     line sampled on first use) and ``letters``, the matrix of each letter of
     the family's operator alphabet that its representation realizes: none on
     the half line, which is a grid and its weights only (the tests' oracles
-    keep its finite-difference letters).
+    keep its finite-difference letters), and on the line the ``Q`` and ``P``
+    that the representation builds on first read.
     Each family is a subclass, built by its factory function, whose
     ``_build(p, q, tangent)`` returns the state and, when ``tangent`` is set,
     its label derivatives (None otherwise).  It declares what restricting a
@@ -106,7 +107,7 @@ class CoherentFamily:
     chart, or None; and ``shifted``, each letter's adjoint action
     ``U(p, q)^dag X U(p, q)`` as terms (coefficient, fiducial letter or None,
     power of ``p``, power of ``q``) where that is a polynomial in the labels,
-    with an exact ``fiducial_moment(word)``.
+    with the span on which :meth:`fiducial_moment` takes its exact moments.
 
     Instances are immutable; ``state`` is a pure function of the labels and
     families may be shared across threads and swept in parallel.
@@ -116,11 +117,6 @@ class CoherentFamily:
     half_line = False
     label_domain = None
     shifted = None
-
-    def __init__(self, rep, fiducial, letters):
-        self.rep = rep
-        self.fiducial = fiducial
-        self.letters = letters
 
     def label_in_domain(self, p: float, q: float) -> bool:
         return np.isfinite(p) and np.isfinite(q) and (q > 0 or not self.half_line)
@@ -144,6 +140,26 @@ class CoherentFamily:
         psi, d_p, d_q = self._build(p, q, True)
         return psi.amplitudes, d_p, d_q
 
+    def fiducial_moment(self, word) -> complex:
+        """The exact ``<fiducial| word |fiducial>`` of a family with a ``shifted`` table.
+
+        The letters keep a span ``e_k`` with ``e_0`` the fiducial: the family's
+        ``_span_action(letter, k)`` gives the terms ``(k', exact factor)`` of
+        a letter's image of ``e_k``, and ``_pairing(word, {k: c})`` the moment
+        of ``word e_0``.  An overflowing moment raises :class:`DomainError`.
+        """
+        vec = {0: 1}
+        for letter in reversed(word):
+            out = defaultdict(int)
+            for k, c in vec.items():
+                for k_out, factor in self._span_action(letter, k):
+                    out[k_out] += factor * c
+            vec = out
+        try:
+            return complex(self._pairing(word, vec))
+        except OverflowError:
+            raise DomainError(f"the fiducial moment of {'*'.join(word)} overflows a double") from None
+
 
 class _Canonical(CoherentFamily):
     kind = "canonical"
@@ -151,7 +167,11 @@ class _Canonical(CoherentFamily):
     a = b = 0.0  # no rotation, no squeeze
 
     def __init__(self, rep):
-        super().__init__(rep, rep.vacuum(), {"P": rep.P, "Q": rep.Q})
+        self.rep, self.fiducial = rep, rep.vacuum()
+
+    @cached_property
+    def letters(self):
+        return {"P": self.rep.P, "Q": self.rep.Q}
 
     @property
     def shifted(self):
@@ -169,15 +189,20 @@ class _Canonical(CoherentFamily):
         return {x: tuple(t for w, y, i, j in weighted[x] if w for t in ((w, y, 0, 0), (w, None, i, j)))
                 for x in weighted}
 
-    def fiducial_moment(self, word):
-        # a word of length L reaches Fock level L: the moment is exact only when dim > L
-        if self.rep.dim <= len(word):
-            raise ValueError(f"representation dim {self.rep.dim} is too small for exact moments "
-                             f"of a degree-{len(word)} word")
-        fid = vec = self.fiducial.amplitudes
-        for letter in reversed(word):
-            vec = self.letters[letter] @ vec
-        return complex(np.vdot(fid, vec))
+    @staticmethod
+    def _span_action(letter, k):
+        # the span |k>' = (A^dag)^k |0>, on which A^dag |k>' = |k+1>' and A |k>' = k |k-1>';
+        # in units of sqrt(hbar/2), Q = A^dag + A and P = i (A^dag - A), less its i
+        raised = (k + 1, 1)
+        return (raised, (k - 1, k if letter == "Q" else -k)) if k else (raised,)
+
+    def _pairing(self, word, vec):
+        # <0|k>' = 0 for k > 0: the moment is <0|vec> (hbar/2)^(m/2) i^(#P) for a word of
+        # length m, and 0 for an odd one
+        m = len(word)
+        if m % 2:
+            return 0.0
+        return vec[0] * (0.5 * self.rep.hbar) ** (m // 2) * (1, 1j, -1, -1j)[word.count("P") % 4]
 
     def _build(self, p, q, tangent):
         # below a mean Fock level of dim the Poisson occupancy rises to the top
@@ -266,45 +291,38 @@ class _Affine(CoherentFamily):
         # the fiducial is sampled on first use: restricting a polynomial reads no grid
         _require_wide(beta, rep.hbar)
         self.rep, self.letters, self.beta = rep, {}, float(beta)
+        self._nu = Fraction(self.beta) / Fraction(rep.hbar)
 
     @cached_property
     def fiducial(self):
         return affine_fiducial(self.beta, self.rep)
 
-    def fiducial_moment(self, word):
-        # The letters keep the span of f_k = x^(nu - 1/2 + k) e^(-nu x), nu = beta / hbar,
-        # whose f_0 is the fiducial: Q f_k = f_(k+1), D f_k = -i hbar [(nu + k) f_k - nu f_(k+1)],
-        # P f_k = -i hbar [(nu - 1/2 + k) f_(k-1) - nu f_k], Q^-1 f_k = f_(k-1), and
-        # <f_0|f_m> / <f_0|f_0> = <Q^m>.  A word with k letters P or Q^-1 reaches
-        # f_(-k), whose moment is finite only for beta > k hbar / 2.  Each P and D carries
-        # -i hbar; the rest is rational in nu, summed exactly and rounded once, as its
-        # terms grow like nu^(letters) and cancel.
-        hbar = self.rep.hbar
-        n_down = word.count("P") + word.count("Q^-1")
-        if self.beta <= 0.5 * n_down * hbar:
-            raise DomainError(f"fiducial moments of a word with {n_down} momentum letters and inverse "
-                              f"letters Q^-1 diverge unless beta > {n_down}/2 * hbar (beta = {self.beta})")
-        nu = Fraction(self.beta) / Fraction(hbar)
-        vec = {0: Fraction(1)}
-        for letter in reversed(word):
-            out = defaultdict(Fraction)
-            for k, c in vec.items():
-                if letter == "Q":
-                    out[k + 1] += c
-                elif letter == "Q^-1":
-                    out[k - 1] += c
-                elif letter == "P":
-                    out[k - 1] += (nu - Fraction(1, 2) + k) * c
-                    out[k] -= nu * c
-                else:
-                    out[k] += (nu + k) * c
-                    out[k + 1] -= nu * c
-            vec = out
-        moment = sum(c * _q_moment(2 * nu, m) for m, c in vec.items())
-        try:
-            return (-1j * hbar) ** (word.count("P") + word.count("D")) * float(moment)
-        except OverflowError:
-            raise DomainError(f"the fiducial moment of {'*'.join(word)} overflows a double") from None
+    def _span_action(self, letter, k):
+        # the span of f_k = x^(nu - 1/2 + k) e^(-nu x), nu = beta / hbar, whose f_0 is the
+        # fiducial: Q f_k = f_(k+1), Q^-1 f_k = f_(k-1), P f_k = -i hbar [(nu - 1/2 + k) f_(k-1)
+        # - nu f_k] and D f_k = -i hbar [(nu + k) f_k - nu f_(k+1)], less their -i hbar
+        nu = self._nu
+        if letter == "Q":
+            return ((k + 1, 1),)
+        if letter == "Q^-1":
+            return ((k - 1, 1),)
+        if letter == "P":
+            return (k - 1, nu - Fraction(1, 2) + k), (k, -nu)
+        return (k, nu + k), (k + 1, -nu)
+
+    def _pairing(self, word, vec):
+        # <f_0|f_m> / <f_0|f_0> = <Q^m>, finite only for 2 nu + m > 0.  Every power the
+        # word reaches counts, also one whose coefficient vanishes at this beta (P^4
+        # reaches <Q^-4> with a factor nu - 3/2): there the formal P^4 is no longer
+        # ||P^2 psi||^2.  Each P and D carries -i hbar; the rest is rational in nu,
+        # summed exactly and rounded once, as its terms grow like nu^(letters) and cancel.
+        low = min(vec)
+        if 2 * self._nu + low <= 0:
+            raise DomainError(f"fiducial moments of {'*'.join(word)} reach <Q^{low}> through its momentum "
+                              f"letters and inverse letters Q^-1, and diverge unless beta > {-low}/2 * hbar "
+                              f"(beta = {self.beta})")
+        moment = sum(c * _q_moment(2 * self._nu, m) for m, c in vec.items())
+        return (-1j * self.rep.hbar) ** (word.count("P") + word.count("D")) * float(moment)
 
     def _build(self, p, q, tangent):
         # both unitaries act pointwise on half-line wavefunctions (a phase and
@@ -327,7 +345,8 @@ class _Spin(CoherentFamily):
     variables = "spin"
 
     def __init__(self, rep):
-        super().__init__(rep, rep.highest_weight(), {"S1": rep.S1, "S2": rep.S2, "S3": rep.S3})
+        self.rep, self.fiducial = rep, rep.highest_weight()
+        self.letters = {"S1": rep.S1, "S2": rep.S2, "S3": rep.S3}
         self.label_domain = lambda p, q: rep.s * rep.hbar - p * p
 
     def label_in_domain(self, p, q):
@@ -513,7 +532,8 @@ def fiducial_moments(family: CoherentFamily) -> dict:
     ``nu = beta / hbar``: ``D = -i hbar (x d/dx + 1/2)`` gives
     ``<D> = -i hbar nu (1 - q1)`` and ``P = -i hbar d/dx`` gives
     ``p2 = sum dens hbar^2 ((nu - 1/2)/x - nu)^2``.  ``q1 = 1``, ``d = 0``, and
-    the closed form of ``p2`` are the validated statements.
+    ``p2`` against the exact ``fiducial_moment(("P", "P"))`` are the validated
+    statements.
     """
     if family.kind != "affine":
         raise ValueError("fiducial moments are defined for affine families")
@@ -532,20 +552,6 @@ def fiducial_moments(family: CoherentFamily) -> dict:
     }
 
 
-def fiducial_q_moment_closed(beta: float, hbar: float, n: int) -> float:
-    """Closed form of ``<beta| Q^n |beta>`` for an integer ``n``.
-
-    The fiducial density is a Gamma density with shape and rate both equal to
-    ``2 beta / hbar``, so the moments are ratios of Gamma functions; a negative
-    power is finite only for ``beta > -n hbar / 2`` (else :class:`DomainError`).
-    """
-    if int(n) != n:
-        raise ValueError("n must be an integer")
-    if 2.0 * beta + n * hbar <= 0:
-        raise DomainError(f"<Q^{n}> requires beta > {-n}/2 * hbar")
-    return float(_q_moment(2 * Fraction(beta) / Fraction(hbar), int(n)))
-
-
 def _q_moment(nu2: Fraction, n: int) -> Fraction:
     # Gamma(nu2 + n) / (Gamma(nu2) nu2^n), exactly, for nu2 = 2 beta / hbar
     out = Fraction(1)
@@ -554,16 +560,6 @@ def _q_moment(nu2: Fraction, n: int) -> Fraction:
     for j in range(n, 0):
         out *= nu2 / (nu2 + j)
     return out
-
-
-def fiducial_p2_closed(beta: float, hbar: float) -> float:
-    """Closed form ``beta^2 hbar / (2 (beta - hbar))`` of the momentum second moment.
-
-    Formed as ``beta / (beta - hbar) * (beta / 2) * hbar``, which overflows
-    only where the moment itself does.
-    """
-    _require_wide(beta, hbar)
-    return float(beta / (beta - hbar) * (0.5 * beta) * hbar)
 
 
 # ---------------------------------------------------------------------------

@@ -307,11 +307,9 @@ class EnhancedHamiltonian:
     ``gradient_terms`` from which rk45 flows take compiled steps.
     """
 
-    def __init__(self, evaluate, gradient, hbar: float = 1.0, q_positive: bool = False,
-                 label_domain=None, polynomial=None):
+    def __init__(self, evaluate, gradient, q_positive: bool = False, label_domain=None, polynomial=None):
         self._evaluate = evaluate
         self._gradient = gradient
-        self.hbar = float(hbar)
         self.q_positive = bool(q_positive)
         self.half_line = (lambda p, q: q) if q_positive else None
         self.label_domain = label_domain
@@ -333,9 +331,10 @@ def enhance(poly: OperatorPolynomial, family: CoherentFamily) -> EnhancedHamilto
     With a ``shifted`` table (canonical, squeezed, affine) the polynomial is
     reduced once to an explicit label polynomial (Laurent in ``q`` when
     affine words contain the formal momentum) through exact fiducial
-    moments, compiled once with its exact gradient.  Vacuum moments need
-    ``dim > degree``; affine words with ``k`` letters ``P`` or ``Q^-1`` need
-    ``beta > k/2 * hbar``, and a ``half_line`` label function raises
+    moments, compiled once with its exact gradient.  Vacuum moments are
+    exact at any basis size; an affine word that reaches ``<Q^-k>`` through
+    its letters ``P`` or ``Q^-1`` needs ``beta > k/2 * hbar``, and a
+    ``half_line`` label function raises
     :class:`DomainError` at ``q <= 0``, as does an expansion or a merged
     coefficient that overflows.  Otherwise (spin) it is formed once as
     ``M = sum_w c_w W``: ``H = <psi|M psi>`` on the state, with the gradient
@@ -347,7 +346,7 @@ def enhance(poly: OperatorPolynomial, family: CoherentFamily) -> EnhancedHamilto
         for (i, j, _), c in _label_terms(poly, family).items():
             coeffs[i, j] = coeffs.get((i, j), 0.0) + c
         lp = _LabelPolynomial(coeffs, q_positive=family.half_line)
-        return EnhancedHamiltonian(lp, lp.gradient, hbar=family.rep.hbar, q_positive=family.half_line,
+        return EnhancedHamiltonian(lp, lp.gradient, q_positive=family.half_line,
                                    label_domain=family.label_domain, polynomial=lp)
     # the letters pull through to no polynomial: form the operator once
     eye = np.eye(family.rep.dim)
@@ -364,7 +363,7 @@ def enhance(poly: OperatorPolynomial, family: CoherentFamily) -> EnhancedHamilto
         op_psi = op @ psi
         return 2.0 * np.vdot(d_p, op_psi).real, 2.0 * np.vdot(d_q, op_psi).real
 
-    return EnhancedHamiltonian(evaluate, gradient, hbar=family.rep.hbar, label_domain=family.label_domain)
+    return EnhancedHamiltonian(evaluate, gradient, label_domain=family.label_domain)
 
 
 def hbar_series(poly: OperatorPolynomial, family: CoherentFamily) -> tuple:
@@ -374,8 +373,9 @@ def hbar_series(poly: OperatorPolynomial, family: CoherentFamily) -> tuple:
     moment ``hbar^(m/2)`` times its value at ``hbar = 1`` and odd moments
     vanish, so each term of :func:`enhance`'s expansion on a line family
     (canonical or squeezed) belongs to ``h_(m/2)``, divided by ``hbar^(m/2)``
-    of the family's representation.  The series is exact in ``hbar``.  Other
-    families raise :class:`ValueError`, as does ``dim <= degree``.
+    of the family's representation.  The series is exact in ``hbar``, and
+    the moments are taken on the ladder at any basis size.  Other families
+    raise :class:`ValueError`.
     """
     _check_alphabet(poly, family)
     if poly.variable_set != "canonical":

@@ -1056,7 +1056,7 @@ def transform_hamiltonian(H: EnhancedHamiltonian, tr: CanonicalTransform) -> Enh
         def label_domain(pt, qt):
             return H.label_domain(*tr.inverse(pt, qt))
 
-    ham = EnhancedHamiltonian(evaluate, gradient, hbar=H.hbar, label_domain=label_domain)
+    ham = EnhancedHamiltonian(evaluate, gradient, label_domain=label_domain)
     if H.half_line is not None:
         ham.half_line = lambda pt, qt: H.half_line(*tr.inverse(pt, qt))
     return ham

@@ -2,9 +2,9 @@
 
 Three concrete representations are provided:
 
-* :class:`LineRep` realizes position ``Q`` and momentum ``P`` in a truncated
-  Fock basis, so that ``[Q, P] = i*hbar`` holds exactly away from the
-  truncation edge.
+* :class:`LineRep` is a truncated Fock basis whose position ``Q`` and
+  momentum ``P``, with ``[Q, P] = i*hbar`` exact away from the truncation
+  edge, are built on first read: no state or restriction reads them.
 * :class:`HalfLineRep` is a strictly positive geometric grid and its
   quadrature weights, and nothing more: the affine family samples closed-form
   wavefunctions on it and takes every moment in closed form or by quadrature.
@@ -20,6 +20,8 @@ may be shared freely across threads.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 from scipy.linalg import eigh
 
@@ -34,8 +36,15 @@ DEFAULT_TRUNCATION_MARGIN = 20
 
 
 def hermitian_defect(op) -> float:
-    """Return the relative Frobenius asymmetry ``||A - A^dag|| / ||A||``."""
+    """Return the relative Frobenius asymmetry ``||A - A^dag|| / ||A||`` of a dense square array.
+
+    Anything else raises :class:`ValueError`: ``np.asarray`` would make a
+    ``scipy.sparse`` matrix a 0-d object array, on which later errors mislead.
+    """
     a = np.asarray(op)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.issubdtype(a.dtype, np.number):
+        raise ValueError(f"the operator must be a dense square numeric array, not a {type(op).__name__} "
+                         f"of shape {a.shape}")
     den = np.linalg.norm(a)
     if den == 0.0:
         return 0.0
@@ -88,16 +97,29 @@ class LineRep:
         Value of the action quantum; ``Q`` and ``P`` carry units of
         ``sqrt(hbar)``.
     Q, P : ndarray
-        Dense complex Hermitian matrices.
+        Dense complex Hermitian matrices ``sqrt(hbar/2)(A + A^dag)`` and
+        ``i sqrt(hbar/2)(A^dag - A)``, each built on first read.
     """
 
     kind = "line"
 
-    def __init__(self, dim, hbar, Q, P):
+    def __init__(self, dim, hbar):
         self.dim = int(dim)
         self.hbar = float(hbar)
-        self.Q = _frozen(Q)
-        self.P = _frozen(P)
+
+    def _ladder(self) -> np.ndarray:
+        # sqrt(hbar/2) A, with A the truncated lowering matrix
+        return np.sqrt(self.hbar / 2.0) * np.diag(np.sqrt(np.arange(1.0, self.dim)), 1)
+
+    @cached_property
+    def Q(self) -> np.ndarray:
+        a = self._ladder()
+        return _frozen((a + a.T).astype(complex))
+
+    @cached_property
+    def P(self) -> np.ndarray:
+        a = self._ladder()
+        return _frozen(1j * (a.T - a))
 
     def basis_state(self, n: int) -> StateVector:
         if not 0 <= n < self.dim:
@@ -159,25 +181,16 @@ class SpinRep:
 
 
 def build_fock_rep(dim: int, hbar: float = 1.0) -> LineRep:
-    """Build ``Q`` and ``P`` in a truncated Fock basis.
+    """The truncated Fock basis of size ``dim``, whose :class:`LineRep` builds ``Q`` and ``P``.
 
-    ``Q = sqrt(hbar/2)(A + A^dag)`` and ``P = i sqrt(hbar/2)(A^dag - A)``
-    with ``A`` the truncated lowering matrix.  The
-    commutator ``[Q, P] - i*hbar`` vanishes exactly on every basis state
+    The commutator ``[Q, P] - i*hbar`` vanishes exactly on every basis state
     except the last one.
     """
     if int(dim) != dim or dim < 2:
         raise ValueError("dim must be an integer >= 2")
     if hbar <= 0:
         raise ValueError("hbar must be positive")
-    dim = int(dim)
-    lower = np.zeros((dim, dim))
-    idx = np.arange(1, dim)
-    lower[idx - 1, idx] = np.sqrt(idx)
-    scale = np.sqrt(hbar / 2.0)
-    q = (scale * (lower + lower.T)).astype(complex)
-    p = 1j * scale * (lower.T - lower)
-    return LineRep(dim, hbar, q, p)
+    return LineRep(dim, hbar)
 
 
 def build_halfline_rep(x_min: float, x_max: float, n: int, hbar: float = 1.0) -> HalfLineRep:
@@ -245,14 +258,14 @@ def apply_unitary(op, theta: float, state: StateVector) -> StateVector:
     Frobenius norm); below that threshold it is symmetrized rather than
     rejected.  Each call diagonalizes the operator: no production path
     exponentiates, and this is the reference the closed forms are tested
-    against.
+    against.  ``op`` must be a dense square array (see :func:`hermitian_defect`).
     """
     rep = state.rep
     d = state.dim
+    defect = hermitian_defect(op)
     dense = np.asarray(op)
     if dense.shape != (d, d):
         raise ValueError(f"operator shape {dense.shape} does not match state dimension {d}")
-    defect = hermitian_defect(dense)
     if defect > HERMITIAN_TOL:
         raise ValueError(f"operator is not Hermitian (relative defect {defect:.3e})")
     herm = 0.5 * (dense + dense.conj().T)

@@ -49,7 +49,8 @@ class HydrogenParams:
         """The core ``(C1, C2)``, read once off the label polynomial of :func:`hydrogen_enhanced`.
 
         ``C1`` is minus its ``(0, -1)`` coefficient and ``C2`` is ``2m`` times its ``(0, -2)``
-        one; their closed forms are :func:`fiducial_q_moment_closed` and :func:`fiducial_p2_closed`.
+        one: ``e2 <beta| Q^-1 |beta>`` and ``<beta| P^2 |beta>``, exact fiducial moments of the
+        affine family (the tests check them against closed forms written out by hand).
         """
         coeffs = hydrogen_enhanced(self).polynomial.coeffs
         return -coeffs[0, -1], 2.0 * self.m * coeffs[0, -2]
@@ -97,5 +98,5 @@ def spin_precession(B: float, rep: SpinRep) -> EnhancedHamiltonian:
     advances linearly at rate ``B`` while ``p`` stays constant.
     """
     sq = np.sqrt(rep.s * rep.hbar)
-    return EnhancedHamiltonian(lambda p, q: B * sq * p, lambda p, q: (B * sq, 0.0), hbar=rep.hbar,
+    return EnhancedHamiltonian(lambda p, q: B * sq * p, lambda p, q: (B * sq, 0.0),
                                label_domain=spin_family(rep).label_domain)

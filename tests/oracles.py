@@ -1,7 +1,8 @@
 """Reference computations that only the tests use.
 
 Each one is a second route to a value the library computes another way:
-the canonical commutator on the truncated Fock basis, the half line's
+the canonical commutator on the truncated Fock basis, the closed forms of
+the affine fiducial's moments against its exact span, the half line's
 finite-difference letters against its closed-form moments, the inner product
 of two states, the mean and variance of an operator in a state against the
 restricted label functions, the direct state expectation of a polynomial
@@ -11,14 +12,15 @@ representation per hbar against the exact hbar-series.
 """
 
 import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from enhq.coherent import CoherentFamily, fiducial_p2_closed, fiducial_q_moment_closed
+from enhq.coherent import CoherentFamily
 from enhq.correspondence import OperatorPolynomial, _realized, enhance, poly_expectation
-from enhq.errors import NumericalFailure
+from enhq.errors import DomainError, NumericalFailure
 from enhq.hilbert import DEFAULT_TRUNCATION_MARGIN, HalfLineRep, LineRep, StateVector
 from enhq.models import HydrogenParams
 
@@ -65,6 +67,36 @@ def stencil_family(family: CoherentFamily) -> CoherentFamily:
     grid = copy.copy(family)
     grid.letters = halfline_letters(family.rep)
     return grid
+
+
+def fiducial_q_moment_closed(beta: float, hbar: float, n: int) -> float:
+    """Closed form of ``<beta| Q^n |beta>`` for an integer ``n``.
+
+    The fiducial density is a Gamma density with shape and rate both equal to
+    ``nu2 = 2 beta / hbar``, so the moment is ``Gamma(nu2 + n) / (Gamma(nu2) nu2^n)``,
+    here in floats by the recurrence ``Gamma(z + 1) = z Gamma(z)``.  A negative
+    power is finite only for ``beta > -n hbar / 2`` (else :class:`DomainError`).
+    """
+    if int(n) != n:
+        raise ValueError("n must be an integer")
+    if 2.0 * beta + n * hbar <= 0:
+        raise DomainError(f"<Q^{n}> requires beta > {-n}/2 * hbar")
+    nu2 = 2.0 * beta / hbar
+    rising = math.prod(1.0 + j / nu2 for j in range(int(n)))
+    falling = math.prod(1.0 + j / nu2 for j in range(int(n), 0))
+    return rising / falling
+
+
+def fiducial_p2_closed(beta: float, hbar: float) -> float:
+    """Closed form ``beta^2 hbar / (2 (beta - hbar))`` of the momentum second moment.
+
+    Finite for ``beta > hbar`` (else :class:`DomainError`), and formed as
+    ``beta / (beta - hbar) * (beta / 2) * hbar``, which overflows only where
+    the moment itself does.
+    """
+    if beta <= hbar:
+        raise DomainError(f"<P^2> requires beta > hbar (got beta = {beta}, hbar = {hbar})")
+    return float(beta / (beta - hbar) * (0.5 * beta) * hbar)
 
 
 def label_polynomial_loop(coeffs: dict, p: float, q: float):

@@ -24,7 +24,6 @@ from enhq import (
     enhance,
     affine_family,
     fiducial_moments,
-    fiducial_p2_closed,
     fs_metric_analytic,
     fs_metric_numeric,
     hamiltonian_flow,
@@ -42,7 +41,7 @@ from enhq import (
     transform_hamiltonian,
 )
 from enhq.cli import main as cli_main
-from oracles import classical_limit, expectation, variance
+from oracles import classical_limit, expectation, fiducial_p2_closed, variance
 
 
 def _report(number, name, ok, detail):

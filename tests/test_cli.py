@@ -7,8 +7,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import enhq.cli
-from enhq import fiducial_p2_closed
 from enhq.cli import ConfigError, main, run, validate_config
+from oracles import fiducial_p2_closed
 
 NAN, INF = float("nan"), float("inf")
 
@@ -605,17 +605,17 @@ class TestExperiments:
             assert var_p == pytest.approx(0.5, abs=1e-13) and var_q == pytest.approx(0.5, abs=1e-13)
 
     @pytest.mark.parametrize("kind", ["canonical", "extended"])
-    def test_line_expectation_derives_a_dim_4_basis(self, tmp_path, fock_reps, kind):
-        # the columns' words have degree 2, so a dim the config leaves out is
-        # 4; a dim the config gives still wins, with the same body
+    def test_line_expectation_body_is_the_same_at_any_dim(self, tmp_path, fock_reps, kind):
+        # the columns are restricted on the ladder: the default basis and the
+        # smallest one give the same body
         cfg = {"experiment": "expectation", "family": {"kind": kind},
                "labels": {"grid": {"p": [-2, 2, 3], "q": [-1, 3, 3]}}}
-        derived, explicit = tmp_path / "derived", tmp_path / "explicit"
-        assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(derived)]) == 0
-        cfg["representation"] = {"dim": 200}
-        assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(explicit)]) == 0
-        assert fock_reps == [(4, 1.0), (200, 1.0)]
-        assert body_of(derived / "expectation.csv") == body_of(explicit / "expectation.csv")
+        default, smallest = tmp_path / "default", tmp_path / "smallest"
+        assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(default)]) == 0
+        cfg["representation"] = {"dim": 2}
+        assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(smallest)]) == 0
+        assert fock_reps == [(200, 1.0), (2, 1.0)]
+        assert body_of(default / "expectation.csv") == body_of(smallest / "expectation.csv")
 
     def test_expectation_affine_columns(self, tmp_path):
         # exact restrictions of Q, Q^2 and P^2: q, q^2 (1 + hbar/2 beta) and
@@ -875,13 +875,13 @@ class TestVerify:
         assert report["suites"]["flat_metric"]["passed"]
         assert report["suites"]["flat_metric"]["checks"][0]["measured"] < 1e-12
 
-    def test_label_means_suite_derives_a_dim_4_basis(self, tmp_path, fock_reps):
-        derived, code = run_verify(tmp_path / "derived", {"suites": ["label_means"]})
+    def test_label_means_suite_is_the_same_at_any_dim(self, tmp_path, fock_reps):
+        default, code = run_verify(tmp_path / "default", {"suites": ["label_means"]})
         assert code == 0
-        explicit, code = run_verify(tmp_path / "explicit",
-                                    {"suites": ["label_means"], "representation": {"dim": 200}})
-        assert code == 0 and fock_reps == [(4, 1.0), (200, 1.0)]
-        assert derived["suites"] == explicit["suites"]
+        smallest, code = run_verify(tmp_path / "smallest",
+                                    {"suites": ["label_means"], "representation": {"dim": 2}})
+        assert code == 0 and fock_reps == [(200, 1.0), (2, 1.0)]
+        assert default["suites"] == smallest["suites"]
 
     def test_requires_suites(self, tmp_path, capsys):
         code = main(["verify", "--config", write_config(tmp_path, {"hbar": 1.0})])

@@ -23,13 +23,14 @@ from enhq import (
     build_halfline_rep,
     build_spin_rep,
     canonical_family,
+    enhance,
     fiducial_moments,
-    fiducial_p2_closed,
-    fiducial_q_moment_closed,
     extended_family,
     fs_metric,
     fs_metric_analytic,
     fs_metric_numeric,
+    hbar_series,
+    parse_polynomial,
     required_fock_dim,
     scalar_curvature,
     spin_family,
@@ -39,7 +40,14 @@ import enhq.hilbert
 from enhq.cli import main as cli_main
 from enhq.coherent import CANONICAL_TAIL_TOL, _metric_from_map, _poisson_tail, affine_wavefunction
 from enhq.hilbert import DEFAULT_TRUNCATION_MARGIN, apply_unitary
-from oracles import expectation, halfline_letters, overlap, variance
+from oracles import (
+    expectation,
+    fiducial_p2_closed,
+    fiducial_q_moment_closed,
+    halfline_letters,
+    overlap,
+    variance,
+)
 
 
 def coherent_series(p, q, hbar, dim):
@@ -52,6 +60,18 @@ def coherent_series(p, q, hbar, dim):
 
 
 class TestCanonicalStates:
+    def test_line_families_leave_the_matrices_unbuilt(self):
+        # states, tangents and restrictions are closed forms and ladder moments
+        rep = build_fock_rep(200)
+        poly = parse_polynomial("P^4 + Q*P*Q - 2*Q^2", "canonical")
+        for family in (canonical_family(rep), extended_family(rep, 0.4, -0.3)):
+            enhance(poly, family)
+            hbar_series(poly, family)
+            family.state(0.3, -0.5)
+            fs_metric(family, 0.3, -0.5)
+        assert "Q" not in vars(rep) and "P" not in vars(rep)
+        assert rep.Q.shape == (200, 200) and "Q" in vars(rep)  # built on first read
+
     def test_origin_is_fiducial(self, fock200, canonical200):
         psi = canonical200.state(0.0, 0.0)
         assert_allclose(psi.amplitudes, fock200.vacuum().amplitudes, atol=1e-12)

@@ -20,7 +20,6 @@ from enhq import (
     classical_hamiltonian,
     enhance,
     extended_family,
-    fiducial_p2_closed,
     hamiltonian_flow,
     hbar_series,
     hydrogen_enhanced,
@@ -29,7 +28,13 @@ from enhq import (
     spin_family,
 )
 from enhq.correspondence import MAX_DEGREE, EnhancedHamiltonian, OperatorPolynomial
-from oracles import classical_limit, label_polynomial_loop, shift_identity_check, stencil_family
+from oracles import (
+    classical_limit,
+    fiducial_p2_closed,
+    label_polynomial_loop,
+    shift_identity_check,
+    stencil_family,
+)
 
 
 class TestParser:
@@ -211,11 +216,20 @@ class TestEnhanceCanonical:
             val = poly_expectation(poly, canonical200, p, q)
             assert abs(val.imag) < 1e-10
 
-    def test_moment_route_needs_room_above_the_degree(self):
-        small = canonical_family(build_fock_rep(3))
-        with pytest.raises(ValueError, match="dim"):
-            enhance(parse_polynomial("Q^4", "canonical"), small)
-        enhance(parse_polynomial("Q^4", "canonical"), canonical_family(build_fock_rep(5)))
+    @pytest.mark.parametrize("build", [canonical_family, lambda rep: extended_family(rep, 0.4, -0.3)],
+                             ids=["canonical", "extended"])
+    @settings(max_examples=40, deadline=None)
+    @given(word=st.lists(st.sampled_from("PQ"), min_size=1, max_size=MAX_DEGREE),
+           p=st.floats(-1.0, 1.0), q=st.floats(-1.0, 1.0))
+    def test_moment_route_is_exact_at_any_dim(self, build, word, p, q):
+        # the vacuum moments come from the ladder, so the smallest basis restricts
+        # any word to the bits of a large one, and to the direct expectation on
+        # states whose tail the basis holds (the squeezed vacuum's reaches level 80)
+        poly = OperatorPolynomial([(1.0, word), (1.0, word[::-1])], "canonical")
+        small = enhance(poly, build(build_fock_rep(2)))
+        assert small.polynomial.coeffs == enhance(poly, build(build_fock_rep(40))).polynomial.coeffs
+        direct = poly_expectation(poly, build(build_fock_rep(120)), p, q)
+        assert small(p, q) == pytest.approx(direct.real, rel=1e-12, abs=1e-12)
 
 
 class TestEnhanceAffine:
@@ -310,15 +324,26 @@ class TestEnhanceAffine:
         assert traj.t[-1] == 0.3
         assert np.max(np.abs(traj.energy - traj.energy[0])) <= 1e-8 * abs(traj.energy[0])
 
-    @pytest.mark.parametrize("expression,k", [("Q^-3", 3), ("P*Q^-1*P", 3), ("Q^-1*P*Q^-1", 3),
-                                              ("Q*Q^-4*Q", 4)])
+    @pytest.mark.parametrize("expression,k", [("Q^-3", 3), ("P*Q^-1*P", 3), ("Q^-1*P*Q^-1", 3)])
     def test_inverse_letters_require_a_wide_fiducial(self, halfline4000, expression, k):
-        # a word with k letters P or Q^-1 reaches f_(-k), whose moment is
-        # finite only for beta > k hbar / 2
-        with pytest.raises(DomainError, match=f"a word with {k} momentum letters and inverse letters"):
+        # a word whose letters P or Q^-1 reach <Q^-k> is finite only for
+        # beta > k hbar / 2
+        with pytest.raises(DomainError, match=re.escape(f"diverge unless beta > {k}/2 * hbar")):
             enhance(parse_polynomial(expression, "affine"), affine_family(halfline4000, k / 2))
         ham = enhance(parse_polynomial(expression, "affine"), affine_family(halfline4000, k / 2 + 0.01))
         assert math.isfinite(ham(0.3, 1.2))
+
+    def test_inverse_letters_are_guarded_at_the_final_pairing(self, halfline4000):
+        # Q*Q^-4*Q passes f_(-3) on its way but pairs with <Q^-2> alone, which
+        # is finite at beta = 2 hbar: it restricts to Q^-2's (8/3)/q^2
+        family = affine_family(halfline4000, 2.0)
+        ham = enhance(parse_polynomial("Q*Q^-4*Q", "affine"), family)
+        assert ham.polynomial.coeffs == enhance(parse_polynomial("Q^-2", "affine"), family).polynomial.coeffs
+        assert ham.polynomial.coeffs == {(0, -2): 8 / 3}
+        # P^4 pairs with <Q^-4>, whose coefficient vanishes at beta = 3/2 hbar, and Q^-3 with <Q^-3>
+        for expression, beta, k in [("P^4", 1.5, 4), ("Q^-3", 1.2, 3)]:
+            with pytest.raises(DomainError, match=re.escape(f"diverge unless beta > {k}/2 * hbar")):
+                enhance(parse_polynomial(expression, "affine"), affine_family(halfline4000, beta))
 
     def test_momentum_word_requires_wide_fiducial(self, halfline4000):
         from enhq import affine_family
@@ -663,8 +688,7 @@ class TestClassicalLimit:
 
     def test_nonconvergent_values_raise(self):
         def noisy_builder(hbar):
-            return EnhancedHamiltonian(lambda p, q: np.sin(1e6 / hbar), lambda p, q: (0.0, 0.0),
-                                       hbar=hbar)
+            return EnhancedHamiltonian(lambda p, q: np.sin(1e6 / hbar), lambda p, q: (0.0, 0.0))
 
         with pytest.raises(NumericalFailure) as err:
             classical_limit(noisy_builder, 0.0, 0.0, [1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4])
@@ -723,9 +747,10 @@ class TestHbarSeries:
         with pytest.raises(ValueError, match="canonical family"):
             hbar_series(parse_polynomial("S3", "spin"), spin_family(spin_half))
 
-    def test_needs_dim_above_degree(self):
-        with pytest.raises(ValueError, match="dim 4 is too small"):
-            hbar_series(parse_polynomial("Q^4", "canonical"), canonical_family(build_fock_rep(4, 1.0)))
+    def test_series_is_exact_at_dim_2(self):
+        poly = parse_polynomial(self.EXPRESSION, "canonical")
+        small, large = (hbar_series(poly, canonical_family(build_fock_rep(dim))) for dim in (2, 8))
+        assert [h.coeffs for h in small] == [h.coeffs for h in large]
 
 
 class TestOperatorPolynomialInvariants:

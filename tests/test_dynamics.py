@@ -88,7 +88,6 @@ def reversed_hamiltonian(H):
     return EnhancedHamiltonian(
         lambda p, q: H.evaluate(-p, q),
         gradient,
-        hbar=H.hbar,
         q_positive=H.q_positive,
     )
 
@@ -1175,9 +1174,9 @@ class TestRestrictedAction:
     def test_harmonic_period_values(self, harmonic):
         traj = hamiltonian_flow(harmonic, (0.0, 1.0), 2 * np.pi, tol=1e-10, n_samples=8000)
         raw = restricted_action_value(harmonic, traj)
-        # integral p dq = pi; the hbar/2 shift contributes -pi over one period
+        # integral p dq = pi; the hbar/2 shift (hbar = 1) contributes -pi over one period
         assert raw == pytest.approx(-np.pi, abs=1e-6)
-        assert raw + 0.5 * harmonic.hbar * 2 * np.pi == pytest.approx(0.0, abs=1e-6)
+        assert raw + 0.5 * 2 * np.pi == pytest.approx(0.0, abs=1e-6)
         assert line_integral_p_dq(traj) == pytest.approx(np.pi, abs=1e-6)
 
     def test_value_reads_h_not_the_energy_column(self, harmonic):

@@ -190,6 +190,15 @@ class TestApplyUnitary:
         assert np.linalg.norm(once.amplitudes) == pytest.approx(1.0, abs=1e-10)
         assert_allclose(once.amplitudes, twice.amplitudes, atol=1e-12)
 
+    def test_rejects_a_sparse_operator(self):
+        # np.asarray would make it a 0-d object array
+        rep = build_halfline_rep(0.1, 10.0, 19)
+        d = halfline_letters(rep)["D"]
+        psi = rep.state_from_samples(np.ones(19))
+        for check in (lambda: hermitian_defect(d), lambda: apply_unitary(d, 1.0, psi)):
+            with pytest.raises(ValueError, match=r"dense square numeric array, not a csr_matrix"):
+                check()
+
     def test_rejects_non_hermitian(self, fock200):
         bad = np.triu(np.ones((200, 200), dtype=complex))
         with pytest.raises(ValueError, match="Hermitian"):

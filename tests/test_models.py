@@ -12,8 +12,6 @@ from enhq import (
     build_halfline_rep,
     build_spin_rep,
     enhance,
-    fiducial_p2_closed,
-    fiducial_q_moment_closed,
     hamiltonian_flow,
     hydrogen_classical,
     hydrogen_enhanced,
@@ -22,7 +20,7 @@ from enhq import (
     spin_family,
     spin_precession,
 )
-from oracles import expectation, hydrogen_by_hand
+from oracles import expectation, fiducial_p2_closed, fiducial_q_moment_closed, hydrogen_by_hand
 
 
 class TestParams:
