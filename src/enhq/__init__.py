@@ -22,7 +22,6 @@ from .coherent import (
     extended_family,
     fiducial_moments,
     fs_metric,
-    fs_metric_analytic,
     fs_metric_numeric,
     required_fock_dim,
     scalar_curvature,

@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__
 from .coherent import (
     CoherentFamily,
+    _brioschi_curvature,
     affine_family,
     canonical_family,
     extended_family,
@@ -118,8 +119,8 @@ def _hbar(cfg) -> float:
 _REPRESENTATION_DEFAULTS = {"dim": 200, "x_min": 1e-5, "x_max": 60.0, "n": 3000, "s": 0.5}
 
 
-def _representation_keys(cfg, kind):
-    """A reader of the ``kind`` representation's keys: the config's, else the default.
+def _representation(cfg, kind, hbar=None):
+    """The ``kind`` representation, built from the config's keys, else the defaults.
 
     A ``representation.kind`` the config names must be ``kind``.
     """
@@ -127,11 +128,10 @@ def _representation_keys(cfg, kind):
     if block.get("kind", kind) != kind:
         raise ConfigError(f"config error at representation.kind: this config builds the "
                           f"{kind!r} representation, not {block['kind']!r}")
-    return lambda key: block.get(key, _REPRESENTATION_DEFAULTS[key])
 
+    def value(key):
+        return block.get(key, _REPRESENTATION_DEFAULTS[key])
 
-def _representation(cfg, kind, hbar=None):
-    value = _representation_keys(cfg, kind)
     hbar = _hbar(cfg) if hbar is None else hbar
     if kind == "line":
         return build_fock_rep(value("dim"), hbar)
@@ -140,17 +140,13 @@ def _representation(cfg, kind, hbar=None):
     return build_spin_rep(value("s"), hbar)
 
 
-def _affine_beta(cfg):
-    return cfg.get("family", {}).get("beta", 2.0)
-
-
 # each family kind: the representation it lives on, and its builder; canonical
 # and spin families take no parameter and read no family block
 _FAMILIES = {
     "canonical": ("line", lambda rep, cfg: canonical_family(rep)),
     "extended": ("line", lambda rep, cfg: extended_family(
         rep, *(cfg.get("family", {}).get(k, 0.0) for k in "ab"))),
-    "affine": ("halfline", lambda rep, cfg: affine_family(rep, _affine_beta(cfg))),
+    "affine": ("halfline", lambda rep, cfg: affine_family(rep, cfg.get("family", {}).get("beta", 2.0))),
     "spin": ("spin", lambda rep, cfg: spin_family(rep)),
 }
 
@@ -272,17 +268,8 @@ def _run_metric(cfg, header):
 
 
 def _run_curvature(cfg, header):
-    # closed forms: the spin curvature reads representation.s alone, the
-    # others no representation
-    kind = _family_kind(cfg)
-    if kind == "extended":
-        raise ConfigError("config error at family.kind: no closed-form curvature for extended families")
-    kwargs = {"hbar": _hbar(cfg)}
-    if kind == "affine":
-        kwargs["beta"] = _affine_beta(cfg)
-    if kind == "spin":
-        kwargs["s"] = _representation_keys(cfg, "spin")("s")
-    rows = [(p, q, scalar_curvature(kind, p, q, **kwargs)) for p, q in _label_points(cfg)]
+    family = _build_family(cfg, _family_kind(cfg))
+    rows = [(p, q, scalar_curvature(family, p, q)) for p, q in _label_points(cfg)]
     return {"curvature.csv": _csv(header, ["p", "q", "curvature"], rows)}
 
 
@@ -444,14 +431,23 @@ def _suite_fiducial_moments(cfg):
 
 
 def _suite_curvature(cfg):
+    # each family's declared curvature against twice the Gaussian curvature of its
+    # declared metric (Brioschi's formula, one Richardson step from h to h/2); the
+    # step scales with the distance to the chart's edge, q on the half line
     hbar = _hbar(cfg)
-    checks = [_check("canonical curvature", scalar_curvature("canonical", 0.3, -0.2, hbar=hbar), 0.0, 1e-6)]
-    for beta in (1.0, 2.0, 5.0):
-        r = scalar_curvature("affine", 0.4, 1.3, hbar=hbar, beta=beta)
-        checks.append(_check(f"affine curvature beta={beta}", r, -2.0 / beta, 1e-4))
+    cases = [("canonical curvature", "canonical", {}, 0.3, -0.2, 1e-3, 1e-6)]
+    cases += [(f"affine curvature beta={beta}", "affine", {"family": {"beta": beta}},
+               0.4, 1.3, 1e-3 * 1.3, 1e-4) for beta in (1.0, 2.0, 5.0)]
     for s in (0.5, 1.0, 5.0):
-        r = scalar_curvature("spin", 0.2 * np.sqrt(s * hbar), 0.1, hbar=hbar, s=s)
-        checks.append(_check(f"spin curvature s={s}", r, 2.0 / (s * hbar), 1e-4))
+        radius = math.sqrt(s * hbar)
+        p = 0.2 * radius
+        cases.append((f"spin curvature s={s}", "spin", {"representation": {"s": s}},
+                      p, 0.1, 1e-2 * min(1.0, radius - p), 1e-4))
+    checks = []
+    for name, kind, block, p, q, h, tolerance in cases:
+        family = _build_family({"hbar": hbar, **block}, kind)
+        k1, k2 = (_brioschi_curvature(family.metric, p, q, step) for step in (h, h / 2.0))
+        checks.append(_check(name, 2.0 * (4.0 * k2 - k1) / 3.0, family.curvature, tolerance))
     return checks
 
 

@@ -30,12 +30,13 @@ The tests check each closed form against the matrix exponentials of its
 definition.
 
 The phase-insensitive metric ``2 hbar [ ||d psi||^2 - |<psi|d psi>|^2 ]`` on a
-family is computed three ways: from one state and the exact derivatives of
-the state map (:meth:`CoherentFamily.tangent`, where each derivative is a
-generator applied to a state, so each entry is a covariance of generators),
-from central differences of the state map with Richardson extrapolation
-(the independent cross-check), and in closed form, together with the scalar
-curvature of the closed forms.
+family is computed from one state and the exact derivatives of the state map
+(:meth:`CoherentFamily.tangent`, where each derivative is a generator applied
+to a state, so each entry is a covariance of generators), and from central
+differences of the state map with Richardson extrapolation (the independent
+cross-check).  Each family declares its closed form, ``metric(p, q)``, and its
+constant scalar ``curvature``: flat for canonical and extended, ``-2/beta``
+for affine, and ``2/(s hbar)`` for the sphere of spin ``s``.
 """
 
 from __future__ import annotations
@@ -108,6 +109,9 @@ class CoherentFamily:
     ``U(p, q)^dag X U(p, q)`` as terms (coefficient, fiducial letter or None,
     power of ``p``, power of ``q``) where that is a polynomial in the labels,
     with the span on which :meth:`fiducial_moment` takes its exact moments.
+    It also declares its geometry: ``metric(p, q)``, the closed-form
+    Fubini-Study metric, which raises :class:`DomainError` off the chart, and
+    ``curvature``, the metric's constant scalar curvature.
 
     Instances are immutable; ``state`` is a pure function of the labels and
     families may be shared across threads and swept in parallel.
@@ -120,6 +124,10 @@ class CoherentFamily:
 
     def label_in_domain(self, p: float, q: float) -> bool:
         return np.isfinite(p) and np.isfinite(q) and (q > 0 or not self.half_line)
+
+    def _require_label(self, p, q):
+        if not self.label_in_domain(p, q):
+            raise DomainError(f"label ({p}, {q}) lies outside the {self.kind} family's domain")
 
     def state(self, p: float, q: float) -> StateVector:
         return self._build(p, q, False)[0]
@@ -165,6 +173,7 @@ class _Canonical(CoherentFamily):
     kind = "canonical"
     variables = "canonical"
     a = b = 0.0  # no rotation, no squeeze
+    curvature = 0.0
 
     def __init__(self, rep):
         self.rep, self.fiducial = rep, rep.vacuum()
@@ -172,6 +181,11 @@ class _Canonical(CoherentFamily):
     @cached_property
     def letters(self):
         return {"P": self.rep.P, "Q": self.rep.Q}
+
+    def metric(self, p, q):
+        # flat, and unchanged by the fixed rotation and squeeze of the extended family
+        self._require_label(p, q)
+        return MetricTensor2(1.0, 0.0, 1.0)
 
     @property
     def shifted(self):
@@ -288,10 +302,22 @@ class _Affine(CoherentFamily):
     }
 
     def __init__(self, rep, beta):
-        # the fiducial is sampled on first use: restricting a polynomial reads no grid
-        _require_wide(beta, rep.hbar)
+        # the fiducial is sampled on first use: restricting a polynomial reads no grid,
+        # and each moment names the width it needs (P^2 beta > hbar, Q^-1 beta > hbar/2)
+        if not beta > 0:
+            raise DomainError(f"the affine family requires beta > 0 (got beta = {beta})")
         self.rep, self.letters, self.beta = rep, {}, float(beta)
         self._nu = Fraction(self.beta) / Fraction(rep.hbar)
+        self.curvature = -2.0 / self.beta
+
+    def metric(self, p, q):
+        self._require_label(p, q)
+        # q^2 / beta and its reciprocal must both be normal doubles
+        q2 = q * q
+        if not sys.float_info.min <= q2 / self.beta <= 1.0 / sys.float_info.min:
+            raise DomainError(f"the affine metric at q = {q}, beta = {self.beta} leaves the "
+                              f"normal range of double precision")
+        return MetricTensor2(q2 / self.beta, 0.0, self.beta / q2)
 
     @cached_property
     def fiducial(self):
@@ -348,10 +374,18 @@ class _Spin(CoherentFamily):
         self.rep, self.fiducial = rep, rep.highest_weight()
         self.letters = {"S1": rep.S1, "S2": rep.S2, "S3": rep.S3}
         self.label_domain = lambda p, q: rep.s * rep.hbar - p * p
+        self.curvature = 2.0 / (rep.s * rep.hbar)
 
     def label_in_domain(self, p, q):
         # the azimuth is periodic: every real q is a label
         return super().label_in_domain(p, q) and abs(p) <= np.sqrt(self.rep.s * self.rep.hbar)
+
+    def metric(self, p, q):
+        self._require_label(p, q)
+        f = 1.0 - p * p / (self.rep.s * self.rep.hbar)
+        if f <= 0:
+            raise DomainError(f"spin labels require p^2 < s hbar (got p = {p})")
+        return MetricTensor2(1.0 / f, 0.0, f)
 
     def _build(self, p, q, tangent):
         # theta = arccos(p / sqrt(s hbar)) in [0, pi] and phi = q / sqrt(s hbar),
@@ -502,12 +536,6 @@ def affine_wavefunction(x, beta: float, hbar: float):
     return np.exp(0.5 * _affine_log_norm(nu) + (nu - 0.5) * np.log(x) - nu * x)
 
 
-def _require_wide(beta: float, hbar: float) -> None:
-    if beta <= hbar:
-        raise DomainError(f"beta must exceed hbar for a normalizable momentum moment "
-                          f"(got beta = {beta}, hbar = {hbar})")
-
-
 def affine_fiducial(beta: float, rep: HalfLineRep) -> StateVector:
     """Sample the extremal-weight fiducial on the grid of ``rep``.
 
@@ -515,7 +543,9 @@ def affine_fiducial(beta: float, rep: HalfLineRep) -> StateVector:
     and a :class:`DomainError` is raised.  The returned state has
     ``<Q> = 1`` and ``<D> = 0`` within grid tolerance.
     """
-    _require_wide(beta, rep.hbar)
+    if beta <= rep.hbar:
+        raise DomainError(f"beta must exceed hbar for a normalizable momentum moment "
+                          f"(got beta = {beta}, hbar = {rep.hbar})")
     return rep.state_from_samples(affine_wavefunction(rep.grid, beta, rep.hbar))
 
 
@@ -527,27 +557,24 @@ def fiducial_moments(family: CoherentFamily) -> dict:
     """Measure the affine fiducial moments by quadrature on the grid.
 
     Returns ``q1``, ``q2`` and ``q_inv``, the grid quadratures of ``x``,
-    ``x^2`` and ``1/x`` against the fiducial density, and ``d`` and ``p2``
-    from the closed-form derivative ``psi' = ((nu - 1/2)/x - nu) psi``,
-    ``nu = beta / hbar``: ``D = -i hbar (x d/dx + 1/2)`` gives
-    ``<D> = -i hbar nu (1 - q1)`` and ``P = -i hbar d/dx`` gives
-    ``p2 = sum dens hbar^2 ((nu - 1/2)/x - nu)^2``.  ``q1 = 1``, ``d = 0``, and
-    ``p2`` against the exact ``fiducial_moment(("P", "P"))`` are the validated
+    ``x^2`` and ``1/x`` against the fiducial density, and ``p2`` from the
+    closed-form derivative ``psi' = ((nu - 1/2)/x - nu) psi``,
+    ``nu = beta / hbar``: ``P = -i hbar d/dx`` gives
+    ``p2 = sum dens hbar^2 ((nu - 1/2)/x - nu)^2``.  ``q1 = 1`` and ``p2``
+    against the exact ``fiducial_moment(("P", "P"))`` are the validated
     statements.
     """
-    if family.kind != "affine":
+    if not family.half_line:
         raise ValueError("fiducial moments are defined for affine families")
     hbar = family.rep.hbar
     nu = family.beta / hbar
     x = family.rep.grid
     dens = np.abs(family.fiducial.amplitudes) ** 2
     log_slope = (nu - 0.5) / x - nu  # psi' / psi
-    q1 = float(dens @ x)
     return {
-        "q1": q1,
+        "q1": float(dens @ x),
         "q2": float(dens @ (x * x)),
         "q_inv": float(dens @ (1.0 / x)),
-        "d": complex(0.0, -hbar * nu * (1.0 - q1)),
         "p2": float(hbar * hbar * (dens @ (log_slope * log_slope))),
     }
 
@@ -593,8 +620,7 @@ def fs_metric(family: CoherentFamily, p: float, q: float) -> MetricTensor2:
     Labels off the family's domain, and the spin poles, raise
     :class:`DomainError`.
     """
-    if not family.label_in_domain(p, q):
-        raise DomainError(f"label ({p}, {q}) lies outside the {family.kind} family's domain")
+    family._require_label(p, q)
     g = _fs_components(*family.tangent(p, q), family.rep.hbar)
     return MetricTensor2(float(g[0]), float(g[1]), float(g[2]))
 
@@ -634,43 +660,6 @@ def fs_metric_numeric(family: CoherentFamily, p: float, q: float) -> MetricTenso
     return MetricTensor2(float(extrap[0]), float(extrap[1]), float(extrap[2]))
 
 
-def fs_metric_analytic(
-    kind: str,
-    p: float,
-    q: float,
-    hbar: float = 1.0,
-    beta: float | None = None,
-    s: float | None = None,
-) -> MetricTensor2:
-    """Closed-form metric tensors for the three families.
-
-    canonical: ``dp^2 + dq^2``; affine: ``q^2/beta dp^2 + beta/q^2 dq^2``;
-    spin: ``[1 - p^2/(s hbar)]^{-1} dp^2 + [1 - p^2/(s hbar)] dq^2``.
-    """
-    if kind == "canonical":
-        return MetricTensor2(1.0, 0.0, 1.0)
-    if kind == "affine":
-        if beta is None or beta <= 0:
-            raise ValueError("affine metric requires beta > 0")
-        if q <= 0:
-            raise DomainError(f"affine labels require q > 0 (got q = {q})")
-        # q^2 / beta and its reciprocal must both be normal doubles
-        q2 = q * q
-        if not sys.float_info.min <= q2 / beta <= 1.0 / sys.float_info.min:
-            raise DomainError(f"the affine metric at q = {q}, beta = {beta} leaves the "
-                              f"normal range of double precision")
-        return MetricTensor2(q2 / beta, 0.0, beta / q2)
-    if kind == "spin":
-        if s is None or s <= 0:
-            raise ValueError("spin metric requires s > 0")
-        shbar = s * hbar
-        f = 1.0 - p * p / shbar
-        if f <= 0:
-            raise DomainError(f"spin labels require p^2 < s hbar (got p = {p})")
-        return MetricTensor2(1.0 / f, 0.0, f)
-    raise ValueError(f"no analytic metric for family kind {kind!r}")
-
-
 def _brioschi_curvature(metric, p, q, h):
     # Gaussian curvature of a 2-D metric from central differences of its
     # components (Brioschi formula); works for non-diagonal tensors too.  It
@@ -706,38 +695,13 @@ def _brioschi_curvature(metric, p, q, h):
     return (det1 - det2) / (E * G - F * F) ** 2
 
 
-def scalar_curvature(
-    kind: str,
-    p: float,
-    q: float,
-    hbar: float = 1.0,
-    beta: float | None = None,
-    s: float | None = None,
-) -> float:
-    """Scalar (Ricci) curvature of the closed-form metric at ``(p, q)``.
+def scalar_curvature(family: CoherentFamily, p: float, q: float) -> float:
+    """Scalar (Ricci) curvature of ``family``'s metric at ``(p, q)``.
 
-    Computed as twice the Gaussian curvature obtained by finite differences
-    of :func:`fs_metric_analytic`, with one Richardson step.  The step is
-    scaled to the distance from the domain edge: ``1e-3 q`` on the half
-    line and ``1e-2 min(1, sqrt(s hbar) - |p|)`` on the spin chart.  The
-    canonical sheet is flat, the affine sheet has constant curvature
-    ``-2/beta``, and the spin sheet is a sphere of radius ``sqrt(s hbar)``
-    with curvature ``2/(s hbar)``.  A stencil whose metric leaves double
-    precision raises :class:`DomainError`.
+    It is the family's declared constant ``curvature``, returned at every
+    label its declared ``metric`` accepts; elsewhere that metric's
+    :class:`DomainError` is raised.  The verify suite checks each declared
+    curvature against :func:`_brioschi_curvature` of the declared metric.
     """
-
-    def metric(pp, qq):
-        return fs_metric_analytic(kind, pp, qq, hbar=hbar, beta=beta, s=s)
-
-    h = 1e-3
-    if kind == "affine":
-        h *= q
-    if kind == "spin":
-        edge = float(np.sqrt(s * hbar)) - abs(p)
-        if edge <= 0:
-            raise DomainError("label is not interior to the spin chart")
-        h = 1e-2 * min(1.0, edge)
-    k1 = _brioschi_curvature(metric, p, q, h)
-    k2 = _brioschi_curvature(metric, p, q, h / 2.0)
-    gauss = (4.0 * k2 - k1) / 3.0
-    return float(2.0 * gauss)
+    family.metric(p, q)
+    return family.curvature

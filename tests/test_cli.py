@@ -191,7 +191,7 @@ class TestValidation:
                  "integrator": {"t_final": 2.0, "n_samples": 20}}, "representation"),
         ("run", {"experiment": "curvature", "family": {"kind": "affine", "beta": 2.0},
                  "representation": {"dim": 7},
-                 "labels": {"grid": {"p": [0, 1, 2], "q": [0.5, 1, 2]}}}, "representation"),
+                 "labels": {"grid": {"p": [0, 1, 2], "q": [0.5, 1, 2]}}}, "representation.dim"),
         ("verify", {"suites": ["curvature"], "representation": {"dim": 7},
                     "family": {"kind": "affine"}, "seed": 3}, "representation"),
         ("verify", {"suites": ["label_means", "energy_drift"], "family": {"kind": "canonical"}},
@@ -246,8 +246,6 @@ class TestValidation:
          "hamiltonian"),
         ("run", {"experiment": "limit_study", "hamiltonian": {"expression": "Q", "variables": "affine"},
                  "labels": {"grid": {"p": [0, 0, 1], "q": [1, 1, 1]}}}, "hamiltonian.variables"),
-        ("run", {"experiment": "curvature", "family": {"kind": "extended"},
-                 "labels": {"grid": {"p": [0, 0, 1], "q": [0, 0, 1]}}}, "family.kind"),
         # the limit is read off one exact series: there is no hbar sequence
         ("run", {"experiment": "limit_study", "hamiltonian": {"expression": "Q^2"},
                  "hbar_sequence": [1.0, 0.5, 0.25],
@@ -274,7 +272,7 @@ class TestValidation:
             "no-experiment", "no-suites", "model-without-name", "no-model-or-hamiltonian",
             "no-labels", "labels-without-points", "grid-p-range", "grid-q-range",
             "random-zero-count", "random-zero-box", "no-transform", "limit-study-without-hamiltonian",
-            "limit-study-affine", "extended-curvature", "hbar-sequence",
+            "limit-study-affine", "hbar-sequence",
             "nan-affine-beta", "nan-hbar", "nan-x0", "nan-hydrogen-beta", "nan-spin-B",
             "infinite-grid-bound"])
     def test_rejected_keys_write_nothing(self, tmp_path, capsys, command, cfg, path):
@@ -347,9 +345,11 @@ class TestLibraryErrors:
     """Library exceptions reach the user as one line and a documented exit code."""
 
     @pytest.mark.parametrize("cfg,code,message", [
-        pytest.param({"experiment": "metric", "family": {"kind": "affine", "beta": 0.5},
+        # the family builds at any beta > 0, but its <P^2> column needs beta > hbar
+        pytest.param({"experiment": "expectation", "family": {"kind": "affine", "beta": 0.5},
                       "labels": {"grid": {"p": [0, 0, 1], "q": [1, 1, 1]}}},
-                     2, "error: beta must exceed hbar", id="domain-error"),
+                     2, "error: fiducial moments of P*P reach <Q^-2> through its momentum letters and "
+                        "inverse letters Q^-1, and diverge unless beta > 2/2 * hbar", id="domain-error"),
         pytest.param({"experiment": "evolve", "hamiltonian": {"expression": "0.5*P^2 - Q^4"},
                       "representation": {"dim": 16}, "x0": [0.0, 2.0],
                       "integrator": {"t_final": 5.0}},
@@ -754,8 +754,23 @@ class TestExperiments:
         out = tmp_path / "out"
         assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
         _, rows = read_rows(out / "curvature.csv")
-        for row in rows:
-            assert float(row[2]) == pytest.approx(-1.0, abs=1e-6)
+        assert [row[2] for row in rows] == ["-1.0"] * 3
+
+    @pytest.mark.parametrize("family,q,curvature", [
+        ({"kind": "canonical"}, -0.5, 0.0),
+        ({"kind": "extended", "a": 0.3, "b": 0.2}, -0.5, 0.0),
+        ({"kind": "affine", "beta": 0.5}, 0.5, -4.0),
+        ({"kind": "spin"}, -0.5, 4.0),
+    ], ids=["canonical", "extended", "affine-narrow", "spin"])
+    def test_curvature_of_every_family(self, tmp_path, family, q, curvature):
+        # each family's declared curvature, on the representation the family builds
+        # (an affine beta at or below hbar included)
+        cfg = {"experiment": "curvature", "family": family,
+               "labels": {"grid": {"p": [0, 0.5, 2], "q": [q, 1.5, 2]}}}
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        _, rows = read_rows(out / "curvature.csv")
+        assert [float(row[2]) for row in rows] == [curvature] * 4
 
     def test_transform_check(self, tmp_path):
         cfg = {

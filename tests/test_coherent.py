@@ -27,7 +27,6 @@ from enhq import (
     fiducial_moments,
     extended_family,
     fs_metric,
-    fs_metric_analytic,
     fs_metric_numeric,
     hbar_series,
     parse_polynomial,
@@ -38,7 +37,13 @@ from enhq import (
 from enhq.hilbert import StateVector
 import enhq.hilbert
 from enhq.cli import main as cli_main
-from enhq.coherent import CANONICAL_TAIL_TOL, _metric_from_map, _poisson_tail, affine_wavefunction
+from enhq.coherent import (
+    CANONICAL_TAIL_TOL,
+    _brioschi_curvature,
+    _metric_from_map,
+    _poisson_tail,
+    affine_wavefunction,
+)
 from enhq.hilbert import DEFAULT_TRUNCATION_MARGIN, apply_unitary
 from oracles import (
     expectation,
@@ -159,7 +164,6 @@ class TestAffineFiducial:
     def test_stated_moments(self, affine_beta2):
         m = fiducial_moments(affine_beta2)
         assert m["q1"] == pytest.approx(1.0, abs=1e-10)
-        assert abs(m["d"]) < 1e-10
 
     def test_q2_against_quadrature_oracle(self, affine_beta2):
         beta, hbar = 2.0, 1.0
@@ -204,6 +208,17 @@ class TestAffineFiducial:
         for beta in (1.0, 0.5):
             with pytest.raises(DomainError):
                 affine_fiducial(beta, halfline4000)
+
+    def test_the_family_takes_every_positive_beta(self, halfline4000):
+        # the states exist for any beta > 0; only the sampled fiducial, whose
+        # <P^2> the quadratures read, needs beta > hbar
+        narrow = affine_family(halfline4000, 0.5)
+        assert narrow.curvature == -4.0
+        with pytest.raises(DomainError, match="beta must exceed hbar"):
+            fiducial_moments(narrow)
+        for beta in (0.0, -1.0, float("nan")):
+            with pytest.raises(DomainError, match="beta > 0"):
+                affine_family(halfline4000, beta)
 
     def test_defining_relation_residual(self, affine_beta2):
         # [(Q - 1) + (i/beta) D] |beta> should vanish up to discretization
@@ -424,7 +439,7 @@ class TestMetricNumeric:
     def test_affine_metric_matches_analytic(self, affine_beta2):
         for p, q in [(0.0, 1.0), (0.8, 0.6), (-1.0, 1.8)]:
             g = fs_metric_numeric(affine_beta2, p, q)
-            exact = fs_metric_analytic("affine", p, q, beta=2.0)
+            exact = affine_beta2.metric(p, q)
             assert g.g_pp == pytest.approx(exact.g_pp, rel=1e-7)
             assert g.g_qq == pytest.approx(exact.g_qq, rel=1e-7)
             assert abs(g.g_pq) < 1e-7
@@ -435,7 +450,7 @@ class TestMetricNumeric:
         sq = np.sqrt(s)
         for p, q in [(0.0, 0.0), (0.4 * sq, 0.3 * sq), (-0.5 * sq, -0.2 * sq)]:
             g = fs_metric_numeric(family, p, q)
-            exact = fs_metric_analytic("spin", p, q, s=s)
+            exact = family.metric(p, q)
             assert g.g_pp == pytest.approx(exact.g_pp, rel=1e-8)
             assert g.g_qq == pytest.approx(exact.g_qq, rel=1e-8)
             assert abs(g.g_pq) < 1e-8
@@ -448,7 +463,7 @@ class TestMetricNumeric:
         sq = np.sqrt(s)
         for q in (np.pi * sq - 1e-5, np.pi * sq, np.pi * sq + 0.3):
             g = fs_metric_numeric(family, 0.3 * sq, q)
-            exact = fs_metric_analytic("spin", 0.3 * sq, q, s=s)
+            exact = family.metric(0.3 * sq, q)
             assert g.g_pp == pytest.approx(exact.g_pp, rel=1e-9)
             assert g.g_qq == pytest.approx(exact.g_qq, rel=1e-9)
             assert abs(g.g_pq) < 1e-9
@@ -494,27 +509,26 @@ def _metric_rows(g):
 
 
 class TestMetricExact:
-    """fs_metric from the exact tangent against the numeric and closed-form metrics."""
+    """fs_metric from the exact tangent against the numeric metric and the family's declared one."""
 
-    def check(self, family, points, exact):
+    def check(self, family, points):
         for p, q in points:
             g = _metric_rows(fs_metric(family, p, q))
             assert_allclose(g, _metric_rows(fs_metric_numeric(family, p, q)), rtol=0, atol=1e-9)
-            assert_allclose(g, _metric_rows(exact(p, q)), rtol=0, atol=1e-12)
+            assert_allclose(g, _metric_rows(family.metric(p, q)), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("dim", [48, 80, 160])
     def test_canonical(self, dim):
         family = canonical_family(build_fock_rep(dim))
         points = [(p, q) for p in (-1.0, 0.0, 0.7) for q in (-1.0, 0.3, 1.0)]
-        self.check(family, points, lambda p, q: fs_metric_analytic("canonical", p, q))
+        self.check(family, points)
 
     def test_canonical_small_hbar(self):
-        family = canonical_family(build_fock_rep(80, 0.5))
-        self.check(family, [(0.4, -0.6)], lambda p, q: fs_metric_analytic("canonical", p, q))
+        self.check(canonical_family(build_fock_rep(80, 0.5)), [(0.4, -0.6)])
 
     def test_affine(self, affine_beta2):
         points = [(p, q) for p in (-1.0, 0.0, 0.8) for q in (0.6, 1.1, 1.6, 2.0)]
-        self.check(affine_beta2, points, lambda p, q: fs_metric_analytic("affine", p, q, beta=2.0))
+        self.check(affine_beta2, points)
 
     @pytest.mark.parametrize("s", [0.5, 2.5, 20.0])
     def test_spin_including_past_the_seam(self, s):
@@ -525,12 +539,30 @@ class TestMetricExact:
             for p in (-0.6, 0.0, 0.3, 0.9)
             for q in (-0.2, 0.5, np.pi - 1e-5, np.pi, np.pi + 0.3, 2.5 * np.pi)
         ]
-        self.check(family, points, lambda p, q: fs_metric_analytic("spin", p, q, s=s))
+        self.check(family, points)
+
+    @pytest.mark.parametrize("hbar", [0.5, 2.0])
+    def test_every_family_across_hbar(self, hbar):
+        # the widths scale with hbar, so the states keep their shapes in the scaled labels
+        root = np.sqrt(hbar)
+        points = [(p * root, q * root) for p in (-0.6, 0.0, 0.5) for q in (0.4, 0.9)]
+        for family in (canonical_family(build_fock_rep(160, hbar)),
+                       affine_family(build_halfline_rep(1e-5, 60.0, 3000, hbar), 2.0 * hbar),
+                       spin_family(build_spin_rep(2.5, hbar))):
+            self.check(family, points)
 
     def test_extended_is_flat(self):
         family = extended_family(build_fock_rep(80), 0.3, 0.1)
         for p, q in [(0.0, 0.0), (0.2, -0.3), (0.5, 0.5)]:
             assert_allclose(_metric_rows(fs_metric(family, p, q)), [1.0, 0.0, 1.0], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("a,b", [(0.3, 0.2), (1.1, -0.4), (-0.7, 0.35)])
+    @pytest.mark.parametrize("hbar", [1.0, 0.5])
+    def test_extended_inherits_the_canonical_metric(self, a, b, hbar):
+        # a fixed rotation and squeeze leave the metric of the displaced vacuum unchanged
+        family = extended_family(build_fock_rep(200, hbar), a, b)
+        assert family.curvature == 0.0
+        self.check(family, [(0.0, 0.0), (0.2, -0.3), (0.5, 0.5), (-0.8, 0.1)])
 
     @pytest.mark.parametrize("s,hbar", [(2.5, 1.0), (2.0, 0.5)])
     def test_spin_poles_raise(self, s, hbar):
@@ -821,74 +853,115 @@ class TestNoExponentialsOnTheClosedFormPaths:
         assert counts == {"eigh": 0, "apply_unitary": 0}
 
 
+def twice_gauss(metric, p, q, h):
+    """Twice the Gaussian curvature of ``metric`` by Brioschi's formula, with one Richardson step."""
+    k1, k2 = (_brioschi_curvature(metric, p, q, step) for step in (h, h / 2.0))
+    return 2.0 * (4.0 * k2 - k1) / 3.0
+
+
+def affine_on(beta, hbar=1.0):
+    # the declared geometry reads no grid: the smallest one serves
+    return affine_family(build_halfline_rep(0.1, 10.0, 16, hbar), beta)
+
+
 class TestMetricAnalytic:
+    """The closed-form metric each family declares."""
+
     def test_canonical(self):
-        g = fs_metric_analytic("canonical", 3.0, -2.0)
-        assert (g.g_pp, g.g_pq, g.g_qq) == (1.0, 0.0, 1.0)
+        for family in (canonical_family(build_fock_rep(8)), extended_family(build_fock_rep(8), 0.3, 0.2)):
+            g = family.metric(3.0, -2.0)
+            assert (g.g_pp, g.g_pq, g.g_qq) == (1.0, 0.0, 1.0)
 
     def test_affine(self):
-        g = fs_metric_analytic("affine", 0.3, 1.5, beta=2.0)
+        g = affine_on(2.0).metric(0.3, 1.5)
         assert g.g_pp == pytest.approx(1.5**2 / 2.0)
         assert g.g_qq == pytest.approx(2.0 / 1.5**2)
 
     def test_spin(self):
-        g = fs_metric_analytic("spin", 0.4, 0.0, s=2.0, hbar=0.5)
+        g = spin_family(build_spin_rep(2.0, 0.5)).metric(0.4, 0.0)
         f = 1 - 0.4**2 / 1.0
         assert g.g_pp == pytest.approx(1 / f)
         assert g.g_qq == pytest.approx(f)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            fs_metric_analytic("affine", 0.0, -1.0, beta=1.0)
+            affine_on(1.0).metric(0.0, -1.0)
         with pytest.raises(DomainError):
-            fs_metric_analytic("spin", 1.0, 0.0, s=0.5)
+            spin_family(build_spin_rep(0.5)).metric(1.0, 0.0)
+        with pytest.raises(DomainError):
+            canonical_family(build_fock_rep(8)).metric(float("nan"), 0.0)
         # q^2 underflows to 0 and beta / q^2 overflows
         for q in (1e-200, 1e-160, 1e160):
             with pytest.raises(DomainError, match="double precision"):
-                fs_metric_analytic("affine", 0.1, q, beta=2.0)
+                affine_on(2.0).metric(0.1, q)
 
 
 class TestScalarCurvature:
+    """The declared curvature, read where the declared metric is, against Brioschi's formula."""
+
     def test_canonical_flat(self):
-        for p, q in [(0.0, 0.0), (2.0, -1.0), (0.3, 0.7)]:
-            assert abs(scalar_curvature("canonical", p, q)) < 1e-10
+        for family in (canonical_family(build_fock_rep(8)), extended_family(build_fock_rep(8), 1.1, -0.4)):
+            for p, q in [(0.0, 0.0), (2.0, -1.0), (0.3, 0.7)]:
+                assert scalar_curvature(family, p, q) == 0.0
+                assert abs(twice_gauss(family.metric, p, q, 1e-3)) < 1e-10
 
     @pytest.mark.parametrize("beta", [1.0, 2.0, 5.0])
     def test_affine_constant_negative(self, beta):
+        family = affine_on(beta)
         for p, q in [(0.0, 1.0), (0.5, 0.7), (-0.3, 1.6)]:
-            r = scalar_curvature("affine", p, q, beta=beta)
-            assert r == pytest.approx(-2.0 / beta, abs=1e-6)
+            assert scalar_curvature(family, p, q) == -2.0 / beta
+            assert twice_gauss(family.metric, p, q, 1e-3 * q) == pytest.approx(-2.0 / beta, abs=1e-6)
 
     @pytest.mark.parametrize("beta,hbar", [(2.0, 1.0), (5.0, 0.3)])
     def test_affine_to_1e_8_across_scales(self, beta, hbar):
-        # the step scales with q, so the error does not grow towards q = 0
+        # a step that scales with q keeps the error from growing towards q = 0
+        family = affine_on(beta, hbar)
         for q in np.geomspace(1e-6, 1e3, 37):
-            r = scalar_curvature("affine", 0.1, q, hbar=hbar, beta=beta)
+            assert scalar_curvature(family, 0.1, q) == -2.0 / beta
+            r = twice_gauss(family.metric, 0.1, q, 1e-3 * q)
             assert r == pytest.approx(-2.0 / beta, rel=1e-8, abs=0)
 
     def test_affine_at_the_range_of_the_metric(self):
         # the stencil works in coordinates where the metric is near 1
+        family = affine_on(2.0)
         for q in (1e-150, 1e-100, 1e100, 1e150):
-            assert scalar_curvature("affine", 0.1, q, beta=2.0) == pytest.approx(-1.0, rel=1e-8)
+            assert scalar_curvature(family, 0.1, q) == -1.0
+            assert twice_gauss(family.metric, 0.1, q, 1e-3 * q) == pytest.approx(-1.0, rel=1e-8)
         for q in (1e-160, 1e-300, 1e160):
             with pytest.raises(DomainError):
-                scalar_curvature("affine", 0.1, q, beta=2.0)
+                scalar_curvature(family, 0.1, q)
+            with pytest.raises(DomainError):
+                _brioschi_curvature(family.metric, 0.1, q, 1e-3 * q)
 
     @pytest.mark.parametrize("s,hbar", [(0.5, 1.0), (5.0, 0.3), (100.0, 1.0)])
     def test_spin_to_1e_5_up_to_the_poles(self, s, hbar):
-        # the step scales with the distance to the pole
+        # a step that scales with the distance to the pole
+        family = spin_family(build_spin_rep(s, hbar))
         sq = np.sqrt(s * hbar)
         for frac in (-0.999, -0.997, -0.9, 0.0, 0.5, 0.99, 0.999):
-            r = scalar_curvature("spin", frac * sq, 0.3, hbar=hbar, s=s)
+            p = frac * sq
+            assert scalar_curvature(family, p, 0.3) == 2.0 / (s * hbar)
+            r = twice_gauss(family.metric, p, 0.3, 1e-2 * min(1.0, sq - abs(p)))
             assert r == pytest.approx(2.0 / (s * hbar), rel=1e-5, abs=0)
 
     def test_spin_sphere(self):
         # sphere of radius sqrt(s hbar): curvature 2 / (s hbar)
-        r = scalar_curvature("spin", 0.4, 0.1, s=2.0)
-        assert r == pytest.approx(1.0, abs=1e-6)
+        family = spin_family(build_spin_rep(2.0))
+        assert scalar_curvature(family, 0.4, 0.1) == 1.0
+        assert twice_gauss(family.metric, 0.4, 0.1, 1e-2) == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize("s,hbar", [(0.5, 1.0), (1.0, 1.0), (5.0, 0.5)])
     def test_spin_curvature_family(self, s, hbar):
+        family = spin_family(build_spin_rep(s, hbar))
         p = 0.2 * np.sqrt(s * hbar)
-        r = scalar_curvature("spin", p, 0.0, s=s, hbar=hbar)
-        assert r == pytest.approx(2.0 / (s * hbar), rel=1e-6)
+        r = twice_gauss(family.metric, p, 0.0, 1e-2 * min(1.0, 0.8 * np.sqrt(s * hbar)))
+        assert r == pytest.approx(scalar_curvature(family, p, 0.0), rel=1e-6)
+
+    def test_off_the_chart_raises(self):
+        # the poles and the far side of the half line carry no metric, so no curvature;
+        # with s hbar = 1 the pole p = 1 squares to s hbar exactly
+        for p in (1.0, -1.0):
+            with pytest.raises(DomainError, match="p\\^2 < s hbar"):
+                scalar_curvature(spin_family(build_spin_rep(2.0, 0.5)), p, 0.3)
+        with pytest.raises(DomainError, match="outside the affine family's domain"):
+            scalar_curvature(affine_on(2.0), 0.1, 0.0)

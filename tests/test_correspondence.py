@@ -345,6 +345,15 @@ class TestEnhanceAffine:
             with pytest.raises(DomainError, match=re.escape(f"diverge unless beta > {k}/2 * hbar")):
                 enhance(parse_polynomial(expression, "affine"), affine_family(halfline4000, beta))
 
+    @pytest.mark.parametrize("hbar", [1.0, 0.5])
+    def test_a_narrow_family_restricts_what_its_moments_allow(self, hbar):
+        # the family builds at any beta > 0: at beta = 0.75 hbar, 2 nu = 1.5 and
+        # <Q^-1> = 2 nu / (2 nu - 1) = 3 exactly, while P^2 reaches <Q^-2>
+        family = affine_family(build_halfline_rep(1e-5, 60.0, 3000, hbar), 0.75 * hbar)
+        assert enhance(parse_polynomial("Q^-1", "affine"), family).polynomial.coeffs == {(0, -1): 3.0}
+        with pytest.raises(DomainError, match=re.escape("diverge unless beta > 2/2 * hbar")):
+            enhance(parse_polynomial("P^2", "affine"), family)
+
     def test_momentum_word_requires_wide_fiducial(self, halfline4000):
         from enhq import affine_family
 

@@ -44,10 +44,10 @@ ORACLE_NAMES = {"poly_expectation", "fs_metric_numeric"}
 ALLOWED_ORACLE_REFERENCES = {("__init__.py", "poly_expectation"),
                              ("__init__.py", "fs_metric_numeric")}
 
-# what a family is, not what it declares: restriction and the CLI choose by
+# what a family is, not what it declares: geometry, restriction and the CLI choose by
 # neither (an error message may still name the kind)
 FAMILY_IDENTITY = {"family.kind", "family.beta", "family.rep.s", "family.rep.kind"}
-RESTRICTING_MODULES = ("correspondence.py", "cli.py")
+RESTRICTING_MODULES = ("coherent.py", "correspondence.py", "cli.py")
 
 
 def _referenced_names(tree):
