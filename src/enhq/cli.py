@@ -184,7 +184,7 @@ def _label_points(cfg):
 
 # the integrator keys passed to hamiltonian_flow, and their types (the config
 # check takes 5.0 as an integer)
-_FLOW_KEYS = {"tol": float, "n_samples": int, "q_floor": float, "method": str}
+_FLOW_KEYS = {"tol": float, "n_samples": int, "q_floor": float}
 
 
 def _integrator(cfg) -> dict:
@@ -554,7 +554,6 @@ _KEYS = {
     "integrator.tol": _POSITIVE,
     "integrator.n_samples": _integer(2),
     "integrator.q_floor": _POSITIVE,
-    "integrator.method": _one_of("rk45", "leapfrog"),
     "transform.name": _one_of("rotation", "scaling"),
     "transform.factor": _NUMBER,
     "x0": _items(_NUMBER, _NUMBER),

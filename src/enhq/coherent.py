@@ -108,7 +108,7 @@ class CoherentFamily:
     chart, or None; and ``shifted``, each letter's adjoint action
     ``U(p, q)^dag X U(p, q)`` as terms (coefficient, fiducial letter or None,
     power of ``p``, power of ``q``) where that is a polynomial in the labels,
-    with the span on which :meth:`fiducial_moment` takes its exact moments.
+    with the span and the ``moment_scale`` of :meth:`exact_moment`.
     It also declares its geometry: ``metric(p, q)``, the closed-form
     Fubini-Study metric, which raises :class:`DomainError` off the chart, and
     ``curvature``, the metric's constant scalar curvature.
@@ -148,13 +148,15 @@ class CoherentFamily:
         psi, d_p, d_q = self._build(p, q, True)
         return psi.amplitudes, d_p, d_q
 
-    def fiducial_moment(self, word) -> complex:
+    def exact_moment(self, word) -> tuple:
         """The exact ``<fiducial| word |fiducial>`` of a family with a ``shifted`` table.
 
-        The letters keep a span ``e_k`` with ``e_0`` the fiducial: the family's
-        ``_span_action(letter, k)`` gives the terms ``(k', exact factor)`` of
-        a letter's image of ``e_k``, and ``_pairing(word, {k: c})`` the moment
-        of ``word e_0``.  An overflowing moment raises :class:`DomainError`.
+        It is ``i^k r s^n``, returned as ``(k, r, n)``: ``r`` an int or a
+        :class:`~fractions.Fraction` and ``s`` the exact ``moment_scale``
+        (``hbar / 2`` on the line, ``hbar`` on the half line).  The letters
+        keep a span ``e_k`` with ``e_0`` the fiducial: ``_span_action(letter,
+        k)`` gives the terms ``(k', exact factor)`` of a letter's image of
+        ``e_k``, and ``_pairing(word, {k: c})`` the moment of ``word e_0``.
         """
         vec = {0: 1}
         for letter in reversed(word):
@@ -163,8 +165,13 @@ class CoherentFamily:
                 for k_out, factor in self._span_action(letter, k):
                     out[k_out] += factor * c
             vec = out
+        return self._pairing(word, vec)
+
+    def fiducial_moment(self, word) -> complex:
+        """The :meth:`exact_moment` of ``word``, rounded once; one that overflows raises :class:`DomainError`."""
+        k, r, n = self.exact_moment(word)
         try:
-            return complex(self._pairing(word, vec))
+            return complex(float(r * self.moment_scale ** n) * (1, 1j, -1, -1j)[k])
         except OverflowError:
             raise DomainError(f"the fiducial moment of {'*'.join(word)} overflows a double") from None
 
@@ -177,6 +184,7 @@ class _Canonical(CoherentFamily):
 
     def __init__(self, rep):
         self.rep, self.fiducial = rep, rep.vacuum()
+        self.moment_scale = Fraction(rep.hbar) / 2
 
     @cached_property
     def letters(self):
@@ -211,12 +219,10 @@ class _Canonical(CoherentFamily):
         return (raised, (k - 1, k if letter == "Q" else -k)) if k else (raised,)
 
     def _pairing(self, word, vec):
-        # <0|k>' = 0 for k > 0: the moment is <0|vec> (hbar/2)^(m/2) i^(#P) for a word of
+        # <0|k>' = 0 for k > 0: the moment is i^(#P) <0|vec> (hbar/2)^(m/2) for a word of
         # length m, and 0 for an odd one
         m = len(word)
-        if m % 2:
-            return 0.0
-        return vec[0] * (0.5 * self.rep.hbar) ** (m // 2) * (1, 1j, -1, -1j)[word.count("P") % 4]
+        return (0, 0, 0) if m % 2 else (word.count("P") % 4, vec[0], m // 2)
 
     def _build(self, p, q, tangent):
         # below a mean Fock level of dim the Poisson occupancy rises to the top
@@ -307,7 +313,8 @@ class _Affine(CoherentFamily):
         if not beta > 0:
             raise DomainError(f"the affine family requires beta > 0 (got beta = {beta})")
         self.rep, self.letters, self.beta = rep, {}, float(beta)
-        self._nu = Fraction(self.beta) / Fraction(rep.hbar)
+        self.moment_scale = Fraction(rep.hbar)
+        self._nu = Fraction(self.beta) / self.moment_scale
         self.curvature = -2.0 / self.beta
 
     def metric(self, p, q):
@@ -341,14 +348,14 @@ class _Affine(CoherentFamily):
         # word reaches counts, also one whose coefficient vanishes at this beta (P^4
         # reaches <Q^-4> with a factor nu - 3/2): there the formal P^4 is no longer
         # ||P^2 psi||^2.  Each P and D carries -i hbar; the rest is rational in nu,
-        # summed exactly and rounded once, as its terms grow like nu^(letters) and cancel.
+        # its terms growing like nu^(letters) and cancelling.
         low = min(vec)
         if 2 * self._nu + low <= 0:
             raise DomainError(f"fiducial moments of {'*'.join(word)} reach <Q^{low}> through its momentum "
                               f"letters and inverse letters Q^-1, and diverge unless beta > {-low}/2 * hbar "
                               f"(beta = {self.beta})")
-        moment = sum(c * _q_moment(2 * self._nu, m) for m, c in vec.items())
-        return (-1j * self.rep.hbar) ** (word.count("P") + word.count("D")) * float(moment)
+        n = word.count("P") + word.count("D")
+        return -n % 4, sum(c * _q_moment(2 * self._nu, m) for m, c in vec.items()), n
 
     def _build(self, p, q, tangent):
         # both unitaries act pointwise on half-line wavefunctions (a phase and

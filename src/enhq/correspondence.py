@@ -32,6 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
@@ -240,8 +241,7 @@ class _LabelPolynomial:
         d_q = [(j * c, i, j - 1) for c, i, j in terms if j]
         for c, i, j in terms + d_p + d_q:
             if not math.isfinite(c):
-                raise DomainError(f"the label polynomial or its gradient overflows a double "
-                                  f"at the power p^{i} q^{j}")
+                raise _overflow(i, j)
         self.gradient_terms = tuple(np.array(d, dtype=float).reshape(-1, 3) for d in (d_p, d_q))
         namespace: dict = {"ieee": _ieee}
         exec(_function("value", _code(terms)) + _function("gradient", f"{_code(d_p)}, {_code(d_q)}"),
@@ -257,6 +257,10 @@ class _LabelPolynomial:
         return value
 
 
+def _overflow(i, j) -> DomainError:
+    return DomainError(f"the label polynomial or its gradient overflows a double at the power p^{i} q^{j}")
+
+
 def _realized(value: complex, context: str) -> float:
     if not math.isfinite(value.real):
         raise DomainError(f"{context} overflows a double")
@@ -269,26 +273,53 @@ def _realized(value: complex, context: str) -> float:
     return float(value.real)
 
 
-def _label_terms(poly, family) -> dict:
+def _exact(x: float):
+    # a double as an exact number: an int where it is one, so unit weights stay cheap
+    return int(x) if x.is_integer() else Fraction(x)
+
+
+def _label_terms(poly, family, scale, graded: bool) -> dict:
     # <p,q| W |p,q> = <fiducial| U^dag W U |fiducial>: expand every word over
-    # the product of its letters' weighted shifted terms and take the family's
-    # exact moment of each kept subword once.  The real coefficients are keyed
-    # by (power of p, power of q, length of the kept subword).
-    shifted = family.shifted
-    moments: dict[tuple[str, ...], complex] = {}
-    coeffs: dict[tuple[int, int, int], complex] = {}
+    # the product of its letters' weighted shifted terms and take the exact
+    # moment i^k r s^n of each kept subword once, with scale for s.  Returns
+    # the coefficients' exact [re, im], summed word by word in units of the
+    # word's coefficient, keyed by (power of p, power of q), and n if graded.
+    shifted = {x: [(_exact(w), *rest) for w, *rest in terms] for x, terms in family.shifted.items()}
+    moments: dict[tuple[str, ...], tuple] = {}
+    sums: dict[tuple, list] = {}
     for word, coeff in poly.terms:
+        parts: dict[tuple[int, int, int], list] = {}
         for terms in itertools.product(*(shifted[letter] for letter in word)):
             kept = tuple(letter for _, letter, _, _ in terms if letter is not None)
             if kept not in moments:
-                moments[kept] = family.fiducial_moment(kept)
-            key = (sum(t[2] for t in terms), sum(t[3] for t in terms), len(kept))
-            coeffs[key] = coeffs.get(key, 0.0) + coeff * math.prod(t[0] for t in terms) * moments[kept]
-    # a word and its reversal share a key, so each key's sum is real
-    return {
-        key: _realized(complex(v), f"{family.kind} moment expansion at power {key[:2]}")
-        for key, v in coeffs.items()
-    }
+                moments[kept] = family.exact_moment(kept)
+            k, r, n = moments[kept]
+            part = parts.setdefault((sum(t[2] for t in terms), sum(t[3] for t in terms), n), [0, 0])
+            term = math.prod(t[0] for t in terms) * r
+            # i^k r adds r to re, to im, then -r to re, to im, for k = 0, 1, 2, 3
+            part[k % 2] += term if k < 2 else -term
+        c = _exact(coeff)
+        for key, (re, im) in parts.items():
+            unit = c * scale ** key[2] if key[2] else c
+            total = sums.setdefault(key if graded else key[:2], [0, 0])
+            # a zero part, as of every odd moment on the line, adds nothing
+            if re:
+                total[0] += unit * re
+            if im:
+                total[1] += unit * im
+    return sums
+
+
+def _rounded(sums: dict, kind: str) -> dict:
+    # each exact [re, im] rounded once; a word and its reversal share a key, so each is real
+    rounded = {}
+    for (i, j), (re, im) in sums.items():
+        try:
+            rounded[i, j] = _realized(complex(float(re), float(im)),
+                                      f"the {kind} moment expansion at the power p^{i} q^{j}")
+        except OverflowError:
+            raise _overflow(i, j) from None
+    return rounded
 
 
 class EnhancedHamiltonian:
@@ -335,16 +366,14 @@ def enhance(poly: OperatorPolynomial, family: CoherentFamily) -> EnhancedHamilto
     exact at any basis size; an affine word that reaches ``<Q^-k>`` through
     its letters ``P`` or ``Q^-1`` needs ``beta > k/2 * hbar``, and a
     ``half_line`` label function raises
-    :class:`DomainError` at ``q <= 0``, as does an expansion or a merged
-    coefficient that overflows.  Otherwise (spin) it is formed once as
+    :class:`DomainError` at ``q <= 0``, as does a coefficient whose exact
+    sum, rounded once, overflows.  Otherwise (spin) it is formed once as
     ``M = sum_w c_w W``: ``H = <psi|M psi>`` on the state, with the gradient
     ``2 Re <d psi|M psi>`` from :meth:`CoherentFamily.tangent`.
     """
     _check_alphabet(poly, family)
     if family.shifted is not None:
-        coeffs: dict[tuple[int, int], float] = {}
-        for (i, j, _), c in _label_terms(poly, family).items():
-            coeffs[i, j] = coeffs.get((i, j), 0.0) + c
+        coeffs = _rounded(_label_terms(poly, family, family.moment_scale, graded=False), family.kind)
         lp = _LabelPolynomial(coeffs, q_positive=family.half_line)
         return EnhancedHamiltonian(lp, lp.gradient, q_positive=family.half_line,
                                    label_domain=family.label_domain, polynomial=lp)
@@ -369,21 +398,20 @@ def enhance(poly: OperatorPolynomial, family: CoherentFamily) -> EnhancedHamilto
 def hbar_series(poly: OperatorPolynomial, family: CoherentFamily) -> tuple:
     """The label functions ``h_0 ... h_K`` of ``H(p, q; hbar) = sum_k hbar^k h_k(p, q)``.
 
-    ``K = poly.degree // 2``.  A kept subword of length ``m`` has a vacuum
-    moment ``hbar^(m/2)`` times its value at ``hbar = 1`` and odd moments
-    vanish, so each term of :func:`enhance`'s expansion on a line family
-    (canonical or squeezed) belongs to ``h_(m/2)``, divided by ``hbar^(m/2)``
-    of the family's representation.  The series is exact in ``hbar``, and
-    the moments are taken on the ladder at any basis size.  Other families
-    raise :class:`ValueError`.
+    ``K = poly.degree // 2``.  A kept subword of length ``m = 2n`` has a
+    vacuum moment ``(hbar/2)^n`` times an integer and odd moments vanish, so
+    each term of :func:`enhance`'s expansion on a line family (canonical or
+    squeezed) belongs to ``h_n``, with ``1/2`` in place of ``hbar/2``, and
+    each coefficient's exact sum is rounded once.  The series is exact in
+    ``hbar``, and the moments are taken on the ladder at any basis size.
+    Other families raise :class:`ValueError`.
     """
     _check_alphabet(poly, family)
     if poly.variable_set != "canonical":
         raise ValueError(f"the hbar-series needs a canonical family or its squeeze, not a {family.kind} one")
-    hbar = family.rep.hbar
+    # odd moments are exactly zero, at n = 0, and add nothing
     series: list[dict] = [{} for _ in range(poly.degree // 2 + 1)]
-    for (i, j, m), c in _label_terms(poly, family).items():
-        # odd moments are exactly zero: they add nothing
-        if m % 2 == 0:
-            series[m // 2][i, j] = c / hbar ** (m // 2)
-    return tuple(_LabelPolynomial(coeffs) for coeffs in series)
+    per_hbar = family.moment_scale / Fraction(family.rep.hbar)
+    for (i, j, n), sums in _label_terms(poly, family, per_hbar, graded=True).items():
+        series[n][i, j] = sums
+    return tuple(_LabelPolynomial(_rounded(terms, family.kind)) for terms in series)

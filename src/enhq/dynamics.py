@@ -1,12 +1,11 @@
 """Hamiltonian flows in label space, canonical relabelings, and action values.
 
 The equations of motion are ``dq/dt = dH/dp``, ``dp/dt = -dH/dq`` for an
-:class:`~enhq.correspondence.EnhancedHamiltonian`.  The one adaptive
-integrator is an embedded Runge-Kutta 5(4) pair, whose step loop runs in C
-(``_rk45.c``, built on first use into a per-user cache and loaded with
-``ctypes``) for compiled label polynomials, to the bits of the Python
-loop; a fixed-step leapfrog is the cross-check for separable Hamiltonians,
-and :func:`hamiltonian_flow` assembles the trajectory from either.  Flows
+:class:`~enhq.correspondence.EnhancedHamiltonian`.  The one integrator is
+an embedded Runge-Kutta 5(4) pair, whose step loop runs in C (``_rk45.c``,
+built on first use into a per-user cache and loaded with ``ctypes``) for
+compiled label polynomials, to the bits of the Python loop, and
+:func:`hamiltonian_flow` assembles the trajectory from it.  Flows
 on the half line, relabeled or not, stop with a ``singularity_hit`` event
 when ``q`` falls below a configurable floor, and local minima of ``q`` are
 annotated as ``bounce`` events.
@@ -65,9 +64,9 @@ class TrajectoryEvent:
 class FlowWork:
     """The work of one flow: accepted and rejected steps, and gradient calls.
 
-    The leapfrog rejects no step.  The gradient calls are all the
-    integrator made, those of Brent's method included, less those of a
-    step that a gradient's :class:`DomainError` cut short.
+    The gradient calls are all the integrator made, those of Brent's method
+    included, less those of a step that a gradient's :class:`DomainError`
+    cut short.
     """
 
     steps: int
@@ -170,11 +169,9 @@ def hamiltonian_flow(
     H: EnhancedHamiltonian,
     x0,
     t_final: float,
-    tol: float | None = None,
+    tol: float = 1e-10,
     n_samples: int = 1000,
     q_floor: float = DEFAULT_Q_FLOOR,
-    method: str = "rk45",
-    n_steps: int | None = None,
 ) -> Trajectory:
     """Integrate Hamilton's equations from ``x0`` over ``[0, t_final]``.
 
@@ -183,57 +180,44 @@ def hamiltonian_flow(
     half-line Hamiltonians the run stops with a ``singularity_hit`` event
     where the margin ``H.half_line - q_floor`` (``q``, or ``q`` carried
     through a relabeling) reaches zero, and a declared label domain, the
-    other margin, stops with ``domain_exit``.  Where an integrator cannot
+    other margin, stops with ``domain_exit``.  Where the integrator cannot
     continue it reports one stop, ``(t, p, q, cause)``, mapped here: a
-    gradient that raises :class:`DomainError` (a stage or kick past a spin
-    pole) ends the run in ``domain_exit`` where a label domain is declared
-    and is re-raised where none is; step-size underflow near a collapse
-    ends a half-line run in ``singularity_hit`` and raises
-    :class:`NumericalFailure` otherwise.  Before rk45 accepts a step, the
+    gradient that raises :class:`DomainError` (a stage past a spin pole)
+    ends the run in ``domain_exit`` where a label domain is declared and is
+    re-raised where none is; step-size underflow near a collapse ends a
+    half-line run in ``singularity_hit`` and raises
+    :class:`NumericalFailure` otherwise.  Before a step is accepted, the
     ``domain_exit`` ends the run at ``t = 0`` with the start as the only
     sample, and any other stop raises :class:`NumericalFailure`.  Non-finite
     gradients raise :class:`NumericalFailure`, as does an event whose root
     Brent's method cannot find (a nan on the step's dense output).
 
-    ``rk45`` runs :func:`_dormand_prince`, a scalar loop that takes the
-    steps of scipy's ``RK45``, calls the gradient once per stage and
-    evaluates all samples in one numpy pass after the loop.  For a
-    compiled polynomial (``H.polynomial``) with no label domain the whole
-    loop after the first step size, steps, samples and event roots, runs to
-    the same bits in the compiled kernel wherever :func:`_kernel` loads
-    one, and in Python otherwise; ``leapfrog`` runs :func:`_leapfrog_flow`,
-    ``n_steps`` fixed steps of three gradient calls each, sampled at the
-    step ends nearest the uniform grid.  Both call the Hamiltonian's stored
-    callables (``H._gradient``, ``H._evaluate``), not the methods that
-    convert each value to ``float``, and return the samples as float64
-    arrays, the event hits, the stop and the :class:`FlowWork`, from which
-    the events, energies and trajectory are built here; events and
-    energies are evaluated on Python floats, or by ``H.polynomial`` on the
-    sample arrays.  ``tol`` (rk45 only, by default ``1e-10``) and ``q_floor``
-    must be positive and finite, ``n_samples`` an integer of at least 2 and
-    ``n_steps`` (leapfrog only), when given, a positive integer of at least
-    ``n_samples - 1``.  A ``tol`` given to the leapfrog or an ``n_steps``
-    given to rk45 raises :class:`ValueError` rather than being ignored.
+    The integrator is :func:`_dormand_prince`, a scalar loop that takes the
+    steps of scipy's ``RK45`` at ``rtol = tol`` and ``atol = tol * 1e-3``,
+    calls the gradient once per stage and evaluates all samples in one
+    numpy pass after the loop.  For a compiled polynomial
+    (``H.polynomial``) with no label domain the whole loop after the first
+    step size, steps, samples and event roots, runs to the same bits in the
+    compiled kernel wherever :func:`_kernel` loads one, and in Python
+    otherwise.  It calls the Hamiltonian's stored callables
+    (``H._gradient``, ``H._evaluate``), not the methods that convert each
+    value to ``float``, and returns the samples as float64 arrays, the event
+    hits, the stop and the :class:`FlowWork`, from which the events,
+    energies and trajectory are built here; events and energies are
+    evaluated on Python floats, or by ``H.polynomial`` on the sample arrays.
+    ``tol`` and ``q_floor`` must be positive and finite, and ``n_samples``
+    an integer of at least 2.
     """
     x0 = _as_point(x0)
     if not np.isfinite(t_final) or t_final <= 0:
         raise ValueError("t_final must be positive and finite")
-    if tol is not None and (not np.isfinite(tol) or tol <= 0):
+    if not np.isfinite(tol) or tol <= 0:
         raise ValueError("tol must be positive and finite")
     if not np.isfinite(q_floor) or q_floor <= 0:
         raise ValueError("q_floor must be positive and finite")
-    if not _is_integer(n_samples) or n_samples < 2:
+    # Python and numpy integers; bool is an Integral too, but not a count
+    if not isinstance(n_samples, Integral) or isinstance(n_samples, bool) or n_samples < 2:
         raise ValueError("n_samples must be an integer of at least 2")
-    if n_steps is not None and (not _is_integer(n_steps) or n_steps < 1):
-        raise ValueError("n_steps must be a positive integer")
-    if method not in ("rk45", "leapfrog"):
-        raise ValueError(f"unknown integrator method {method!r}")
-    if method == "leapfrog" and n_steps is not None and n_steps < n_samples - 1:
-        raise ValueError(f"n_steps = {n_steps} is fewer than n_samples - 1 = {n_samples - 1}")
-    if method == "leapfrog" and tol is not None:
-        raise ValueError("tol applies to rk45 only; the leapfrog takes n_steps")
-    if method == "rk45" and n_steps is not None:
-        raise ValueError("n_steps applies to the leapfrog only; rk45 takes tol")
     half_line = H.half_line
     if half_line is not None and half_line(x0.p, x0.q) <= q_floor:
         raise ValueError(f"initial q = {half_line(x0.p, x0.q)} is not above the floor {q_floor}")
@@ -251,22 +235,15 @@ def hamiltonian_flow(
         kinds.append("domain_exit")
         margins.append(H.label_domain)
 
-    gradient, evaluate = H._gradient, H._evaluate
-    if method == "leapfrog":
-        ts, ps, qs, hits, stop, work = _leapfrog_flow(
-            gradient, x0.p, x0.q, t_final, n_samples, n_steps, margins,
-            q_floor if H.q_positive else None,
-        )
-    else:
-        tol = 1e-10 if tol is None else tol
-        # a compiled polynomial, on a half line or none, takes the kernel's steps
-        run = _kernel() if H.polynomial is not None and H.label_domain is None else None
-        ts, ps, qs, hits, stop, work = _dormand_prince(
-            gradient, x0.p, x0.q, t_final, tol, tol * 1e-3,
-            np.linspace(0.0, t_final, n_samples), margins,
-            None if run is None else _kernel_args(
-                run, H.polynomial, q_floor if half_line is not None else -math.inf),
-        )
+    evaluate = H._evaluate
+    # a compiled polynomial, on a half line or none, takes the kernel's steps
+    run = _kernel() if H.polynomial is not None and H.label_domain is None else None
+    ts, ps, qs, hits, stop, work = _dormand_prince(
+        H._gradient, x0.p, x0.q, t_final, tol, tol * 1e-3,
+        np.linspace(0.0, t_final, n_samples), margins,
+        None if run is None else _kernel_args(
+            run, H.polynomial, q_floor if half_line is not None else -math.inf),
+    )
 
     def event(kind, t, p, q):
         p, q = float(p), float(q)
@@ -303,11 +280,6 @@ def hamiltonian_flow(
     return Trajectory(ts, ps, qs, energies, tuple(recorded), work)
 
 
-def _is_integer(n):
-    # Python and numpy integers; bool is an Integral too, but not a count
-    return isinstance(n, Integral) and not isinstance(n, bool)
-
-
 def _check_finite(t, p, q, a, b):
     # the slow path of the stage test: the difference of two finite rates
     # can overflow, so only a rate that is itself not finite raises
@@ -316,25 +288,6 @@ def _check_finite(t, p, q, a, b):
         raise NumericalFailure(
             f"gradient is not finite at (p, q) = ({p}, {q})", {"t": t, "p": p, "q": q},
         )
-
-
-def _double_rates(gradient, p, q):
-    """The gradient at the start ``(p, q)`` and the callable to go on with.
-
-    The integrators compute with the rates as they come.  Python floats and
-    numpy float64 keep that arithmetic in double precision; a gradient that
-    returns anything else (an int, a float32) is wrapped so that every rate
-    is converted to ``float``, as the first one is.
-    """
-    a, b = gradient(p, q)
-    if isinstance(a, float) and isinstance(b, float):
-        return gradient, a, b
-
-    def converted(p, q):
-        a, b = gradient(p, q)
-        return float(a), float(b)
-
-    return converted, float(a), float(b)
 
 
 _EPS = float(np.finfo(float).eps)
@@ -384,8 +337,10 @@ def _dormand_prince(gradient, p, q, t_final, rtol, atol, t_eval, margins, compil
     """Integrate ``p' = -dH/dq``, ``q' = dH/dp`` from ``t = 0`` with Python floats.
 
     ``gradient(p, q)`` returns ``(dH/dp, dH/dq)``.  Each stage calls it
-    once, directly (rates that are not floats are converted, see
-    :func:`_double_rates`), and a non-finite component raises
+    once, directly, and computes with the rates as they come: Python floats
+    and numpy float64 keep the arithmetic in double precision, and a gradient
+    whose first rates are anything else (an int, a float32) is wrapped to
+    convert every rate to ``float``.  A non-finite component raises
     :class:`NumericalFailure` naming that stage's ``(p, q)``.  The scheme of
     scipy's ``RK45``: the same tableau, initial step, RMS error norm with
     scale ``atol + max(|y|, |y_new|) rtol``, step factors, give-up below ten
@@ -432,7 +387,13 @@ def _dormand_prince(gradient, p, q, t_final, rtol, atol, t_eval, margins, compil
         -71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
 
     rtol = max(rtol, 100 * _EPS)
-    gradient, fq, fp = _double_rates(gradient, p, q)
+    fq, fp = gradient(p, q)
+    if not (isinstance(fq, float) and isinstance(fp, float)):
+        fq, fp, raw = float(fq), float(fp), gradient
+
+        def gradient(p, q):
+            a, b = raw(p, q)
+            return float(a), float(b)
     # one difference tests both rates: d - d is 0 when d is finite, nan
     # otherwise (and nan is true)
     d = fp - fq
@@ -724,69 +685,6 @@ def _brent(f, a, b, fa, fb):
 
 def _no_root(a, b):
     return NumericalFailure(f"Brent's method found no root in [{a}, {b}]", {"t": a, "t_new": b})
-
-
-def _leapfrog_flow(gradient, p, q, t_final, n_samples, n_steps, margins, q_floor):
-    """Kick-drift-kick with the call and return of :func:`_dormand_prince`.
-
-    Symplectic only when H is separable, the contract of this backend.  The
-    ``margins`` are those of :func:`_dormand_prince`: ``margins[i - 1]`` ends
-    the run, as event ``i``, at the first step end where it is ``<= 0``.  Its
-    hit takes that step end's time and state, with ``q`` raised to ``q_floor``
-    when given (a plain half line); without one (a relabeled half line, a
-    label domain) it takes the state of the step end before, the last
-    inside, where the Hamiltonian is still defined.  A gradient that raises
-    :class:`DomainError` within a step (a kick past a spin pole) is the
-    stop ``(t, p, q, error)`` with the same time and state.  A bounce is a
-    step end where ``dq/dt`` turns nonnegative, whose gradient also serves
-    the next kick.
-    Each gradient is tested for finiteness as it arrives.  The samples are
-    the step ends nearest ``linspace(0, t_final, n_samples)``, distinct
-    because ``n_steps`` (by default ``max(20 n_samples, 10000)``) is at
-    least ``n_samples - 1``; they are returned as float64 arrays, with the
-    :class:`FlowWork`.
-    """
-    m = int(n_samples) - 1
-    n_steps = max(20 * (m + 1), 10000) if n_steps is None else int(n_steps)
-    dt = t_final / n_steps
-    # sample j at step round(j n_steps / m), in integers, halves rounding up
-    j, k_sample = 1, (2 * n_steps + m) // (2 * m)
-    gradient, prev_qdot, dh_dq = _double_rates(gradient, p, q)
-    _check_finite(0.0, p, q, prev_qdot, dh_dq)
-
-    def finite_gradient(t, p, q):
-        qdot, dh_dq = gradient(p, q)
-        if not math.isfinite(qdot - dh_dq):
-            _check_finite(t, p, q, qdot, dh_dq)
-        return qdot, dh_dq
-
-    ts, ps, qs, hits = [0.0], [p], [q], []
-    for k in range(1, n_steps + 1):
-        p_old, q_old, t = p, q, k * dt
-        try:
-            p -= 0.5 * dt * dh_dq
-            q += dt * finite_gradient((k - 1) * dt, p, q)[0]
-            p -= 0.5 * dt * finite_gradient(t, p, q)[1]
-        except DomainError as exc:
-            return (np.array(ts), np.array(ps), np.array(qs), hits, (t, p_old, q_old, exc),
-                    FlowWork(k - 1, 0, 3 * k - 2))
-        hit = next((i for i, margin in enumerate(margins, 1) if margin(p, q) <= 0), None)
-        if hit is not None:
-            hits.append((hit, t, p, max(q, q_floor)) if q_floor is not None else (hit, t, p_old, q_old))
-            break
-        qdot, dh_dq = finite_gradient(t, p, q)
-        if prev_qdot < 0.0 <= qdot:
-            hits.append((0, t, p, q))
-        prev_qdot = qdot
-        if k == k_sample:
-            ts.append(t)
-            ps.append(p)
-            qs.append(q)
-            j += 1
-            k_sample = (2 * j * n_steps + m) // (2 * m)
-    # three gradient calls a step and one at the start, less the last of a step that hit
-    work = FlowWork(k, 0, 3 * k + (hit is None))
-    return np.array(ts), np.array(ps), np.array(qs), hits, None, work
 
 
 # ---------------------------------------------------------------------------

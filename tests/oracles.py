@@ -7,13 +7,16 @@ finite-difference letters against its closed-form moments, the inner product
 of two states, the mean and variance of an operator in a state against the
 restricted label functions, the direct state expectation of a polynomial
 against its shifted-moment label function, a walk over a label polynomial's
-terms against its compiled code, and a polynomial fit in hbar over one
-representation per hbar against the exact hbar-series.
+terms against its compiled code, a polynomial fit in hbar over one
+representation per hbar against the exact hbar-series, and the letters
+differentiated on the labeled affine state, in exact rationals, against the
+shifted-moment coefficients.
 """
 
 import copy
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
@@ -97,6 +100,67 @@ def fiducial_p2_closed(beta: float, hbar: float) -> float:
     if beta <= hbar:
         raise DomainError(f"<P^2> requires beta > hbar (got beta = {beta}, hbar = {hbar})")
     return float(beta / (beta - hbar) * (0.5 * beta) * hbar)
+
+
+def affine_label_coefficients(poly: OperatorPolynomial, beta: float, hbar: float) -> dict:
+    """The exact coefficients ``{(i, j): (re, im)}`` of ``<p,q| poly |p,q>`` on the affine family.
+
+    The letters act on the labeled state itself, not on the fiducial through
+    the group's adjoint action: with ``E = exp((i p / hbar - nu / q) x)`` and
+    ``nu = beta / hbar``, the state is a multiple of ``f_0``, where
+    ``f_k = x^(nu - 1/2 + k) E``, and differentiating ``E`` gives
+    ``P f_k = -i hbar (nu - 1/2 + k) f_(k-1) + (p + i beta / q) f_k`` and
+    ``D f_k = -i hbar (nu + k) f_k + (p + i beta / q) f_(k+1)``.  The pairing
+    ``<f_0|f_k> / <f_0|f_0>`` is ``q^k Gamma(2 nu + k) / (Gamma(2 nu) (2 nu)^k)``.
+    Every number is a pair of :class:`~fractions.Fraction` (real and
+    imaginary part), and the coefficients of ``p^i q^j`` are Laurent
+    polynomials in the labels; nothing is rounded.
+    """
+    beta, hbar = Fraction(beta), Fraction(hbar)
+    nu = beta / hbar
+
+    def add(poly_a, key, c):
+        re, im = poly_a.get(key, (0, 0))
+        poly_a[key] = (re + c[0], im + c[1])
+
+    def times(a, b):
+        return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+    def apply(letter, vec):
+        # vec maps k to the Laurent polynomial {(i, j): c} that multiplies f_k
+        out = {}
+        for k, terms in vec.items():
+            for (i, j), c in terms.items():
+                if letter in ("Q", "Q^-1"):
+                    add(out.setdefault(k + (1 if letter == "Q" else -1), {}), (i, j), c)
+                    continue
+                # -i hbar (nu - 1/2 + k) on f_(k-1) for P, -i hbar (nu + k) on f_k for D
+                shift, base = (-1, nu - Fraction(1, 2) + k) if letter == "P" else (0, nu + k)
+                add(out.setdefault(k + shift, {}), (i, j), times((0, -hbar * base), c))
+                # (p + i beta / q) on f_k for P, on f_(k+1) for D
+                target = out.setdefault(k if letter == "P" else k + 1, {})
+                add(target, (i + 1, j), c)
+                add(target, (i, j - 1), times((0, beta), c))
+        return out
+
+    def q_moment(k):
+        out = Fraction(1)
+        for j in range(k):
+            out *= (2 * nu + j) / (2 * nu)
+        for j in range(k, 0):
+            out *= 2 * nu / (2 * nu + j)
+        return out
+
+    total = {}
+    for word, coeff in poly.terms:
+        vec = {0: {(0, 0): (Fraction(coeff), 0)}}
+        for letter in reversed(word):
+            vec = apply(letter, vec)
+        for k, terms in vec.items():
+            m = q_moment(k)
+            for (i, j), (re, im) in terms.items():
+                add(total, (i, j + k), (re * m, im * m))
+    return total
 
 
 def label_polynomial_loop(coeffs: dict, p: float, q: float):

@@ -70,7 +70,6 @@ WRONG_VALUES = {
     "integrator.tol": -1e-10,
     "integrator.n_samples": 1,
     "integrator.q_floor": 0.0,
-    "integrator.method": "dop853",
     "transform.name": "shear",
     "transform.factor": "2",
     "x0": [0.0, 1.0, 2.0],
@@ -167,7 +166,7 @@ class TestValidation:
                  "output": {"format": "json"}}, "output.format"),
         ("verify", {"suites": ["curvature"], "output": {"format": "csv"}}, "output.format"),
         ("run", {"experiment": "evolve", "model": {"name": "harmonic"},
-                 "integrator": {"method": "dop853"}}, "integrator.method"),
+                 "integrator": {"method": "rk45"}}, "integrator"),
         ("run", {"experiment": "metric", "labels": {"grid": {"p": ["a", 1, 3], "q": [0, 1, 3]}}},
          "labels.grid.p.0"),
         ("run", {"experiment": "metric", "labels": {"grid": {"p": [0, 1, 2.5], "q": [0, 1, 3]}}},
@@ -262,7 +261,7 @@ class TestValidation:
                  "x0": [0.1, 0.0]}, "model.B"),
         ("run", {"experiment": "metric", "labels": {"grid": {"p": [0, INF, 2], "q": [0, 1, 3]}}},
          "labels.grid.p.1"),
-    ], ids=["metric-format", "verify-format", "dop853", "grid-text-bound", "grid-fractional-count",
+    ], ids=["metric-format", "verify-format", "integrator-method", "grid-text-bound", "grid-fractional-count",
             "grid-zero-count", "model-s", "hydrogen-with-spin-model", "expectation-with-model",
             "model-and-hamiltonian", "limit-study-hbar", "verify-x0", "hydrogen-representation",
             "affine-curvature-representation", "curvature-suite-keys", "canonical-suites-family",
@@ -276,7 +275,7 @@ class TestValidation:
             "nan-affine-beta", "nan-hbar", "nan-x0", "nan-hydrogen-beta", "nan-spin-B",
             "infinite-grid-bound"])
     def test_rejected_keys_write_nothing(self, tmp_path, capsys, command, cfg, path):
-        # output.format is read by evolve alone; dop853 is no longer a method;
+        # output.format is read by evolve alone; the integrator takes no method;
         # a grid axis is [lo, hi, count] with an integer count of at least 1;
         # the spin size is representation.s alone; any other key, at any
         # depth, that the run never read would be silently ignored
@@ -667,20 +666,19 @@ class TestExperiments:
         assert np.all(p == 0.5)
         assert_allclose((q - 0.1) / np.sqrt(2.0), 0.7 * t, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("method,drift", [("rk45", 1e-8), ("leapfrog", 1e-6)])
-    def test_evolve_hydrogen_enhanced_bounces(self, tmp_path, method, drift):
+    def test_evolve_hydrogen_enhanced_bounces(self, tmp_path):
         cfg = {
             "experiment": "evolve",
             "model": {"name": "hydrogen_enhanced"},
             "x0": [-0.3, 1.0],
-            "integrator": {"t_final": 20.0, "method": method},
+            "integrator": {"t_final": 20.0},
         }
         out = tmp_path / "out"
         assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
         _, rows = read_rows(out / "trajectory.csv")
         assert [r[4] for r in rows if r[4]] == ["bounce", "bounce"]
         energies = np.array([float(r[3]) for r in rows])
-        assert np.max(np.abs(energies - energies[0])) < drift * abs(energies[0])
+        assert np.max(np.abs(energies - energies[0])) < 1e-8 * abs(energies[0])
 
     def test_hydrogen_model_is_its_affine_expression(self, tmp_path):
         # one engine: the model and its operator polynomial give the same bytes
@@ -694,20 +692,6 @@ class TestExperiments:
             bodies.append(body_of(out / "trajectory.csv"))
         assert bodies[0] == bodies[1]
         assert bodies[0].count("bounce") == 2
-
-    def test_leapfrog_rejects_tol(self, tmp_path, capsys):
-        # the fixed-step leapfrog has no tolerance to honour
-        cfg = {
-            "experiment": "evolve",
-            "model": {"name": "harmonic"},
-            "integrator": {"t_final": 1.0, "method": "leapfrog", "tol": 1e-3},
-        }
-        out = tmp_path / "out"
-        assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert captured.err == "error: tol applies to rk45 only; the leapfrog takes n_steps\n"
-        assert captured.out == ""
-        assert not out.exists()
 
     def test_evolve_csv_and_json(self, tmp_path):
         base = {

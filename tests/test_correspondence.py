@@ -29,6 +29,7 @@ from enhq import (
 )
 from enhq.correspondence import MAX_DEGREE, EnhancedHamiltonian, OperatorPolynomial
 from oracles import (
+    affine_label_coefficients,
     classical_limit,
     fiducial_p2_closed,
     label_polynomial_loop,
@@ -266,6 +267,35 @@ class TestEnhanceAffine:
         rep = build_halfline_rep(0.1, 10.0, 16, 2.0 / nu)
         ham = enhance(parse_polynomial("P^2", "affine"), affine_family(rep, 2.0))
         assert ham.polynomial.coeffs[0, -2] == pytest.approx(fiducial_p2_closed(2.0, 2.0 / nu), rel=4e-16)
+
+    @staticmethod
+    def rounded_once(exact):
+        # the oracle's exact coefficients, each rounded once; a zero is no term
+        assert all(im == 0 for _, im in exact.values())
+        return {key: float(re) for key, (re, _) in exact.items() if float(re)}
+
+    @pytest.mark.parametrize("beta", [1e6, 1e15, 1e60])
+    def test_dilation_sixth_power_is_summed_exactly(self, beta):
+        # the kept subwords of D^6 have moments growing like nu^6 whose
+        # imaginary parts cancel between a subword and its reversal only in
+        # exact arithmetic: each key is summed exactly and rounded once
+        poly = parse_polynomial("D^6", "affine")
+        family = affine_family(build_halfline_rep(0.1, 10.0, 16, 1.0), beta)
+        coeffs = enhance(poly, family).polynomial.coeffs
+        assert coeffs == self.rounded_once(affine_label_coefficients(poly, beta, 1.0))
+        assert coeffs[6, 6] == pytest.approx(1.0, rel=1e-5)
+
+    @settings(max_examples=40, deadline=None)
+    @given(word=st.lists(st.sampled_from(["D", "Q", "P", "Q^-1"]), min_size=1, max_size=MAX_DEGREE),
+           coeff=st.floats(-10.0, 10.0).filter(bool),
+           beta=st.sampled_from([3.5, 1e6, 1e15, 1e60]), hbar=st.sampled_from([1.0, 0.3]))
+    def test_words_up_to_the_degree_cap_round_once(self, word, coeff, beta, hbar):
+        # a word and its reversal, against the letters differentiated on the
+        # labeled state; 2 beta / hbar >= 7 keeps every <Q^-k> of six letters finite
+        poly = OperatorPolynomial([(coeff, word), (coeff, word[::-1])], "affine")
+        family = affine_family(build_halfline_rep(0.1, 10.0, 16, hbar), beta)
+        assert (enhance(poly, family).polynomial.coeffs
+                == self.rounded_once(affine_label_coefficients(poly, beta, hbar)))
 
     def test_momentum_moment_closed_form_does_not_overflow(self):
         # beta^2 alone would overflow at beta = 1e300; the moment is 5e299
@@ -596,10 +626,12 @@ class TestMergedCoefficientOverflow:
 
     def test_an_affine_moment_past_the_doubles_raises(self):
         # at beta / hbar = 1e300 the exact <P^2> / hbar^2, about nu / 2, is a double;
-        # <P^4> / hbar^4, about nu^2 / 4, is not
+        # <P^4> / hbar^4, about nu^2 / 4, is not, and neither is the key sum it enters
         family = affine_family(build_halfline_rep(0.1, 10.0, 16, 1.0), 1e300)
         assert enhance(parse_polynomial("P^2", "affine"), family).polynomial.coeffs[0, -2] == 5e299
         with pytest.raises(DomainError, match="the fiducial moment of P\\*P\\*P\\*P overflows a double"):
+            family.fiducial_moment(("P",) * 4)
+        with pytest.raises(DomainError, match=r"overflows a double at the power p\^0 q\^-4"):
             enhance(parse_polynomial("P^4", "affine"), family)
 
     def test_hbar_series_raises_where_a_rescaled_term_overflows(self):

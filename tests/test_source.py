@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 import re
 import shlex
 import shutil
@@ -276,6 +277,23 @@ def test_every_name_the_tracer_wraps_resolves():
         cls = getattr(importlib.import_module(module), cls_name)
         # on the class itself: a subclass's copy would escape the wrapper
         assert callable(vars(cls).get(attr)), (module, cls_name, attr)
+
+
+def test_every_flow_option_is_an_integrator_key():
+    # the integrator block reads t_final itself and passes the rest of
+    # hamiltonian_flow's options through _FLOW_KEYS, cast to the type of
+    # their defaults: an option with no key could not be set from a config,
+    # and a key with no option would fail every flow that names it
+    from enhq import cli
+    from enhq.dynamics import hamiltonian_flow
+
+    params = inspect.signature(hamiltonian_flow).parameters
+    options = {name: type(p.default) for name, p in params.items()
+               if p.default is not inspect.Parameter.empty}
+    assert options == cli._FLOW_KEYS
+    assert list(params)[:3] == ["H", "x0", "t_final"]
+    assert {key for key in cli._KEYS if key.startswith("integrator.")} == {
+        f"integrator.{name}" for name in ["t_final", *options]}
 
 
 def test_the_kernel_source_ships_as_package_data():
