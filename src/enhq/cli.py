@@ -1,16 +1,14 @@
 """Command-line driver: ``eq run --config <path>`` and ``eq verify --config <path>``.
 
 Experiments are described by a JSON config, checked against the key table
-below and described in the README.  Outputs are flat CSV/JSON files whose
-bodies are byte identical across reruns with the same config; every file
-carries a header block with the config hash and the library version, and a
-timestamp only when ``--stamp`` is passed.
+below and described in the README.  Outputs are flat CSV/JSON files, byte
+identical across reruns with the same config; every file carries a header
+block with the config hash and the library version.
 """
 
 from __future__ import annotations
 
 import argparse
-import datetime as dt
 import functools
 import hashlib
 import json
@@ -42,7 +40,7 @@ from .dynamics import (
     transform_hamiltonian,
     verify_transform_action,
 )
-from .errors import CapacityError, DomainError, NumericalFailure
+from .errors import CapacityError, NumericalFailure
 from .hilbert import build_fock_rep, build_halfline_rep, build_spin_rep
 from .models import HydrogenParams, hydrogen_classical, hydrogen_enhanced, min_radius, spin_precession
 
@@ -90,11 +88,8 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _header(cfg, stamp) -> dict:
-    header = {"enhq": __version__, "config_sha256": config_hash(cfg)}
-    if stamp:
-        header["generated"] = dt.datetime.now(dt.timezone.utc).isoformat()
-    return header
+def _header(cfg) -> dict:
+    return {"enhq": __version__, "config_sha256": config_hash(cfg)}
 
 
 def _header_lines(header) -> list:
@@ -278,8 +273,6 @@ def _run_evolve(cfg, header):
     x0 = cfg.get("x0", [0.0, 1.0])
     t_final = float(cfg.get("integrator", {}).get("t_final", 2.0 * np.pi))
     traj = hamiltonian_flow(ham, PhasePoint(x0[0], x0[1]), t_final, **_integrator(cfg))
-    if cfg.get("output", {}).get("format", "csv") == "json":
-        return {"trajectory.json": _json(header, {"trajectory": json.loads(traj.to_json())})}
     return {"trajectory.csv": traj.to_csv(_header_lines(header))}
 
 
@@ -292,15 +285,15 @@ def _run_compare_hydrogen(cfg, header):
     x0 = cfg.get("x0", [0.0, 1.0])
     t_final = float(cfg.get("integrator", {}).get(
         "t_final", 10.0 * np.sqrt(params.m * abs(x0[1]) ** 3 / params.e2)))
-    horizon_factor = float(cfg.get("horizon_factor", 10.0))
 
     classical = hydrogen_classical(params)
     traj_c = hamiltonian_flow(classical, PhasePoint(*x0), t_final, **_integrator(cfg))
     hits = [e for e in traj_c.events if e.kind == "singularity_hit"]
     collapse_time = hits[0].time if hits else None
 
+    # the enhanced orbit runs to ten times the classical collapse
     enhanced = hydrogen_enhanced(params)
-    t_enh = horizon_factor * (collapse_time if collapse_time else t_final)
+    t_enh = 10.0 * (collapse_time if collapse_time else t_final)
     traj_e = hamiltonian_flow(enhanced, PhasePoint(*x0), t_enh, **_integrator(cfg))
     energy = enhanced.evaluate(*x0)
     c1, c2 = params.enhanced_core
@@ -557,11 +550,7 @@ _KEYS = {
     "transform.name": _one_of("rotation", "scaling"),
     "transform.factor": _NUMBER,
     "x0": _items(_NUMBER, _NUMBER),
-    "horizon_factor": _POSITIVE,
     "suites": _nonempty_list(_one_of(*_SUITE_RUNNERS)),
-    "output.dir": _STRING,
-    "output.basename": _STRING,
-    "output.format": _one_of("csv", "json"),
 }
 
 _BLOCKS = {path[:i] for path in _KEYS for i, char in enumerate(path) if char == "."}
@@ -596,13 +585,6 @@ def validate_config(cfg: dict) -> dict:
     return cfg
 
 
-def _output(cfg, out_dir, basename=None):
-    # output.dir is read, and so accepted, even where --out overrides it
-    output = cfg.get("output", {})
-    directory = output.get("dir", ".")
-    return Path(directory if out_dir is None else out_dir), output.get("basename", basename)
-
-
 def _write(out: Path, texts: dict) -> list:
     out.mkdir(parents=True, exist_ok=True)
     paths = []
@@ -613,8 +595,8 @@ def _write(out: Path, texts: dict) -> list:
     return paths
 
 
-def run(cfg: dict, out_dir=None, stamp=False, verbose=False) -> list:
-    """Execute one experiment; returns the list of written paths.
+def run(cfg: dict, out_dir=".") -> list:
+    """Execute one experiment into ``out_dir``; returns the list of written paths.
 
     The runner reads the config through a view that records each key it looks
     up.  A key it never read, at any depth, is rejected after it returns, and
@@ -625,28 +607,25 @@ def run(cfg: dict, out_dir=None, stamp=False, verbose=False) -> list:
     experiment = view.get("experiment")
     if experiment is None:
         raise ConfigError("config error at experiment: eq run needs an experiment")
-    out, base = _output(view, out_dir)
-    texts = _RUNNERS[experiment](view, _header(cfg, stamp))
+    texts = _RUNNERS[experiment](view, _header(cfg))
     view.check(experiment)
-    paths = _write(out, {f"{base}_{name}" if base else name: text for name, text in texts.items()})
-    if verbose:
-        for p in paths:
-            print(f"wrote {p}")
-    return paths
+    return _write(Path(out_dir), texts)
 
 
-def report_verify(cfg: dict, out_dir=None, stamp=False) -> tuple[dict, int]:
+def report_verify(cfg: dict, out_dir=".") -> tuple[dict, int]:
     """Run the requested invariant suites; returns (report, exit_code).
 
+    The report is written to ``report_verify.json`` in ``out_dir``.
+
     Every suite runs before the keys are checked, so a rejected config prints
-    and writes nothing.
+    and writes nothing, and the output directory is made before any check
+    line is printed, so an unusable one prints none.
     """
     validate_config(cfg)
     view = _Reads(cfg)
     suites = view.get("suites")
     if suites is None:
         raise ConfigError("config error at suites: eq verify needs at least one suite")
-    out, base = _output(view, out_dir, "report")
     report = {"suites": {}, "passed": True}
     for name in suites:
         checks = _SUITE_RUNNERS[name](view)
@@ -654,6 +633,8 @@ def report_verify(cfg: dict, out_dir=None, stamp=False) -> tuple[dict, int]:
         report["suites"][name] = {"passed": ok, "checks": checks}
         report["passed"] = report["passed"] and ok
     view.check("verify")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     for name in suites:
         for c in report["suites"][name]["checks"]:
             tag = "PASS" if c["passed"] else "FAIL"
@@ -662,7 +643,7 @@ def report_verify(cfg: dict, out_dir=None, stamp=False) -> tuple[dict, int]:
                 f"expected {c['expected']:.12g}, tol {c['tolerance']:.1e})"
             )
     print(f"verify: {'all suites passed' if report['passed'] else 'FAILURES detected'}")
-    _write(out, {f"{base}_verify.json": _json(_header(cfg, stamp), report)})
+    _write(out, {"report_verify.json": _json(_header(cfg), report)})
     return report, 0 if report["passed"] else 1
 
 
@@ -692,7 +673,9 @@ A power is a whole number from -6 to 6, negative on the affine Q only
 has degree at most 6, the polynomial is Hermitian.  The README lists every key.
 
 Exit codes: 0 success, 1 verify check failed or numerical failure,
-2 config or input rejected, 3 representation too small.
+2 config or input rejected, or a file that cannot be read or written (a
+--config that names a directory, an --out that names a file), 3
+representation too small.
 """
 
 
@@ -709,9 +692,7 @@ def _parser() -> argparse.ArgumentParser:
     for name in ("run", "verify"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the JSON experiment config")
-        p.add_argument("--out", default=None, help="output directory (overrides config)")
-        p.add_argument("--stamp", action="store_true", help="embed a timestamp in file headers")
-        p.add_argument("--verbose", action="store_true")
+        p.add_argument("--out", default=".", help="output directory (default: the current one)")
     return parser
 
 
@@ -721,11 +702,11 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         if args.command == "run":
-            run(cfg, args.out, stamp=args.stamp, verbose=args.verbose)
+            run(cfg, args.out)
             return 0
-        _, code = report_verify(cfg, args.out, stamp=args.stamp)
+        _, code = report_verify(cfg, args.out)
         return code
-    except (DomainError, ValueError) as exc:  # ConfigError is a ValueError
+    except (ValueError, OSError) as exc:  # ConfigError and DomainError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalFailure as exc:

@@ -87,9 +87,6 @@ class MetricTensor2:
     g_pq: float
     g_qq: float
 
-    def is_positive_definite(self) -> bool:
-        return self.g_pp > 0 and self.g_pp * self.g_qq - self.g_pq**2 > 0
-
 
 class CoherentFamily:
     """A parametrized map from labels ``(p, q)`` to unit state vectors.

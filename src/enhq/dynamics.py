@@ -18,7 +18,6 @@ and unit Jacobian) rather than deriving generators.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import os
 import stat
@@ -74,12 +73,14 @@ class FlowWork:
     gradient_calls: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Time-ordered samples of ``(t, p, q, H)`` plus event annotations.
 
-    ``work`` is the :class:`FlowWork` of the flow that made it, if any; it
-    takes no part in equality and is written to no CSV or JSON body.
+    Two trajectories are equal when their sample arrays match bit for bit
+    and their events are equal; a trajectory is unhashable.  ``work`` is the
+    :class:`FlowWork` of the flow that made it, if any; it takes no part in
+    equality and is written to no CSV body.
     """
 
     t: np.ndarray
@@ -87,7 +88,7 @@ class Trajectory:
     q: np.ndarray
     energy: np.ndarray
     events: tuple = field(default_factory=tuple)
-    work: FlowWork | None = field(default=None, compare=False, repr=False)
+    work: FlowWork | None = field(default=None, repr=False)
 
     def __post_init__(self):
         for name in ("t", "p", "q", "energy"):
@@ -100,16 +101,19 @@ class Trajectory:
         if len(sizes) != 1:
             raise ValueError("sample arrays must share one length")
 
+    def __eq__(self, other):
+        if not isinstance(other, Trajectory):
+            return NotImplemented
+        return self.events == other.events and all(
+            getattr(self, name).tobytes() == getattr(other, name).tobytes()
+            for name in ("t", "p", "q", "energy"))
+
     def __len__(self):
         return self.t.size
 
     def points(self):
         for t, p, q in zip(self.t, self.p, self.q):
             yield PhasePoint(float(p), float(q), float(t))
-
-    @property
-    def final(self) -> PhasePoint:
-        return PhasePoint(float(self.p[-1]), float(self.q[-1]), float(self.t[-1]))
 
     def event_kinds(self):
         return tuple(e.kind for e in self.events)
@@ -131,31 +135,6 @@ class Trajectory:
         lines = [*(f"# {line}" for line in header_lines), "t,p,q,H,event"]
         lines.extend(f"{t!r},{p!r},{q!r},{e!r},{kind}" for t, p, q, e, kind in rows)
         return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        payload = {
-            "t": self.t.tolist(),
-            "p": self.p.tolist(),
-            "q": self.q.tolist(),
-            "energy": self.energy.tolist(),
-            "events": [
-                {"time": e.time, "kind": e.kind, "p": e.p, "q": e.q, "energy": e.energy}
-                for e in self.events
-            ],
-        }
-        return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Trajectory":
-        data = json.loads(text)
-        events = tuple(
-            TrajectoryEvent(e["time"], e["kind"], e["p"], e["q"], e["energy"])
-            for e in data["events"]
-        )
-        return cls(
-            np.array(data["t"]), np.array(data["p"]), np.array(data["q"]),
-            np.array(data["energy"]), events,
-        )
 
 
 def _as_point(x0) -> PhasePoint:

@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import re
@@ -73,11 +74,7 @@ WRONG_VALUES = {
     "transform.name": "shear",
     "transform.factor": "2",
     "x0": [0.0, 1.0, 2.0],
-    "horizon_factor": NAN,
     "suites": [],
-    "output.dir": 1,
-    "output.basename": ["a"],
-    "output.format": "tsv",
 }
 
 # the keys each block requires, with valid values
@@ -162,9 +159,6 @@ class TestValidation:
         assert code == 2
 
     @pytest.mark.parametrize("command,cfg,path", [
-        ("run", {"experiment": "metric", "labels": {"grid": {"p": [0, 0, 1], "q": [0, 0, 1]}},
-                 "output": {"format": "json"}}, "output.format"),
-        ("verify", {"suites": ["curvature"], "output": {"format": "csv"}}, "output.format"),
         ("run", {"experiment": "evolve", "model": {"name": "harmonic"},
                  "integrator": {"method": "rk45"}}, "integrator"),
         ("run", {"experiment": "metric", "labels": {"grid": {"p": ["a", 1, 3], "q": [0, 1, 3]}}},
@@ -200,8 +194,7 @@ class TestValidation:
         ("run", {"experiment": "evolve", "model": {"name": "harmonic", "m": 2.0},
                  "integrator": {"t_final": 1.0, "n_samples": 5}}, "model.m"),
         ("run", {"experiment": "compare_hydrogen", "model": {"name": "hydrogen_enhanced", "B": 1.0},
-                 "x0": [-0.3, 1.0], "horizon_factor": 2.0,
-                 "integrator": {"t_final": 1.0, "n_samples": 20}}, "model.B"),
+                 "x0": [-0.3, 1.0], "integrator": {"t_final": 1.0, "n_samples": 20}}, "model.B"),
         ("run", {"experiment": "evolve", "model": {"name": "spin_precession", "m": 2.0},
                  "x0": [0.1, 0.0], "integrator": {"t_final": 1.0, "n_samples": 5}}, "model.m"),
         ("run", {"experiment": "expectation", "representation": {"dim": 48, "n": 500},
@@ -261,7 +254,7 @@ class TestValidation:
                  "x0": [0.1, 0.0]}, "model.B"),
         ("run", {"experiment": "metric", "labels": {"grid": {"p": [0, INF, 2], "q": [0, 1, 3]}}},
          "labels.grid.p.1"),
-    ], ids=["metric-format", "verify-format", "integrator-method", "grid-text-bound", "grid-fractional-count",
+    ], ids=["integrator-method", "grid-text-bound", "grid-fractional-count",
             "grid-zero-count", "model-s", "hydrogen-with-spin-model", "expectation-with-model",
             "model-and-hamiltonian", "limit-study-hbar", "verify-x0", "hydrogen-representation",
             "affine-curvature-representation", "curvature-suite-keys", "canonical-suites-family",
@@ -275,10 +268,10 @@ class TestValidation:
             "nan-affine-beta", "nan-hbar", "nan-x0", "nan-hydrogen-beta", "nan-spin-B",
             "infinite-grid-bound"])
     def test_rejected_keys_write_nothing(self, tmp_path, capsys, command, cfg, path):
-        # output.format is read by evolve alone; the integrator takes no method;
-        # a grid axis is [lo, hi, count] with an integer count of at least 1;
-        # the spin size is representation.s alone; any other key, at any
-        # depth, that the run never read would be silently ignored
+        # the integrator takes no method; a grid axis is [lo, hi, count] with
+        # an integer count of at least 1; the spin size is representation.s
+        # alone; any other key, at any depth, that the run never read would
+        # be silently ignored
         out = tmp_path / "out"
         assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
         captured = capsys.readouterr()
@@ -313,16 +306,43 @@ class TestValidation:
         assert captured.err.count("\n") == 1 and captured.out == ""
         assert not (tmp_path / "fresh").exists()
 
-    def test_output_dir_is_read_where_out_overrides_it(self, tmp_path):
-        cfg = {
-            "experiment": "metric",
-            "representation": {"dim": 16},
-            "labels": {"grid": {"p": [0, 0, 1], "q": [0, 0, 1]}},
-            "output": {"dir": str(tmp_path / "unused")},
-        }
-        out = tmp_path / "out"
-        assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
-        assert (out / "metric.csv").exists() and not (tmp_path / "unused").exists()
+    @pytest.mark.parametrize("command,cfg,key", [
+        ("run", {"experiment": "metric", "representation": {"dim": 16},
+                 "labels": {"grid": {"p": [0, 0, 1], "q": [0, 0, 1]}}, "output": {"dir": "x"}}, "output"),
+        ("run", {"experiment": "evolve", "model": {"name": "harmonic"},
+                 "integrator": {"t_final": 1.0, "n_samples": 5}, "output": {"format": "json"}}, "output"),
+        ("verify", {"suites": ["curvature"], "output": {"basename": "flat"}}, "output"),
+        ("run", {"experiment": "compare_hydrogen", "horizon_factor": 2.0}, "horizon_factor"),
+        ("verify", {"suites": ["curvature"], "horizon_factor": 10.0}, "horizon_factor"),
+    ], ids=["run-output-dir", "evolve-output-format", "verify-output-basename",
+            "hydrogen-horizon-factor", "verify-horizon-factor"])
+    def test_removed_keys_are_unknown(self, tmp_path, monkeypatch, capsys, command, cfg, key):
+        # rejected before anything runs, and nothing is written to --out or the
+        # working directory
+        monkeypatch.chdir(tmp_path)
+        cfg_path = write_config(tmp_path, cfg)
+        assert main([command, "--config", cfg_path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: config error at <root>: unknown key {key!r}\n"
+        assert captured.out == "" and [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    @pytest.mark.parametrize("flag", ["--stamp", "--verbose"])
+    def test_removed_flags_are_usage_errors(self, tmp_path, capsys, command, flag):
+        cfg_path = write_config(tmp_path, {"suites": ["curvature"]})
+        with pytest.raises(SystemExit) as err:
+            main([command, "--config", cfg_path, flag])
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_out_defaults_to_the_working_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = {"experiment": "metric", "representation": {"dim": 16},
+               "labels": {"grid": {"p": [0, 0, 1], "q": [0, 0, 1]}}}
+        assert main(["run", "--config", write_config(tmp_path, cfg)]) == 0
+        assert main(["verify", "--config", write_config(tmp_path, {"suites": ["curvature"]}, "v.json")]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "cfg.json", "metric.csv", "report_verify.json", "v.json"]
 
     def test_the_view_records_lookups_only(self):
         view = enhq.cli._Reads({"a": {"b": 1, "c": 2}, "d": 3})
@@ -394,6 +414,45 @@ class TestLibraryErrors:
         err = capsys.readouterr().err
         assert err.startswith(message) and err.count("\n") == 1
         assert not (tmp_path / "fresh").exists()
+
+
+class TestFilesystemErrors:
+    """A file that cannot be read or written ends in one ``error:`` line and exit 2."""
+
+    CONFIGS = {
+        "run": {"experiment": "metric", "representation": {"dim": 16},
+                "labels": {"grid": {"p": [0, 0, 1], "q": [0, 0, 1]}}},
+        "verify": {"suites": ["curvature"]},
+    }
+
+    def fails_cleanly(self, tmp_path, capsys, argv, error):
+        before = sorted(tmp_path.rglob("*"))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: [Errno {error.errno}]") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_out_names_a_file(self, tmp_path, capsys, command):
+        out = tmp_path / "taken"
+        out.write_text("kept\n")
+        argv = [command, "--config", write_config(tmp_path, self.CONFIGS[command]), "--out", str(out)]
+        self.fails_cleanly(tmp_path, capsys, argv, FileExistsError(errno.EEXIST, ""))
+        assert out.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_out_lies_under_a_file(self, tmp_path, capsys, command):
+        (tmp_path / "taken").write_text("kept\n")
+        argv = [command, "--config", write_config(tmp_path, self.CONFIGS[command]),
+                "--out", str(tmp_path / "taken" / "out")]
+        self.fails_cleanly(tmp_path, capsys, argv, NotADirectoryError(errno.ENOTDIR, ""))
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_config_names_a_directory(self, tmp_path, capsys, command):
+        (tmp_path / "cfg").mkdir()
+        argv = [command, "--config", str(tmp_path / "cfg"), "--out", str(tmp_path / "out")]
+        self.fails_cleanly(tmp_path, capsys, argv, IsADirectoryError(errno.EISDIR, ""))
 
 
 class TestCapacity:
@@ -562,14 +621,6 @@ class TestDeterminism:
         f2 = (out2 / "expectation.csv").read_bytes()
         assert f1 == f2
 
-    def test_stamp_changes_header_not_body(self, tmp_path):
-        cfg_path = write_config(tmp_path, self._expectation_config())
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert main(["run", "--config", cfg_path, "--out", str(out1), "--stamp"]) == 0
-        assert main(["run", "--config", cfg_path, "--out", str(out2)]) == 0
-        p1, p2 = out1 / "expectation.csv", out2 / "expectation.csv"
-        assert "# generated=" in p1.read_text()
-        assert body_of(p1) == body_of(p2)
 
 
 class TestExperiments:
@@ -693,23 +744,18 @@ class TestExperiments:
         assert bodies[0] == bodies[1]
         assert bodies[0].count("bounce") == 2
 
-    def test_evolve_csv_and_json(self, tmp_path):
-        base = {
+    def test_evolve_writes_one_csv(self, tmp_path):
+        cfg = {
             "experiment": "evolve",
             "model": {"name": "harmonic"},
             "x0": [0.0, 1.0],
             "integrator": {"t_final": 6.283185307179586},
         }
         out = tmp_path / "out"
-        assert main(["run", "--config", write_config(tmp_path, base), "--out", str(out)]) == 0
+        assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        assert [p.name for p in out.iterdir()] == ["trajectory.csv"]
         header, rows = read_rows(out / "trajectory.csv")
-        assert header == ["t", "p", "q", "H", "event"]
-        cfg_json = dict(base, output={"format": "json"})
-        assert main(
-            ["run", "--config", write_config(tmp_path, cfg_json, "c2.json"), "--out", str(out)]
-        ) == 0
-        doc = json.loads((out / "trajectory.json").read_text())
-        assert "trajectory" in doc and len(doc["trajectory"]["t"]) > 100
+        assert header == ["t", "p", "q", "H", "event"] and len(rows) == 1000 + 1
 
     def test_spin_flow_crosses_the_azimuth_seam(self, tmp_path):
         # q passes pi sqrt(s hbar) on the way to t = 20
@@ -831,17 +877,6 @@ class TestExperiments:
         assert len(read_rows(out / "limit_study.csv")[1]) == 4
         assert fock_reps == [(8, 1.0)]
 
-    def test_basename_prefix(self, tmp_path):
-        cfg = {
-            "experiment": "metric",
-            "representation": {"dim": 64},
-            "labels": {"grid": {"p": [0, 0, 1], "q": [0, 0, 1]}},
-            "output": {"basename": "flat"},
-        }
-        out = tmp_path / "out"
-        assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
-        assert (out / "flat_metric.csv").exists()
-
 
 class TestVerify:
     def test_fiducial_and_curvature_suites(self, tmp_path, capsys):
@@ -912,6 +947,5 @@ class TestRunApi:
             "labels": {"grid": {"p": [0, 0, 1], "q": [0, 0, 1]}},
         }
         (path,) = run(cfg, tmp_path / "out")
-        text = path.read_text()
-        assert "# enhq=" in text
-        assert "# config_sha256=" in text
+        header = [ln for ln in path.read_text().splitlines() if ln.startswith("#")]
+        assert header == [f"# enhq={enhq.__version__}", f"# config_sha256={enhq.cli.config_hash(cfg)}"]

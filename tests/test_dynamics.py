@@ -1,5 +1,4 @@
 import inspect
-import json
 import math
 
 import dataclasses
@@ -223,8 +222,8 @@ def as_lists(result):
 class TestHarmonicFlow:
     def test_period_returns_to_start(self, loop, harmonic):
         traj = hamiltonian_flow(harmonic, (0.0, 1.0), 2 * np.pi, tol=1e-10)
-        assert traj.final.p == pytest.approx(0.0, abs=1e-6)
-        assert traj.final.q == pytest.approx(1.0, abs=1e-6)
+        assert traj.p[-1] == pytest.approx(0.0, abs=1e-6)
+        assert traj.q[-1] == pytest.approx(1.0, abs=1e-6)
 
     def test_energy_conservation(self, loop, harmonic):
         traj = hamiltonian_flow(harmonic, (0.3, 1.2), 6 * np.pi, tol=1e-10)
@@ -248,10 +247,10 @@ class TestHarmonicFlow:
     def test_time_reversal(self, loop, harmonic):
         fwd = hamiltonian_flow(harmonic, (0.4, 0.9), 5.0, tol=1e-10)
         back = hamiltonian_flow(
-            reversed_hamiltonian(harmonic), (-fwd.final.p, fwd.final.q), 5.0, tol=1e-10
+            reversed_hamiltonian(harmonic), (-fwd.p[-1], fwd.q[-1]), 5.0, tol=1e-10
         )
-        assert -back.final.p == pytest.approx(0.4, abs=1e-6)
-        assert back.final.q == pytest.approx(0.9, abs=1e-6)
+        assert -back.p[-1] == pytest.approx(0.4, abs=1e-6)
+        assert back.q[-1] == pytest.approx(0.9, abs=1e-6)
 
     MODELS = {
         "harmonic": (lambda p, q: 0.5 * (p * p + q * q), lambda p, q: (p, q), False),
@@ -281,9 +280,8 @@ class TestHarmonicFlow:
         event = traj.events[0]
         assert all(type(v) is float for v in (event.time, event.p, event.q, event.energy))
         assert "float64" not in traj.to_csv()
-        assert Trajectory.from_json(traj.to_json()).events == traj.events
         # the same run as with Python floats, bit for bit
-        assert traj.to_json() == python.to_json()
+        assert traj == python
 
     def test_float64_gradients_give_python_float_diagnostics(self):
         # without a floor the give-up is a failure, whose diagnostics are floats
@@ -325,7 +323,7 @@ class TestHarmonicFlow:
             for cast in (np.float32, float)
         )
         assert single.event_kinds() == ("bounce",)
-        assert single.to_json() == double.to_json()
+        assert single == double
 
     @pytest.mark.parametrize("build,x0,t_final,calls,evaluations", [
         (hydrogen_classical, (-0.3, 1.0), 4.0, 3560, 219),
@@ -434,10 +432,10 @@ class TestHydrogenFlows:
         ham = hydrogen_enhanced(HydrogenParams(beta=2.0))
         fwd = hamiltonian_flow(ham, (-0.2, 1.5), 6.0, tol=1e-10)
         back = hamiltonian_flow(
-            reversed_hamiltonian(ham), (-fwd.final.p, fwd.final.q), 6.0, tol=1e-10
+            reversed_hamiltonian(ham), (-fwd.p[-1], fwd.q[-1]), 6.0, tol=1e-10
         )
-        assert -back.final.p == pytest.approx(-0.2, abs=1e-6)
-        assert back.final.q == pytest.approx(1.5, abs=1e-6)
+        assert -back.p[-1] == pytest.approx(-0.2, abs=1e-6)
+        assert back.q[-1] == pytest.approx(1.5, abs=1e-6)
 
     def test_enhanced_flow_avoids_singularity(self, loop):
         params = HydrogenParams(beta=2.0)
@@ -832,8 +830,8 @@ class TestFlowValidation:
                 hamiltonian_flow(harmonic, (0.0, 1.0), 1.0, **option)
 
     def test_rk45_default_tol_is_1e_10(self, loop, harmonic):
-        assert (hamiltonian_flow(harmonic, (0.3, 1.2), 4.0).to_json()
-                == hamiltonian_flow(harmonic, (0.3, 1.2), 4.0, tol=1e-10).to_json())
+        assert (hamiltonian_flow(harmonic, (0.3, 1.2), 4.0)
+                == hamiltonian_flow(harmonic, (0.3, 1.2), 4.0, tol=1e-10))
 
     @pytest.mark.parametrize("q_floor", [np.nan, 0.0, -1.0, np.inf])
     def test_needs_positive_finite_q_floor(self, q_floor):
@@ -1114,17 +1112,6 @@ class TestTrajectorySerialization:
             (TrajectoryEvent(0.25, "bounce", 0.1, -0.2, 0.5),),
         )
 
-    def test_json_round_trip_is_bit_exact(self):
-        traj = self._sample()
-        text = traj.to_json()
-        back = Trajectory.from_json(text)
-        assert back.to_json() == text
-        assert np.array_equal(back.t, traj.t)
-        assert np.array_equal(back.p, traj.p)
-        assert np.array_equal(back.q, traj.q)
-        assert np.array_equal(back.energy, traj.energy)
-        assert back.events == traj.events
-
     def test_csv_layout(self):
         text = self._sample().to_csv(header_lines=["tag=x"])
         lines = text.splitlines()
@@ -1138,10 +1125,41 @@ class TestTrajectorySerialization:
         with pytest.raises(ValueError):
             Trajectory(np.array([0.0, 0.0]), np.zeros(2), np.zeros(2), np.zeros(2))
 
-    def test_json_events_preserved(self):
-        traj = self._sample()
-        data = json.loads(traj.to_json())
-        assert data["events"][0]["kind"] == "bounce"
+
+
+class TestTrajectoryEquality:
+    """``==`` is bit exact on the samples and exact on the events; ``work`` takes no part."""
+
+    @staticmethod
+    def flow():
+        return hamiltonian_flow(hydrogen_enhanced(HydrogenParams()), (-0.3, 1.0), 4.0, n_samples=5)
+
+    def test_two_runs_of_one_flow_are_equal_and_unhashable(self):
+        a, b = self.flow(), self.flow()
+        assert a == b and not a != b
+        assert a != (a.t, a.p, a.q, a.energy, a.events)
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(a)
+
+    @pytest.mark.parametrize("name", ["t", "p", "q", "energy"])
+    @pytest.mark.parametrize("index", [0, 2, -1])
+    def test_one_ulp_in_any_array_breaks_equality(self, name, index):
+        traj = self.flow()
+        values = getattr(traj, name).copy()
+        values[index] = np.nextafter(values[index], np.inf)
+        assert traj != dataclasses.replace(traj, **{name: values})
+
+    def test_a_signed_zero_breaks_equality(self):
+        traj = self.flow()
+        assert traj.t[0] == 0.0
+        assert traj != dataclasses.replace(traj, t=np.concatenate([[-0.0], traj.t[1:]]))
+
+    def test_a_changed_event_breaks_equality(self):
+        traj = self.flow()
+        (event, *rest) = traj.events
+        moved = dataclasses.replace(event, q=np.nextafter(event.q, np.inf))
+        assert traj != dataclasses.replace(traj, events=(moved, *rest))
+        assert traj != dataclasses.replace(traj, events=tuple(rest))
 
 
 EPS = float(np.finfo(float).eps)
@@ -1259,11 +1277,10 @@ class TestWorkRecord:
 
     def test_the_record_is_no_part_of_equality_or_of_a_body(self):
         [work] = [f for f in dataclasses.fields(Trajectory) if f.name == "work"]
-        assert not work.compare and not work.repr
+        assert not work.repr
         traj = hamiltonian_flow(hydrogen_classical(HydrogenParams()), (-0.3, 1.0), 4.0, n_samples=5)
         bare = dataclasses.replace(traj, work=None)
         assert traj.work is not None and bare.work is None
-        assert traj.to_json() == bare.to_json() and traj.to_csv() == bare.to_csv()
-        assert Trajectory.from_json(traj.to_json()).work is None
+        assert traj == bare and traj.to_csv() == bare.to_csv()
         single = Trajectory(np.zeros(1), np.ones(1), np.ones(1), np.ones(1), (), FlowWork(1, 0, 7))
         assert single == dataclasses.replace(single, work=FlowWork(2, 1, 9))

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import enhq.dynamics
-from enhq import NumericalFailure, Trajectory, enhance, hamiltonian_flow, parse_polynomial
+from enhq import NumericalFailure, enhance, hamiltonian_flow, parse_polynomial
 from enhq.correspondence import _LabelPolynomial
 from enhq.dynamics import (_DONE, _EVENT, _NONFINITE, _NOROOT, _TOO_SMALL_STEP, _UNDERFLOW,
                            _dormand_prince, _kernel, _kernel_args)
@@ -126,14 +126,14 @@ class TestBitIdentity:
     @staticmethod
     def flows(pool, n_samples, turns):
         # each classical orbit to its horizon, then the enhanced one to
-        # ``turns`` times the collapse, as JSON with the work record
+        # ``turns`` times the collapse, each with its work record
         items, classical, enhanced = pool
         found = []
         for p0, q0, horizon in items:
             traj = hamiltonian_flow(classical, (p0, q0), horizon, n_samples=n_samples)
             t_hit = next(e.time for e in traj.events if e.kind == "singularity_hit")
             found += [traj, hamiltonian_flow(enhanced, (p0, q0), turns * t_hit, n_samples=n_samples)]
-        return [(traj.to_json(), traj.work) for traj in found]
+        return [(traj, traj.work) for traj in found]
 
     @pytest.mark.parametrize("n_samples", [1000, 200, 7, 2])
     def test_pool_orbits_match_the_python_loop(self, run, pool, monkeypatch, n_samples):
@@ -149,7 +149,7 @@ class TestBitIdentity:
         calls = []
         monkeypatch.setattr(enhq.dynamics, "_kernel", lambda: statuses_of(run, calls))
         kernel = self.flows(pool, 200, 50.0)
-        bounces = [Trajectory.from_json(text).event_kinds().count("bounce") for text, _ in kernel[1::2]]
+        bounces = [traj.event_kinds().count("bounce") for traj, _ in kernel[1::2]]
         assert sum(bounces) == 224 and max(bounces) == 17 and calls.count(_EVENT) == sum(bounces)
         monkeypatch.setattr(enhq.dynamics, "_kernel", lambda: None)
         assert self.flows(pool, 200, 50.0) == kernel

@@ -1,5 +1,6 @@
 """Static checks on the library source."""
 
+import argparse
 import ast
 import importlib
 import importlib.util
@@ -19,6 +20,7 @@ import enhq
 SOURCE = Path(enhq.__file__).parent
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # (module, qualified function name, parameter) left unread on purpose; a
 # method's receiver (self, cls) is not counted, since an override may not
@@ -151,6 +153,29 @@ def _choices_by_family_identity(tree, module):
             found.update((module, ast.unparse(n)) for n in ast.walk(node)
                          if isinstance(n, ast.Attribute) and ast.unparse(n) in FAMILY_IDENTITY)
     return sorted(found)
+
+
+def _config_key_rows(readme):
+    # the first column of the README's config key table, the one headed "| key | meaning |"
+    table = re.search(r"^\| key \| meaning \|\n\|[- |]+\n((?:\|.*\n)*)", readme, re.M).group(1)
+    return re.findall(r"^\| `([^`]+)` \|", table, re.M)
+
+
+def _synopsis_options(readme):
+    # each subcommand's options on the README's synopsis lines, each mapped to
+    # whether it is bracketed as optional
+    lines = re.search(r"^```sh\n((?:eq .*\n)+)```", readme, re.M).group(1).splitlines()
+    return {line.split()[1]: {option: bool(bracket)
+                              for bracket, option in re.findall(r"(\[?)(--[a-z-]+)", line)}
+            for line in lines}
+
+
+def _parser_options(parser):
+    # each subcommand's long options, each mapped to whether it is optional
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {name: {option: not action.required for action in command._actions
+                   for option in action.option_strings if option.startswith("--") and option != "--help"}
+            for name, command in sub.choices.items()}
 
 
 def _findings(check):
@@ -294,6 +319,39 @@ def test_every_flow_option_is_an_integrator_key():
     assert list(params)[:3] == ["H", "x0", "t_final"]
     assert {key for key in cli._KEYS if key.startswith("integrator.")} == {
         f"integrator.{name}" for name in ["t_final", *options]}
+
+
+def test_the_readme_lists_every_config_key_and_no_other():
+    from enhq import cli
+
+    rows = _config_key_rows(README.read_text())
+    assert len(rows) == len(set(rows))
+    assert set(rows) == {path.split(".")[0] for path in cli._KEYS}
+
+
+def test_the_readme_synopsis_is_the_parser():
+    from enhq import cli
+
+    assert _synopsis_options(README.read_text()) == _parser_options(cli._parser())
+
+
+def test_the_readme_checks_see_a_missing_row_and_option():
+    readme = ("| key | meaning |\n| --- | --- |\n| `hbar` | action |\n| `seed` | RNG seed |\n\n"
+              "| experiment | keys read |\n| --- | --- |\n| `metric` | `hbar` |\n\n"
+              "```sh\neq run    --config <path> [--out <dir>]\neq verify --config <path>\n```\n")
+    assert _config_key_rows(readme) == ["hbar", "seed"]
+    assert _config_key_rows(readme.replace("| `seed` | RNG seed |\n", "")) == ["hbar"]
+    assert _synopsis_options(readme) == {"run": {"--config": False, "--out": True},
+                                         "verify": {"--config": False}}
+    parser = argparse.ArgumentParser()
+    sub = parser.add_subparsers()
+    run, verify = sub.add_parser("run"), sub.add_parser("verify")
+    for command in (run, verify):
+        command.add_argument("--config", required=True)
+    run.add_argument("--out")
+    assert _parser_options(parser) == _synopsis_options(readme)
+    verify.add_argument("--stamp", action="store_true")
+    assert _parser_options(parser) != _synopsis_options(readme)
 
 
 def test_the_kernel_source_ships_as_package_data():
