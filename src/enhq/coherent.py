@@ -47,7 +47,7 @@ import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.special import gammaln, xlogy
@@ -583,6 +583,7 @@ def fiducial_moments(family: CoherentFamily) -> dict:
     }
 
 
+@lru_cache(maxsize=256)
 def _q_moment(nu2: Fraction, n: int) -> Fraction:
     # Gamma(nu2 + n) / (Gamma(nu2) nu2^n), exactly, for nu2 = 2 beta / hbar
     out = Fraction(1)

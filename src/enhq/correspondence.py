@@ -33,7 +33,7 @@ import itertools
 import math
 import re
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -215,6 +215,15 @@ def _ieee(fn, p, q):
     return tuple(map(float, result)) if isinstance(result, tuple) else float(result)
 
 
+@lru_cache(maxsize=256)
+def _compiled(source):
+    # the value and gradient functions of a generated source, shared by every
+    # polynomial that generates it: they read no state but their arguments
+    namespace: dict = {"ieee": _ieee}
+    exec(source, namespace)
+    return namespace["value"], namespace["gradient"]
+
+
 class _LabelPolynomial:
     """Real Laurent polynomial ``{(i, j): c}`` in (p, q), compiled once to straight-line code.
 
@@ -243,10 +252,8 @@ class _LabelPolynomial:
             if not math.isfinite(c):
                 raise _overflow(i, j)
         self.gradient_terms = tuple(np.array(d, dtype=float).reshape(-1, 3) for d in (d_p, d_q))
-        namespace: dict = {"ieee": _ieee}
-        exec(_function("value", _code(terms)) + _function("gradient", f"{_code(d_p)}, {_code(d_q)}"),
-             namespace)
-        self.value, self.gradient = namespace["value"], namespace["gradient"]
+        self.value, self.gradient = _compiled(
+            _function("value", _code(terms)) + _function("gradient", f"{_code(d_p)}, {_code(d_q)}"))
 
     def __call__(self, p: float, q: float) -> float:
         if self.q_positive and q <= 0:

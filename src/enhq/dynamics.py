@@ -10,9 +10,9 @@ on the half line, relabeled or not, stop with a ``singularity_hit`` event
 when ``q`` falls below a configurable floor, and local minima of ``q`` are
 annotated as ``bounce`` events.
 
-Canonical coordinate transformations are user-supplied forward/inverse pairs
-with the Jacobian of the forward map; the library verifies them (round trip
-and unit Jacobian) rather than deriving generators.
+A canonical relabeling is a linear map given by a real 2x2 matrix of
+determinant 1, checked once when it is built; its inverse, its chain rule
+and its generator all follow from the matrix.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .correspondence import EnhancedHamiltonian, _LabelPolynomial
 from .errors import DomainError, InvalidTransformError, NumericalFailure
 
 DEFAULT_Q_FLOOR = 1e-8
-_TRANSFORM_ROUNDTRIP_TOL = 1e-10
 _TRANSFORM_JACOBIAN_TOL = 1e-8
 
 
@@ -110,10 +109,6 @@ class Trajectory:
 
     def __len__(self):
         return self.t.size
-
-    def points(self):
-        for t, p, q in zip(self.t, self.p, self.q):
-            yield PhasePoint(float(p), float(q), float(t))
 
     def event_kinds(self):
         return tuple(e.kind for e in self.events)
@@ -825,117 +820,93 @@ def _probe(run) -> bool:
 
 @dataclass(frozen=True)
 class CanonicalTransform:
-    """A forward/inverse relabeling pair with its Jacobian and optional generator.
+    """The linear relabeling ``(p~, q~) = M (p, q)`` by a real 2x2 ``matrix`` ``((a, b), (c, d))``.
 
-    ``forward`` maps ``(p, q)`` to ``(p~, q~)``; ``jacobian(p, q)`` is its 2x2
-    Jacobian, checked for unit determinant and used for exact chain-rule gradients.
-    ``generator``, when given, is the function of the new labels whose endpoint
-    difference accounts for ``integral(p dq) - integral(p~ dq~)``.
+    ``M`` is checked once, at construction: its entries must be finite and
+    ``det M = ad - bc`` within ``1e-8`` of 1, so the map preserves
+    ``dp ^ dq``; otherwise :class:`InvalidTransformError` is raised.  The
+    inverse is the adjugate, the chain rule ``M^-T grad`` its transpose, and
+    the generator :meth:`generator` follows from the matrix.
     """
 
-    forward: object
-    inverse: object
-    jacobian: object
-    generator: object = None
+    matrix: tuple
     name: str = ""
 
-    def check_on(self, points):
-        """Verify round trip and unit Jacobian determinant on sample points."""
-        for pt in points:
-            p, q = pt.p, pt.q
-            pt2, qt2 = self.forward(p, q)
-            p2, q2 = self.inverse(pt2, qt2)
-            err = max(abs(p2 - p), abs(q2 - q))
-            scale = max(1.0, abs(p), abs(q))
-            if err > _TRANSFORM_ROUNDTRIP_TOL * scale:
-                raise InvalidTransformError(
-                    f"inverse mismatch at (p, q) = ({p}, {q}): round-trip error {err:.3e}"
-                )
-            det = np.linalg.det(np.asarray(self.jacobian(p, q), dtype=float))
-            if abs(det - 1.0) > _TRANSFORM_JACOBIAN_TOL:
-                raise InvalidTransformError(
-                    f"transform does not preserve dp^dq at ({p}, {q}): det J = {det!r}"
-                )
+    def __post_init__(self):
+        (a, b), (c, d) = self.matrix
+        a, b, c, d = map(float, (a, b, c, d))
+        object.__setattr__(self, "matrix", ((a, b), (c, d)))
+        if not all(map(math.isfinite, (a, b, c, d))):
+            raise InvalidTransformError(f"transform matrix {self.matrix} has a non-finite entry")
+        det = a * d - b * c
+        if abs(det - 1.0) > _TRANSFORM_JACOBIAN_TOL:
+            raise InvalidTransformError(f"transform does not preserve dp^dq: det M = {det!r}")
+
+    def forward(self, p, q):
+        """``(p~, q~)`` of ``(p, q)``, floats or arrays alike."""
+        (a, b), (c, d) = self.matrix
+        return a * p + b * q, c * p + d * q
+
+    def inverse(self, pt, qt):
+        """``(p, q)`` of ``(p~, q~)``, by the adjugate of ``M``."""
+        (a, b), (c, d) = self.matrix
+        return d * pt - b * qt, a * qt - c * pt
+
+    def generator(self, p, q):
+        """``F(p, q) = -(ac p^2 / 2 + bc p q + bd q^2 / 2)``, with ``p dq - p~ dq~ = dF``."""
+        (a, b), (c, d) = self.matrix
+        return -(a * c * p * p / 2 + b * c * p * q + b * d * q * q / 2)
 
 
 def rotation_transform() -> CanonicalTransform:
-    """Quarter-turn relabeling ``(p~, q~) = (-q, p)`` with generator ``-p~ q~``."""
-    return CanonicalTransform(
-        forward=lambda p, q: (-q, p),
-        inverse=lambda pt, qt: (qt, -pt),
-        generator=lambda pt, qt: -pt * qt,
-        jacobian=lambda p, q: ((0.0, -1.0), (1.0, 0.0)),
-        name="rotation",
-    )
+    """Quarter-turn relabeling ``(p~, q~) = (-q, p)``, generator ``p q``."""
+    return CanonicalTransform(((0.0, -1.0), (1.0, 0.0)), "rotation")
 
 
 def scaling_transform(lam: float) -> CanonicalTransform:
-    """Area-preserving scaling ``(p~, q~) = (lam p, q / lam)``; generator zero."""
+    """Area-preserving scaling ``(p~, q~) = (lam p, q / lam)``, generator zero."""
     if lam == 0:
         raise ValueError("scaling factor must be nonzero")
-    return CanonicalTransform(
-        forward=lambda p, q: (lam * p, q / lam),
-        inverse=lambda pt, qt: (pt / lam, lam * qt),
-        generator=lambda pt, qt: 0.0,
-        jacobian=lambda p, q: ((lam, 0.0), (0.0, 1.0 / lam)),
-        name=f"scaling({lam})",
-    )
+    return CanonicalTransform(((lam, 0.0), (0.0, 1.0 / lam)), f"scaling({lam})")
 
 
 def apply_transform(tr: CanonicalTransform, obj):
-    """Relabel a phase point or a whole trajectory; no state-level change.
-
-    The transform's invariants (round trip, unit Jacobian) are verified on
-    the object's support and an :class:`InvalidTransformError` is raised if
-    they fail.
-    """
+    """Relabel a phase point or a whole trajectory; no state-level change."""
     if isinstance(obj, PhasePoint):
-        tr.check_on([obj])
-        pt, qt = tr.forward(obj.p, obj.q)
-        return PhasePoint(float(pt), float(qt), obj.t)
+        return PhasePoint(*map(float, tr.forward(obj.p, obj.q)), obj.t)
     if isinstance(obj, Trajectory):
-        support = list(obj.points())
-        probe = support[:: max(1, len(support) // 16)]
-        tr.check_on(probe)
-        pts = np.array([tr.forward(p, q) for p, q in zip(obj.p, obj.q)])
-        events = tuple(
-            TrajectoryEvent(e.time, e.kind, *map(float, tr.forward(e.p, e.q)), e.energy)
-            for e in obj.events
-        )
-        return Trajectory(obj.t, pts[:, 0], pts[:, 1], obj.energy, events, obj.work)
+        events = tuple(TrajectoryEvent(e.time, e.kind, *tr.forward(e.p, e.q), e.energy)
+                       for e in obj.events)
+        return Trajectory(obj.t, *tr.forward(obj.p, obj.q), obj.energy, events, obj.work)
     raise TypeError(f"cannot transform object of type {type(obj).__name__}")
 
 
 def transform_hamiltonian(H: EnhancedHamiltonian, tr: CanonicalTransform) -> EnhancedHamiltonian:
     """Express ``H`` in the new labels: ``H~(p~, q~) = H(p, q)``.
 
-    The gradient is the exact chain rule through the transform's Jacobian;
-    a singular Jacobian raises :class:`InvalidTransformError`.  The label
-    domain and the half-line coordinate are composed through the inverse
-    map, so a relabeled half-line flow still ends in ``singularity_hit``.
+    The gradient is the exact chain rule through the inverse map, the
+    adjugate's transpose times ``grad`` (``M^-T grad``).  The label domain
+    and the half-line coordinate are composed through the inverse map, so a
+    relabeled half-line flow still ends in ``singularity_hit``.
     """
+    inverse = tr.inverse
+    (a, b), (c, d) = tr.matrix
 
     def evaluate(pt, qt):
-        return H.evaluate(*tr.inverse(pt, qt))
+        return H.evaluate(*inverse(pt, qt))
 
     def gradient(pt, qt):
-        # grad~ = J^-T grad with J = ((a, b), (c, d)), the Jacobian of forward
-        p, q = tr.inverse(pt, qt)
-        gp, gq = H.gradient(p, q)
-        (a, b), (c, d) = tr.jacobian(p, q)
-        det = a * d - b * c
-        if det == 0:
-            raise InvalidTransformError(f"transform Jacobian is singular at ({p}, {q})")
-        return (d * gp - c * gq) / det, (a * gq - b * gp) / det
+        gp, gq = H.gradient(*inverse(pt, qt))
+        return d * gp - c * gq, a * gq - b * gp
 
     label_domain = None
     if H.label_domain is not None:
         def label_domain(pt, qt):
-            return H.label_domain(*tr.inverse(pt, qt))
+            return H.label_domain(*inverse(pt, qt))
 
     ham = EnhancedHamiltonian(evaluate, gradient, label_domain=label_domain)
     if H.half_line is not None:
-        ham.half_line = lambda pt, qt: H.half_line(*tr.inverse(pt, qt))
+        ham.half_line = lambda pt, qt: H.half_line(*inverse(pt, qt))
     return ham
 
 
@@ -988,24 +959,16 @@ class TransformActionReport:
 
     integral_original: float
     integral_transformed: float
-    generator_difference: float | None
+    generator_difference: float
     residual: float
     transformed: Trajectory = field(repr=False, compare=False)
 
 
 def verify_transform_action(tr: CanonicalTransform, trajectory: Trajectory) -> TransformActionReport:
-    """Check ``integral p dq - integral p~ dq~`` against the generator.
-
-    With a generator supplied the difference must equal its endpoint
-    difference; without one the two loop integrals are compared directly,
-    which is valid on (numerically) closed orbits.
-    """
+    """Check ``integral p dq - integral p~ dq~`` against the generator's endpoint difference."""
     transformed = apply_transform(tr, trajectory)
     i1 = line_integral_p_dq(trajectory)
     i2 = line_integral_p_dq(transformed)
-    if tr.generator is not None:
-        g_end = tr.generator(transformed.p[-1], transformed.q[-1])
-        g_start = tr.generator(transformed.p[0], transformed.q[0])
-        delta = float(g_end - g_start)
-        return TransformActionReport(i1, i2, delta, float((i1 - i2) - delta), transformed)
-    return TransformActionReport(i1, i2, None, float(i1 - i2), transformed)
+    p, q = trajectory.p, trajectory.q
+    delta = float(tr.generator(p[-1], q[-1]) - tr.generator(p[0], q[0]))
+    return TransformActionReport(i1, i2, delta, float((i1 - i2) - delta), transformed)

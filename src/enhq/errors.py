@@ -32,4 +32,4 @@ class NumericalFailure(RuntimeError):
 
 
 class InvalidTransformError(ValueError):
-    """A coordinate transform violates its declared inverse or area-preservation contract."""
+    """A relabeling matrix has a non-finite entry or does not preserve area (det M != 1)."""

@@ -407,6 +407,12 @@ class TestLibraryErrors:
                       "representation": {"dim": 16},
                       "labels": {"grid": {"p": [0, 0, 1], "q": [0, 0, 1]}}},
                      2, "error: the squeeze b = -400.0 overflows", id="expectation-squeeze-minus-400"),
+        # a scaling by 0 is no relabeling; by 1e-320, its 1/lambda overflows
+        *[pytest.param({"experiment": "transform_check", "model": {"name": "harmonic"},
+                        "transform": {"name": "scaling", "factor": factor}},
+                       2, f"error: {message}", id=f"scaling-{factor:g}")
+          for factor, message in ((0.0, "scaling factor must be nonzero"),
+                                  (1e-320, "transform matrix ((1e-320, 0.0), (0.0, inf))"))],
     ])
     def test_exit_code_one_line_and_no_directory(self, tmp_path, capsys, cfg, code, message):
         out = tmp_path / "fresh" / "out"

@@ -435,6 +435,12 @@ class TestCompiledLabelPolynomial:
             assert fn.__code__.co_varnames == ("p", "q")
             assert all(isinstance(c, float) or c is None for c in fn.__code__.co_consts)
 
+    def test_one_source_compiles_once(self, affine_beta2):
+        poly = parse_polynomial("0.5*P^2 - Q^-1 + D*Q*D + 0.3*Q^-3", "affine")
+        first, second = (enhance(poly, affine_beta2).polynomial for _ in range(2))
+        assert first.coeffs == second.coeffs
+        assert first.value is second.value and first.gradient is second.gradient
+
     def test_a_power_that_underflows_to_zero_divides_as_ieee(self):
         # q^2 = 1e-340 underflows to 0: the value overflows a double, and the
         # gradient divides by 0 as float64 arrays do (dH/dq = -inf + inf here)

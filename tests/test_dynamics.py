@@ -970,55 +970,51 @@ class TestTransforms:
 
     @pytest.mark.parametrize("tr", [rotation_transform(), scaling_transform(3.0)])
     def test_chain_rule_gradient(self, harmonic, tr):
-        # grad~ = J^-T grad, against numpy's inverse of the Jacobian
+        # grad~ = M^-T grad, against numpy's inverse of the matrix
         ham_t = transform_hamiltonian(harmonic, tr)
         for pt, qt in [(0.2, 0.9), (-1.3, 0.4), (0.0, -0.7)]:
             p, q = tr.inverse(pt, qt)
-            expected = np.linalg.inv(tr.jacobian(p, q)).T @ np.array(harmonic.gradient(p, q))
+            expected = np.linalg.inv(tr.matrix).T @ np.array(harmonic.gradient(p, q))
             got = ham_t.gradient(pt, qt)
             if tr.name == "rotation":
                 assert got == (expected[0], expected[1])
             else:
                 assert_allclose(got, expected, rtol=1e-15, atol=0)
 
-    def test_singular_jacobian_rejected(self, harmonic):
-        flat = CanonicalTransform(
-            forward=lambda p, q: (p, 0.0),
-            inverse=lambda pt, qt: (pt, qt),
-            jacobian=lambda p, q: ((1.0, 0.0), (0.0, 0.0)),
-            name="flatten",
-        )
-        with pytest.raises(InvalidTransformError, match="singular"):
-            transform_hamiltonian(harmonic, flat).gradient(0.3, 0.5)
+    def test_singular_matrix_rejected(self):
+        with pytest.raises(InvalidTransformError, match="dp\\^dq: det M = 0.0"):
+            CanonicalTransform(((1.0, 0.0), (0.0, 0.0)), "flatten")
 
     def test_scaling_preserves_area_exactly(self):
-        tr = scaling_transform(3.0)
-        jac = np.asarray(tr.jacobian(0.7, -0.4), dtype=float)
-        assert np.linalg.det(jac) == pytest.approx(1.0, abs=0)
+        assert np.linalg.det(scaling_transform(3.0).matrix) == pytest.approx(1.0, abs=0)
 
-    def test_a_jacobian_is_required(self):
-        with pytest.raises(TypeError, match="jacobian"):
-            CanonicalTransform(lambda p, q: (p, q), lambda pt, qt: (pt, qt))
+    def test_a_matrix_is_required(self):
+        with pytest.raises(TypeError, match="matrix"):
+            CanonicalTransform(name="identity")
 
-    def test_inverse_mismatch_rejected(self, harmonic):
-        bad = CanonicalTransform(
-            forward=lambda p, q: (p + 0.1, q),
-            inverse=lambda pt, qt: (pt, qt),
-            jacobian=lambda p, q: ((1.0, 0.0), (0.0, 1.0)),
-            name="broken",
-        )
-        with pytest.raises(InvalidTransformError, match="round-trip"):
-            apply_transform(bad, PhasePoint(0.0, 1.0))
+    def test_inverse_is_the_adjugate(self):
+        # det M = 1 exactly, so the adjugate undoes the map to the last bit
+        tr = CanonicalTransform(((2.0, 1.0), (1.0, 1.0)))
+        for p, q in [(0.0, 1.0), (0.3, -0.5), (-1.25, 2.0)]:
+            assert tr.inverse(*tr.forward(p, q)) == (p, q)
 
     def test_area_violation_rejected(self):
-        bad = CanonicalTransform(
-            forward=lambda p, q: (2 * p, q),
-            inverse=lambda pt, qt: (pt / 2, qt),
-            jacobian=lambda p, q: ((2.0, 0.0), (0.0, 1.0)),
-            name="squash",
-        )
-        with pytest.raises(InvalidTransformError, match="dp\\^dq"):
-            apply_transform(bad, PhasePoint(0.3, 0.5))
+        with pytest.raises(InvalidTransformError, match="dp\\^dq: det M = 2.0"):
+            CanonicalTransform(((2.0, 0.0), (0.0, 1.0)), "squash")
+
+    @pytest.mark.parametrize("make,error", [
+        (lambda: scaling_transform(math.nan), InvalidTransformError),
+        (lambda: scaling_transform(math.inf), InvalidTransformError),
+        # 1 / 1e-320 overflows to inf
+        (lambda: scaling_transform(1e-320), InvalidTransformError),
+        (lambda: CanonicalTransform(((1.0, math.nan), (0.0, 1.0))), InvalidTransformError),
+        (lambda: CanonicalTransform(((1.0, 0.0), (-math.inf, 1.0))), InvalidTransformError),
+        (lambda: scaling_transform(0.0), ValueError),
+    ], ids=["scaling-nan", "scaling-inf", "scaling-1e-320", "nan-entry", "inf-entry", "scaling-zero"])
+    def test_non_finite_relabeling_rejected_at_construction(self, make, error):
+        with pytest.raises(error) as info:
+            make()
+        assert not isinstance(info.value, ZeroDivisionError)
 
     def test_transform_point(self):
         pt = apply_transform(rotation_transform(), PhasePoint(0.5, 2.0, t=1.5))
@@ -1048,6 +1044,19 @@ class TestTransformAction:
         assert report.residual == pytest.approx(0.0, abs=1e-10)
         assert report.generator_difference == pytest.approx(
             traj.p[-1] * traj.q[-1] - traj.p[0] * traj.q[0], abs=1e-9
+        )
+
+    @pytest.mark.parametrize("matrix,generator", [
+        (((1.0, 0.5), (0.0, 1.0)), lambda p, q: -q * q / 4),
+        (((2.0, 1.0), (1.0, 1.0)), lambda p, q: -(p * p + p * q + q * q / 2)),
+    ], ids=["shear", "generic"])
+    def test_derived_generator_on_open_segment(self, loop, harmonic, matrix, generator):
+        # p dq - p~ dq~ = dF, F = -(ac p^2/2 + bc p q + bd q^2/2) by hand
+        traj = hamiltonian_flow(harmonic, (0.0, 1.0), np.pi / 3, tol=1e-10, n_samples=2000)
+        report = verify_transform_action(CanonicalTransform(matrix), traj)
+        assert report.residual == pytest.approx(0.0, abs=1e-10)
+        assert report.generator_difference == pytest.approx(
+            generator(traj.p[-1], traj.q[-1]) - generator(traj.p[0], traj.q[0]), abs=1e-9
         )
 
     def test_scaling_difference_vanishes_pointwise(self, loop, harmonic):
