@@ -1,33 +1,40 @@
 /*
- * The step loop of enhq.dynamics._dormand_prince for a label polynomial,
- * with its samples and its event roots.
+ * The step loop of enhq.dynamics._dormand_prince for a label polynomial, from
+ * its start to its finished arrays: sample times, samples, energies and
+ * event roots.
  *
  * It integrates p' = -dH/dq, q' = dH/dp with the Dormand-Prince 5(4) pair in
- * the operation order of the Python loop, and evaluates the gradient from the
- * (c, i, j) terms that enhq.correspondence._LabelPolynomial compiles, in the
- * order and grouping of its generated code.  Samples and event roots come
- * from each step's quartic dense output, formed as _quartic and _interpolate
- * form it, and the roots from Brent's method as _brent runs it.  Built with
- * -O2 -ffp-contract=off and no fast-math, every operation is one IEEE double
- * operation rounded as Python rounds it, so the two loops agree bit for bit;
- * the library is admitted to its cache only after it shows this on probe
- * orbits.
+ * the operation order of the Python loop, its first step size included, and
+ * evaluates H and its gradient from the (c, i, j) terms that
+ * enhq.correspondence._LabelPolynomial compiles, in the order and grouping of
+ * its generated code.  Samples and event roots come from each step's quartic
+ * dense output, formed as _quartic and _interpolate form it, and the roots
+ * from Brent's method as _brent runs it.  Built with -O2 -ffp-contract=off
+ * and no fast-math, every operation is one IEEE double operation rounded as
+ * Python and numpy round it, so the two loops agree bit for bit; the library
+ * is admitted to its cache only after it shows this on probe orbits.
  *
- * buf holds the samples p and q (n_eval each), the state y = (t, p, q, dp/dt,
- * dq/dt, h_abs) and out (8 doubles); count holds the samples written, the
- * accepted steps, the rejected steps, the gradient calls and the hits in out.
- * An accepted step end where dq/dt turned nonnegative (event 0, the bounce)
- * or q - q_floor <= 0 (event 1, the floor) has each root found on the step's
- * dense output, the hits after a floor root dropped, and the rest written to
- * out as rows (event, t, p, q).  Then each step end writes the samples
- * t_eval[i] up to it, or up to the floor root, into p and q.
- * enhq_rk45 runs from y until
+ * buf holds the sample times, p, q and H (n_eval each), the state y = (t, p,
+ * q, dp/dt, dq/dt, h_abs), out (5 doubles) and the hit rows (4 n_rows
+ * doubles); count holds the samples written, the accepted steps, the
+ * rejected steps, the gradient calls and the hit rows written by this call.
+ * A call with no accepted step in count starts the flow at (p0, q0): it
+ * writes the times as np.linspace(0, t_final, n_eval) does and takes the
+ * first step size.  An accepted step end where dq/dt turned nonnegative
+ * (event 0, the bounce) or q - q_floor <= 0 (event 1, the floor) has each
+ * root found on the step's dense output, the hits after a floor root
+ * dropped, and the rest written as rows (event, t, p, q).  Then each step end
+ * writes the samples at the times up to it, or up to the floor root, with H
+ * there.  enhq_flow runs until
  *   RK45_DONE       the flow ended, at t_final or at a floor root;
- *   RK45_EVENT      a bounce was hit: y holds the step end to resume from;
- *   RK45_UNDERFLOW  the step size fell below ten ulp of t: y holds the last
- *                   accepted state;
- *   RK45_NONFINITE  a rate is not finite: out holds (t, p, q) of the stage or
- *                   the point Brent's method tried, and (dH/dq, dH/dp) there;
+ *   RK45_FULL       the hit rows cannot hold another step's two: y holds the
+ *                   step end to resume from, by a call with the same buf and
+ *                   count;
+ *   RK45_UNDERFLOW  the step size fell below ten ulp of t, or the first one
+ *                   is 0: y holds the last accepted state;
+ *   RK45_NONFINITE  a rate is not finite: out holds (t, p, q) of the start,
+ *                   the stage or the point Brent's method tried, and (dH/dq,
+ *                   dH/dp) there;
  *   RK45_NOROOT     Brent's method met a nan or did not converge: out holds
  *                   the step's (t, t_new).
  */
@@ -35,7 +42,7 @@
 #include <math.h>
 #include <stdint.h>
 
-enum { RK45_DONE, RK45_EVENT, RK45_UNDERFLOW, RK45_NONFINITE, RK45_NOROOT, GO_ON = -1 };
+enum { RK45_DONE, RK45_FULL, RK45_UNDERFLOW, RK45_NONFINITE, RK45_NOROOT, GO_ON = -1 };
 
 /* Dormand & Prince (1980), as tabulated in scipy's RK45 */
 static const double C2 = 1.0 / 5, C3 = 3.0 / 10, C4 = 4.0 / 5, C5 = 8.0 / 9;
@@ -216,6 +223,49 @@ static int brent(const struct flow *fl, const struct step *st, int k, double b, 
     return no_root(fl, st->t, b);
 }
 
+/* np.linspace(0, t_final, n): i * (t_final / (n - 1)), or (i / (n - 1)) *
+ * t_final where that step is 0, and t_final last */
+static void linspace(double *ts, int64_t n, double t_final)
+{
+    double div = (double)(n - 1), step = t_final / div;
+    for (int64_t i = 0; i < n - 1; i++)
+        ts[i] = step != 0 ? (double)i * step : ((double)i / div) * t_final;
+    ts[n - 1] = t_final;
+}
+
+static double rms(double x, double y)
+{
+    return sqrt(x * x + y * y) / sqrt(2.0);
+}
+
+/* The first step size from (p, q) with rates (fp, fq), as _dormand_prince
+ * takes it: min and max are Python's, the first argument unless a later one
+ * is strictly smaller or larger.  h0 == 0 is a step-size underflow at t = 0. */
+static int first_step(const struct flow *fl, double p, double q, double fp, double fq,
+                      double t_final, double rtol, double atol, double *h_abs)
+{
+    double sp = atol + fabs(p) * rtol, sq = atol + fabs(q) * rtol;
+    double d0 = rms(p / sp, q / sq), d1 = rms(fp / sp, fq / sq), gp, gq, d2, h1, h;
+    double h0 = d0 < 1e-5 || d1 < 1e-5 ? 1e-6 : 0.01 * d0 / d1;
+    if (t_final < h0)
+        h0 = t_final;
+    if (h0 == 0)
+        return RK45_UNDERFLOW;
+    int status = rates(fl, h0, p + h0 * fp, q + h0 * fq, &gp, &gq);
+    if (status != GO_ON)
+        return status;
+    d2 = rms((gp - fp) / sp, (gq - fq) / sq) / h0;
+    if (d1 <= 1e-15 && d2 <= 1e-15)
+        h1 = h0 * 1e-3 > 1e-6 ? h0 * 1e-3 : 1e-6;
+    else
+        h1 = pow(0.01 / (d2 > d1 ? d2 : d1), 0.2);
+    h = 100 * h0;
+    if (h1 < h)
+        h = h1;
+    *h_abs = t_final < h ? t_final : h;
+    return GO_ON;
+}
+
 /* the rates (kp, kq) of a stage, or a return with its failure */
 #define STAGE(kp, kq, ts, sp, sq)                                               \
     do {                                                                        \
@@ -224,16 +274,29 @@ static int brent(const struct flow *fl, const struct step *st, int k, double b, 
             return status_;                                                     \
     } while (0)
 
-int enhq_rk45(const double *d_p, int64_t n_p, const double *d_q, int64_t n_q,
-              double t_final, double rtol, double atol, double q_floor,
-              const double *t_eval, int64_t n_eval, double *buf, int64_t *count)
+int enhq_flow(const double *d_h, int64_t n_h, const double *d_p, int64_t n_p, const double *d_q,
+              int64_t n_q, double p0, double q0, double t_final, double rtol, double atol,
+              double q_floor, int64_t n_eval, int64_t n_rows, double *buf, int64_t *count)
 {
-    double *ps = buf, *qs = buf + n_eval, *y = buf + 2 * n_eval, *out = y + 6;
-    double t = y[0], p = y[1], q = y[2], fp = y[3], fq = y[4], h_abs = y[5];
-    const double sqrt2 = sqrt(2.0);
+    double *t_eval = buf, *ps = buf + n_eval, *qs = ps + n_eval, *hs = qs + n_eval;
+    double *y = hs + n_eval, *out = y + 6, *rows = out + 5, t, p, q, fp, fq, h_abs;
     const struct flow fl = {d_p, d_q, n_p, n_q, &count[3], q_floor, out};
 
+    if (rtol < 100 * DBL_EPSILON)
+        rtol = 100 * DBL_EPSILON;
     count[4] = 0;
+    if (count[1]) { /* a call after RK45_FULL */
+        t = y[0], p = y[1], q = y[2], fp = y[3], fq = y[4], h_abs = y[5];
+    } else {
+        linspace(t_eval, n_eval, t_final);
+        t = 0.0, p = p0, q = q0;
+        STAGE(fp, fq, t, p, q);
+        int status = first_step(&fl, p, q, fp, fq, t_final, rtol, atol, &h_abs);
+        if (status == RK45_UNDERFLOW)
+            y[0] = t, y[1] = p, y[2] = q;
+        if (status != GO_ON)
+            return status;
+    }
     for (;;) {
         double min_step = 10 * (nextafter(t, INFINITY) - t);
         double t_new, h, p_new, q_new, sp, sq, a, b, x, z, error;
@@ -275,7 +338,7 @@ int enhq_rk45(const double *d_p, int64_t n_p, const double *d_q, int64_t n_q,
             x /= atol + (b > a ? b : a) * rtol;
             a = q > 0 ? q : -q, b = q_new > 0 ? q_new : -q_new;
             z /= atol + (b > a ? b : a) * rtol;
-            error = sqrt(x * x + z * z) / sqrt2;
+            error = rms(x, z);
             if (error < 1) {
                 double factor = error != 0 ? SAFETY * pow(error, -0.2) : MAX_FACTOR;
                 double cap = rejected ? 1.0 : MAX_FACTOR;
@@ -317,23 +380,24 @@ int enhq_rk45(const double *d_p, int64_t n_p, const double *d_q, int64_t n_q,
                 t_end = roots[n - 1];
             }
             for (int k = 0; k < n; k++) {
-                out[4 * k] = kinds[k], out[4 * k + 1] = roots[k];
-                out[4 * k + 2] = interpolate(&st, st.cp, p, roots[k]);
-                out[4 * k + 3] = interpolate(&st, st.cq, q, roots[k]);
+                double *row = rows + 4 * count[4]++;
+                row[0] = kinds[k], row[1] = roots[k];
+                row[2] = interpolate(&st, st.cp, p, roots[k]);
+                row[3] = interpolate(&st, st.cq, q, roots[k]);
             }
-            count[4] = n;
         }
         for (; i < n_eval && t_eval[i] <= t_end; i++) {
             ps[i] = interpolate(&st, st.cp, p, t_eval[i]);
             qs[i] = interpolate(&st, st.cq, q, t_eval[i]);
+            hs[i] = term_sum(d_h, n_h, ps[i], qs[i]);
         }
         count[0] = i;
         if (at_floor || t_new >= t_final)
             return RK45_DONE;
         t = t_new, p = p_new, q = q_new, fp = k7p, fq = k7q;
-        if (bounce) {
+        if (count[4] + 2 > n_rows) {
             y[0] = t, y[1] = p, y[2] = q, y[3] = fp, y[4] = fq, y[5] = h_abs;
-            return RK45_EVENT;
+            return RK45_FULL;
         }
     }
 }

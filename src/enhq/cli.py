@@ -42,7 +42,14 @@ from .dynamics import (
 )
 from .errors import CapacityError, NumericalFailure
 from .hilbert import build_fock_rep, build_halfline_rep, build_spin_rep
-from .models import HydrogenParams, hydrogen_classical, hydrogen_enhanced, min_radius, spin_precession
+from .models import (
+    HydrogenParams,
+    _core,
+    _turning_radius,
+    hydrogen_classical,
+    hydrogen_enhanced,
+    spin_precession,
+)
 
 _HYDROGEN = {"hydrogen_classical": hydrogen_classical, "hydrogen_enhanced": hydrogen_enhanced}
 
@@ -296,7 +303,8 @@ def _run_compare_hydrogen(cfg, header):
     t_enh = 10.0 * (collapse_time if collapse_time else t_final)
     traj_e = hamiltonian_flow(enhanced, PhasePoint(*x0), t_enh, **_integrator(cfg))
     energy = enhanced.evaluate(*x0)
-    c1, c2 = params.enhanced_core
+    # the core off the flow's own polynomial: hydrogen is restricted once
+    c1, c2 = core = _core(enhanced, params.m)
     summary = {
         "x0": list(map(float, x0)),
         "collapse_detected": collapse_time is not None,
@@ -304,7 +312,7 @@ def _run_compare_hydrogen(cfg, header):
         "enhanced_horizon": t_enh,
         "enhanced_min_q": traj_e.min_q(),
         "enhanced_singularity": "singularity_hit" in traj_e.event_kinds(),
-        "predicted_min_radius": min_radius(params, energy),
+        "predicted_min_radius": _turning_radius(core, params.m, energy),
         "energy_enhanced": energy,
         "c1": c1,
         "c2": c2,

@@ -231,10 +231,11 @@ class _LabelPolynomial:
     coefficients and the integer powers alone; both take floats or,
     elementwise and to the same bits, float64 arrays, and compute in IEEE
     double arithmetic (a division by a power that underflows to 0 gives an
-    infinity, not an error).  ``gradient_terms`` holds the ``(c, i, j)``
-    terms of ``dH/dp`` and ``dH/dq`` that ``gradient`` sums, in its order, as
-    the rows of two float arrays.  A
-    coefficient of either that is not finite raises :class:`DomainError`.
+    infinity, not an error).  ``term_arrays`` holds the ``(c, i, j)`` terms
+    of ``H``, ``dH/dp`` and ``dH/dq`` that ``value`` and ``gradient`` sum, in
+    their order, as the rows of three float arrays, and ``term_args`` the
+    address and length of each, as the compiled step loop reads them.  A
+    coefficient of any that is not finite raises :class:`DomainError`.
     Calling the polynomial raises :class:`DomainError` where its value is not
     finite and, with ``q_positive``, at ``q <= 0``; ``gradient`` is left
     unguarded, as an integrator may evaluate a stage below the floor before
@@ -251,7 +252,8 @@ class _LabelPolynomial:
         for c, i, j in terms + d_p + d_q:
             if not math.isfinite(c):
                 raise _overflow(i, j)
-        self.gradient_terms = tuple(np.array(d, dtype=float).reshape(-1, 3) for d in (d_p, d_q))
+        self.term_arrays = tuple(np.array(d, dtype=float).reshape(-1, 3) for d in (terms, d_p, d_q))
+        self.term_args = tuple(x for rows in self.term_arrays for x in (rows.ctypes.data, len(rows)))
         self.value, self.gradient = _compiled(
             _function("value", _code(terms)) + _function("gradient", f"{_code(d_p)}, {_code(d_q)}"))
 
@@ -342,7 +344,7 @@ class EnhancedHamiltonian:
     signed margin that is positive inside the domain.  ``polynomial`` holds
     the compiled label polynomial that ``evaluate`` and ``gradient`` are, when
     there is one: ``coeffs``, a ``value`` taking arrays too, and the
-    ``gradient_terms`` from which rk45 flows take compiled steps.
+    ``term_arrays`` from which flows take compiled steps.
     """
 
     def __init__(self, evaluate, gradient, q_positive: bool = False, label_domain=None, polynomial=None):

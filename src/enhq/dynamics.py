@@ -2,9 +2,10 @@
 
 The equations of motion are ``dq/dt = dH/dp``, ``dp/dt = -dH/dq`` for an
 :class:`~enhq.correspondence.EnhancedHamiltonian`.  The one integrator is
-an embedded Runge-Kutta 5(4) pair, whose step loop runs in C (``_rk45.c``,
-built on first use into a per-user cache and loaded with ``ctypes``) for
-compiled label polynomials, to the bits of the Python loop, and
+an embedded Runge-Kutta 5(4) pair, whose whole flow, sample times,
+samples and energies included, runs in one call into C (``_rk45.c``, built
+on first use into a per-user cache and loaded with ``ctypes``) for compiled
+label polynomials, to the bits of the Python loop, and
 :func:`hamiltonian_flow` assembles the trajectory from it.  Flows
 on the half line, relabeled or not, stop with a ``singularity_hit`` event
 when ``q`` falls below a configurable floor, and local minima of ``q`` are
@@ -94,7 +95,7 @@ class Trajectory:
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if self.t.size >= 2 and not np.all(np.diff(self.t) > 0):
+        if self.t.size >= 2 and not (self.t[1:] > self.t[:-1]).all():
             raise ValueError("sample times must be strictly increasing")
         sizes = {self.t.size, self.p.size, self.q.size, self.energy.size}
         if len(sizes) != 1:
@@ -170,24 +171,28 @@ def hamiltonian_flow(
     steps of scipy's ``RK45`` at ``rtol = tol`` and ``atol = tol * 1e-3``,
     calls the gradient once per stage and evaluates all samples in one
     numpy pass after the loop.  For a compiled polynomial
-    (``H.polynomial``) with no label domain the whole loop after the first
-    step size, steps, samples and event roots, runs to the same bits in the
-    compiled kernel wherever :func:`_kernel` loads one, and in Python
-    otherwise.  It calls the Hamiltonian's stored callables
-    (``H._gradient``, ``H._evaluate``), not the methods that convert each
-    value to ``float``, and returns the samples as float64 arrays, the event
-    hits, the stop and the :class:`FlowWork`, from which the events,
-    energies and trajectory are built here; events and energies are
-    evaluated on Python floats, or by ``H.polynomial`` on the sample arrays.
-    ``tol`` and ``q_floor`` must be positive and finite, and ``n_samples``
-    an integer of at least 2.
+    (``H.polynomial``) with no label domain the whole flow, first step
+    size, steps, sample times, samples, energies and event roots, runs to
+    the same bits in one call of the compiled kernel
+    (:func:`_compiled_flow`) wherever :func:`_kernel` loads one, and in
+    Python otherwise.  The Python loop calls the Hamiltonian's stored
+    callables (``H._gradient``, ``H._evaluate``), not the methods that
+    convert each value to ``float``.  Either returns the samples as float64
+    arrays, the event hits, the stop and the :class:`FlowWork`, from which
+    the events and trajectory are built here; events are evaluated on
+    Python floats, and the Python loop's energies on Python floats or by
+    ``H.polynomial`` on the sample arrays.  ``x0`` must be finite, ``tol``
+    and ``q_floor`` positive and finite, and ``n_samples`` an integer of at
+    least 2.
     """
     x0 = _as_point(x0)
-    if not np.isfinite(t_final) or t_final <= 0:
+    if not (math.isfinite(x0.p) and math.isfinite(x0.q)):
+        raise ValueError(f"x0 must be finite (got ({x0.p}, {x0.q}))")
+    if not math.isfinite(t_final) or t_final <= 0:
         raise ValueError("t_final must be positive and finite")
-    if not np.isfinite(tol) or tol <= 0:
+    if not math.isfinite(tol) or tol <= 0:
         raise ValueError("tol must be positive and finite")
-    if not np.isfinite(q_floor) or q_floor <= 0:
+    if not math.isfinite(q_floor) or q_floor <= 0:
         raise ValueError("q_floor must be positive and finite")
     # Python and numpy integers; bool is an Integral too, but not a count
     if not isinstance(n_samples, Integral) or isinstance(n_samples, bool) or n_samples < 2:
@@ -210,14 +215,17 @@ def hamiltonian_flow(
         margins.append(H.label_domain)
 
     evaluate = H._evaluate
-    # a compiled polynomial, on a half line or none, takes the kernel's steps
+    # a compiled polynomial, on a half line or none, runs in the kernel
     run = _kernel() if H.polynomial is not None and H.label_domain is None else None
-    ts, ps, qs, hits, stop, work = _dormand_prince(
-        H._gradient, x0.p, x0.q, t_final, tol, tol * 1e-3,
-        np.linspace(0.0, t_final, n_samples), margins,
-        None if run is None else _kernel_args(
-            run, H.polynomial, q_floor if half_line is not None else -math.inf),
-    )
+    if run is None:
+        ts, ps, qs, hits, stop, work = _dormand_prince(
+            H._gradient, x0.p, x0.q, t_final, tol, tol * 1e-3,
+            np.linspace(0.0, t_final, n_samples), margins)
+        energies = None
+    else:
+        ts, ps, qs, energies, hits, stop, work = _compiled_flow(
+            run, H.polynomial, x0.p, x0.q, t_final, tol, tol * 1e-3,
+            q_floor if half_line is not None else -math.inf, n_samples)
 
     def event(kind, t, p, q):
         p, q = float(p), float(q)
@@ -246,10 +254,13 @@ def hamiltonian_flow(
             )
         recorded.append(event(kind, t_last, p_last, q_last))
 
-    # a compiled polynomial takes the sample arrays, with the scalar bits;
-    # other label functions are scalar code, called on Python floats
-    energies = (np.broadcast_to(H.polynomial.value(ps, qs), ps.shape) if H.polynomial is not None
-                else [evaluate(p, q) for p, q in zip(ps.tolist(), qs.tolist())])
+    if energies is None:
+        # the Python loop's: a compiled polynomial takes the sample arrays,
+        # with the scalar bits; other label functions are scalar code, called
+        # on Python floats
+        energies = (np.broadcast_to(H.polynomial.value(ps, qs), ps.shape)
+                    if H.polynomial is not None
+                    else [evaluate(p, q) for p, q in zip(ps.tolist(), qs.tolist())])
     recorded.sort(key=lambda e: e.time)
     return Trajectory(ts, ps, qs, energies, tuple(recorded), work)
 
@@ -307,7 +318,7 @@ def _interpolate(s, t, h, y, c1, c2, c3, c4):
     return h * (c1 * x + c2 * x2 + c3 * x3 + c4 * x4) + y
 
 
-def _dormand_prince(gradient, p, q, t_final, rtol, atol, t_eval, margins, compiled=None):
+def _dormand_prince(gradient, p, q, t_final, rtol, atol, t_eval, margins):
     """Integrate ``p' = -dH/dq``, ``q' = dH/dp`` from ``t = 0`` with Python floats.
 
     ``gradient(p, q)`` returns ``(dH/dp, dH/dq)``.  Each stage calls it
@@ -331,13 +342,9 @@ def _dormand_prince(gradient, p, q, t_final, rtol, atol, t_eval, margins, compil
     output.  Event 0 is the bounce, ``dq/dt`` turning nonnegative, which a
     stage has at the start and at every step end.  Event ``i >= 1`` ends
     the run where ``margins[i - 1](p, q)``, positive at the start, reaches
-    zero.
-
-    With ``compiled``, the arguments :func:`_kernel_args` makes for the
-    polynomial whose gradient ``gradient`` is and the margin ``q - q_floor``
-    (if any), the steps after the first step size are taken, sampled and
-    rooted by the compiled kernel (:func:`_compiled_steps`), to the same
-    bits.
+    zero.  :func:`_compiled_flow` runs the same loop in C for a label
+    polynomial, to the same bits; this loop is its fallback and, in
+    :func:`_probe`, its reference.
 
     Returns sample times, ``p`` and ``q`` (float64 arrays), event hits
     ``(index, t, p, q)``, the stop: ``None``, or, when the step size
@@ -414,8 +421,6 @@ def _dormand_prince(gradient, p, q, t_final, rtol, atol, t_eval, margins, compil
         else:
             h1 = (0.01 / max(d1, d2)) ** 0.2
         h_abs = min(100 * h0, h1, t_final)
-        if compiled is not None:
-            return _compiled_steps(compiled, p, q, fp, fq, h_abs, t_final, rtol, atol, t_eval)
 
         times = t_eval.tolist()
         n_eval, i_eval = len(times), 0
@@ -665,52 +670,48 @@ def _no_root(a, b):
 # The compiled step loop
 # ---------------------------------------------------------------------------
 
-# the kernel's returns (see _rk45.c) and how it is built
-_DONE, _EVENT, _UNDERFLOW, _NONFINITE, _NOROOT = range(5)
+# the kernel's returns (see _rk45.c), the hit rows it holds before it comes
+# back, and how it is built
+_DONE, _FULL, _UNDERFLOW, _NONFINITE, _NOROOT = range(5)
+_HIT_ROWS = 8
 _CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
 
-def _kernel_args(run, poly, q_floor):
-    # the kernel, the (c, i, j) rows of dH/dp and dH/dq, and the floor of the
-    # margin q - q_floor (-inf: no half line)
-    return (run, *poly.gradient_terms, q_floor)
+def _compiled_flow(run, poly, p, q, t_final, rtol, atol, q_floor, n):
+    """The flow of :func:`_dormand_prince` for the label polynomial ``poly``, run by the kernel.
 
-
-def _compiled_steps(compiled, p, q, fp, fq, h_abs, t_final, rtol, atol, t_eval):
-    """The step loop of :func:`_dormand_prince` from its first step size, run by the kernel.
-
-    The kernel takes the steps, writes the samples and finds the event
-    roots.  It comes back at the end of the flow, at each bounce, whose hit
-    is collected here before it goes on, at step-size underflow, at a
-    non-finite rate (raised here, naming its point) and where Brent's
-    method fails (raised as :func:`_brent` raises it).  Returns what
-    :func:`_dormand_prince` returns.
+    One call of ``run`` takes the flow from ``(p, q)`` to its end on the
+    grid ``np.linspace(0, t_final, n)``, with the margin ``q - q_floor``
+    (``q_floor = -inf``: none).  It comes back early only when its
+    :data:`_HIT_ROWS` hit rows are full, and is called again to go on.  A
+    non-finite rate is raised here, naming its point, and a failed Brent
+    search as :func:`_brent` raises it.  Returns the sample times, ``p``,
+    ``q`` and ``H`` (float64 arrays), then the hits, the stop and the
+    :class:`FlowWork` as :func:`_dormand_prince` returns them.
     """
-    run, d_p, d_q, q_floor = compiled
-    t_eval = np.ascontiguousarray(t_eval, dtype=float)  # the kernel reads its buffer
-    n = len(t_eval)
-    # the samples p and q, the state y and out, laid out as _rk45.c reads them
-    buf = np.empty(2 * n + 14)
-    y, out = buf[2 * n:2 * n + 6], buf[2 * n + 6:]
-    y[:] = 0.0, p, q, fp, fq, h_abs
+    # the times, p, q and H (n each), the state y (6), out (5) and the hit
+    # rows, at these offsets in the buffer that _rk45.c reads
+    y, out, at_rows = 4 * n, 4 * n + 6, 4 * n + 11
+    buf = np.empty(at_rows + 4 * _HIT_ROWS)
     count = np.zeros(5, dtype=np.int64)
-    args = (d_p.ctypes.data, len(d_p), d_q.ctypes.data, len(d_q), t_final, rtol, atol, q_floor,
-            t_eval.ctypes.data, n, buf.ctypes.data, count.ctypes.data)
+    args = (*poly.term_args, p, q, t_final, rtol, atol, q_floor, n, _HIT_ROWS,
+            buf.ctypes.data, count.ctypes.data)
     hits = []
     while True:
         status = run(*args)
         if status == _NONFINITE:
-            _check_finite(*out[:5].tolist())
+            _check_finite(*buf[out:out + 5].tolist())
         if status == _NOROOT:
-            raise _no_root(*out[:2].tolist())
-        if count[4]:
-            rows = out[:4 * count[4]].tolist()
+            raise _no_root(*buf[out:out + 2].tolist())
+        m, accepted, rejected, calls, n_hits = count.tolist()
+        if n_hits:
+            rows = buf[at_rows:at_rows + 4 * n_hits].tolist()
             hits += [(int(rows[k]), *rows[k + 1:k + 4]) for k in range(0, len(rows), 4)]
-        if status != _EVENT:
+        if status != _FULL:
             break
-    m, accepted, rejected, calls, _ = count.tolist()
-    stop = (*y[:3].tolist(), _TOO_SMALL_STEP) if status == _UNDERFLOW else None
-    return t_eval[:m], buf[:m], buf[n:n + m], hits, stop, FlowWork(accepted, rejected, 2 + calls)
+    stop = (*buf[y:y + 3].tolist(), _TOO_SMALL_STEP) if status == _UNDERFLOW else None
+    return (buf[:m], buf[n:n + m], buf[2 * n:2 * n + m], buf[3 * n:3 * n + m], hits, stop,
+            FlowWork(accepted, rejected, calls))
 
 
 @functools.cache
@@ -786,29 +787,31 @@ def _cache_dir():
 def _load(path):
     import ctypes
 
-    run = ctypes.CDLL(str(path)).enhq_rk45
+    run = ctypes.CDLL(str(path)).enhq_flow
     pointer, count, double = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-    run.argtypes = (pointer, count, pointer, count, double, double, double, double,
-                    pointer, count, pointer, pointer)
+    run.argtypes = (pointer, count, pointer, count, pointer, count, *[double] * 6, count, count,
+                    pointer, pointer)
     run.restype = ctypes.c_int
     return run
 
 
 def _probe(run) -> bool:
-    # the kernel against the Python loop, bit for bit and work record too: an
-    # enhanced hydrogen orbit that turns twice, a classical one that falls to
-    # the floor, and a coarse enhanced one whose last step holds a floor root,
-    # which cuts the step's samples, and a bounce root after it
+    # the kernel against the Python loop, bit for bit in times, samples,
+    # energies, hits, stop and work record: an enhanced hydrogen orbit that
+    # turns twice, a classical one that falls to the floor, and a coarse
+    # enhanced one whose last step holds a floor root, which cuts the step's
+    # samples, and a bounce root after it
     enhanced = {(2, 0): 0.5, (0, -1): -4 / 3, (0, -2): 1.0}
     for coeffs, t_final, tol, q_floor in ((enhanced, 30.0, 1e-10, 1e-8),
                                           ({(2, 0): 0.5, (0, -1): -1.0}, 4.0, 1e-10, 1e-8),
                                           (enhanced, 30.0, 1e-3, 0.95)):
         poly = _LabelPolynomial(coeffs, q_positive=True)
-        args = (poly.gradient, -0.3, 1.0, t_final, tol, tol * 1e-3, np.linspace(0.0, t_final, 50),
-                [lambda p, q: q - q_floor])
-        python, kernel = ([a.tobytes() if isinstance(a, np.ndarray) else repr(a)
-                           for a in _dormand_prince(*args, compiled)]
-                          for compiled in (None, _kernel_args(run, poly, q_floor)))
+        ts, ps, qs, *rest = _dormand_prince(poly.gradient, -0.3, 1.0, t_final, tol, tol * 1e-3,
+                                            np.linspace(0.0, t_final, 50),
+                                            [lambda p, q: q - q_floor])
+        kernel = _compiled_flow(run, poly, -0.3, 1.0, t_final, tol, tol * 1e-3, q_floor, 50)
+        python, kernel = ([a.tobytes() if isinstance(a, np.ndarray) else repr(a) for a in result]
+                          for result in ((ts, ps, qs, poly.value(ps, qs), *rest), kernel))
         if python != kernel:
             return False
     return True

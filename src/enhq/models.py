@@ -52,8 +52,13 @@ class HydrogenParams:
         one: ``e2 <beta| Q^-1 |beta>`` and ``<beta| P^2 |beta>``, exact fiducial moments of the
         affine family (the tests check them against closed forms written out by hand).
         """
-        coeffs = hydrogen_enhanced(self).polynomial.coeffs
-        return -coeffs[0, -1], 2.0 * self.m * coeffs[0, -2]
+        return _core(hydrogen_enhanced(self), self.m)
+
+
+def _core(enhanced: EnhancedHamiltonian, m: float) -> tuple[float, float]:
+    # (C1, C2) off the label polynomial of the enhanced hydrogen of mass m
+    coeffs = enhanced.polynomial.coeffs
+    return -coeffs[0, -1], 2.0 * m * coeffs[0, -2]
 
 
 def _hydrogen(params: HydrogenParams) -> OperatorPolynomial:
@@ -80,8 +85,12 @@ def min_radius(params: HydrogenParams, energy: float) -> float:
     minimum of the effective potential have no turning point and raise
     ``ValueError``.
     """
-    c1, c2 = params.enhanced_core
-    m = params.m
+    return _turning_radius(params.enhanced_core, params.m, energy)
+
+
+def _turning_radius(core: tuple[float, float], m: float, energy: float) -> float:
+    # min_radius of the core (C1, C2) and mass m
+    c1, c2 = core
     disc = c1 * c1 + 2.0 * energy * c2 / m
     if disc < -1e-14 * c1 * c1:
         raise ValueError(

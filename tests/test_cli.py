@@ -8,6 +8,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import enhq.cli
+import enhq.models
+from enhq import enhance
 from enhq.cli import ConfigError, main, run, validate_config
 from oracles import fiducial_p2_closed
 
@@ -545,6 +547,19 @@ class TestCompareHydrogen:
         )
         classical_body = body_of(out / "hydrogen_classical.csv")
         assert "singularity_hit" in classical_body
+
+    def test_hydrogen_is_restricted_once_per_run(self, tmp_path, monkeypatch):
+        # the core and the predicted radius are read off the enhanced flow's polynomial
+        calls = []
+
+        def counted(poly, family):
+            calls.append(poly)
+            return enhance(poly, family)
+
+        monkeypatch.setattr(enhq.models, "enhance", counted)
+        cfg = {"experiment": "compare_hydrogen"}
+        assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
 
     def test_classical_limit_run(self, tmp_path):
         # nu = beta / hbar = 1e5: the core shrinks to C2 = beta^2 hbar / (2 (beta - hbar))

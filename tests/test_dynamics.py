@@ -42,8 +42,8 @@ from enhq import (
 )
 import enhq.dynamics
 from enhq.correspondence import EnhancedHamiltonian
-from enhq.dynamics import (CanonicalTransform, FlowWork, _brent, _dormand_prince, _event_roots,
-                           _kernel, _kernel_args)
+from enhq.dynamics import (CanonicalTransform, FlowWork, _brent, _compiled_flow, _dormand_prince,
+                           _event_roots, _kernel)
 
 
 @pytest.fixture(scope="module")
@@ -583,8 +583,9 @@ class TestRK45AgainstScipy:
         q_floor = 1e-8 if ham.q_positive else -math.inf
         margins = [lambda p, q: q - q_floor] if ham.q_positive else []
         args = (p0, q0, t_final, tol, tol * 1e-3, np.linspace(0.0, t_final, 500), margins)
-        got = _dormand_prince(ham.gradient, *args, _kernel_args(run, ham.polynomial, q_floor))
-        assert as_lists(got) == tableau_loop(ham.gradient, *args)
+        ts, ps, qs, _, *rest = _compiled_flow(run, ham.polynomial, p0, q0, t_final, tol, tol * 1e-3,
+                                              q_floor, 500)
+        assert as_lists((ts, ps, qs, *rest)) == tableau_loop(ham.gradient, *args)
 
     @pytest.mark.parametrize("x0,t_final", [((-0.3, 1.0), 4.0), ((0.773, 2.587), 133.0)])
     def test_bounce_event_reuses_the_last_stage_gradient(self, x0, t_final):
@@ -722,6 +723,20 @@ class TestFlowValidation:
         relabeled = transform_hamiltonian(ham, scaling_transform(2.0))
         with pytest.raises(ValueError, match="initial q = 1e-09 is not above the floor"):
             hamiltonian_flow(relabeled, (0.0, 5e-10), 1.0)
+
+    @pytest.mark.parametrize("x0", [(0.0, math.inf), (math.nan, 1.0), (-math.inf, 1.0),
+                                    (0.0, math.nan)])
+    def test_a_non_finite_start_is_rejected_before_any_step(self, loop, monkeypatch, x0):
+        ham = hydrogen_enhanced(HydrogenParams())
+
+        def no_step(*args):
+            raise AssertionError("a flow from a non-finite start was integrated")
+
+        monkeypatch.setattr(enhq.dynamics, "_dormand_prince", no_step)
+        monkeypatch.setattr(enhq.dynamics, "_compiled_flow", no_step)
+        with pytest.raises(ValueError, match=r"x0 must be finite \(got \(") as err:
+            hamiltonian_flow(ham, x0, 1.0, n_samples=10)
+        assert str(err.value) == f"x0 must be finite (got ({x0[0]}, {x0[1]}))"
 
     def test_non_finite_gradient_raises(self):
         ham = EnhancedHamiltonian(

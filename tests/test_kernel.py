@@ -1,4 +1,4 @@
-"""The compiled step loop (``_rk45.c``) against the Python loop, and its cache."""
+"""The compiled flow (``_rk45.c``) against the Python loop, and its cache."""
 
 import math
 import shlex
@@ -15,15 +15,16 @@ from scipy.integrate import solve_ivp
 
 import enhq.dynamics
 from enhq import NumericalFailure, enhance, hamiltonian_flow, parse_polynomial
-from enhq.correspondence import _LabelPolynomial
-from enhq.dynamics import (_DONE, _EVENT, _NONFINITE, _NOROOT, _TOO_SMALL_STEP, _UNDERFLOW,
-                           _dormand_prince, _kernel, _kernel_args)
+from enhq.correspondence import EnhancedHamiltonian, _LabelPolynomial
+from enhq.dynamics import (_DONE, _FULL, _HIT_ROWS, _NONFINITE, _NOROOT, _TOO_SMALL_STEP,
+                           _UNDERFLOW, FlowWork, _compiled_flow, _dormand_prince, _kernel)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 CC = shlex.split(sysconfig.get_config_var("CC") or "")
 needs_compiler = pytest.mark.skipif(not CC or shutil.which(CC[0]) is None,
                                     reason="Python's C compiler is not installed")
 CLASSICAL = {(2, 0): 0.5, (0, -1): -1.0}
+HARMONIC = {(2, 0): 0.5, (0, 2): 0.5}
 ENHANCED = {(2, 0): 0.5, (0, -1): -4 / 3, (0, -2): 1.0}
 
 
@@ -36,17 +37,25 @@ def run():
 
 
 def outcome(poly, x0, t_final, tol, q_floor, n_samples, run=None):
-    """``_dormand_prince`` on ``poly``, by the Python loop or the kernel ``run``, as bytes and reprs."""
-    margins = [lambda p, q: q - q_floor] if poly.q_positive else []
-    compiled = None if run is None else _kernel_args(
-        run, poly, q_floor if poly.q_positive else -math.inf)
+    """The flow of ``poly``, by the Python loop or the kernel ``run``, as bytes and reprs.
+
+    Times, samples, energies, hits, stop and work record; the Python loop's
+    energies are ``poly.value`` on its sample arrays, as ``hamiltonian_flow``
+    takes them.
+    """
     try:
-        ts, ps, qs, hits, stop, work = _dormand_prince(
-            poly.gradient, *x0, t_final, tol, tol * 1e-3, np.linspace(0.0, t_final, n_samples),
-            margins, compiled)
+        if run is not None:
+            result = _compiled_flow(run, poly, *x0, t_final, tol, tol * 1e-3,
+                                    q_floor if poly.q_positive else -math.inf, n_samples)
+        else:
+            margins = [lambda p, q: q - q_floor] if poly.q_positive else []
+            ts, ps, qs, *rest = _dormand_prince(poly.gradient, *x0, t_final, tol, tol * 1e-3,
+                                                np.linspace(0.0, t_final, n_samples), margins)
+            with np.errstate(all="ignore"):
+                result = (ts, ps, qs, np.broadcast_to(poly.value(ps, qs), ps.shape), *rest)
     except NumericalFailure as exc:
         return "NumericalFailure", str(exc), repr(exc.diagnostics)
-    return ts.tobytes(), ps.tobytes(), qs.tobytes(), repr(hits), repr(stop), repr(work)
+    return tuple(a.tobytes() if isinstance(a, np.ndarray) else repr(a) for a in result)
 
 
 def statuses_of(run, calls):
@@ -145,29 +154,53 @@ class TestBitIdentity:
 
     def test_long_enhanced_orbits_match_the_python_loop(self, run, pool, monkeypatch):
         # fifty collapse times: the 40 orbits turn 224 times, up to 17 times
-        # each, and the kernel comes back at every bounce
+        # each, and the kernel comes back with each _HIT_ROWS - 1 hits, when
+        # its rows cannot hold another step's two, where the flow goes on
         calls = []
         monkeypatch.setattr(enhq.dynamics, "_kernel", lambda: statuses_of(run, calls))
         kernel = self.flows(pool, 200, 50.0)
         bounces = [traj.event_kinds().count("bounce") for traj, _ in kernel[1::2]]
-        assert sum(bounces) == 224 and max(bounces) == 17 and calls.count(_EVENT) == sum(bounces)
+        assert sum(bounces) == 224 and max(bounces) == 17
+        assert calls.count(_FULL) == sum(n // (_HIT_ROWS - 1) for n in bounces) == 18
+        assert len(calls) == len(kernel) + calls.count(_FULL)
         monkeypatch.setattr(enhq.dynamics, "_kernel", lambda: None)
         assert self.flows(pool, 200, 50.0) == kernel
 
+    def test_a_round_of_the_pool_is_one_kernel_call_per_flow(self, run, pool, monkeypatch):
+        # the work of perfbench's hydrogen_contrast: 80 flows at 1000 samples,
+        # one kernel call each and no gradient call in Python
+        calls, gradients = [], []
+
+        def counted(gradient):
+            def spy(p, q):
+                gradients.append((p, q))
+                return gradient(p, q)
+            return spy
+
+        monkeypatch.setattr(enhq.dynamics, "_kernel", lambda: statuses_of(run, calls))
+        for ham in pool[1:]:
+            monkeypatch.setattr(ham, "_gradient", counted(ham._gradient))
+            monkeypatch.setattr(ham.polynomial, "gradient", counted(ham.polynomial.gradient))
+        self.flows(pool, 1000, 10.0)
+        assert calls == [_DONE] * 80 and gradients == []
+
     # (coefficients, half line, start, t_final, tol, q_floor, the kernel's returns)
     CASES = {
-        "bounce": (ENHANCED, True, (-0.3, 1.0), 30.0, 1e-10, 1e-8, [_EVENT, _EVENT, _DONE]),
+        "bounce": (ENHANCED, True, (-0.3, 1.0), 30.0, 1e-10, 1e-8, [_DONE]),
         "floor": (CLASSICAL, True, (-0.3, 1.0), 4.0, 1e-10, 1e-8, [_DONE]),
         # the orbit turns at q = 0.942: its first turn steps over the floor at
         # 0.95, and its second ends a step below it, with both roots in that
         # step (see test_a_bounce_and_a_floor_root_in_one_step)
-        "bounce_and_floor": (ENHANCED, True, (-0.3, 1.0), 30.0, 1e-3, 0.95, [_EVENT, _DONE]),
-        "t_final": ({(2, 0): 0.5, (0, 2): 0.5}, False, (0.3, 1.2), 1.234, 1e-10, 1e-8, [_DONE]),
+        "bounce_and_floor": (ENHANCED, True, (-0.3, 1.0), 30.0, 1e-3, 0.95, [_DONE]),
+        "t_final": (HARMONIC, False, (0.3, 1.2), 1.234, 1e-10, 1e-8, [_DONE]),
         # the case of test_collapse_time_when_the_step_size_underflows
         "underflow": (CLASSICAL, True, (0.773, 2.587), 133.0, 1e-10, 1e-8, [_UNDERFLOW]),
         # H = -p + 1e-10 / q^2: a stage's q^3 underflows to 0
         "non_finite": ({(1, 0): -1.0, (0, -2): 1e-10}, True, (0.0, 1e-100), 1.0, 1e-10, 1e-300,
                        [_NONFINITE]),
+        # the same at q = 1e-110: the start's q^3 underflows to 0
+        "non_finite_start": ({(1, 0): -1.0, (0, -2): 1e-10}, True, (0.0, 1e-110), 1.0, 1e-10,
+                             1e-300, [_NONFINITE]),
         # H = -1e308 p: the step's dense output overflows, and the floor
         # margin Brent's method tries is nan
         "no_root": ({(1, 0): -1e308}, True, (0.0, 1e307), 10.0, 1e-3, 1e-8, [_NOROOT]),
@@ -185,6 +218,8 @@ class TestBitIdentity:
             assert np.frombuffer(kernel[0])[-1] == t_final
         if case == "underflow":
             assert kernel[-2].endswith(f"{_TOO_SMALL_STEP!r})")
+        if case == "non_finite_start":
+            assert kernel[0] == "NumericalFailure" and "'t': 0.0" in kernel[2]
         if case == "no_root":
             assert kernel[:2] == ("NumericalFailure", "Brent's method found no root in "
                                   "[0.06762433378062413, 0.7438676715868655]")
@@ -224,6 +259,59 @@ class TestBitIdentity:
         calls = []
         kernel = outcome(poly, (0.0, 1.0), 1.0, 1e-6, 1e-8, 50, statuses_of(run, calls))
         assert kernel == outcome(poly, (0.0, 1.0), 1.0, 1e-6, 1e-8, 50) and calls == [_DONE]
+
+    @pytest.mark.parametrize("t_final", [1.234, 10 / 3, 5e-324, 1e-320])
+    def test_the_times_are_those_of_linspace(self, run, t_final):
+        # i * (t_final / (n - 1)), or, where that step is 0, as it is at the
+        # subnormal ends for some n, (i / (n - 1)) * t_final; there a time
+        # before the last can round past t_final, and the flow, which ends at
+        # t_final, samples the times up to it
+        poly = _LabelPolynomial(HARMONIC)
+        sizes = [*range(2, 1001), 5000]
+        for n in sizes:
+            t_eval = np.linspace(0.0, t_final, n)
+            m = next((i for i, t in enumerate(t_eval) if t > t_final), n)
+            assert m == n or t_final < 1e-300
+            ts = _compiled_flow(run, poly, 0.3, 1.2, t_final, 1e-3, 1e-6, -math.inf, n)[0]
+            assert ts.tobytes() == t_eval[:m].tobytes(), n
+        assert any(t_final / (n - 1) == 0 for n in sizes) == (t_final < 1e-300)
+
+    def test_a_grid_that_does_not_increase_is_rejected(self, run, monkeypatch):
+        # np.linspace(0, 5e-324, 3) is (0, 0, 5e-324), on both loops
+        poly = _LabelPolynomial(HARMONIC)
+        ham = EnhancedHamiltonian(poly, poly.gradient, polynomial=poly)
+        for kernel in (run, None):
+            monkeypatch.setattr(enhq.dynamics, "_kernel", lambda: kernel)
+            with pytest.raises(ValueError, match="strictly increasing"):
+                hamiltonian_flow(ham, (0.3, 1.2), 5e-324, n_samples=3)
+
+    # (coefficients, start) taking each branch of the first step size
+    FIRST_STEPS = {
+        # d0 < 1e-5, a start within atol of the origin, with large rates: the
+        # 1e-6 start
+        "small_start": ({**HARMONIC, (1, 0): 1.0}, (1e-20, -1e-20)),
+        # at rest, d1 and d2 are 0: the 1e-6 start and h1 = max(1e-6, h0 * 1e-3),
+        # after which each step is ten times the last; t_final = 1.2 falls in
+        # the eighth, so a first step 1.2 times larger or more takes one fewer
+        "at_rest": ({(0, 2): 0.5, (0, 1): -1.0}, (0.0, 1.0)),
+        # finite rates whose scaled norm d1 overflows: h0 == 0, a step-size
+        # underflow at t = 0
+        "h0_zero": ({(0, 1): 1e308}, (0.0, 1.0)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(FIRST_STEPS))
+    def test_each_branch_of_the_first_step_size(self, run, case):
+        coeffs, x0 = self.FIRST_STEPS[case]
+        poly = _LabelPolynomial(coeffs)
+        calls = []
+        kernel = outcome(poly, x0, 1.2, 1e-10, 1e-8, 50, statuses_of(run, calls))
+        assert kernel == outcome(poly, x0, 1.2, 1e-10, 1e-8, 50)
+        if case == "h0_zero":
+            assert calls == [_UNDERFLOW] and kernel[-1] == repr(FlowWork(0, 0, 1))
+        elif case == "at_rest":
+            assert kernel[-1] == repr(FlowWork(8, 0, 2 + 6 * 8))
+        else:
+            assert calls == [_DONE] and len(np.frombuffer(kernel[0])) == 50
 
     def test_a_non_finite_flow_names_the_same_point(self, run, affine_beta2, monkeypatch):
         ham = enhance(parse_polynomial("-P + 1e-10*Q^-2", "affine"), affine_beta2)
