@@ -47,7 +47,7 @@ import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gammaln, xlogy
@@ -105,7 +105,7 @@ class CoherentFamily:
     chart, or None; and ``shifted``, each letter's adjoint action
     ``U(p, q)^dag X U(p, q)`` as terms (coefficient, fiducial letter or None,
     power of ``p``, power of ``q``) where that is a polynomial in the labels,
-    with the span and the ``moment_scale`` of :meth:`exact_moment`.
+    with the span, phase letters, pairing and ``moment_scale`` of :meth:`exact_terms`.
     It also declares its geometry: ``metric(p, q)``, the closed-form
     Fubini-Study metric, which raises :class:`DomainError` off the chart, and
     ``curvature``, the metric's constant scalar curvature.
@@ -145,30 +145,46 @@ class CoherentFamily:
         psi, d_p, d_q = self._build(p, q, True)
         return psi.amplitudes, d_p, d_q
 
-    def exact_moment(self, word) -> tuple:
-        """The exact ``<fiducial| word |fiducial>`` of a family with a ``shifted`` table.
+    def exact_terms(self, word, table) -> dict:
+        """The exact ``<fiducial| word |fiducial>``, each letter read as its terms in ``table``.
 
-        It is ``i^k r s^n``, returned as ``(k, r, n)``: ``r`` an int or a
-        :class:`~fractions.Fraction` and ``s`` the exact ``moment_scale``
-        (``hbar / 2`` on the line, ``hbar`` on the half line).  The letters
-        keep a span ``e_k`` with ``e_0`` the fiducial: ``_span_action(letter,
-        k)`` gives the terms ``(k', exact factor)`` of a letter's image of
-        ``e_k``, and ``_pairing(word, {k: c})`` the moment of ``word e_0``.
+        A term ``(w, y, i, j)`` is ``w y p^i q^j``, as in ``shifted``.  One walk, right
+        to left, keys exact coefficients by span index ``k`` (``e_0`` the fiducial),
+        ``(i, j)`` and the count of kept ``_phase_letters``; a kept ``y`` takes ``e_k``
+        to the terms ``(k', factor)`` of ``_span_action(y, k)``.  Each term runs over
+        all walks before the next, so the powers come in the order of the expansion
+        over the terms, first letter slowest, in which label polynomials sum them.
+        ``_pairing(word, ends)`` yields ``(i, j, quarter turns, n, moment)`` per end.
+        Returns ``{(i, j, n): [re, im]}`` in units of ``moment_scale ** n``; a letter
+        outside ``table`` raises :class:`ValueError`.
         """
-        vec = {0: 1}
+        ends = {(0, 0, 0, 0): 1}
         for letter in reversed(word):
+            if letter not in table:
+                raise ValueError(f"letter {letter!r} is not in the {self.kind} family's alphabet")
             out = defaultdict(int)
-            for k, c in vec.items():
-                for k_out, factor in self._span_action(letter, k):
-                    out[k_out] += factor * c
-            vec = out
-        return self._pairing(word, vec)
+            for w, y, di, dj in table[letter]:
+                turned = y in self._phase_letters
+                for (k, i, j, phase), c in ends.items():
+                    for k_out, factor in ((k, 1),) if y is None else self._span_action(y, k):
+                        out[k_out, i + di, j + dj, phase + turned] += w * factor * c
+            ends = out
+        sums: dict[tuple, list] = {}
+        for i, j, turns, n, r in self._pairing(word, ends):
+            # i^turns r adds r to re, to im, then -r to re, to im, for turns = 0, 1, 2, 3
+            total = sums.setdefault((i, j, n), [0, 0])
+            total[turns % 2] += r if turns % 4 < 2 else -r
+        return sums
 
     def fiducial_moment(self, word) -> complex:
-        """The :meth:`exact_moment` of ``word``, rounded once; one that overflows raises :class:`DomainError`."""
-        k, r, n = self.exact_moment(word)
+        """The exact ``<fiducial| word |fiducial>``, rounded once; a letter outside ``shifted``, or a
+        family with none, raises :class:`ValueError`, and a moment that overflows :class:`DomainError`."""
+        if self.shifted is None:
+            raise ValueError(f"the {self.kind} family has no shifted table to take moments with")
+        moments = self.exact_terms(word, {x: ((1, x, 0, 0),) for x in self.shifted})
         try:
-            return complex(float(r * self.moment_scale ** n) * (1, 1j, -1, -1j)[k])
+            return sum((complex(re * self.moment_scale ** n, im * self.moment_scale ** n)
+                        for (_, _, n), (re, im) in moments.items()), 0j)
         except OverflowError:
             raise DomainError(f"the fiducial moment of {'*'.join(word)} overflows a double") from None
 
@@ -176,6 +192,7 @@ class CoherentFamily:
 class _Canonical(CoherentFamily):
     kind = "canonical"
     variables = "canonical"
+    _phase_letters = ("P",)
     a = b = 0.0  # no rotation, no squeeze
     curvature = 0.0
 
@@ -215,11 +232,14 @@ class _Canonical(CoherentFamily):
         raised = (k + 1, 1)
         return (raised, (k - 1, k if letter == "Q" else -k)) if k else (raised,)
 
-    def _pairing(self, word, vec):
-        # <0|k>' = 0 for k > 0: the moment is i^(#P) <0|vec> (hbar/2)^(m/2) for a word of
-        # length m, and 0 for an odd one
-        m = len(word)
-        return (0, 0, 0) if m % 2 else (word.count("P") % 4, vec[0], m // 2)
+    @staticmethod
+    def _pairing(word, ends):
+        # <0|k>' = 0 for k > 0, and each term that keeps no letter carries one label power:
+        # an end kept m = len(word) - i - j letters and pairs to i^(#P) (hbar/2)^(m/2) times
+        # its coefficient at e_0, to 0 elsewhere, and to 0 at n = 0 for odd m
+        for (k, i, j, phase), c in ends.items():
+            m = len(word) - i - j
+            yield (i, j, 0, 0, 0) if m % 2 else (i, j, phase, m // 2, c if k == 0 else 0)
 
     def _build(self, p, q, tangent):
         # below a mean Fock level of dim the Poisson occupancy rises to the top
@@ -297,6 +317,7 @@ class _Affine(CoherentFamily):
     kind = "affine"
     variables = "affine"
     half_line = True
+    _phase_letters = ("P", "D")
     shifted = {
         "D": ((1.0, "D", 0, 0), (1.0, "Q", 1, 1)),
         "Q": ((1.0, "Q", 0, 1),),
@@ -340,19 +361,23 @@ class _Affine(CoherentFamily):
             return (k - 1, nu - Fraction(1, 2) + k), (k, -nu)
         return (k, nu + k), (k + 1, -nu)
 
-    def _pairing(self, word, vec):
-        # <f_0|f_m> / <f_0|f_0> = <Q^m>, finite only for 2 nu + m > 0.  Every power the
-        # word reaches counts, also one whose coefficient vanishes at this beta (P^4
-        # reaches <Q^-4> with a factor nu - 3/2): there the formal P^4 is no longer
-        # ||P^2 psi||^2.  Each P and D carries -i hbar; the rest is rational in nu,
-        # its terms growing like nu^(letters) and cancelling.
-        low = min(vec)
+    def _pairing(self, word, ends):
+        # <f_0|f_k> / <f_0|f_0> = <Q^k>, finite only for 2 nu + k > 0.  Every power the word
+        # reaches counts, also one whose coefficient vanishes at this beta (P^4 reaches <Q^-4>
+        # with a factor nu - 3/2): there the formal P^4 is no longer ||P^2 psi||^2.  Each of the
+        # n kept P and D carries -i hbar; the rest is rational in nu, its terms cancelling.
+        low = min(k for k, *_ in ends)
         if 2 * self._nu + low <= 0:
             raise DomainError(f"fiducial moments of {'*'.join(word)} reach <Q^{low}> through its momentum "
                               f"letters and inverse letters Q^-1, and diverge unless beta > {-low}/2 * hbar "
                               f"(beta = {self.beta})")
-        n = word.count("P") + word.count("D")
-        return -n % 4, sum(c * _q_moment(2 * self._nu, m) for m, c in vec.items()), n
+        # <Q^k> = Gamma(2 nu + k) / (Gamma(2 nu) (2 nu)^k), up and down from <Q^0> = 1
+        nu2, moments = 2 * self._nu, {0: Fraction(1)}
+        for k in range(1, max(k for k, *_ in ends) + 1):
+            moments[k] = moments[k - 1] * (nu2 + k - 1) / nu2
+        for k in range(-1, low - 1, -1):
+            moments[k] = moments[k + 1] * nu2 / (nu2 + k)
+        return [(i, j, -n, n, c * moments[k]) for (k, i, j, n), c in ends.items()]
 
     def _build(self, p, q, tangent):
         # both unitaries act pointwise on half-line wavefunctions (a phase and
@@ -581,17 +606,6 @@ def fiducial_moments(family: CoherentFamily) -> dict:
         "q_inv": float(dens @ (1.0 / x)),
         "p2": float(hbar * hbar * (dens @ (log_slope * log_slope))),
     }
-
-
-@lru_cache(maxsize=256)
-def _q_moment(nu2: Fraction, n: int) -> Fraction:
-    # Gamma(nu2 + n) / (Gamma(nu2) nu2^n), exactly, for nu2 = 2 beta / hbar
-    out = Fraction(1)
-    for j in range(n):
-        out *= (nu2 + j) / nu2
-    for j in range(n, 0):
-        out *= nu2 / (nu2 + j)
-    return out
 
 
 # ---------------------------------------------------------------------------

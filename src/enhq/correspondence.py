@@ -10,26 +10,24 @@ Except on the sphere, ``H`` is the fiducial expectation of the letters
 pulled through the group element (Perelomov): ``P -> P + p``, ``Q -> Q + q``
 on the line, rotated by ``2a`` and scaled by ``e^{+-2b}`` for the squeezed
 family (Stoler 1970; Yuen 1976), and ``D -> D + p q Q``, ``Q -> q Q``,
-``Q^-1 -> Q^-1 / q``, ``P -> P / q + p`` on the half line.  Expanding each
-word over the shifted letters and caching the fiducial moments of the kept
-subwords turns ``H`` into an explicit Laurent polynomial in ``(p, q)`` with
-exact moments, compiled once to straight-line code for its value and
-gradient.  Spin letters pull through to trigonometric functions of the
-labels, so a spin polynomial is formed once as a matrix ``M``, and
-``H = <psi|M psi>`` takes the gradient ``2 Re <d psi|M psi>`` from the
-state's tangent.  Nothing is differenced, and there is no ordering engine.
+``Q^-1 -> Q^-1 / q``, ``P -> P / q + p`` on the half line.  One walk of
+each word through the fiducial's span over the shifted letters turns ``H``
+into an explicit Laurent polynomial in ``(p, q)`` with exact moments,
+compiled once to straight-line code for its value and gradient.  Spin
+letters pull through to trigonometric functions of the labels, so a spin
+polynomial is formed once as a matrix ``M``, and ``H = <psi|M psi>`` takes
+the gradient ``2 Re <d psi|M psi>`` from the state's tangent.  Nothing is
+differenced, and there is no ordering engine.
 
-On the line families the vacuum moment of a kept subword of length ``m``
-is ``hbar^(m/2)`` times its value at ``hbar = 1``, and odd moments vanish,
-so :func:`hbar_series` reads ``H(p, q; hbar) = sum_k hbar^k h_k(p, q)`` off
-the same expansion, with no fit: on the canonical family ``h_0`` is the
-classical polynomial (weak correspondence) and the ``h_k`` are its quantum
-corrections.
+On the line families a vacuum moment of ``m`` kept letters is
+``hbar^(m/2)`` times its value at ``hbar = 1``, and odd moments vanish, so
+:func:`hbar_series` reads ``H(p, q; hbar) = sum_k hbar^k h_k(p, q)`` off the
+same walk, with no fit: on the canonical family ``h_0`` is the classical
+polynomial (weak correspondence) and the ``h_k`` are its quantum corrections.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from fractions import Fraction
@@ -288,29 +286,16 @@ def _exact(x: float):
 
 
 def _label_terms(poly, family, scale, graded: bool) -> dict:
-    # <p,q| W |p,q> = <fiducial| U^dag W U |fiducial>: expand every word over
-    # the product of its letters' weighted shifted terms and take the exact
-    # moment i^k r s^n of each kept subword once, with scale for s.  Returns
-    # the coefficients' exact [re, im], summed word by word in units of the
-    # word's coefficient, keyed by (power of p, power of q), and n if graded.
+    # <p,q| W |p,q> = <fiducial| U^dag W U |fiducial>, one walk per word, with scale for
+    # moment_scale: the coefficients' exact [re, im], summed word by word in units of the
+    # word's coefficient, keyed by (power of p, power of q), and n if graded
     shifted = {x: [(_exact(w), *rest) for w, *rest in terms] for x, terms in family.shifted.items()}
-    moments: dict[tuple[str, ...], tuple] = {}
     sums: dict[tuple, list] = {}
     for word, coeff in poly.terms:
-        parts: dict[tuple[int, int, int], list] = {}
-        for terms in itertools.product(*(shifted[letter] for letter in word)):
-            kept = tuple(letter for _, letter, _, _ in terms if letter is not None)
-            if kept not in moments:
-                moments[kept] = family.exact_moment(kept)
-            k, r, n = moments[kept]
-            part = parts.setdefault((sum(t[2] for t in terms), sum(t[3] for t in terms), n), [0, 0])
-            term = math.prod(t[0] for t in terms) * r
-            # i^k r adds r to re, to im, then -r to re, to im, for k = 0, 1, 2, 3
-            part[k % 2] += term if k < 2 else -term
         c = _exact(coeff)
-        for key, (re, im) in parts.items():
-            unit = c * scale ** key[2] if key[2] else c
-            total = sums.setdefault(key if graded else key[:2], [0, 0])
+        for (i, j, n), (re, im) in family.exact_terms(word, shifted).items():
+            unit = c * scale ** n if n else c
+            total = sums.setdefault((i, j, n) if graded else (i, j), [0, 0])
             # a zero part, as of every odd moment on the line, adds nothing
             if re:
                 total[0] += unit * re
@@ -407,13 +392,13 @@ def enhance(poly: OperatorPolynomial, family: CoherentFamily) -> EnhancedHamilto
 def hbar_series(poly: OperatorPolynomial, family: CoherentFamily) -> tuple:
     """The label functions ``h_0 ... h_K`` of ``H(p, q; hbar) = sum_k hbar^k h_k(p, q)``.
 
-    ``K = poly.degree // 2``.  A kept subword of length ``m = 2n`` has a
-    vacuum moment ``(hbar/2)^n`` times an integer and odd moments vanish, so
-    each term of :func:`enhance`'s expansion on a line family (canonical or
-    squeezed) belongs to ``h_n``, with ``1/2`` in place of ``hbar/2``, and
-    each coefficient's exact sum is rounded once.  The series is exact in
-    ``hbar``, and the moments are taken on the ladder at any basis size.
-    Other families raise :class:`ValueError`.
+    ``K = poly.degree // 2``.  A vacuum moment of ``m = 2n`` kept letters is
+    ``(hbar/2)^n`` times an integer and odd moments vanish, so each term of
+    :func:`enhance`'s walk on a line family (canonical or squeezed) belongs
+    to ``h_n``, with ``1/2`` in place of ``hbar/2``, and each coefficient's
+    exact sum is rounded once.  The series is exact in ``hbar``, and the
+    moments are taken on the ladder at any basis size.  Other families raise
+    :class:`ValueError`.
     """
     _check_alphabet(poly, family)
     if poly.variable_set != "canonical":

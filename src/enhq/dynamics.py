@@ -22,6 +22,7 @@ import functools
 import math
 import os
 import stat
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
@@ -182,8 +183,8 @@ def hamiltonian_flow(
     the events and trajectory are built here; events are evaluated on
     Python floats, and the Python loop's energies on Python floats or by
     ``H.polynomial`` on the sample arrays.  ``x0`` must be finite, ``tol``
-    and ``q_floor`` positive and finite, and ``n_samples`` an integer of at
-    least 2.
+    and ``q_floor`` positive and finite, ``n_samples`` an integer of at
+    least 2, and ``t_final / (n_samples - 1)`` a normal double.
     """
     x0 = _as_point(x0)
     if not (math.isfinite(x0.p) and math.isfinite(x0.q)):
@@ -197,6 +198,10 @@ def hamiltonian_flow(
     # Python and numpy integers; bool is an Integral too, but not a count
     if not isinstance(n_samples, Integral) or isinstance(n_samples, bool) or n_samples < 2:
         raise ValueError("n_samples must be an integer of at least 2")
+    # below a normal spacing the rounded sample times stop increasing, or pass t_final
+    if t_final / (n_samples - 1) < sys.float_info.min:
+        raise ValueError(f"sample times must be strictly increasing: t_final = {t_final} over "
+                         f"n_samples = {n_samples} spaces them below the smallest normal double")
     half_line = H.half_line
     if half_line is not None and half_line(x0.p, x0.q) <= q_floor:
         raise ValueError(f"initial q = {half_line(x0.p, x0.q)} is not above the floor {q_floor}")

@@ -8,13 +8,16 @@ of two states, the mean and variance of an operator in a state against the
 restricted label functions, the direct state expectation of a polynomial
 against its shifted-moment label function, a walk over a label polynomial's
 terms against its compiled code, a polynomial fit in hbar over one
-representation per hbar against the exact hbar-series, and the letters
+representation per hbar against the exact hbar-series, the letters
 differentiated on the labeled affine state, in exact rationals, against the
-shifted-moment coefficients.
+shifted-moment coefficients, and the expansion of each word over every
+product of its letters' shifted terms against the one span walk per word.
 """
 
 import copy
+import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -161,6 +164,64 @@ def affine_label_coefficients(poly: OperatorPolynomial, beta: float, hbar: float
             for (i, j), (re, im) in terms.items():
                 add(total, (i, j + k), (re * m, im * m))
     return total
+
+
+def expanded_label_terms(poly: OperatorPolynomial, family: CoherentFamily, scale, graded: bool) -> dict:
+    """The exact label coefficients of a family with a ``shifted`` table, word by word over every product.
+
+    Each word expands over every product of its letters' weighted shifted
+    terms, ``2^m`` of them for ``m`` letters of two terms.  The moment of each
+    kept subword is taken once, by walking the family's span from the
+    fiducial, and paired by the subword's letters: on the line a
+    subword of ``m`` letters has ``i^(#P) (hbar/2)^(m/2) <0|vec>``, 0 for odd
+    ``m``; on the half line ``(-i hbar)^n sum_k c_k <Q^k>`` with ``n`` its
+    ``P`` and ``D``, where a ``<Q^k>`` with ``2 beta / hbar + k <= 0``
+    raises :class:`DomainError` naming ``<Q^k>``.  Returns what
+    ``correspondence._label_terms`` returns: each coefficient's exact
+    ``[re, im]``, in units of the word's coefficient and of ``scale`` for
+    ``moment_scale``, keyed by ``(i, j)`` (and ``n`` if ``graded``) in the
+    order the products first reach them.
+    """
+    def exact(x):
+        return int(x) if x.is_integer() else Fraction(x)
+
+    def moment(kept):
+        vec = {0: 1}
+        for letter in reversed(kept):
+            out = defaultdict(int)
+            for k, c in vec.items():
+                for k_out, factor in family._span_action(letter, k):
+                    out[k_out] += factor * c
+            vec = out
+        if not family.half_line:
+            m = len(kept)
+            return (0, 0, 0) if m % 2 else (kept.count("P") % 4, vec[0], m // 2)
+        nu2 = 2 * Fraction(family.beta) / family.moment_scale
+        low = min(vec)
+        if nu2 + low <= 0:
+            raise DomainError(f"<Q^{low}> diverges")
+        n = kept.count("P") + kept.count("D")
+        return -n % 4, sum(c * math.prod((nu2 + j) / nu2 for j in range(k))
+                           * math.prod(nu2 / (nu2 + j) for j in range(k, 0)) for k, c in vec.items()), n
+
+    shifted = {x: [(exact(w), *rest) for w, *rest in terms] for x, terms in family.shifted.items()}
+    moments, sums = {}, {}
+    for word, coeff in poly.terms:
+        parts = {}
+        for terms in itertools.product(*(shifted[letter] for letter in word)):
+            kept = tuple(letter for _, letter, _, _ in terms if letter is not None)
+            if kept not in moments:
+                moments[kept] = moment(kept)
+            k, r, n = moments[kept]
+            part = parts.setdefault((sum(t[2] for t in terms), sum(t[3] for t in terms), n), [0, 0])
+            term = math.prod(t[0] for t in terms) * r
+            part[k % 2] += term if k < 2 else -term
+        for key, (re, im) in parts.items():
+            unit = exact(coeff) * scale ** key[2]
+            total = sums.setdefault(key if graded else key[:2], [0, 0])
+            total[0] += unit * re
+            total[1] += unit * im
+    return sums
 
 
 def label_polynomial_loop(coeffs: dict, p: float, q: float):

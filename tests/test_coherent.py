@@ -1,6 +1,7 @@
 import functools
 import json
 import pickle
+import re
 import sys
 
 import numpy as np
@@ -226,6 +227,29 @@ class TestAffineFiducial:
         a = affine_beta2.fiducial.amplitudes
         resid = (letters["Q"] @ a - a) + (1j / 2.0) * (letters["D"] @ a)
         assert np.linalg.norm(resid) < 1e-3
+
+
+class TestFiducialMoment:
+    def test_moments_of_each_family(self, fock200, affine_beta2):
+        canonical = canonical_family(fock200)
+        assert canonical.fiducial_moment(("P", "P")) == 0.5
+        assert canonical.fiducial_moment(("P", "Q")) == -0.5j
+        assert canonical.fiducial_moment(("Q",) * 3) == 0
+        assert affine_beta2.fiducial_moment(("P", "P")) == pytest.approx(fiducial_p2_closed(2.0, 1.0), rel=1e-15)
+        assert affine_beta2.fiducial_moment(("Q^-1",)) == pytest.approx(4 / 3, rel=1e-15)
+
+    @pytest.mark.parametrize("family,word,message", [
+        ("canonical", ("Q^-1", "Q"), "letter 'Q^-1' is not in the canonical family's alphabet"),
+        ("canonical", ("D",), "letter 'D' is not in the canonical family's alphabet"),
+        ("affine", ("X", "X"), "letter 'X' is not in the affine family's alphabet"),
+        ("spin", ("S1",), "the spin family has no shifted table"),
+    ])
+    def test_a_letter_outside_the_family_is_rejected(self, fock200, affine_beta2, spin_half, family, word, message):
+        # each letter is walked as its own term of the family's shifted table
+        family = {"canonical": lambda: canonical_family(fock200), "affine": lambda: affine_beta2,
+                  "spin": lambda: spin_family(spin_half)}[family]()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            family.fiducial_moment(word)
 
 
 class TestAffineStates:

@@ -1,6 +1,8 @@
 import itertools
 import math
+import random
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,10 +29,11 @@ from enhq import (
     poly_expectation,
     spin_family,
 )
-from enhq.correspondence import MAX_DEGREE, EnhancedHamiltonian, OperatorPolynomial
+from enhq.correspondence import _ALPHABETS, MAX_DEGREE, EnhancedHamiltonian, OperatorPolynomial, _rounded
 from oracles import (
     affine_label_coefficients,
     classical_limit,
+    expanded_label_terms,
     fiducial_p2_closed,
     label_polynomial_loop,
     shift_identity_check,
@@ -798,6 +801,111 @@ class TestHbarSeries:
         poly = parse_polynomial(self.EXPRESSION, "canonical")
         small, large = (hbar_series(poly, canonical_family(build_fock_rep(dim))) for dim in (2, 8))
         assert [h.coeffs for h in small] == [h.coeffs for h in large]
+
+
+class TestSpanWalk:
+    """One walk per word against the expansion over every product of shifted terms.
+
+    The coefficients are compared as ordered lists: the order is the one in
+    which the compiled code sums them, so it fixes the bits of every value.
+    """
+
+    @staticmethod
+    def nonzero(rounded):
+        return [(key, c) for key, c in rounded.items() if c != 0.0]
+
+    def expansion(self, poly, family):
+        return self.nonzero(_rounded(expanded_label_terms(poly, family, family.moment_scale, False),
+                                     family.kind))
+
+    def expanded_series(self, poly, family):
+        series = [{} for _ in range(poly.degree // 2 + 1)]
+        for (i, j, n), sums in expanded_label_terms(poly, family, Fraction(1, 2), True).items():
+            series[n][i, j] = sums
+        return [self.nonzero(_rounded(terms, family.kind)) for terms in series]
+
+    def assert_walk_is_the_expansion(self, poly, family):
+        try:
+            expected = self.expansion(poly, family)
+        except DomainError as err:
+            with pytest.raises(DomainError) as walked:
+                enhance(poly, family)
+            # the oracle names the <Q^k> of the first kept subword that diverges
+            assert re.search(r"<Q\^-?\d+>", str(walked.value))[0] == re.search(r"<Q\^-?\d+>", str(err))[0]
+            return False
+        assert list(enhance(poly, family).polynomial.coeffs.items()) == expected, poly
+        if family.variables == "canonical":
+            series = [list(h.coeffs.items()) for h in hbar_series(poly, family)]
+            assert series == self.expanded_series(poly, family), poly
+        return True
+
+    @staticmethod
+    def words(alphabet, lengths):
+        return [w for m in lengths for w in itertools.product(alphabet, repeat=m)]
+
+    @staticmethod
+    def with_reversal(word, variables, coeff=1.0):
+        return OperatorPolynomial([(coeff, word), (coeff, word[::-1])], variables)
+
+    @pytest.mark.parametrize("hbar", [1.0, 0.7])
+    def test_every_canonical_word_up_to_the_cap(self, hbar):
+        family = canonical_family(build_fock_rep(8, hbar))
+        for word in self.words(("P", "Q"), range(MAX_DEGREE + 1)):
+            assert self.assert_walk_is_the_expansion(self.with_reversal(word, "canonical"), family)
+
+    @pytest.mark.parametrize("a,b", [(0.3, 0.2), (-1.1, 0.7)])
+    def test_squeezed_words(self, a, b):
+        # every word up to four letters and a sample of five and six: each product
+        # of six squeezed letters' four terms is one of 4096
+        family = extended_family(build_fock_rep(8, 1.0), a, b)
+        rng = random.Random(5)
+        longer = rng.sample(self.words(("P", "Q"), [5]), 3) + rng.sample(self.words(("P", "Q"), [6]), 3)
+        for word in self.words(("P", "Q"), range(5)) + longer:
+            assert self.assert_walk_is_the_expansion(self.with_reversal(word, "canonical"), family)
+
+    @pytest.mark.parametrize("beta", [0.6, 1.2, 2.0, 3.5, 7.0, 1e6])
+    def test_affine_words(self, beta):
+        # every word up to four letters, and 300 random ones of five and six; at
+        # beta < 3 hbar some reach a <Q^-k> that diverges, and both raise
+        family = affine_family(build_halfline_rep(0.1, 10.0, 16, 1.0), beta)
+        rng = random.Random(11)
+        alphabet = ("D", "Q", "P", "Q^-1")
+        longer = [tuple(rng.choices(alphabet, k=rng.choice([5, 6]))) for _ in range(300)]
+        restricted = [self.assert_walk_is_the_expansion(self.with_reversal(word, "affine"), family)
+                      for word in self.words(alphabet, range(5)) + longer]
+        assert all(restricted) == (beta > 3.0)
+
+    @pytest.mark.parametrize("variables,family", [("canonical", "canonical"), ("canonical", "squeezed"),
+                                                  ("affine", "affine")])
+    def test_sums_of_words_keep_the_order_of_the_expansion(self, variables, family):
+        # a power whose moment vanishes in one word (odd on the line) still takes
+        # its place in the order before a later word gives it a value
+        family = {"canonical": lambda: canonical_family(build_fock_rep(8, 1.0)),
+                  "squeezed": lambda: extended_family(build_fock_rep(8, 1.0), 0.3, 0.2),
+                  "affine": lambda: affine_family(build_halfline_rep(0.1, 10.0, 16, 1.0), 3.5)}[family]()
+        alphabet = _ALPHABETS[variables]
+        rng = random.Random(3)
+        for _ in range(60):
+            terms = []
+            for _ in range(rng.randint(2, 4)):
+                word, coeff = tuple(rng.choices(alphabet, k=rng.randint(0, 4))), rng.choice([1.0, -0.5, 0.1, 3.0])
+                terms += [(coeff, word), (coeff, word[::-1])]
+            assert self.assert_walk_is_the_expansion(OperatorPolynomial(terms, variables), family)
+
+    def test_the_walk_is_polynomial_in_the_degree(self, monkeypatch):
+        # the expansion of D^6 takes 864 span steps, one per letter of each of
+        # its 2^6 kept subwords; the walk takes one per term of each distinct end
+        calls = []
+        family = affine_family(build_halfline_rep(0.1, 10.0, 16, 1.0), 2.0)
+        action = type(family)._span_action
+
+        def counted(self, letter, k):
+            calls.append((letter, k))
+            return action(self, letter, k)
+
+        monkeypatch.setattr(type(family), "_span_action", counted)
+        enhance(parse_polynomial("D^6", "affine"), family)
+        assert 0 < len(calls) < 200
 
 
 class TestOperatorPolynomialInvariants:

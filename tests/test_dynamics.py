@@ -1,5 +1,6 @@
 import inspect
 import math
+import sys
 
 import dataclasses
 
@@ -737,6 +738,25 @@ class TestFlowValidation:
         with pytest.raises(ValueError, match=r"x0 must be finite \(got \(") as err:
             hamiltonian_flow(ham, x0, 1.0, n_samples=10)
         assert str(err.value) == f"x0 must be finite (got ({x0[0]}, {x0[1]}))"
+
+    @pytest.mark.parametrize("t_final,n_samples", [(1e-320, 72), (5e-324, 2)])
+    def test_a_subnormal_sample_spacing_is_rejected_before_any_step(self, loop, harmonic, monkeypatch,
+                                                                   t_final, n_samples):
+        # np.linspace(0, 1e-320, 72) rounds its 71st time past t_final, which
+        # left 70 samples and none at t_final
+        def no_step(*args):
+            raise AssertionError("a flow with a subnormal sample spacing was integrated")
+
+        monkeypatch.setattr(enhq.dynamics, "_dormand_prince", no_step)
+        monkeypatch.setattr(enhq.dynamics, "_compiled_flow", no_step)
+        with pytest.raises(ValueError, match="strictly increasing") as err:
+            hamiltonian_flow(harmonic, (0.3, 0.8), t_final, n_samples=n_samples)
+        assert f"t_final = {t_final} over n_samples = {n_samples}" in str(err.value)
+
+    def test_the_smallest_normal_sample_spacing_is_kept(self, loop, harmonic):
+        t_final = 71 * sys.float_info.min
+        traj = hamiltonian_flow(harmonic, (0.3, 0.8), t_final, n_samples=72)
+        assert len(traj) == 72 and traj.t[-1] == t_final
 
     def test_non_finite_gradient_raises(self):
         ham = EnhancedHamiltonian(

@@ -237,6 +237,28 @@ def test_the_check_sees_a_choice_by_family_identity():
         ("m.py", "family.beta"), ("m.py", "family.kind"), ("m.py", "family.rep.kind")]
 
 
+def test_each_family_with_a_shifted_table_declares_the_span_walk():
+    # the walk of CoherentFamily.exact_terms reads a term for every letter of the
+    # family's alphabet and the family's span, phase letters and pairing; the one
+    # family without a table, spin, restricts through its matrices
+    fock = enhq.build_fock_rep(4)
+    families = [enhq.canonical_family(fock), enhq.extended_family(fock, 0.3, 0.2),
+                enhq.affine_family(enhq.build_halfline_rep(0.1, 10.0, 16, 1.0), 2.0),
+                enhq.spin_family(enhq.build_spin_rep(0.5))]
+    classes, found = [enhq.coherent.CoherentFamily], set()
+    while classes:
+        subclasses = classes.pop().__subclasses__()
+        found.update(subclasses)
+        classes += subclasses
+    assert {type(family) for family in families} == found
+    assert [family.kind for family in families if family.shifted is None] == ["spin"]
+    for family in families:
+        if family.shifted is not None:
+            assert set(family.shifted) == set(enhq.correspondence._ALPHABETS[family.variables]), family.kind
+            assert set(family._phase_letters) <= set(family.shifted), family.kind
+            assert callable(family._span_action) and callable(family._pairing), family.kind
+
+
 def test_the_library_imports_exactly_its_declared_dependencies():
     imported = {name for _, name in _findings(_third_party_imports)}
     # the names of the requirements in pyproject.toml's dependencies list
