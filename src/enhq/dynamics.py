@@ -13,7 +13,10 @@ annotated as ``bounce`` events.
 
 A canonical relabeling is a linear map given by a real 2x2 matrix of
 determinant 1, checked once when it is built; its inverse, its chain rule
-and its generator all follow from the matrix.
+and its generator all follow from the matrix.  A compiled polynomial with
+no half line and no label domain relabels to a compiled polynomial, by
+substituting the inverse map exactly, so its relabeled flow runs in the
+kernel too; any other Hamiltonian is relabeled by the chain rule.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import numpy as np
 # unused here, but perfbench/tracer.py wraps enhq.dynamics.solve_ivp by name
 from scipy.integrate import solve_ivp
 
-from .correspondence import EnhancedHamiltonian, _LabelPolynomial
+from .correspondence import EnhancedHamiltonian, _exact, _LabelPolynomial
 from .errors import DomainError, InvalidTransformError, NumericalFailure
 
 DEFAULT_Q_FLOOR = 1e-8
@@ -889,14 +892,66 @@ def apply_transform(tr: CanonicalTransform, obj):
     raise TypeError(f"cannot transform object of type {type(obj).__name__}")
 
 
+def _binomial(x, y, n):
+    # the nonzero terms of (x p + y q)^n, exact: ((power of p, power of q), coefficient)
+    return [((k, n - k), math.comb(n, k) * x ** k * y ** (n - k)) for k in range(n + 1)
+            if (x or k == 0) and (y or k == n)]
+
+
+def _relabeled_polynomial(poly: _LabelPolynomial, tr: CanonicalTransform):
+    """``poly(d p~ - b q~, a q~ - c p~)`` as a label polynomial, or ``None``.
+
+    Each term ``c p^i q^j`` is expanded binomially in exact rationals of
+    the matrix entries, the terms of each power of ``(p~, q~)`` are summed
+    exactly, an exact zero is dropped, and each sum is rounded once.
+    ``None`` where that gives no compiled polynomial of normal doubles: a
+    negative power, a sum that overflows a double or rounds to zero or to a
+    subnormal, or a derivative coefficient that overflows.
+    """
+    (a, b), (c, d) = ((_exact(x) for x in row) for row in tr.matrix)
+    sums: dict = {}
+    for (i, j), coeff in poly.coeffs.items():
+        if i < 0 or j < 0:
+            return None
+        unit = _exact(coeff)
+        for (i1, j1), u in _binomial(d, -b, i):
+            for (i2, j2), v in _binomial(-c, a, j):
+                key = (i1 + i2, j1 + j2)
+                sums[key] = sums.get(key, 0) + unit * u * v
+    coeffs = {}
+    for key, exact in sums.items():
+        if exact:
+            try:
+                rounded = float(exact)
+            except OverflowError:
+                return None
+            if abs(rounded) < sys.float_info.min:
+                return None
+            coeffs[key] = rounded
+    try:
+        return _LabelPolynomial(coeffs)
+    except DomainError:
+        return None
+
+
 def transform_hamiltonian(H: EnhancedHamiltonian, tr: CanonicalTransform) -> EnhancedHamiltonian:
     """Express ``H`` in the new labels: ``H~(p~, q~) = H(p, q)``.
 
-    The gradient is the exact chain rule through the inverse map, the
+    A compiled polynomial (``H.polynomial``) with no half line and no label
+    domain, as on the canonical and squeezed families, is substituted
+    through the inverse map ``(p, q) = (d p~ - b q~, a q~ - c p~)``
+    (:func:`_relabeled_polynomial`), and the result is again a compiled
+    polynomial, whose flows run in the kernel.  Otherwise, or where a
+    substituted coefficient is not a normal double, ``H~`` calls ``H``
+    through the inverse map, and its gradient is the exact chain rule, the
     adjugate's transpose times ``grad`` (``M^-T grad``).  The label domain
-    and the half-line coordinate are composed through the inverse map, so a
-    relabeled half-line flow still ends in ``singularity_hit``.
+    and the half-line coordinate are then composed through the inverse
+    map, so a relabeled half-line flow still ends in ``singularity_hit``.
     """
+    if H.polynomial is not None and H.half_line is None and H.label_domain is None:
+        lp = _relabeled_polynomial(H.polynomial, tr)
+        if lp is not None:
+            return EnhancedHamiltonian(lp, lp.gradient, polynomial=lp)
     inverse = tr.inverse
     (a, b), (c, d) = tr.matrix
 

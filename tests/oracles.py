@@ -11,7 +11,10 @@ terms against its compiled code, a polynomial fit in hbar over one
 representation per hbar against the exact hbar-series, the letters
 differentiated on the labeled affine state, in exact rationals, against the
 shifted-moment coefficients, and the expansion of each word over every
-product of its letters' shifted terms against the one span walk per word.
+product of its letters' shifted terms against the one span walk per word,
+and a label polynomial multiplied out one factor of the inverse relabeling
+at a time, and called through it by the chain rule, against its binomial
+substitution.
 """
 
 import copy
@@ -25,7 +28,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from enhq.coherent import CoherentFamily
-from enhq.correspondence import OperatorPolynomial, _realized, enhance, poly_expectation
+from enhq.correspondence import (EnhancedHamiltonian, OperatorPolynomial, _realized, enhance,
+                                 poly_expectation)
+from enhq.dynamics import CanonicalTransform, transform_hamiltonian
 from enhq.errors import DomainError, NumericalFailure
 from enhq.hilbert import DEFAULT_TRUNCATION_MARGIN, HalfLineRep, LineRep, StateVector
 from enhq.models import HydrogenParams
@@ -244,6 +249,38 @@ def label_polynomial_loop(coeffs: dict, p: float, q: float):
         sums.append(total)
         scales.append(scale)
     return tuple(sums), tuple(scales)
+
+
+def relabeled_label_coefficients(coeffs: dict, tr: CanonicalTransform) -> dict:
+    """A label polynomial ``{(i, j): c}`` in the labels ``(p~, q~)`` of ``tr``, multiplied out.
+
+    Each term takes ``p = d p~ - b q~`` and ``q = a q~ - c p~`` one factor
+    at a time, in exact rationals of the matrix's float entries; the terms
+    of each power are summed exactly, and each nonzero sum is rounded once.
+    """
+    (a, b), (c, d) = ((Fraction(x) for x in row) for row in tr.matrix)
+    inverse = ({(1, 0): d, (0, 1): -b}, {(1, 0): -c, (0, 1): a})
+    total = defaultdict(Fraction)
+    for (i, j), coeff in coeffs.items():
+        term = {(0, 0): Fraction(coeff)}
+        for factor in [inverse[0]] * i + [inverse[1]] * j:
+            product = defaultdict(Fraction)
+            for (i1, j1), u in term.items():
+                for (i2, j2), v in factor.items():
+                    product[i1 + i2, j1 + j2] += u * v
+            term = product
+        for key, value in term.items():
+            total[key] += value
+    return {key: float(value) for key, value in total.items() if value}
+
+
+def chain_rule_hamiltonian(H: EnhancedHamiltonian, tr: CanonicalTransform) -> EnhancedHamiltonian:
+    """``H`` relabeled by ``tr`` through its callables alone: ``H`` at the inverse map, ``M^-T grad``.
+
+    The compiled polynomial is withheld, so :func:`transform_hamiltonian`
+    takes its chain-rule route.
+    """
+    return transform_hamiltonian(EnhancedHamiltonian(H._evaluate, H._gradient), tr)
 
 
 def hydrogen_by_hand(params: HydrogenParams):

@@ -837,6 +837,22 @@ class TestExperiments:
         assert doc["max_pointwise_deviation"] < 1e-6
         assert abs(doc["action_residual"]) < 1e-8
 
+    def test_a_quarter_turn_of_the_harmonic_flows_to_the_relabeled_bits(self, tmp_path):
+        # perfbench's cli_cycle config: the relabeled polynomial 0.5 q~^2 + 0.5 p~^2 + 0.5,
+        # flowed from the turned start, gives the turned samples exactly
+        cfg = {
+            "experiment": "transform_check",
+            "model": {"name": "harmonic"},
+            "representation": {"dim": 16},
+            "transform": {"name": "rotation"},
+            "x0": [0.2, 0.9],
+            "integrator": {"t_final": 6.283185307179586, "n_samples": 200},
+        }
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        doc = json.loads((out / "transform_check.json").read_text())
+        assert doc["max_pointwise_deviation"] == 0.0
+
     def test_transform_check_scaling_of_a_collapse(self, tmp_path):
         # the relabeled half-line flow collapses too, at the same time
         cfg = {

@@ -1,5 +1,6 @@
 import inspect
 import math
+import random
 import sys
 
 import dataclasses
@@ -28,6 +29,7 @@ from enhq import (
     canonical_family,
     classical_hamiltonian,
     enhance,
+    extended_family,
     hamiltonian_flow,
     hydrogen_classical,
     hydrogen_enhanced,
@@ -38,13 +40,15 @@ from enhq import (
     rotation_transform,
     scaling_transform,
     spin_family,
+    spin_precession,
     transform_hamiltonian,
     verify_transform_action,
 )
 import enhq.dynamics
-from enhq.correspondence import EnhancedHamiltonian
+from enhq.correspondence import EnhancedHamiltonian, OperatorPolynomial, _LabelPolynomial
 from enhq.dynamics import (CanonicalTransform, FlowWork, _brent, _compiled_flow, _dormand_prince,
                            _event_roots, _kernel)
+from oracles import chain_rule_hamiltonian, label_polynomial_loop, relabeled_label_coefficients
 
 
 @pytest.fixture(scope="module")
@@ -1058,6 +1062,136 @@ class TestTransforms:
     def test_transform_rejects_other_types(self):
         with pytest.raises(TypeError):
             apply_transform(rotation_transform(), "not a trajectory")
+
+
+# the relabelings of the substitution tests: a quarter turn, three scalings,
+# a shear and a generic matrix of determinant 1
+RELABELINGS = [rotation_transform(), scaling_transform(2.0), scaling_transform(3.0),
+               scaling_transform(0.7), CanonicalTransform(((1.0, 0.5), (0.0, 1.0)), "shear"),
+               CanonicalTransform(((2.0, 1.0), (1.0, 1.0)), "generic")]
+RELABELING_IDS = ["rotation", "scaling-2", "scaling-3", "scaling-0.7", "shear", "generic"]
+
+
+def compiled_hamiltonian(coeffs):
+    lp = _LabelPolynomial(coeffs)
+    return EnhancedHamiltonian(lp, lp.gradient, polynomial=lp)
+
+
+def random_polynomial(rng):
+    # up to four words of up to six letters, each with its reversal
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        word, coeff = tuple(rng.choices("PQ", k=rng.randint(0, 6))), rng.uniform(-2.0, 2.0)
+        terms += [(coeff, word), (coeff, word[::-1])]
+    return OperatorPolynomial(terms, "canonical")
+
+
+class TestRelabeledPolynomial:
+    """A compiled polynomial relabeled by substitution, against the chain rule through its callables."""
+
+    FAMILIES = {"canonical": canonical_family,
+                "squeezed-0.3-0.2": lambda rep: extended_family(rep, 0.3, 0.2),
+                "squeezed--1.1-0.7": lambda rep: extended_family(rep, -1.1, 0.7)}
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind", sorted(FAMILIES))
+    def test_random_polynomials_against_the_oracle_and_the_chain_rule(self, kind, seed):
+        rng = random.Random(seed)
+        ham = enhance(random_polynomial(rng), self.FAMILIES[kind](build_fock_rep(8)))
+        labels = np.random.default_rng(seed).uniform(-1.5, 1.5, size=(6, 2))
+        for tr in RELABELINGS:
+            relabeled, chain = transform_hamiltonian(ham, tr), chain_rule_hamiltonian(ham, tr)
+            assert chain.polynomial is None
+            # equal as dicts: the same powers, each coefficient rounded once
+            assert relabeled.polynomial.coeffs == relabeled_label_coefficients(ham.polynomial.coeffs, tr)
+            for pt, qt in labels:
+                got = (relabeled.evaluate(pt, qt), *relabeled.gradient(pt, qt))
+                expected = (chain.evaluate(pt, qt), *chain.gradient(pt, qt))
+                # relative to the roundoff scale of either sum, the sum of its terms' sizes
+                scales = np.maximum(label_polynomial_loop(relabeled.polynomial.coeffs, pt, qt)[1],
+                                    label_polynomial_loop(ham.polynomial.coeffs, *tr.inverse(pt, qt))[1])
+                assert np.all(np.abs(np.subtract(got, expected)) <= 1e-13 * scales), (tr.name, pt, qt)
+
+    def test_an_exactly_cancelled_cross_term_is_dropped(self, harmonic):
+        # an eighth turn of p^2 + q^2: the p~ q~ terms cancel exactly
+        c, s = math.cos(math.pi / 4), math.sin(math.pi / 4)
+        relabeled = transform_hamiltonian(harmonic, CanonicalTransform(((c, -s), (s, c))))
+        assert sorted(relabeled.polynomial.coeffs) == [(0, 0), (0, 2), (2, 0)]
+
+    @pytest.mark.parametrize("ham", [
+        lambda: hydrogen_classical(HydrogenParams()),
+        lambda: hydrogen_enhanced(HydrogenParams(beta=2.0)),
+        lambda: enhance(parse_polynomial("0.5*P^2 + 0.5*Q^2", "affine"),
+                        affine_family(build_halfline_rep(1e-5, 60.0, 200), 2.0)),
+        lambda: spin_precession(1.0, build_spin_rep(2.0)),
+        lambda: EnhancedHamiltonian(lambda p, q: 0.5 * (p * p + q * q), lambda p, q: (p, q)),
+        # a power of q below 0 has no binomial expansion, even off the half line
+        lambda: compiled_hamiltonian({(2, 0): 0.5, (0, -1): -1.0}),
+    ], ids=["hydrogen-classical", "hydrogen-enhanced", "affine", "spin", "callables", "laurent"])
+    @pytest.mark.parametrize("tr", RELABELINGS[:2], ids=RELABELING_IDS[:2])
+    def test_half_line_spin_and_callables_keep_the_chain_rule(self, ham, tr):
+        assert transform_hamiltonian(ham(), tr).polynomial is None
+
+    @pytest.mark.parametrize("expression,lam,compiled", [
+        ("0.5*P^2 + 0.5*Q^2", 1e150, True),
+        # lam^2 / 2, the coefficient of q~^2, overflows, and 1 / (2 lam^2), of p~^2, is subnormal
+        ("0.5*P^2 + 0.5*Q^2", 1e160, False),
+        ("0.5*P^2 + 0.5*Q^2", 1e200, False),
+        ("0.5*P^2 + 0.5*Q^2", 1e-160, False),
+        # a subnormal coefficient alone, and a normal one whose derivative overflows
+        ("0.5*P^2", 1e160, False),
+        ("0.5*Q^2", 1.5e154, False),
+    ], ids=["harmonic-1e150", "harmonic-1e160", "harmonic-1e200", "harmonic-1e-160",
+            "free-1e160", "force-1.5e154"])
+    def test_extreme_scalings_flow_as_the_relabeled_plain_flow(self, loop, expression, lam, compiled):
+        ham = enhance(parse_polynomial(expression, "canonical"), canonical_family(build_fock_rep(8)))
+        tr = scaling_transform(lam)
+        relabeled = transform_hamiltonian(ham, tr)
+        assert (relabeled.polynomial is not None) == compiled
+        plain = hamiltonian_flow(ham, (0.2, 1.0), 2 * np.pi, n_samples=200)
+        flowed = hamiltonian_flow(relabeled, apply_transform(tr, PhasePoint(0.2, 1.0)), 2 * np.pi,
+                                  n_samples=200)
+        expected = apply_transform(tr, plain)
+        for got, want in ((flowed.p, expected.p), (flowed.q, expected.q)):
+            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("tr", RELABELINGS, ids=RELABELING_IDS)
+    @pytest.mark.parametrize("expression,family", [
+        ("0.5*P^2 + 0.5*Q^2", canonical_family),
+        ("0.5*P^2 + 0.5*Q^2 + 0.1*Q^4", lambda rep: extended_family(rep, 0.3, 0.2)),
+    ], ids=["harmonic", "squeezed-quartic"])
+    def test_a_relabeled_flow_is_the_same_on_both_loops(self, monkeypatch, expression, family, tr):
+        if _kernel() is None:
+            pytest.skip("the kernel did not load")
+        ham = enhance(parse_polynomial(expression, "canonical"), family(build_fock_rep(8)))
+        relabeled, x0 = transform_hamiltonian(ham, tr), apply_transform(tr, PhasePoint(0.2, 0.9))
+        kernel = hamiltonian_flow(relabeled, x0, 2 * np.pi, n_samples=200)
+        monkeypatch.setattr(enhq.dynamics, "_kernel", lambda: None)
+        python = hamiltonian_flow(relabeled, x0, 2 * np.pi, n_samples=200)
+        assert kernel == python and kernel.work == python.work
+        expected = apply_transform(tr, hamiltonian_flow(ham, (0.2, 0.9), 2 * np.pi, n_samples=200))
+        assert np.max(np.abs(kernel.p - expected.p)) < 1e-6
+        assert np.max(np.abs(kernel.q - expected.q)) < 1e-6
+
+    def test_a_relabeled_canonical_flow_is_one_kernel_call(self, monkeypatch, harmonic):
+        if _kernel() is None:
+            pytest.skip("the kernel did not load")
+        calls = {"kernel": 0, "gradient": 0, "python loop": 0}
+
+        def counted(name, fn):
+            def spy(*args):
+                calls[name] += 1
+                return fn(*args)
+            return spy
+
+        monkeypatch.setattr(enhq.dynamics, "_compiled_flow", counted("kernel", _compiled_flow))
+        monkeypatch.setattr(enhq.dynamics, "_dormand_prince", counted("python loop", _dormand_prince))
+        monkeypatch.setattr(EnhancedHamiltonian, "gradient",
+                            counted("gradient", EnhancedHamiltonian.gradient))
+        tr = rotation_transform()
+        hamiltonian_flow(transform_hamiltonian(harmonic, tr),
+                         apply_transform(tr, PhasePoint(0.2, 0.9)), 2 * np.pi, n_samples=200)
+        assert calls == {"kernel": 1, "gradient": 0, "python loop": 0}
 
 
 class TestTransformAction:
