@@ -264,7 +264,7 @@ def _run_metric(cfg, header):
     family = _build_family(cfg, _family_kind(cfg))
     rows = []
     for p, q in _label_points(cfg):
-        g = fs_metric(family, p, q)
+        g = family.metric(p, q)
         rows.append((p, q, g.g_pp, g.g_pq, g.g_qq))
     return {"metric.csv": _csv(header, ["p", "q", "g_pp", "g_pq", "g_qq"], rows)}
 

@@ -47,10 +47,9 @@ import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from .errors import CapacityError, DomainError, NumericalFailure
 from .hilbert import (
@@ -435,9 +434,10 @@ class _Spin(CoherentFamily):
         two_s = rep.dim - 1
         k = np.arange(rep.dim)  # s - m
         m = rep.s - k
-        log_binom = gammaln(two_s + 1.0) - gammaln(k + 1.0) - gammaln(two_s + 1.0 - k)
-        chi = np.exp(0.5 * log_binom + xlogy(two_s - k, np.cos(0.5 * theta))
-                     + xlogy(k, np.sin(0.5 * theta)))
+        log_fact = _log_factorials(rep.dim)
+        log_binom = log_fact[two_s] - log_fact - log_fact[::-1]
+        chi = np.exp(0.5 * log_binom + _xlogy(two_s - k, np.cos(0.5 * theta))
+                     + _xlogy(k, np.sin(0.5 * theta)))
         phase = np.exp(-1j * (q / sq) * m)
         psi = StateVector(phase * chi, rep)
         if not tangent:
@@ -528,7 +528,7 @@ def _displaced(p, q, rep, tangent):
     if alpha == 0:
         psi = rep.vacuum()
     else:
-        log_mag = n * np.log(abs(alpha)) - 0.5 * gammaln(n + 1.0) - 0.5 * abs(alpha) ** 2
+        log_mag = n * np.log(abs(alpha)) - 0.5 * _log_factorials(rep.dim) - 0.5 * abs(alpha) ** 2
         top = log_mag.max()
         if top < _LOG_UNDERFLOW:
             # a basis far too small holds only a far tail of the series, which
@@ -553,9 +553,29 @@ def _label_derivatives(p, q, hbar, amps, raised):
     return d_p, d_q
 
 
+@lru_cache(maxsize=16)
+def _log_factorials(dim: int) -> np.ndarray:
+    # log k! for k < dim, once per basis size; read only, since every state shares it
+    out = np.array([math.lgamma(k + 1.0) for k in range(dim)])
+    out.setflags(write=False)
+    return out
+
+
+def _xlogy(k, x: float):
+    # k log x, and 0 where k = 0 even at x = 0: an empty power of 0 is 1
+    if x == 0.0:
+        return np.where(k == 0, 0.0, -np.inf)
+    return k * math.log(x)
+
+
 def _affine_log_norm(nu: float) -> float:
-    # log M^2 for the normalized fiducial density x^(2 nu - 1) e^(-2 nu x).
-    return 2.0 * nu * np.log(2.0 * nu) - gammaln(2.0 * nu)
+    # log M^2 for the normalized fiducial density x^(2 nu - 1) e^(-2 nu x); where
+    # log Gamma(2 nu) overflows, so does 2 nu log(2 nu), and the difference is nan
+    try:
+        log_gamma = math.lgamma(2.0 * nu)
+    except OverflowError:
+        return math.nan
+    return 2.0 * nu * np.log(2.0 * nu) - log_gamma
 
 
 def affine_wavefunction(x, beta: float, hbar: float):

@@ -33,14 +33,21 @@ from numbers import Integral
 from pathlib import Path
 
 import numpy as np
-# unused here, but perfbench/tracer.py wraps enhq.dynamics.solve_ivp by name
-from scipy.integrate import solve_ivp
 
 from .correspondence import EnhancedHamiltonian, _exact, _LabelPolynomial
 from .errors import DomainError, InvalidTransformError, NumericalFailure
 
 DEFAULT_Q_FLOOR = 1e-8
 _TRANSFORM_JACOBIAN_TOL = 1e-8
+
+
+def __getattr__(name):
+    # perfbench/tracer.py wraps enhq.dynamics.solve_ivp, looked up by name;
+    # nothing calls it, so scipy loads only when something looks it up
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,10 @@ Three concrete representations are provided:
 All objects are immutable after construction (arrays are marked read only)
 and every operation here is a pure function, so representations and states
 may be shared freely across threads.
+
+The module needs numpy alone: :func:`apply_unitary`, the exponential the
+closed-form states are tested against and the one caller of ``eigh``,
+diagonalizes with ``numpy.linalg.eigh``.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import eigh
+from numpy.linalg import eigh
 
 from .errors import DomainError
 

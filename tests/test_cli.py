@@ -378,10 +378,6 @@ class TestLibraryErrors:
         *[pytest.param({"experiment": "evolve", "hamiltonian": {"expression": text},
                         "x0": [0.0, 1.0], "integrator": {"t_final": 1.0}},
                        2, "error: ", id=text) for text in BAD_EXPRESSIONS],
-        *[pytest.param({"experiment": "metric", "family": family, "representation": {"dim": 48},
-                        "labels": {"grid": {"p": [p, p, 1], "q": [0, 0, 1]}}},
-                       3, "capacity error: ", id=f"{name}-{p:g}")
-          for name, family in FAMILIES.items() for p in (1e6, 1e150, 1e300)],
         pytest.param({"experiment": "curvature", "family": {"kind": "affine", "beta": 2.0},
                       "labels": {"grid": {"p": [0.1, 0.1, 1], "q": [1e-300, 1e-300, 1]}}},
                      2, "error: the affine metric", id="affine-curvature-1e-300"),
@@ -464,25 +460,21 @@ class TestFilesystemErrors:
 
 
 class TestCapacity:
-    # the line families' expectation columns build no states: the metric does
-    CFG = {
-        "experiment": "metric",
-        "representation": {"kind": "line", "dim": 40},
-        "labels": {"grid": {"p": [0, 8, 3], "q": [0, 8, 3]}},
-    }
+    # eq run builds no line states: the flat_metric suite's metric does
+    CFG = {"suites": ["flat_metric"], "representation": {"dim": 4}}
 
     def test_too_small_basis_exits_3_and_leaves_no_directory(self, tmp_path, capsys):
         out = tmp_path / "fresh" / "out"
-        assert main(["run", "--config", write_config(tmp_path, self.CFG), "--out", str(out)]) == 3
+        assert main(["verify", "--config", write_config(tmp_path, self.CFG), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("capacity error: ") and err.count("\n") == 1
-        assert "representation.dim to at least 73" in err
+        assert "representation.dim to at least 45" in err
         assert not (tmp_path / "fresh").exists()
 
     def test_existing_directory_is_kept(self, tmp_path):
         out = tmp_path / "out"
         out.mkdir()
-        assert main(["run", "--config", write_config(tmp_path, self.CFG), "--out", str(out)]) == 3
+        assert main(["verify", "--config", write_config(tmp_path, self.CFG), "--out", str(out)]) == 3
         assert out.is_dir()
 
 
@@ -517,6 +509,17 @@ class TestMetricExperiment:
         for row in rows:
             g_pp, g_pq, g_qq = map(float, row[2:])
             assert abs(g_pp - 1) < 1e-12 and abs(g_qq - 1) < 1e-12 and abs(g_pq) < 1e-12
+
+    @pytest.mark.parametrize("p", [1e6, 1e150, 1e300], ids="{:g}".format)
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_far_labels_get_the_declared_metric(self, tmp_path, name, p):
+        # the declared metric needs no state, so no basis is too small for it
+        cfg = {"experiment": "metric", "family": FAMILIES[name], "representation": {"dim": 48},
+               "labels": {"grid": {"p": [p, p, 1], "q": [0, 0, 1]}}}
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        _, rows = read_rows(out / "metric.csv")
+        assert [list(map(float, row)) for row in rows] == [[p, 0.0, 1.0, 0.0, 1.0]]
 
     def test_metric_step_is_not_a_config_key(self, tmp_path, capsys):
         # the metric takes no step, so the key is rejected like any unknown key
@@ -661,7 +664,7 @@ class TestExperiments:
 
     def test_line_expectation_columns_build_no_states(self, tmp_path):
         # restricted exactly, so a basis too small for the states at (0, 4)
-        # and (8, 8) (TestCapacity) holds their columns
+        # and (8, 8), which need dims 73 and 183, holds their columns
         cfg = {
             "experiment": "expectation",
             "representation": {"kind": "line", "dim": 40},

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 import mpmath
-import scipy.linalg
 from scipy.special import gammainc, gammaln
 
 from enhq import (
@@ -220,6 +219,14 @@ class TestAffineFiducial:
         for beta in (0.0, -1.0, float("nan")):
             with pytest.raises(DomainError, match="beta > 0"):
                 affine_family(halfline4000, beta)
+
+    def test_an_overflowing_normalization_is_nan(self, halfline4000):
+        # from 2 beta / hbar of about 2.5e305 on, log Gamma(2 nu) and 2 nu log(2 nu)
+        # both overflow: the wavefunction is nan, and its state fails to normalize
+        with np.errstate(all="ignore"):
+            assert np.isnan(affine_wavefunction(np.array([1.0]), 1e306, 1.0)).all()
+            with pytest.raises(ValueError, match="cannot normalize"):
+                affine_family(halfline4000, 1e306).state(0.0, 1.0)
 
     def test_defining_relation_residual(self, affine_beta2):
         # [(Q - 1) + (i/beta) D] |beta> should vanish up to discretization
@@ -684,9 +691,10 @@ def generator_matrix(rep, generator):
 
 @functools.cache
 def _eigenbasis(rep, generator):
-    # apply_unitary's diagonalization of one generator, kept per representation
+    # apply_unitary's diagonalization of one generator, with the same eigh, kept per
+    # representation
     op = generator_matrix(rep, generator)
-    return scipy.linalg.eigh(0.5 * (op + op.conj().T))
+    return enhq.hilbert.eigh(0.5 * (op + op.conj().T))
 
 
 def exponential(generator, theta, state):

@@ -28,10 +28,14 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 ALLOWED_UNREAD = set()
 
 # (module, name) imported but not used there, on purpose
-ALLOWED_UNUSED_IMPORTS = {
+ALLOWED_UNUSED_IMPORTS = set()
+
+# (module, function, imported module) from outside the standard library,
+# loaded only when the function runs and never at import time
+ALLOWED_DEFERRED_IMPORTS = {
     # perfbench/tracer.py wraps enhq.dynamics.solve_ivp, looked up by name
     # (test_every_name_the_tracer_wraps_resolves)
-    ("dynamics.py", "solve_ivp"),
+    ("dynamics.py", "__getattr__", "scipy.integrate"),
 }
 
 # the matrix exponential, and the eigendecomposition it runs on, are the
@@ -79,15 +83,27 @@ def _oracle_references(tree, module):
 
 
 def _third_party_imports(tree, module):
-    # the top-level modules imported from outside the standard library; a
-    # relative import (level > 0) is the package's own
-    tops = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            tops.update(alias.name.split(".")[0] for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            tops.add(node.module.split(".")[0])
-    return [(module, name) for name in sorted(tops - sys.stdlib_module_names)]
+    # (module, enclosing function, imported module) for each module imported
+    # from outside the standard library, with function "" for an import that
+    # runs at import time (a class body runs then too); a relative import
+    # (level > 0) is the package's own
+    found = set()
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                names = [child.module]
+            else:
+                names = []
+            found.update((module, function, name) for name in names
+                         if name.split(".")[0] not in sys.stdlib_module_names)
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else function)
+
+    visit(tree, "")
+    return sorted(found)
 
 
 def _imports_of(package):
@@ -260,20 +276,24 @@ def test_each_family_with_a_shifted_table_declares_the_span_walk():
 
 
 def test_the_library_imports_exactly_its_declared_dependencies():
-    imported = {name for _, name in _findings(_third_party_imports)}
+    found = _findings(_third_party_imports)
+    at_import = {name.split(".")[0] for _, function, name in found if not function}
     # the names of the requirements in pyproject.toml's dependencies list
     # (tomllib is not in Python 3.10, which the package supports)
     listed = re.search(r"^dependencies = \[(.*?)\]", PYPROJECT.read_text(), re.M | re.S).group(1)
     declared = set(re.findall(r'"([A-Za-z0-9_.-]+)', listed))
-    assert imported == declared == {"numpy", "scipy"}
+    assert at_import == declared == {"numpy"}
+    assert {f for f in found if f[1]} == ALLOWED_DEFERRED_IMPORTS
 
 
 def test_the_check_sees_a_third_party_import():
     tree = ast.parse("from __future__ import annotations\nimport os.path, numpy as np\n"
                      "from scipy.linalg import eigh\nfrom . import errors\nfrom .errors import DomainError\n"
+                     "class A:\n    import yaml\n"
                      "def f():\n    import jsonschema\n")
     assert _third_party_imports(tree, "m.py") == [
-        ("m.py", "jsonschema"), ("m.py", "numpy"), ("m.py", "scipy")]
+        ("m.py", "", "numpy"), ("m.py", "", "scipy.linalg"), ("m.py", "", "yaml"),
+        ("m.py", "f", "jsonschema")]
 
 
 def test_the_library_imports_no_sparse_matrices():
@@ -391,6 +411,18 @@ def test_the_kernel_source_compiles_without_warnings(tmp_path):
         pytest.skip("Python's C compiler is not installed")
     subprocess.run([*cc, *_CFLAGS, "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "rk45.so"),
                     str(SOURCE / "_rk45.c"), "-lm"], check=True)
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # numpy is the library's one dependency; the names the tracer wraps still
+    # resolve, and only looking up dynamics.solve_ivp loads scipy
+    code = ("import sys, numpy.linalg, enhq.cli, enhq.dynamics, enhq.hilbert\n"
+            "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+            "assert not loaded, loaded\n"
+            "assert enhq.hilbert.eigh is numpy.linalg.eigh\n"
+            "import scipy.integrate\n"
+            "assert enhq.dynamics.solve_ivp is scipy.integrate.solve_ivp\n")
+    subprocess.run([sys.executable, "-c", code], check=True, env={"PYTHONPATH": str(SOURCE.parent)})
 
 
 def test_importing_the_cli_loads_and_builds_no_kernel(tmp_path):
