@@ -23,7 +23,6 @@ from .coherent import (
     fiducial_moments,
     fs_metric,
     fs_metric_numeric,
-    required_fock_dim,
     scalar_curvature,
     spin_family,
 )

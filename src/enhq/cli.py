@@ -26,7 +26,6 @@ from .coherent import (
     canonical_family,
     extended_family,
     fiducial_moments,
-    fs_metric,
     scalar_curvature,
     spin_family,
 )
@@ -40,7 +39,7 @@ from .dynamics import (
     transform_hamiltonian,
     verify_transform_action,
 )
-from .errors import CapacityError, NumericalFailure
+from .errors import NumericalFailure
 from .hilbert import build_fock_rep, build_halfline_rep, build_spin_rep
 from .models import (
     HydrogenParams,
@@ -232,27 +231,39 @@ def _transform_from_config(cfg):
 # {file name: text}
 # ---------------------------------------------------------------------------
 
-# each variable set's expectation columns: (column, word), the word's restriction,
-# or (column, word, its square), the square's less the square of the word's (a
-# variance).  The affine columns are q, q^2 (1 + hbar/2 beta) and p^2 + C2/q^2.
+# each variable set's expectation columns: (column, word), the word's restriction, or
+# (column, a, b, ab), that of ab, the symmetrized product, less the product of those of a
+# and b (a covariance).  The affine columns are q, q^2 (1 + hbar/2 beta) and p^2 + C2/q^2.
 _EXPECTATION_COLUMNS = {
-    "canonical": (("mean_p", "P"), ("mean_q", "Q"), ("var_p", "P", "P^2"), ("var_q", "Q", "Q^2")),
+    "canonical": (("mean_p", "P"), ("mean_q", "Q"), ("var_p", "P", "P", "P^2"), ("var_q", "Q", "Q", "Q^2")),
     "affine": (("mean_q", "Q"), ("mean_q2", "Q^2"), ("mean_p2", "P^2")),
     "spin": (("mean_s3", "S3"),),
 }
 
+# the canonical metric is 2/hbar times the covariances of the generators that move the
+# labels, Q for p and -P for q (Provost and Vallee 1980): Var Q, -Cov(P, Q) and Var P
+_METRIC_COLUMNS = (("g_pp", "Q", "Q", "Q^2"), ("g_pq", "P", "Q", "0.5*P*Q + 0.5*Q*P"),
+                   ("g_qq", "P", "P", "P^2"))
 
-def _expectation_table(family, points) -> tuple:
-    """The expectation column names of ``family`` and the row ``(p, q, *columns)`` of each point."""
-    columns = _EXPECTATION_COLUMNS[family.variables]
+
+def _expectation_table(family, points, columns=None) -> tuple:
+    """The names of ``columns`` (by default the family's) and the row ``(p, q, *columns)`` of each point."""
+    columns = columns or _EXPECTATION_COLUMNS[family.variables]
     labels = {word: enhance(parse_polynomial(word, family.variables), family)
               for _, *words in columns for word in words}
     rows = []
     for p, q in points:
         h = {word: label(p, q) for word, label in labels.items()}
-        rows.append((p, q, *(h[square[0]] - h[word] ** 2 if square else h[word]
-                             for _, word, *square in columns)))
+        rows.append((p, q, *(h[pair[1]] - h[word] * h[pair[0]] if pair else h[word]
+                             for _, word, *pair in columns)))
     return [column[0] for column in columns], rows
+
+
+def _covariance_metric(family, points) -> np.ndarray:
+    """The Fubini-Study metric ``(g_pp, g_pq, g_qq)`` of the canonical ``family`` at each point,
+    read off restrictions (``_METRIC_COLUMNS``), so no state is built."""
+    rows = np.array(_expectation_table(family, points, _METRIC_COLUMNS)[1])
+    return 2.0 / family.rep.hbar * rows[:, 2:] * [1.0, -1.0, 1.0]
 
 
 def _run_expectation(cfg, header):
@@ -411,13 +422,9 @@ def _suite_label_means(cfg):
 
 
 def _suite_flat_metric(cfg):
-    family = _build_family(cfg, "canonical")
-    worst = 0.0
-    for p in np.linspace(-1, 1, 5):
-        for q in np.linspace(-1, 1, 5):
-            g = fs_metric(family, float(p), float(q))
-            worst = max(worst, abs(g.g_pp - 1), abs(g.g_qq - 1), abs(g.g_pq))
-    return [_check("max metric deviation from identity", worst, 0.0, 1e-6)]
+    grid = np.linspace(-1.0, 1.0, 5)
+    g = _covariance_metric(_build_family(cfg, "canonical"), [(p, q) for p in grid for q in grid])
+    return [_check("max metric deviation from identity", np.max(np.abs(g - [1.0, 0.0, 1.0])), 0.0, 1e-6)]
 
 
 def _suite_fiducial_moments(cfg):
@@ -682,8 +689,7 @@ has degree at most 6, the polynomial is Hermitian.  The README lists every key.
 
 Exit codes: 0 success, 1 verify check failed or numerical failure,
 2 config or input rejected, or a file that cannot be read or written (a
---config that names a directory, an --out that names a file), 3
-representation too small.
+--config that names a directory, an --out that names a file).
 """
 
 
@@ -720,11 +726,6 @@ def main(argv=None) -> int:
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}; diagnostics: {exc.diagnostics}", file=sys.stderr)
         return 1
-    except CapacityError as exc:
-        hint = "" if exc.required_dim is None else (
-            f"; set representation.dim to at least {exc.required_dim}")
-        print(f"capacity error: {exc}{hint}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -69,14 +69,6 @@ CANONICAL_TAIL_TOL = 1e-12
 #: Looser tail threshold for squeezed (extended) states.
 EXTENDED_TAIL_TOL = 1e-10
 
-# Poisson mean from which required_fock_dim names no dimension: the dense Q
-# and P of a basis that holds it take over 320 GB, and below it the summed
-# tail costs at most a few thousand terms per bisection step
-_MAX_ESTIMATED_MEAN = 1e5
-
-# log of a magnitude that is still far from underflow once squared and summed
-_LOG_UNDERFLOW = -300.0
-
 
 @dataclass(frozen=True)
 class MetricTensor2:
@@ -251,13 +243,8 @@ class _Canonical(CoherentFamily):
             tail = float(np.linalg.norm(psi.amplitudes[psi.dim - DEFAULT_TRUNCATION_MARGIN :]))
             if tail <= CANONICAL_TAIL_TOL:
                 return psi, d_p, d_q
-        need = required_fock_dim(p, q, rep.hbar)
-        raise CapacityError(
-            f"truncation inadequate at (p, q) = ({p}, {q}): the amplitude beyond the last "
-            f"{DEFAULT_TRUNCATION_MARGIN} levels exceeds {CANONICAL_TAIL_TOL:.1e}; "
-            + ("no buildable basis holds it" if need is None else f"estimated adequate dim is {need}"),
-            required_dim=need,
-        )
+        raise CapacityError(f"truncation inadequate at (p, q) = ({p}, {q}): the amplitude beyond the last "
+                            f"{DEFAULT_TRUNCATION_MARGIN} levels exceeds {CANONICAL_TAIL_TOL:.1e}")
 
 
 class _Extended(_Canonical):
@@ -294,7 +281,7 @@ class _Extended(_Canonical):
         n = np.arange(rep.dim)
         psi = StateVector(np.array(amps[1:]) * np.exp(-1j * a * (2.0 * n + 1.0)), rep)
         # Squeezing amplifies high-level occupancy, so the tail check is the
-        # looser EXTENDED_TAIL_TOL, with no sharp dimension estimate.
+        # looser EXTENDED_TAIL_TOL.
         tail = float(np.linalg.norm(psi.amplitudes[psi.dim - DEFAULT_TRUNCATION_MARGIN :]))
         if tail > EXTENDED_TAIL_TOL:
             raise CapacityError(
@@ -452,7 +439,7 @@ def canonical_family(rep: LineRep) -> CoherentFamily:
 
     The fiducial satisfies ``(Q + i P)|0> = 0`` exactly in the truncated
     basis.  A state with more than :data:`CANONICAL_TAIL_TOL` beyond the
-    truncation margin raises :class:`CapacityError` with an adequate dim.
+    truncation margin raises :class:`CapacityError`.
     """
     return _Canonical(rep)
 
@@ -472,52 +459,6 @@ def extended_family(rep: LineRep, a: float, b: float) -> CoherentFamily:
     return _Extended(rep, a, b)
 
 
-def required_fock_dim(p: float, q: float, hbar: float) -> int | None:
-    """Estimate the Fock dimension adequate for the coherent state at ``(p, q)``.
-
-    The level occupancy is Poisson with mean ``(p^2 + q^2) / (2 hbar)``; the
-    estimate is the smallest size whose tail probability beyond the
-    truncation margin stays below ``CANONICAL_TAIL_TOL**2``, found by
-    bisection on the directly summed tail (:func:`_poisson_tail`).  It is
-    ``None`` from a mean of 1e5 on, where no basis that can be built holds
-    the state.
-    """
-    lam = (p * p + q * q) / (2.0 * hbar)
-    if not lam < _MAX_ESTIMATED_MEAN:
-        return None
-    if lam == 0.0:
-        return 2 + DEFAULT_TRUNCATION_MARGIN
-    target = CANONICAL_TAIL_TOL * CANONICAL_TAIL_TOL
-    # the tail falls with n: the smallest n in [lo, hi] with P(N > n) <= target
-    lo, hi = max(2, int(lam)), int(10 * lam + 500)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _poisson_tail(mid, lam) > target:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo + DEFAULT_TRUNCATION_MARGIN + 2
-
-
-def _poisson_tail(n: int, lam: float) -> float:
-    """``P(N > n)`` for ``N ~ Poisson(lam)``, summed from ``k = n + 1`` up.
-
-    With ``n + 1 > lam``, as :func:`required_fock_dim` asks, the terms only
-    fall.  The first is formed in log form and the rest by the ratio
-    ``lam / k``, added until the sum stops changing, so a tail of 1e-24
-    keeps its relative accuracy (``1 - P(N <= n)`` cannot resolve anything
-    below about 1e-16).
-    """
-    k = n + 1
-    term = math.exp(k * math.log(lam) - lam - math.lgamma(k + 1))
-    total = 0.0
-    while total + term != total:
-        total += term
-        k += 1
-        term *= lam / k
-    return total
-
-
 def _displaced(p, q, rep, tangent):
     # exp(-i q P / hbar) exp(i p Q / hbar)|0> is the Poisson series
     # e^{-ipq/2hbar} e^{-|a|^2/2} a^n / sqrt(n!) with a = (q + ip) / sqrt(2 hbar),
@@ -529,11 +470,6 @@ def _displaced(p, q, rep, tangent):
         psi = rep.vacuum()
     else:
         log_mag = n * np.log(abs(alpha)) - 0.5 * _log_factorials(rep.dim) - 0.5 * abs(alpha) ** 2
-        top = log_mag.max()
-        if top < _LOG_UNDERFLOW:
-            # a basis far too small holds only a far tail of the series, which
-            # would underflow: scaled up, it still reaches the tail check
-            log_mag -= top
         arg = n * cmath.phase(alpha) - p * q / (2.0 * hbar)
         psi = StateVector(np.exp(log_mag + 1j * arg), rep)
     if not tangent:
@@ -555,8 +491,10 @@ def _label_derivatives(p, q, hbar, amps, raised):
 
 @lru_cache(maxsize=16)
 def _log_factorials(dim: int) -> np.ndarray:
-    # log k! for k < dim, once per basis size; read only, since every state shares it
-    out = np.array([math.lgamma(k + 1.0) for k in range(dim)])
+    # log k! for k < dim from the exact k! (lgamma is ulps off), once per basis size; read only
+    out, factorial = np.empty(dim), 1
+    for k in range(dim):
+        out[k], factorial = math.log(factorial), factorial * (k + 1)
     out.setflags(write=False)
     return out
 
@@ -569,13 +507,16 @@ def _xlogy(k, x: float):
 
 
 def _affine_log_norm(nu: float) -> float:
-    # log M^2 for the normalized fiducial density x^(2 nu - 1) e^(-2 nu x); where
-    # log Gamma(2 nu) overflows, so does 2 nu log(2 nu), and the difference is nan
+    # log M^2 for the normalized fiducial density x^(2 nu - 1) e^(-2 nu x), Gamma(2 nu) the exact
+    # (2 nu - 1)! at whole 2 nu <= 171 (lgamma is ulps off there); where log Gamma(2 nu)
+    # overflows, so does 2 nu log(2 nu), and the difference is nan
+    two_nu = 2.0 * nu
+    exact = two_nu.is_integer() and 1.0 <= two_nu <= 171.0
     try:
-        log_gamma = math.lgamma(2.0 * nu)
+        log_gamma = math.log(math.factorial(int(two_nu) - 1)) if exact else math.lgamma(two_nu)
     except OverflowError:
         return math.nan
-    return 2.0 * nu * np.log(2.0 * nu) - log_gamma
+    return two_nu * np.log(two_nu) - log_gamma
 
 
 def affine_wavefunction(x, beta: float, hbar: float):

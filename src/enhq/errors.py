@@ -6,18 +6,7 @@ class DomainError(ValueError):
 
 
 class CapacityError(RuntimeError):
-    """A truncated representation is too small for the requested state.
-
-    Attributes
-    ----------
-    required_dim : int or None
-        Estimated basis size that would make the construction adequate,
-        when such an estimate is available.
-    """
-
-    def __init__(self, message, required_dim=None):
-        super().__init__(message)
-        self.required_dim = required_dim
+    """A truncated representation is too small for the requested state."""
 
 
 class NumericalFailure(RuntimeError):

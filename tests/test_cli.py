@@ -9,8 +9,8 @@ from numpy.testing import assert_allclose
 
 import enhq.cli
 import enhq.models
-from enhq import enhance
-from enhq.cli import ConfigError, main, run, validate_config
+from enhq import build_fock_rep, canonical_family, enhance, fs_metric, fs_metric_numeric
+from enhq.cli import ConfigError, _covariance_metric, main, run, validate_config
 from oracles import fiducial_p2_closed
 
 NAN, INF = float("nan"), float("inf")
@@ -459,23 +459,64 @@ class TestFilesystemErrors:
         self.fails_cleanly(tmp_path, capsys, argv, IsADirectoryError(errno.EISDIR, ""))
 
 
-class TestCapacity:
-    # eq run builds no line states: the flat_metric suite's metric does
-    CFG = {"suites": ["flat_metric"], "representation": {"dim": 4}}
+TWO_LEVELS = {"dim": 2}
+FAR_LABELS = {"grid": {"p": [-5, 5, 3], "q": [-5, 5, 3]}}
+ALL_SUITES = ("label_means", "flat_metric", "fiducial_moments", "curvature", "energy_drift")
 
-    def test_too_small_basis_exits_3_and_leaves_no_directory(self, tmp_path, capsys):
-        out = tmp_path / "fresh" / "out"
-        assert main(["verify", "--config", write_config(tmp_path, self.CFG), "--out", str(out)]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("capacity error: ") and err.count("\n") == 1
-        assert "representation.dim to at least 45" in err
-        assert not (tmp_path / "fresh").exists()
 
-    def test_existing_directory_is_kept(self, tmp_path):
+class TestNoLineStates:
+    """No experiment and no suite builds a state on the line: on a two-level Fock basis, with
+    labels out to +-5, where every canonical state fails its tail check, each exits 0 and
+    writes nothing to stderr."""
+
+    # the hydrogen experiment and the affine and curvature suites build no Fock basis, and a
+    # config whose dim nothing reads is rejected
+    RUNS = {
+        "expectation": {"representation": TWO_LEVELS, "labels": FAR_LABELS},
+        "metric": {"representation": TWO_LEVELS, "labels": FAR_LABELS},
+        "curvature": {"representation": TWO_LEVELS, "labels": FAR_LABELS},
+        "evolve": {"model": {"name": "harmonic"}, "representation": TWO_LEVELS, "x0": [5.0, -5.0]},
+        "compare_hydrogen": {"x0": [-5.0, 5.0]},
+        "transform_check": {"model": {"name": "harmonic"}, "representation": TWO_LEVELS,
+                            "transform": {"name": "rotation"}, "x0": [5.0, 5.0]},
+        "limit_study": {"hamiltonian": {"expression": "0.5*P^2 + 0.5*Q^2 + 0.1*Q^4"},
+                        "representation": TWO_LEVELS, "labels": FAR_LABELS},
+    }
+    READ_NO_FOCK_BASIS = {"fiducial_moments", "curvature"}
+
+    def exits_cleanly(self, tmp_path, capsys, command, cfg):
         out = tmp_path / "out"
-        out.mkdir()
-        assert main(["verify", "--config", write_config(tmp_path, self.CFG), "--out", str(out)]) == 3
-        assert out.is_dir()
+        assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert any(out.iterdir())
+
+    @pytest.mark.parametrize("experiment", RUNS)
+    def test_every_experiment(self, tmp_path, capsys, experiment):
+        self.exits_cleanly(tmp_path, capsys, "run", {"experiment": experiment, **self.RUNS[experiment]})
+
+    @pytest.mark.parametrize("suite", ALL_SUITES)
+    def test_every_suite(self, tmp_path, capsys, suite):
+        cfg = {"suites": [suite]}
+        if suite not in self.READ_NO_FOCK_BASIS:
+            cfg["representation"] = TWO_LEVELS
+        self.exits_cleanly(tmp_path, capsys, "verify", cfg)
+
+
+class TestCovarianceMetric:
+    """The flat_metric suite's metric, read off the covariances of the generators, is the
+    Fubini-Study metric of the states, from their exact tangent and from differences."""
+
+    # the differenced metric is held to TestMetricExact's 1e-9, and at hbar = 1e-3 to criterion 2's
+    # 1e-6: its fixed step then spans a phase change of up to p h / 2 hbar = 0.05 of the state
+    @pytest.mark.parametrize("hbar,numeric_tol", [(1.0, 1e-9), (0.3, 1e-9), (1e-3, 1e-6)])
+    def test_matches_the_state_metrics(self, hbar, numeric_tol):
+        # the mean Fock level reaches 1e3 at hbar = 1e-3
+        family = canonical_family(build_fock_rep(1600, hbar))
+        points = [(p, q) for p in (-1.0, 0.0, 0.7) for q in (-1.0, 0.3, 1.0)]
+        for (p, q), g in zip(points, _covariance_metric(family, points)):
+            exact, numeric = fs_metric(family, p, q), fs_metric_numeric(family, p, q)
+            assert_allclose(g, (exact.g_pp, exact.g_pq, exact.g_qq), rtol=0, atol=1e-12)
+            assert_allclose(g, (numeric.g_pp, numeric.g_pq, numeric.g_qq), rtol=0, atol=numeric_tol)
 
 
 class TestMetricExperiment:

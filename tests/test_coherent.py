@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import pickle
 import re
 import sys
@@ -10,8 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
-import mpmath
-from scipy.special import gammainc, gammaln
+from scipy.special import gammaln
 
 from enhq import (
     CapacityError,
@@ -30,7 +30,6 @@ from enhq import (
     fs_metric_numeric,
     hbar_series,
     parse_polynomial,
-    required_fock_dim,
     scalar_curvature,
     spin_family,
 )
@@ -40,8 +39,9 @@ from enhq.cli import main as cli_main
 from enhq.coherent import (
     CANONICAL_TAIL_TOL,
     _brioschi_curvature,
+    _affine_log_norm,
+    _log_factorials,
     _metric_from_map,
-    _poisson_tail,
     affine_wavefunction,
 )
 from enhq.hilbert import DEFAULT_TRUNCATION_MARGIN, apply_unitary
@@ -95,14 +95,6 @@ class TestCanonicalStates:
         psi = canonical200.state(1.0, 2.0)
         assert_allclose(psi.amplitudes, coherent_series(1.0, 2.0, 1.0, 200), atol=1e-12)
 
-    def test_capacity_error_with_estimate(self):
-        rep = build_fock_rep(40)
-        with pytest.raises(CapacityError) as err:
-            canonical_family(rep).state(6.0, 6.0)
-        need = err.value.required_dim
-        assert need is not None and need > 40
-        canonical_family(build_fock_rep(need)).state(6.0, 6.0)  # the estimate is adequate
-
     def test_label_means_over_sampled_region(self, fock200, canonical200):
         rng = np.random.default_rng(11)
         for p, q in rng.uniform(-2, 2, size=(10, 2)):
@@ -110,48 +102,18 @@ class TestCanonicalStates:
             assert expectation(psi, fock200.P).real == pytest.approx(p, abs=1e-8)
             assert expectation(psi, fock200.Q).real == pytest.approx(q, abs=1e-8)
 
-    def test_required_dim_grows_with_labels(self):
-        assert required_fock_dim(4.0, 4.0, 1.0) > required_fock_dim(1.0, 1.0, 1.0)
-
-    @pytest.mark.parametrize("lam", [0.01, 0.5, 2.5, 18.0, 36.0, 250.0])
-    def test_poisson_tail_against_mpmath_and_gammainc(self, lam):
-        # P(N > n) is the regularized lower incomplete gamma P(n + 1, lam)
-        with mpmath.workdps(40):
-            for n in range(max(2, int(lam)), int(lam + 20 * np.sqrt(lam) + 60)):
-                ref = float(mpmath.gammainc(n + 1, 0, lam, regularized=True))
-                if ref < 1e-290:
-                    break
-                assert _poisson_tail(n, lam) == pytest.approx(ref, rel=1e-12, abs=0)
-                assert _poisson_tail(n, lam) == pytest.approx(gammainc(n + 1, lam), rel=1e-11,
-                                                             abs=0)
-
-    @pytest.mark.parametrize("p,q,hbar", [(-2.0, -1.0, 1.0), (6.0, 6.0, 1.0), (0.1, 0.0, 1.0),
-                                          (3.0, -4.0, 0.5)])
-    def test_required_dim_is_the_smallest_with_a_tail_below_tol_squared(self, p, q, hbar):
-        lam = (p * p + q * q) / (2.0 * hbar)
-        n = required_fock_dim(p, q, hbar) - DEFAULT_TRUNCATION_MARGIN - 2
-        assert _poisson_tail(n, lam) <= CANONICAL_TAIL_TOL ** 2 < _poisson_tail(n - 1, lam)
-
-    def test_capacity_error_names_a_dim_above_the_one_that_failed(self):
-        # 1 - tol^2 rounds to 1.0, so an estimate from P(N <= n) stopped near
-        # a 1e-16 tail and named 48 here, the dim that had just failed
-        with pytest.raises(CapacityError) as err:
-            canonical_family(build_fock_rep(48)).state(-2.0, -1.0)
-        need = err.value.required_dim
-        assert need > 48
-        assert f"estimated adequate dim is {need}" in str(err.value)
-        canonical_family(build_fock_rep(need)).state(-2.0, -1.0)
-
     @pytest.mark.parametrize("p", [1e5, 1e6, 1e150, 1e160, 1e300])
     @pytest.mark.parametrize("build", [canonical_family, lambda rep: extended_family(rep, 0.3, 0.2)],
                              ids=["canonical", "extended"])
     def test_far_labels_fail_fast_without_an_estimate(self, build, p):
-        # no buildable basis holds a mean level of 1e5: the estimate is dropped
-        # before its tail sum (about sqrt(mean) terms) or the state overflows
-        with pytest.raises(CapacityError) as err:
+        # a mean level past the basis is rejected before the state is formed,
+        # so the state cannot overflow
+        with pytest.raises(CapacityError):
             build(build_fock_rep(48)).state(p, 0.0)
-        assert err.value.required_dim is None
-        assert required_fock_dim(p, 0.0, 1.0) is None
+
+    def test_log_factorials_are_those_of_the_exact_factorials(self):
+        # lgamma(k + 1) is an ulp or more off log k! at 2, 3, 4, ...
+        assert _log_factorials(60).tolist() == [math.log(math.factorial(k)) for k in range(60)]
 
     def test_fiducial_defining_relation(self, fock200):
         # (Q + i P)|0> = sqrt(2 hbar) A |0> = 0, exactly in the truncated basis
@@ -219,6 +181,10 @@ class TestAffineFiducial:
         for beta in (0.0, -1.0, float("nan")):
             with pytest.raises(DomainError, match="beta > 0"):
                 affine_family(halfline4000, beta)
+
+    def test_a_whole_2nu_normalizes_by_the_exact_factorial(self):
+        # log M^2 = 2 nu log(2 nu) - log Gamma(2 nu), and lgamma(4) is an ulp off log 3!
+        assert _affine_log_norm(2.0) == 4 * math.log(4) - math.log(6)
 
     def test_an_overflowing_normalization_is_nan(self, halfline4000):
         # from 2 beta / hbar of about 2.5e305 on, log Gamma(2 nu) and 2 nu log(2 nu)
@@ -820,9 +786,8 @@ class TestClosedFormsAgainstExponentials:
             assert_allclose(d_q, (amp(p, q + h) - amp(p, q - h)) / (2 * h), rtol=0, atol=1e-8)
 
     def test_basis_far_too_small_raises_capacity_error(self):
-        # the series lies far past the basis; its tail still reaches the check,
-        # and the estimate is the smallest dim with a tail below 1e-24 there
-        with pytest.raises(CapacityError, match="estimated adequate dim is 11059"):
+        # a mean level far past the basis fails, and the message names the label
+        with pytest.raises(CapacityError, match=r"truncation inadequate at \(p, q\) = \(100.0, 100.0\)"):
             canonical_family(build_fock_rep(48)).state(100.0, 100.0)
         # c_0 = e^{-5000} of the squeezed recurrence underflows; the tail
         # check must still see the state, not a zero vector

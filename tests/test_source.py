@@ -51,6 +51,10 @@ ORACLE_NAMES = {"poly_expectation", "fs_metric_numeric"}
 ALLOWED_ORACLE_REFERENCES = {("__init__.py", "poly_expectation"),
                              ("__init__.py", "fs_metric_numeric")}
 
+# what builds a state or measures one: eq restricts label functions and reads declared
+# geometry, so cli.py references none of them
+STATE_NAMES = {"fs_metric", "fs_metric_numeric", "tangent", "state", "CapacityError"}
+
 # what a family is, not what it declares: geometry, restriction and the CLI choose by
 # neither (an error message may still name the kind)
 FAMILY_IDENTITY = {"family.kind", "family.beta", "family.rep.s", "family.rep.kind"}
@@ -80,6 +84,10 @@ def _exponential_references(tree, module):
 
 def _oracle_references(tree, module):
     return [(module, name) for name in sorted(_referenced_names(tree) & ORACLE_NAMES)]
+
+
+def _state_references(tree, module):
+    return [(module, name) for name in sorted(_referenced_names(tree) & STATE_NAMES)]
 
 
 def _third_party_imports(tree, module):
@@ -236,6 +244,19 @@ def test_the_check_sees_an_oracle_reference():
         ("m.py", "fs_metric_numeric"), ("m.py", "poly_expectation")]
     assert _oracle_references(ast.parse("def poly_expectation(poly):\n    return 0\n"),
                               "m.py") == []
+
+
+def test_the_cli_builds_no_state():
+    assert _state_references(ast.parse((SOURCE / "cli.py").read_text()), "cli.py") == []
+
+
+def test_the_check_sees_a_state_reference():
+    tree = ast.parse("from .coherent import fs_metric\nfrom .errors import CapacityError as Full\n"
+                     "def f(family):\n    return family.state(0, 0), family.tangent(0, 0), "
+                     "getattr(coherent, 'fs_metric_numeric')\n")
+    assert _state_references(tree, "cli.py") == [
+        ("cli.py", "CapacityError"), ("cli.py", "fs_metric"), ("cli.py", "fs_metric_numeric"),
+        ("cli.py", "state"), ("cli.py", "tangent")]
 
 
 def test_restriction_chooses_by_what_families_declare():
