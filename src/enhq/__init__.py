@@ -21,7 +21,6 @@ from .coherent import (
     canonical_family,
     extended_family,
     fiducial_moments,
-    fs_metric,
     fs_metric_numeric,
     scalar_curvature,
     spin_family,
@@ -43,7 +42,6 @@ from .dynamics import (
     apply_transform,
     hamiltonian_flow,
     line_integral_p_dq,
-    restricted_action_value,
     rotation_transform,
     scaling_transform,
     transform_hamiltonian,

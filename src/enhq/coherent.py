@@ -29,14 +29,15 @@ amplitudes ``e^{-i m phi} sqrt(C(2s, s-m)) cos(theta/2)^{s+m} sin(theta/2)^{s-m}
 The tests check each closed form against the matrix exponentials of its
 definition.
 
-The phase-insensitive metric ``2 hbar [ ||d psi||^2 - |<psi|d psi>|^2 ]`` on a
-family is computed from one state and the exact derivatives of the state map
-(:meth:`CoherentFamily.tangent`, where each derivative is a generator applied
-to a state, so each entry is a covariance of generators), and from central
-differences of the state map with Richardson extrapolation (the independent
-cross-check).  Each family declares its closed form, ``metric(p, q)``, and its
-constant scalar ``curvature``: flat for canonical and extended, ``-2/beta``
-for affine, and ``2/(s hbar)`` for the sphere of spin ``s``.
+Each family declares its phase-insensitive metric
+``2 hbar [ ||d psi||^2 - |<psi|d psi>|^2 ]`` in closed form, ``metric(p, q)``,
+and its constant scalar ``curvature``: flat for canonical and extended,
+``-2/beta`` for affine, and ``2/(s hbar)`` for the sphere of spin ``s``.
+:func:`fs_metric_numeric` takes the metric from central differences of the
+state map with Richardson extrapolation; the tests hold both to the metric of
+the states' exact derivatives, each a generator applied to a state.  Only the
+spin family builds those derivatives itself (:meth:`_Spin.tangent`), for the
+gradient of its restrictions.
 """
 
 from __future__ import annotations
@@ -89,8 +90,7 @@ class CoherentFamily:
     keep its finite-difference letters), and on the line the ``Q`` and ``P``
     that the representation builds on first read.
     Each family is a subclass, built by its factory function, whose
-    ``_build(p, q, tangent)`` returns the state and, when ``tangent`` is set,
-    its label derivatives (None otherwise).  It declares what restricting a
+    ``_build(p, q)`` returns the state.  It declares what restricting a
     polynomial needs: its alphabet ``variables``; ``half_line``, true where
     labels need ``q > 0``; a ``label_domain`` margin, positive inside the
     chart, or None; and ``shifted``, each letter's adjoint action
@@ -118,23 +118,7 @@ class CoherentFamily:
             raise DomainError(f"label ({p}, {q}) lies outside the {self.kind} family's domain")
 
     def state(self, p: float, q: float) -> StateVector:
-        return self._build(p, q, False)[0]
-
-    def tangent(self, p: float, q: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return ``(psi, d_p psi, d_q psi)`` as amplitude arrays.
-
-        ``psi`` is ``state(p, q).amplitudes``, with the same tail and domain
-        checks, and the derivatives are those of the same state map, taken
-        exactly: each is a generator applied to a state.  They are those of
-        the closed forms: a raising shift (canonical), or a raising and a
-        lowering shift (extended), plus a multiple of ``psi``, and ``S2`` or
-        ``S3`` applied to the rotated state (spin).  On the half line and for
-        the truncated Fock series they are those of the state before it is
-        normalized, which differ from the normalized map's only along ``psi``.
-        The spin poles raise :class:`DomainError`.
-        """
-        psi, d_p, d_q = self._build(p, q, True)
-        return psi.amplitudes, d_p, d_q
+        return self._build(p, q)
 
     def exact_terms(self, word, table) -> dict:
         """The exact ``<fiducial| word |fiducial>``, each letter read as its terms in ``table``.
@@ -232,17 +216,17 @@ class _Canonical(CoherentFamily):
             m = len(word) - i - j
             yield (i, j, 0, 0, 0) if m % 2 else (i, j, phase, m // 2, c if k == 0 else 0)
 
-    def _build(self, p, q, tangent):
+    def _build(self, p, q):
         # below a mean Fock level of dim the Poisson occupancy rises to the top
         # level, so at or past it the margin holds at least 20/dim of the
         # truncated mass: such a label fails the tail check without being built
         # (a NaN label is built, and rejected there)
         rep = self.rep
         if not (p * p + q * q) / (2.0 * rep.hbar) >= rep.dim:
-            psi, d_p, d_q = _displaced(p, q, rep, tangent)
+            psi = _displaced(p, q, rep)
             tail = float(np.linalg.norm(psi.amplitudes[psi.dim - DEFAULT_TRUNCATION_MARGIN :]))
             if tail <= CANONICAL_TAIL_TOL:
-                return psi, d_p, d_q
+                return psi
         raise CapacityError(f"truncation inadequate at (p, q) = ({p}, {q}): the amplitude beyond the last "
                             f"{DEFAULT_TRUNCATION_MARGIN} levels exceeds {CANONICAL_TAIL_TOL:.1e}")
 
@@ -254,7 +238,7 @@ class _Extended(_Canonical):
         super().__init__(rep)
         self.a, self.b = float(a), float(b)
 
-    def _build(self, p, q, tangent):
+    def _build(self, p, q):
         # R S exp(-i q P / hbar) exp(i p Q / hbar)|0>: the rotation
         # R = exp(-i a (P^2 + Q^2) / hbar) is e^{-ia(2n+1)}, as P^2 + Q^2 = 2 hbar (N + 1/2),
         # and as D = (i hbar / 2)(A^dag^2 - A^2) the squeeze S = exp(b (A^dag^2 - A^2))
@@ -288,15 +272,7 @@ class _Extended(_Canonical):
                 f"truncation inadequate for extended state at (p, q, a, b) = "
                 f"({p}, {q}, {a}, {b}): tail amplitude {tail:.3e}"
             )
-        if not tangent:
-            return psi, None, None
-        # R S A^dag S^dag R^dag = e^{-2ia} cosh(2b) A^dag - e^{2ia} sinh(2b) A, where
-        # a b that passed the tail check is far from overflowing cosh
-        amps, root = psi.amplitudes, np.sqrt(n[1:])
-        raised = np.zeros_like(amps)
-        raised[1:] = (cmath.exp(-2j * a) * math.cosh(2.0 * b)) * root * amps[:-1]
-        raised[:-1] -= (cmath.exp(2j * a) * math.sinh(2.0 * b)) * root * amps[1:]
-        return (psi, *_label_derivatives(p, q, rep.hbar, amps, raised))
+        return psi
 
 
 class _Affine(CoherentFamily):
@@ -365,7 +341,7 @@ class _Affine(CoherentFamily):
             moments[k] = moments[k + 1] * nu2 / (nu2 + k)
         return [(i, j, -n, n, c * moments[k]) for (k, i, j, n), c in ends.items()]
 
-    def _build(self, p, q, tangent):
+    def _build(self, p, q):
         # both unitaries act pointwise on half-line wavefunctions (a phase and
         # a dilation), so the state resamples the closed-form fiducial
         if q <= 0:
@@ -373,12 +349,7 @@ class _Affine(CoherentFamily):
         rep = self.rep
         x = rep.grid
         dilated = affine_wavefunction(x / q, self.beta, rep.hbar) / np.sqrt(q)
-        psi = rep.state_from_samples(dilated * np.exp(1j * p * x / rep.hbar))
-        if not tangent:
-            return psi, None, None
-        nu = self.beta / rep.hbar
-        amps = psi.amplitudes
-        return psi, (1j / rep.hbar) * x * amps, (nu / q) * (x / q - 1.0) * amps
+        return rep.state_from_samples(dilated * np.exp(1j * p * x / rep.hbar))
 
 
 class _Spin(CoherentFamily):
@@ -402,21 +373,39 @@ class _Spin(CoherentFamily):
             raise DomainError(f"spin labels require p^2 < s hbar (got p = {p})")
         return MetricTensor2(1.0 / f, 0.0, f)
 
-    def _build(self, p, q, tangent):
+    def _build(self, p, q):
+        return self._parts(p, q)[0]
+
+    def tangent(self, p: float, q: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Return ``(psi, d_p psi, d_q psi)`` as amplitude arrays, for :func:`enhance`'s gradient.
+
+        ``psi`` is ``state(p, q).amplitudes``, with the same checks, and the
+        derivatives are those of the same state map, taken exactly:
+        ``d_theta = (-i/hbar) e^{-i m phi} (S2 chi)`` and
+        ``d_phi = (-i/hbar) S3 psi = -i m psi``, with
+        ``d theta / d p = -1 / sqrt(s hbar - p^2)``.  The poles raise
+        :class:`DomainError`.
+        """
+        psi, phase, chi, m = self._parts(p, q)
+        rep = self.rep
+        shbar = rep.s * rep.hbar
+        if p * p >= shbar:
+            raise DomainError(f"the spin chart is singular at the poles (got p = {p})")
+        d_theta = (-1j / rep.hbar) * phase * (rep.S2 @ chi)
+        d_phi = -1j * m * psi.amplitudes
+        return psi.amplitudes, (-1.0 / np.sqrt(shbar - p * p)) * d_theta, d_phi / np.sqrt(shbar)
+
+    def _parts(self, p, q):
         # theta = arccos(p / sqrt(s hbar)) in [0, pi] and phi = q / sqrt(s hbar),
         # left unwrapped: wrapping it would flip the sign of half-integer-spin
         # states at the seam.  exp(-i phi S3 / hbar) exp(-i theta S2 / hbar)|s, s>
         # has the binomial amplitudes e^{-i m phi} chi_m, chi_m = sqrt(C(2s, s-m))
         # cos(theta/2)^{s+m} sin(theta/2)^{s-m} (Radcliffe 1971), taken in log
-        # form.  The tangent is d_theta = (-i/hbar) e^{-i m phi} (S2 chi) and
-        # d_phi = (-i/hbar) S3 psi = -i m psi, with d theta / d p = -1 / sqrt(s hbar - p^2).
+        # form: the state, e^{-i m phi}, chi and m
         rep = self.rep
-        shbar = rep.s * rep.hbar
-        sq = np.sqrt(shbar)
+        sq = np.sqrt(rep.s * rep.hbar)
         if abs(p) > sq * (1 + 1e-12):
             raise DomainError(f"|p| must not exceed sqrt(s hbar) = {sq} (got p = {p})")
-        if tangent and p * p >= shbar:
-            raise DomainError(f"the spin chart is singular at the poles (got p = {p})")
         theta = float(np.arccos(np.clip(p / sq, -1.0, 1.0)))
         two_s = rep.dim - 1
         k = np.arange(rep.dim)  # s - m
@@ -426,12 +415,7 @@ class _Spin(CoherentFamily):
         chi = np.exp(0.5 * log_binom + _xlogy(two_s - k, np.cos(0.5 * theta))
                      + _xlogy(k, np.sin(0.5 * theta)))
         phase = np.exp(-1j * (q / sq) * m)
-        psi = StateVector(phase * chi, rep)
-        if not tangent:
-            return psi, None, None
-        d_theta = (-1j / rep.hbar) * phase * (rep.S2 @ chi)
-        d_phi = -1j * m * psi.amplitudes
-        return psi, (-1.0 / np.sqrt(shbar - p * p)) * d_theta, d_phi / sq
+        return StateVector(phase * chi, rep), phase, chi, m
 
 
 def canonical_family(rep: LineRep) -> CoherentFamily:
@@ -459,7 +443,7 @@ def extended_family(rep: LineRep, a: float, b: float) -> CoherentFamily:
     return _Extended(rep, a, b)
 
 
-def _displaced(p, q, rep, tangent):
+def _displaced(p, q, rep):
     # exp(-i q P / hbar) exp(i p Q / hbar)|0> is the Poisson series
     # e^{-ipq/2hbar} e^{-|a|^2/2} a^n / sqrt(n!) with a = (q + ip) / sqrt(2 hbar),
     # truncated to the basis, with its magnitudes taken in log form.
@@ -467,26 +451,10 @@ def _displaced(p, q, rep, tangent):
     n = np.arange(rep.dim)
     alpha = complex(q, p) / np.sqrt(2.0 * hbar)
     if alpha == 0:
-        psi = rep.vacuum()
-    else:
-        log_mag = n * np.log(abs(alpha)) - 0.5 * _log_factorials(rep.dim) - 0.5 * abs(alpha) ** 2
-        arg = n * cmath.phase(alpha) - p * q / (2.0 * hbar)
-        psi = StateVector(np.exp(log_mag + 1j * arg), rep)
-    if not tangent:
-        return psi, None, None
-    amps = psi.amplitudes
-    raised = np.zeros_like(amps)
-    raised[1:] = np.sqrt(n[1:]) * amps[:-1]
-    return (psi, *_label_derivatives(p, q, hbar, amps, raised))
-
-
-def _label_derivatives(p, q, hbar, amps, raised):
-    # the derivatives of e^{-ipq/2hbar} e^{-|a|^2/2} e^{a A^dag}|0> carried by a
-    # unitary U, with raised = U A^dag U^dag psi
-    root = np.sqrt(2.0 * hbar)
-    d_p = (1j / root) * raised - (complex(p, q) / (2.0 * hbar)) * amps
-    d_q = raised / root - (complex(q, p) / (2.0 * hbar)) * amps
-    return d_p, d_q
+        return rep.vacuum()
+    log_mag = n * np.log(abs(alpha)) - 0.5 * _log_factorials(rep.dim) - 0.5 * abs(alpha) ** 2
+    arg = n * cmath.phase(alpha) - p * q / (2.0 * hbar)
+    return StateVector(np.exp(log_mag + 1j * arg), rep)
 
 
 @lru_cache(maxsize=16)
@@ -589,20 +557,6 @@ def _metric_from_map(state_map, p, q, h, hbar):
     dpp = (state_map(p + h, q).amplitudes - state_map(p - h, q).amplitudes) / (2.0 * h)
     dpq = (state_map(p, q + h).amplitudes - state_map(p, q - h).amplitudes) / (2.0 * h)
     return _fs_components(psi0, dpp, dpq, hbar)
-
-
-def fs_metric(family: CoherentFamily, p: float, q: float) -> MetricTensor2:
-    """Fubini-Study metric at ``(p, q)`` from one state and its exact tangent.
-
-    The derivatives come from :meth:`CoherentFamily.tangent`, so this is the
-    metric of the map that ``family.state`` computes, with no step and no
-    extrapolation; :func:`fs_metric_numeric` is its independent cross-check.
-    Labels off the family's domain, and the spin poles, raise
-    :class:`DomainError`.
-    """
-    family._require_label(p, q)
-    g = _fs_components(*family.tangent(p, q), family.rep.hbar)
-    return MetricTensor2(float(g[0]), float(g[1]), float(g[2]))
 
 
 def fs_metric_numeric(family: CoherentFamily, p: float, q: float) -> MetricTensor2:

@@ -16,8 +16,9 @@ into an explicit Laurent polynomial in ``(p, q)`` with exact moments,
 compiled once to straight-line code for its value and gradient.  Spin
 letters pull through to trigonometric functions of the labels, so a spin
 polynomial is formed once as a matrix ``M``, and ``H = <psi|M psi>`` takes
-the gradient ``2 Re <d psi|M psi>`` from the state's tangent.  Nothing is
-differenced, and there is no ordering engine.
+the gradient ``2 Re <d psi|M psi>`` from the spin state's exact derivatives,
+the one family that builds them.  Nothing is differenced, and there is no
+ordering engine.
 
 On the line families a vacuum moment of ``m`` kept letters is
 ``hbar^(m/2)`` times its value at ``hbar = 1``, and odd moments vanish, so
@@ -363,7 +364,9 @@ def enhance(poly: OperatorPolynomial, family: CoherentFamily) -> EnhancedHamilto
     :class:`DomainError` at ``q <= 0``, as does a coefficient whose exact
     sum, rounded once, overflows.  Otherwise (spin) it is formed once as
     ``M = sum_w c_w W``: ``H = <psi|M psi>`` on the state, with the gradient
-    ``2 Re <d psi|M psi>`` from :meth:`CoherentFamily.tangent`.
+    ``2 Re <d psi|M psi>`` from the spin family's own ``tangent``, the state
+    and its exact label derivatives; past a pole the gradient raises
+    :class:`DomainError`.
     """
     _check_alphabet(poly, family)
     if family.shifted is not None:

@@ -218,26 +218,27 @@ def hamiltonian_flow(
     if H.label_domain is not None and H.label_domain(x0.p, x0.q) <= 0:
         raise ValueError("initial point lies outside the Hamiltonian's label domain")
 
-    # hit 0 is a bounce and hit i >= 1 the end at margins[i - 1], of kinds[i]
-    kinds, margins = ["bounce"], []
-    if half_line is not None:
-        # the half line proper, whose half_line is q itself, tests q directly
-        kinds.append("singularity_hit")
-        margins.append((lambda p, q: q - q_floor) if H.q_positive
-                       else (lambda p, q: half_line(p, q) - q_floor))
-    if H.label_domain is not None:
-        kinds.append("domain_exit")
-        margins.append(H.label_domain)
-
     evaluate = H._evaluate
     # a compiled polynomial, on a half line or none, runs in the kernel
     run = _kernel() if H.polynomial is not None and H.label_domain is None else None
     if run is None:
+        # hit 0 is a bounce and hit i >= 1 the end at margins[i - 1], of kinds[i]
+        kinds, margins = ["bounce"], []
+        if half_line is not None:
+            # the half line proper, whose half_line is q itself, tests q directly
+            kinds.append("singularity_hit")
+            margins.append((lambda p, q: q - q_floor) if H.q_positive
+                           else (lambda p, q: half_line(p, q) - q_floor))
+        if H.label_domain is not None:
+            kinds.append("domain_exit")
+            margins.append(H.label_domain)
         ts, ps, qs, hits, stop, work = _dormand_prince(
             H._gradient, x0.p, x0.q, t_final, tol, tol * 1e-3,
             np.linspace(0.0, t_final, n_samples), margins)
         energies = None
     else:
+        # the kernel's hit 1 is the floor's
+        kinds = ("bounce", "singularity_hit")
         ts, ps, qs, energies, hits, stop, work = _compiled_flow(
             run, H.polynomial, x0.p, x0.q, t_final, tol, tol * 1e-3,
             q_floor if half_line is not None else -math.inf, n_samples)
@@ -705,12 +706,17 @@ def _compiled_flow(run, poly, p, q, t_final, rtol, atol, q_floor, n):
     :class:`FlowWork` as :func:`_dormand_prince` returns them.
     """
     # the times, p, q and H (n each), the state y (6), out (5) and the hit
-    # rows, at these offsets in the buffer that _rk45.c reads
+    # rows, at these offsets in the buffer that _rk45.c reads, and after them
+    # its five counters, zeroed, as int64 in the buffer's tail
     y, out, at_rows = 4 * n, 4 * n + 6, 4 * n + 11
-    buf = np.empty(at_rows + 4 * _HIT_ROWS)
-    count = np.zeros(5, dtype=np.int64)
+    at_count = at_rows + 4 * _HIT_ROWS
+    buf = np.empty(at_count + 5)
+    count = buf[at_count:].view(np.int64)
+    count[:] = 0
+    # int(): n may be a numpy integer, too narrow to add to an address
+    address = buf.ctypes.data
     args = (*poly.term_args, p, q, t_final, rtol, atol, q_floor, n, _HIT_ROWS,
-            buf.ctypes.data, count.ctypes.data)
+            address, address + 8 * int(at_count))
     hits = []
     while True:
         status = run(*args)
@@ -988,39 +994,6 @@ def line_integral_p_dq(trajectory: Trajectory) -> float:
     """Trapezoid value of ``integral p dq`` along the samples."""
     p, q = trajectory.p, trajectory.q
     return float(np.sum(0.5 * (p[1:] + p[:-1]) * np.diff(q)))
-
-
-def _time_derivative(y: np.ndarray, t: np.ndarray) -> np.ndarray:
-    # Fourth-order interior stencil on a uniform grid, third-order one-sided
-    # stencils at the edges; the caller passes at least 16 samples.
-    n = y.size
-    dt = t[1] - t[0]
-    if np.max(np.abs(np.diff(t) - dt)) > 1e-9 * abs(dt):
-        return np.gradient(y, t, edge_order=2)
-    out = np.empty_like(y)
-    out[2:-2] = (y[:-4] - 8 * y[1:-3] + 8 * y[3:-1] - y[4:]) / (12 * dt)
-    for i in (0, 1):
-        out[i] = (-11 * y[i] + 18 * y[i + 1] - 9 * y[i + 2] + 2 * y[i + 3]) / (6 * dt)
-    for i in (n - 2, n - 1):
-        out[i] = (11 * y[i] - 18 * y[i - 1] + 9 * y[i - 2] - 2 * y[i - 3]) / (6 * dt)
-    return out
-
-
-def restricted_action_value(H: EnhancedHamiltonian, trajectory: Trajectory) -> float:
-    """Quadrature of ``integral [p qdot - H(p, q)] dt`` over the samples.
-
-    ``H`` is evaluated at each sample and ``qdot`` is obtained by
-    differentiating the sampled ``q(t)``, so the value is meaningful for
-    perturbed (off-shell) label histories as well, whatever their
-    ``energy`` column holds; along true orbits the value is first-order
-    stationary against smooth perturbations vanishing at the endpoints.
-    """
-    if len(trajectory) < 16:
-        raise ValueError("trajectory is sampled too sparsely for quadrature (need >= 16 samples)")
-    qdot = _time_derivative(trajectory.q, trajectory.t)
-    energy = np.array([H.evaluate(p, q) for p, q in zip(trajectory.p, trajectory.q)])
-    integrand = trajectory.p * qdot - energy
-    return float(np.trapezoid(integrand, trajectory.t))
 
 
 @dataclass(frozen=True)

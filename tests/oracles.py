@@ -10,13 +10,16 @@ against its shifted-moment label function, a walk over a label polynomial's
 terms against its compiled code, a polynomial fit in hbar over one
 representation per hbar against the exact hbar-series, the letters
 differentiated on the labeled affine state, in exact rationals, against the
-shifted-moment coefficients, and the expansion of each word over every
+shifted-moment coefficients, the expansion of each word over every
 product of its letters' shifted terms against the one span walk per word,
-and a label polynomial multiplied out one factor of the inverse relabeling
+a label polynomial multiplied out one factor of the inverse relabeling
 at a time, and called through it by the chain rule, against its binomial
-substitution.
+substitution, the metric of each family's exact state derivatives against
+its declared metric and the differenced one, and the quadrature of the
+restricted action, stationary along the flow's orbits.
 """
 
+import cmath
 import copy
 import itertools
 import math
@@ -27,10 +30,10 @@ from fractions import Fraction
 import numpy as np
 import scipy.sparse as sp
 
-from enhq.coherent import CoherentFamily
+from enhq.coherent import CoherentFamily, MetricTensor2, _fs_components
 from enhq.correspondence import (EnhancedHamiltonian, OperatorPolynomial, _realized, enhance,
                                  poly_expectation)
-from enhq.dynamics import CanonicalTransform, transform_hamiltonian
+from enhq.dynamics import CanonicalTransform, Trajectory, transform_hamiltonian
 from enhq.errors import DomainError, NumericalFailure
 from enhq.hilbert import DEFAULT_TRUNCATION_MARGIN, HalfLineRep, LineRep, StateVector
 from enhq.models import HydrogenParams
@@ -46,6 +49,87 @@ def commutator_defect(rep: LineRep, margin: int = DEFAULT_TRUNCATION_MARGIN) -> 
     m = rep.dim - margin
     c = rep.Q @ rep.P - rep.P @ rep.Q - 1j * rep.hbar * np.eye(rep.dim)
     return float(np.linalg.norm(c[:m, :m]))
+
+
+def tangent(family: CoherentFamily, p: float, q: float) -> tuple:
+    """Return ``(psi, d_p psi, d_q psi)`` as amplitude arrays, ``psi`` that of ``family.state(p, q)``.
+
+    The derivatives are those of the closed-form state maps, taken exactly:
+    each is a generator applied to the state.  On the line the state is
+    ``e^{-ipq/2hbar} e^{-|a|^2/2} e^{a A^dag}|0>`` carried by the extended
+    family's fixed rotation and squeeze ``U`` (the identity on the canonical
+    family), so the derivatives are ``U A^dag U^dag psi`` plus a multiple of
+    ``psi``; on the half line they are ``i x / hbar`` and
+    ``(nu / q) (x / q - 1)`` times ``psi``, ``nu = beta / hbar``.  There, and
+    for the truncated Fock series, they are those of the state before it is
+    normalized, which differ from the normalized map's only along ``psi``.
+    The spin family builds its own (``_Spin.tangent``), whose poles raise
+    :class:`DomainError`.  The state's tail and domain checks raise as
+    ``family.state`` does.
+    """
+    if family.kind == "spin":
+        return family.tangent(p, q)
+    psi = family.state(p, q).amplitudes
+    hbar = family.rep.hbar
+    if family.half_line:
+        x, nu = family.rep.grid, family.beta / hbar
+        return psi, (1j / hbar) * x * psi, (nu / q) * (x / q - 1.0) * psi
+    # U A^dag U^dag = e^{-2ia} cosh(2b) A^dag - e^{2ia} sinh(2b) A, where a b
+    # whose state passed the tail check is far from overflowing cosh
+    a, b, root_n = family.a, family.b, np.sqrt(np.arange(1, psi.size))
+    raised = np.zeros_like(psi)
+    raised[1:] = (cmath.exp(-2j * a) * math.cosh(2.0 * b)) * root_n * psi[:-1]
+    raised[:-1] -= (cmath.exp(2j * a) * math.sinh(2.0 * b)) * root_n * psi[1:]
+    root = np.sqrt(2.0 * hbar)
+    d_p = (1j / root) * raised - (complex(p, q) / (2.0 * hbar)) * psi
+    d_q = raised / root - (complex(q, p) / (2.0 * hbar)) * psi
+    return psi, d_p, d_q
+
+
+def fs_metric(family: CoherentFamily, p: float, q: float) -> MetricTensor2:
+    """Fubini-Study metric at ``(p, q)`` from one state and its exact :func:`tangent`.
+
+    This is the metric of the map that ``family.state`` computes, with no
+    step and no extrapolation: the reference for each family's declared
+    ``metric`` and for ``fs_metric_numeric``.  Labels off the family's
+    domain, and the spin poles, raise :class:`DomainError`.
+    """
+    family._require_label(p, q)
+    g = _fs_components(*tangent(family, p, q), family.rep.hbar)
+    return MetricTensor2(float(g[0]), float(g[1]), float(g[2]))
+
+
+def _time_derivative(y: np.ndarray, t: np.ndarray) -> np.ndarray:
+    # Fourth-order interior stencil on a uniform grid, third-order one-sided
+    # stencils at the edges; the caller passes at least 16 samples.
+    n = y.size
+    dt = t[1] - t[0]
+    if np.max(np.abs(np.diff(t) - dt)) > 1e-9 * abs(dt):
+        return np.gradient(y, t, edge_order=2)
+    out = np.empty_like(y)
+    out[2:-2] = (y[:-4] - 8 * y[1:-3] + 8 * y[3:-1] - y[4:]) / (12 * dt)
+    for i in (0, 1):
+        out[i] = (-11 * y[i] + 18 * y[i + 1] - 9 * y[i + 2] + 2 * y[i + 3]) / (6 * dt)
+    for i in (n - 2, n - 1):
+        out[i] = (11 * y[i] - 18 * y[i - 1] + 9 * y[i - 2] - 2 * y[i - 3]) / (6 * dt)
+    return out
+
+
+def restricted_action_value(H: EnhancedHamiltonian, trajectory: Trajectory) -> float:
+    """Quadrature of ``integral [p qdot - H(p, q)] dt`` over the samples.
+
+    ``H`` is evaluated at each sample and ``qdot`` is obtained by
+    differentiating the sampled ``q(t)``, so the value is meaningful for
+    perturbed (off-shell) label histories as well, whatever their
+    ``energy`` column holds; along true orbits the value is first-order
+    stationary against smooth perturbations vanishing at the endpoints.
+    """
+    if len(trajectory) < 16:
+        raise ValueError("trajectory is sampled too sparsely for quadrature (need >= 16 samples)")
+    qdot = _time_derivative(trajectory.q, trajectory.t)
+    energy = np.array([H.evaluate(p, q) for p, q in zip(trajectory.p, trajectory.q)])
+    integrand = trajectory.p * qdot - energy
+    return float(np.trapezoid(integrand, trajectory.t))
 
 
 def halfline_letters(rep: HalfLineRep) -> dict:

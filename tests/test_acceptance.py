@@ -24,7 +24,6 @@ from enhq import (
     enhance,
     affine_family,
     fiducial_moments,
-    fs_metric,
     fs_metric_numeric,
     hamiltonian_flow,
     hbar_series,
@@ -33,7 +32,6 @@ from enhq import (
     line_integral_p_dq,
     min_radius,
     parse_polynomial,
-    restricted_action_value,
     rotation_transform,
     scaling_transform,
     spin_family,
@@ -41,7 +39,8 @@ from enhq import (
 )
 from enhq.cli import main as cli_main
 from enhq.coherent import _brioschi_curvature
-from oracles import classical_limit, expectation, fiducial_p2_closed, variance
+from oracles import (classical_limit, expectation, fiducial_p2_closed, fs_metric,
+                     restricted_action_value, variance)
 
 
 def _report(number, name, ok, detail):

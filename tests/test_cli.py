@@ -9,9 +9,9 @@ from numpy.testing import assert_allclose
 
 import enhq.cli
 import enhq.models
-from enhq import build_fock_rep, canonical_family, enhance, fs_metric, fs_metric_numeric
+from enhq import build_fock_rep, canonical_family, enhance, fs_metric_numeric
 from enhq.cli import ConfigError, _covariance_metric, main, run, validate_config
-from oracles import fiducial_p2_closed
+from oracles import fiducial_p2_closed, fs_metric
 
 NAN, INF = float("nan"), float("inf")
 

@@ -26,7 +26,6 @@ from enhq import (
     enhance,
     fiducial_moments,
     extended_family,
-    fs_metric,
     fs_metric_numeric,
     hbar_series,
     parse_polynomial,
@@ -49,8 +48,10 @@ from oracles import (
     expectation,
     fiducial_p2_closed,
     fiducial_q_moment_closed,
+    fs_metric,
     halfline_letters,
     overlap,
+    tangent,
     variance,
 )
 
@@ -334,7 +335,7 @@ class TestExtendedStates:
         # cosh(2b) overflows a float at b = 400; the state must still reach the tail check
         for b in (1.5, 400.0, -400.0):
             family = extended_family(rep, 0.0, b)
-            for build in (family.state, family.tangent):
+            for build in (family.state, functools.partial(tangent, family)):
                 with pytest.raises(CapacityError):
                     build(0.0, 0.0)
 
@@ -607,13 +608,13 @@ class TestTangent:
     @pytest.mark.parametrize("kind", ["canonical", "extended", "affine", "spin"])
     def test_state_is_bit_identical(self, families, kind):
         family, p, q = families[kind]
-        psi, _, _ = family.tangent(p, q)
+        psi, _, _ = tangent(family, p, q)
         assert np.array_equal(psi, family.state(p, q).amplitudes)
 
     @pytest.mark.parametrize("kind", ["canonical", "extended", "affine", "spin"])
     def test_matches_central_differences(self, families, kind):
         family, p, q = families[kind]
-        _, d_p, d_q = family.tangent(p, q)
+        _, d_p, d_q = tangent(family, p, q)
         h = 1e-5
 
         def amp(pp, qq):
@@ -637,7 +638,7 @@ def test_representations_are_immutable():
         (spin_family(spin), 0.5, 0.9),
     ]:
         family.state(p, q)
-        family.tangent(p, q)
+        tangent(family, p, q)
         fs_metric(family, p, q)
     assert {rep.kind: pickle.dumps(vars(rep)) for rep in (line, halfline, spin)} == before
 
@@ -781,7 +782,7 @@ class TestClosedFormsAgainstExponentials:
             return family.state(pp, qq).amplitudes
 
         for p, q in points:
-            _, d_p, d_q = family.tangent(p, q)
+            _, d_p, d_q = tangent(family, p, q)
             assert_allclose(d_p, (amp(p + h, q) - amp(p - h, q)) / (2 * h), rtol=0, atol=1e-8)
             assert_allclose(d_q, (amp(p, q + h) - amp(p, q - h)) / (2 * h), rtol=0, atol=1e-8)
 
@@ -789,10 +790,18 @@ class TestClosedFormsAgainstExponentials:
         # a mean level far past the basis fails, and the message names the label
         with pytest.raises(CapacityError, match=r"truncation inadequate at \(p, q\) = \(100.0, 100.0\)"):
             canonical_family(build_fock_rep(48)).state(100.0, 100.0)
-        # c_0 = e^{-5000} of the squeezed recurrence underflows; the tail
-        # check must still see the state, not a zero vector
+        # the extended family's mean level is past the basis too, so it raises
+        # in its fail-fast pre-check, before the recurrence runs
         with pytest.raises(CapacityError, match="extended state"):
             extended_family(build_fock_rep(48), 0.3, 0.1).state(100.0, 100.0)
+
+    def test_extended_recurrence_rescales_before_it_overflows(self):
+        # at |alpha|^2 = 1500 the recurrence's amplitudes, which start at |c_0| = 1,
+        # peak near e^{750}, past the largest double: they are rescaled by 1e-150
+        # on the way, and normalizing restores the canonical state
+        rep, q = build_fock_rep(2000), math.sqrt(3000.0)
+        assert_allclose(extended_family(rep, 0.0, 0.0).state(0.0, q).amplitudes,
+                        canonical_family(rep).state(0.0, q).amplitudes, rtol=0, atol=1e-12)
 
 
 class TestNoExponentialsOnTheClosedFormPaths:
@@ -824,7 +833,7 @@ class TestNoExponentialsOnTheClosedFormPaths:
             (extended_family(build_fock_rep(200, 0.5), -0.2, -0.15), (-1.0, 0.5)),
         ]:
             family.state(p, q)
-            family.tangent(p, q)
+            tangent(family, p, q)
             fs_metric(family, p, q)
         assert counts == {"eigh": 0, "apply_unitary": 0}
 

@@ -36,7 +36,6 @@ from enhq import (
     line_integral_p_dq,
     min_radius,
     parse_polynomial,
-    restricted_action_value,
     rotation_transform,
     scaling_transform,
     spin_family,
@@ -48,7 +47,8 @@ import enhq.dynamics
 from enhq.correspondence import EnhancedHamiltonian, OperatorPolynomial, _LabelPolynomial
 from enhq.dynamics import (CanonicalTransform, FlowWork, _brent, _compiled_flow, _dormand_prince,
                            _event_roots, _kernel)
-from oracles import chain_rule_hamiltonian, label_polynomial_loop, relabeled_label_coefficients
+from oracles import (chain_rule_hamiltonian, label_polynomial_loop, relabeled_label_coefficients,
+                     restricted_action_value)
 
 
 @pytest.fixture(scope="module")

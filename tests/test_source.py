@@ -18,7 +18,8 @@ import pytest
 import enhq
 
 SOURCE = Path(enhq.__file__).parent
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -45,11 +46,23 @@ EXPONENTIAL_NAMES = {"apply_unitary", "eigh", "expm"}
 ALLOWED_EXPONENTIAL_REFERENCES = {("__init__.py", "apply_unitary")}
 
 # the per-word expectation and the differenced metric are the tests'
-# references for enhance and fs_metric: defined in their modules, exported by
-# the package, and called by no library code
+# references for enhance and the declared metrics: defined in their modules,
+# exported by the package, and called by no library code
 ORACLE_NAMES = {"poly_expectation", "fs_metric_numeric"}
 ALLOWED_ORACLE_REFERENCES = {("__init__.py", "poly_expectation"),
                              ("__init__.py", "fs_metric_numeric")}
+
+# top-level functions and classes of the package that nothing in it, other than their own
+# definitions and the exports of __init__.py, and nothing in perfbench/ reads: each an entry
+# point kept for its reason
+ALLOWED_UNREAD_NAMES = {
+    # Python calls a module's __getattr__ for a missing attribute: the tracer's
+    # enhq.dynamics.solve_ivp
+    ("dynamics.py", "__getattr__"),
+    # the enhanced orbit's inner turning radius from its parameters, the README's
+    # quick start; eq reads the same root off its core through _turning_radius
+    ("models.py", "min_radius"),
+}
 
 # what builds a state or measures one: eq restricts label functions and reads declared
 # geometry, so cli.py references none of them
@@ -74,6 +87,18 @@ def _referenced_names(tree):
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             names.add(node.value)  # getattr(module, "eigh")
     return names
+
+
+def _unread_top_level_names(trees, readers=frozenset()):
+    # (module, name) of each top-level function and class in trees ({module: tree}) that no
+    # other top-level statement of trees reads and that is not in readers; the imports of
+    # __init__.py are the package's exports, not readers
+    statements = [(stmt, _referenced_names(stmt)) for module, tree in trees.items()
+                  if module != "__init__.py" for stmt in tree.body]
+    return [(module, stmt.name) for module, tree in trees.items() for stmt in tree.body
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and stmt.name not in readers
+            and not any(stmt.name in names for other, names in statements if other is not stmt)]
 
 
 def _exponential_references(tree, module):
@@ -244,6 +269,24 @@ def test_the_check_sees_an_oracle_reference():
         ("m.py", "fs_metric_numeric"), ("m.py", "poly_expectation")]
     assert _oracle_references(ast.parse("def poly_expectation(poly):\n    return 0\n"),
                               "m.py") == []
+
+
+def test_every_top_level_name_has_a_reader():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SOURCE.glob("*.py"))}
+    # what perfbench/ reads, the tracer's strings among it
+    readers = set().union(*(_referenced_names(ast.parse(path.read_text()))
+                            for path in sorted(PERFBENCH.glob("*.py"))))
+    assert set(_unread_top_level_names(trees, readers)) == ALLOWED_UNREAD_NAMES
+
+
+def test_the_check_sees_an_unread_name():
+    trees = {"__init__.py": ast.parse("from .m import f, g, H, run\n"),
+             "m.py": ast.parse("def f(n):\n    return f(n - 1) if n else 0\n\n"
+                               "def g():\n    return 0\n\nclass H:\n    pass\n\n"
+                               "def run():\n    return 0\n\nTABLE = {'g': g}\n")}
+    # f reads only itself, H and run nothing: a name the readers hold is read
+    assert _unread_top_level_names(trees) == [("m.py", "f"), ("m.py", "H"), ("m.py", "run")]
+    assert _unread_top_level_names(trees, {"H", "run"}) == [("m.py", "f")]
 
 
 def test_the_cli_builds_no_state():
