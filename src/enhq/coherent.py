@@ -27,7 +27,11 @@ rotation's phases ``e^{-ia(2n+1)}``; the spin state has the binomial
 amplitudes ``e^{-i m phi} sqrt(C(2s, s-m)) cos(theta/2)^{s+m} sin(theta/2)^{s-m}``
 (Radcliffe 1971); and the affine family resamples its closed-form fiducial.
 The tests check each closed form against the matrix exponentials of its
-definition.
+definition.  Restricting a polynomial builds no state: each family declares
+its letters' adjoint action, the span they act on and its pairing with the
+fiducial, which :meth:`CoherentFamily.exact_terms` walks (on the sphere the
+rotation ``U^dag S_a U = sum_b R_ab S_b``, in the cosines and sines of
+``theta`` and ``phi``).
 
 Each family declares its phase-insensitive metric
 ``2 hbar [ ||d psi||^2 - |<psi|d psi>|^2 ]`` in closed form, ``metric(p, q)``,
@@ -35,9 +39,7 @@ and its constant scalar ``curvature``: flat for canonical and extended,
 ``-2/beta`` for affine, and ``2/(s hbar)`` for the sphere of spin ``s``.
 :func:`fs_metric_numeric` takes the metric from central differences of the
 state map with Richardson extrapolation; the tests hold both to the metric of
-the states' exact derivatives, each a generator applied to a state.  Only the
-spin family builds those derivatives itself (:meth:`_Spin.tangent`), for the
-gradient of its restrictions.
+the states' exact derivatives, each a generator applied to a state.
 """
 
 from __future__ import annotations
@@ -95,8 +97,10 @@ class CoherentFamily:
     labels need ``q > 0``; a ``label_domain`` margin, positive inside the
     chart, or None; and ``shifted``, each letter's adjoint action
     ``U(p, q)^dag X U(p, q)`` as terms (coefficient, fiducial letter or None,
-    power of ``p``, power of ``q``) where that is a polynomial in the labels,
-    with the span, phase letters, pairing and ``moment_scale`` of :meth:`exact_terms`.
+    label powers): powers of ``(p, q)``, or on the sphere of the cosines and
+    sines of the angles that ``chart_radius`` (None elsewhere) reads off the
+    labels, with the span, phase letters, pairing and ``moment_scale`` of
+    :meth:`exact_terms`.
     It also declares its geometry: ``metric(p, q)``, the closed-form
     Fubini-Study metric, which raises :class:`DomainError` off the chart, and
     ``curvature``, the metric's constant scalar curvature.
@@ -108,7 +112,7 @@ class CoherentFamily:
     kind = None
     half_line = False
     label_domain = None
-    shifted = None
+    chart_radius = None
 
     def label_in_domain(self, p: float, q: float) -> bool:
         return np.isfinite(p) and np.isfinite(q) and (q > 0 or not self.half_line)
@@ -123,43 +127,42 @@ class CoherentFamily:
     def exact_terms(self, word, table) -> dict:
         """The exact ``<fiducial| word |fiducial>``, each letter read as its terms in ``table``.
 
-        A term ``(w, y, i, j)`` is ``w y p^i q^j``, as in ``shifted``.  One walk, right
-        to left, keys exact coefficients by span index ``k`` (``e_0`` the fiducial),
-        ``(i, j)`` and the count of kept ``_phase_letters``; a kept ``y`` takes ``e_k``
-        to the terms ``(k', factor)`` of ``_span_action(y, k)``.  Each term runs over
-        all walks before the next, so the powers come in the order of the expansion
-        over the terms, first letter slowest, in which label polynomials sum them.
-        ``_pairing(word, ends)`` yields ``(i, j, quarter turns, n, moment)`` per end.
-        Returns ``{(i, j, n): [re, im]}`` in units of ``moment_scale ** n``; a letter
-        outside ``table`` raises :class:`ValueError`.
+        A term ``(w, y, code)`` is ``w y`` times a label monomial, as in ``shifted``, whose
+        powers the caller has packed in the integer ``code`` so that they add as it does.
+        One walk, right to left, keys exact coefficients by span index ``k`` (``e_0`` the
+        fiducial), the sum of the codes and the counts of kept ``_phase_letters`` and of
+        label terms (``y`` None); a kept ``y`` takes ``e_k`` to the terms ``(k', factor)`` of
+        ``_span_action(y, k)``.  Each term runs over all walks before the next, so the codes
+        come in the order of the expansion over the terms, first letter slowest, in which
+        label polynomials sum them.  ``_pairing(word, ends)`` yields ``(code, quarter turns,
+        n, moment)`` per end.  Returns ``{(code, n): [re, im]}`` in units of
+        ``moment_scale ** n``; a letter outside ``table`` raises :class:`ValueError`.
         """
-        ends = {(0, 0, 0, 0): 1}
+        ends, act = {(0, 0, 0, 0): 1}, self._span_action
         for letter in reversed(word):
             if letter not in table:
                 raise ValueError(f"letter {letter!r} is not in the {self.kind} family's alphabet")
             out = defaultdict(int)
-            for w, y, di, dj in table[letter]:
-                turned = y in self._phase_letters
-                for (k, i, j, phase), c in ends.items():
-                    for k_out, factor in ((k, 1),) if y is None else self._span_action(y, k):
-                        out[k_out, i + di, j + dj, phase + turned] += w * factor * c
+            for w, y, code in table[letter]:
+                turned, taken = y in self._phase_letters, y is None
+                for (k, at, phase, labels), c in ends.items():
+                    for k_out, factor in ((k, 1),) if taken else act(y, k):
+                        out[k_out, at + code, phase + turned, labels + taken] += w * factor * c
             ends = out
         sums: dict[tuple, list] = {}
-        for i, j, turns, n, r in self._pairing(word, ends):
+        for code, turns, n, r in self._pairing(word, ends):
             # i^turns r adds r to re, to im, then -r to re, to im, for turns = 0, 1, 2, 3
-            total = sums.setdefault((i, j, n), [0, 0])
+            total = sums.setdefault((code, n), [0, 0])
             total[turns % 2] += r if turns % 4 < 2 else -r
         return sums
 
     def fiducial_moment(self, word) -> complex:
-        """The exact ``<fiducial| word |fiducial>``, rounded once; a letter outside ``shifted``, or a
-        family with none, raises :class:`ValueError`, and a moment that overflows :class:`DomainError`."""
-        if self.shifted is None:
-            raise ValueError(f"the {self.kind} family has no shifted table to take moments with")
-        moments = self.exact_terms(word, {x: ((1, x, 0, 0),) for x in self.shifted})
+        """The exact ``<fiducial| word |fiducial>``, rounded once; a letter outside ``shifted``
+        raises :class:`ValueError`, and a moment that overflows :class:`DomainError`."""
+        moments = self.exact_terms(word, {x: ((1, x, 0),) for x in self.shifted})
         try:
             return sum((complex(re * self.moment_scale ** n, im * self.moment_scale ** n)
-                        for (_, _, n), (re, im) in moments.items()), 0j)
+                        for (_, n), (re, im) in moments.items()), 0j)
         except OverflowError:
             raise DomainError(f"the fiducial moment of {'*'.join(word)} overflows a double") from None
 
@@ -195,9 +198,9 @@ class _Canonical(CoherentFamily):
             raise DomainError(f"the squeeze b = {self.b} overflows its adjoint action") from None
         c, s = math.cos(2.0 * self.a), math.sin(2.0 * self.a)
         # (weight, letter Y, powers of p and q of Y's label y): a nonzero weight w adds w Y + w y
-        weighted = {"P": ((down * c, "P", 1, 0), (-up * s, "Q", 0, 1)),
-                    "Q": ((up * c, "Q", 0, 1), (down * s, "P", 1, 0))}
-        return {x: tuple(t for w, y, i, j in weighted[x] if w for t in ((w, y, 0, 0), (w, None, i, j)))
+        weighted = {"P": ((down * c, "P", (1, 0)), (-up * s, "Q", (0, 1))),
+                    "Q": ((up * c, "Q", (0, 1)), (down * s, "P", (1, 0)))}
+        return {x: tuple(t for w, y, powers in weighted[x] if w for t in ((w, y, (0, 0)), (w, None, powers)))
                 for x in weighted}
 
     @staticmethod
@@ -209,12 +212,12 @@ class _Canonical(CoherentFamily):
 
     @staticmethod
     def _pairing(word, ends):
-        # <0|k>' = 0 for k > 0, and each term that keeps no letter carries one label power:
-        # an end kept m = len(word) - i - j letters and pairs to i^(#P) (hbar/2)^(m/2) times
-        # its coefficient at e_0, to 0 elsewhere, and to 0 at n = 0 for odd m
-        for (k, i, j, phase), c in ends.items():
-            m = len(word) - i - j
-            yield (i, j, 0, 0, 0) if m % 2 else (i, j, phase, m // 2, c if k == 0 else 0)
+        # <0|k>' = 0 for k > 0: an end that kept m = len(word) - labels letters pairs to
+        # i^(#P) (hbar/2)^(m/2) times its coefficient at e_0, to 0 elsewhere, and to 0 at
+        # n = 0 for odd m
+        for (k, code, phase, labels), c in ends.items():
+            m = len(word) - labels
+            yield (code, 0, 0, 0) if m % 2 else (code, phase, m // 2, c if k == 0 else 0)
 
     def _build(self, p, q):
         # below a mean Fock level of dim the Poisson occupancy rises to the top
@@ -281,10 +284,10 @@ class _Affine(CoherentFamily):
     half_line = True
     _phase_letters = ("P", "D")
     shifted = {
-        "D": ((1.0, "D", 0, 0), (1.0, "Q", 1, 1)),
-        "Q": ((1.0, "Q", 0, 1),),
-        "Q^-1": ((1.0, "Q^-1", 0, -1),),
-        "P": ((1.0, "P", 0, -1), (1.0, None, 1, 0)),
+        "D": ((1.0, "D", (0, 0)), (1.0, "Q", (1, 1))),
+        "Q": ((1.0, "Q", (0, 1)),),
+        "Q^-1": ((1.0, "Q^-1", (0, -1)),),
+        "P": ((1.0, "P", (0, -1)), (1.0, None, (1, 0))),
     }
 
     def __init__(self, rep, beta):
@@ -339,7 +342,7 @@ class _Affine(CoherentFamily):
             moments[k] = moments[k - 1] * (nu2 + k - 1) / nu2
         for k in range(-1, low - 1, -1):
             moments[k] = moments[k + 1] * nu2 / (nu2 + k)
-        return [(i, j, -n, n, c * moments[k]) for (k, i, j, n), c in ends.items()]
+        return [(code, -n, n, c * moments[k]) for (k, code, n, _), c in ends.items()]
 
     def _build(self, p, q):
         # both unitaries act pointwise on half-line wavefunctions (a phase and
@@ -355,12 +358,24 @@ class _Affine(CoherentFamily):
 class _Spin(CoherentFamily):
     kind = "spin"
     variables = "spin"
+    _phase_letters = ("S2",)
+    # U^dag S_a U = sum_b R_ab S_b with R = R_z(phi) R_y(theta) = [[c u, -s, c v], [s u, c, s v],
+    # [-v, 0, u]], u, v = cos, sin theta and c, s = cos, sin phi: (weight, letter, powers of u, v, c, s)
+    shifted = {
+        "S1": ((1.0, "S1", (1, 0, 1, 0)), (-1.0, "S2", (0, 0, 0, 1)), (1.0, "S3", (0, 1, 1, 0))),
+        "S2": ((1.0, "S1", (1, 0, 0, 1)), (1.0, "S2", (0, 0, 1, 0)), (1.0, "S3", (0, 1, 0, 1))),
+        "S3": ((-1.0, "S1", (0, 1, 0, 0)), (1.0, "S3", (1, 0, 0, 0))),
+    }
 
     def __init__(self, rep):
         self.rep, self.fiducial = rep, rep.highest_weight()
         self.letters = {"S1": rep.S1, "S2": rep.S2, "S3": rep.S3}
         self.label_domain = lambda p, q: rep.s * rep.hbar - p * p
         self.curvature = 2.0 / (rep.s * rep.hbar)
+        # p = chart_radius cos(theta) and q = chart_radius phi
+        self.chart_radius = math.sqrt(rep.s * rep.hbar)
+        self.moment_scale = Fraction(rep.hbar) / 2
+        self._two_s = rep.dim - 1
 
     def label_in_domain(self, p, q):
         # the azimuth is periodic: every real q is a label
@@ -373,35 +388,28 @@ class _Spin(CoherentFamily):
             raise DomainError(f"spin labels require p^2 < s hbar (got p = {p})")
         return MetricTensor2(1.0 / f, 0.0, f)
 
+    def _span_action(self, letter, k):
+        # the span e_k = (S_-/hbar)^k |s, s>, on which, in units of hbar/2, 2 S3 e_k = (2s - 2k) e_k,
+        # 2 S1 e_k = e_(k+1) + k (2s - k + 1) e_(k-1) and 2 S2 e_k = i [e_(k+1) - k (2s - k + 1) e_(k-1)],
+        # less its i
+        if letter == "S3":
+            return ((k, self._two_s - 2 * k),)
+        raised = ((k + 1, 1),) if k < self._two_s else ()  # S_- e_2s = 0
+        lowered = k * (self._two_s - k + 1)
+        return raised + ((k - 1, lowered if letter == "S1" else -lowered),) if k else raised
+
+    @staticmethod
+    def _pairing(word, ends):
+        # <e_0|e_k> = 0 for k > 0, and every term keeps its letter, each one hbar/2
+        for (k, code, phase, _), c in ends.items():
+            yield code, phase, len(word), c if k == 0 else 0
+
     def _build(self, p, q):
-        return self._parts(p, q)[0]
-
-    def tangent(self, p: float, q: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return ``(psi, d_p psi, d_q psi)`` as amplitude arrays, for :func:`enhance`'s gradient.
-
-        ``psi`` is ``state(p, q).amplitudes``, with the same checks, and the
-        derivatives are those of the same state map, taken exactly:
-        ``d_theta = (-i/hbar) e^{-i m phi} (S2 chi)`` and
-        ``d_phi = (-i/hbar) S3 psi = -i m psi``, with
-        ``d theta / d p = -1 / sqrt(s hbar - p^2)``.  The poles raise
-        :class:`DomainError`.
-        """
-        psi, phase, chi, m = self._parts(p, q)
-        rep = self.rep
-        shbar = rep.s * rep.hbar
-        if p * p >= shbar:
-            raise DomainError(f"the spin chart is singular at the poles (got p = {p})")
-        d_theta = (-1j / rep.hbar) * phase * (rep.S2 @ chi)
-        d_phi = -1j * m * psi.amplitudes
-        return psi.amplitudes, (-1.0 / np.sqrt(shbar - p * p)) * d_theta, d_phi / np.sqrt(shbar)
-
-    def _parts(self, p, q):
         # theta = arccos(p / sqrt(s hbar)) in [0, pi] and phi = q / sqrt(s hbar),
         # left unwrapped: wrapping it would flip the sign of half-integer-spin
         # states at the seam.  exp(-i phi S3 / hbar) exp(-i theta S2 / hbar)|s, s>
         # has the binomial amplitudes e^{-i m phi} chi_m, chi_m = sqrt(C(2s, s-m))
-        # cos(theta/2)^{s+m} sin(theta/2)^{s-m} (Radcliffe 1971), taken in log
-        # form: the state, e^{-i m phi}, chi and m
+        # cos(theta/2)^{s+m} sin(theta/2)^{s-m} (Radcliffe 1971), taken in log form
         rep = self.rep
         sq = np.sqrt(rep.s * rep.hbar)
         if abs(p) > sq * (1 + 1e-12):
@@ -414,8 +422,7 @@ class _Spin(CoherentFamily):
         log_binom = log_fact[two_s] - log_fact - log_fact[::-1]
         chi = np.exp(0.5 * log_binom + _xlogy(two_s - k, np.cos(0.5 * theta))
                      + _xlogy(k, np.sin(0.5 * theta)))
-        phase = np.exp(-1j * (q / sq) * m)
-        return StateVector(phase * chi, rep), phase, chi, m
+        return StateVector(np.exp(-1j * (q / sq) * m) * chi, rep)
 
 
 def canonical_family(rep: LineRep) -> CoherentFamily:

@@ -6,19 +6,18 @@ formal), or ``{S1, S2, S3}`` (spin).  :func:`enhance` restricts it to a
 coherent-state family, producing the label function ``H(p, q) = <p,q| poly |p,q>``
 together with its gradient, from what the family declares.
 
-Except on the sphere, ``H`` is the fiducial expectation of the letters
-pulled through the group element (Perelomov): ``P -> P + p``, ``Q -> Q + q``
-on the line, rotated by ``2a`` and scaled by ``e^{+-2b}`` for the squeezed
-family (Stoler 1970; Yuen 1976), and ``D -> D + p q Q``, ``Q -> q Q``,
-``Q^-1 -> Q^-1 / q``, ``P -> P / q + p`` on the half line.  One walk of
-each word through the fiducial's span over the shifted letters turns ``H``
-into an explicit Laurent polynomial in ``(p, q)`` with exact moments,
-compiled once to straight-line code for its value and gradient.  Spin
-letters pull through to trigonometric functions of the labels, so a spin
-polynomial is formed once as a matrix ``M``, and ``H = <psi|M psi>`` takes
-the gradient ``2 Re <d psi|M psi>`` from the spin state's exact derivatives,
-the one family that builds them.  Nothing is differenced, and there is no
-ordering engine.
+``H`` is the fiducial expectation of the letters pulled through the group
+element (Perelomov): ``P -> P + p``, ``Q -> Q + q`` on the line, rotated by
+``2a`` and scaled by ``e^{+-2b}`` for the squeezed family (Stoler 1970;
+Yuen 1976), ``D -> D + p q Q``, ``Q -> q Q``, ``Q^-1 -> Q^-1 / q``,
+``P -> P / q + p`` on the half line, and on the sphere the rotation
+``S_a -> sum_b R_ab S_b`` of the spin's polar and azimuthal angles
+(Radcliffe 1971).  One walk of each word through the fiducial's span over
+the shifted letters turns ``H`` into an explicit polynomial with exact
+moments: Laurent in ``(p, q)``, or in the cosines and sines of the angles,
+which the family's chart of radius ``sqrt(s hbar)`` reads off the labels.
+It is compiled once to straight-line code for its value and gradient.  No
+state is built, nothing is differenced, and there is no ordering engine.
 
 On the line families a vacuum moment of ``m`` kept letters is
 ``hbar^(m/2)`` times its value at ``hbar = 1``, and odd moments vanish, so
@@ -32,7 +31,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -188,29 +187,30 @@ def poly_expectation(poly: OperatorPolynomial, family: CoherentFamily, p: float,
     return complex(total)
 
 
-def _code(terms) -> str:
-    # the sum of the terms c p^i q^j in order, as products and divisions grouped
-    # as (c * p^i) * q^j: with no pow, floats and float64 arrays give the same bits
+def _code(terms, names=("p", "q")) -> str:
+    # the sum of the terms (c, i, j), c p^i q^j, in order (or of c times the powers of other
+    # names), as products and divisions grouped as (c * p^i) * q^j: with no pow, floats and
+    # float64 arrays give the same bits
     def factor(x, n):
         product = " * ".join([x] * abs(n))
         return (" * " if n > 0 else " / ") + (product if abs(n) == 1 else f"({product})")
 
-    return " + ".join(repr(c) + "".join(factor(x, n) for x, n in (("p", i), ("q", j)) if n)
-                      for c, i, j in terms) or "0.0"
+    return " + ".join([repr(row[0]) + "".join([factor(names[e], n) for e, n in enumerate(row[1:]) if n])
+                       for row in terms]) or "0.0"
 
 
-def _function(name, body) -> str:
+def _function(name, body, args="p, q") -> str:
     # Python floats raise ZeroDivisionError where a power underflows to 0:
     # then the function runs again on float64 scalars, as ieee does
-    return (f"def {name}(p, q):\n    try:\n        return {body}\n"
-            f"    except ZeroDivisionError:\n        return ieee({name}, p, q)\n")
+    return (f"def {name}({args}):\n    try:\n        return {body}\n"
+            f"    except ZeroDivisionError:\n        return ieee({name}, {args})\n")
 
 
-def _ieee(fn, p, q):
+def _ieee(fn, *args):
     # fn on float64 scalars, which give the IEEE infinity or nan of arrays
     # and the compiled step loop, converted back to Python floats
     with np.errstate(all="ignore"):
-        result = fn(np.float64(p), np.float64(q))
+        result = fn(*map(np.float64, args))
     return tuple(map(float, result)) if isinstance(result, tuple) else float(result)
 
 
@@ -250,7 +250,7 @@ class _LabelPolynomial:
         d_q = [(j * c, i, j - 1) for c, i, j in terms if j]
         for c, i, j in terms + d_p + d_q:
             if not math.isfinite(c):
-                raise _overflow(i, j)
+                raise _overflow((i, j))
         self.term_arrays = tuple(np.array(d, dtype=float).reshape(-1, 3) for d in (terms, d_p, d_q))
         self.term_args = tuple(x for rows in self.term_arrays for x in (rows.ctypes.data, len(rows)))
         self.value, self.gradient = _compiled(
@@ -265,8 +265,13 @@ class _LabelPolynomial:
         return value
 
 
-def _overflow(i, j) -> DomainError:
-    return DomainError(f"the label polynomial or its gradient overflows a double at the power p^{i} q^{j}")
+def _overflow(powers) -> DomainError:
+    return DomainError(f"the label polynomial or its gradient overflows a double at the power {_power(powers)}")
+
+
+def _power(powers) -> str:
+    # p^i q^j, or u^a v^b c^c s^d on the sphere
+    return ("p^{} q^{}" if len(powers) == 2 else "u^{} v^{} c^{} s^{}").format(*powers)
 
 
 def _realized(value: complex, context: str) -> float:
@@ -287,33 +292,56 @@ def _exact(x: float):
 
 
 def _label_terms(poly, family, scale, graded: bool) -> dict:
-    # <p,q| W |p,q> = <fiducial| U^dag W U |fiducial>, one walk per word, with scale for
-    # moment_scale: the coefficients' exact [re, im], summed word by word in units of the
-    # word's coefficient, keyed by (power of p, power of q), and n if graded
-    shifted = {x: [(_exact(w), *rest) for w, *rest in terms] for x, terms in family.shifted.items()}
-    sums: dict[tuple, list] = {}
+    # <p,q| W |p,q> = <fiducial| U^dag W U |fiducial>, one walk per word over the shifted
+    # table with its powers packed, with scale for moment_scale: the coefficients' exact
+    # [re, im], summed word by word in units of the word's coefficient, keyed by the label
+    # powers, and (powers, n) if graded
+    table = family.shifted
+    shifted = {x: [(_exact(w), y, _packed(powers)) for w, y, powers in terms] for x, terms in table.items()}
+    sums: dict = {}
     for word, coeff in poly.terms:
         c = _exact(coeff)
-        for (i, j, n), (re, im) in family.exact_terms(word, shifted).items():
+        for (code, n), (re, im) in family.exact_terms(word, shifted).items():
             unit = c * scale ** n if n else c
-            total = sums.setdefault((i, j, n) if graded else (i, j), [0, 0])
+            total = sums.setdefault((code, n) if graded else code, [0, 0])
             # a zero part, as of every odd moment on the line, adds nothing
             if re:
                 total[0] += unit * re
             if im:
                 total[1] += unit * im
-    return sums
+    width = len(next(iter(table.values()))[0][2])
+    return {((_unpacked(key[0], width), key[1]) if graded else _unpacked(key, width)): total
+            for key, total in sums.items()}
+
+
+#: The walk adds a term's label powers as the digits of one integer in this base: a word's power
+#: of one label is a sum of at most MAX_DEGREE letters' powers, each 0 or +-1.
+_BASE = 1 << 8
+
+
+@lru_cache(maxsize=1024)
+def _packed(powers) -> int:
+    return sum(x * _BASE ** e for e, x in enumerate(powers))
+
+
+@lru_cache(maxsize=4096)
+def _unpacked(code: int, width: int) -> tuple:
+    # the digits, each in [-_BASE/2, _BASE/2), of a sum of packed powers
+    code += _packed((_BASE // 2,) * width)
+    return tuple(code // _BASE ** e % _BASE - _BASE // 2 for e in range(width))
 
 
 def _rounded(sums: dict, kind: str) -> dict:
-    # each exact [re, im] rounded once; a word and its reversal share a key, so each is real
+    # each exact [re, im] rounded once; a word and its reversal share a key, so each is real,
+    # and _realized checks one whose imaginary part rounds to no zero
     rounded = {}
-    for (i, j), (re, im) in sums.items():
+    for powers, (re, im) in sums.items():
         try:
-            rounded[i, j] = _realized(complex(float(re), float(im)),
-                                      f"the {kind} moment expansion at the power p^{i} q^{j}")
+            value = complex(float(re), float(im))
         except OverflowError:
-            raise _overflow(i, j) from None
+            raise _overflow(powers) from None
+        rounded[powers] = value.real if not value.imag else _realized(
+            value, f"the {kind} moment expansion at the power {_power(powers)}")
     return rounded
 
 
@@ -354,42 +382,58 @@ class EnhancedHamiltonian:
 def enhance(poly: OperatorPolynomial, family: CoherentFamily) -> EnhancedHamiltonian:
     """Restrict an operator polynomial to a coherent-state family.
 
-    With a ``shifted`` table (canonical, squeezed, affine) the polynomial is
-    reduced once to an explicit label polynomial (Laurent in ``q`` when
-    affine words contain the formal momentum) through exact fiducial
-    moments, compiled once with its exact gradient.  Vacuum moments are
-    exact at any basis size; an affine word that reaches ``<Q^-k>`` through
-    its letters ``P`` or ``Q^-1`` needs ``beta > k/2 * hbar``, and a
-    ``half_line`` label function raises
-    :class:`DomainError` at ``q <= 0``, as does a coefficient whose exact
-    sum, rounded once, overflows.  Otherwise (spin) it is formed once as
-    ``M = sum_w c_w W``: ``H = <psi|M psi>`` on the state, with the gradient
-    ``2 Re <d psi|M psi>`` from the spin family's own ``tangent``, the state
-    and its exact label derivatives; past a pole the gradient raises
-    :class:`DomainError`.
+    The polynomial is reduced once to an explicit label polynomial through
+    exact fiducial moments, compiled once with its exact gradient: Laurent
+    in ``(p, q)`` (in ``q`` when affine words contain the formal momentum),
+    or on the sphere in ``cos``, ``sin`` of ``theta`` and ``phi``, read
+    through the chart ``p = r cos(theta)``, ``q = r phi`` of radius
+    ``r = family.chart_radius``.  Vacuum moments are exact at any basis
+    size; an affine word that reaches ``<Q^-k>`` through its letters ``P``
+    or ``Q^-1`` needs ``beta > k/2 * hbar``.  :class:`DomainError` is raised
+    by a ``half_line`` label function at ``q <= 0``, by a spin one at
+    ``|p| > r (1 + 1e-12)`` and by its gradient at the poles, and by a
+    coefficient whose exact sum, rounded once, overflows.
     """
     _check_alphabet(poly, family)
-    if family.shifted is not None:
-        coeffs = _rounded(_label_terms(poly, family, family.moment_scale, graded=False), family.kind)
-        lp = _LabelPolynomial(coeffs, q_positive=family.half_line)
-        return EnhancedHamiltonian(lp, lp.gradient, q_positive=family.half_line,
-                                   label_domain=family.label_domain, polynomial=lp)
-    # the letters pull through to no polynomial: form the operator once
-    eye = np.eye(family.rep.dim)
-    op = sum((c * reduce(np.matmul, (family.letters[letter] for letter in word), eye)
-              for word, c in poly.terms), np.zeros_like(eye))
+    coeffs = _rounded(_label_terms(poly, family, family.moment_scale, graded=False), family.kind)
+    if family.chart_radius is not None:
+        return _on_the_sphere(coeffs, family.chart_radius, family.label_domain)
+    lp = _LabelPolynomial(coeffs, q_positive=family.half_line)
+    return EnhancedHamiltonian(lp, lp.gradient, q_positive=family.half_line,
+                               label_domain=family.label_domain, polynomial=lp)
+
+
+def _on_the_sphere(coeffs: dict, radius: float, label_domain) -> EnhancedHamiltonian:
+    # H(p, q) = f(u, v, c, s), the polynomial coeffs in u, v = cos, sin theta and c, s = cos, sin
+    # phi at p = radius u and q = radius phi, phi unwrapped; f and its four partials are compiled
+    # once, and the gradient is theirs through the chart
+    terms = [(c, *powers) for powers, c in coeffs.items() if c != 0.0]
+    partials = [[(row[e] * row[0], *row[1:e], row[e] - 1, *row[e + 1:]) for row in terms if row[e]]
+                for e in range(1, 5)]
+    names = ("u", "v", "c", "s")
+    value, partial = _compiled(_function("value", _code(terms, names), "u, v, c, s") + _function(
+        "gradient", ", ".join(_code(d, names) for d in partials), "u, v, c, s"))
+
+    def chart(p, q):
+        if not abs(p) <= radius * (1 + 1e-12):
+            raise DomainError(f"|p| must not exceed sqrt(s hbar) = {radius} (got p = {p})")
+        if not math.isfinite(q):
+            raise DomainError(f"spin labels require a finite q (got q = {q})")
+        u, phi = min(max(p / radius, -1.0), 1.0), q / radius
+        return u, math.sqrt(1.0 - u * u), math.cos(phi), math.sin(phi)
 
     def evaluate(p, q):
-        psi = family.state(p, q).amplitudes
-        return _realized(complex(np.vdot(psi, op @ psi)), f"{family.kind} expectation")
+        return value(*chart(p, q))
 
     def gradient(p, q):
-        # d <psi|M psi> = 2 Re <d psi|M psi>, as M is Hermitian
-        psi, d_p, d_q = family.tangent(p, q)
-        op_psi = op @ psi
-        return 2.0 * np.vdot(d_p, op_psi).real, 2.0 * np.vdot(d_q, op_psi).real
+        u, v, c, s = chart(p, q)
+        if v == 0.0:
+            raise DomainError(f"the spin chart is singular at the poles (got p = {p})")
+        f_u, f_v, f_c, f_s = partial(u, v, c, s)
+        # du/dp = 1/radius, dv/dp = -u/(v radius), dc/dq = -s/radius and ds/dq = c/radius
+        return (f_u - f_v * u / v) / radius, (f_s * c - f_c * s) / radius
 
-    return EnhancedHamiltonian(evaluate, gradient, label_domain=family.label_domain)
+    return EnhancedHamiltonian(evaluate, gradient, label_domain=label_domain)
 
 
 def hbar_series(poly: OperatorPolynomial, family: CoherentFamily) -> tuple:
@@ -409,6 +453,6 @@ def hbar_series(poly: OperatorPolynomial, family: CoherentFamily) -> tuple:
     # odd moments are exactly zero, at n = 0, and add nothing
     series: list[dict] = [{} for _ in range(poly.degree // 2 + 1)]
     per_hbar = family.moment_scale / Fraction(family.rep.hbar)
-    for (i, j, n), sums in _label_terms(poly, family, per_hbar, graded=True).items():
-        series[n][i, j] = sums
+    for (powers, n), sums in _label_terms(poly, family, per_hbar, graded=True).items():
+        series[n][powers] = sums
     return tuple(_LabelPolynomial(_rounded(terms, family.kind)) for terms in series)

@@ -101,11 +101,9 @@ def _turning_radius(core: tuple[float, float], m: float, energy: float) -> float
 
 
 def spin_precession(B: float, rep: SpinRep) -> EnhancedHamiltonian:
-    """Uniform precession generator ``B * S3`` restricted to spin labels.
+    """Uniform precession generator ``B * S3`` restricted to spin labels by :func:`enhance`.
 
     The label function is ``H(p, q) = B sqrt(s hbar) p``: the azimuth
     advances linearly at rate ``B`` while ``p`` stays constant.
     """
-    sq = np.sqrt(rep.s * rep.hbar)
-    return EnhancedHamiltonian(lambda p, q: B * sq * p, lambda p, q: (B * sq, 0.0),
-                               label_domain=spin_family(rep).label_domain)
+    return enhance(OperatorPolynomial([(B, ("S3",))], "spin"), spin_family(rep))

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from enhq import (
@@ -40,3 +42,16 @@ def affine_beta2(halfline4000):
 @pytest.fixture(scope="session")
 def spin_half():
     return build_spin_rep(0.5)
+
+
+@pytest.fixture(scope="session")
+def pool():
+    """The 40 starts ``(p0, q0, horizon)`` of perfbench's hydrogen_contrast workload, with its
+    classical and enhanced hydrogen."""
+    with pytest.MonkeyPatch.context() as m:
+        m.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import workloads
+        items = workloads.HydrogenContrast._pool()
+        params = workloads.HydrogenContrast()
+        params.setup(None)
+    return items, params.classical, params.enhanced

@@ -15,8 +15,9 @@ product of its letters' shifted terms against the one span walk per word,
 a label polynomial multiplied out one factor of the inverse relabeling
 at a time, and called through it by the chain rule, against its binomial
 substitution, the metric of each family's exact state derivatives against
-its declared metric and the differenced one, and the quadrature of the
-restricted action, stationary along the flow's orbits.
+its declared metric and the differenced one, the quadrature of the
+restricted action, stationary along the flow's orbits, and the closed-form
+Kepler orbits of the classical and enhanced hydrogen against their flows.
 """
 
 import cmath
@@ -27,6 +28,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import scipy.sparse as sp
 
@@ -63,14 +65,24 @@ def tangent(family: CoherentFamily, p: float, q: float) -> tuple:
     ``(nu / q) (x / q - 1)`` times ``psi``, ``nu = beta / hbar``.  There, and
     for the truncated Fock series, they are those of the state before it is
     normalized, which differ from the normalized map's only along ``psi``.
-    The spin family builds its own (``_Spin.tangent``), whose poles raise
+    On the sphere ``psi = e^{-i m phi} chi`` with ``chi`` the state at
+    ``phi = 0``, so ``d_theta = (-i/hbar) e^{-i m phi} (S2 chi)`` and
+    ``d_phi = (-i/hbar) S3 psi = -i m psi``, with
+    ``d theta / d p = -1 / sqrt(s hbar - p^2)``; the poles raise
     :class:`DomainError`.  The state's tail and domain checks raise as
     ``family.state`` does.
     """
-    if family.kind == "spin":
-        return family.tangent(p, q)
     psi = family.state(p, q).amplitudes
     hbar = family.rep.hbar
+    if family.kind == "spin":
+        rep = family.rep
+        shbar = rep.s * hbar
+        if p * p >= shbar:
+            raise DomainError(f"the spin chart is singular at the poles (got p = {p})")
+        m = rep.s - np.arange(rep.dim)
+        chi = family.state(p, 0.0).amplitudes
+        d_theta = (-1j / hbar) * np.exp(-1j * (q / np.sqrt(shbar)) * m) * (rep.S2 @ chi)
+        return psi, (-1.0 / np.sqrt(shbar - p * p)) * d_theta, -1j * m * psi / np.sqrt(shbar)
     if family.half_line:
         x, nu = family.rep.grid, family.beta / hbar
         return psi, (1j / hbar) * x * psi, (nu / q) * (x / q - 1.0) * psi
@@ -256,7 +268,7 @@ def affine_label_coefficients(poly: OperatorPolynomial, beta: float, hbar: float
 
 
 def expanded_label_terms(poly: OperatorPolynomial, family: CoherentFamily, scale, graded: bool) -> dict:
-    """The exact label coefficients of a family with a ``shifted`` table, word by word over every product.
+    """The exact label coefficients of a line or half-line family, word by word over every product.
 
     Each word expands over every product of its letters' weighted shifted
     terms, ``2^m`` of them for ``m`` letters of two terms.  The moment of each
@@ -268,8 +280,8 @@ def expanded_label_terms(poly: OperatorPolynomial, family: CoherentFamily, scale
     raises :class:`DomainError` naming ``<Q^k>``.  Returns what
     ``correspondence._label_terms`` returns: each coefficient's exact
     ``[re, im]``, in units of the word's coefficient and of ``scale`` for
-    ``moment_scale``, keyed by ``(i, j)`` (and ``n`` if ``graded``) in the
-    order the products first reach them.
+    ``moment_scale``, keyed by the powers ``(i, j)`` (and ``((i, j), n)`` if
+    ``graded``) in the order the products first reach them.
     """
     def exact(x):
         return int(x) if x.is_integer() else Fraction(x)
@@ -298,16 +310,17 @@ def expanded_label_terms(poly: OperatorPolynomial, family: CoherentFamily, scale
     for word, coeff in poly.terms:
         parts = {}
         for terms in itertools.product(*(shifted[letter] for letter in word)):
-            kept = tuple(letter for _, letter, _, _ in terms if letter is not None)
+            kept = tuple(letter for _, letter, _ in terms if letter is not None)
             if kept not in moments:
                 moments[kept] = moment(kept)
             k, r, n = moments[kept]
-            part = parts.setdefault((sum(t[2] for t in terms), sum(t[3] for t in terms), n), [0, 0])
+            powers = tuple(sum(t[2][e] for t in terms) for e in (0, 1))
+            part = parts.setdefault((powers, n), [0, 0])
             term = math.prod(t[0] for t in terms) * r
             part[k % 2] += term if k < 2 else -term
         for key, (re, im) in parts.items():
-            unit = exact(coeff) * scale ** key[2]
-            total = sums.setdefault(key if graded else key[:2], [0, 0])
+            unit = exact(coeff) * scale ** key[1]
+            total = sums.setdefault(key if graded else key[0], [0, 0])
             total[0] += unit * re
             total[1] += unit * im
     return sums
@@ -384,6 +397,51 @@ def hydrogen_by_hand(params: HydrogenParams):
     enhanced = (lambda p, q: p * p / (2.0 * m) - c1 / q + c2 / (2.0 * m * q * q),
                 lambda p, q: (p / m, c1 / (q * q) - c2 / (m * q * q * q)))
     return classical, enhanced
+
+
+def label_energy(coeffs: dict, p: float, q: float):
+    """The label polynomial ``{(i, j): c}`` at ``(p, q)``, exact in ``mpmath`` at 40 digits."""
+    with mpmath.workdps(40):
+        return mpmath.fsum(mpmath.mpf(c) * mpmath.mpf(p) ** i * mpmath.mpf(q) ** j
+                           for (i, j), c in coeffs.items())
+
+
+def _kepler_constants(coeffs: dict):
+    # (m, C1, C2) of the label polynomial p^2/2m - C1/q + C2/(2m q^2), in mpmath
+    m = 1 / (2 * mpmath.mpf(coeffs[2, 0]))
+    return m, -mpmath.mpf(coeffs[0, -1]), 2 * m * mpmath.mpf(coeffs.get((0, -2), 0.0))
+
+
+def cycloid_floor_time(coeffs: dict, p0: float, q0: float, q_floor: float) -> float:
+    """The time the classical ``p^2/2m - C/q`` takes to fall from ``(p0 <= 0, q0)`` to ``q_floor``.
+
+    At an energy ``E < 0`` the orbit is the cycloid ``q = a(1 - cos eta)``,
+    ``t = sqrt(m a^3 / C) (eta - sin eta)`` with ``a = C / 2|E|``, infalling for
+    ``pi <= eta < 2 pi``.  ``coeffs`` are the label polynomial's, taken as exact
+    binary numbers, and the arithmetic is ``mpmath``'s at 40 digits.
+    """
+    with mpmath.workdps(40):
+        m, c, _ = _kepler_constants(coeffs)
+        a = c / (-2 * label_energy(coeffs, p0, q0))
+
+        def time(q):
+            eta = 2 * mpmath.pi - mpmath.acos(1 - mpmath.mpf(q) / a)
+            return mpmath.sqrt(m * a ** 3 / c) * (eta - mpmath.sin(eta))
+
+        return float(time(q_floor) - time(q0))
+
+
+def kepler_turning_radius(coeffs: dict, p0: float, q0: float) -> float:
+    """The pericentre of the enhanced ``p^2/2m - C1/q + C2/(2m q^2)`` through ``(p0, q0)``.
+
+    At ``E < 0`` it is a radial Kepler orbit with ``L^2 = C2``:
+    ``q = a(1 - e cos eta)`` with ``a = C1 / 2|E|`` and ``e^2 = 1 - C2 / (m C1 a)``, whose
+    smallest radius is ``a(1 - e)``; in ``mpmath`` at 40 digits, as :func:`cycloid_floor_time`.
+    """
+    with mpmath.workdps(40):
+        m, c1, c2 = _kepler_constants(coeffs)
+        a = c1 / (-2 * label_energy(coeffs, p0, q0))
+        return float(a * (1 - mpmath.sqrt(1 - c2 / (m * c1 * a))))
 
 
 def expectation(state: StateVector, op) -> complex:

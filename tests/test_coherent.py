@@ -212,11 +212,24 @@ class TestFiducialMoment:
         assert affine_beta2.fiducial_moment(("P", "P")) == pytest.approx(fiducial_p2_closed(2.0, 1.0), rel=1e-15)
         assert affine_beta2.fiducial_moment(("Q^-1",)) == pytest.approx(4 / 3, rel=1e-15)
 
+    @pytest.mark.parametrize("s,hbar", [(0.5, 1.0), (2.0, 0.5), (10.0, 0.25)])
+    def test_spin_moments(self, s, hbar):
+        # <S3> = s hbar, <S1 S1> = s hbar^2 / 2 and <S1 S2> = i s hbar^2 / 2 at the highest
+        # weight, whose S1 S1 + S2 S2 + S3 S3 = s (s + 1) hbar^2; exact at these dyadic hbar
+        family = spin_family(build_spin_rep(s, hbar))
+        assert family.fiducial_moment(("S3",)) == s * hbar
+        assert family.fiducial_moment(("S1", "S1")) == s * hbar * hbar / 2
+        assert family.fiducial_moment(("S1", "S2")) == 0.5j * s * hbar * hbar
+        assert family.fiducial_moment(("S2", "S1")) == -0.5j * s * hbar * hbar
+        casimir = sum(family.fiducial_moment((x, x)) for x in ("S1", "S2", "S3"))
+        assert casimir == s * (s + 1) * hbar * hbar
+        assert family.fiducial_moment(("S1", "S3", "S1")) == (s - 1) * s * hbar**3 / 2
+
     @pytest.mark.parametrize("family,word,message", [
         ("canonical", ("Q^-1", "Q"), "letter 'Q^-1' is not in the canonical family's alphabet"),
         ("canonical", ("D",), "letter 'D' is not in the canonical family's alphabet"),
         ("affine", ("X", "X"), "letter 'X' is not in the affine family's alphabet"),
-        ("spin", ("S1",), "the spin family has no shifted table"),
+        ("spin", ("S1", "Q"), "letter 'Q' is not in the spin family's alphabet"),
     ])
     def test_a_letter_outside_the_family_is_rejected(self, fock200, affine_beta2, spin_half, family, word, message):
         # each letter is walked as its own term of the family's shifted table
@@ -735,6 +748,23 @@ class TestClosedFormsAgainstExponentials:
             for phi in (-np.pi * 0.999, -0.3, 0.0, 1.2, np.pi):
                 assert_allclose(family.state(sq * np.cos(theta), sq * phi).amplitudes,
                                 exponential_spin(theta, phi, rep).amplitudes, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("s", [0.5, 1.0, 1.5, 5.0])
+    def test_spin_adjoint_table_is_the_rotation(self, s):
+        # U^dag S_a U = sum_b R_ab S_b, with U = exp(-i phi S3) exp(-i theta S2) built column
+        # by column by the exponentials and R_ab read off the family's shifted table at
+        # u, v = cos, sin theta and c, s = cos, sin phi
+        rep = build_spin_rep(s, 0.7)
+        family = spin_family(rep)
+        for theta, phi in [(0.0, 0.0), (0.4, -0.3), (1.9, 1.2), (np.pi, 2.5), (2.6, -4.0)]:
+            basis = [StateVector(column, rep) for column in np.eye(rep.dim)]
+            u = np.column_stack([exponential("S3", phi, exponential("S2", theta, e)).amplitudes
+                                 for e in basis])
+            angles = (np.cos(theta), np.sin(theta), np.cos(phi), np.sin(phi))
+            for a, terms in family.shifted.items():
+                rotated = sum(w * np.prod(np.power(angles, powers)) * family.letters[b]
+                              for w, b, powers in terms)
+                assert_allclose(u.conj().T @ family.letters[a] @ u, rotated, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("s", [0.5, 2.5, 20.0])
     def test_spin_family_past_the_seam(self, s):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -29,6 +30,7 @@ from enhq import (
     poly_expectation,
     spin_family,
 )
+from enhq.coherent import CoherentFamily
 from enhq.correspondence import _ALPHABETS, MAX_DEGREE, EnhancedHamiltonian, OperatorPolynomial, _rounded
 from oracles import (
     affine_label_coefficients,
@@ -38,6 +40,7 @@ from oracles import (
     label_polynomial_loop,
     shift_identity_check,
     stencil_family,
+    tangent,
 )
 
 
@@ -531,6 +534,76 @@ class TestEnhanceSpin:
                 grad = np.array(ham.gradient(p, q))
                 assert np.max(np.abs(grad - richardson)) <= 1e-8 * np.max(np.abs(grad)), expression
 
+    @pytest.mark.parametrize("hbar", [1.0, 0.3])
+    @pytest.mark.parametrize("s", [0.5, 2.0, 10.0])
+    def test_every_short_word_and_seeded_long_ones_match_the_state(self, s, hbar):
+        # each word with its reversal, restricted by the span walk, against the per-word
+        # expectation on the state: every word up to three letters, and 50 seeded words of
+        # four to six
+        family = spin_family(build_spin_rep(s, hbar))
+        sq = math.sqrt(s * hbar)
+        rng = random.Random(7)
+        alphabet = _ALPHABETS["spin"]
+        words = [w for m in range(4) for w in itertools.product(alphabet, repeat=m)]
+        words += [tuple(rng.choices(alphabet, k=rng.randint(4, 6))) for _ in range(50)]
+        for word in words:
+            poly = OperatorPolynomial([(1.0, word), (1.0, word[::-1])], "spin")
+            ham = enhance(poly, family)
+            for p, q in [(0.3 * sq, 0.7 * sq), (-0.55 * sq, -2.0 * sq), (0.95 * sq, 4.0 * sq)]:
+                direct = poly_expectation(poly, family, p, q).real
+                assert ham(p, q) == pytest.approx(direct, rel=1e-12, abs=1e-12 * (s * hbar) ** len(word)), word
+
+    @pytest.mark.parametrize("s,hbar", [(0.5, 1.0), (2.0, 0.3), (10.0, 1.0)])
+    def test_gradient_is_the_oracle_on_the_state(self, s, hbar):
+        # 2 Re <d psi|M psi>, with M = sum_w c_w W from the letters and d psi from the
+        # tangent oracle
+        family = spin_family(build_spin_rep(s, hbar))
+        sq = math.sqrt(s * hbar)
+        for expression in self.POLYNOMIALS:
+            poly = parse_polynomial(expression, "spin")
+            ham = enhance(poly, family)
+            op = sum(c * functools.reduce(np.matmul, (family.letters[x] for x in word), np.eye(family.rep.dim))
+                     for word, c in poly.terms)
+            for p, q in [(0.3 * sq, 0.7 * sq), (-0.55 * sq, -2.0 * sq), (0.999 * sq, 9.0 * sq)]:
+                psi, d_p, d_q = tangent(family, p, q)
+                expected = [2.0 * np.vdot(d, op @ psi).real for d in (d_p, d_q)]
+                scale = (s * hbar) ** poly.degree / sq
+                assert ham.gradient(p, q) == pytest.approx(expected, rel=1e-10, abs=1e-12 * scale), expression
+
+    def test_labels_off_the_chart_and_at_the_poles(self):
+        # within 1e-12 of the radius a label reads as the pole, where the value is the
+        # fiducial's and the chart has no gradient; past it, or at a label that is not
+        # finite, neither is taken
+        family = spin_family(build_spin_rep(2.0, 0.5))
+        ham = enhance(parse_polynomial("S3*S3 + S1", "spin"), family)
+        for p in (1.0, -1.0, 1.0 + 1e-13):
+            assert ham(p, 0.3) == pytest.approx(1.0, rel=1e-15)
+            with pytest.raises(DomainError, match=re.escape(f"the spin chart is singular at the poles (got p = {p})")):
+                ham.gradient(p, 0.3)
+        for call in (ham, ham.gradient):
+            with pytest.raises(DomainError, match=r"\|p\| must not exceed sqrt\(s hbar\) = 1.0 \(got p = -1.000001\)"):
+                call(-1.000001, 0.3)
+            with pytest.raises(DomainError, match=r"\(got p = nan\)"):
+                call(math.nan, 0.3)
+            for q in (math.inf, math.nan):
+                with pytest.raises(DomainError, match=rf"spin labels require a finite q \(got q = {q}\)"):
+                    call(0.5, q)
+
+    def test_restriction_and_flow_build_no_state(self, monkeypatch):
+        def no_state(family, p, q):
+            raise AssertionError(f"a {family.kind} state was built")
+
+        monkeypatch.setattr(CoherentFamily, "state", no_state)
+        family = spin_family(build_spin_rep(10.0))
+        ham = enhance(parse_polynomial("S3*S3 + S1", "spin"), family)
+        # <S3 S3> = s^2 cos^2(theta) + (s/2) sin^2(theta) and <S1> = s sin(theta) cos(phi), at hbar = 1
+        u, phi = 0.1 / math.sqrt(10.0), 0.2 / math.sqrt(10.0)
+        expected = 100.0 * u * u + 5.0 * (1.0 - u * u) + 10.0 * math.sqrt(1.0 - u * u) * math.cos(phi)
+        assert ham(0.1, 0.2) == pytest.approx(expected, rel=1e-14)
+        ham.gradient(0.1, 0.2)
+        traj = hamiltonian_flow(ham, (0.05, -0.3), 0.15, n_samples=200)
+        assert len(traj) == 200 and traj.event_kinds() == ()
+
     def test_flow_conserves_energy_to_the_solver_tolerance(self):
         # an exact gradient leaves only the solver's drift; central
         # differences of the direct route drift 8e-11 on this orbit
@@ -547,6 +620,14 @@ class TestEnhanceSpin:
         # every route checks the alphabet before it looks up a letter
         with pytest.raises(ValueError, match="incompatible"):
             route(parse_polynomial(expression, variables), canonical200)
+
+
+class TestRounding:
+    def test_a_nearly_hermitian_pair_keeps_its_real_part(self, canonical200):
+        # P*Q and Q*P within the Hermiticity tolerance leave an imaginary part at p^0 q^0
+        # far below _realized's bound: the coefficient rounds to its real part, 0
+        poly = OperatorPolynomial([(1.0, ("P", "Q")), (1.0 + 1e-13, ("Q", "P"))], "canonical")
+        assert enhance(poly, canonical200).polynomial.coeffs == {(1, 1): 2.0000000000001}
 
 
 class TestEnhanceExtended:
@@ -820,8 +901,8 @@ class TestSpanWalk:
 
     def expanded_series(self, poly, family):
         series = [{} for _ in range(poly.degree // 2 + 1)]
-        for (i, j, n), sums in expanded_label_terms(poly, family, Fraction(1, 2), True).items():
-            series[n][i, j] = sums
+        for (powers, n), sums in expanded_label_terms(poly, family, Fraction(1, 2), True).items():
+            series[n][powers] = sums
         return [self.nonzero(_rounded(terms, family.kind)) for terms in series]
 
     def assert_walk_is_the_expansion(self, poly, family):

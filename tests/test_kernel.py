@@ -5,7 +5,6 @@ import shlex
 import shutil
 import subprocess
 import sysconfig
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +18,6 @@ from enhq.correspondence import EnhancedHamiltonian, _LabelPolynomial
 from enhq.dynamics import (_DONE, _FULL, _HIT_ROWS, _NONFINITE, _NOROOT, _TOO_SMALL_STEP,
                            _UNDERFLOW, FlowWork, _compiled_flow, _dormand_prince, _kernel)
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 CC = shlex.split(sysconfig.get_config_var("CC") or "")
 needs_compiler = pytest.mark.skipif(not CC or shutil.which(CC[0]) is None,
                                     reason="Python's C compiler is not installed")
@@ -117,18 +115,6 @@ class TestBuild:
                             lambda name: "enhq-no-such-compiler" if name == "CC" else None)
         assert _kernel.__wrapped__() is None
         assert list(tmp_path.iterdir()) == []
-
-
-@pytest.fixture(scope="module")
-def pool():
-    # the 40 starts of perfbench's hydrogen_contrast workload
-    with pytest.MonkeyPatch.context() as m:
-        m.syspath_prepend(str(PERFBENCH))
-        import workloads
-        items = workloads.HydrogenContrast._pool()
-        params = workloads.HydrogenContrast()
-        params.setup(None)
-    return items, params.classical, params.enhanced
 
 
 class TestBitIdentity:

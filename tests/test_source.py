@@ -68,6 +68,12 @@ ALLOWED_UNREAD_NAMES = {
 # geometry, so cli.py references none of them
 STATE_NAMES = {"fs_metric", "fs_metric_numeric", "tangent", "state", "CapacityError"}
 
+# the functions that restrict a polynomial walk the tables that families declare and build no
+# state or matrix: none of them reads these (poly_expectation, the tests' per-word reference
+# on the state, is not one of them)
+RESTRICTION_FUNCTIONS = {"enhance", "_label_terms", "hbar_series", "_on_the_sphere"}
+STATE_READS = {"state", "tangent", "letters", "amplitudes"}
+
 # what a family is, not what it declares: geometry, restriction and the CLI choose by
 # neither (an error message may still name the kind)
 FAMILY_IDENTITY = {"family.kind", "family.beta", "family.rep.s", "family.rep.kind"}
@@ -113,6 +119,14 @@ def _oracle_references(tree, module):
 
 def _state_references(tree, module):
     return [(module, name) for name in sorted(_referenced_names(tree) & STATE_NAMES)]
+
+
+def _restriction_state_reads(tree, module):
+    # (module, function, name) for each of STATE_READS that a top-level function of
+    # RESTRICTION_FUNCTIONS reads, its nested closures included
+    return sorted((module, node.name, name) for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name in RESTRICTION_FUNCTIONS
+                  for name in _referenced_names(node) & STATE_READS)
 
 
 def _third_party_imports(tree, module):
@@ -302,6 +316,23 @@ def test_the_check_sees_a_state_reference():
         ("cli.py", "state"), ("cli.py", "tangent")]
 
 
+def test_restriction_reads_no_state():
+    tree = ast.parse((SOURCE / "correspondence.py").read_text())
+    assert RESTRICTION_FUNCTIONS <= {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert _restriction_state_reads(tree, "correspondence.py") == []
+
+
+def test_the_check_sees_a_state_read_in_restriction():
+    tree = ast.parse("def enhance(poly, family):\n    psi = family.state(0, 0).amplitudes\n"
+                     "    return psi @ family.letters['Q'] @ psi\n\n"
+                     "def poly_expectation(poly, family):\n    return family.state(0, 0)\n\n"
+                     "def _on_the_sphere(coeffs, family):\n    def gradient(p, q):\n"
+                     "        return getattr(family, 'tangent')(p, q)\n    return gradient\n")
+    assert _restriction_state_reads(tree, "m.py") == [
+        ("m.py", "_on_the_sphere", "tangent"), ("m.py", "enhance", "amplitudes"),
+        ("m.py", "enhance", "letters"), ("m.py", "enhance", "state")]
+
+
 def test_restriction_chooses_by_what_families_declare():
     found = [f for module in RESTRICTING_MODULES
              for f in _choices_by_family_identity(ast.parse((SOURCE / module).read_text()), module)]
@@ -317,10 +348,9 @@ def test_the_check_sees_a_choice_by_family_identity():
         ("m.py", "family.beta"), ("m.py", "family.kind"), ("m.py", "family.rep.kind")]
 
 
-def test_each_family_with_a_shifted_table_declares_the_span_walk():
+def test_every_family_declares_the_span_walk():
     # the walk of CoherentFamily.exact_terms reads a term for every letter of the
-    # family's alphabet and the family's span, phase letters and pairing; the one
-    # family without a table, spin, restricts through its matrices
+    # family's alphabet and the family's span, phase letters and pairing
     fock = enhq.build_fock_rep(4)
     families = [enhq.canonical_family(fock), enhq.extended_family(fock, 0.3, 0.2),
                 enhq.affine_family(enhq.build_halfline_rep(0.1, 10.0, 16, 1.0), 2.0),
@@ -331,12 +361,10 @@ def test_each_family_with_a_shifted_table_declares_the_span_walk():
         found.update(subclasses)
         classes += subclasses
     assert {type(family) for family in families} == found
-    assert [family.kind for family in families if family.shifted is None] == ["spin"]
     for family in families:
-        if family.shifted is not None:
-            assert set(family.shifted) == set(enhq.correspondence._ALPHABETS[family.variables]), family.kind
-            assert set(family._phase_letters) <= set(family.shifted), family.kind
-            assert callable(family._span_action) and callable(family._pairing), family.kind
+        assert set(family.shifted) == set(enhq.correspondence._ALPHABETS[family.variables]), family.kind
+        assert set(family._phase_letters) <= set(family.shifted), family.kind
+        assert callable(family._span_action) and callable(family._pairing), family.kind
 
 
 def test_the_library_imports_exactly_its_declared_dependencies():
